@@ -1,7 +1,7 @@
 # Pre-PR gate: run `make check` before sending changes for review.
 GO ?= go
 
-.PHONY: check build test race vet fmt chaos multitenant scale delta failover churn
+.PHONY: check build test race vet fmt bench-test loc chaos multitenant scale delta failover churn
 
 check: fmt vet race
 
@@ -13,6 +13,20 @@ test:
 
 race:
 	$(GO) test -race -shuffle=on ./...
+
+# bench/ is its own module (replace-d onto this one), so `go test ./...`
+# never enters it: this is what notices an internal API rename breaking
+# the benchmark.
+bench-test:
+	cd bench && $(GO) vet . && $(GO) test .
+
+# Code lines (no comments, no blanks, no tests, no benchmark module):
+# the count the simplicity acceptance bars are stated in, tree-wide and
+# for the daemon package.
+LOC = xargs cat | grep -vE '^\s*(//|$$)' | wc -l
+loc:
+	@echo "tree:            $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | $(LOC))"
+	@echo "internal/daemon: $$(find ./internal/daemon -name '*.go' -not -name '*_test.go' | $(LOC))"
 
 # Fault-injection sweep at a fixed seed: proves committed checkpoints
 # survive verb errors, dropped connections, and torn flushes.

@@ -43,7 +43,6 @@ import (
 	"github.com/portus-sys/portus/internal/metrics"
 	"github.com/portus-sys/portus/internal/placement"
 	"github.com/portus-sys/portus/internal/pmem"
-	"github.com/portus-sys/portus/internal/repack"
 	"github.com/portus-sys/portus/internal/serialize"
 	"github.com/portus-sys/portus/internal/sim"
 	"github.com/portus-sys/portus/internal/store"
@@ -300,25 +299,25 @@ func runOffline(image string, args []string) error {
 	if err != nil {
 		return err
 	}
-	store, err := index.Open(pm)
+	idx, err := index.Open(pm)
 	if err != nil {
 		return err
 	}
 	switch args[0] {
 	case "view":
-		return view(store)
+		return view(idx)
 	case "dump":
 		if len(args) != 3 {
 			return fmt.Errorf("usage: portusctl -image FILE dump MODEL OUT")
 		}
-		return dump(pm, store, args[1], args[2])
+		return dump(pm, idx, args[1], args[2])
 	case "inspect":
 		if len(args) != 2 {
 			return fmt.Errorf("usage: portusctl -image FILE inspect MODEL")
 		}
-		return inspect(store, args[1])
+		return inspect(idx, args[1])
 	case "repack":
-		rep, err := repack.Run(pm, store)
+		rep, err := store.Offline(pm, idx)
 		if err != nil {
 			return err
 		}

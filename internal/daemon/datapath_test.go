@@ -7,6 +7,7 @@ import (
 	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/cluster"
 	"github.com/portus-sys/portus/internal/daemon"
+	"github.com/portus-sys/portus/internal/datapath"
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/sim"
@@ -83,8 +84,8 @@ func TestDaemonAblationPathsStillCorrect(t *testing.T) {
 	// The ablation datapaths (two-sided, host staging) must be slower but
 	// byte-identical.
 	for _, mut := range []func(*daemon.Config){
-		func(c *daemon.Config) { c.TwoSidedData = true },
-		func(c *daemon.Config) { c.StageThroughHost = true },
+		func(c *daemon.Config) { c.Strategy = datapath.TwoSided{} },
+		func(c *daemon.Config) { c.Strategy = datapath.HostStaged{} },
 	} {
 		mut := mut
 		eng := sim.NewEngine()

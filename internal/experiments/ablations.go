@@ -7,6 +7,7 @@ import (
 	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/cluster"
 	"github.com/portus-sys/portus/internal/daemon"
+	"github.com/portus-sys/portus/internal/datapath"
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/metrics"
 	"github.com/portus-sys/portus/internal/model"
@@ -23,11 +24,11 @@ func measurePortusOpt(spec model.Spec, cmut func(*cluster.Config), dmut func(*da
 		if cmut != nil {
 			cmut(&cfg)
 		}
-		rig, err := newPortusRig(env, cfg, dmut)
+		rig, err := newTierRig(env, cfg, dmut)
 		if err != nil {
 			panic(err)
 		}
-		_, c, err := rig.place(env, 0, 0, spec)
+		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -50,7 +51,7 @@ func measurePortusOpt(spec model.Spec, cmut func(*cluster.Config), dmut func(*da
 func AblationStaging() []*Table {
 	bert := model.TableII()[6]
 	zero := measurePortus(bert)
-	staged := measurePortusOpt(bert, nil, func(c *daemon.Config) { c.StageThroughHost = true })
+	staged := measurePortusOpt(bert, nil, func(c *daemon.Config) { c.Strategy = datapath.HostStaged{} })
 	t := &Table{
 		ID:     "ablation-staging",
 		Title:  "Zero-copy pull vs host-DRAM staging (BERT-Large checkpoint)",
@@ -69,7 +70,7 @@ func AblationStaging() []*Table {
 func AblationOneSided() []*Table {
 	bert := model.TableII()[6]
 	one := measurePortus(bert)
-	two := measurePortusOpt(bert, nil, func(c *daemon.Config) { c.TwoSidedData = true })
+	two := measurePortusOpt(bert, nil, func(c *daemon.Config) { c.Strategy = datapath.TwoSided{} })
 	t := &Table{
 		ID:     "ablation-onesided",
 		Title:  "One-sided vs two-sided data plane (BERT-Large checkpoint)",
@@ -92,11 +93,11 @@ func AblationDoubleMap() []*Table {
 
 	var doubleMap, fresh time.Duration
 	runEngine(func(env sim.Env) {
-		rig, err := newPortusRig(env, voltaConfig(), nil)
+		rig, err := newTierRig(env, voltaConfig(), nil)
 		if err != nil {
 			panic(err)
 		}
-		_, c, err := rig.place(env, 0, 0, spec)
+		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -109,7 +110,7 @@ func AblationDoubleMap() []*Table {
 		doubleMap = (env.Now() - start) / rounds
 	})
 	runEngine(func(env sim.Env) {
-		rig, err := newPortusRig(env, voltaConfig(), nil)
+		rig, err := newTierRig(env, voltaConfig(), nil)
 		if err != nil {
 			panic(err)
 		}
@@ -126,11 +127,7 @@ func AblationDoubleMap() []*Table {
 			versioned.Name = fmt.Sprintf("%s@v%d", spec.Name, i)
 			vp := *placed
 			vp.Spec = versioned
-			conn, err := rig.net.Dial(env, "storage")
-			if err != nil {
-				panic(err)
-			}
-			c, err := client.Register(env, conn, rig.cl.Compute[0].RNode, &vp)
+			c, err := rig.register(env, 0, &vp, client.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -173,7 +170,7 @@ func AblationWorkers() []*Table {
 		runEngine(func(env sim.Env) {
 			cfg := voltaConfig()
 			cfg.GPUsPerNode = tenants
-			rig, err := newPortusRig(env, cfg, func(c *daemon.Config) { c.Workers = workers })
+			rig, err := newTierRig(env, cfg, func(c *daemon.Config) { c.Workers = workers })
 			if err != nil {
 				panic(err)
 			}
@@ -181,7 +178,7 @@ func AblationWorkers() []*Table {
 			for i := 0; i < tenants; i++ {
 				s := spec
 				s.Name = fmt.Sprintf("%s-tenant%d", spec.Name, i)
-				_, c, err := rig.place(env, 0, i, s)
+				_, c, err := rig.place(env, 0, i, s, client.Options{})
 				if err != nil {
 					panic(err)
 				}

@@ -16,7 +16,7 @@ import (
 // blocking snapshot and the background persist.
 func profileCheckFreq(spec model.Spec) (snapshot, persist time.Duration) {
 	runEngine(func(env sim.Env) {
-		rig, err := newPortusRig(env, voltaConfig(), nil)
+		rig, err := newTierRig(env, voltaConfig(), nil)
 		if err != nil {
 			panic(err)
 		}

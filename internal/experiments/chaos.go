@@ -73,41 +73,30 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 			Route:     faults.Rule{Rate: rate / 10},
 			Telemetry: reg,
 		})
-		cl, err := cluster.New(env, cluster.Config{
+		rig, err := newTierRig(env, cluster.Config{
 			ComputeNodes: 1, GPUsPerNode: 1,
 			GPUMemBytes: 64 << 20, PMemBytes: 512 << 20,
 			Materialized: true,
+		}, func(c *daemon.Config) {
+			c.Fabric = inj.Fabric(c.Fabric)
+			c.Workers = 2
+			c.PipelineDepth = 2
+			c.Lanes = 2
+			c.ChunkSize = 64 << 10
+			c.RetryMax = 6
+			c.RetryBackoff = 50 * time.Microsecond
+			c.LaneFailLimit = 3
+			c.Degrade = true
+			c.Flush = inj.Flush(c.PMem)
+			c.Telemetry = reg
 		})
 		if err != nil {
 			panic(err)
 		}
-		d, err := daemon.New(env, daemon.Config{
-			PMem:          cl.Storage[0].PMem,
-			RNode:         cl.Storage[0].RNode,
-			Fabric:        inj.Fabric(cl.Fabric),
-			Workers:       2,
-			PipelineDepth: 2,
-			Lanes:         2,
-			ChunkSize:     64 << 10,
-			RetryMax:      6,
-			RetryBackoff:  50 * time.Microsecond,
-			LaneFailLimit: 3,
-			Degrade:       true,
-			Flush:         inj.Flush(cl.Storage[0].PMem),
-			Telemetry:     reg,
-		})
-		if err != nil {
-			panic(err)
-		}
-		net := wire.NewSimNet()
-		l, err := net.Listen(env, "storage")
-		if err != nil {
-			panic(err)
-		}
-		env.Go("portusd-serve", func(env sim.Env) { d.Serve(env, l) })
+		cl, d := rig.cl, rig.daemons[0]
 
 		dial := func(env sim.Env) (wire.Conn, error) {
-			conn, err := net.Dial(env, "storage")
+			conn, err := rig.dial(env, cl.Storage[0].Name)
 			if err != nil {
 				return nil, err
 			}

@@ -28,10 +28,10 @@ func AblationChurn() []*Table {
 	const iterations = 1500
 	failEvery := int((45 * time.Second) / spec.IterTime)
 
-	runPolicy := func(mk func(env sim.Env, rig *portusRig) train.Checkpointer, interval int) train.Result {
+	runPolicy := func(mk func(env sim.Env, rig *tierRig) train.Checkpointer, interval int) train.Result {
 		var res train.Result
 		runEngine(func(env sim.Env) {
-			rig, err := newPortusRig(env, voltaConfig(), nil)
+			rig, err := newTierRig(env, voltaConfig(), nil)
 			if err != nil {
 				panic(err)
 			}
@@ -48,7 +48,7 @@ func AblationChurn() []*Table {
 
 	_, cfPersist := profileCheckFreq(spec)
 	cfInterval := minFeasibleInterval(spec.IterTime, cfPersist)
-	cfRes := runPolicy(func(env sim.Env, rig *portusRig) train.Checkpointer {
+	cfRes := runPolicy(func(env sim.Env, rig *tierRig) train.Checkpointer {
 		placed, err := gpu.Place(rig.cl.GPU(0, 0), spec)
 		if err != nil {
 			panic(err)
@@ -58,8 +58,8 @@ func AblationChurn() []*Table {
 
 	p := measurePortus(spec)
 	poInterval := minFeasibleInterval(spec.IterTime, p.ckpt)
-	poRes := runPolicy(func(env sim.Env, rig *portusRig) train.Checkpointer {
-		_, c, err := rig.place(env, 0, 0, spec)
+	poRes := runPolicy(func(env sim.Env, rig *tierRig) train.Checkpointer {
+		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
 		if err != nil {
 			panic(err)
 		}

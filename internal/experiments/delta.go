@@ -18,7 +18,6 @@ import (
 	"github.com/portus-sys/portus/internal/cluster"
 	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/faults"
-	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/metrics"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/sim"
@@ -41,24 +40,6 @@ const (
 	deltaBytesCeiling = 0.15
 )
 
-// placeOpts is portusRig.place with explicit client options — delta
-// runs need Options.DeltaBlockBytes.
-func (r *portusRig) placeOpts(env sim.Env, node, gpuIdx int, spec model.Spec, opts client.Options) (*gpu.PlacedModel, *client.Client, error) {
-	placed, err := gpu.Place(r.cl.GPU(node, gpuIdx), spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	conn, err := r.net.Dial(env, "storage")
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := client.RegisterOpts(env, conn, r.cl.Compute[node].RNode, placed, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return placed, c, nil
-}
-
 // deltaPoint is one sweep measurement: steady-state per-checkpoint
 // fabric bytes and end-to-end time at a given block mutation rate.
 type deltaPoint struct {
@@ -79,7 +60,7 @@ func runDeltaPoint(rate float64, withDigests bool) deltaPoint {
 	spec := model.GPTFamily()[0] // gpt-1.5b
 	pt := deltaPoint{Rate: rate, Digests: withDigests, Total: spec.TotalSize()}
 	runEngine(func(env sim.Env) {
-		rig, err := newPortusRig(env, voltaConfig(), func(d *daemon.Config) {
+		rig, err := newTierRig(env, voltaConfig(), func(d *daemon.Config) {
 			d.DeltaEnabled = true
 		})
 		if err != nil {
@@ -89,7 +70,7 @@ func runDeltaPoint(rate float64, withDigests bool) deltaPoint {
 		if withDigests {
 			opts.DeltaBlockBytes = deltaBlockBytes
 		}
-		placed, c, err := rig.placeOpts(env, 0, 0, spec, opts)
+		placed, c, err := rig.place(env, 0, 0, spec, opts)
 		if err != nil {
 			panic(err)
 		}
@@ -108,8 +89,8 @@ func runDeltaPoint(rate float64, withDigests bool) deltaPoint {
 				panic(fmt.Sprintf("delta: warmup checkpoint %d: %v", it, err))
 			}
 		}
-		startBytes := rig.d.Stats().BytesPulled
-		startFB := rig.d.Telemetry().Counter("portus_delta_full_fallbacks_total", "").Value()
+		startBytes := rig.daemons[0].Stats().BytesPulled
+		startFB := rig.daemons[0].Telemetry().Counter("portus_delta_full_fallbacks_total", "").Value()
 		start := env.Now()
 		for m := 0; m < deltaMeasured; m++ {
 			it++
@@ -119,8 +100,8 @@ func runDeltaPoint(rate float64, withDigests bool) deltaPoint {
 			}
 		}
 		pt.PerCkpt = (env.Now() - start) / deltaMeasured
-		pt.Pulled = (rig.d.Stats().BytesPulled - startBytes) / deltaMeasured
-		pt.Fallbacks = rig.d.Telemetry().Counter("portus_delta_full_fallbacks_total", "").Value() - startFB
+		pt.Pulled = (rig.daemons[0].Stats().BytesPulled - startBytes) / deltaMeasured
+		pt.Fallbacks = rig.daemons[0].Telemetry().Counter("portus_delta_full_fallbacks_total", "").Value() - startFB
 
 		// The last (delta-assembled) version restores byte-identical: the
 		// restored content's digests match what the GPU held at commit.
@@ -171,7 +152,7 @@ func runDeltaTier() deltaTierOutcome {
 			GPUMemBytes:  64 << 20,
 			StorageNodes: deltaTierNodes, PMemBytes: 256 << 20,
 			Materialized: true,
-		}, func(node string, dcfg *daemon.Config) {
+		}, func(dcfg *daemon.Config) {
 			dcfg.Replicas = deltaTierRF
 			dcfg.DeltaEnabled = true
 		})

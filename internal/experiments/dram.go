@@ -20,7 +20,7 @@ func megatronPortusDumpOn(spec model.Spec, cmut func(*cluster.Config)) time.Dura
 		if cmut != nil {
 			cmut(&cfg)
 		}
-		rig, err := newPortusRig(env, cfg, nil)
+		rig, err := newTierRig(env, cfg, nil)
 		if err != nil {
 			panic(err)
 		}
@@ -30,11 +30,7 @@ func megatronPortusDumpOn(spec model.Spec, cmut func(*cluster.Config)) time.Dura
 		}
 		clients := make([]*client.Client, len(placed))
 		for i := range placed {
-			conn, err := rig.net.Dial(env, "storage")
-			if err != nil {
-				panic(err)
-			}
-			clients[i], err = client.Register(env, conn, rig.cl.Compute[placements[i].Node].RNode, placed[i])
+			clients[i], err = rig.register(env, placements[i].Node, placed[i], client.Options{})
 			if err != nil {
 				panic(err)
 			}

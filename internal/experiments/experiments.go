@@ -16,6 +16,7 @@ import (
 	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/model"
+	"github.com/portus-sys/portus/internal/placement"
 	"github.com/portus-sys/portus/internal/sim"
 	"github.com/portus-sys/portus/internal/wire"
 )
@@ -131,48 +132,81 @@ func ByID(id string) (Experiment, error) {
 // Shared harness helpers.
 // ---------------------------------------------------------------------------
 
-// portusRig is a ready cluster + daemon + control network inside a
-// running engine process.
-type portusRig struct {
-	cl  *cluster.Cluster
-	d   *daemon.Daemon
-	net *wire.SimNet
+// tierRig is a ready cluster + storage tier + control network inside a
+// running engine process: one daemon per storage node, all sharing one
+// placement map, each serving on its node's name. The single-daemon
+// experiments are the StorageNodes = 1 case.
+type tierRig struct {
+	cl      *cluster.Cluster
+	pmap    *placement.Map
+	daemons []*daemon.Daemon
+	net     *wire.SimNet
 }
 
-// newPortusRig builds the rig. Call inside an engine process.
-func newPortusRig(env sim.Env, cfg cluster.Config, dmut func(*daemon.Config)) (*portusRig, error) {
+// newTierRig builds the rig; call inside an engine process. dmut, when
+// non-nil, edits each member's daemon config before construction — the
+// hook point for tuning and for per-node fault injection.
+func newTierRig(env sim.Env, cfg cluster.Config, dmut func(*daemon.Config)) (*tierRig, error) {
 	cl, err := cluster.New(env, cfg)
 	if err != nil {
 		return nil, err
 	}
-	dcfg := daemon.Config{PMem: cl.Storage[0].PMem, RNode: cl.Storage[0].RNode, Fabric: cl.Fabric}
-	if dmut != nil {
-		dmut(&dcfg)
+	nodes := make([]placement.Node, len(cl.Storage))
+	for i, st := range cl.Storage {
+		nodes[i] = placement.Node{Name: st.Name, Weight: st.PMem.DataSize()}
 	}
-	d, err := daemon.New(env, dcfg)
+	pmap, err := placement.New(nodes...)
 	if err != nil {
 		return nil, err
 	}
-	net := wire.NewSimNet()
-	l, err := net.Listen(env, "storage")
-	if err != nil {
-		return nil, err
+	rig := &tierRig{cl: cl, pmap: pmap, net: wire.NewSimNet()}
+	for _, st := range cl.Storage {
+		dcfg := daemon.Config{
+			PMem:     st.PMem,
+			RNode:    st.RNode,
+			Fabric:   cl.Fabric,
+			NodeName: st.Name,
+			Group:    pmap,
+		}
+		if dmut != nil {
+			dmut(&dcfg)
+		}
+		d, err := daemon.New(env, dcfg)
+		if err != nil {
+			return nil, err
+		}
+		l, err := rig.net.Listen(env, st.Name)
+		if err != nil {
+			return nil, err
+		}
+		env.Go("portusd-"+st.Name, func(env sim.Env) { d.Serve(env, l) })
+		rig.daemons = append(rig.daemons, d)
 	}
-	env.Go("portusd-serve", func(env sim.Env) { d.Serve(env, l) })
-	return &portusRig{cl: cl, d: d, net: net}, nil
+	return rig, nil
 }
 
-// place puts spec on (node, gpu) and registers it with the daemon.
-func (r *portusRig) place(env sim.Env, node, gpuIdx int, spec model.Spec) (*gpu.PlacedModel, *client.Client, error) {
+// dial connects to a named member's control plane.
+func (r *tierRig) dial(env sim.Env, node string) (wire.Conn, error) {
+	return r.net.Dial(env, node)
+}
+
+// register connects a model placed on compute node `node` to the first
+// storage node's daemon — the only one in a single-daemon rig.
+func (r *tierRig) register(env sim.Env, node int, placed *gpu.PlacedModel, opts client.Options) (*client.Client, error) {
+	conn, err := r.dial(env, r.cl.Storage[0].Name)
+	if err != nil {
+		return nil, err
+	}
+	return client.RegisterOpts(env, conn, r.cl.Compute[node].RNode, placed, opts)
+}
+
+// place puts spec on (node, gpu) and registers it.
+func (r *tierRig) place(env sim.Env, node, gpuIdx int, spec model.Spec, opts client.Options) (*gpu.PlacedModel, *client.Client, error) {
 	placed, err := gpu.Place(r.cl.GPU(node, gpuIdx), spec)
 	if err != nil {
 		return nil, nil, err
 	}
-	conn, err := r.net.Dial(env, "storage")
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := client.Register(env, conn, r.cl.Compute[node].RNode, placed)
+	c, err := r.register(env, node, placed, opts)
 	if err != nil {
 		return nil, nil, err
 	}

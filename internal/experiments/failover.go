@@ -87,7 +87,7 @@ func RunFailover(seed int64) FailoverOutcome {
 			GPUMemBytes:  64 << 20,
 			StorageNodes: failoverStorage, PMemBytes: 256 << 20,
 			Materialized: true,
-		}, func(node string, dcfg *daemon.Config) {
+		}, func(dcfg *daemon.Config) {
 			dcfg.Replicas = failoverRF
 		})
 		if err != nil {

@@ -26,10 +26,10 @@ func Fig9() []*Table {
 		res  train.Result
 	}
 	var outcomes []outcome
-	run := func(name string, mk func(env sim.Env, rig *portusRig) train.Checkpointer) {
+	run := func(name string, mk func(env sim.Env, rig *tierRig) train.Checkpointer) {
 		var res train.Result
 		runEngine(func(env sim.Env) {
-			rig, err := newPortusRig(env, voltaConfig(), nil)
+			rig, err := newTierRig(env, voltaConfig(), nil)
 			if err != nil {
 				panic(err)
 			}
@@ -46,29 +46,29 @@ func Fig9() []*Table {
 		outcomes = append(outcomes, outcome{name: name, res: res})
 	}
 
-	run("PyTorch torch.save (Fig 9a)", func(env sim.Env, rig *portusRig) train.Checkpointer {
+	run("PyTorch torch.save (Fig 9a)", func(env sim.Env, rig *tierRig) train.Checkpointer {
 		placed, err := gpu.Place(rig.cl.GPU(0, 0), spec)
 		if err != nil {
 			panic(err)
 		}
 		return baseline.NewTorchSave(fsim.NewBeeGFS(rig.cl.Storage[0]), rig.cl.Compute[0], placed)
 	})
-	run("CheckFreq (Fig 9b)", func(env sim.Env, rig *portusRig) train.Checkpointer {
+	run("CheckFreq (Fig 9b)", func(env sim.Env, rig *tierRig) train.Checkpointer {
 		placed, err := gpu.Place(rig.cl.GPU(0, 0), spec)
 		if err != nil {
 			panic(err)
 		}
 		return baseline.NewCheckFreq(fsim.NewBeeGFS(rig.cl.Storage[0]), rig.cl.Compute[0], placed)
 	})
-	run("Portus sync (Fig 9c)", func(env sim.Env, rig *portusRig) train.Checkpointer {
-		_, c, err := rig.place(env, 0, 0, spec)
+	run("Portus sync (Fig 9c)", func(env sim.Env, rig *tierRig) train.Checkpointer {
+		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
 		if err != nil {
 			panic(err)
 		}
 		return &client.Sync{C: c}
 	})
-	run("Portus async (Fig 9d)", func(env sim.Env, rig *portusRig) train.Checkpointer {
-		_, c, err := rig.place(env, 0, 0, spec)
+	run("Portus async (Fig 9d)", func(env sim.Env, rig *tierRig) train.Checkpointer {
+		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
 		if err != nil {
 			panic(err)
 		}

@@ -25,7 +25,7 @@ const (
 )
 
 // placeShards partitions spec and places every shard on its GPU.
-func placeShards(env sim.Env, rig *portusRig, spec model.Spec) ([]*gpu.PlacedModel, []parallel.Placement, error) {
+func placeShards(env sim.Env, rig *tierRig, spec model.Spec) ([]*gpu.PlacedModel, []parallel.Placement, error) {
 	shards, err := parallel.Partition(spec, megatronTP, megatronPP)
 	if err != nil {
 		return nil, nil, err
@@ -50,7 +50,7 @@ func placeShards(env sim.Env, rig *portusRig, spec model.Spec) ([]*gpu.PlacedMod
 func megatronTorchSaveDump(spec model.Spec) time.Duration {
 	var elapsed time.Duration
 	runEngine(func(env sim.Env) {
-		rig, err := newPortusRig(env, ampereConfig(), nil)
+		rig, err := newTierRig(env, ampereConfig(), nil)
 		if err != nil {
 			panic(err)
 		}
@@ -83,7 +83,7 @@ func megatronTorchSaveDump(spec model.Spec) time.Duration {
 func megatronPortusDump(spec model.Spec) time.Duration {
 	var elapsed time.Duration
 	runEngine(func(env sim.Env) {
-		rig, err := newPortusRig(env, ampereConfig(), nil)
+		rig, err := newTierRig(env, ampereConfig(), nil)
 		if err != nil {
 			panic(err)
 		}
@@ -93,11 +93,7 @@ func megatronPortusDump(spec model.Spec) time.Duration {
 		}
 		clients := make([]*client.Client, len(placed))
 		for i := range placed {
-			conn, err := rig.net.Dial(env, "storage")
-			if err != nil {
-				panic(err)
-			}
-			clients[i], err = client.Register(env, conn, rig.cl.Compute[placements[i].Node].RNode, placed[i])
+			clients[i], err = rig.register(env, placements[i].Node, placed[i], client.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -151,7 +147,7 @@ func gptTrainingRun(policy string, iterations, interval int) train.Result {
 	var res train.Result
 	spec := model.GPT22B()
 	runEngine(func(env sim.Env) {
-		rig, err := newPortusRig(env, ampereConfig(), nil)
+		rig, err := newTierRig(env, ampereConfig(), nil)
 		if err != nil {
 			panic(err)
 		}
@@ -168,11 +164,7 @@ func gptTrainingRun(policy string, iterations, interval int) train.Result {
 			}
 		case "portus-async":
 			for i := range placed {
-				conn, err := rig.net.Dial(env, "storage")
-				if err != nil {
-					panic(err)
-				}
-				c, err := client.Register(env, conn, rig.cl.Compute[placements[i].Node].RNode, placed[i])
+				c, err := rig.register(env, placements[i].Node, placed[i], client.Options{})
 				if err != nil {
 					panic(err)
 				}

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/sim"
@@ -120,7 +121,7 @@ func RunPerfProbe(cfg ProbeConfig) (ProbeResult, error) {
 	res := ProbeResult{Config: cfg, Stages: map[string]Quantiles{}}
 	var runErr error
 	runEngine(func(env sim.Env) {
-		rig, err := newPortusRig(env, voltaConfig(), func(d *daemon.Config) {
+		rig, err := newTierRig(env, voltaConfig(), func(d *daemon.Config) {
 			d.Workers = cfg.Workers
 			d.PipelineDepth = cfg.PipelineDepth
 			d.Lanes = cfg.Lanes
@@ -131,7 +132,7 @@ func RunPerfProbe(cfg ProbeConfig) (ProbeResult, error) {
 			runErr = err
 			return
 		}
-		_, c, err := rig.place(env, 0, 0, spec)
+		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
 		if err != nil {
 			runErr = err
 			return
@@ -148,7 +149,7 @@ func RunPerfProbe(cfg ProbeConfig) (ProbeResult, error) {
 
 		var latencies []time.Duration
 		stageSamples := map[string][]time.Duration{}
-		for _, tr := range rig.d.Traces().Snapshot() {
+		for _, tr := range rig.daemons[0].Traces().Snapshot() {
 			if tr.Kind != "client:checkpoint" && tr.Kind != "checkpoint" {
 				continue
 			}

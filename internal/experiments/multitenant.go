@@ -35,7 +35,7 @@ func mtFairness(tenants, rounds int) mtRun {
 	runEngine(func(env sim.Env) {
 		cfg := voltaConfig()
 		cfg.GPUsPerNode = tenants
-		rig, err := newPortusRig(env, cfg, func(c *daemon.Config) { c.Workers = 4 })
+		rig, err := newTierRig(env, cfg, func(c *daemon.Config) { c.Workers = 4 })
 		if err != nil {
 			panic(err)
 		}
@@ -46,7 +46,7 @@ func mtFairness(tenants, rounds int) mtRun {
 		ts := make([]*tenant, tenants)
 		placedAll := make([]interface{ ApplyUpdate(uint64) }, tenants)
 		for i := 0; i < tenants; i++ {
-			placed, c, err := rig.place(env, 0, i, mtSpec(i))
+			placed, c, err := rig.place(env, 0, i, mtSpec(i), client.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -86,7 +86,7 @@ func mtFairness(tenants, rounds int) mtRun {
 			}
 			// Zero lost committed checkpoints: the newest durable version
 			// is the final iteration the daemon acked.
-			m, err := rig.d.Store().Lookup(mtSpec(i).Name)
+			m, err := rig.daemons[0].Store().Lookup(mtSpec(i).Name)
 			if err != nil {
 				panic(err)
 			}
@@ -117,7 +117,7 @@ func mtPressure() (coalesced, busyReplies, clientRetries int64, committed map[st
 		reg := telemetry.NewRegistry()
 		cfg := voltaConfig()
 		cfg.GPUsPerNode = 4
-		rig, err := newPortusRig(env, cfg, func(c *daemon.Config) {
+		rig, err := newTierRig(env, cfg, func(c *daemon.Config) {
 			c.Workers = 1
 			c.QueueCap = 2
 			c.ModelQueueCap = 1
@@ -129,7 +129,7 @@ func mtPressure() (coalesced, busyReplies, clientRetries int64, committed map[st
 		clients := make([]*client.Client, 4)
 		placed := make([]interface{ ApplyUpdate(uint64) }, 4)
 		for i := 0; i < 4; i++ {
-			p, c, err := rig.place(env, 0, i, mtSpec(i))
+			p, c, err := rig.place(env, 0, i, mtSpec(i), client.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -163,7 +163,7 @@ func mtPressure() (coalesced, busyReplies, clientRetries int64, committed map[st
 		busyReplies = reg.Counter("portus_sched_busy_replies_total", "").Value()
 		for i, burst := range bursts {
 			clientRetries += clients[i].BusyRetries()
-			m, err := rig.d.Store().Lookup(mtSpec(i).Name)
+			m, err := rig.daemons[0].Store().Lookup(mtSpec(i).Name)
 			if err != nil {
 				panic(err)
 			}

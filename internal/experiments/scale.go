@@ -13,14 +13,11 @@ import (
 
 	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/cluster"
-	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/metrics"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/parallel"
-	"github.com/portus-sys/portus/internal/placement"
 	"github.com/portus-sys/portus/internal/sim"
-	"github.com/portus-sys/portus/internal/wire"
 )
 
 // The scale grid: GPT-1.5B over 2 tensor-parallel ranks × 4 pipeline
@@ -37,62 +34,6 @@ const (
 // scaleSpeedupFloor is the acceptance bar: 4 storage nodes must deliver
 // at least this multiple of the 1-node aggregate checkpoint throughput.
 const scaleSpeedupFloor = 2.5
-
-// tierRig is a multi-daemon cluster: one daemon per storage node, all
-// sharing one placement map, each serving on its node's name.
-type tierRig struct {
-	cl      *cluster.Cluster
-	pmap    *placement.Map
-	daemons []*daemon.Daemon
-	net     *wire.SimNet
-}
-
-// newTierRig builds the rig. dmut, when non-nil, edits each member's
-// daemon config (keyed by storage-node name) before construction —
-// the hook point for per-node fault injection.
-func newTierRig(env sim.Env, cfg cluster.Config, dmut func(node string, dcfg *daemon.Config)) (*tierRig, error) {
-	cl, err := cluster.New(env, cfg)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]placement.Node, len(cl.Storage))
-	for i, st := range cl.Storage {
-		nodes[i] = placement.Node{Name: st.Name, Weight: st.PMem.DataSize()}
-	}
-	pmap, err := placement.New(nodes...)
-	if err != nil {
-		return nil, err
-	}
-	rig := &tierRig{cl: cl, pmap: pmap, net: wire.NewSimNet()}
-	for _, st := range cl.Storage {
-		dcfg := daemon.Config{
-			PMem:     st.PMem,
-			RNode:    st.RNode,
-			Fabric:   cl.Fabric,
-			NodeName: st.Name,
-			Group:    pmap,
-		}
-		if dmut != nil {
-			dmut(st.Name, &dcfg)
-		}
-		d, err := daemon.New(env, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		l, err := rig.net.Listen(env, st.Name)
-		if err != nil {
-			return nil, err
-		}
-		env.Go("portusd-"+st.Name, func(env sim.Env) { d.Serve(env, l) })
-		rig.daemons = append(rig.daemons, d)
-	}
-	return rig, nil
-}
-
-// dial connects to a named member's control plane.
-func (r *tierRig) dial(env sim.Env, node string) (wire.Conn, error) {
-	return r.net.Dial(env, node)
-}
 
 // placeSharded partitions spec over the scale grid, places every shard
 // on its GPU, and registers each with its owning daemon through rt.

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/portus-sys/portus/internal/baseline"
+	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/fsim"
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/metrics"
@@ -38,7 +39,7 @@ type baselineRun struct {
 func measureBaseline(spec model.Spec, kind backendKind) baselineRun {
 	var out baselineRun
 	runEngine(func(env sim.Env) {
-		cl, err := newPortusRig(env, voltaConfig(), nil)
+		cl, err := newTierRig(env, voltaConfig(), nil)
 		if err != nil {
 			panic(err)
 		}
@@ -81,11 +82,11 @@ type portusRun struct {
 func measurePortus(spec model.Spec) portusRun {
 	var out portusRun
 	runEngine(func(env sim.Env) {
-		rig, err := newPortusRig(env, voltaConfig(), nil)
+		rig, err := newTierRig(env, voltaConfig(), nil)
 		if err != nil {
 			panic(err)
 		}
-		_, c, err := rig.place(env, 0, 0, spec)
+		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -94,7 +95,7 @@ func measurePortus(spec model.Spec) portusRun {
 			panic(err)
 		}
 		out.ckpt = env.Now() - start
-		st := rig.d.Stats()
+		st := rig.daemons[0].Stats()
 		out.pull, out.flush = st.PullTime, st.FlushTime
 
 		start = env.Now()

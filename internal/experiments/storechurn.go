@@ -9,7 +9,6 @@ import (
 	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/cluster"
 	"github.com/portus-sys/portus/internal/daemon"
-	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/index"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/sim"
@@ -96,31 +95,22 @@ func RunChurn(seed int64) ChurnOutcome {
 	var out ChurnOutcome
 	runEngine(func(env sim.Env) {
 		reg := telemetry.NewRegistry()
-		cl, err := cluster.New(env, cluster.Config{
+		rig, err := newTierRig(env, cluster.Config{
 			ComputeNodes: 1, GPUsPerNode: 4,
 			GPUMemBytes: 16 << 30, PMemBytes: churnCapacity,
 			Materialized: false,
-		})
-		if err != nil {
-			panic(err)
-		}
-		d, err := daemon.New(env, daemon.Config{
-			PMem: cl.Storage[0].PMem, RNode: cl.Storage[0].RNode, Fabric: cl.Fabric,
-			Workers: 4, Telemetry: reg,
+		}, func(c *daemon.Config) {
+			c.Workers = 4
+			c.Telemetry = reg
 			// Watermark default (0.5): a wave's deletes trip it, so
 			// background passes overlap the next wave's traffic; the
 			// ErrNoSpace reclaim path stays armed regardless.
-			RepackAuto: true,
+			c.RepackAuto = true
 		})
 		if err != nil {
 			panic(err)
 		}
-		net := wire.NewSimNet()
-		l, err := net.Listen(env, "storage")
-		if err != nil {
-			panic(err)
-		}
-		env.Go("portusd-serve", func(env sim.Env) { d.Serve(env, l) })
+		d := rig.daemons[0]
 
 		// The rng is drained up front so tenant goroutines never race on
 		// it; the schedule is a pure function of the seed.
@@ -143,7 +133,7 @@ func RunChurn(seed int64) ChurnOutcome {
 				g.Add(env, 1)
 				env.Go("churn-tenant", func(env sim.Env) {
 					defer g.Done(env)
-					churnTenant(env, cl, net, reg, spec, gpuIdx, &out)
+					churnTenant(env, rig, reg, spec, gpuIdx, &out)
 				})
 			}
 			g.Wait(env)
@@ -178,17 +168,8 @@ func RunChurn(seed int64) ChurnOutcome {
 // lifecycle. Every failure is a violated invariant: admission and
 // checkpoints must ride out NO_SPACE and BUSY backpressure via
 // retry-afters, never surface an error.
-func churnTenant(env sim.Env, cl *cluster.Cluster, net *wire.SimNet, reg *telemetry.Registry,
-	spec model.Spec, gpuIdx int, out *ChurnOutcome) {
-	placed, err := gpu.Place(cl.GPU(0, gpuIdx), spec)
-	if err != nil {
-		panic(err)
-	}
-	conn, err := net.Dial(env, "storage")
-	if err != nil {
-		panic(err)
-	}
-	c, err := client.RegisterOpts(env, conn, cl.Compute[0].RNode, placed, client.Options{
+func churnTenant(env sim.Env, rig *tierRig, reg *telemetry.Registry, spec model.Spec, gpuIdx int, out *ChurnOutcome) {
+	placed, c, err := rig.place(env, 0, gpuIdx, spec, client.Options{
 		Telemetry: reg,
 		// Registrations bounce off NO_SPACE while another tenant's
 		// delete or a repack pass frees room; the budget must outlast a
@@ -224,7 +205,7 @@ func churnTenant(env sim.Env, cl *cluster.Cluster, net *wire.SimNet, reg *teleme
 
 	// Delete over a fresh control connection, riding out the window
 	// where the lane still drains.
-	dconn, err := net.Dial(env, "storage")
+	dconn, err := rig.dial(env, rig.cl.Storage[0].Name)
 	if err != nil {
 		panic(err)
 	}

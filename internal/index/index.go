@@ -25,8 +25,8 @@
 // restored by CompactTable — a crash-atomic rewrite that uses two table
 // generations and flips between them with one failure-atomic persist,
 // the same double-mapping idea the version slots use. Lookups never
-// depend on sortedness: the daemon's in-DRAM ModelMap (a red-black
-// tree, package rbtree) serves them.
+// depend on sortedness: the daemon's in-DRAM ModelMap (a name-keyed map
+// of live handles) serves them.
 package index
 
 import (

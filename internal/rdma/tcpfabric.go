@@ -33,6 +33,10 @@ type TCPFabric struct {
 	conns  map[string]*agentConn
 	recvs  map[string]*sim.Mailbox[simMsg]
 	closed []io.Closer
+	// served is the agents' accepted connections; Close severs them so
+	// peers see this fabric go away instead of talking to its MR tables
+	// forever.
+	served map[net.Conn]struct{}
 }
 
 // agentConn is a cached connection to a peer agent; requests on it are
@@ -46,10 +50,11 @@ type agentConn struct {
 // receive queues.
 func NewTCPFabric(env sim.Env) *TCPFabric {
 	return &TCPFabric{
-		env:   env,
-		peers: make(map[string]string),
-		conns: make(map[string]*agentConn),
-		recvs: make(map[string]*sim.Mailbox[simMsg]),
+		env:    env,
+		peers:  make(map[string]string),
+		conns:  make(map[string]*agentConn),
+		recvs:  make(map[string]*sim.Mailbox[simMsg]),
+		served: make(map[net.Conn]struct{}),
 	}
 }
 
@@ -82,9 +87,17 @@ func (f *TCPFabric) Serve(n *Node, addr string) (string, error) {
 
 // AddPeer registers the address of a remote node's agent (out-of-band
 // address exchange, as InfiniBand does with its subnet manager).
+//
+// Re-pointing a name at a new address drops the connection cached for
+// the old one: the node restarted (a recovering client re-registers
+// under its old name), and verbs must reach the new agent.
 func (f *TCPFabric) AddPeer(name, addr string) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if ac, ok := f.conns[name]; ok && f.peers[name] != addr {
+		ac.c.Close()
+		delete(f.conns, name)
+	}
 	f.peers[name] = addr
 }
 
@@ -106,6 +119,9 @@ func (f *TCPFabric) Close() {
 	}
 	for _, ac := range f.conns {
 		ac.c.Close()
+	}
+	for c := range f.served {
+		c.Close()
 	}
 }
 
@@ -149,6 +165,39 @@ func (f *TCPFabric) dial(remote string) (*agentConn, error) {
 	return ac, nil
 }
 
+// roundTrip sends one request frame to remote's agent and returns the
+// body of its reply. A transport error evicts the cached connection, so
+// the next verb redials instead of failing forever on a socket whose
+// peer went away.
+func (f *TCPFabric) roundTrip(remote, verb string, req []byte) ([]byte, error) {
+	ac, err := f.dial(remote)
+	if err != nil {
+		return nil, err
+	}
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
+	var resp []byte
+	if err = writeFrame(ac.c, req); err == nil {
+		resp, err = readFrame(ac.c)
+	}
+	if err != nil {
+		ac.c.Close()
+		f.mu.Lock()
+		if f.conns[remote] == ac {
+			delete(f.conns, remote)
+		}
+		f.mu.Unlock()
+		return nil, err
+	}
+	if len(resp) == 0 {
+		return nil, fmt.Errorf("rdma: remote %s: empty reply", verb)
+	}
+	if resp[0] != 0 {
+		return nil, fmt.Errorf("rdma: remote %s: %s", verb, resp[1:])
+	}
+	return resp[1:], nil
+}
+
 // Read pulls r into l by asking the remote agent for the region content.
 func (f *TCPFabric) Read(env sim.Env, local *Node, l Slice, r RemoteSlice) error {
 	if l.Len != r.Len {
@@ -158,28 +207,16 @@ func (f *TCPFabric) Read(env sim.Env, local *Node, l Slice, r RemoteSlice) error
 	if err != nil {
 		return err
 	}
-	ac, err := f.dial(r.MR.Node)
-	if err != nil {
-		return err
-	}
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
 	req := make([]byte, 0, 32)
 	req = append(req, opRead)
 	req = binary.LittleEndian.AppendUint64(req, r.MR.RKey)
 	req = binary.LittleEndian.AppendUint64(req, uint64(r.Off))
 	req = binary.LittleEndian.AppendUint64(req, uint64(r.Len))
-	if err := writeFrame(ac.c, req); err != nil {
-		return err
-	}
-	resp, err := readFrame(ac.c)
+	payload, err := f.roundTrip(r.MR.Node, "read", req)
 	if err != nil {
 		return err
 	}
-	if resp[0] != 0 {
-		return fmt.Errorf("rdma: remote read: %s", resp[1:])
-	}
-	return applyPayload(lmr.Dev, lmr.Off+l.Off, l.Len, resp[1:])
+	return applyPayload(lmr.Dev, lmr.Off+l.Off, l.Len, payload)
 }
 
 // Write pushes l into r by shipping the region content to the remote
@@ -192,56 +229,26 @@ func (f *TCPFabric) Write(env sim.Env, local *Node, l Slice, r RemoteSlice) erro
 	if err != nil {
 		return err
 	}
-	ac, err := f.dial(r.MR.Node)
-	if err != nil {
-		return err
-	}
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
 	req := make([]byte, 0, 64)
 	req = append(req, opWrite)
 	req = binary.LittleEndian.AppendUint64(req, r.MR.RKey)
 	req = binary.LittleEndian.AppendUint64(req, uint64(r.Off))
 	req = binary.LittleEndian.AppendUint64(req, uint64(r.Len))
 	req = appendPayload(req, lmr.Dev, lmr.Off+l.Off, l.Len)
-	if err := writeFrame(ac.c, req); err != nil {
-		return err
-	}
-	resp, err := readFrame(ac.c)
-	if err != nil {
-		return err
-	}
-	if resp[0] != 0 {
-		return fmt.Errorf("rdma: remote write: %s", resp[1:])
-	}
-	return nil
+	_, err = f.roundTrip(r.MR.Node, "write", req)
+	return err
 }
 
 // Send delivers payload to the remote node's (qp) receive queue.
 func (f *TCPFabric) Send(env sim.Env, local *Node, remote, qp string, payload []byte, size int64) error {
-	ac, err := f.dial(remote)
-	if err != nil {
-		return err
-	}
-	ac.mu.Lock()
-	defer ac.mu.Unlock()
 	req := make([]byte, 0, 64+len(payload))
 	req = append(req, opSend)
 	req = binary.LittleEndian.AppendUint16(req, uint16(len(qp)))
 	req = append(req, qp...)
 	req = binary.LittleEndian.AppendUint64(req, uint64(size))
 	req = append(req, payload...)
-	if err := writeFrame(ac.c, req); err != nil {
-		return err
-	}
-	resp, err := readFrame(ac.c)
-	if err != nil {
-		return err
-	}
-	if resp[0] != 0 {
-		return fmt.Errorf("rdma: remote send: %s", resp[1:])
-	}
-	return nil
+	_, err := f.roundTrip(remote, "send", req)
+	return err
 }
 
 // Recv blocks until a message for (local, qp) arrives.
@@ -267,7 +274,15 @@ func (f *TCPFabric) box(node, qp string) *sim.Mailbox[simMsg] {
 
 // serveConn handles one peer connection against node's MR table.
 func (f *TCPFabric) serveConn(n *Node, c net.Conn) {
-	defer c.Close()
+	f.mu.Lock()
+	f.served[c] = struct{}{}
+	f.mu.Unlock()
+	defer func() {
+		c.Close()
+		f.mu.Lock()
+		delete(f.served, c)
+		f.mu.Unlock()
+	}()
 	for {
 		req, err := readFrame(c)
 		if err != nil {

@@ -161,3 +161,61 @@ func TestTCPUnknownPeer(t *testing.T) {
 		t.Fatal("read to unknown peer succeeded")
 	}
 }
+
+// TestTCPPeerRestartEvictsCachedConn is the client-restart recovery
+// path: a peer that goes away and comes back under the same name must
+// be reachable again — immediately when AddPeer names its new address,
+// and after one failed verb when it came back on the old address.
+func TestTCPPeerRestartEvictsCachedConn(t *testing.T) {
+	env := sim.NewRealEnv()
+	srv := NewTCPFabric(env)
+	t.Cleanup(srv.Close)
+	server := NewNode(env, "server")
+	spm := memdev.New("pmem0", memdev.PMEM, 1<<20, true)
+	lmr := server.RegisterMR(env, spm, 0, 7)
+
+	// startClient is one incarnation of node "client" holding content.
+	startClient := func(addr, content string) (*TCPFabric, string, RemoteSlice) {
+		t.Helper()
+		f := NewTCPFabric(env)
+		n := NewNode(env, "client")
+		bound, err := f.Serve(n, addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gpu := memdev.New("gpu0", memdev.GPU, 1<<20, true)
+		gpu.Write(0, []byte(content))
+		mr := n.RegisterMR(env, gpu, 0, 7)
+		return f, bound, RemoteSlice{MR: RemoteMR{Node: "client", RKey: mr.RKey, Len: 7}, Len: 7}
+	}
+	pull := func(r RemoteSlice) (string, error) {
+		err := srv.Read(env, server, Slice{MR: lmr, Len: 7}, r)
+		return string(spm.Bytes(0, 7)), err
+	}
+
+	c1, addr1, r1 := startClient("", "first--")
+	srv.AddPeer("client", addr1)
+	if got, err := pull(r1); err != nil || got != "first--" {
+		t.Fatalf("first incarnation: %q, %v", got, err)
+	}
+	c1.Close()
+
+	// New address: AddPeer alone must re-route the very next verb.
+	c2, addr2, r2 := startClient("", "second-")
+	srv.AddPeer("client", addr2)
+	if got, err := pull(r2); err != nil || got != "second-" {
+		t.Fatalf("after restart on a new address: %q, %v", got, err)
+	}
+	c2.Close()
+
+	// Same address: the stale connection fails once, then is redialed.
+	c3, _, r3 := startClient(addr2, "third--")
+	t.Cleanup(c3.Close)
+	srv.AddPeer("client", addr2)
+	if _, err := pull(r3); err == nil {
+		t.Fatal("verb on the dead incarnation's connection succeeded")
+	}
+	if got, err := pull(r3); err != nil || got != "third--" {
+		t.Fatalf("after restart on the same address: %q, %v", got, err)
+	}
+}

@@ -34,11 +34,13 @@ func TestOnlinePassCrashConsistency(t *testing.T) {
 			// the zone so b's and c's extents have somewhere to move.
 			stamps := map[string][][]uint64{}
 			iters := map[string][]uint64{"b": {7, 9}, "c": {3, 4}}
+			models := map[string]*index.Model{}
 			for _, n := range []string{"a", "b", "c"} {
 				m, err := e.CreateModel(n, metas(n, 128<<10, 64<<10))
 				if err != nil {
 					t.Fatal(err)
 				}
+				models[n] = m
 				if n == "a" {
 					commit(pm, m, 0, 1)
 					continue
@@ -50,7 +52,7 @@ func TestOnlinePassCrashConsistency(t *testing.T) {
 					commit(pm, m, 1, iters[n][1]),
 				}
 			}
-			if err := e.DeleteModel("a"); err != nil {
+			if err := e.DeleteModel(models["a"]); err != nil {
 				t.Fatal(err)
 			}
 
@@ -65,7 +67,7 @@ func TestOnlinePassCrashConsistency(t *testing.T) {
 			}
 			crashed := false
 			for _, n := range []string{"b", "c"} {
-				if _, err := e.CompactModel(n, nil); err != nil {
+				if _, err := e.CompactModel(models[n]); err != nil {
 					if !errors.Is(err, ErrCrashed) {
 						t.Fatalf("CompactModel(%s): %v", n, err)
 					}
@@ -124,7 +126,11 @@ func TestOnlinePassCrashConsistency(t *testing.T) {
 			// preserve everything again.
 			var moved int64
 			for _, n := range []string{"b", "c"} {
-				mv, err := e2.CompactModel(n, nil)
+				m, err := e2.Index().Lookup(n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mv, err := e2.CompactModel(m)
 				if err != nil {
 					t.Fatalf("recovered CompactModel(%s): %v", n, err)
 				}

@@ -294,11 +294,20 @@ func (e *Engine) EnsureSlots(m *index.Model) error {
 }
 
 // DeleteModel removes a model: frees its extents, tombstones the table
-// entry, and returns its MIndex record bytes to the reuse pool.
-func (e *Engine) DeleteModel(name string) error {
+// entry, and returns its MIndex record bytes to the reuse pool. m is
+// the caller's live handle; its pointers are cleared with the extents
+// they named, so a maintenance step still queued behind the delete
+// finds nothing to move instead of writing through freed pointers.
+func (e *Engine) DeleteModel(m *index.Model) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.idx.DeleteModel(name)
+	if err := e.idx.DeleteModel(m.Name); err != nil {
+		return err
+	}
+	for i := range m.PAddr {
+		m.PAddr[i] = [2]int64{}
+	}
+	return nil
 }
 
 // hook fires the test-only crash hook; true means the device crashed
@@ -327,26 +336,16 @@ func (e *Engine) hook(point string) bool {
 // The pointer repoint is one 8-byte failure-atomic persist, so restore
 // always sees entirely-old or entirely-new.
 //
-// cached, when non-nil, must be the handle the caller's data plane
-// reads extents through (the daemon's session handle). Lookup returns a
-// fresh handle with its own in-memory PAddr cache, so repointing a
+// m must be the handle the caller's data plane reads extents through
+// (the daemon's one live handle per model). index.Store.Lookup returns
+// a fresh handle with its own in-memory PAddr cache, so repointing a
 // fresh one would leave the caller's copy stale — its next checkpoint
 // would write through freed pointers into extents the allocator has
 // since handed to someone else. The lane lease that quiesces the model
 // also orders this handle mutation against the data plane's reads.
-func (e *Engine) CompactModel(name string, cached *index.Model) (moved int64, err error) {
+func (e *Engine) CompactModel(m *index.Model) (moved int64, err error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	m := cached
-	if m == nil {
-		m, err = e.idx.Lookup(name)
-		if err != nil {
-			if errors.Is(err, index.ErrNoModel) {
-				return 0, nil // deleted while the task was queued
-			}
-			return 0, err
-		}
-	}
 	a := e.idx.Allocator()
 	for i := range m.Tensors {
 		for v := 0; v < 2; v++ {

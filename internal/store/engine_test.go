@@ -155,7 +155,7 @@ func TestStatsAccounting(t *testing.T) {
 		t.Fatalf("fresh engine Frag=%d Garbage=%d, want 0/0", st.Frag, st.Garbage)
 	}
 
-	if err := e.DeleteModel("a"); err != nil {
+	if err := e.DeleteModel(a); err != nil {
 		t.Fatal(err)
 	}
 	st = e.Stats()
@@ -199,7 +199,7 @@ func TestOnlinePassReclaims(t *testing.T) {
 		models[n] = m
 		stamps[n] = commit(pm, m, 0, 7)
 	}
-	if err := e.DeleteModel("a"); err != nil {
+	if err := e.DeleteModel(models["a"]); err != nil {
 		t.Fatal(err)
 	}
 	highBefore := e.Allocator().HighWater()
@@ -211,7 +211,7 @@ func TestOnlinePassReclaims(t *testing.T) {
 
 	var movedTotal int64
 	for _, n := range []string{"b", "c"} {
-		moved, err := e.CompactModel(n, nil)
+		moved, err := e.CompactModel(models[n])
 		if err != nil {
 			t.Fatalf("CompactModel(%s): %v", n, err)
 		}
@@ -262,7 +262,8 @@ func TestCompactModelUpdatesCachedHandle(t *testing.T) {
 	pm := e.PMem()
 	// b is created first so its extents sit below a's; deleting it opens
 	// the gap the compaction moves a into.
-	if _, err := e.CreateModel("b", metas("b", 128<<10)); err != nil {
+	b, err := e.CreateModel("b", metas("b", 128<<10))
+	if err != nil {
 		t.Fatal(err)
 	}
 	m, err := e.CreateModel("a", metas("a", 128<<10))
@@ -270,7 +271,7 @@ func TestCompactModelUpdatesCachedHandle(t *testing.T) {
 		t.Fatal(err)
 	}
 	commit(pm, m, 0, 1)
-	if err := e.DeleteModel("b"); err != nil {
+	if err := e.DeleteModel(b); err != nil {
 		t.Fatal(err)
 	}
 
@@ -278,7 +279,7 @@ func TestCompactModelUpdatesCachedHandle(t *testing.T) {
 	for v := 0; v < 2; v++ {
 		before[v] = m.PAddr[0][v]
 	}
-	moved, err := e.CompactModel("a", m)
+	moved, err := e.CompactModel(m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,5 +331,36 @@ func TestSweepLeaksOnOpen(t *testing.T) {
 		if ext.Off == leak {
 			t.Fatal("leaked extent survived the open-time sweep")
 		}
+	}
+}
+
+// TestCompactAfterDeleteMovesNothing is the delete-vs-maintenance race
+// the daemon relies on the engine to settle: a compaction step queued
+// behind a delete runs on the deleted model's handle, and must neither
+// move extents the allocator no longer owns nor free anything twice.
+func TestCompactAfterDeleteMovesNothing(t *testing.T) {
+	e := newTestEngine(t, 16<<20)
+	pad, err := e.CreateModel("pad", metas("pad", 128<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := e.CreateModel("m", metas("m", 128<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deleting pad opens a gap below m, so a compaction of a live m
+	// would move; deleting m first must turn the same call into a no-op.
+	if err := e.DeleteModel(pad); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.DeleteModel(m); err != nil {
+		t.Fatal(err)
+	}
+	moved, err := e.CompactModel(m)
+	if err != nil || moved != 0 {
+		t.Fatalf("CompactModel on a deleted handle = %d bytes, %v; want a no-op", moved, err)
+	}
+	if inUse := e.Allocator().InUse(); inUse != 0 {
+		t.Fatalf("allocator holds %d bytes after every model was deleted", inUse)
 	}
 }

@@ -2,10 +2,9 @@ package store
 
 // This file is the offline repacker (§III-D2, Figure 7): the engine's
 // maintenance algorithm in its original, whole-namespace form, for
-// images no daemon has mounted. portusctl's repack command (and the
-// legacy internal/repack package, now a thin wrapper) run this path;
-// its persistent write sequence is unchanged from the pre-engine tool,
-// so repacked images stay byte-identical.
+// images no daemon has mounted. portusctl's -image repack command runs
+// this path; its persistent write sequence is unchanged from the
+// pre-engine tool, so repacked images stay byte-identical.
 
 import (
 	"fmt"
@@ -27,6 +26,12 @@ type OfflineReport struct {
 	BytesInUse int64
 	// BytesReclaimed is the space recovered versus before.
 	BytesReclaimed int64
+}
+
+// String renders the report.
+func (r OfflineReport) String() string {
+	return fmt.Sprintf("repack: kept %d models, removed %d, reclaimed %d slots, moved %d bytes, in use %d, reclaimed %d bytes",
+		r.ModelsKept, r.ModelsRemoved, r.SlotsReclaimed, r.BytesMoved, r.BytesInUse, r.BytesReclaimed)
 }
 
 // keepEntry is one TensorData extent that survives repacking.

@@ -1,4 +1,4 @@
-package repack_test
+package store_test
 
 import (
 	"bytes"
@@ -10,15 +10,19 @@ import (
 	"github.com/portus-sys/portus/internal/index"
 	"github.com/portus-sys/portus/internal/memdev"
 	"github.com/portus-sys/portus/internal/pmem"
-	"github.com/portus-sys/portus/internal/repack"
+	"github.com/portus-sys/portus/internal/store"
 )
+
+// report lets legacyRun's body stay verbatim: its store parameter
+// shadows the package name.
+type report = store.OfflineReport
 
 // legacyRun is the repacking algorithm exactly as it shipped before the
 // storage-engine refactor moved it into internal/store. It is frozen
 // here as the golden reference: portusctl -image repack must keep
 // producing byte-identical images, because operators repack archived
 // namespaces and diff/fingerprint them.
-func legacyRun(pm *pmem.Device, store *index.Store) (repack.Report, error) {
+func legacyRun(pm *pmem.Device, store *index.Store) (report, error) {
 	type keepEntry struct {
 		m    *index.Model
 		ti   int
@@ -26,7 +30,7 @@ func legacyRun(pm *pmem.Device, store *index.Store) (repack.Report, error) {
 		off  int64
 		size int64
 	}
-	var rep repack.Report
+	var rep report
 	before := store.Allocator().InUse()
 
 	models, err := store.Models()
@@ -93,7 +97,7 @@ func TestOfflineGoldenByteEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repNew, err := repack.Run(pmNew, sNew)
+	repNew, err := store.Offline(pmNew, sNew)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package repack_test
+package store_test
 
 import (
 	"testing"
@@ -7,7 +7,7 @@ import (
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/index"
 	"github.com/portus-sys/portus/internal/pmem"
-	"github.com/portus-sys/portus/internal/repack"
+	"github.com/portus-sys/portus/internal/store"
 )
 
 // fixture builds a store with three models:
@@ -68,7 +68,7 @@ func keyOf(model string, tensor int, iter uint64) string {
 
 func TestRepackKeepsNewestVersions(t *testing.T) {
 	pm, s, stamps := fixture(t)
-	rep, err := repack.Run(pm, s)
+	rep, err := store.Offline(pm, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestRepackKeepsNewestVersions(t *testing.T) {
 func TestRepackCompactsSpace(t *testing.T) {
 	pm, s, _ := fixture(t)
 	before := s.Allocator().InUse()
-	rep, err := repack.Run(pm, s)
+	rep, err := store.Offline(pm, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestRepackCompactsSpace(t *testing.T) {
 
 func TestRepackedStateSurvivesCrashAndReopen(t *testing.T) {
 	pm, s, stamps := fixture(t)
-	if _, err := repack.Run(pm, s); err != nil {
+	if _, err := store.Offline(pm, s); err != nil {
 		t.Fatal(err)
 	}
 	pm.Crash()
@@ -164,10 +164,10 @@ func TestRepackedStateSurvivesCrashAndReopen(t *testing.T) {
 
 func TestRepackIdempotent(t *testing.T) {
 	pm, s, _ := fixture(t)
-	if _, err := repack.Run(pm, s); err != nil {
+	if _, err := store.Offline(pm, s); err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := repack.Run(pm, s)
+	rep2, err := store.Offline(pm, s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestRepackEmptyStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := repack.Run(pm, s)
+	rep, err := store.Offline(pm, s)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,3 +311,61 @@ func TestShardedTierPublicAPI(t *testing.T) {
 	})
 	eng.Run()
 }
+
+// TestClientRestartRecoversUnderSameNodeName is the paper's recovery
+// scenario over real sockets: a training job checkpoints and dies, and
+// its replacement — same node name, new process, new fabric agent —
+// re-registers, restores the committed version byte-for-byte, and goes
+// on checkpointing. The server must not keep talking to the dead job's
+// agent.
+func TestClientRestartRecoversUnderSameNodeName(t *testing.T) {
+	srv, err := portus.NewServer(portus.ServerConfig{
+		PMemBytes: 64 << 20, MetaBytes: 16 << 20, Materialized: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve()
+	newJob := func() (*portus.Job, *portus.Model) {
+		t.Helper()
+		job, err := portus.NewJob(portus.JobConfig{
+			ServerCtrlAddr: srv.CtrlAddr, ServerFabricAddr: srv.FabricAddr,
+			NodeName: "client0", GPUMemBytes: 32 << 20, Materialized: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := job.RegisterModel(smallSpec(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return job, m
+	}
+
+	job, m := newJob()
+	m.ApplyUpdate(7)
+	if err := m.Checkpoint(job.Env(), 7); err != nil {
+		t.Fatal(err)
+	}
+	m.Close()
+	job.Close()
+
+	job, m = newJob()
+	defer job.Close()
+	defer m.Close()
+	iter, err := m.Restore(job.Env())
+	if err != nil {
+		t.Fatalf("restore after client restart: %v", err)
+	}
+	if iter != 7 {
+		t.Fatalf("restored iteration %d, want 7", iter)
+	}
+	if bad := m.Placed().VerifyIteration(7); bad != -1 {
+		t.Fatalf("tensor %d wrong after restore into the restarted job", bad)
+	}
+	m.ApplyUpdate(8)
+	if err := m.Checkpoint(job.Env(), 8); err != nil {
+		t.Fatalf("checkpoint after client restart: %v", err)
+	}
+}
