@@ -11,8 +11,10 @@ build:
 test:
 	$(GO) test ./...
 
+# -p 2: at the default package parallelism the race-instrumented
+# internal/experiments build and run get OOM-killed on a 15 GiB box.
 race:
-	$(GO) test -race -shuffle=on ./...
+	$(GO) test -race -shuffle=on -p 2 ./...
 
 # bench/ is its own module (replace-d onto this one), so `go test ./...`
 # never enters it: this is what notices an internal API rename breaking
@@ -22,11 +24,14 @@ bench-test:
 
 # Code lines (no comments, no blanks, no tests, no benchmark module):
 # the count the simplicity acceptance bars are stated in, tree-wide and
-# for the daemon package.
+# for the packages those bars have named.
 LOC = xargs cat | grep -vE '^\s*(//|$$)' | wc -l
 loc:
-	@echo "tree:            $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | $(LOC))"
-	@echo "internal/daemon: $$(find ./internal/daemon -name '*.go' -not -name '*_test.go' | $(LOC))"
+	@echo "tree:                        $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | $(LOC))"
+	@for d in daemon datapath client; do \
+		printf '%-28s %s\n' "internal/$$d:" "$$(find ./internal/$$d -name '*.go' -not -name '*_test.go' | $(LOC))"; \
+	done
+	@echo "internal/datapath/engine.go: $$(echo internal/datapath/engine.go | $(LOC))"
 
 # Fault-injection sweep at a fixed seed: proves committed checkpoints
 # survive verb errors, dropped connections, and torn flushes.

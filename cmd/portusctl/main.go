@@ -430,15 +430,9 @@ func runOnline(addr string, args []string) error {
 	env := sim.NewRealEnv()
 	switch args[0] {
 	case "list":
-		if err := conn.Send(env, &wire.Msg{Type: wire.TList}); err != nil {
-			return err
-		}
-		resp, err := conn.Recv(env)
+		resp, err := wire.Call(env, conn, &wire.Msg{Type: wire.TList}, wire.TListResp)
 		if err != nil {
 			return err
-		}
-		if resp.Type == wire.TError {
-			return fmt.Errorf("daemon: %s", resp.Error)
 		}
 		// Sharded-tier daemons stamp each model with the answering node
 		// and its placement owner; show the ownership columns when
@@ -473,20 +467,14 @@ func runOnline(addr string, args []string) error {
 		if len(args) != 3 {
 			return fmt.Errorf("usage: portusctl -addr HOST:PORT dump MODEL OUT")
 		}
-		if err := conn.Send(env, &wire.Msg{Type: wire.TDump, Model: args[1]}); err != nil {
-			return err
-		}
-		resp, err := conn.Recv(env)
+		resp, err := wire.Call(env, conn, &wire.Msg{Type: wire.TDump, Model: args[1]}, wire.TDumpResp)
 		if err != nil {
-			return err
-		}
-		if resp.Type == wire.TError {
 			// The typed code distinguishes "nothing committed yet" from
 			// real failures without matching the error string.
-			if resp.Code == wire.ErrCodeNoCheckpoint {
+			if resp != nil && resp.Code == wire.ErrCodeNoCheckpoint {
 				return fmt.Errorf("model %q has no committed checkpoint to archive", args[1])
 			}
-			return fmt.Errorf("daemon: %s", resp.Error)
+			return err
 		}
 		if err := os.WriteFile(args[2], resp.Payload, 0o644); err != nil {
 			return err
@@ -498,15 +486,8 @@ func runOnline(addr string, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("usage: portusctl -addr HOST:PORT delete MODEL")
 		}
-		if err := conn.Send(env, &wire.Msg{Type: wire.TDelete, Model: args[1]}); err != nil {
+		if _, err := wire.Call(env, conn, &wire.Msg{Type: wire.TDelete, Model: args[1]}, wire.TDeleteOK); err != nil {
 			return err
-		}
-		resp, err := conn.Recv(env)
-		if err != nil {
-			return err
-		}
-		if resp.Type == wire.TError {
-			return fmt.Errorf("daemon: %s", resp.Error)
 		}
 		fmt.Printf("deleted %s\n", args[1])
 		return nil
@@ -514,15 +495,9 @@ func runOnline(addr string, args []string) error {
 		// Online repack: the daemon runs one pass through its storage
 		// engine, quiescing each model via the scheduler's maintenance
 		// class while tenants keep checkpointing.
-		if err := conn.Send(env, &wire.Msg{Type: wire.TRepack}); err != nil {
-			return err
-		}
-		resp, err := conn.Recv(env)
+		resp, err := wire.Call(env, conn, &wire.Msg{Type: wire.TRepack}, wire.TRepackResp)
 		if err != nil {
 			return err
-		}
-		if resp.Type == wire.TError {
-			return fmt.Errorf("daemon: %s", resp.Error)
 		}
 		var rep store.PassReport
 		if err := json.Unmarshal(resp.Payload, &rep); err != nil {
@@ -542,15 +517,9 @@ func runOnline(addr string, args []string) error {
 // per shard the answering daemon knows — the primary owner and replica
 // assignments the rendezvous hash produces at this epoch.
 func placementCmd(env *sim.RealEnv, conn wire.Conn) error {
-	if err := conn.Send(env, &wire.Msg{Type: wire.TPlacement}); err != nil {
-		return err
-	}
-	resp, err := conn.Recv(env)
+	resp, err := wire.Call(env, conn, &wire.Msg{Type: wire.TPlacement}, wire.TPlacementResp)
 	if err != nil {
 		return err
-	}
-	if resp.Type != wire.TPlacementResp {
-		return fmt.Errorf("daemon: %s", resp.Error)
 	}
 	rf := resp.Replicas
 	if rf < 1 {
@@ -574,15 +543,9 @@ func placementCmd(env *sim.RealEnv, conn wire.Conn) error {
 	if err != nil {
 		return fmt.Errorf("rebuilding placement table: %w", err)
 	}
-	if err := conn.Send(env, &wire.Msg{Type: wire.TList}); err != nil {
-		return err
-	}
-	list, err := conn.Recv(env)
+	list, err := wire.Call(env, conn, &wire.Msg{Type: wire.TList}, wire.TListResp)
 	if err != nil {
 		return err
-	}
-	if list.Type == wire.TError {
-		return fmt.Errorf("daemon: %s", list.Error)
 	}
 	if len(list.Models) == 0 {
 		fmt.Println("\nno shards registered on this daemon")

@@ -70,15 +70,9 @@ func main() {
 	}
 	conn := wire.NewNetConn(sock)
 	env := sim.NewRealEnv()
-	if err := conn.Send(env, &wire.Msg{Type: wire.TDump, Model: spec.Name}); err != nil {
-		log.Fatal(err)
-	}
-	resp, err := conn.Recv(env)
+	resp, err := wire.Call(env, conn, &wire.Msg{Type: wire.TDump, Model: spec.Name}, wire.TDumpResp)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if resp.Type == wire.TError {
-		log.Fatalf("daemon: %s", resp.Error)
 	}
 	out := "mobilenet_v2.ckpt"
 	if err := os.WriteFile(out, resp.Payload, 0o644); err != nil {

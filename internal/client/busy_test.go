@@ -1,6 +1,7 @@
 package client_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -210,5 +211,112 @@ func TestClientBackoffUnderFullDaemonQueue(t *testing.T) {
 	eng.Run()
 	if !finished {
 		t.Fatal("run never completed: a bounced checkpoint hung")
+	}
+}
+
+// sentOf lists the messages of one type a scriptConn saw, in order.
+func sentOf(sc *scriptConn, ty wire.Type) []*wire.Msg {
+	var out []*wire.Msg
+	for _, m := range sc.sent {
+		if m.Type == ty {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+// TestResendsReplayTheStoredRequest: a request bounced by BUSY and then
+// orphaned by a dropped connection reaches the daemon three times, and
+// each copy must be the first send field for field — trace identity,
+// pinned iteration, digest vector. A re-send that loses the digests
+// silently turns a delta checkpoint into a full one; one that loses the
+// iteration unpins a group restore.
+func TestResendsReplayTheStoredRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		req   wire.Type
+		done  *wire.Msg
+		issue func(env sim.Env, c *client.Client) error
+	}{
+		{
+			name: "delta checkpoint", req: wire.TDoCheckpoint,
+			done:  &wire.Msg{Type: wire.TCheckpointDone, Model: "m", Iteration: 7},
+			issue: func(env sim.Env, c *client.Client) error { return c.CheckpointSync(env, 7) },
+		},
+		{
+			name: "pinned restore", req: wire.TRestore,
+			done: &wire.Msg{Type: wire.TRestoreDone, Model: "m", Iteration: 5},
+			issue: func(env sim.Env, c *client.Client) error {
+				iter, err := c.RestoreAt(env, 5)
+				if err == nil && iter != 5 {
+					t.Errorf("RestoreAt(5) returned iteration %d", iter)
+				}
+				return err
+			},
+		},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			var finished bool
+			eng := sim.NewEngine()
+			eng.Go("test", func(env sim.Env) {
+				h := startHarness(t, env, true, nil)
+				placed, _ := gpu.Place(h.cl.GPU(0, 0), tinySpec("m"))
+				sc1, sc2 := newScriptConn(env), newScriptConn(env)
+				sc1.in.Send(env, &wire.Msg{Type: wire.TRegisterOK, Model: "m"})
+				sc2.in.Send(env, &wire.Msg{Type: wire.TRegisterOK, Model: "m"}) // the reconnect handshake
+				c, err := client.RegisterOpts(env, sc1, h.cl.Compute[0].RNode, placed, client.Options{
+					DeltaBlockBytes: 64 << 10,
+					Dialer:          func(sim.Env) (wire.Conn, error) { return sc2, nil },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var issueErr error
+				returned := sim.NewSignal(env)
+				env.Go("issue", func(env sim.Env) {
+					issueErr = tc.issue(env, c)
+					returned.Fire(env)
+				})
+				env.Sleep(10 * time.Millisecond)
+				sc1.in.Send(env, &wire.Msg{Type: wire.TBusy, Model: "m", Iteration: tc.done.Iteration,
+					InReplyTo: tc.req, RetryAfter: time.Millisecond})
+				env.Sleep(10 * time.Millisecond)
+				sc1.Close() // the drop: the receive loop redials onto sc2
+				env.Sleep(10 * time.Millisecond)
+
+				onFirst, onSecond := sentOf(sc1, tc.req), sentOf(sc2, tc.req)
+				if len(onFirst) != 2 || len(onSecond) != 1 {
+					t.Fatalf("%s sent %d times before the drop and %d after, want 2 (original + busy retry) and 1",
+						tc.req, len(onFirst), len(onSecond))
+				}
+				first := onFirst[0]
+				if first.TraceID == 0 || first.SpanID == 0 || first.Iteration != tc.done.Iteration {
+					t.Fatalf("first send carries trace %d span %d iteration %d", first.TraceID, first.SpanID, first.Iteration)
+				}
+				if tc.req == wire.TDoCheckpoint && (len(first.Digests) == 0 || first.DeltaBlock != 64<<10) {
+					t.Fatalf("first DO_CHECKPOINT carries %d digests at block %d", len(first.Digests), first.DeltaBlock)
+				}
+				for i, resend := range []*wire.Msg{onFirst[1], onSecond[0]} {
+					if !reflect.DeepEqual(first, resend) {
+						t.Fatalf("re-send %d differs from the first send:\n first  %+v\n resend %+v", i+1, first, resend)
+					}
+				}
+				if c.BusyRetries() != 1 || c.Reconnects() != 1 {
+					t.Fatalf("busy retries = %d, reconnects = %d, want 1 and 1", c.BusyRetries(), c.Reconnects())
+				}
+
+				sc2.in.Send(env, tc.done)
+				returned.Wait(env)
+				if issueErr != nil {
+					t.Fatalf("request after busy bounce + reconnect: %v", issueErr)
+				}
+				finished = true
+			})
+			eng.Run()
+			if !finished {
+				t.Fatal("run never completed: the request hung across its re-sends")
+			}
+		})
 	}
 }

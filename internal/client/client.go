@@ -86,28 +86,35 @@ type pendingKey struct {
 type reply struct {
 	sig *sim.Signal
 	msg *wire.Msg
-	// busy counts BUSY backpressure bounces this request has absorbed,
+	// req is the request this waiter was armed with. Every re-send —
+	// after BUSY, NO_SPACE or a reconnect — replays it as it is, so the
+	// daemon sees the same trace identity, pinned iteration and digest
+	// vector on every try.
+	req *wire.Msg
+	// busy counts the backpressure bounces this request has absorbed,
 	// bounding the re-send loop and scaling its backoff.
 	busy int
-	// Trace context for the request: the client-minted identity plus
-	// the client-side span tree under construction. trace/await are
-	// mutated only under Client.mu until the report is shipped; traceID
-	// and awaitID ride on every (re-)send of the request so the daemon
-	// adopts the same identity across retries and reconnects.
-	trace   *telemetry.Trace
-	await   *telemetry.Span
-	traceID telemetry.TraceID
-	awaitID uint64
-	// restoreIter is the exact iteration a RESTORE asked for (0 means
-	// newest); re-sends after BUSY or reconnect must repeat it so a
-	// pinned group restore stays pinned.
-	restoreIter uint64
-	// digests/deltaBlock are the block-digest vector a delta-enabled
-	// DO_CHECKPOINT carried; re-sends after BUSY or reconnect must
-	// repeat them or the daemon would silently fall back to a full
-	// checkpoint on the retry.
-	digests    []uint64
-	deltaBlock int64
+	// The client-side span tree under construction; mutated only under
+	// Client.mu until the report is shipped.
+	trace *telemetry.Trace
+	await *telemetry.Span
+}
+
+// traceID is the client-minted identity the request carries.
+func (r *reply) traceID() telemetry.TraceID { return telemetry.TraceID(r.req.TraceID) }
+
+// waiterKey maps a request to the key its reply — or a BUSY or ERROR
+// correlated to it by InReplyTo — releases.
+func waiterKey(req wire.Type, iter uint64) (pendingKey, bool) {
+	switch req {
+	case wire.TRegister:
+		return pendingKey{t: wire.TRegisterOK}, true
+	case wire.TDoCheckpoint:
+		return pendingKey{t: wire.TCheckpointDone, iter: iter}, true
+	case wire.TRestore:
+		return pendingKey{t: wire.TRestoreDone, iter: restoreKey}, true
+	}
+	return pendingKey{}, false
 }
 
 // ErrNoCheckpoint reports a restore (or pinned dump) that found no
@@ -203,8 +210,21 @@ func Register(env sim.Env, conn wire.Conn, node *rdma.Node, m *gpu.PlacedModel) 
 	return RegisterOpts(env, conn, node, m, Options{})
 }
 
+// orDefault resolves an option left at zero (or below) to its default.
+func orDefault[T int | time.Duration](v, def T) T {
+	if v <= 0 {
+		return def
+	}
+	return v
+}
+
 // RegisterOpts is Register with explicit options.
 func RegisterOpts(env sim.Env, conn wire.Conn, node *rdma.Node, m *gpu.PlacedModel, opts Options) (*Client, error) {
+	opts.ReconnectMax = orDefault(opts.ReconnectMax, 8)
+	opts.ReconnectBackoff = orDefault(opts.ReconnectBackoff, 2*time.Millisecond)
+	opts.BusyRetryMax = orDefault(opts.BusyRetryMax, 16)
+	opts.BusyBackoff = orDefault(opts.BusyBackoff, time.Millisecond)
+	opts.BusyBackoffMax = orDefault(opts.BusyBackoffMax, 100*time.Millisecond)
 	c := &Client{
 		conn:    conn,
 		node:    node,
@@ -242,8 +262,8 @@ func RegisterOpts(env sim.Env, conn wire.Conn, node *rdma.Node, m *gpu.PlacedMod
 		})
 	}
 	c.regMsg = msg
-	r := c.expect(env, wire.TRegisterOK, 0)
-	if err := c.sendRequest(env, pendingKey{t: wire.TRegisterOK}, msg); err != nil {
+	r, err := c.send(env, msg)
+	if err != nil {
 		return nil, fmt.Errorf("client: sending registration: %w", err)
 	}
 	env.Go("portus-client-recv", c.recvLoop)
@@ -279,12 +299,17 @@ func (c *Client) recvLoop(env sim.Env) {
 			c.mu.Unlock()
 			return
 		}
-		if m.Type == wire.TBusy {
-			c.handleBusy(env, m)
+		switch {
+		case m.Type == wire.TBusy:
+			c.backOff(env, m) // with no waiter to re-send for, a BUSY is dropped
 			continue
-		}
-		if m.Type == wire.TError && m.Code == wire.ErrCodeNoSpace && c.handleNoSpace(env, m) {
-			continue
+		case m.Type == wire.TError && m.Code == wire.ErrCodeNoSpace && m.InReplyTo == wire.TRegister && m.RetryAfter > 0:
+			// Admission was refused transiently: another tenant's delete
+			// or a repack may free room. Without a waiter the reply falls
+			// through to normal error delivery.
+			if c.backOff(env, m) {
+				continue
+			}
 		}
 		key := pendingKey{t: m.Type, iter: m.Iteration}
 		if m.Type == wire.TRestoreDone {
@@ -305,65 +330,38 @@ func (c *Client) recvLoop(env sim.Env) {
 	}
 }
 
-// handleBusy reacts to a BUSY backpressure reply: the daemon's queue
-// was full, so the request was not admitted. The waiter stays armed
-// and a delayed process re-sends the request after the daemon's
-// RetryAfter hint (or the client's own capped exponential backoff,
-// whichever is longer). A request that keeps bouncing past
-// BusyRetryMax fails with an error instead of retrying forever.
-func (c *Client) handleBusy(env sim.Env, m *wire.Msg) {
-	var key pendingKey
-	var resend *wire.Msg
-	switch m.InReplyTo {
-	case wire.TDoCheckpoint:
-		key = pendingKey{t: wire.TCheckpointDone, iter: m.Iteration}
-		resend = &wire.Msg{Type: wire.TDoCheckpoint, Model: c.model.Spec.Name, Iteration: m.Iteration}
-		// Delta fields are re-attached under the lock below, once the
-		// waiter is known.
-	case wire.TRestore:
-		key = pendingKey{t: wire.TRestoreDone, iter: restoreKey}
-		resend = &wire.Msg{Type: wire.TRestore, Model: c.model.Spec.Name}
-	default:
-		return // uncorrelated BUSY: nothing to re-send
+// backOff reacts to a transient refusal — BUSY (the daemon's queue was
+// full) or a NO_SPACE registration reply with a retry-after hint — that
+// left the request unadmitted. The waiter stays armed and a delayed
+// process re-sends the stored request after the daemon's RetryAfter
+// hint (or the client's own capped exponential backoff, whichever is
+// longer). A request that keeps bouncing past BusyRetryMax fails with
+// an error instead of retrying forever. It reports false when m
+// correlates to no armed waiter.
+func (c *Client) backOff(env sim.Env, m *wire.Msg) bool {
+	key, ok := waiterKey(m.InReplyTo, m.Iteration)
+	if !ok {
+		return false
 	}
 	c.mu.Lock()
 	r, ok := c.pending[key]
 	if !ok {
 		c.mu.Unlock()
-		return
-	}
-	// Re-sends carry the original trace identity so the daemon's trace
-	// (and its eventual stitch) survives the backpressure bounce.
-	resend.TraceID = uint64(r.traceID)
-	resend.SpanID = r.awaitID
-	if resend.Type == wire.TRestore {
-		resend.Iteration = r.restoreIter
-	}
-	if resend.Type == wire.TDoCheckpoint {
-		resend.Digests, resend.DeltaBlock = r.digests, r.deltaBlock
+		return false
 	}
 	r.busy++
-	max := c.opts.BusyRetryMax
-	if max <= 0 {
-		max = 16
-	}
-	if r.busy > max {
+	if max := c.opts.BusyRetryMax; r.busy > max {
 		c.removeLocked(key)
 		c.mu.Unlock()
-		r.msg = &wire.Msg{Type: wire.TError, Error: fmt.Sprintf("daemon busy: gave up after %d retries of %s", max, m.InReplyTo)}
+		r.msg = &wire.Msg{Type: wire.TError, Code: m.Code, Error: fmt.Sprintf("gave up after %d retries: %s", max, m.Error)}
+		if m.Type == wire.TBusy {
+			r.msg.Error = fmt.Sprintf("daemon busy: gave up after %d retries of %s", max, m.InReplyTo)
+		}
 		r.sig.Fire(env)
 		c.errs.Inc()
-		return
+		return true
 	}
-	base := c.opts.BusyBackoff
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	cap := c.opts.BusyBackoffMax
-	if cap <= 0 {
-		cap = 100 * time.Millisecond
-	}
-	delay := base
+	delay, cap := c.opts.BusyBackoff, c.opts.BusyBackoffMax
 	for i := 1; i < r.busy && delay < cap; i++ {
 		delay *= 2
 	}
@@ -394,79 +392,12 @@ func (c *Client) handleBusy(env sim.Env, m *wire.Msg) {
 		}
 		// A failed re-send surfaces on the receive loop, which owns
 		// reconnect; the waiter stays armed either way.
-		_ = conn.Send(env, resend)
+		_ = conn.Send(env, r.req)
 		if bw != nil {
 			c.mu.Lock()
 			bw.EndAt(env.Now())
 			c.mu.Unlock()
 		}
-	})
-}
-
-// handleNoSpace reacts to a NO_SPACE registration reply: the daemon's
-// namespace stayed exhausted even after an online reclamation pass, so
-// admission was refused *transiently* — another tenant's delete or
-// repack may free room. The registration waiter stays armed and the
-// packet is re-sent after the daemon's RetryAfter hint (or the client's
-// capped exponential backoff, whichever is longer), sharing the BUSY
-// retry budget. It reports false when the reply should fall through to
-// normal error delivery (no hint, no waiter, or budget exhausted).
-func (c *Client) handleNoSpace(env sim.Env, m *wire.Msg) bool {
-	if m.InReplyTo != wire.TRegister || m.RetryAfter <= 0 {
-		return false
-	}
-	key := pendingKey{t: wire.TRegisterOK}
-	c.mu.Lock()
-	r, ok := c.pending[key]
-	if !ok {
-		c.mu.Unlock()
-		return false
-	}
-	r.busy++
-	max := c.opts.BusyRetryMax
-	if max <= 0 {
-		max = 16
-	}
-	if r.busy > max {
-		c.removeLocked(key)
-		c.mu.Unlock()
-		r.msg = &wire.Msg{Type: wire.TError, Code: wire.ErrCodeNoSpace,
-			Error: fmt.Sprintf("gave up after %d retries: %s", max, m.Error)}
-		r.sig.Fire(env)
-		c.errs.Inc()
-		return true
-	}
-	base := c.opts.BusyBackoff
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	cap := c.opts.BusyBackoffMax
-	if cap <= 0 {
-		cap = 100 * time.Millisecond
-	}
-	delay := base
-	for i := 1; i < r.busy && delay < cap; i++ {
-		delay *= 2
-	}
-	if delay > cap {
-		delay = cap
-	}
-	if m.RetryAfter > delay {
-		delay = m.RetryAfter // the daemon knows its reclaim cadence better
-	}
-	c.mu.Unlock()
-	c.busyRetries.Inc()
-	env.Go("portus-client-nospace-retry", func(env sim.Env) {
-		env.Sleep(delay)
-		c.mu.Lock()
-		cur, ok := c.pending[key]
-		conn := c.conn
-		closed := c.closed
-		c.mu.Unlock()
-		if !ok || cur != r || closed {
-			return // answered (or deadline-failed) while we backed off
-		}
-		_ = conn.Send(env, c.regMsg)
 	})
 	return true
 }
@@ -483,15 +414,8 @@ func (c *Client) reconnect(env sim.Env) bool {
 	if dialer == nil || closed {
 		return false
 	}
-	max := c.opts.ReconnectMax
-	if max <= 0 {
-		max = 8
-	}
 	backoff := c.opts.ReconnectBackoff
-	if backoff <= 0 {
-		backoff = 2 * time.Millisecond
-	}
-	for attempt := 1; attempt <= max; attempt++ {
+	for attempt := 1; attempt <= c.opts.ReconnectMax; attempt++ {
 		if attempt > 1 {
 			env.Sleep(backoff)
 			if backoff < 500*time.Millisecond {
@@ -505,12 +429,8 @@ func (c *Client) reconnect(env sim.Env) bool {
 		// Re-register before anything else: the daemon accepts an
 		// idempotent re-register for an identical structure, and no
 		// other reply can arrive on a fresh connection first.
-		if err := conn.Send(env, c.regMsg); err != nil {
-			conn.Close()
-			continue
-		}
-		m, err := conn.Recv(env)
-		if err != nil || m.Type != wire.TRegisterOK {
+		m, err := wire.Call(env, conn, c.regMsg, wire.TRegisterOK)
+		if err != nil {
 			conn.Close()
 			continue
 		}
@@ -530,22 +450,12 @@ func (c *Client) reconnect(env sim.Env) bool {
 			r.msg = m
 			c.removeLocked(regKey)
 		}
-		// Re-send outstanding requests in arming order, each carrying
-		// its original trace identity. The daemon dedups a
-		// DO_CHECKPOINT whose iteration committed (or is in flight), so
-		// retries never double-execute.
-		var resend []*wire.Msg
+		// Re-send the outstanding requests in arming order. The daemon
+		// dedups a DO_CHECKPOINT whose iteration committed (or is in
+		// flight), so retries never double-execute.
+		resend := make([]*wire.Msg, 0, len(c.order))
 		for _, k := range c.order {
-			w := c.pending[k]
-			switch k.t {
-			case wire.TCheckpointDone:
-				resend = append(resend, &wire.Msg{Type: wire.TDoCheckpoint, Model: c.model.Spec.Name, Iteration: k.iter,
-					TraceID: uint64(w.traceID), SpanID: w.awaitID,
-					Digests: w.digests, DeltaBlock: w.deltaBlock})
-			case wire.TRestoreDone:
-				resend = append(resend, &wire.Msg{Type: wire.TRestore, Model: c.model.Spec.Name,
-					Iteration: w.restoreIter, TraceID: uint64(w.traceID), SpanID: w.awaitID})
-			}
+			resend = append(resend, c.pending[k].req)
 		}
 		c.mu.Unlock()
 		if regWaiter != nil {
@@ -568,16 +478,23 @@ func (c *Client) reconnect(env sim.Env) bool {
 	return false
 }
 
-// expect arms a waiter for (t, iter); it must be armed before the
-// request is sent so a fast reply cannot be dropped. With a request
-// timeout configured, a deadline process fails the waiter if no reply
-// (or reconnect re-delivery) lands in time.
-func (c *Client) expect(env sim.Env, t wire.Type, iter uint64) *reply {
-	r := &reply{sig: sim.NewSignal(env)}
-	key := pendingKey{t: t, iter: iter}
+// send arms a waiter holding req, then ships req. The waiter is armed
+// first so a fast reply cannot be dropped. With a request timeout
+// configured, a deadline process fails the waiter if no reply (or
+// reconnect re-delivery) lands in time. If the send fails but the
+// client can reconnect, the waiter stays armed: the receive loop's
+// reconnect handshake re-sends every outstanding request, so the caller
+// keeps waiting as if the send had succeeded. Otherwise the waiter is
+// removed — leaving it armed would let a later uncorrelated ERROR
+// release the stale waiter instead of a live one.
+func (c *Client) send(env sim.Env, req *wire.Msg) (*reply, error) {
+	r := &reply{sig: sim.NewSignal(env), req: req}
+	key, _ := waiterKey(req.Type, req.Iteration)
 	c.mu.Lock()
 	c.pending[key] = r
 	c.order = append(c.order, key)
+	conn := c.conn
+	canHeal := c.opts.Dialer != nil && !c.closed
 	c.mu.Unlock()
 	if d := c.opts.RequestTimeout; d > 0 {
 		env.Go("portus-client-deadline", func(env sim.Env) {
@@ -591,32 +508,17 @@ func (c *Client) expect(env sim.Env, t wire.Type, iter uint64) *reply {
 			}
 			c.removeLocked(key)
 			c.mu.Unlock()
-			r.msg = &wire.Msg{Type: wire.TError, Code: wire.ErrCodeUnreachable, Error: fmt.Sprintf("request deadline %v exceeded waiting for %s", d, t)}
+			r.msg = &wire.Msg{Type: wire.TError, Code: wire.ErrCodeUnreachable, Error: fmt.Sprintf("request deadline %v exceeded waiting for %s", d, key.t)}
 			r.sig.Fire(env)
 		})
 	}
-	return r
-}
-
-// sendRequest ships a request whose reply waiter is already armed. If
-// the send fails but the client can reconnect, the waiter stays armed:
-// the receive loop's reconnect handshake re-sends every outstanding
-// request, so the caller keeps waiting as if the send had succeeded.
-// Otherwise the waiter is removed — leaving it armed would let a later
-// uncorrelated ERROR release the stale waiter instead of a live one.
-func (c *Client) sendRequest(env sim.Env, key pendingKey, msg *wire.Msg) error {
-	c.mu.Lock()
-	conn := c.conn
-	canHeal := c.opts.Dialer != nil && !c.closed
-	c.mu.Unlock()
-	err := conn.Send(env, msg)
-	if err == nil || canHeal {
-		return nil
+	if err := conn.Send(env, req); err != nil && !canHeal {
+		c.mu.Lock()
+		c.removeLocked(key)
+		c.mu.Unlock()
+		return nil, err
 	}
-	c.mu.Lock()
-	c.removeLocked(key)
-	c.mu.Unlock()
-	return err
+	return r, nil
 }
 
 // removeLocked drops a released waiter from the map and the order list.
@@ -634,20 +536,7 @@ func (c *Client) removeLocked(key pendingKey) {
 // (InReplyTo set by the daemon) release the exact waiter; uncorrelated
 // ones release the oldest, deterministically.
 func (c *Client) releaseErrorLocked(env sim.Env, m *wire.Msg) {
-	var key pendingKey
-	switch m.InReplyTo {
-	case wire.TRegister:
-		key = pendingKey{t: wire.TRegisterOK}
-	case wire.TDoCheckpoint:
-		key = pendingKey{t: wire.TCheckpointDone, iter: m.Iteration}
-	case wire.TRestore:
-		key = pendingKey{t: wire.TRestoreDone, iter: restoreKey}
-	default:
-		if len(c.order) == 0 {
-			return
-		}
-		key = c.order[0]
-	}
+	key, _ := waiterKey(m.InReplyTo, m.Iteration)
 	r, ok := c.pending[key]
 	if !ok {
 		if len(c.order) == 0 {
@@ -673,16 +562,38 @@ func (c *Client) CheckpointSync(env sim.Env, iteration uint64) error {
 		return fmt.Errorf("client: checkpoint %d: %w", iteration, err)
 	}
 	c.Stalled += env.Now() - start
-	c.syncLat.ObserveDurationTraced(env.Now()-start, cp.r.traceID)
+	c.syncLat.ObserveDurationTraced(env.Now()-start, cp.r.traceID())
 	return nil
 }
 
+// request ships req under trace tr: a "send" span covers arming the
+// waiter and the control-plane send, an "await" span everything after
+// it. The trace ID and the await span's ID ride on the wire — on every
+// re-send too, since the waiter replays req — so the daemon adopts the
+// same identity across retries and grafts its own span tree under await
+// when the two halves are stitched. It returns the armed waiter and the
+// time the send completed.
+func (c *Client) request(env sim.Env, tr *telemetry.Trace, req *wire.Msg) (*reply, time.Duration, error) {
+	send := tr.Root.Child("send", env.Now())
+	req.TraceID, req.SpanID = uint64(tr.ID), telemetry.NextSpanID()
+	r, err := c.send(env, req)
+	if err != nil {
+		c.errs.Inc()
+		return nil, 0, fmt.Errorf("client: %s: %w", req.Type, err)
+	}
+	now := env.Now()
+	send.EndAt(now)
+	await := tr.Root.Child("await", now)
+	await.ID = req.SpanID
+	c.mu.Lock()
+	r.trace, r.await = tr, await
+	c.mu.Unlock()
+	return r, now, nil
+}
+
 // CheckpointAsync sends DO_CHECKPOINT and returns a completion handle
-// without waiting. It mints the request's trace: a "client:checkpoint"
-// root with a "send" span covering the control-plane send and an
-// "await" span covering everything after it. The await span's ID rides
-// on the wire so the daemon grafts its own span tree under it when the
-// two halves are stitched.
+// without waiting. It mints the request's "client:checkpoint" trace
+// (see request).
 func (c *Client) CheckpointAsync(env sim.Env, iteration uint64) (*Completion, error) {
 	t0 := env.Now()
 	tr := telemetry.NewTrace("client:checkpoint", c.model.Spec.Name, iteration, t0)
@@ -699,29 +610,12 @@ func (c *Client) CheckpointAsync(env sim.Env, iteration uint64) (*Completion, er
 		env.Sleep(perfmodel.DigestTime(c.model.Spec.TotalSize()))
 		dg.EndAt(env.Now())
 	}
-	send := tr.Root.Child("send", env.Now())
-	awaitID := telemetry.NextSpanID()
-	r := c.expect(env, wire.TCheckpointDone, iteration)
-	key := pendingKey{t: wire.TCheckpointDone, iter: iteration}
-	c.mu.Lock()
-	r.traceID, r.awaitID = tr.ID, awaitID
-	r.digests, r.deltaBlock = digests, c.opts.DeltaBlockBytes
-	c.mu.Unlock()
-	msg := &wire.Msg{Type: wire.TDoCheckpoint, Model: c.model.Spec.Name, Iteration: iteration,
-		TraceID: uint64(tr.ID), SpanID: awaitID,
-		Digests: digests, DeltaBlock: c.opts.DeltaBlockBytes}
-	if err := c.sendRequest(env, key, msg); err != nil {
-		c.errs.Inc()
-		return nil, fmt.Errorf("client: DO_CHECKPOINT: %w", err)
+	r, sent, err := c.request(env, tr, &wire.Msg{Type: wire.TDoCheckpoint, Model: c.model.Spec.Name, Iteration: iteration,
+		Digests: digests, DeltaBlock: c.opts.DeltaBlockBytes})
+	if err != nil {
+		return nil, err
 	}
-	now := env.Now()
-	send.EndAt(now)
-	await := tr.Root.Child("await", now)
-	await.ID = awaitID
-	c.mu.Lock()
-	r.trace, r.await = tr, await
-	c.mu.Unlock()
-	return &Completion{r: r, c: c, start: now}, nil
+	return &Completion{r: r, c: c, start: sent}, nil
 }
 
 // finishTrace closes a request's client-side spans and ships the span
@@ -783,7 +677,7 @@ func (cp *Completion) Wait(env sim.Env) error {
 			cp.c.errs.Inc()
 		} else {
 			cp.c.ckpts.Inc()
-			cp.c.ckptLat.ObserveDurationTraced(env.Now()-cp.start, cp.r.traceID)
+			cp.c.ckptLat.ObserveDurationTraced(env.Now()-cp.start, cp.r.traceID())
 		}
 		cp.c.finishTrace(env, cp.r, 0, err)
 	}
@@ -828,27 +722,10 @@ func (c *Client) restore(env sim.Env, iteration uint64) (uint64, error) {
 	start := env.Now()
 	tr := telemetry.NewTrace("client:restore", c.model.Spec.Name, iteration, start)
 	tr.ID = telemetry.NewTraceID()
-	send := tr.Root.Child("send", start)
-	awaitID := telemetry.NextSpanID()
-	r := c.expect(env, wire.TRestoreDone, restoreKey)
-	key := pendingKey{t: wire.TRestoreDone, iter: restoreKey}
-	c.mu.Lock()
-	r.traceID, r.awaitID = tr.ID, awaitID
-	r.restoreIter = iteration
-	c.mu.Unlock()
-	msg := &wire.Msg{Type: wire.TRestore, Model: c.model.Spec.Name, Iteration: iteration,
-		TraceID: uint64(tr.ID), SpanID: awaitID}
-	if err := c.sendRequest(env, key, msg); err != nil {
-		c.errs.Inc()
-		return 0, fmt.Errorf("client: RESTORE: %w", err)
+	r, _, err := c.request(env, tr, &wire.Msg{Type: wire.TRestore, Model: c.model.Spec.Name, Iteration: iteration})
+	if err != nil {
+		return 0, err
 	}
-	now := env.Now()
-	send.EndAt(now)
-	await := tr.Root.Child("await", now)
-	await.ID = awaitID
-	c.mu.Lock()
-	r.trace, r.await = tr, await
-	c.mu.Unlock()
 	m, err := r.wait(env)
 	if err != nil {
 		c.errs.Inc()

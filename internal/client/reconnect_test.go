@@ -32,7 +32,8 @@ func (c *scriptConn) Send(env sim.Env, m *wire.Msg) error {
 	if c.failSend {
 		return fmt.Errorf("script: send failed")
 	}
-	c.sent = append(c.sent, m)
+	cp := *m // a snapshot: a later mutation must not rewrite what was sent
+	c.sent = append(c.sent, &cp)
 	return nil
 }
 

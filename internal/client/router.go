@@ -21,6 +21,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
@@ -155,15 +156,9 @@ func NewRouter(pmap *placement.Map, dial Dial, opts RouterOptions) *Router {
 // the discovery handshake that lets a router be configured with a
 // single member address.
 func FetchPlacement(env sim.Env, conn wire.Conn) (*placement.Map, error) {
-	if err := conn.Send(env, &wire.Msg{Type: wire.TPlacement}); err != nil {
-		return nil, fmt.Errorf("client: PLACEMENT: %w", err)
-	}
-	m, err := conn.Recv(env)
+	m, err := wire.Call(env, conn, &wire.Msg{Type: wire.TPlacement}, wire.TPlacementResp)
 	if err != nil {
-		return nil, fmt.Errorf("client: PLACEMENT reply: %w", err)
-	}
-	if m.Type != wire.TPlacementResp {
-		return nil, fmt.Errorf("client: unexpected %s reply to PLACEMENT", m.Type)
+		return nil, fmt.Errorf("client: PLACEMENT: %w", err)
 	}
 	nodes := make([]placement.Node, len(m.Placement))
 	for i, p := range m.Placement {
@@ -202,7 +197,7 @@ func (r *Router) Suspects() []string {
 	for n := range r.suspects {
 		out = append(out, n)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
 }
 
@@ -662,15 +657,9 @@ func (r *Router) dumpShard(env sim.Env, node, shard string, iter uint64) ([]byte
 		return nil, 0, fmt.Errorf("client: anti-entropy: dialing %s: %w", node, err)
 	}
 	defer conn.Close()
-	if err := conn.Send(env, &wire.Msg{Type: wire.TDump, Model: shard, Iteration: iter}); err != nil {
-		return nil, 0, fmt.Errorf("client: anti-entropy: DUMP to %s: %w", node, err)
-	}
-	resp, err := conn.Recv(env)
+	resp, err := wire.Call(env, conn, &wire.Msg{Type: wire.TDump, Model: shard, Iteration: iter}, wire.TDumpResp)
 	if err != nil {
-		return nil, 0, fmt.Errorf("client: anti-entropy: DUMP reply from %s: %w", node, err)
-	}
-	if resp.Type != wire.TDumpResp {
-		return nil, 0, fmt.Errorf("client: anti-entropy: %s from %s: %s", resp.Type, node, resp.Error)
+		return nil, 0, fmt.Errorf("client: anti-entropy: DUMP from %s: %w", node, err)
 	}
 	return resp.Payload, resp.CRC, nil
 }
@@ -682,15 +671,8 @@ func (r *Router) loadShard(env sim.Env, node, shard string, iter uint64, payload
 		return fmt.Errorf("client: anti-entropy: dialing %s: %w", node, err)
 	}
 	defer conn.Close()
-	if err := conn.Send(env, &wire.Msg{Type: wire.TLoad, Model: shard, Iteration: iter, Payload: payload, CRC: crc}); err != nil {
+	if _, err := wire.Call(env, conn, &wire.Msg{Type: wire.TLoad, Model: shard, Iteration: iter, Payload: payload, CRC: crc}, wire.TLoadOK); err != nil {
 		return fmt.Errorf("client: anti-entropy: LOAD to %s: %w", node, err)
-	}
-	resp, err := conn.Recv(env)
-	if err != nil {
-		return fmt.Errorf("client: anti-entropy: LOAD reply from %s: %w", node, err)
-	}
-	if resp.Type != wire.TLoadOK {
-		return fmt.Errorf("client: anti-entropy: %s from %s: %s", resp.Type, node, resp.Error)
 	}
 	return nil
 }
@@ -814,7 +796,7 @@ func (r *Router) SyncManifest(env sim.Env) error {
 	for node := range byNode {
 		nodes = append(nodes, node)
 	}
-	sortStrings(nodes)
+	sort.Strings(nodes)
 	for _, node := range nodes {
 		r.mu.Lock()
 		suspect := r.suspects[node]
@@ -848,15 +830,9 @@ func (r *Router) listNode(env sim.Env, node string) (map[string]wire.ModelInfo, 
 		return nil, fmt.Errorf("client: manifest sync: dialing %s: %w", node, err)
 	}
 	defer conn.Close()
-	if err := conn.Send(env, &wire.Msg{Type: wire.TList}); err != nil {
-		return nil, fmt.Errorf("client: manifest sync: LIST to %s: %w", node, err)
-	}
-	resp, err := conn.Recv(env)
+	resp, err := wire.Call(env, conn, &wire.Msg{Type: wire.TList}, wire.TListResp)
 	if err != nil {
-		return nil, fmt.Errorf("client: manifest sync: LIST reply from %s: %w", node, err)
-	}
-	if resp.Type != wire.TListResp {
-		return nil, fmt.Errorf("client: manifest sync: unexpected %s reply from %s", resp.Type, node)
+		return nil, fmt.Errorf("client: manifest sync: LIST on %s: %w", node, err)
 	}
 	infos := make(map[string]wire.ModelInfo, len(resp.Models))
 	for _, mi := range resp.Models {
@@ -879,12 +855,4 @@ func (r *Router) Close() error {
 		}
 	}
 	return first
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -58,12 +58,24 @@ type Config struct {
 	// rdma.ErrNoRoute): typically one-sided → two-sided → host-staged.
 	// Degradation is per-run; the next run starts at Strategy again.
 	Fallbacks []Strategy
-	// Depth bounds the chunks in flight past the transfer stage: with
-	// depth 1 a chunk's flush completes before the next chunk's pull
-	// begins; with depth d, up to d chunks may be pulled-but-not-yet-
-	// flushed, overlapping flush with transfer. Defaults to 1.
+	// Depth and Lanes together select Pull's flush schedule; chunks move
+	// through the same attempt loop under both.
+	//
+	// Depth 1 on a single lane (the default, and the paper's datapath)
+	// is the batch schedule: every chunk is pulled in plan order, then
+	// all of them are flushed, with one whole-batch flush cost.
+	//
+	// Any other setting — Depth >= 2, or more than one lane at any
+	// depth — is the flush-behind schedule: a flusher persists each
+	// chunk as it lands while later chunks are still being pulled, and
+	// Depth bounds the chunks pulled but not yet flushed. At depth 1
+	// with several lanes that means one chunk past the transfer stage
+	// at a time.
+	//
+	// Push has no flush stage and ignores Depth.
 	Depth int
-	// Lanes are the queue pairs chunks stripe across. Defaults to a
+	// Lanes are the queue pairs chunks stripe across, one sim process
+	// per lane; a single lane runs inline on the caller. Defaults to a
 	// single lane.
 	Lanes []*rdma.QP
 	// IssueCost is the per-verb posting + completion-polling cost.
@@ -133,15 +145,6 @@ func New(cfg Config) *Engine {
 // Strategy returns the engine's primary chunk-transfer strategy.
 func (e *Engine) Strategy() Strategy { return e.cfg.Strategy }
 
-// lanesFor resolves the lane set a run stripes across: the context's
-// leased subset when one is set, else the engine's full set.
-func (e *Engine) lanesFor(cx *Context) []*rdma.QP {
-	if len(cx.Lanes) > 0 {
-		return cx.Lanes
-	}
-	return e.cfg.Lanes
-}
-
 func (e *Engine) maxAttempts() int {
 	if e.cfg.Retry.MaxAttempts < 1 {
 		return 1
@@ -174,88 +177,184 @@ func (e *Engine) backoff(attempt int) time.Duration {
 // can fix a wrong address, so they fail fast.
 func isRouteErr(err error) bool { return errors.Is(err, rdma.ErrNoRoute) }
 
-// run is the per-operation healing state: the degradation chain cursor
-// and the counters that land in Result.
+// workItem is one chunk's place in a run, carrying its attempt budget
+// across lanes when a quarantined lane hands it back.
+type workItem struct {
+	c        Chunk
+	attempts int
+}
+
+// run is one operation's state: the healing decisions (degradation
+// cursor, the counters that land in Result) and the schedule its lanes
+// and flusher coordinate through. Everything below mu is shared between
+// the lane and flusher processes of a striped or flush-behind run; a
+// single-lane run takes the same locks uncontended.
 type run struct {
+	e     *Engine
+	cx    *Context
+	lanes []*rdma.QP
+	// verb names the stage span and prefixes its chunk spans: "pull",
+	// "push" or "copy-forward".
+	verb  string
+	root  *telemetry.Span
+	stage *telemetry.Span
+
+	// work feeds the lane processes of a striped run and takes back the
+	// chunk of a quarantined lane; nil when one lane runs inline. Sends
+	// and the close happen under mu (guarded by workClosed) so a
+	// quarantined lane can never send on a closed queue.
+	work *sim.Mailbox[*workItem]
+	// tokens bound the chunks pulled but not yet flushed, and flushQ
+	// hands pulled chunks to the flusher; nil unless flushing behind.
+	tokens *sim.Mailbox[struct{}]
+	flushQ *sim.Mailbox[Chunk]
+
 	mu           sync.Mutex
-	chain        []Strategy
-	cur          int
+	cur          int   // position in the degradation chain
+	err          error // first fatal error; stops every lane
+	workClosed   bool
+	moved        int64
+	lastEnd      time.Duration // completion time of the latest transfer
+	settled      int           // chunks needing nothing more
+	total        int
+	healthy      int // lanes not quarantined
 	retries      int
 	degradations int
 	quarantined  int
-	// trace links the run's flight-recorder events to the request.
-	trace telemetry.TraceID
 }
 
-func (e *Engine) newRun(cx *Context) *run {
-	chain := make([]Strategy, 0, 1+len(e.cfg.Fallbacks))
-	chain = append(chain, e.cfg.Strategy)
-	chain = append(chain, e.cfg.Fallbacks...)
-	return &run{chain: chain, trace: cx.Trace}
+// newRun opens the stage span under root and resolves the lane set: the
+// context's leased subset when one is set, else the engine's full set.
+func (e *Engine) newRun(env sim.Env, cx *Context, root *telemetry.Span, verb string, total int) *run {
+	if root == nil {
+		root = &telemetry.Span{}
+	}
+	lanes := cx.Lanes
+	if len(lanes) == 0 {
+		lanes = e.cfg.Lanes
+	}
+	now := env.Now()
+	return &run{
+		e: e, cx: cx, lanes: lanes, verb: verb,
+		root: root, stage: root.Child(verb, now),
+		lastEnd: now, total: total, healthy: len(lanes),
+	}
+}
+
+// chain indexes the degradation chain: the primary strategy, then the
+// fallbacks in order.
+func (e *Engine) chain(i int) Strategy {
+	if i == 0 {
+		return e.cfg.Strategy
+	}
+	return e.cfg.Fallbacks[i-1]
 }
 
 func (r *run) strategy() Strategy {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.chain[r.cur]
+	return r.e.chain(r.cur)
 }
 
-// event records a healing decision in the flight recorder (nil-safe).
-func (r *run) event(e *Engine, env sim.Env, kind telemetry.EventKind, detail string) {
-	e.cfg.Metrics.Events.Emit(telemetry.Event{
+// event records a healing decision in the flight recorder (nil-safe),
+// linked to the request's trace.
+func (r *run) event(env sim.Env, kind telemetry.EventKind, detail string) {
+	r.e.cfg.Metrics.Events.Emit(telemetry.Event{
 		Time:   env.Now(),
 		Kind:   kind,
-		Trace:  r.trace,
+		Trace:  r.cx.Trace,
 		Detail: detail,
 	})
 }
 
-// degrade advances to the next fallback strategy; it reports false when
-// the chain is exhausted (the caller must treat the error as final or
+// degrade advances to the next fallback strategy for the rest of the
+// run; it reports false when the chain is exhausted (the caller must
 // spend a retry attempt on the current strategy).
-func (r *run) degrade(e *Engine, env sim.Env) bool {
+func (r *run) degrade(env sim.Env) bool {
 	r.mu.Lock()
-	if r.cur+1 >= len(r.chain) {
+	if r.cur >= len(r.e.cfg.Fallbacks) {
 		r.mu.Unlock()
 		return false
 	}
 	r.cur++
 	r.degradations++
-	from, to := r.chain[r.cur-1].Name(), r.chain[r.cur].Name()
+	from, to := r.e.chain(r.cur-1).Name(), r.e.chain(r.cur).Name()
 	r.mu.Unlock()
-	e.cfg.Metrics.Degradations.Inc()
-	r.event(e, env, telemetry.EvStrategyDegrade, from+" -> "+to)
+	r.e.cfg.Metrics.Degradations.Inc()
+	r.event(env, telemetry.EvStrategyDegrade, from+" -> "+to)
 	return true
 }
 
-func (r *run) noteRetry(e *Engine, env sim.Env, chunk string) {
+func (r *run) noteRetry(env sim.Env, what string) {
 	r.mu.Lock()
 	r.retries++
 	r.mu.Unlock()
-	e.cfg.Metrics.Retries.Inc()
-	r.event(e, env, telemetry.EvDatapathRetry, chunk)
+	r.e.cfg.Metrics.Retries.Inc()
+	r.event(env, telemetry.EvDatapathRetry, what)
 }
 
-func (r *run) quarantine(e *Engine, env sim.Env, laneID int) {
+// quarantine removes lane qp from the stripe set and hands its chunk
+// back so the remaining work re-stripes over the healthy lanes. The
+// last healthy lane is never quarantined (it must either succeed or
+// fail the run): then it reports false and the lane keeps retrying.
+func (r *run) quarantine(env sim.Env, qp *rdma.QP, it *workItem) bool {
 	r.mu.Lock()
+	if r.healthy <= 1 {
+		r.mu.Unlock()
+		return false
+	}
+	r.healthy--
 	r.quarantined++
+	if !r.workClosed {
+		r.work.Send(env, it)
+	}
 	r.mu.Unlock()
-	e.cfg.Metrics.QuarantinedLanes.Inc()
-	r.event(e, env, telemetry.EvLaneQuarantine, "lane "+strconv.Itoa(laneID))
+	r.e.cfg.Metrics.QuarantinedLanes.Inc()
+	r.event(env, telemetry.EvLaneQuarantine, "lane "+strconv.Itoa(qp.ID))
+	return true
 }
 
-// finish returns quarantined lanes to the gauge (quarantine is scoped
+// closeWork releases lanes idling on the work queue; called with mu
+// held. A no-op for an inline run, which has no queue.
+func (r *run) closeWork(env sim.Env) {
+	if r.work != nil && !r.workClosed {
+		r.workClosed = true
+		r.work.Close(env)
+	}
+}
+
+// fail records the run's first fatal error and stops the lanes.
+func (r *run) fail(env sim.Env, err error) {
+	r.mu.Lock()
+	if r.err == nil {
+		r.err = err
+	}
+	r.closeWork(env)
+	r.mu.Unlock()
+}
+
+// settle counts a chunk that needs nothing more — pushed, or pulled and
+// flushed; the last one releases the idle lanes.
+func (r *run) settle(env sim.Env) {
+	r.mu.Lock()
+	r.settled++
+	if r.settled == r.total && r.err == nil {
+		r.closeWork(env)
+	}
+	r.mu.Unlock()
+}
+
+// result returns quarantined lanes to the gauge (quarantine is scoped
 // to one run; the next run stripes over the full lane set again) and
 // stamps the healing counters into res.
-func (r *run) finish(e *Engine, res *Result) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+func (r *run) result(res Result) Result {
 	if r.quarantined > 0 {
-		e.cfg.Metrics.QuarantinedLanes.Add(int64(-r.quarantined))
+		r.e.cfg.Metrics.QuarantinedLanes.Add(int64(-r.quarantined))
 	}
 	res.Retries = r.retries
 	res.Degradations = r.degradations
 	res.Quarantined = r.quarantined
+	return res
 }
 
 // laneContext returns cx, or a clone routed through the lane's own
@@ -269,11 +368,202 @@ func laneContext(cx *Context, qp *rdma.QP) *Context {
 	return &clone
 }
 
-// workItem is one chunk's place in a striped run, carrying its attempt
-// budget across lanes when a quarantined lane hands it back.
-type workItem struct {
-	c        Chunk
-	attempts int
+// transfer moves every chunk and returns once each has landed or the
+// run has failed (r.err). A single lane runs inline on the caller,
+// taking chunks in plan order; several lanes run as one sim process
+// each, striping chunks from a shared work queue.
+func (r *run) transfer(env sim.Env, chunks []Chunk) {
+	if len(r.lanes) == 1 {
+		var it workItem
+		i := 0
+		r.lane(env, r.lanes[0], func(sim.Env) (*workItem, bool) {
+			if i == len(chunks) {
+				return nil, false
+			}
+			it = workItem{c: chunks[i]}
+			i++
+			return &it, true
+		})
+		return
+	}
+	r.work = sim.NewMailbox[*workItem](env)
+	for i := range chunks {
+		r.work.Send(env, &workItem{c: chunks[i]})
+	}
+	if len(chunks) == 0 {
+		r.closeWork(env) // no lane is running yet to contend for mu
+	}
+	lanes := sim.NewGroup(env)
+	lanes.Add(env, len(r.lanes))
+	for _, qp := range r.lanes {
+		qp := qp
+		env.Go(fmt.Sprintf("datapath-lane-%d", qp.ID), func(env sim.Env) {
+			defer lanes.Done(env)
+			r.lane(env, qp, r.work.Recv)
+		})
+	}
+	lanes.Wait(env)
+}
+
+// lane works through chunks on one queue pair until next runs dry, the
+// run fails, or the lane is quarantined.
+func (r *run) lane(env sim.Env, qp *rdma.QP, next func(sim.Env) (*workItem, bool)) {
+	lcx := laneContext(r.cx, qp)
+	consec := 0 // consecutive failed attempts on this lane
+	for {
+		it, ok := next(env)
+		if !ok {
+			return
+		}
+		for {
+			landed, alive := r.attempt(env, lcx, qp, it, &consec)
+			if !alive {
+				return
+			}
+			if landed {
+				break
+			}
+		}
+	}
+}
+
+// attempt is the one place a chunk moves: a single try at it.c on lane
+// qp, in either direction. It reports whether the chunk landed and
+// whether the lane should carry on. A failed try is healed here and
+// nowhere else: a route-class error falls through the strategy chain
+// without spending the chunk's budget; any other error spends one of
+// MaxAttempts (exhausting them fails the run), backs off, and after
+// LaneFailLimit consecutive failures quarantines the lane.
+func (r *run) attempt(env sim.Env, lcx *Context, qp *rdma.QP, it *workItem, consec *int) (landed, alive bool) {
+	e := r.e
+	if r.tokens != nil {
+		// Bound chunks in flight past the transfer stage. Tokens are
+		// conserved: the flusher (or a failing attempt) always returns
+		// them, so blocked lanes cannot starve.
+		r.tokens.Recv(env)
+	}
+	r.mu.Lock()
+	if r.err != nil {
+		r.mu.Unlock()
+		r.returnToken(env)
+		return false, false
+	}
+	sp := r.stage.Child(it.c.spanName(r.verb), env.Now())
+	r.mu.Unlock()
+
+	env.Sleep(e.cfg.IssueCost)
+	var err error
+	if r.verb == "push" {
+		err = r.strategy().Push(env, lcx, it.c)
+	} else {
+		err = r.strategy().Pull(env, lcx, it.c)
+	}
+	now := env.Now()
+	sp.EndAt(now)
+
+	if err == nil {
+		*consec = 0
+		sp.SetAttr("bytes", strconv.FormatInt(it.c.Len, 10))
+		sp.SetAttr("lane", strconv.Itoa(qp.ID))
+		if it.attempts > 0 {
+			sp.SetAttr("attempt", strconv.Itoa(it.attempts+1))
+		}
+		r.mu.Lock()
+		r.moved += it.c.Len
+		if now > r.lastEnd {
+			r.lastEnd = now
+		}
+		r.mu.Unlock()
+		if r.flushQ != nil {
+			r.flushQ.Send(env, it.c) // the chunk carries its token to the flusher
+		} else {
+			r.settle(env)
+		}
+		return true, true
+	}
+
+	r.returnToken(env)
+	sp.SetAttr("error", err.Error())
+	if isRouteErr(err) && r.degrade(env) {
+		return false, true // fresh strategy, immediate re-attempt
+	}
+	it.attempts++
+	if it.attempts >= e.maxAttempts() {
+		gerund := "pulling"
+		if r.verb == "push" {
+			gerund = "restoring"
+		}
+		r.fail(env, fmt.Errorf("%s %s: %w", gerund, it.c.Name, err))
+		return false, false
+	}
+	r.noteRetry(env, r.verb+" "+it.c.Name)
+	*consec++
+	if lim := e.cfg.Retry.LaneFailLimit; lim > 0 && *consec >= lim && r.quarantine(env, qp, it) {
+		return false, false
+	}
+	env.Sleep(e.backoff(it.attempts))
+	return false, true
+}
+
+func (r *run) returnToken(env sim.Env) {
+	if r.tokens != nil {
+		r.tokens.Send(env, struct{}{})
+	}
+}
+
+// flush persists [off, off+n) under the retry policy and returns the
+// last error once the budget is spent. It is the only caller of
+// cfg.Flush, so pulled chunks and copy-forward spans heal alike and no
+// path can report success with an unflushed range. Every attempt pays
+// the CLWB cost here — except a batched flush, whose caller charges one
+// whole-batch cost afterwards: there only a re-flush pays, on top.
+func (r *run) flush(env sim.Env, name string, off, n int64, batched bool) error {
+	e := r.e
+	for attempts := 1; ; attempts++ {
+		err := e.cfg.Flush(off, n)
+		if !batched {
+			env.Sleep(e.cfg.FlushCost(n))
+		}
+		if err == nil || attempts >= e.maxAttempts() {
+			return err
+		}
+		r.noteRetry(env, "flush "+name)
+		pause := e.backoff(attempts)
+		if batched {
+			pause += e.cfg.FlushCost(n)
+		}
+		env.Sleep(pause)
+	}
+}
+
+// flushBehind starts the flush-behind schedule: Depth tokens bound the
+// chunks pulled but not yet flushed, and a flusher process persists
+// each chunk as it lands and returns its token, so a chunk's flush runs
+// while later chunks are still in flight. The returned signal fires
+// when the flusher has drained everything ahead of the Len < 0
+// sentinel.
+func (r *run) flushBehind(env sim.Env) *sim.Signal {
+	r.tokens = sim.NewMailbox[struct{}](env)
+	for i := 0; i < r.e.cfg.Depth; i++ {
+		r.tokens.Send(env, struct{}{})
+	}
+	r.flushQ = sim.NewMailbox[Chunk](env)
+	drained := sim.NewSignal(env)
+	env.Go("datapath-flusher", func(env sim.Env) {
+		for {
+			c, ok := r.flushQ.Recv(env)
+			if !ok || c.Len < 0 {
+				drained.Fire(env)
+				return
+			}
+			if err := r.flush(env, c.Name, c.PMemOff, c.Len, false); err != nil {
+				r.fail(env, fmt.Errorf("flushing %s: %w", c.Name, err))
+			}
+			r.settle(env)
+			r.tokens.Send(env, struct{}{})
+		}
+	})
+	return drained
 }
 
 // Pull runs the checkpoint direction: every chunk is transferred into
@@ -285,289 +575,44 @@ type workItem struct {
 // span per chunk attempt, with bytes and lane attributes) and a "flush"
 // span covering the flush tail; the spans are contiguous, so they sum
 // with the caller's other stages to the end-to-end latency.
-func (e *Engine) Pull(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
-	if root == nil {
-		root = &telemetry.Span{}
-	}
-	if e.cfg.Depth == 1 && len(e.lanesFor(cx)) == 1 {
-		return e.pullSequential(env, cx, p, root)
-	}
-	return e.pullPipelined(env, cx, p, root)
-}
-
-// pullSequential is the depth-1, single-lane path: transfer every
-// chunk, then flush the whole batch. With no faults it reproduces the
-// pre-engine datapath's timing and span structure exactly.
-func (e *Engine) pullSequential(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
-	rs := e.newRun(cx)
-	lane0 := e.lanesFor(cx)[0]
-	lcx := laneContext(cx, lane0)
-	t0 := env.Now()
-	pull := root.Child("pull", t0)
-	var pulled int64
-	for _, c := range p.Chunks {
-		attempts := 0
-		for {
-			sp := pull.Child(c.spanName("pull"), env.Now())
-			env.Sleep(e.cfg.IssueCost)
-			err := rs.strategy().Pull(env, lcx, c)
-			if err == nil {
-				pulled += c.Len
-				sp.SetAttr("bytes", strconv.FormatInt(c.Len, 10))
-				sp.SetAttr("lane", strconv.Itoa(lane0.ID))
-				if attempts > 0 {
-					sp.SetAttr("attempt", strconv.Itoa(attempts+1))
-				}
-				sp.EndAt(env.Now())
-				break
-			}
-			sp.SetAttr("error", err.Error())
-			sp.EndAt(env.Now())
-			if isRouteErr(err) && rs.degrade(e, env) {
-				continue // fresh strategy, immediate re-attempt
-			}
-			attempts++
-			if attempts >= e.maxAttempts() {
-				pull.EndAt(env.Now())
-				var res Result
-				rs.finish(e, &res)
-				return res, fmt.Errorf("pulling %s: %w", c.Name, err)
-			}
-			rs.noteRetry(e, env, "pull "+c.Name)
-			env.Sleep(e.backoff(attempts))
-		}
-	}
-	t1 := env.Now()
-	pull.EndAt(t1)
-	flush := root.Child("flush", t1)
-	for _, c := range p.Chunks {
-		attempts := 0
-		for {
-			err := e.cfg.Flush(c.PMemOff, c.Len)
-			if err == nil {
-				break
-			}
-			attempts++
-			if attempts >= e.maxAttempts() {
-				flush.EndAt(env.Now())
-				var res Result
-				rs.finish(e, &res)
-				return res, fmt.Errorf("flushing %s: %w", c.Name, err)
-			}
-			rs.noteRetry(e, env, "flush "+c.Name)
-			// A re-flush pays the CLWB cost for this chunk again on top
-			// of the batch cost charged below.
-			env.Sleep(e.backoff(attempts) + e.cfg.FlushCost(c.Len))
-		}
-	}
-	env.Sleep(e.cfg.FlushCost(pulled))
-	t2 := env.Now()
-	flush.EndAt(t2)
-	res := Result{Bytes: pulled, Transfer: t1 - t0, Flush: t2 - t1, Chunks: len(p.Chunks)}
-	rs.finish(e, &res)
-	return res, nil
-}
-
-// pullPipelined overlaps stages: lane processes pull chunks from a
-// shared work queue (bounded by depth tokens) and hand them to a
-// flusher process that persists each chunk as it lands and returns the
-// token. A chunk's flush therefore runs while later chunks are still
-// in flight, but no chunk is ever unflushed when Pull returns.
 //
-// Healing: a failed attempt retries on the same lane with backoff; a
-// lane that fails LaneFailLimit consecutive attempts requeues its chunk
-// and leaves the stripe set (quarantine), so the remaining chunks
-// re-stripe over the healthy lanes; a chunk that exhausts MaxAttempts
-// fails the run. Work-queue sends and closes happen under mu (guarded
-// by workClosed) so a quarantined lane can never send on a closed
-// queue.
-func (e *Engine) pullPipelined(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
-	rs := e.newRun(cx)
-	laneSet := e.lanesFor(cx)
-	t0 := env.Now()
-	pull := root.Child("pull", t0)
-
-	tokens := sim.NewMailbox[struct{}](env)
-	for i := 0; i < e.cfg.Depth; i++ {
-		tokens.Send(env, struct{}{})
+// The chunks always move through the same attempt loop; only the flush
+// schedule differs. At depth 1 on one lane every chunk is transferred,
+// then the whole batch is flushed — the paper's datapath, with the
+// pre-engine timing and span structure. Otherwise chunks flush behind
+// the transfers (see flushBehind).
+func (e *Engine) Pull(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
+	r := e.newRun(env, cx, root, "pull", len(p.Chunks))
+	behind := e.cfg.Depth > 1 || len(r.lanes) > 1
+	if behind {
+		drained := r.flushBehind(env)
+		r.transfer(env, p.Chunks)
+		r.flushQ.Send(env, Chunk{Len: -1})
+		drained.Wait(env)
+	} else {
+		r.transfer(env, p.Chunks)
 	}
-	work := sim.NewMailbox[*workItem](env)
-	flushQ := sim.NewMailbox[Chunk](env)
-	lanes := sim.NewGroup(env)
-	flushed := sim.NewSignal(env)
-
-	var (
-		mu          sync.Mutex
-		failed      bool
-		workClosed  bool
-		firstErr    error
-		pulled      int64
-		lastPullEnd time.Duration
-		flushedN    int
-		healthy     = len(laneSet)
-	)
-	total := len(p.Chunks)
-	for i := range p.Chunks {
-		work.Send(env, &workItem{c: p.Chunks[i]})
-	}
-	if total == 0 {
-		workClosed = true
-		work.Close(env)
-	}
-	// closeWork is called with mu held.
-	closeWork := func(env sim.Env) {
-		if !workClosed {
-			workClosed = true
-			work.Close(env)
-		}
-	}
-
-	lanes.Add(env, len(laneSet))
-	for _, qp := range laneSet {
-		qp := qp
-		env.Go(fmt.Sprintf("datapath-lane-%d", qp.ID), func(env sim.Env) {
-			defer lanes.Done(env)
-			lcx := laneContext(cx, qp)
-			consec := 0
-			for {
-				it, ok := work.Recv(env)
-				if !ok {
-					return
-				}
-				for {
-					// Bound chunks in flight past the transfer stage.
-					// Tokens are conserved: the flusher (or a failing
-					// lane) always returns them, so blocked lanes cannot
-					// starve.
-					tokens.Recv(env)
-
-					mu.Lock()
-					if failed {
-						mu.Unlock()
-						tokens.Send(env, struct{}{})
-						return
-					}
-					sp := pull.Child(it.c.spanName("pull"), env.Now())
-					mu.Unlock()
-
-					env.Sleep(e.cfg.IssueCost)
-					err := rs.strategy().Pull(env, lcx, it.c)
-					now := env.Now()
-
-					if err == nil {
-						mu.Lock()
-						consec = 0
-						pulled += it.c.Len
-						if now > lastPullEnd {
-							lastPullEnd = now
-						}
-						sp.SetAttr("bytes", strconv.FormatInt(it.c.Len, 10))
-						sp.SetAttr("lane", strconv.Itoa(qp.ID))
-						if it.attempts > 0 {
-							sp.SetAttr("attempt", strconv.Itoa(it.attempts+1))
-						}
-						sp.EndAt(now)
-						mu.Unlock()
-						flushQ.Send(env, it.c) // the chunk carries its token to the flusher
-						break
-					}
-
-					tokens.Send(env, struct{}{})
-					mu.Lock()
-					sp.SetAttr("error", err.Error())
-					sp.EndAt(now)
-					if isRouteErr(err) && rs.degrade(e, env) {
-						mu.Unlock()
-						continue // fresh strategy, immediate re-attempt
-					}
-					it.attempts++
-					if it.attempts >= e.maxAttempts() {
-						if firstErr == nil {
-							firstErr = fmt.Errorf("pulling %s: %w", it.c.Name, err)
-						}
-						failed = true
-						closeWork(env)
-						mu.Unlock()
-						return
-					}
-					rs.noteRetry(e, env, "pull "+it.c.Name)
-					consec++
-					if lim := e.cfg.Retry.LaneFailLimit; lim > 0 && consec >= lim && healthy > 1 {
-						healthy--
-						rs.quarantine(e, env, qp.ID)
-						if !workClosed {
-							work.Send(env, it) // re-stripe over the healthy lanes
-						}
-						mu.Unlock()
-						return
-					}
-					mu.Unlock()
-					env.Sleep(e.backoff(it.attempts))
-				}
-			}
-		})
-	}
-
-	env.Go("datapath-flusher", func(env sim.Env) {
-		for {
-			c, ok := flushQ.Recv(env)
-			if !ok || c.Len < 0 { // sentinel: every pulled chunk is behind us
-				flushed.Fire(env)
-				return
-			}
-			attempts := 0
-			for {
-				err := e.cfg.Flush(c.PMemOff, c.Len)
-				env.Sleep(e.cfg.FlushCost(c.Len))
-				if err == nil {
-					break
-				}
-				attempts++
-				if attempts >= e.maxAttempts() {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = fmt.Errorf("flushing %s: %w", c.Name, err)
-					}
-					failed = true
-					closeWork(env)
-					mu.Unlock()
-					break
-				}
-				rs.noteRetry(e, env, "flush "+c.Name)
-				env.Sleep(e.backoff(attempts))
-			}
-			mu.Lock()
-			flushedN++
-			if flushedN == total && !failed {
-				closeWork(env) // all persisted: release the idle lanes
-			}
-			mu.Unlock()
-			tokens.Send(env, struct{}{})
-		}
-	})
-
-	lanes.Wait(env)
-	flushQ.Send(env, Chunk{Len: -1})
-	flushed.Wait(env)
-
-	if firstErr != nil {
+	if r.err != nil {
 		// Close the stage span even on failure: an unclosed span (End ==
 		// 0) renders with a negative duration in dumps.
-		pull.EndAt(env.Now())
-		var res Result
-		rs.finish(e, &res)
-		return res, firstErr
+		r.stage.EndAt(env.Now())
+		return r.result(Result{}), r.err
 	}
-	if lastPullEnd < t0 { // empty plan: no chunk ever completed
-		lastPullEnd = t0
+	pulled := r.lastEnd
+	r.stage.EndAt(pulled)
+	flush := r.root.Child("flush", pulled)
+	if !behind {
+		for _, c := range p.Chunks {
+			if err := r.flush(env, c.Name, c.PMemOff, c.Len, true); err != nil {
+				flush.EndAt(env.Now())
+				return r.result(Result{}), fmt.Errorf("flushing %s: %w", c.Name, err)
+			}
+		}
+		env.Sleep(e.cfg.FlushCost(r.moved))
 	}
-	pull.EndAt(lastPullEnd)
-	flush := root.Child("flush", lastPullEnd)
 	end := env.Now()
 	flush.EndAt(end)
-	res := Result{Bytes: pulled, Transfer: lastPullEnd - t0, Flush: end - lastPullEnd, Chunks: len(p.Chunks)}
-	rs.finish(e, &res)
-	return res, nil
+	return r.result(Result{Bytes: r.moved, Transfer: pulled - r.stage.Start, Flush: end - pulled, Chunks: len(p.Chunks)}), nil
 }
 
 // CopySpan is one clean range an incremental checkpoint carries forward
@@ -589,209 +634,48 @@ type CopyFn func(dstOff, srcOff, n int64) error
 // CopyForward executes the local half of an incremental checkpoint:
 // every span is copied active→target inside PMem and flushed before
 // CopyForward returns, so the caller can commit the target slot's done
-// flag exactly as after a full Pull. Time is charged per span from the
-// modeled PMem read + write bandwidth plus the standard flush cost.
-// Under root it builds a "copy-forward" span with one child per span.
+// flag exactly as after a full Pull. A torn flush heals under the retry
+// policy like a pulled chunk's; one that outlasts the budget fails the
+// run. Time is charged per span from the modeled PMem read + write
+// bandwidth plus the standard flush cost. Under root it builds a
+// "copy-forward" span with one child per span.
 func (e *Engine) CopyForward(env sim.Env, cx *Context, spans []CopySpan, cp CopyFn, root *telemetry.Span) (Result, error) {
-	if root == nil {
-		root = &telemetry.Span{}
-	}
-	t0 := env.Now()
-	cf := root.Child("copy-forward", t0)
+	r := e.newRun(env, cx, root, "copy-forward", len(spans))
 	var copied int64
 	for _, s := range spans {
-		sp := cf.Child("copy:"+s.Name, env.Now())
-		if err := cp(s.DstOff, s.SrcOff, s.Size); err != nil {
+		sp := r.stage.Child("copy:"+s.Name, env.Now())
+		what := "copy-forward"
+		err := cp(s.DstOff, s.SrcOff, s.Size)
+		if err == nil {
+			env.Sleep(perfmodel.PMemCopyTime(s.Size))
+			what, err = "copy-forward flush", r.flush(env, s.Name, s.DstOff, s.Size, false)
+		}
+		if err != nil {
 			sp.SetAttr("error", err.Error())
 			sp.EndAt(env.Now())
-			cf.EndAt(env.Now())
-			return Result{Bytes: copied}, fmt.Errorf("copy-forward %s: %w", s.Name, err)
+			r.stage.EndAt(env.Now())
+			return r.result(Result{Bytes: copied}), fmt.Errorf("%s %s: %w", what, s.Name, err)
 		}
-		env.Sleep(perfmodel.PMemCopyTime(s.Size))
-		if err := e.cfg.Flush(s.DstOff, s.Size); err != nil {
-			sp.SetAttr("error", err.Error())
-			sp.EndAt(env.Now())
-			cf.EndAt(env.Now())
-			return Result{Bytes: copied}, fmt.Errorf("copy-forward flush %s: %w", s.Name, err)
-		}
-		env.Sleep(e.cfg.FlushCost(s.Size))
 		copied += s.Size
 		sp.SetAttr("bytes", strconv.FormatInt(s.Size, 10))
 		sp.EndAt(env.Now())
 	}
 	end := env.Now()
-	cf.EndAt(end)
-	return Result{Bytes: copied, Transfer: end - t0, Chunks: len(spans)}, nil
+	r.stage.EndAt(end)
+	return r.result(Result{Bytes: copied, Transfer: end - r.stage.Start, Chunks: len(spans)}), nil
 }
 
 // Push runs the restore direction: chunks move from PMem back into the
-// client's memory. There is no flush stage; with multiple lanes the
-// chunks stripe, otherwise they run in order. The same healing policy
-// applies: bounded per-chunk retry, per-run strategy degradation, and
-// lane quarantine on striped runs. Under root it builds a "push" span
+// client's memory through the same attempt loop as Pull — bounded
+// per-chunk retry, per-run strategy degradation, lane quarantine when
+// striped — with no flush stage. Under root it builds a "push" span
 // with one child per chunk attempt.
 func (e *Engine) Push(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
-	if root == nil {
-		root = &telemetry.Span{}
+	r := e.newRun(env, cx, root, "push", len(p.Chunks))
+	r.transfer(env, p.Chunks)
+	r.stage.EndAt(env.Now())
+	if r.err != nil {
+		return r.result(Result{}), r.err
 	}
-	rs := e.newRun(cx)
-	laneSet := e.lanesFor(cx)
-	t0 := env.Now()
-	push := root.Child("push", t0)
-
-	if len(laneSet) == 1 {
-		lcx := laneContext(cx, laneSet[0])
-		var pushed int64
-		for _, c := range p.Chunks {
-			attempts := 0
-			for {
-				sp := push.Child(c.spanName("push"), env.Now())
-				env.Sleep(e.cfg.IssueCost)
-				err := rs.strategy().Push(env, lcx, c)
-				if err == nil {
-					pushed += c.Len
-					sp.SetAttr("bytes", strconv.FormatInt(c.Len, 10))
-					sp.SetAttr("lane", strconv.Itoa(laneSet[0].ID))
-					if attempts > 0 {
-						sp.SetAttr("attempt", strconv.Itoa(attempts+1))
-					}
-					sp.EndAt(env.Now())
-					break
-				}
-				sp.SetAttr("error", err.Error())
-				sp.EndAt(env.Now())
-				if isRouteErr(err) && rs.degrade(e, env) {
-					continue
-				}
-				attempts++
-				if attempts >= e.maxAttempts() {
-					push.EndAt(env.Now())
-					var res Result
-					rs.finish(e, &res)
-					return res, fmt.Errorf("restoring %s: %w", c.Name, err)
-				}
-				rs.noteRetry(e, env, "push "+c.Name)
-				env.Sleep(e.backoff(attempts))
-			}
-		}
-		push.EndAt(env.Now())
-		res := Result{Bytes: pushed, Transfer: push.Dur(), Chunks: len(p.Chunks)}
-		rs.finish(e, &res)
-		return res, nil
-	}
-
-	var (
-		mu         sync.Mutex
-		failed     bool
-		workClosed bool
-		firstErr   error
-		pushed     int64
-		doneN      int
-		healthy    = len(laneSet)
-	)
-	total := len(p.Chunks)
-	work := sim.NewMailbox[*workItem](env)
-	for i := range p.Chunks {
-		work.Send(env, &workItem{c: p.Chunks[i]})
-	}
-	if total == 0 {
-		workClosed = true
-		work.Close(env)
-	}
-	closeWork := func(env sim.Env) { // called with mu held
-		if !workClosed {
-			workClosed = true
-			work.Close(env)
-		}
-	}
-	lanes := sim.NewGroup(env)
-	lanes.Add(env, len(laneSet))
-	for _, qp := range laneSet {
-		qp := qp
-		env.Go(fmt.Sprintf("datapath-lane-%d", qp.ID), func(env sim.Env) {
-			defer lanes.Done(env)
-			lcx := laneContext(cx, qp)
-			consec := 0
-			for {
-				it, ok := work.Recv(env)
-				if !ok {
-					return
-				}
-				for {
-					mu.Lock()
-					if failed {
-						mu.Unlock()
-						return
-					}
-					sp := push.Child(it.c.spanName("push"), env.Now())
-					mu.Unlock()
-
-					env.Sleep(e.cfg.IssueCost)
-					err := rs.strategy().Push(env, lcx, it.c)
-					now := env.Now()
-
-					if err == nil {
-						mu.Lock()
-						consec = 0
-						pushed += it.c.Len
-						sp.SetAttr("bytes", strconv.FormatInt(it.c.Len, 10))
-						sp.SetAttr("lane", strconv.Itoa(qp.ID))
-						if it.attempts > 0 {
-							sp.SetAttr("attempt", strconv.Itoa(it.attempts+1))
-						}
-						sp.EndAt(now)
-						doneN++
-						if doneN == total {
-							closeWork(env)
-						}
-						mu.Unlock()
-						break
-					}
-
-					mu.Lock()
-					sp.SetAttr("error", err.Error())
-					sp.EndAt(now)
-					if isRouteErr(err) && rs.degrade(e, env) {
-						mu.Unlock()
-						continue
-					}
-					it.attempts++
-					if it.attempts >= e.maxAttempts() {
-						if firstErr == nil {
-							firstErr = fmt.Errorf("restoring %s: %w", it.c.Name, err)
-						}
-						failed = true
-						closeWork(env)
-						mu.Unlock()
-						return
-					}
-					rs.noteRetry(e, env, "push "+it.c.Name)
-					consec++
-					if lim := e.cfg.Retry.LaneFailLimit; lim > 0 && consec >= lim && healthy > 1 {
-						healthy--
-						rs.quarantine(e, env, qp.ID)
-						if !workClosed {
-							work.Send(env, it)
-						}
-						mu.Unlock()
-						return
-					}
-					mu.Unlock()
-					env.Sleep(e.backoff(it.attempts))
-				}
-			}
-		})
-	}
-	lanes.Wait(env)
-	if firstErr != nil {
-		// Close the stage span even on failure (see pullPipelined).
-		push.EndAt(env.Now())
-		var res Result
-		rs.finish(e, &res)
-		return res, firstErr
-	}
-	push.EndAt(env.Now())
-	res := Result{Bytes: pushed, Transfer: push.Dur(), Chunks: len(p.Chunks)}
-	rs.finish(e, &res)
-	return res, nil
+	return r.result(Result{Bytes: r.moved, Transfer: r.stage.Dur(), Chunks: len(p.Chunks)}), nil
 }

@@ -211,15 +211,12 @@ func churnTenant(env sim.Env, rig *tierRig, reg *telemetry.Registry, spec model.
 	}
 	defer dconn.Close()
 	for attempt := 0; ; attempt++ {
-		if err := dconn.Send(env, &wire.Msg{Type: wire.TDelete, Model: spec.Name}); err != nil {
-			panic(err)
-		}
-		resp, err := dconn.Recv(env)
-		if err != nil {
-			panic(err)
-		}
-		if resp.Type == wire.TDeleteOK {
+		resp, err := wire.Call(env, dconn, &wire.Msg{Type: wire.TDelete, Model: spec.Name}, wire.TDeleteOK)
+		if err == nil {
 			break
+		}
+		if resp == nil { // transport failure, not a refusal to ride out
+			panic(err)
 		}
 		if attempt > 50 {
 			panic(fmt.Sprintf("churn: %s: delete kept failing: %s", spec.Name, resp.Error))

@@ -262,6 +262,29 @@ type Conn interface {
 	Close() error
 }
 
+// Call runs one admin round trip on a connection nothing else is
+// receiving from: send req, receive one message, and return it when its
+// type is want. A transport failure is returned as it is. Any other
+// reply — normally the daemon's ERROR — comes back together with an
+// error quoting its text, so a caller that needs the classification
+// reads the reply's Code.
+func Call(env sim.Env, conn Conn, req *Msg, want Type) (*Msg, error) {
+	if err := conn.Send(env, req); err != nil {
+		return nil, err
+	}
+	resp, err := conn.Recv(env)
+	if err != nil {
+		return nil, err
+	}
+	switch resp.Type {
+	case want:
+		return resp, nil
+	case TError:
+		return resp, fmt.Errorf("daemon: %s", resp.Error)
+	}
+	return resp, fmt.Errorf("daemon: unexpected %s reply to %s", resp.Type, req.Type)
+}
+
 // Listener accepts inbound connections.
 type Listener interface {
 	Accept(env sim.Env) (Conn, error)

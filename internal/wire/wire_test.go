@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"errors"
 	"net"
 	"reflect"
 	"testing"
@@ -301,4 +302,62 @@ func TestTraceContextGobCompat(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("traced gob round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// TestCallOutcomes: the one admin round trip hands back the wanted
+// reply; a daemon ERROR comes back with its text in the error and its
+// code on the reply; a stray reply type is an error naming both types;
+// a dead connection surfaces the transport error itself.
+func TestCallOutcomes(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		n := NewSimNet()
+		l, err := n.Listen(env, "storage")
+		if err != nil {
+			t.Fatal(err)
+		}
+		replies := []*Msg{
+			{Type: TListResp, Models: []ModelInfo{{Name: "m"}}},
+			{Type: TError, Code: ErrCodeNoCheckpoint, Error: "nothing committed"},
+			{Type: TDeleteOK},
+		}
+		env.Go("server", func(env sim.Env) {
+			conn, err := l.Accept(env)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, r := range replies {
+				if _, err := conn.Recv(env); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := conn.Send(env, r); err != nil {
+					t.Error(err)
+				}
+			}
+			conn.Close()
+		})
+		conn, err := n.Dial(env, "storage")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := Call(env, conn, &Msg{Type: TList}, TListResp)
+		if err != nil || len(resp.Models) != 1 {
+			t.Fatalf("LIST = %+v, %v", resp, err)
+		}
+		resp, err = Call(env, conn, &Msg{Type: TDump, Model: "m"}, TDumpResp)
+		if err == nil || err.Error() != "daemon: nothing committed" || resp == nil || resp.Code != ErrCodeNoCheckpoint {
+			t.Fatalf("refused DUMP = %+v, %v; want the ERROR reply and its text", resp, err)
+		}
+		_, err = Call(env, conn, &Msg{Type: TList}, TListResp)
+		if err == nil || err.Error() != "daemon: unexpected DELETE_OK reply to LIST" {
+			t.Fatalf("stray reply: err = %v", err)
+		}
+		resp, err = Call(env, conn, &Msg{Type: TList}, TListResp)
+		if !errors.Is(err, ErrClosed) || resp != nil {
+			t.Fatalf("closed conn: %+v, %v; want ErrClosed and no reply", resp, err)
+		}
+	})
+	eng.Run()
 }
