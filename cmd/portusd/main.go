@@ -45,7 +45,6 @@ func main() {
 		workers      = flag.Int("workers", 8, "daemon thread-pool width")
 		queueCap     = flag.Int("queue-cap", 0, "total queued requests across all models before BUSY backpressure (0 = default 64, negative = unbounded)")
 		modelQueue   = flag.Int("model-queue-cap", 0, "queued requests per model before BUSY backpressure (0 = default 8, negative = unbounded)")
-		sched        = flag.String("sched", "fair", "dispatch order across models: fair (weighted round-robin, restores first) or fifo (arrival order)")
 		materialized = flag.Bool("materialized", false, "store real checkpoint bytes instead of content fingerprints")
 		image        = flag.String("image", "", "namespace image path: loaded at startup if present, saved at shutdown")
 		admin        = flag.String("admin", "", "admin HTTP listen address serving /metrics, /debug/traces, /debug/events, /debug/pprof, /healthz (empty = disabled)")
@@ -82,7 +81,6 @@ func main() {
 		Workers:         *workers,
 		QueueCap:        *queueCap,
 		ModelQueueCap:   *modelQueue,
-		SchedPolicy:     *sched,
 		Materialized:    *materialized,
 		CtrlAddr:        *ctrl,
 		FabricAddr:      *fabric,

@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -278,7 +279,7 @@ func TestNoOverlapProperty(t *testing.T) {
 		}
 		return len(live) == len(held)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -324,7 +325,7 @@ func TestRecoveryMatchesLiveProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

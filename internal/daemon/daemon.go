@@ -73,10 +73,6 @@ type Config struct {
 	// ModelQueueCap bounds the requests queued per model; 0 defaults to
 	// 8, negative means unbounded.
 	ModelQueueCap int
-	// SchedPolicy selects the scheduler's picker: "fair" (weighted
-	// round-robin across models, restores first — the default) or
-	// "fifo" (strict global arrival order).
-	SchedPolicy string
 	// Strategy is how one chunk moves between the client and PMem; nil
 	// means datapath.OneSided, the paper's zero-copy verbs. The two-sided
 	// and host-staged variants exist for the ablations (DESIGN.md §5).
@@ -192,12 +188,6 @@ type Daemon struct {
 	connMu sync.Mutex
 	conns  map[wire.Conn]struct{}
 
-	// deltaCrash is a test hook fired at the crash boundaries of an
-	// incremental checkpoint ("pre-copy-forward", "post-copy-forward",
-	// "post-table"); returning true makes the request die at that point,
-	// as a power failure would, committing nothing further.
-	deltaCrash func(stage string) bool
-
 	tel *telem
 
 	// engine executes checkpoint pulls and restore pushes over the
@@ -232,15 +222,6 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("daemon: opening namespace: %w", err)
-	}
-	var policy sched.Policy
-	switch cfg.SchedPolicy {
-	case "", "fair":
-		policy = sched.Fair
-	case "fifo":
-		policy = sched.FIFO
-	default:
-		return nil, fmt.Errorf("daemon: unknown scheduler policy %q (want fair or fifo)", cfg.SchedPolicy)
 	}
 	if cfg.NodeName == "" {
 		cfg.NodeName = cfg.RNode.Name()
@@ -277,7 +258,6 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 		ModelQueueCap: cfg.ModelQueueCap,
 		GlobalCap:     cfg.QueueCap,
 		Workers:       cfg.Workers,
-		Policy:        policy,
 		Telemetry:     d.tel.reg,
 		Events:        d.tel.events,
 	})

@@ -1,14 +1,12 @@
 package daemon_test
 
 import (
-	"strings"
 	"testing"
 
 	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/cluster"
 	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/gpu"
-	"github.com/portus-sys/portus/internal/index"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/pmem"
 	"github.com/portus-sys/portus/internal/sim"
@@ -207,99 +205,4 @@ func TestDeltaBlockPinRejectsMismatch(t *testing.T) {
 		}
 	})
 	eng.Run()
-}
-
-// TestDeltaCrashBoundaries cuts the power at each crash boundary of an
-// in-flight delta checkpoint and verifies the atomicity contract: the
-// interrupted iteration never commits, the previous version stays
-// restorable (restore verifies its stored CRC, so success means not
-// torn), and the durable state a reopen observes is either cleanly old
-// or cleanly distrusted.
-func TestDeltaCrashBoundaries(t *testing.T) {
-	for _, stage := range []string{"pre-copy-forward", "post-copy-forward", "post-table"} {
-		stage := stage
-		t.Run(stage, func(t *testing.T) {
-			eng := sim.NewEngine()
-			eng.Go("test", func(env sim.Env) {
-				d, placed, c, pm := deltaRig(t, env, nil)
-				// Two warmups so iteration 3 runs genuinely incrementally
-				// (both slots carry trusted digest tables).
-				placed.ApplyUpdate(1)
-				if err := c.CheckpointSync(env, 1); err != nil {
-					t.Fatal(err)
-				}
-				placed.ApplySparseUpdate(2, deltaBlock, 0.05)
-				want2 := placed.BlockDigests(deltaBlock)
-				if err := c.CheckpointSync(env, 2); err != nil {
-					t.Fatal(err)
-				}
-
-				placed.ApplySparseUpdate(3, deltaBlock, 0.05)
-				fired := false
-				d.SetDeltaCrash(func(s string) bool {
-					if s != stage {
-						return false
-					}
-					fired = true
-					pm.Crash()
-					return true
-				})
-				err := c.CheckpointSync(env, 3)
-				if !fired {
-					t.Fatalf("stage %s never reached", stage)
-				}
-				if err == nil || !strings.Contains(err.Error(), "injected crash") {
-					t.Fatalf("checkpoint survived the crash: %v", err)
-				}
-				d.SetDeltaCrash(nil)
-
-				// Durable state: reopen the namespace as recovery would and
-				// check nothing of iteration 3 committed.
-				s2, err := index.Open(pm)
-				if err != nil {
-					t.Fatalf("reopen after crash: %v", err)
-				}
-				m2, err := s2.Lookup("m")
-				if err != nil {
-					t.Fatal(err)
-				}
-				slot, hdr, ok := m2.LatestDone()
-				if !ok || hdr.Iteration != 2 {
-					t.Fatalf("surviving version = %+v (ok=%v), want iteration 2", hdr, ok)
-				}
-				// A digest table the crash left on the target slot (persisted
-				// just before the DONE flag at "post-table") must be
-				// distrusted: its iteration cannot match any DONE header.
-				if tbl, ok := s2.DeltaGet(m2, 1-slot); ok && tbl.Iteration == hdr.Iteration {
-					t.Fatalf("crashed slot's table claims the surviving iteration %d", tbl.Iteration)
-				}
-
-				// The surviving version restores intact through the daemon.
-				placed.ApplyUpdate(9)
-				iter, err := c.Restore(env)
-				if err != nil || iter != 2 {
-					t.Fatalf("restore after crash = %d, %v", iter, err)
-				}
-				if bad := placed.VerifyDigests(deltaBlock, want2); bad != -1 {
-					t.Fatalf("block %d wrong after crash restore", bad)
-				}
-
-				// And the system recovers: the next checkpoint commits and
-				// restores normally.
-				placed.ApplySparseUpdate(4, deltaBlock, 0.05)
-				want4 := placed.BlockDigests(deltaBlock)
-				if err := c.CheckpointSync(env, 4); err != nil {
-					t.Fatalf("post-crash checkpoint: %v", err)
-				}
-				placed.ApplyUpdate(9)
-				if iter, err := c.Restore(env); err != nil || iter != 4 {
-					t.Fatalf("post-crash restore = %d, %v", iter, err)
-				}
-				if bad := placed.VerifyDigests(deltaBlock, want4); bad != -1 {
-					t.Fatalf("block %d wrong after recovery", bad)
-				}
-			})
-			eng.Run()
-		})
-	}
 }

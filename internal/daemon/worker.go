@@ -283,14 +283,6 @@ type version struct {
 // hash to version.wantCRC.
 var errCRCMismatch = errors.New("installed copy failed integrity check")
 
-// errInjectedCrash marks a deltaCrash-hook abort: the request dies as a
-// power failure would, with nothing later persisted.
-var errInjectedCrash = errors.New("injected crash")
-
-func (d *Daemon) crashAt(stage string) bool {
-	return d.deltaCrash != nil && d.deltaCrash(stage)
-}
-
 // commit is the double-mapping protocol of Fig. 6 — the only place a
 // version slot changes state, shared by checkpoints and anti-entropy
 // LOADs. The slot is marked ACTIVE (destroying its old header) before
@@ -322,9 +314,6 @@ func (d *Daemon) commit(env sim.Env, v version, move func() error) (uint64, erro
 				Detail: "digest table persist failed (next delta runs full): " + err.Error(),
 			})
 		}
-	}
-	if d.crashAt("post-table") {
-		return 0, errInjectedCrash
 	}
 	// Fingerprint the slot's freshly-flushed content and persist the
 	// stamp with the DONE flag: every replica of this content computes
@@ -490,9 +479,6 @@ func (d *Daemon) recordDelta(env sim.Env, dp *deltaPlan, t *sched.Task) {
 // PMem work, so it lands in the flush stage of the Figure 13
 // breakdown).
 func (d *Daemon) copyForward(env sim.Env, cx *datapath.Context, dp *deltaPlan, root *telemetry.Span, res *datapath.Result) error {
-	if d.crashAt("pre-copy-forward") {
-		return errInjectedCrash
-	}
 	data := d.cfg.PMem.Data()
 	cres, err := d.engine.CopyForward(env, cx, dp.spans, func(dst, src, n int64) error {
 		memdev.Copy(data, dst, data, src, n)
@@ -502,9 +488,6 @@ func (d *Daemon) copyForward(env sim.Env, cx *datapath.Context, dp *deltaPlan, r
 		return err
 	}
 	res.Flush += cres.Transfer
-	if d.crashAt("post-copy-forward") {
-		return errInjectedCrash
-	}
 	return nil
 }
 

@@ -2,6 +2,7 @@ package index
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -74,7 +75,7 @@ func TestCorruptionNeverPanics(t *testing.T) {
 		_ = s.Names()
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -173,80 +173,3 @@ func TestDeltaRegionExhaustionReportsNoSpace(t *testing.T) {
 		t.Fatalf("store unusable after delta exhaustion: %v", err)
 	}
 }
-
-// TestDeltaPutCrashBoundaries injects a power failure at every crash
-// boundary of the digest-table persist and proves reopen yields either
-// the old table, the new table, or a clean miss — never a torn record,
-// and never a store that fails to open. pmem.Crash reverts unflushed
-// lines, exactly like the PR 9 repack harness.
-func TestDeltaPutCrashBoundaries(t *testing.T) {
-	for _, point := range []string{"delta-invalidate", "delta-body", "delta-validate", "delta-publish"} {
-		t.Run(point, func(t *testing.T) {
-			pm, s := newStore(t)
-			m, err := s.CreateModel("bert", bertTensors())
-			if err != nil {
-				t.Fatal(err)
-			}
-			old := testTable(32, 5)
-			if err := s.DeltaPut(m, 0, old); err != nil {
-				t.Fatal(err)
-			}
-			// Second slot uses a different size so "delta-publish" (fresh
-			// allocation) fires too.
-			slot := 0
-			next := testTable(32, 6)
-			if point == "delta-publish" {
-				slot, next = 1, testTable(64, 6)
-			}
-			pm.FlushMeta(0, pm.MetaSize())
-
-			fired := false
-			s.crashHook = func(p string) bool {
-				if p != point {
-					return false
-				}
-				fired = true
-				pm.Crash()
-				return true
-			}
-			err = s.DeltaPut(m, slot, next)
-			if !fired {
-				t.Fatalf("crash point %q never fired", point)
-			}
-			if !errors.Is(err, ErrCrashed) {
-				t.Fatalf("DeltaPut after crash: %v", err)
-			}
-
-			s2, err := Open(pm)
-			if err != nil {
-				t.Fatalf("reopen after crash at %q: %v", point, err)
-			}
-			m2, err := s2.Lookup("bert")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, ok := s2.DeltaGet(m2, slot); ok {
-				if !sameTable(got, old) && !sameTable(got, next) {
-					t.Fatalf("crash at %q exposed a torn table: %+v", point, got)
-				}
-				if slot == 1 {
-					t.Fatalf("crash at %q exposed an unpublished record", point)
-				}
-			}
-			// The untouched slot-0 table must still be readable after a
-			// fresh-allocation crash.
-			if slot == 1 {
-				if got, ok := s2.DeltaGet(m2, 0); !ok || !sameTable(got, old) {
-					t.Fatal("crash during fresh allocation damaged the neighboring record")
-				}
-			}
-			// And the reopened store keeps working.
-			if err := s2.DeltaPut(m2, slot, next); err != nil {
-				t.Fatalf("post-crash DeltaPut: %v", err)
-			}
-			if got, ok := s2.DeltaGet(m2, slot); !ok || !sameTable(got, next) {
-				t.Fatal("post-crash table not readable")
-			}
-		})
-	}
-}

@@ -102,11 +102,6 @@ const (
 	deltaDead    = uint64(2)
 )
 
-// ErrCrashed is returned by DeltaPut when the test-only crash hook fired
-// mid-persist: the namespace has been reverted and must not be touched
-// again through this Store.
-var ErrCrashed = errors.New("index: crash injected")
-
 // deltaKey identifies a digest record: the owning model's MIndex offset
 // plus the version slot.
 type deltaKey struct {
@@ -221,12 +216,6 @@ type Store struct {
 	// record region.
 	deltaIdx  map[deltaKey]int64
 	deltaFree map[int64][]int64
-
-	// crashHook, when set (tests only), runs at every crash boundary of
-	// a digest-table persist; returning true means "the device just
-	// crashed": the operation aborts with ErrCrashed and must not touch
-	// the namespace again.
-	crashHook func(point string) bool
 
 	// mindexFree tracks dead MIndex byte ranges (deleted models) below
 	// the break, sorted by offset and coalesced. In-memory only: the
@@ -606,10 +595,20 @@ func (s *Store) Models() ([]*Model, error) {
 	return out, nil
 }
 
-// DeleteModel tombstones a model's table entry and frees its TensorData
-// extents. The MIndex record's bytes go on the in-memory dead list for
-// the next CreateModel to reuse; its on-media content is untouched (no
-// layout change versus pre-engine images).
+// DeleteModel drops a model's digest records, tombstones its table
+// entry, then frees its TensorData extents — in that order, because a
+// power failure can fall between any two persists. The tombstone (one
+// failure-atomic persist) is the commit point. Before it the model must
+// stay whole: losing a digest record only costs the next checkpoint a
+// full pull, whereas freeing an extent first would leave a listed, DONE
+// model pointing into the free list. After it nothing may outlive the
+// model under its key: a later CreateModel can reuse this MIndex offset,
+// and a stale table there would diff a new model against a dead one's
+// content. The extents a crash strands after the tombstone are
+// allocated but unreferenced, which store.Open's leak sweep reclaims.
+// The MIndex record's bytes go on the in-memory dead list for the next
+// CreateModel to reuse; its on-media content is untouched (no layout
+// change versus pre-engine images).
 func (s *Store) DeleteModel(name string) error {
 	for i := int64(0); i < s.modelCount; i++ {
 		n, infoOff := s.entryAt(i)
@@ -620,6 +619,13 @@ func (s *Store) DeleteModel(name string) error {
 		if err != nil {
 			return err
 		}
+		s.deltaDrop(m.off, 0)
+		s.deltaDrop(m.off, 1)
+		var z [8]byte
+		at := s.tableOff() + i*entrySize
+		s.pm.WriteMeta(at, z[:]) // infoOff = 0 tombstone
+		s.pm.Persist8(at)
+		s.freeMIndexRange(m.off, int64(mindexHdr)+int64(len(m.Tensors))*tensorRec)
 		for _, pa := range m.PAddr {
 			for v := 0; v < 2; v++ {
 				if pa[v] == 0 {
@@ -630,16 +636,6 @@ func (s *Store) DeleteModel(name string) error {
 				}
 			}
 		}
-		var z [8]byte
-		at := s.tableOff() + i*entrySize
-		s.pm.WriteMeta(at, z[:]) // infoOff = 0 tombstone
-		s.pm.Persist8(at)
-		s.freeMIndexRange(m.off, int64(mindexHdr)+int64(len(m.Tensors))*tensorRec)
-		// Drop the model's digest records: a later CreateModel may reuse
-		// this MIndex offset, and a stale table under the same key would
-		// diff a new model against a dead one's content.
-		s.deltaDrop(m.off, 0)
-		s.deltaDrop(m.off, 1)
 		return nil
 	}
 	return fmt.Errorf("%w: %s", ErrNoModel, name)
@@ -978,12 +974,6 @@ func (s *Store) rebuildDelta() {
 // region (live and dead records).
 func (s *Store) DeltaBytes() int64 { return s.allocOff - s.deltaBrk }
 
-// crash fires the test-only crash hook; true means the device crashed
-// at this boundary and the caller must abort.
-func (s *Store) crash(point string) bool {
-	return s.crashHook != nil && s.crashHook(point)
-}
-
 // DeltaPut persists slot's digest table for model m. The write is
 // crash-safe at every boundary: a fresh record becomes visible only when
 // the region break is persisted after the record is fully flushed, and
@@ -1020,48 +1010,20 @@ func (s *Store) DeltaPut(m *Model, slot int, t *delta.Table) error {
 	}
 	binary.LittleEndian.PutUint64(body[len(body)-8:], deltaCRC(body[:len(body)-8]))
 
-	var b [8]byte
-	if off, ok := s.deltaIdx[key]; ok {
-		// In-place rewrite: invalidate, write body, revalidate.
-		if s.crash("delta-invalidate") {
-			return ErrCrashed
-		}
-		binary.LittleEndian.PutUint64(b[:], deltaInvalid)
-		s.pm.WriteMeta(off+8, b[:])
-		s.pm.Persist8(off + 8)
-		if s.crash("delta-body") {
-			return ErrCrashed
-		}
-		s.pm.WriteMeta(off+16, body)
-		s.pm.FlushMeta(off+16, int64(len(body)))
-		if s.crash("delta-validate") {
-			return ErrCrashed
-		}
-		binary.LittleEndian.PutUint64(b[:], deltaValid)
-		s.pm.WriteMeta(off+8, b[:])
-		s.pm.Persist8(off + 8)
-		return nil
-	}
-
-	// Reuse a dead record of the exact size, else claim fresh space
-	// below the break.
-	if free := s.deltaFree[recLen]; len(free) > 0 {
-		off := free[len(free)-1]
+	// Rewrite in place — the slot's own record, else a dead record of the
+	// exact size: invalidate, write the body, revalidate.
+	off, ok := s.deltaIdx[key]
+	if free := s.deltaFree[recLen]; !ok && len(free) > 0 {
+		off, ok = free[len(free)-1], true
 		s.deltaFree[recLen] = free[:len(free)-1]
-		if s.crash("delta-invalidate") {
-			return ErrCrashed
-		}
+	}
+	var b [8]byte
+	if ok {
 		binary.LittleEndian.PutUint64(b[:], deltaInvalid)
 		s.pm.WriteMeta(off+8, b[:])
 		s.pm.Persist8(off + 8)
-		if s.crash("delta-body") {
-			return ErrCrashed
-		}
 		s.pm.WriteMeta(off+16, body)
 		s.pm.FlushMeta(off+16, int64(len(body)))
-		if s.crash("delta-validate") {
-			return ErrCrashed
-		}
 		binary.LittleEndian.PutUint64(b[:], deltaValid)
 		s.pm.WriteMeta(off+8, b[:])
 		s.pm.Persist8(off + 8)
@@ -1069,12 +1031,10 @@ func (s *Store) DeltaPut(m *Model, slot int, t *delta.Table) error {
 		return nil
 	}
 
-	off := s.deltaBrk - recLen
+	// Claim fresh space below the break.
+	off = s.deltaBrk - recLen
 	if off < s.mindexBrk {
 		return fmt.Errorf("index: delta region exhausted: %w", alloc.ErrNoSpace)
-	}
-	if s.crash("delta-body") {
-		return ErrCrashed
 	}
 	rec := make([]byte, recLen)
 	binary.LittleEndian.PutUint64(rec[0:], uint64(recLen))
@@ -1082,9 +1042,6 @@ func (s *Store) DeltaPut(m *Model, slot int, t *delta.Table) error {
 	copy(rec[16:], body)
 	s.pm.WriteMeta(off, rec)
 	s.pm.FlushMeta(off, recLen)
-	if s.crash("delta-publish") {
-		return ErrCrashed
-	}
 	// Publish: the break persist makes the record visible atomically.
 	s.deltaBrk = off
 	binary.LittleEndian.PutUint64(b[:], uint64(s.deltaBrk))

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -104,7 +105,7 @@ func TestPartitionConservationProperty(t *testing.T) {
 		}
 		return TotalSize(shards) == spec.TotalSize() && len(shards) == tp*pp
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -105,6 +105,11 @@ type Device struct {
 	dataFlushOps   atomic.Int64
 	dataFlushBytes atomic.Int64
 	metaFlushOps   atomic.Int64
+
+	// armed is the crash-injection point (FailAfter): 0 is disarmed,
+	// n > 0 lets n-1 more persist operations through, and negative is
+	// dark — at least one has been lost.
+	armed atomic.Int64
 }
 
 // New creates a namespace.
@@ -167,7 +172,9 @@ func (d *Device) MetaBytes(off, n int64) []byte { return d.meta.Bytes(off, n) }
 // CLWB of each line plus SFENCE.
 func (d *Device) FlushMeta(off, n int64) {
 	d.metaFlushOps.Add(1)
-	memdev.Copy(d.metaDur, off, d.meta, off, n)
+	if !d.lost() {
+		memdev.Copy(d.metaDur, off, d.meta, off, n)
+	}
 }
 
 // Persist8 atomically persists the 8-byte word at off in the metadata
@@ -178,7 +185,9 @@ func (d *Device) Persist8(off int64) { d.FlushMeta(off, 8) }
 func (d *Device) FlushData(off, n int64) {
 	d.dataFlushOps.Add(1)
 	d.dataFlushBytes.Add(n)
-	memdev.Copy(d.dataDur, off, d.data, off, n)
+	if !d.lost() {
+		memdev.Copy(d.dataDur, off, d.data, off, n)
+	}
 }
 
 // DataFlushOps reports how many data-zone flushes have run.
@@ -192,11 +201,43 @@ func (d *Device) DataFlushBytes() int64 { return d.dataFlushBytes.Load() }
 // Persist8 version-flag commits) have run.
 func (d *Device) MetaFlushOps() int64 { return d.metaFlushOps.Load() }
 
+// FailAfter arms the one crash-injection point of the system: the next
+// k persist operations (FlushData, FlushMeta, Persist8) reach the
+// durable image, and every later one is counted but lost — the device
+// has gone dark — until Crash reverts the namespace and disarms. Durable
+// state changes nowhere else, so sweeping k over an operation's persist
+// count visits every state a power failure can leave behind. The code
+// under test needs no abort path: it runs on believing its flushes
+// landed, and only what it acknowledged while !Dark counts as committed.
+func (d *Device) FailAfter(k int64) { d.armed.Store(k + 1) }
+
+// Dark reports whether an armed device has lost a persist: everything
+// acknowledged before that is durable, nothing after it is.
+func (d *Device) Dark() bool { return d.armed.Load() < 0 }
+
+// lost consumes one persist operation of an armed device's budget, or
+// reports that it is spent and the operation lost. Disarmed, it is one
+// atomic load.
+func (d *Device) lost() bool {
+	for {
+		switch n := d.armed.Load(); {
+		case n == 0:
+			return false
+		case n < 0 || n == 1:
+			d.armed.Store(-1)
+			return true
+		case d.armed.CompareAndSwap(n, n-1):
+			return false
+		}
+	}
+}
+
 // Crash simulates a power failure: all writes not covered by a flush are
 // lost, and the device state reverts to the durable image. On the DRAM
 // fallback medium nothing is durable: the whole namespace is wiped.
 func (d *Device) Crash() {
 	d.crashCount++
+	d.armed.Store(0)
 	if d.cfg.Media == MediaDRAM {
 		fresh := New(d.cfg)
 		d.meta, d.metaDur = fresh.meta, fresh.metaDur

@@ -49,6 +49,51 @@ func TestFlushedWriteSurvivesCrash(t *testing.T) {
 	}
 }
 
+// TestFailAfterGoesDarkUntilCrash: an armed device lets exactly k
+// persists of any kind through, keeps counting and keeps serving its
+// volatile image after that, and Crash both reverts and disarms it.
+func TestFailAfterGoesDarkUntilCrash(t *testing.T) {
+	d := newTestDevice(true)
+	d.FailAfter(2)
+	d.WriteMeta(0, []byte("one"))
+	d.FlushMeta(0, 3)
+	d.Data().Write(0, []byte("two"))
+	d.FlushData(0, 3)
+	if d.Dark() {
+		t.Fatal("dark with persists still in the budget")
+	}
+	d.WriteMeta(8, []byte{3, 3, 3, 3, 3, 3, 3, 3})
+	d.Persist8(8)
+	if !d.Dark() {
+		t.Fatal("not dark after the budget ran out")
+	}
+	if got := d.MetaFlushOps() + d.DataFlushOps(); got != 3 {
+		t.Fatalf("counted %d persists, want 3 (lost ones count too)", got)
+	}
+	if got := d.MetaBytes(8, 1); got[0] != 3 {
+		t.Fatal("a dark device must keep serving its volatile image")
+	}
+	d.Crash()
+	if d.Dark() {
+		t.Fatal("Crash did not disarm")
+	}
+	if got := d.MetaBytes(0, 3); !bytes.Equal(got, []byte("one")) {
+		t.Fatalf("persist 1 of 2 lost: %q", got)
+	}
+	if got := d.Data().Bytes(0, 3); !bytes.Equal(got, []byte("two")) {
+		t.Fatalf("persist 2 of 2 lost: %q", got)
+	}
+	if got := d.MetaBytes(8, 8); !bytes.Equal(got, make([]byte, 8)) {
+		t.Fatalf("persist past the budget survived: %v", got)
+	}
+	d.WriteMeta(8, []byte{4, 4, 4, 4, 4, 4, 4, 4})
+	d.Persist8(8)
+	d.Crash()
+	if got := d.MetaBytes(8, 1); got[0] != 4 {
+		t.Fatal("device still losing persists after Crash")
+	}
+}
+
 func TestPersist8Atomicity(t *testing.T) {
 	d := newTestDevice(true)
 	d.WriteMeta(64, []byte{1, 2, 3, 4, 5, 6, 7, 8})

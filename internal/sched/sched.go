@@ -73,18 +73,6 @@ func (c Class) String() string {
 	return fmt.Sprintf("class(%d)", int(c))
 }
 
-// Policy selects the picker.
-type Policy int
-
-const (
-	// Fair is weighted round-robin across models with strict class
-	// priority (restores first) — the default.
-	Fair Policy = iota
-	// FIFO dispatches strictly in global arrival order, ignoring class
-	// priority and per-model fairness (baseline for experiments).
-	FIFO
-)
-
 // Verdict is the outcome of a Submit.
 type Verdict int
 
@@ -147,7 +135,6 @@ type Task struct {
 	// superseded.
 	Coalesced []Stale
 
-	seq       uint64
 	startedAt time.Duration
 }
 
@@ -162,8 +149,6 @@ type Config struct {
 	// Workers hints how many tasks drain concurrently (sizes the
 	// retry-after estimate); 0 defaults to 8.
 	Workers int
-	// Policy selects the picker; the zero value is Fair.
-	Policy Policy
 	// Coalesce enables the freshness rule; nil-config default is on.
 	// Set DisableCoalesce to turn it off.
 	DisableCoalesce bool
@@ -206,7 +191,6 @@ type Scheduler struct {
 	order  []string // lane ring, registration order
 	cursor int
 	queued int
-	seq    uint64
 	closed bool
 	// svcNanos is the EWMA of per-task service time, feeding the
 	// retry-after hint.
@@ -358,7 +342,6 @@ func (s *Scheduler) Submit(env sim.Env, t *Task) Result {
 				t.Coalesced = append(t.Coalesced, Stale{Iteration: q.Iteration, Payload: dp})
 			}
 			t.Coalesced = append(t.Coalesced, q.Coalesced...)
-			t.seq = q.seq
 			*q = *t
 			s.coalesced.Inc()
 			s.event(env, telemetry.EvSchedCoalesce, t, fmt.Sprintf("superseded queued iter %d", t.Coalesced[0].Iteration))
@@ -385,8 +368,6 @@ func (s *Scheduler) Submit(env sim.Env, t *Task) Result {
 		return Result{Verdict: Rejected, RetryAfter: ra}
 	}
 
-	s.seq++
-	t.seq = s.seq
 	wasEmpty := l.queued() == 0
 	l.q[t.Class] = append(l.q[t.Class], t)
 	s.queued++
@@ -430,12 +411,9 @@ func (s *Scheduler) Next(env sim.Env) (*Task, bool) {
 	}
 }
 
-// pick chooses the next lane head under the policy. Called with mu
-// held.
+// pick chooses the next lane head: weighted round-robin across models
+// with strict class priority (restores first). Called with mu held.
 func (s *Scheduler) pick() *Task {
-	if s.cfg.Policy == FIFO {
-		return s.pickFIFO()
-	}
 	for c := numClasses - 1; c >= 0; c-- {
 		if t := s.pickClass(c); t != nil {
 			return t
@@ -465,27 +443,6 @@ func (s *Scheduler) pickClass(c Class) *Task {
 		return l.q[c][0]
 	}
 	return nil
-}
-
-// pickFIFO returns the dispatchable head with the oldest sequence
-// number — strict global arrival order.
-func (s *Scheduler) pickFIFO() *Task {
-	var best *Task
-	for _, name := range s.order {
-		l := s.lanes[name]
-		if l.running != nil {
-			continue
-		}
-		for c := Class(0); c < numClasses; c++ {
-			if len(l.q[c]) == 0 {
-				continue
-			}
-			if t := l.q[c][0]; best == nil || t.seq < best.seq {
-				best = t
-			}
-		}
-	}
-	return best
 }
 
 // Done marks a dispatched task complete, freeing its lane for the next

@@ -209,18 +209,6 @@ func TestFairPickerRoundRobinsModels(t *testing.T) {
 	})
 }
 
-func TestFIFOPolicyIgnoresClassPriority(t *testing.T) {
-	run(t, func(env sim.Env) {
-		s := New(env, Config{Policy: FIFO})
-		s.Submit(env, task("a", ClassCheckpoint, 1))
-		s.Submit(env, task("b", ClassRestore, 0))
-		t1, _ := s.Next(env)
-		if t1.Model != "a" {
-			t.Fatalf("FIFO first dispatch = %s, want a (arrival order)", t1.Model)
-		}
-	})
-}
-
 func TestQueueDepthTracksSubmitNextDone(t *testing.T) {
 	run(t, func(env sim.Env) {
 		s := New(env, Config{})

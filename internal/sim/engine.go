@@ -15,6 +15,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"runtime"
 	"time"
 )
 
@@ -28,7 +29,9 @@ type Engine struct {
 	queue  eventHeap
 	ctl    chan struct{} // handshake: running proc -> engine
 	nprocs int           // live (spawned, not finished) processes
-	npark  int           // processes parked on signals/mailboxes (no pending event)
+	// procs lists the started, unfinished processes in start order, so
+	// Run can reap the ones still parked when the queue drains.
+	procs proc
 
 	// trace, when non-nil, receives one entry per dispatched event.
 	// Used by determinism tests.
@@ -39,7 +42,9 @@ type Engine struct {
 
 // NewEngine returns an engine with virtual time at zero.
 func NewEngine() *Engine {
-	return &Engine{ctl: make(chan struct{})}
+	e := &Engine{ctl: make(chan struct{})}
+	e.procs.prev, e.procs.next = &e.procs, &e.procs
+	return e
 }
 
 // Now reports the current virtual time.
@@ -117,6 +122,11 @@ type proc struct {
 	startFn func(Env)
 	started bool
 	dead    bool
+	// killed makes the next return from park exit the goroutine instead
+	// of resuming the process body (Engine.reap).
+	killed bool
+	// prev, next link the engine's list of started, unfinished processes.
+	prev, next *proc
 	// panicked carries a panic value out of the process goroutine so the
 	// engine can re-raise it on the driving goroutine.
 	panicked any
@@ -134,9 +144,26 @@ func (e *Engine) Go(name string, fn func(Env)) {
 
 // Run dispatches events until none remain. It returns the final virtual
 // time. Processes still parked on signals or mailboxes when the event
-// queue drains are abandoned (the usual DES convention); tests can assert
-// on Engine.Parked to detect unexpected deadlock.
-func (e *Engine) Run() time.Duration { return e.RunUntil(1<<62 - 1) }
+// queue drains are abandoned (the usual DES convention) and reaped: each
+// one's goroutine exits, running its deferred calls, so nothing it
+// references outlives the run.
+func (e *Engine) Run() time.Duration {
+	now := e.RunUntil(1<<62 - 1)
+	e.reap()
+	return now
+}
+
+// reap ends every process still parked once nothing can wake it: each is
+// woken once with its kill flag set and exits from inside park. A
+// deferred call that tries to block exits the same way, and whatever the
+// dying processes scheduled is dropped with them.
+func (e *Engine) reap() {
+	for p := e.procs.next; p != &e.procs; p = e.procs.next {
+		p.killed = true
+		e.dispatch(p)
+	}
+	e.queue = nil
+}
 
 // RunUntil dispatches events with time ≤ deadline and then stops,
 // leaving later events queued. It returns the virtual time after the
@@ -174,6 +201,8 @@ func (e *Engine) dispatch(p *proc) {
 	}
 	if !p.started {
 		p.started = true
+		p.prev, p.next = e.procs.prev, &e.procs
+		p.prev.next, e.procs.prev = p, p
 		go func() {
 			defer func() {
 				if r := recover(); r != nil {
@@ -181,6 +210,7 @@ func (e *Engine) dispatch(p *proc) {
 					p.hasPanic = true
 				}
 				p.dead = true
+				p.prev.next, p.next.prev = p.next, p.prev
 				p.eng.nprocs--
 				e.ctl <- struct{}{}
 			}()
@@ -196,15 +226,17 @@ func (e *Engine) dispatch(p *proc) {
 }
 
 // park is called from within a process goroutine: it yields control to
-// the engine and blocks until the engine wakes this process again.
+// the engine and blocks until the engine wakes this process again — or,
+// once the engine is reaping, exits the goroutine.
 func (p *proc) park() {
-	p.eng.ctl <- struct{}{}
-	<-p.wake
+	if !p.killed {
+		p.eng.ctl <- struct{}{}
+		<-p.wake
+	}
+	if p.killed {
+		runtime.Goexit()
+	}
 }
-
-// Parked reports how many processes are blocked with no pending event
-// (i.e. waiting on a signal or mailbox). Useful for deadlock assertions.
-func (e *Engine) Parked() int { return e.npark }
 
 // Live reports how many spawned processes have not yet finished.
 func (e *Engine) Live() int { return e.nprocs }

@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -115,6 +116,54 @@ func TestProcessPanicPropagates(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// TestRunReapsAbandonedProcesses: processes still parked on a mailbox,
+// signal or group when the queue drains used to block on their wake
+// channel forever, pinning everything they referenced. Run must end
+// them — deferred calls run, even one that tries to block — so a
+// hundred engines later the goroutine count is back where it started.
+func TestRunReapsAbandonedProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	unwound := 0
+	for i := 0; i < 100; i++ {
+		e := NewEngine()
+		e.Go("root", func(env Env) {
+			mb, sig, g := NewMailbox[int](env), NewSignal(env), NewGroup(env)
+			g.Add(env, 1)
+			env.Go("on-mailbox", func(env Env) {
+				defer func() { unwound++ }()
+				mb.Recv(env)
+				t.Error("abandoned mailbox receiver resumed")
+			})
+			env.Go("on-signal", func(env Env) {
+				defer func() { unwound++ }()
+				defer env.Sleep(time.Second) // blocks while being reaped
+				sig.Wait(env)
+				t.Error("abandoned signal waiter resumed")
+			})
+			env.Go("on-group", func(env Env) {
+				g.Wait(env)
+				t.Error("abandoned group waiter resumed")
+			})
+		})
+		if end := e.Run(); end != 0 {
+			t.Fatalf("reaping advanced virtual time to %v", end)
+		}
+		if e.Live() != 0 {
+			t.Fatalf("%d processes outlived Run", e.Live())
+		}
+	}
+	if unwound != 200 {
+		t.Fatalf("%d deferred calls ran in reaped processes, want 200", unwound)
+	}
+	// A reaped goroutine signals the engine just before it exits.
+	for tries := 0; runtime.NumGoroutine() > base && tries < 1000; tries++ {
+		time.Sleep(time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Fatalf("%d goroutines after 100 engine runs, %d before", got, base)
+	}
 }
 
 func TestSignalBroadcastAndLateWait(t *testing.T) {
@@ -267,7 +316,7 @@ func TestSleepOrderProperty(t *testing.T) {
 		e.Run()
 		return sort.SliceIsSorted(woke, func(i, j int) bool { return woke[i] < woke[j] })
 	}
-	if err := quick.Check(prop, nil); err != nil {
+	if err := quick.Check(prop, &quick.Config{Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -51,15 +51,11 @@ func (s *simEnv) IsSim() bool { return true }
 // parkOnCondition blocks the calling process with no pending event; the
 // waker must later call s.eng.scheduleWake. Used by signals and
 // mailboxes.
-func (s *simEnv) parkOnCondition() {
-	s.eng.npark++
-	s.p.park()
-}
+func (s *simEnv) parkOnCondition() { s.p.park() }
 
 // scheduleWake enqueues a wake event for a process parked via
 // parkOnCondition.
 func (e *Engine) scheduleWake(p *proc, label string) {
-	e.npark--
 	e.schedule(e.now, p, nil, label)
 }
 

@@ -41,11 +41,6 @@ import (
 	"github.com/portus-sys/portus/internal/telemetry"
 )
 
-// ErrCrashed is returned by maintenance entry points when the test-only
-// crash hook fired mid-pass: the namespace has been reverted to its
-// durable image and the engine must be re-opened.
-var ErrCrashed = errors.New("store: crash injected")
-
 // Config parameterizes Open.
 type Config struct {
 	// PMem is the namespace the engine owns.
@@ -116,12 +111,6 @@ type Engine struct {
 	runs       *telemetry.Counter
 	movedBytes *telemetry.Counter
 	dur        *telemetry.Histogram
-
-	// crashHook, when set (tests only), runs at every crash boundary of
-	// a maintenance pass with a label naming the boundary. Returning
-	// true means "the device just crashed": the pass aborts with
-	// ErrCrashed and must not touch the namespace again.
-	crashHook func(point string) bool
 }
 
 // Open opens (or formats) the namespace and builds the engine. Any
@@ -293,8 +282,9 @@ func (e *Engine) EnsureSlots(m *index.Model) error {
 	return nil
 }
 
-// DeleteModel removes a model: frees its extents, tombstones the table
-// entry, and returns its MIndex record bytes to the reuse pool. m is
+// DeleteModel removes a model: tombstones the table entry, then frees
+// its extents (index.Store.DeleteModel has the persist order), and
+// returns its MIndex record bytes to the reuse pool. m is
 // the caller's live handle; its pointers are cleared with the extents
 // they named, so a maintenance step still queued behind the delete
 // finds nothing to move instead of writing through freed pointers.
@@ -310,12 +300,6 @@ func (e *Engine) DeleteModel(m *index.Model) error {
 	return nil
 }
 
-// hook fires the test-only crash hook; true means the device crashed
-// and the caller must abort without another namespace access.
-func (e *Engine) hook(point string) bool {
-	return e.crashHook != nil && e.crashHook(point)
-}
-
 // CompactModel is the per-model maintenance step of an online repack
 // pass. The caller must hold the model's quiesce lease (its scheduler
 // lane) so no checkpoint or restore for this model is in flight; other
@@ -324,14 +308,13 @@ func (e *Engine) hook(point string) bool {
 // Every populated slot's extents are moved as low in the data zone as a
 // strictly-below-source gap allows. Slots are never reclaimed online
 // (unlike the offline tool): a live tenant's non-latest slot is its
-// next checkpoint's destination, not garbage. Crash points, in order,
-// per extent:
+// next checkpoint's destination, not garbage. Persist order per extent,
+// and what a power failure after each leaves for Open:
 //
-//	pre-copy    dst allocated, nothing references it  → swept at Open
-//	post-copy   dst written, not flushed              → swept at Open
-//	post-flush  dst durable, pointer still on src     → swept at Open
-//	post-point  pointer repersisted to dst            → src swept at Open
-//	post-free   src freed, move complete
+//	allocate dst   nothing references it              → dst swept
+//	flush dst      dst durable, pointer still on src  → dst swept
+//	repoint        pointer repersisted to dst         → src swept
+//	free src       move complete
 //
 // The pointer repoint is one 8-byte failure-atomic persist, so restore
 // always sees entirely-old or entirely-new.
@@ -361,26 +344,11 @@ func (e *Engine) CompactModel(m *index.Model) (moved int64, err error) {
 			if !ok {
 				continue // no gap strictly below the source
 			}
-			if e.hook("pre-copy") {
-				return moved, ErrCrashed
-			}
 			memdev.Copy(e.pm.Data(), dst, e.pm.Data(), src, size)
-			if e.hook("post-copy") {
-				return moved, ErrCrashed
-			}
 			e.pm.FlushData(dst, size)
-			if e.hook("post-flush") {
-				return moved, ErrCrashed
-			}
 			m.SetPAddr(i, v, dst)
-			if e.hook("post-point") {
-				return moved, ErrCrashed
-			}
 			if err := a.Free(src); err != nil {
 				return moved, err
-			}
-			if e.hook("post-free") {
-				return moved, ErrCrashed
 			}
 			moved += size
 		}
@@ -400,18 +368,9 @@ func (e *Engine) FinishPass(models int, movedBytes int64, took time.Duration, tr
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	before := e.idx.Allocator().HighWater()
-	if e.hook("pre-trim") {
-		return PassReport{}, ErrCrashed
-	}
 	newBrk := e.idx.Allocator().TrimBrk()
-	if e.hook("post-trim") {
-		return PassReport{}, ErrCrashed
-	}
 	if err := e.idx.CompactTable(); err != nil {
 		return PassReport{}, err
-	}
-	if e.hook("post-compact-table") {
-		return PassReport{}, ErrCrashed
 	}
 	st := e.statsLocked()
 	rep := PassReport{

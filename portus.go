@@ -149,10 +149,6 @@ type ServerConfig struct {
 	// ModelQueueCap bounds queued requests per model. 0 means the
 	// default (8), negative means unbounded.
 	ModelQueueCap int
-	// SchedPolicy selects the dispatch order across models: "fair"
-	// (weighted round-robin with restore priority, the default) or
-	// "fifo" (global arrival order).
-	SchedPolicy string
 	// CtrlAddr and FabricAddr bind the control and data listeners
 	// (empty = ephemeral loopback ports).
 	CtrlAddr   string
@@ -301,7 +297,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	d, err := daemon.New(env, daemon.Config{
 		PMem: pm, RNode: node, Fabric: fabric, Workers: cfg.Workers,
 		NodeName: nodeName, Group: group, Replicas: cfg.Replicas,
-		QueueCap: cfg.QueueCap, ModelQueueCap: cfg.ModelQueueCap, SchedPolicy: cfg.SchedPolicy,
+		QueueCap: cfg.QueueCap, ModelQueueCap: cfg.ModelQueueCap,
 		PipelineDepth: cfg.PipelineDepth, Lanes: cfg.Lanes, ChunkSize: cfg.ChunkBytes,
 		RetryMax: cfg.RetryMax, RetryBackoff: cfg.RetryBackoff,
 		LaneFailLimit: cfg.LaneFailLimit, Degrade: cfg.Degrade,
