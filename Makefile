@@ -26,7 +26,7 @@ bench-test:
 LOC = xargs cat | grep -vE '^\s*(//|$$)' | wc -l
 loc:
 	@echo "tree:                        $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | $(LOC))"
-	@for d in daemon datapath client; do \
+	@for d in daemon datapath client experiments; do \
 		printf '%-28s %s\n' "internal/$$d:" "$$(find ./internal/$$d -name '*.go' -not -name '*_test.go' | $(LOC))"; \
 	done
 	@echo "internal/datapath/engine.go: $$(echo internal/datapath/engine.go | $(LOC))"

@@ -12,7 +12,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"github.com/portus-sys/portus/internal/experiments"
@@ -32,24 +31,11 @@ var paperSet = []string{
 }
 
 func run(args []string) error {
-	// Hand-rolled scan so -json works in any position
-	// ("portus-bench paper -json" as well as "portus-bench -json fig13").
-	asJSON := false
-	rest := args[:0:0]
-	for _, a := range args {
-		if a == "-json" || a == "--json" {
-			asJSON = true
-			continue
-		}
-		rest = append(rest, a)
-	}
-	args = rest
 	if len(args) == 0 {
 		usage()
 		return nil
 	}
 	var ids []string
-	set := args[0]
 	switch args[0] {
 	case "list":
 		for _, e := range experiments.Registry() {
@@ -64,12 +50,6 @@ func run(args []string) error {
 		ids = paperSet
 	default:
 		ids = args
-		if len(args) > 1 {
-			set = strings.Join(args, "-")
-		}
-	}
-	if asJSON {
-		return runJSON(set, ids)
 	}
 	for _, id := range ids {
 		e, err := experiments.ByID(id)
@@ -86,41 +66,7 @@ func run(args []string) error {
 	return nil
 }
 
-// maxDivergence is the span-sum gate: a stitched trace whose top-level
-// spans sum further than this from its end-to-end latency fails the
-// run (the perf-smoke CI job keys off the exit code).
-const maxDivergence = 0.05
-
-// runJSON writes the machine-readable report to BENCH_<set>.json.
-func runJSON(set string, ids []string) error {
-	out := fmt.Sprintf("BENCH_%s.json", set)
-	f, err := os.Create(out)
-	if err != nil {
-		return err
-	}
-	rep, err := experiments.RunJSON(set, ids, f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return err
-	}
-	for _, e := range rep.Experiments {
-		p := e.Probe
-		fmt.Printf("%-20s p50=%.4fs p99=%.4fs throughput=%.2f GB/s stitched=%d/%d divergence=%.4f\n",
-			e.ID, p.Checkpoint.P50, p.Checkpoint.P99, p.ThroughputGBps,
-			p.StitchedTraces, p.Checkpoint.Count, p.SpanSumDivergence)
-	}
-	fmt.Printf("wrote %s (%d experiments)\n", out, len(rep.Experiments))
-	if d := rep.MaxDivergence(); d > maxDivergence {
-		return fmt.Errorf("stitched-trace span sums diverge %.2f%% from end-to-end latency (budget %.0f%%)",
-			100*d, 100*maxDivergence)
-	}
-	return nil
-}
-
 func usage() {
-	fmt.Println("usage: portus-bench [-json] list | all | paper | <experiment-id>...")
+	fmt.Println("usage: portus-bench list | all | paper | <experiment-id>...")
 	fmt.Println("run 'portus-bench list' to see experiment ids")
-	fmt.Println("-json writes BENCH_<set>.json (stage latencies, quantiles, throughput, config)")
 }

@@ -33,70 +33,47 @@ import (
 )
 
 func main() {
-	var peers peerList
-	flag.Var(&peers, "peer", "storage-group member as NAME,CTRL_ADDR,FABRIC_ADDR[,WEIGHT_GIB]; repeat per peer (this daemon is added automatically)")
+	var cfg portus.ServerConfig
+	flag.Var((*peerList)(&cfg.Peers), "peer", "storage-group member as NAME,CTRL_ADDR,FABRIC_ADDR[,WEIGHT_GIB]; repeat per peer (this daemon is added automatically)")
+	flag.StringVar(&cfg.CtrlAddr, "ctrl", "127.0.0.1:7470", "control-plane listen address")
+	flag.StringVar(&cfg.FabricAddr, "fabric", "127.0.0.1:7471", "soft-RDMA agent listen address")
+	flag.StringVar(&cfg.NodeName, "node-name", "storage", "this daemon's storage-node name within its group")
+	flag.IntVar(&cfg.Replicas, "replicas", 1, "storage-group replication factor: shards are accepted on their top-N rendezvous owners and checkpoints fan out to all of them")
+	flag.IntVar(&cfg.Workers, "workers", 8, "daemon thread-pool width")
+	flag.IntVar(&cfg.QueueCap, "queue-cap", 0, "total queued requests across all models before BUSY backpressure (0 = default 64, negative = unbounded)")
+	flag.IntVar(&cfg.ModelQueueCap, "model-queue-cap", 0, "queued requests per model before BUSY backpressure (0 = default 8, negative = unbounded)")
+	flag.BoolVar(&cfg.Materialized, "materialized", false, "store real checkpoint bytes instead of content fingerprints")
+	flag.StringVar(&cfg.AdminAddr, "admin", "", "admin HTTP listen address serving /metrics, /debug/traces, /debug/events, /debug/pprof, /healthz (empty = disabled)")
+	flag.IntVar(&cfg.PipelineDepth, "depth", 1, "datapath pipeline depth: chunks in flight past the pull stage (>= 2 overlaps flush with pull)")
+	flag.IntVar(&cfg.Lanes, "lanes", 1, "queue-pair lanes checkpoint/restore transfers stripe chunks across")
+	flag.IntVar(&cfg.RetryMax, "retry-max", 0, "transfer attempts per chunk before a checkpoint/restore fails (0 = default 3, negative = no retries)")
+	flag.DurationVar(&cfg.RetryBackoff, "retry-backoff", 0, "base delay between per-chunk re-attempts, doubled each retry (0 = default 100us)")
+	flag.IntVar(&cfg.LaneFailLimit, "lane-fail-limit", 0, "consecutive failures before a lane is quarantined and its work re-striped (0 = default 3, negative = never)")
+	flag.BoolVar(&cfg.Degrade, "degrade", false, "fall back to slower transfer strategies (one-sided -> two-sided -> host-staged) on route-class fabric errors")
+	flag.DurationVar(&cfg.SlowBudget, "slow-budget", 0, "slow-transfer watchdog budget: transfers slower than this are counted and their trace + event window captured at /debug/events (0 = disabled)")
+	flag.Float64Var(&cfg.RepackWatermark, "repack-watermark", 0, "free-list fragmentation fraction of the data zone above which the engine wants an online repack pass (0 = default 0.5, negative = watermark disabled; out-of-space reclamation always runs)")
+	flag.BoolVar(&cfg.RepackAuto, "repack-auto", false, "start a background online repack pass when a delete trips the watermark, instead of only reclaiming on out-of-space admissions")
+	flag.BoolVar(&cfg.DeltaEnabled, "delta", false, "accept incremental checkpoints: pull only dirty blocks and copy-forward the rest from the previous version's slot in PMem")
 	var (
-		ctrl         = flag.String("ctrl", "127.0.0.1:7470", "control-plane listen address")
-		fabric       = flag.String("fabric", "127.0.0.1:7471", "soft-RDMA agent listen address")
-		nodeName     = flag.String("node-name", "storage", "this daemon's storage-node name within its group")
-		replicas     = flag.Int("replicas", 1, "storage-group replication factor: shards are accepted on their top-N rendezvous owners and checkpoints fan out to all of them")
-		pmemGiB      = flag.Int64("pmem-gib", 4, "devdax data-zone capacity in GiB")
-		metaMiB      = flag.Int64("meta-mib", 64, "metadata-zone capacity in MiB")
-		workers      = flag.Int("workers", 8, "daemon thread-pool width")
-		queueCap     = flag.Int("queue-cap", 0, "total queued requests across all models before BUSY backpressure (0 = default 64, negative = unbounded)")
-		modelQueue   = flag.Int("model-queue-cap", 0, "queued requests per model before BUSY backpressure (0 = default 8, negative = unbounded)")
-		materialized = flag.Bool("materialized", false, "store real checkpoint bytes instead of content fingerprints")
-		image        = flag.String("image", "", "namespace image path: loaded at startup if present, saved at shutdown")
-		admin        = flag.String("admin", "", "admin HTTP listen address serving /metrics, /debug/traces, /debug/events, /debug/pprof, /healthz (empty = disabled)")
-		verbose      = flag.Bool("verbose", false, "log a one-line summary for every completed checkpoint and restore")
-		depth        = flag.Int("depth", 1, "datapath pipeline depth: chunks in flight past the pull stage (>= 2 overlaps flush with pull)")
-		lanes        = flag.Int("lanes", 1, "queue-pair lanes checkpoint/restore transfers stripe chunks across")
-		chunkMiB     = flag.Int64("chunk-mib", 0, "split tensors into transfer chunks of at most this many MiB (0 = one chunk per tensor)")
-		retryMax     = flag.Int("retry-max", 0, "transfer attempts per chunk before a checkpoint/restore fails (0 = default 3, negative = no retries)")
-		retryBackoff = flag.Duration("retry-backoff", 0, "base delay between per-chunk re-attempts, doubled each retry (0 = default 100us)")
-		laneFail     = flag.Int("lane-fail-limit", 0, "consecutive failures before a lane is quarantined and its work re-striped (0 = default 3, negative = never)")
-		degrade      = flag.Bool("degrade", false, "fall back to slower transfer strategies (one-sided -> two-sided -> host-staged) on route-class fabric errors")
-		slowBudget   = flag.Duration("slow-budget", 0, "slow-transfer watchdog budget: transfers slower than this are counted and their trace + event window captured at /debug/events (0 = disabled)")
-		repackMark   = flag.Float64("repack-watermark", 0, "free-list fragmentation fraction of the data zone above which the engine wants an online repack pass (0 = default 0.5, negative = watermark disabled; out-of-space reclamation always runs)")
-		repackAuto   = flag.Bool("repack-auto", false, "start a background online repack pass when a delete trips the watermark, instead of only reclaiming on out-of-space admissions")
-		deltaOn      = flag.Bool("delta", false, "accept incremental checkpoints: pull only dirty blocks and copy-forward the rest from the previous version's slot in PMem")
-		deltaKiB     = flag.Int64("delta-block-kib", 0, "pin the accepted digest block size in KiB; clients computing another size fall back to full checkpoints (0 = accept any)")
+		pmemGiB  = flag.Int64("pmem-gib", 4, "devdax data-zone capacity in GiB")
+		metaMiB  = flag.Int64("meta-mib", 64, "metadata-zone capacity in MiB")
+		chunkMiB = flag.Int64("chunk-mib", 0, "split tensors into transfer chunks of at most this many MiB (0 = one chunk per tensor)")
+		deltaKiB = flag.Int64("delta-block-kib", 0, "pin the accepted digest block size in KiB; clients computing another size fall back to full checkpoints (0 = accept any)")
+		image    = flag.String("image", "", "namespace image path: loaded at startup if present, saved at shutdown")
+		verbose  = flag.Bool("verbose", false, "log a one-line summary for every completed checkpoint and restore")
 	)
 	flag.Parse()
+	cfg.PMemBytes = *pmemGiB << 30
+	cfg.MetaBytes = *metaMiB << 20
+	cfg.ChunkBytes = *chunkMiB << 20
+	cfg.DeltaBlockBytes = *deltaKiB << 10
 	// Peers with no explicit weight are assumed symmetric with this
 	// daemon's namespace; every member must compute identical weights
 	// for routing to agree.
-	for i := range peers {
-		if peers[i].Weight == 0 {
-			peers[i].Weight = *pmemGiB << 30
+	for i := range cfg.Peers {
+		if cfg.Peers[i].Weight == 0 {
+			cfg.Peers[i].Weight = cfg.PMemBytes
 		}
-	}
-
-	cfg := portus.ServerConfig{
-		NodeName:        *nodeName,
-		Peers:           peers,
-		Replicas:        *replicas,
-		PMemBytes:       *pmemGiB << 30,
-		MetaBytes:       *metaMiB << 20,
-		Workers:         *workers,
-		QueueCap:        *queueCap,
-		ModelQueueCap:   *modelQueue,
-		Materialized:    *materialized,
-		CtrlAddr:        *ctrl,
-		FabricAddr:      *fabric,
-		AdminAddr:       *admin,
-		PipelineDepth:   *depth,
-		Lanes:           *lanes,
-		ChunkBytes:      *chunkMiB << 20,
-		RetryMax:        *retryMax,
-		RetryBackoff:    *retryBackoff,
-		LaneFailLimit:   *laneFail,
-		Degrade:         *degrade,
-		SlowBudget:      *slowBudget,
-		RepackWatermark: *repackMark,
-		RepackAuto:      *repackAuto,
-		DeltaEnabled:    *deltaOn,
-		DeltaBlockBytes: *deltaKiB << 10,
 	}
 	if *image != "" {
 		if _, err := os.Stat(*image); err == nil {
@@ -108,14 +85,14 @@ func main() {
 		log.Fatalf("portusd: %v", err)
 	}
 	fmt.Printf("portusd: node %s, control %s, fabric %s, pmem %d GiB (%s)\n",
-		*nodeName, srv.CtrlAddr, srv.FabricAddr, *pmemGiB, map[bool]string{true: "materialized", false: "virtual"}[*materialized])
-	if len(peers) > 0 {
-		names := make([]string, len(peers))
-		for i, p := range peers {
+		cfg.NodeName, srv.CtrlAddr, srv.FabricAddr, *pmemGiB, map[bool]string{true: "materialized", false: "virtual"}[cfg.Materialized])
+	if len(cfg.Peers) > 0 {
+		names := make([]string, len(cfg.Peers))
+		for i, p := range cfg.Peers {
 			names[i] = p.Name
 		}
 		fmt.Printf("portusd: storage group of %d (peers: %s), rf=%d, placement epoch %d\n",
-			len(peers)+1, strings.Join(names, ", "), srv.Daemon().Replicas(), srv.Daemon().Group().Epoch())
+			len(cfg.Peers)+1, strings.Join(names, ", "), srv.Daemon().Replicas(), srv.Daemon().Group().Epoch())
 	}
 	if srv.AdminAddr != "" {
 		fmt.Printf("portusd: admin http://%s (/metrics, /debug/traces, /debug/events, /debug/pprof, /healthz)\n", srv.AdminAddr)

@@ -56,9 +56,13 @@ type Client struct {
 	// regMsg is the registration packet, kept for reconnect handshakes.
 	regMsg *wire.Msg
 
-	mu      sync.Mutex
-	conn    wire.Conn
-	closed  bool
+	mu     sync.Mutex
+	conn   wire.Conn
+	closed bool
+	// lost is set once the receive loop has given up on the connection:
+	// nobody is left to release a waiter, so later requests fail with it
+	// instead of arming one.
+	lost    error
 	pending map[pendingKey]*reply
 	// order preserves waiter arming order for uncorrelated errors and
 	// deterministic post-reconnect re-sends.
@@ -296,6 +300,7 @@ func (c *Client) recvLoop(env sim.Env) {
 				delete(c.pending, k)
 			}
 			c.order = nil
+			c.lost = err
 			c.mu.Unlock()
 			return
 		}
@@ -486,11 +491,17 @@ func (c *Client) reconnect(env sim.Env) bool {
 // reconnect handshake re-sends every outstanding request, so the caller
 // keeps waiting as if the send had succeeded. Otherwise the waiter is
 // removed — leaving it armed would let a later uncorrelated ERROR
-// release the stale waiter instead of a live one.
+// release the stale waiter instead of a live one. Once the receive loop
+// has given up (c.lost) nothing is armed at all: a write to a socket
+// the peer closed can still succeed, and that waiter would never fire.
 func (c *Client) send(env sim.Env, req *wire.Msg) (*reply, error) {
 	r := &reply{sig: sim.NewSignal(env), req: req}
 	key, _ := waiterKey(req.Type, req.Iteration)
 	c.mu.Lock()
+	if err := c.lost; err != nil {
+		c.mu.Unlock()
+		return nil, fmt.Errorf("%w: %v", ErrUnreachable, err)
+	}
 	c.pending[key] = r
 	c.order = append(c.order, key)
 	conn := c.conn

@@ -45,6 +45,10 @@ import (
 // tableCap bounds the ModelTable of a namespace this daemon formats.
 const tableCap = 512
 
+// traceDepth sizes the ring buffer of completed checkpoint/restore
+// traces.
+const traceDepth = 64
+
 // Config parameterizes a daemon.
 type Config struct {
 	PMem   *pmem.Device
@@ -114,9 +118,6 @@ type Config struct {
 	// histograms; nil creates a private registry (readable through
 	// Daemon.Telemetry).
 	Telemetry *telemetry.Registry
-	// TraceDepth sizes the ring buffer of completed checkpoint/restore
-	// traces; defaults to 64.
-	TraceDepth int
 	// SlowBudget is the slow-transfer watchdog's latency budget: any
 	// checkpoint or restore whose end-to-end (daemon-side) duration
 	// exceeds it increments portus_slow_transfers_total and snapshots
@@ -212,7 +213,7 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 	}
 	// The telemetry bundle comes first so the storage engine's gauges
 	// land in the same registry.
-	tel := newTelem(cfg.Telemetry, cfg.TraceDepth, cfg.SlowBudget, cfg.PMem)
+	tel := newTelem(cfg.Telemetry, cfg.SlowBudget, cfg.PMem)
 	eng, err := store.Open(store.Config{
 		PMem:      cfg.PMem,
 		TableCap:  tableCap,
@@ -563,12 +564,9 @@ type telem struct {
 
 // newTelem registers the daemon's metrics in reg; nil creates a private
 // registry.
-func newTelem(reg *telemetry.Registry, traceDepth int, slowBudget time.Duration, pm *pmem.Device) *telem {
+func newTelem(reg *telemetry.Registry, slowBudget time.Duration, pm *pmem.Device) *telem {
 	if reg == nil {
 		reg = telemetry.NewRegistry()
-	}
-	if traceDepth == 0 {
-		traceDepth = 64
 	}
 	t := &telem{
 		reg:         reg,

@@ -30,7 +30,7 @@ func startTracedDaemon(t *testing.T, env sim.Env) (*daemon.Daemon, *telemetry.Re
 	reg := telemetry.NewRegistry()
 	d, err := daemon.New(env, daemon.Config{
 		PMem: cl.Storage[0].PMem, RNode: cl.Storage[0].RNode, Fabric: cl.Fabric,
-		Telemetry: reg, TraceDepth: 8,
+		Telemetry: reg,
 	})
 	if err != nil {
 		t.Fatal(err)

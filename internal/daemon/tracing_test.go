@@ -22,47 +22,58 @@ import (
 func settleTraces(env sim.Env) { env.Sleep(20 * time.Millisecond) }
 
 // TestStitchedTraceSumsToEndToEnd extends the PR-1 acceptance check
-// across the wire: after the client's trace report lands, the ring
-// holds ONE stitched trace whose root is the client's span tree, whose
-// client-side spans tile the end-to-end latency exactly, and whose
-// daemon-side tree hangs under the await span.
+// across the wire: after the clients' trace reports land, the ring
+// holds ONE stitched trace per checkpoint whose root is the client's
+// span tree, whose client-side spans tile the end-to-end latency
+// exactly, and whose daemon-side tree hangs under the await span.
 func TestStitchedTraceSumsToEndToEnd(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.Go("test", func(env sim.Env) {
 		d, _, c := startTracedDaemon(t, env)
-		if err := c.CheckpointSync(env, 1); err != nil {
-			t.Fatal(err)
+		const ckpts = 4
+		for i := uint64(1); i <= ckpts; i++ {
+			if err := c.CheckpointSync(env, i); err != nil {
+				t.Fatal(err)
+			}
 		}
 		settleTraces(env)
 
 		snap := d.Traces().Snapshot()
-		if len(snap) != 1 {
-			t.Fatalf("trace ring holds %d traces, want 1 (stitching must replace, not append)", len(snap))
+		if len(snap) != ckpts {
+			t.Fatalf("trace ring holds %d traces, want %d (stitching must replace, not append)", len(snap), ckpts)
 		}
-		tr := snap[0]
-		if !tr.Stitched {
-			t.Fatal("trace not stitched after the client report")
-		}
-		if tr.ID == 0 {
-			t.Fatal("stitched trace carries no client-minted TraceID")
-		}
-		if tr.Kind != "checkpoint" || tr.Model != "traced" || tr.Iteration != 1 {
-			t.Fatalf("stitched identity = kind=%q model=%q iter=%d", tr.Kind, tr.Model, tr.Iteration)
-		}
-		if tr.Root.Name != "client:checkpoint" {
-			t.Fatalf("stitched root = %q, want the client root", tr.Root.Name)
+		for _, tr := range snap {
+			if !tr.Stitched {
+				t.Fatalf("iteration %d: trace not stitched after the client report", tr.Iteration)
+			}
+			if tr.ID == 0 {
+				t.Fatal("stitched trace carries no client-minted TraceID")
+			}
+			if tr.Kind != "checkpoint" || tr.Model != "traced" {
+				t.Fatalf("stitched identity = kind=%q model=%q iter=%d", tr.Kind, tr.Model, tr.Iteration)
+			}
+			if tr.Root.Name != "client:checkpoint" {
+				t.Fatalf("stitched root = %q, want the client root", tr.Root.Name)
+			}
+			// Client-side spans tile the root: the top-level spans (send +
+			// await) sum to the end-to-end latency exactly.
+			var sum time.Duration
+			for _, sp := range tr.Root.Children {
+				sum += sp.Dur()
+			}
+			if sum != tr.Duration || tr.Duration <= 0 {
+				t.Fatalf("iteration %d: client span sum %v != end-to-end %v", tr.Iteration, sum, tr.Duration)
+			}
 		}
 
-		// Client-side spans tile the root: send + await == end to end.
+		// Newest first: the last checkpoint's tree in detail.
+		tr := snap[0]
+		if tr.Iteration != ckpts {
+			t.Fatalf("newest trace is iteration %d, want %d", tr.Iteration, ckpts)
+		}
 		send, await := tr.Root.Find("send"), tr.Root.Find("await")
 		if send == nil || await == nil {
 			t.Fatal("stitched trace missing client send/await spans")
-		}
-		if got := send.Dur() + await.Dur(); got != tr.Duration {
-			t.Fatalf("client span sum %v != end-to-end %v", got, tr.Duration)
-		}
-		if tr.Duration <= 0 {
-			t.Fatal("stitched duration must be positive")
 		}
 
 		// The daemon's tree grafts under await, and its own stages still
@@ -231,8 +242,8 @@ func TestWatchdogCapturesSlowCheckpoint(t *testing.T) {
 		})
 		d, err := daemon.New(env, daemon.Config{
 			PMem: cl.Storage[0].PMem, RNode: cl.Storage[0].RNode,
-			Fabric:    inj.Fabric(cl.Fabric),
-			Telemetry: reg, TraceDepth: 8,
+			Fabric:     inj.Fabric(cl.Fabric),
+			Telemetry:  reg,
 			SlowBudget: baseline + baseline/4,
 		})
 		if err != nil {

@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/portus-sys/portus/internal/client"
-	"github.com/portus-sys/portus/internal/cluster"
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/datapath"
 	"github.com/portus-sys/portus/internal/gpu"
@@ -16,42 +15,12 @@ import (
 	"github.com/portus-sys/portus/internal/sim"
 )
 
-// measurePortusOpt is measurePortus with cluster and daemon overrides.
-func measurePortusOpt(spec model.Spec, cmut func(*cluster.Config), dmut func(*daemon.Config)) portusRun {
-	var out portusRun
-	runEngine(func(env sim.Env) {
-		cfg := voltaConfig()
-		if cmut != nil {
-			cmut(&cfg)
-		}
-		rig, err := newTierRig(env, cfg, dmut)
-		if err != nil {
-			panic(err)
-		}
-		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
-		if err != nil {
-			panic(err)
-		}
-		start := env.Now()
-		if err := c.CheckpointSync(env, 1); err != nil {
-			panic(err)
-		}
-		out.ckpt = env.Now() - start
-		start = env.Now()
-		if _, err := c.Restore(env); err != nil {
-			panic(err)
-		}
-		out.restore = env.Now() - start
-	})
-	return out
-}
-
 // AblationStaging compares the zero-copy pull against landing in server
 // DRAM first (the design every RPC-based store is forced into).
 func AblationStaging() []*Table {
 	bert := model.TableII()[6]
-	zero := measurePortus(bert)
-	staged := measurePortusOpt(bert, nil, func(c *daemon.Config) { c.Strategy = datapath.HostStaged{} })
+	zero := measurePortus(bert, voltaConfig())
+	staged := measurePortus(bert, voltaConfig(), func(c *daemon.Config) { c.Strategy = datapath.HostStaged{} })
 	t := &Table{
 		ID:     "ablation-staging",
 		Title:  "Zero-copy pull vs host-DRAM staging (BERT-Large checkpoint)",
@@ -69,8 +38,8 @@ func AblationStaging() []*Table {
 // two-sided SEND/RECV protocol (what RPC-over-RDMA filesystems use).
 func AblationOneSided() []*Table {
 	bert := model.TableII()[6]
-	one := measurePortus(bert)
-	two := measurePortusOpt(bert, nil, func(c *daemon.Config) { c.Strategy = datapath.TwoSided{} })
+	one := measurePortus(bert, voltaConfig())
+	two := measurePortus(bert, voltaConfig(), func(c *daemon.Config) { c.Strategy = datapath.TwoSided{} })
 	t := &Table{
 		ID:     "ablation-onesided",
 		Title:  "One-sided vs two-sided data plane (BERT-Large checkpoint)",
@@ -93,32 +62,31 @@ func AblationDoubleMap() []*Table {
 
 	var doubleMap, fresh time.Duration
 	runEngine(func(env sim.Env) {
-		rig, err := newTierRig(env, voltaConfig(), nil)
+		tb, err := portus.NewTestbed(env, voltaConfig())
 		if err != nil {
 			panic(err)
 		}
-		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
+		m, err := tb.PlaceModel(env, 0, 0, spec)
 		if err != nil {
 			panic(err)
 		}
 		start := env.Now()
 		for i := 1; i <= rounds; i++ {
-			if err := c.CheckpointSync(env, uint64(i)); err != nil {
+			if err := m.Checkpoint(env, uint64(i)); err != nil {
 				panic(err)
 			}
 		}
 		doubleMap = (env.Now() - start) / rounds
 	})
 	runEngine(func(env sim.Env) {
-		rig, err := newTierRig(env, voltaConfig(), nil)
+		tb, err := portus.NewTestbed(env, voltaConfig())
 		if err != nil {
 			panic(err)
 		}
-		placed, err := gpu.Place(rig.cl.GPU(0, 0), spec)
+		placed, err := gpu.Place(tb.Cluster.GPU(0, 0), spec)
 		if err != nil {
 			panic(err)
 		}
-		_ = placed
 		start := env.Now()
 		for i := 1; i <= rounds; i++ {
 			// Fresh allocation: every version re-registers MRs, ships the
@@ -127,11 +95,11 @@ func AblationDoubleMap() []*Table {
 			versioned.Name = fmt.Sprintf("%s@v%d", spec.Name, i)
 			vp := *placed
 			vp.Spec = versioned
-			c, err := rig.register(env, 0, &vp, client.Options{})
+			m, err := tb.Register(env, 0, &vp, portus.ClientOptions{})
 			if err != nil {
 				panic(err)
 			}
-			if err := c.CheckpointSync(env, uint64(i)); err != nil {
+			if err := m.Checkpoint(env, uint64(i)); err != nil {
 				panic(err)
 			}
 		}
@@ -170,19 +138,18 @@ func AblationWorkers() []*Table {
 		runEngine(func(env sim.Env) {
 			cfg := voltaConfig()
 			cfg.GPUsPerNode = tenants
-			rig, err := newTierRig(env, cfg, func(c *daemon.Config) { c.Workers = workers })
+			tb, err := portus.NewTestbed(env, cfg, func(c *daemon.Config) { c.Workers = workers })
 			if err != nil {
 				panic(err)
 			}
-			tenantClients := make([]*client.Client, tenants)
+			tenantClients := make([]*portus.Model, tenants)
 			for i := 0; i < tenants; i++ {
 				s := spec
 				s.Name = fmt.Sprintf("%s-tenant%d", spec.Name, i)
-				_, c, err := rig.place(env, 0, i, s, client.Options{})
+				tenantClients[i], err = tb.PlaceModel(env, 0, i, s)
 				if err != nil {
 					panic(err)
 				}
-				tenantClients[i] = c
 			}
 			start := env.Now()
 			g := sim.NewGroup(env)
@@ -191,7 +158,7 @@ func AblationWorkers() []*Table {
 				g.Add(env, 1)
 				env.Go("tenant", func(env sim.Env) {
 					defer g.Done(env)
-					if err := tenantClients[i].CheckpointSync(env, 1); err != nil {
+					if err := tenantClients[i].Checkpoint(env, 1); err != nil {
 						panic(err)
 					}
 				})
@@ -219,7 +186,9 @@ func AblationBAR() []*Table {
 	}
 	for _, cap := range []float64{2, 4, 5.8, 8, 11.5} {
 		rates := rdma.DefaultRates().WithGPUReadCap(cap * perfmodel.GB)
-		r := measurePortusOpt(bert, func(c *cluster.Config) { c.Rates = &rates }, nil)
+		cfg := voltaConfig()
+		cfg.Rates = &rates
+		r := measurePortus(bert, cfg)
 		eff := float64(bert.TotalSize()) / r.ckpt.Seconds() / perfmodel.GB
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%.1f", cap), metrics.FormatDuration(r.ckpt), fmt.Sprintf("%.2f", eff)})
 	}
@@ -235,7 +204,7 @@ func AblationBAR() []*Table {
 // arrive uniformly at the given MTBF.
 func AblationFrequency() []*Table {
 	bert := model.TableII()[6]
-	po := measurePortus(bert)
+	po := measurePortus(bert, voltaConfig())
 	bg := measureBaseline(bert, beeGFS)
 
 	const (

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/baseline"
 	"github.com/portus-sys/portus/internal/fsim"
 	"github.com/portus-sys/portus/internal/gpu"
@@ -16,19 +17,19 @@ import (
 // blocking snapshot and the background persist.
 func profileCheckFreq(spec model.Spec) (snapshot, persist time.Duration) {
 	runEngine(func(env sim.Env) {
-		rig, err := newTierRig(env, voltaConfig(), nil)
+		tb, err := portus.NewTestbed(env, voltaConfig())
 		if err != nil {
 			panic(err)
 		}
-		placed, err := gpu.Place(rig.cl.GPU(0, 0), spec)
+		placed, err := gpu.Place(tb.Cluster.GPU(0, 0), spec)
 		if err != nil {
 			panic(err)
 		}
-		backend := fsim.NewBeeGFS(rig.cl.Storage[0])
+		backend := fsim.NewBeeGFS(tb.Cluster.Storage[0])
 		start := env.Now()
-		_ = baseline.Snapshot(env, rig.cl.Compute[0], placed)
+		_ = baseline.Snapshot(env, tb.Cluster.Compute[0], placed)
 		snapshot = env.Now() - start
-		cp := baseline.NewTorchSave(backend, rig.cl.Compute[0], placed)
+		cp := baseline.NewTorchSave(backend, tb.Cluster.Compute[0], placed)
 		start = env.Now()
 		if err := cp.Checkpoint(env, 1); err != nil {
 			panic(err)
@@ -75,7 +76,7 @@ func AblationAdaptive() []*Table {
 	for _, spec := range model.TableII() {
 		snapshot, persist := profileCheckFreq(spec)
 		cfMin := minFeasibleInterval(spec.IterTime, persist)
-		p := measurePortus(spec)
+		p := measurePortus(spec, voltaConfig())
 		poMin := minFeasibleInterval(spec.IterTime, p.ckpt)
 		t.Rows = append(t.Rows, []string{
 			spec.Name,
@@ -91,8 +92,8 @@ func AblationAdaptive() []*Table {
 	// The paper's 24-hour GPT framing (§V-E): at the Figure 15/16
 	// interval, how many iterations does each policy complete per day?
 	gpt := model.GPT22B()
-	cfPersist := megatronTorchSaveDump(gpt)
-	poPull := megatronPortusDump(gpt)
+	cfPersist := megatronDump(gpt, "torch.save", ampereConfig())
+	poPull := megatronDump(gpt, "portus-sync", ampereConfig())
 	cfSnapshot := 2800 * time.Millisecond // 16 ranks' staging copies, PCIe-shared
 	const interval = fig15Interval
 	cfCycle := time.Duration(interval)*gpt.IterTime + cfSnapshot

@@ -5,11 +5,9 @@ import (
 	"strings"
 	"time"
 
-	"github.com/portus-sys/portus/internal/client"
-	"github.com/portus-sys/portus/internal/cluster"
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/faults"
-	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/sim"
 	"github.com/portus-sys/portus/internal/telemetry"
@@ -73,7 +71,7 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 			Route:     faults.Rule{Rate: rate / 10},
 			Telemetry: reg,
 		})
-		rig, err := newTierRig(env, cluster.Config{
+		tb, err := portus.NewTestbed(env, portus.TestbedConfig{
 			ComputeNodes: 1, GPUsPerNode: 1,
 			GPUMemBytes: 64 << 20, PMemBytes: 512 << 20,
 			Materialized: true,
@@ -93,24 +91,14 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 		if err != nil {
 			panic(err)
 		}
-		cl, d := rig.cl, rig.daemons[0]
-
 		dial := func(env sim.Env) (wire.Conn, error) {
-			conn, err := rig.dial(env, cl.Storage[0].Name)
+			conn, err := tb.Dial(env)
 			if err != nil {
 				return nil, err
 			}
 			return inj.Conn(conn), nil
 		}
-		placed, err := gpu.Place(cl.GPU(0, 0), chaosSpec())
-		if err != nil {
-			panic(err)
-		}
-		conn, err := dial(env)
-		if err != nil {
-			panic(err)
-		}
-		c, err := client.RegisterOpts(env, conn, cl.Compute[0].RNode, placed, client.Options{
+		m, err := tb.PlaceModelOpts(env, 0, 0, chaosSpec(), portus.ClientOptions{
 			Telemetry:        reg,
 			Dialer:           dial,
 			ReconnectMax:     20,
@@ -119,12 +107,13 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 		if err != nil {
 			panic(err)
 		}
+		placed := m.Placed()
 
 		var maxCommitted uint64
 		for i := uint64(1); i <= uint64(checkpoints); i++ {
 			placed.ApplyUpdate(i)
 			out.Attempted++
-			if err := c.CheckpointSync(env, i); err != nil {
+			if err := m.Checkpoint(env, i); err != nil {
 				out.FailedLoud++
 			} else {
 				out.Committed++
@@ -134,8 +123,8 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 			}
 			// The invariant under fire: every checkpoint the client was
 			// told committed is covered by a complete version on PMem.
-			if m, err := d.Store().Lookup(chaosModelName); err == nil && maxCommitted > 0 {
-				if _, v, ok := m.LatestDone(); !ok || v.Iteration < maxCommitted {
+			if im, err := tb.Daemons[0].Store().Lookup(chaosModelName); err == nil && maxCommitted > 0 {
+				if _, v, ok := im.LatestDone(); !ok || v.Iteration < maxCommitted {
 					out.Lost++
 				}
 			}
@@ -149,7 +138,7 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 		var iter uint64
 		restoreErr := fmt.Errorf("no restore attempted")
 		for attempt := 0; attempt < 10 && restoreErr != nil; attempt++ {
-			iter, restoreErr = c.Restore(env)
+			iter, restoreErr = m.Restore(env)
 		}
 		if restoreErr == nil && iter >= maxCommitted && placed.VerifyIteration(iter) == -1 {
 			out.RestoredOK = true
@@ -160,7 +149,7 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 		out.Retries = reg.Counter("portus_datapath_retries_total", "").Value()
 		out.Degradations = reg.Counter("portus_datapath_strategy_degradations_total", "").Value()
 		out.Dedups = reg.Counter("portus_daemon_dedup_total", "").Value()
-		out.Reconnects = c.Reconnects()
+		out.Reconnects = m.Reconnects()
 
 		var scrape strings.Builder
 		reg.WritePrometheus(&scrape)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/baseline"
-	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/fsim"
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/model"
@@ -28,15 +28,15 @@ func AblationChurn() []*Table {
 	const iterations = 1500
 	failEvery := int((45 * time.Second) / spec.IterTime)
 
-	runPolicy := func(mk func(env sim.Env, rig *tierRig) train.Checkpointer, interval int) train.Result {
+	runPolicy := func(mk func(env sim.Env, tb *portus.Testbed) train.Checkpointer, interval int) train.Result {
 		var res train.Result
 		runEngine(func(env sim.Env) {
-			rig, err := newTierRig(env, voltaConfig(), nil)
+			tb, err := portus.NewTestbed(env, voltaConfig())
 			if err != nil {
 				panic(err)
 			}
 			res, err = train.Run(env, train.Config{
-				Spec: spec, Policy: mk(env, rig), Interval: interval,
+				Spec: spec, Policy: mk(env, tb), Interval: interval,
 				Iterations: iterations, FailEvery: failEvery,
 			})
 			if err != nil {
@@ -48,22 +48,22 @@ func AblationChurn() []*Table {
 
 	_, cfPersist := profileCheckFreq(spec)
 	cfInterval := minFeasibleInterval(spec.IterTime, cfPersist)
-	cfRes := runPolicy(func(env sim.Env, rig *tierRig) train.Checkpointer {
-		placed, err := gpu.Place(rig.cl.GPU(0, 0), spec)
+	cfRes := runPolicy(func(env sim.Env, tb *portus.Testbed) train.Checkpointer {
+		placed, err := gpu.Place(tb.Cluster.GPU(0, 0), spec)
 		if err != nil {
 			panic(err)
 		}
-		return baseline.NewCheckFreq(fsim.NewBeeGFS(rig.cl.Storage[0]), rig.cl.Compute[0], placed)
+		return baseline.NewCheckFreq(fsim.NewBeeGFS(tb.Cluster.Storage[0]), tb.Cluster.Compute[0], placed)
 	}, cfInterval)
 
-	p := measurePortus(spec)
+	p := measurePortus(spec, voltaConfig())
 	poInterval := minFeasibleInterval(spec.IterTime, p.ckpt)
-	poRes := runPolicy(func(env sim.Env, rig *tierRig) train.Checkpointer {
-		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
+	poRes := runPolicy(func(env sim.Env, tb *portus.Testbed) train.Checkpointer {
+		m, err := tb.PlaceModel(env, 0, 0, spec)
 		if err != nil {
 			panic(err)
 		}
-		return &client.Async{C: c}
+		return m.AsyncPolicy()
 	}, poInterval)
 
 	simTable := &Table{
@@ -89,8 +89,8 @@ func AblationChurn() []*Table {
 	// Each policy runs at the interval that maximizes its own goodput,
 	// subject to its feasibility floor.
 	gpt := model.GPT22B()
-	cfPersistGPT := megatronTorchSaveDump(gpt)
-	poPullGPT := megatronPortusDump(gpt)
+	cfPersistGPT := megatronDump(gpt, "torch.save", ampereConfig())
+	poPullGPT := megatronDump(gpt, "portus-sync", ampereConfig())
 	cfSnapshot := 2800 * time.Millisecond
 	cfRestore := 90 * time.Second // 89.6 GB over the GDS read path
 	poRestore := 8 * time.Second  // measured: one-sided writes at the NIC limit

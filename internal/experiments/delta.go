@@ -14,10 +14,9 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/portus-sys/portus/internal/client"
-	"github.com/portus-sys/portus/internal/cluster"
-	"github.com/portus-sys/portus/internal/daemon"
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/faults"
+	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/metrics"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/sim"
@@ -60,20 +59,19 @@ func runDeltaPoint(rate float64, withDigests bool) deltaPoint {
 	spec := model.GPTFamily()[0] // gpt-1.5b
 	pt := deltaPoint{Rate: rate, Digests: withDigests, Total: spec.TotalSize()}
 	runEngine(func(env sim.Env) {
-		rig, err := newTierRig(env, voltaConfig(), func(d *daemon.Config) {
-			d.DeltaEnabled = true
-		})
+		tb, err := portus.NewTestbed(env, voltaConfig())
 		if err != nil {
 			panic(err)
 		}
-		var opts client.Options
+		var opts portus.ClientOptions
 		if withDigests {
 			opts.DeltaBlockBytes = deltaBlockBytes
 		}
-		placed, c, err := rig.place(env, 0, 0, spec, opts)
+		m, err := tb.PlaceModelOpts(env, 0, 0, spec, opts)
 		if err != nil {
 			panic(err)
 		}
+		placed, d := m.Placed(), tb.Daemons[0]
 		update := func(it uint64) {
 			if it == 1 {
 				placed.ApplyUpdate(it) // initial weights: everything is new
@@ -85,29 +83,29 @@ func runDeltaPoint(rate float64, withDigests bool) deltaPoint {
 		for w := 0; w < deltaWarmups; w++ {
 			it++
 			update(it)
-			if err := c.CheckpointSync(env, it); err != nil {
+			if err := m.Checkpoint(env, it); err != nil {
 				panic(fmt.Sprintf("delta: warmup checkpoint %d: %v", it, err))
 			}
 		}
-		startBytes := rig.daemons[0].Stats().BytesPulled
-		startFB := rig.daemons[0].Telemetry().Counter("portus_delta_full_fallbacks_total", "").Value()
+		startBytes := d.Stats().BytesPulled
+		startFB := d.Telemetry().Counter("portus_delta_full_fallbacks_total", "").Value()
 		start := env.Now()
-		for m := 0; m < deltaMeasured; m++ {
+		for n := 0; n < deltaMeasured; n++ {
 			it++
 			update(it)
-			if err := c.CheckpointSync(env, it); err != nil {
+			if err := m.Checkpoint(env, it); err != nil {
 				panic(fmt.Sprintf("delta: checkpoint %d: %v", it, err))
 			}
 		}
 		pt.PerCkpt = (env.Now() - start) / deltaMeasured
-		pt.Pulled = (rig.daemons[0].Stats().BytesPulled - startBytes) / deltaMeasured
-		pt.Fallbacks = rig.daemons[0].Telemetry().Counter("portus_delta_full_fallbacks_total", "").Value() - startFB
+		pt.Pulled = (d.Stats().BytesPulled - startBytes) / deltaMeasured
+		pt.Fallbacks = d.Telemetry().Counter("portus_delta_full_fallbacks_total", "").Value() - startFB
 
 		// The last (delta-assembled) version restores byte-identical: the
 		// restored content's digests match what the GPU held at commit.
 		want := placed.BlockDigests(deltaBlockBytes)
 		placed.ApplyUpdate(999999) // scramble
-		iter, err := c.Restore(env)
+		iter, err := m.Restore(env)
 		if err != nil || iter != it {
 			panic(fmt.Sprintf("delta: restore at rate %.2f: iter %d, err %v", rate, iter, err))
 		}
@@ -115,7 +113,7 @@ func runDeltaPoint(rate float64, withDigests bool) deltaPoint {
 		if !pt.RestoreOK {
 			panic(fmt.Sprintf("delta: restore at rate %.2f not byte-identical", rate))
 		}
-		c.Close()
+		m.Close()
 	})
 	return pt
 }
@@ -147,35 +145,35 @@ func runDeltaTier() deltaTierOutcome {
 	spec := model.GPT("delta-gpt", 2, 64, 512, 10*time.Millisecond)
 	runEngine(func(env sim.Env) {
 		inj := faults.NewInjector(faults.Config{Seed: ChaosSeed})
-		rig, err := newTierRig(env, cluster.Config{
+		tb, err := portus.NewTestbed(env, portus.TestbedConfig{
 			ComputeNodes: 1, GPUsPerNode: 4,
 			GPUMemBytes:  64 << 20,
 			StorageNodes: deltaTierNodes, PMemBytes: 256 << 20,
-			Materialized: true,
-		}, func(dcfg *daemon.Config) {
-			dcfg.Replicas = deltaTierRF
-			dcfg.DeltaEnabled = true
+			Materialized: true, Replicas: deltaTierRF,
 		})
 		if err != nil {
 			panic(err)
 		}
-		for i, st := range rig.cl.Storage {
-			st, d := st, rig.daemons[i]
+		for i, st := range tb.Cluster.Storage {
+			st, d := st, tb.Daemons[i]
 			inj.RegisterNode(st.Name,
-				func(env sim.Env) { rig.cl.Fabric.CutNode(st.Name) },
-				func(env sim.Env) { rig.net.Shutdown(env, st.Name) },
+				func(env sim.Env) { tb.Cluster.Fabric.CutNode(st.Name) },
+				func(env sim.Env) { tb.Net().Shutdown(env, st.Name) },
 				func(env sim.Env) { d.Halt(env) },
 			)
 		}
-		rt := client.NewRouter(rig.pmap, rig.dial, client.RouterOptions{
-			Group:    "delta-gpt",
+		sm, err := tb.PlaceSharded(env, spec, 2, 2, portus.RouterOptions{
 			Replicas: deltaTierRF,
-			Client:   client.Options{DeltaBlockBytes: deltaTierBlock},
+			Client:   portus.ClientOptions{DeltaBlockBytes: deltaTierBlock},
 		})
-		defer rt.Close()
-		placed, err := rig.placeSharded(env, rt, spec, 2, 2)
 		if err != nil {
 			panic(err)
+		}
+		defer sm.Close()
+		rt := sm.Router()
+		placed := make([]*gpu.PlacedModel, len(sm.Shards()))
+		for i := range placed {
+			placed[i] = sm.Placed(i)
 		}
 		out.Victim = rt.Members()[0].Node
 		apply := func(it uint64) {
@@ -210,11 +208,11 @@ func runDeltaTier() deltaTierOutcome {
 		}
 		// Deltas genuinely ran on the tier: surviving daemons banked
 		// copy-forward/skip savings.
-		for i, st := range rig.cl.Storage {
+		for i, st := range tb.Cluster.Storage {
 			if st.Name == out.Victim {
 				continue
 			}
-			out.BytesSaved += rig.daemons[i].Telemetry().Counter("portus_delta_bytes_saved_total", "").Value()
+			out.BytesSaved += tb.Daemons[i].Telemetry().Counter("portus_delta_bytes_saved_total", "").Value()
 		}
 		if out.BytesSaved <= 0 {
 			panic("delta tier: no delta savings recorded — the replicated stream ran full checkpoints only")

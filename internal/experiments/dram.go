@@ -2,56 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"github.com/portus-sys/portus/internal/client"
-	"github.com/portus-sys/portus/internal/cluster"
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/metrics"
 	"github.com/portus-sys/portus/internal/model"
-	"github.com/portus-sys/portus/internal/sim"
 )
-
-// megatronPortusDumpOn measures the 16-rank GPT dump with a cluster
-// override (used by the DRAM-fallback ablation).
-func megatronPortusDumpOn(spec model.Spec, cmut func(*cluster.Config)) time.Duration {
-	var elapsed time.Duration
-	runEngine(func(env sim.Env) {
-		cfg := ampereConfig()
-		if cmut != nil {
-			cmut(&cfg)
-		}
-		rig, err := newTierRig(env, cfg, nil)
-		if err != nil {
-			panic(err)
-		}
-		placed, placements, err := placeShards(env, rig, spec)
-		if err != nil {
-			panic(err)
-		}
-		clients := make([]*client.Client, len(placed))
-		for i := range placed {
-			clients[i], err = rig.register(env, placements[i].Node, placed[i], client.Options{})
-			if err != nil {
-				panic(err)
-			}
-		}
-		start := env.Now()
-		g := sim.NewGroup(env)
-		for i := range clients {
-			i := i
-			g.Add(env, 1)
-			env.Go("rank", func(env sim.Env) {
-				defer g.Done(env)
-				if err := clients[i].CheckpointSync(env, 1); err != nil {
-					panic(err)
-				}
-			})
-		}
-		g.Wait(env)
-		elapsed = env.Now() - start
-	})
-	return elapsed
-}
 
 // AblationDRAMTarget compares checkpointing into PMem versus the DRAM
 // fallback (§IV-a, §V-B): indistinguishable for a single flow (both
@@ -59,12 +14,16 @@ func megatronPortusDumpOn(spec model.Spec, cmut func(*cluster.Config)) time.Dura
 // concurrent multi-GPU pulls — at the cost of durability.
 func AblationDRAMTarget() []*Table {
 	bert := model.TableII()[6]
-	singlePMem := measurePortus(bert)
-	singleDRAM := measurePortusOpt(bert, func(c *cluster.Config) { c.DRAMFallback = true }, nil)
+	dram := func(cfg portus.TestbedConfig) portus.TestbedConfig {
+		cfg.DRAMFallback = true
+		return cfg
+	}
+	singlePMem := measurePortus(bert, voltaConfig())
+	singleDRAM := measurePortus(bert, dram(voltaConfig()))
 
 	gpt := model.GPT22B()
-	multiPMem := megatronPortusDumpOn(gpt, nil)
-	multiDRAM := megatronPortusDumpOn(gpt, func(c *cluster.Config) { c.DRAMFallback = true })
+	multiPMem := megatronDump(gpt, "portus-sync", ampereConfig())
+	multiDRAM := megatronDump(gpt, "portus-sync", dram(ampereConfig()))
 
 	t := &Table{
 		ID:     "ablation-dram",

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§V) on the simulated testbed, plus the ablation studies
-// DESIGN.md §5 calls out. Each experiment is a pure function from
-// nothing to renderable tables; cmd/portus-bench and the root
-// bench_test.go both drive this registry.
+// evaluation (§V) on the simulated testbed (portus.Testbed, the same rig
+// the benchmark measures), plus the ablation studies DESIGN.md §5 calls
+// out. Each experiment is a pure function from nothing to renderable
+// tables; cmd/portus-bench drives this registry.
 package experiments
 
 import (
@@ -11,14 +11,8 @@ import (
 	"strings"
 	"time"
 
-	"github.com/portus-sys/portus/internal/client"
-	"github.com/portus-sys/portus/internal/cluster"
-	"github.com/portus-sys/portus/internal/daemon"
-	"github.com/portus-sys/portus/internal/gpu"
-	"github.com/portus-sys/portus/internal/model"
-	"github.com/portus-sys/portus/internal/placement"
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/sim"
-	"github.com/portus-sys/portus/internal/wire"
 )
 
 // Table is one renderable result artifact.
@@ -132,91 +126,10 @@ func ByID(id string) (Experiment, error) {
 // Shared harness helpers.
 // ---------------------------------------------------------------------------
 
-// tierRig is a ready cluster + storage tier + control network inside a
-// running engine process: one daemon per storage node, all sharing one
-// placement map, each serving on its node's name. The single-daemon
-// experiments are the StorageNodes = 1 case.
-type tierRig struct {
-	cl      *cluster.Cluster
-	pmap    *placement.Map
-	daemons []*daemon.Daemon
-	net     *wire.SimNet
-}
-
-// newTierRig builds the rig; call inside an engine process. dmut, when
-// non-nil, edits each member's daemon config before construction — the
-// hook point for tuning and for per-node fault injection.
-func newTierRig(env sim.Env, cfg cluster.Config, dmut func(*daemon.Config)) (*tierRig, error) {
-	cl, err := cluster.New(env, cfg)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]placement.Node, len(cl.Storage))
-	for i, st := range cl.Storage {
-		nodes[i] = placement.Node{Name: st.Name, Weight: st.PMem.DataSize()}
-	}
-	pmap, err := placement.New(nodes...)
-	if err != nil {
-		return nil, err
-	}
-	rig := &tierRig{cl: cl, pmap: pmap, net: wire.NewSimNet()}
-	for _, st := range cl.Storage {
-		dcfg := daemon.Config{
-			PMem:     st.PMem,
-			RNode:    st.RNode,
-			Fabric:   cl.Fabric,
-			NodeName: st.Name,
-			Group:    pmap,
-		}
-		if dmut != nil {
-			dmut(&dcfg)
-		}
-		d, err := daemon.New(env, dcfg)
-		if err != nil {
-			return nil, err
-		}
-		l, err := rig.net.Listen(env, st.Name)
-		if err != nil {
-			return nil, err
-		}
-		env.Go("portusd-"+st.Name, func(env sim.Env) { d.Serve(env, l) })
-		rig.daemons = append(rig.daemons, d)
-	}
-	return rig, nil
-}
-
-// dial connects to a named member's control plane.
-func (r *tierRig) dial(env sim.Env, node string) (wire.Conn, error) {
-	return r.net.Dial(env, node)
-}
-
-// register connects a model placed on compute node `node` to the first
-// storage node's daemon — the only one in a single-daemon rig.
-func (r *tierRig) register(env sim.Env, node int, placed *gpu.PlacedModel, opts client.Options) (*client.Client, error) {
-	conn, err := r.dial(env, r.cl.Storage[0].Name)
-	if err != nil {
-		return nil, err
-	}
-	return client.RegisterOpts(env, conn, r.cl.Compute[node].RNode, placed, opts)
-}
-
-// place puts spec on (node, gpu) and registers it.
-func (r *tierRig) place(env sim.Env, node, gpuIdx int, spec model.Spec, opts client.Options) (*gpu.PlacedModel, *client.Client, error) {
-	placed, err := gpu.Place(r.cl.GPU(node, gpuIdx), spec)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := r.register(env, node, placed, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return placed, c, nil
-}
-
 // voltaConfig is the single-GPU evaluation host (Client-Volta, §V-A) in
 // virtual-content mode, sized for the biggest single-GPU models.
-func voltaConfig() cluster.Config {
-	return cluster.Config{
+func voltaConfig() portus.TestbedConfig {
+	return portus.TestbedConfig{
 		ComputeNodes: 1,
 		GPUsPerNode:  4,
 		GPUMemBytes:  32 << 30,
@@ -226,8 +139,8 @@ func voltaConfig() cluster.Config {
 }
 
 // ampereConfig is the two-node Megatron host (2× Client-Ampere, 8×A40).
-func ampereConfig() cluster.Config {
-	return cluster.Config{
+func ampereConfig() portus.TestbedConfig {
+	return portus.TestbedConfig{
 		ComputeNodes: 2,
 		GPUsPerNode:  8,
 		GPUMemBytes:  48 << 30,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -18,16 +19,15 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 		"ablation-staging", "ablation-onesided", "ablation-doublemap",
 		"ablation-workers", "ablation-bar", "ablation-frequency",
 		"ablation-dram", "ablation-adaptive", "ablation-churn",
-		"ablation-pipeline", "multitenant", "appendix",
+		"ablation-pipeline", "scale", "delta", "multitenant", "chaos",
+		"failover", "churn", "appendix",
 	}
-	have := map[string]bool{}
+	var have []string
 	for _, e := range Registry() {
-		have[e.ID] = true
+		have = append(have, e.ID)
 	}
-	for _, id := range want {
-		if !have[id] {
-			t.Errorf("registry missing %s", id)
-		}
+	if !slices.Equal(have, want) {
+		t.Errorf("registry ids = %v, want %v", have, want)
 	}
 	if _, err := ByID("fig11"); err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestAblationsReportExpectedDirections(t *testing.T) {
 func TestPipelineDepthHelps(t *testing.T) {
 	spec := model.TableII()[6] // BERT-Large
 	run := func(depth int) time.Duration {
-		return measurePortusOpt(spec, nil, func(c *daemon.Config) {
+		return measurePortus(spec, voltaConfig(), func(c *daemon.Config) {
 			c.ChunkSize = perfmodel.DefaultChunk
 			c.PipelineDepth = depth
 		}).ckpt
@@ -347,8 +347,8 @@ func TestExperimentOutputIsDeterministic(t *testing.T) {
 // TestMeasurementsAreDeterministic: the virtual-time harness must
 // reproduce identical numbers run-to-run.
 func TestMeasurementsAreDeterministic(t *testing.T) {
-	a := measurePortus(model.TableII()[2])
-	b := measurePortus(model.TableII()[2])
+	a := measurePortus(model.TableII()[2], voltaConfig())
+	b := measurePortus(model.TableII()[2], voltaConfig())
 	if a.ckpt != b.ckpt || a.restore != b.restore {
 		t.Fatalf("nondeterministic measurement: %v/%v vs %v/%v", a.ckpt, a.restore, b.ckpt, b.restore)
 	}

@@ -12,12 +12,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
-	"github.com/portus-sys/portus/internal/client"
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/cluster"
-	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/faults"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/placement"
@@ -82,48 +82,50 @@ func RunFailover(seed int64) FailoverOutcome {
 	runEngine(func(env sim.Env) {
 		reg := telemetry.NewRegistry()
 		inj := faults.NewInjector(faults.Config{Seed: seed, Telemetry: reg})
-		rig, err := newTierRig(env, cluster.Config{
+		tb, err := portus.NewTestbed(env, portus.TestbedConfig{
 			ComputeNodes: 1, GPUsPerNode: 4,
 			GPUMemBytes:  64 << 20,
 			StorageNodes: failoverStorage, PMemBytes: 256 << 20,
-			Materialized: true,
-		}, func(dcfg *daemon.Config) {
-			dcfg.Replicas = failoverRF
+			Materialized: true, Replicas: failoverRF,
 		})
 		if err != nil {
 			panic(err)
 		}
-		daemons := make(map[string]*daemon.Daemon, len(rig.daemons))
-		pms := make(map[string]*pmem.Device, len(rig.daemons))
-		for i, st := range rig.cl.Storage {
-			st, d := st, rig.daemons[i]
-			daemons[st.Name] = d
-			pms[st.Name] = st.PMem
+		// member resolves a storage node's name to its testbed index.
+		member := func(name string) int {
+			return slices.IndexFunc(tb.Cluster.Storage, func(st *cluster.StorageNode) bool { return st.Name == name })
+		}
+		for i, st := range tb.Cluster.Storage {
+			st, d := st, tb.Daemons[i]
 			// A node kill = no fabric routes + no control plane + no
 			// worker pool, all at once.
 			inj.RegisterNode(st.Name,
-				func(env sim.Env) { rig.cl.Fabric.CutNode(st.Name) },
-				func(env sim.Env) { rig.net.Shutdown(env, st.Name) },
+				func(env sim.Env) { tb.Cluster.Fabric.CutNode(st.Name) },
+				func(env sim.Env) { tb.Net().Shutdown(env, st.Name) },
 				func(env sim.Env) { d.Halt(env) },
 			)
 		}
 
-		rt := client.NewRouter(rig.pmap, rig.dial, client.RouterOptions{
+		sm, err := tb.PlaceSharded(env, failoverSpec(), 2, 2, portus.RouterOptions{
 			Telemetry: reg,
-			Group:     failoverModelName,
 			Replicas:  failoverRF,
-			Client:    client.Options{Telemetry: reg},
+			Client:    portus.ClientOptions{Telemetry: reg},
 		})
-		defer rt.Close()
-		placed, err := rig.placeSharded(env, rt, failoverSpec(), 2, 2)
 		if err != nil {
 			panic(err)
 		}
+		defer sm.Close()
+		rt, apply := sm.Router(), sm.ApplyUpdate
 		out.Victim = rt.Members()[0].Node
-		apply := func(iter uint64) {
-			for _, p := range placed {
-				p.ApplyUpdate(iter)
+		// verify reports the first shard tensor that does not hold iter's
+		// content.
+		verify := func(iter uint64) (shard, tensor int) {
+			for i := range sm.Shards() {
+				if bad := sm.Placed(i).VerifyIteration(iter); bad != -1 {
+					return i, bad
+				}
 			}
+			return -1, -1
 		}
 		var committed uint64
 		observe := func() {
@@ -170,13 +172,10 @@ func RunFailover(seed int64) FailoverOutcome {
 		if err != nil || iter != failoverIters {
 			panic(fmt.Sprintf("failover: degraded restore: iter %d, err %v", iter, err))
 		}
-		out.DegradedRestoreOK = true
-		for i, p := range placed {
-			if bad := p.VerifyIteration(iter); bad != -1 {
-				out.DegradedRestoreOK = false
-				panic(fmt.Sprintf("failover: shard %d tensor %d mismatched after degraded restore", i, bad))
-			}
+		if i, bad := verify(iter); bad != -1 {
+			panic(fmt.Sprintf("failover: shard %d tensor %d mismatched after degraded restore", i, bad))
 		}
+		out.DegradedRestoreOK = true
 
 		// Phase 3: a replacement node joins under the victim's name with
 		// a FRESH namespace — everything it now owns must be rebuilt
@@ -185,43 +184,11 @@ func RunFailover(seed int64) FailoverOutcome {
 			Name: out.Victim + "/pmem-replacement", DataSize: 256 << 20,
 			MetaSize: 64 << 20, Materialized: true, Mode: pmem.Devdax,
 		})
-		victimIdx := -1
-		for i, st := range rig.cl.Storage {
-			if st.Name == out.Victim {
-				victimIdx = i
-			}
-		}
-		rig.cl.Fabric.RestoreNode(out.Victim)
-		// The daemon validates its own membership at construction, so
-		// the replacement re-enters the shared placement map first; the
-		// router's Join below bumps the epoch again and re-places.
-		nodes := append([]placement.Node(nil), rig.pmap.Nodes()...)
-		readmitted := false
-		for i := range nodes {
-			if nodes[i].Name == out.Victim {
-				nodes[i].Weight = freshPM.DataSize()
-				readmitted = true
-			}
-		}
-		if !readmitted {
-			nodes = append(nodes, placement.Node{Name: out.Victim, Weight: freshPM.DataSize()})
-		}
-		if err := rig.pmap.Update(nodes); err != nil {
-			panic(err)
-		}
-		newd, err := daemon.New(env, daemon.Config{
-			PMem: freshPM, RNode: rig.cl.Storage[victimIdx].RNode, Fabric: rig.cl.Fabric,
-			NodeName: out.Victim, Group: rig.pmap, Replicas: failoverRF,
-		})
+		tb.Cluster.Fabric.RestoreNode(out.Victim)
+		newd, err := tb.ReplaceMember(env, member(out.Victim), freshPM)
 		if err != nil {
 			panic(err)
 		}
-		l, err := rig.net.Listen(env, out.Victim)
-		if err != nil {
-			panic(err)
-		}
-		env.Go("portusd-"+out.Victim+"-r", func(env sim.Env) { newd.Serve(env, l) })
-		daemons[out.Victim], pms[out.Victim] = newd, freshPM
 		if err := rt.Join(env, placement.Node{Name: out.Victim, Weight: freshPM.DataSize()}); err != nil {
 			panic(fmt.Sprintf("failover: rejoin: %v", err))
 		}
@@ -275,7 +242,7 @@ func RunFailover(seed int64) FailoverOutcome {
 		// still verify byte-identical.
 		m0 := rt.Members()[0]
 		corruptNode := m0.Replicas()[0]
-		im, err := daemons[corruptNode].Store().Lookup(m0.Shard)
+		im, err := tb.Daemons[member(corruptNode)].Store().Lookup(m0.Shard)
 		if err != nil {
 			panic(err)
 		}
@@ -288,18 +255,16 @@ func RunFailover(seed int64) FailoverOutcome {
 		for i := range garbage {
 			garbage[i] = 0xA5
 		}
-		pms[corruptNode].Data().Write(ext.Off, garbage)
+		tb.Cluster.Storage[member(corruptNode)].PMem.Data().Write(ext.Off, garbage)
 		apply(8888) // scramble
 		iter, err = rt.Restore(env)
 		if err != nil || iter != out.CommittedFinal {
 			panic(fmt.Sprintf("failover: restore with corrupt replica: iter %d, err %v", iter, err))
 		}
-		out.CorruptRestoreOK = true
-		for i, p := range placed {
-			if bad := p.VerifyIteration(iter); bad != -1 {
-				panic(fmt.Sprintf("failover: shard %d tensor %d mismatched after corrupt-replica restore", i, bad))
-			}
+		if i, bad := verify(iter); bad != -1 {
+			panic(fmt.Sprintf("failover: shard %d tensor %d mismatched after corrupt-replica restore", i, bad))
 		}
+		out.CorruptRestoreOK = true
 		out.Corruptions = reg.Counter("portus_restore_corruptions_total", "").Value()
 		out.CorruptionDetected = out.Corruptions >= 1
 		if !out.CorruptionDetected {

@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/baseline"
-	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/fsim"
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/model"
@@ -26,16 +26,16 @@ func Fig9() []*Table {
 		res  train.Result
 	}
 	var outcomes []outcome
-	run := func(name string, mk func(env sim.Env, rig *tierRig) train.Checkpointer) {
+	run := func(name string, mk func(env sim.Env, tb *portus.Testbed) train.Checkpointer) {
 		var res train.Result
 		runEngine(func(env sim.Env) {
-			rig, err := newTierRig(env, voltaConfig(), nil)
+			tb, err := portus.NewTestbed(env, voltaConfig())
 			if err != nil {
 				panic(err)
 			}
 			res, err = train.Run(env, train.Config{
 				Spec:       spec,
-				Policy:     mk(env, rig),
+				Policy:     mk(env, tb),
 				Interval:   1,
 				Iterations: iters,
 			})
@@ -46,33 +46,33 @@ func Fig9() []*Table {
 		outcomes = append(outcomes, outcome{name: name, res: res})
 	}
 
-	run("PyTorch torch.save (Fig 9a)", func(env sim.Env, rig *tierRig) train.Checkpointer {
-		placed, err := gpu.Place(rig.cl.GPU(0, 0), spec)
+	run("PyTorch torch.save (Fig 9a)", func(env sim.Env, tb *portus.Testbed) train.Checkpointer {
+		placed, err := gpu.Place(tb.Cluster.GPU(0, 0), spec)
 		if err != nil {
 			panic(err)
 		}
-		return baseline.NewTorchSave(fsim.NewBeeGFS(rig.cl.Storage[0]), rig.cl.Compute[0], placed)
+		return baseline.NewTorchSave(fsim.NewBeeGFS(tb.Cluster.Storage[0]), tb.Cluster.Compute[0], placed)
 	})
-	run("CheckFreq (Fig 9b)", func(env sim.Env, rig *tierRig) train.Checkpointer {
-		placed, err := gpu.Place(rig.cl.GPU(0, 0), spec)
+	run("CheckFreq (Fig 9b)", func(env sim.Env, tb *portus.Testbed) train.Checkpointer {
+		placed, err := gpu.Place(tb.Cluster.GPU(0, 0), spec)
 		if err != nil {
 			panic(err)
 		}
-		return baseline.NewCheckFreq(fsim.NewBeeGFS(rig.cl.Storage[0]), rig.cl.Compute[0], placed)
+		return baseline.NewCheckFreq(fsim.NewBeeGFS(tb.Cluster.Storage[0]), tb.Cluster.Compute[0], placed)
 	})
-	run("Portus sync (Fig 9c)", func(env sim.Env, rig *tierRig) train.Checkpointer {
-		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
+	run("Portus sync (Fig 9c)", func(env sim.Env, tb *portus.Testbed) train.Checkpointer {
+		m, err := tb.PlaceModel(env, 0, 0, spec)
 		if err != nil {
 			panic(err)
 		}
-		return &client.Sync{C: c}
+		return m.SyncPolicy()
 	})
-	run("Portus async (Fig 9d)", func(env sim.Env, rig *tierRig) train.Checkpointer {
-		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
+	run("Portus async (Fig 9d)", func(env sim.Env, tb *portus.Testbed) train.Checkpointer {
+		m, err := tb.PlaceModel(env, 0, 0, spec)
 		if err != nil {
 			panic(err)
 		}
-		return &client.Async{C: c}
+		return m.AsyncPolicy()
 	})
 
 	t := &Table{

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/baseline"
-	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/fsim"
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/metrics"
@@ -24,93 +24,70 @@ const (
 	megatronGPUs  = 8
 )
 
-// placeShards partitions spec and places every shard on its GPU.
-func placeShards(env sim.Env, rig *tierRig, spec model.Spec) ([]*gpu.PlacedModel, []parallel.Placement, error) {
-	shards, err := parallel.Partition(spec, megatronTP, megatronPP)
-	if err != nil {
-		return nil, nil, err
-	}
-	placements, err := parallel.Place(shards, megatronNodes, megatronGPUs)
-	if err != nil {
-		return nil, nil, err
-	}
-	placed := make([]*gpu.PlacedModel, len(placements))
-	for i, pl := range placements {
-		p, err := gpu.Place(rig.cl.GPU(pl.Node, pl.GPU), pl.Shard.Spec)
-		if err != nil {
-			return nil, nil, err
-		}
-		placed[i] = p
-	}
-	return placed, placements, nil
-}
-
-// megatronTorchSaveDump measures one full-model checkpoint via
-// torch.save from all 16 ranks concurrently into shared BeeGFS.
-func megatronTorchSaveDump(spec model.Spec) time.Duration {
-	var elapsed time.Duration
+// megatronFleet stands up a cfg-sized testbed, partitions spec over the
+// Megatron grid with one shard per GPU, and wraps every rank in the
+// named checkpoint policy; body runs inside the engine with the fleet.
+func megatronFleet(spec model.Spec, policy string, cfg portus.TestbedConfig, body func(env sim.Env, fleet *train.Fleet)) {
 	runEngine(func(env sim.Env) {
-		rig, err := newTierRig(env, ampereConfig(), nil)
+		tb, err := portus.NewTestbed(env, cfg)
 		if err != nil {
 			panic(err)
 		}
-		placed, placements, err := placeShards(env, rig, spec)
+		shards, err := parallel.Partition(spec, megatronTP, megatronPP)
 		if err != nil {
 			panic(err)
 		}
-		backend := fsim.NewBeeGFS(rig.cl.Storage[0])
-		start := env.Now()
-		g := sim.NewGroup(env)
-		for i := range placed {
-			i := i
-			g.Add(env, 1)
-			env.Go("rank", func(env sim.Env) {
-				defer g.Done(env)
-				cp := baseline.NewTorchSave(backend, rig.cl.Compute[placements[i].Node], placed[i])
-				if err := cp.Checkpoint(env, 1); err != nil {
-					panic(err)
-				}
-			})
-		}
-		g.Wait(env)
-		elapsed = env.Now() - start
-	})
-	return elapsed
-}
-
-// megatronPortusDump measures the same full-model checkpoint through
-// Portus: 16 registered shards, 16 concurrent one-sided pulls.
-func megatronPortusDump(spec model.Spec) time.Duration {
-	var elapsed time.Duration
-	runEngine(func(env sim.Env) {
-		rig, err := newTierRig(env, ampereConfig(), nil)
+		ranks, err := parallel.Place(shards, megatronNodes, megatronGPUs)
 		if err != nil {
 			panic(err)
 		}
-		placed, placements, err := placeShards(env, rig, spec)
-		if err != nil {
-			panic(err)
-		}
-		clients := make([]*client.Client, len(placed))
-		for i := range placed {
-			clients[i], err = rig.register(env, placements[i].Node, placed[i], client.Options{})
+		// All baseline ranks write into the one shared BeeGFS.
+		backend := fsim.NewBeeGFS(tb.Cluster.Storage[0])
+		place := func(pl parallel.Placement) *gpu.PlacedModel {
+			placed, err := gpu.Place(tb.Cluster.GPU(pl.Node, pl.GPU), pl.Shard.Spec)
 			if err != nil {
 				panic(err)
 			}
+			return placed
 		}
+		register := func(pl parallel.Placement) *portus.Model {
+			m, err := tb.PlaceModel(env, pl.Node, pl.GPU, pl.Shard.Spec)
+			if err != nil {
+				panic(err)
+			}
+			return m
+		}
+		var members []train.Checkpointer
+		for _, pl := range ranks {
+			var cp train.Checkpointer
+			switch policy {
+			case "torch.save":
+				cp = baseline.NewTorchSave(backend, tb.Cluster.Compute[pl.Node], place(pl))
+			case "checkfreq":
+				cp = baseline.NewCheckFreq(backend, tb.Cluster.Compute[pl.Node], place(pl))
+			case "portus-sync":
+				cp = register(pl).SyncPolicy()
+			case "portus-async":
+				cp = register(pl).AsyncPolicy()
+			default:
+				panic("unknown policy " + policy)
+			}
+			members = append(members, cp)
+		}
+		body(env, train.NewFleet(policy, members))
+	})
+}
+
+// megatronDump measures one full-model checkpoint with all 16 ranks
+// checkpointing concurrently under policy: "torch.save" into shared
+// BeeGFS, or "portus-sync" as 16 registered shards pulled one-sidedly.
+func megatronDump(spec model.Spec, policy string, cfg portus.TestbedConfig) time.Duration {
+	var elapsed time.Duration
+	megatronFleet(spec, policy, cfg, func(env sim.Env, fleet *train.Fleet) {
 		start := env.Now()
-		g := sim.NewGroup(env)
-		for i := range clients {
-			i := i
-			g.Add(env, 1)
-			env.Go("rank", func(env sim.Env) {
-				defer g.Done(env)
-				if err := clients[i].CheckpointSync(env, 1); err != nil {
-					panic(err)
-				}
-			})
+		if err := fleet.Checkpoint(env, 1); err != nil {
+			panic(err)
 		}
-		g.Wait(env)
 		elapsed = env.Now() - start
 	})
 	return elapsed
@@ -127,8 +104,8 @@ func Fig14() []*Table {
 	var sum float64
 	fam := model.GPTFamily()
 	for _, spec := range fam {
-		ts := megatronTorchSaveDump(spec)
-		po := megatronPortusDump(spec)
+		ts := megatronDump(spec, "torch.save", ampereConfig())
+		po := megatronDump(spec, "portus-sync", ampereConfig())
 		t.Rows = append(t.Rows, []string{
 			spec.Name, metrics.FormatBytes(spec.TotalSize()),
 			secs(ts), secs(po), ratio(ts, po),
@@ -146,36 +123,11 @@ func Fig14() []*Table {
 func gptTrainingRun(policy string, iterations, interval int) train.Result {
 	var res train.Result
 	spec := model.GPT22B()
-	runEngine(func(env sim.Env) {
-		rig, err := newTierRig(env, ampereConfig(), nil)
-		if err != nil {
-			panic(err)
-		}
-		placed, placements, err := placeShards(env, rig, spec)
-		if err != nil {
-			panic(err)
-		}
-		var members []train.Checkpointer
-		switch policy {
-		case "checkfreq":
-			backend := fsim.NewBeeGFS(rig.cl.Storage[0])
-			for i := range placed {
-				members = append(members, baseline.NewCheckFreq(backend, rig.cl.Compute[placements[i].Node], placed[i]))
-			}
-		case "portus-async":
-			for i := range placed {
-				c, err := rig.register(env, placements[i].Node, placed[i], client.Options{})
-				if err != nil {
-					panic(err)
-				}
-				members = append(members, &client.Async{C: c})
-			}
-		default:
-			panic("unknown policy " + policy)
-		}
+	megatronFleet(spec, policy, ampereConfig(), func(env sim.Env, fleet *train.Fleet) {
+		var err error
 		res, err = train.Run(env, train.Config{
 			Spec:       spec,
-			Policy:     train.NewFleet(policy, members),
+			Policy:     fleet,
 			Interval:   interval,
 			Iterations: iterations,
 		})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/model"
@@ -35,23 +36,21 @@ func mtFairness(tenants, rounds int) mtRun {
 	runEngine(func(env sim.Env) {
 		cfg := voltaConfig()
 		cfg.GPUsPerNode = tenants
-		rig, err := newTierRig(env, cfg, func(c *daemon.Config) { c.Workers = 4 })
+		tb, err := portus.NewTestbed(env, cfg, func(c *daemon.Config) { c.Workers = 4 })
 		if err != nil {
 			panic(err)
 		}
 		type tenant struct {
-			c     *client.Client
+			m     *portus.Model
 			stall time.Duration
 		}
 		ts := make([]*tenant, tenants)
-		placedAll := make([]interface{ ApplyUpdate(uint64) }, tenants)
 		for i := 0; i < tenants; i++ {
-			placed, c, err := rig.place(env, 0, i, mtSpec(i), client.Options{})
+			m, err := tb.PlaceModel(env, 0, i, mtSpec(i))
 			if err != nil {
 				panic(err)
 			}
-			ts[i] = &tenant{c: c}
-			placedAll[i] = placed
+			ts[i] = &tenant{m: m}
 		}
 		start := env.Now()
 		g := sim.NewGroup(env)
@@ -61,9 +60,9 @@ func mtFairness(tenants, rounds int) mtRun {
 			env.Go("tenant", func(env sim.Env) {
 				defer g.Done(env)
 				for r := uint64(1); r <= uint64(rounds); r++ {
-					placedAll[i].ApplyUpdate(r)
+					ts[i].m.ApplyUpdate(r)
 					t0 := env.Now()
-					if err := ts[i].c.CheckpointSync(env, r); err != nil {
+					if err := ts[i].m.Checkpoint(env, r); err != nil {
 						panic(fmt.Sprintf("tenant %d iteration %d: %v", i, r, err))
 					}
 					ts[i].stall += env.Now() - t0
@@ -86,7 +85,7 @@ func mtFairness(tenants, rounds int) mtRun {
 			}
 			// Zero lost committed checkpoints: the newest durable version
 			// is the final iteration the daemon acked.
-			m, err := rig.daemons[0].Store().Lookup(mtSpec(i).Name)
+			m, err := tb.Daemons[0].Store().Lookup(mtSpec(i).Name)
 			if err != nil {
 				panic(err)
 			}
@@ -117,7 +116,7 @@ func mtPressure() (coalesced, busyReplies, clientRetries int64, committed map[st
 		reg := telemetry.NewRegistry()
 		cfg := voltaConfig()
 		cfg.GPUsPerNode = 4
-		rig, err := newTierRig(env, cfg, func(c *daemon.Config) {
+		tb, err := portus.NewTestbed(env, cfg, func(c *daemon.Config) {
 			c.Workers = 1
 			c.QueueCap = 2
 			c.ModelQueueCap = 1
@@ -126,14 +125,14 @@ func mtPressure() (coalesced, busyReplies, clientRetries int64, committed map[st
 		if err != nil {
 			panic(err)
 		}
-		clients := make([]*client.Client, 4)
-		placed := make([]interface{ ApplyUpdate(uint64) }, 4)
-		for i := 0; i < 4; i++ {
-			p, c, err := rig.place(env, 0, i, mtSpec(i), client.Options{})
+		// Clients count into the same registry: their BUSY retries are
+		// read back from it below.
+		clients := make([]*portus.Model, 4)
+		for i := range clients {
+			clients[i], err = tb.PlaceModelOpts(env, 0, i, mtSpec(i), portus.ClientOptions{Telemetry: reg})
 			if err != nil {
 				panic(err)
 			}
-			clients[i], placed[i] = c, p
 		}
 		bursts := []uint64{8, 3, 3, 3}
 		g := sim.NewGroup(env)
@@ -142,7 +141,7 @@ func mtPressure() (coalesced, busyReplies, clientRetries int64, committed map[st
 			g.Add(env, 1)
 			env.Go("burst", func(env sim.Env) {
 				defer g.Done(env)
-				placed[i].ApplyUpdate(burst)
+				clients[i].ApplyUpdate(burst)
 				var cps []*client.Completion
 				for it := uint64(1); it <= burst; it++ {
 					cp, err := clients[i].CheckpointAsync(env, it)
@@ -162,8 +161,8 @@ func mtPressure() (coalesced, busyReplies, clientRetries int64, committed map[st
 		coalesced = reg.Counter("portus_sched_coalesced_total", "").Value()
 		busyReplies = reg.Counter("portus_sched_busy_replies_total", "").Value()
 		for i, burst := range bursts {
-			clientRetries += clients[i].BusyRetries()
-			m, err := rig.daemons[0].Store().Lookup(mtSpec(i).Name)
+			clientRetries += reg.Counter("portus_client_busy_retries_total", "", telemetry.L("model", mtSpec(i).Name)).Value()
+			m, err := tb.Daemons[0].Store().Lookup(mtSpec(i).Name)
 			if err != nil {
 				panic(err)
 			}

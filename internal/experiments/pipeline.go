@@ -31,7 +31,7 @@ func AblationPipeline() []*Table {
 			row := []string{fmt.Sprint(depth)}
 			for _, lanes := range lanesCols {
 				depth, lanes := depth, lanes
-				r := measurePortusOpt(spec, nil, func(c *daemon.Config) {
+				r := measurePortus(spec, voltaConfig(), func(c *daemon.Config) {
 					c.PipelineDepth = depth
 					c.Lanes = lanes
 					c.ChunkSize = perfmodel.DefaultChunk

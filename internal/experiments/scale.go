@@ -11,12 +11,9 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/portus-sys/portus/internal/client"
-	"github.com/portus-sys/portus/internal/cluster"
-	"github.com/portus-sys/portus/internal/gpu"
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/metrics"
 	"github.com/portus-sys/portus/internal/model"
-	"github.com/portus-sys/portus/internal/parallel"
 	"github.com/portus-sys/portus/internal/sim"
 )
 
@@ -35,34 +32,9 @@ const (
 // at least this multiple of the 1-node aggregate checkpoint throughput.
 const scaleSpeedupFloor = 2.5
 
-// placeSharded partitions spec over the scale grid, places every shard
-// on its GPU, and registers each with its owning daemon through rt.
-func (r *tierRig) placeSharded(env sim.Env, rt *client.Router, spec model.Spec, tp, pp int) ([]*gpu.PlacedModel, error) {
-	shards, err := parallel.Partition(spec, tp, pp)
-	if err != nil {
-		return nil, err
-	}
-	placements, err := parallel.Place(shards, len(r.cl.Compute), len(r.cl.Compute[0].GPUs))
-	if err != nil {
-		return nil, err
-	}
-	placed := make([]*gpu.PlacedModel, len(placements))
-	for i, pl := range placements {
-		p, err := gpu.Place(r.cl.GPU(pl.Node, pl.GPU), pl.Shard.Spec)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := rt.Register(env, r.cl.Compute[pl.Node].RNode, p); err != nil {
-			return nil, err
-		}
-		placed[i] = p
-	}
-	return placed, nil
-}
-
 // scaleConfig sizes the sweep cluster for n storage nodes.
-func scaleConfig(storageNodes int) cluster.Config {
-	return cluster.Config{
+func scaleConfig(storageNodes int) portus.TestbedConfig {
+	return portus.TestbedConfig{
 		ComputeNodes: scaleComputeNodes,
 		GPUsPerNode:  scaleGPUsPerNode,
 		GPUMemBytes:  48 << 30,
@@ -89,18 +61,18 @@ func runScalePoint(storageNodes, rounds int) scalePoint {
 	spec := model.GPTFamily()[0] // gpt-1.5b
 	pt := scalePoint{Nodes: storageNodes, Shards: scaleTP * scalePP, Bytes: spec.TotalSize()}
 	runEngine(func(env sim.Env) {
-		rig, err := newTierRig(env, scaleConfig(storageNodes), nil)
+		tb, err := portus.NewTestbed(env, scaleConfig(storageNodes))
 		if err != nil {
 			panic(err)
 		}
-		rt := client.NewRouter(rig.pmap, rig.dial, client.RouterOptions{})
-		defer rt.Close()
-		if _, err := rig.placeSharded(env, rt, spec, scaleTP, scalePP); err != nil {
+		sm, err := tb.PlaceSharded(env, spec, scaleTP, scalePP, portus.RouterOptions{})
+		if err != nil {
 			panic(err)
 		}
+		defer sm.Close()
 		start := env.Now()
 		for it := 1; it <= rounds; it++ {
-			if err := rt.CheckpointSync(env, uint64(it)); err != nil {
+			if err := sm.Checkpoint(env, uint64(it)); err != nil {
 				panic(err)
 			}
 		}

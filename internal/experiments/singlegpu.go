@@ -4,8 +4,9 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/baseline"
-	"github.com/portus-sys/portus/internal/client"
+	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/fsim"
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/metrics"
@@ -39,21 +40,22 @@ type baselineRun struct {
 func measureBaseline(spec model.Spec, kind backendKind) baselineRun {
 	var out baselineRun
 	runEngine(func(env sim.Env) {
-		cl, err := newTierRig(env, voltaConfig(), nil)
+		tb, err := portus.NewTestbed(env, voltaConfig())
 		if err != nil {
 			panic(err)
 		}
-		placed, err := gpu.Place(cl.cl.GPU(0, 0), spec)
+		cl := tb.Cluster
+		placed, err := gpu.Place(cl.GPU(0, 0), spec)
 		if err != nil {
 			panic(err)
 		}
 		var backend fsim.Backend
 		if kind == beeGFS {
-			backend = fsim.NewBeeGFS(cl.cl.Storage[0])
+			backend = fsim.NewBeeGFS(cl.Storage[0])
 		} else {
-			backend = fsim.NewExt4NVMe(cl.cl.Compute[0])
+			backend = fsim.NewExt4NVMe(cl.Compute[0])
 		}
-		cp := baseline.NewTorchSave(backend, cl.cl.Compute[0], placed)
+		cp := baseline.NewTorchSave(backend, cl.Compute[0], placed)
 
 		start := env.Now()
 		if err := cp.Checkpoint(env, 1); err != nil {
@@ -73,33 +75,36 @@ func measureBaseline(spec model.Spec, kind backendKind) baselineRun {
 	return out
 }
 
-// portusRun measures one Portus checkpoint and restore of spec.
+// portusRun is one Portus checkpoint and restore, with the daemon's
+// pull/flush split of the checkpoint.
 type portusRun struct {
 	ckpt, restore time.Duration
 	pull, flush   time.Duration
 }
 
-func measurePortus(spec model.Spec) portusRun {
+// measurePortus checkpoints and restores spec once on a cfg-sized
+// testbed whose daemon configuration tune edits.
+func measurePortus(spec model.Spec, cfg portus.TestbedConfig, tune ...func(*daemon.Config)) portusRun {
 	var out portusRun
 	runEngine(func(env sim.Env) {
-		rig, err := newTierRig(env, voltaConfig(), nil)
+		tb, err := portus.NewTestbed(env, cfg, tune...)
 		if err != nil {
 			panic(err)
 		}
-		_, c, err := rig.place(env, 0, 0, spec, client.Options{})
+		m, err := tb.PlaceModel(env, 0, 0, spec)
 		if err != nil {
 			panic(err)
 		}
 		start := env.Now()
-		if err := c.CheckpointSync(env, 1); err != nil {
+		if err := m.Checkpoint(env, 1); err != nil {
 			panic(err)
 		}
 		out.ckpt = env.Now() - start
-		st := rig.daemons[0].Stats()
+		st := tb.Daemons[0].Stats()
 		out.pull, out.flush = st.PullTime, st.FlushTime
 
 		start = env.Now()
-		if _, err := c.Restore(env); err != nil {
+		if _, err := m.Restore(env); err != nil {
 			panic(err)
 		}
 		out.restore = env.Now() - start
@@ -180,7 +185,7 @@ func Fig2() []*Table {
 	for _, w := range cases {
 		var ckpt time.Duration
 		if w.multi {
-			ckpt = megatronTorchSaveDump(w.spec)
+			ckpt = megatronDump(w.spec, "torch.save", ampereConfig())
 		} else {
 			ckpt = measureBaseline(w.spec, beeGFS).ckpt
 		}
@@ -202,7 +207,7 @@ func Datapath() []*Table {
 	spec := model.TableII()[2] // resnet50: small and fast
 	bg := measureBaseline(spec, beeGFS)
 	ex := measureBaseline(spec, ext4NVMe)
-	_ = measurePortus(spec)
+	_ = measurePortus(spec, voltaConfig())
 	t := &Table{
 		ID:     "datapath",
 		Title:  "Checkpoint datapath structure (one ResNet50 checkpoint)",
@@ -210,7 +215,7 @@ func Datapath() []*Table {
 		Rows: [][]string{
 			{"BeeGFS-PMEM (traditional)", fmt.Sprint(bg.stats.Copies + 1), fmt.Sprint(bg.stats.KernelCrossings), "yes", metrics.FormatDuration(bg.ckpt)},
 			{"ext4-NVMe (local)", fmt.Sprint(ex.stats.Copies + 1), fmt.Sprint(ex.stats.KernelCrossings), "yes", metrics.FormatDuration(ex.ckpt)},
-			{"Portus (zero-copy RDMA)", "0", "0", "no", metrics.FormatDuration(measurePortus(spec).ckpt)},
+			{"Portus (zero-copy RDMA)", "0", "0", "no", metrics.FormatDuration(measurePortus(spec, voltaConfig()).ckpt)},
 		},
 		Notes: []string{
 			"traditional copies: GPU->host staging, host->server memory, server memory->PMem",
@@ -230,7 +235,7 @@ func Fig11() []*Table {
 	}
 	var sumBG, sumEX float64
 	for _, spec := range model.TableII() {
-		p := measurePortus(spec)
+		p := measurePortus(spec, voltaConfig())
 		bg := measureBaseline(spec, beeGFS)
 		ex := measureBaseline(spec, ext4NVMe)
 		t.Rows = append(t.Rows, []string{
@@ -256,7 +261,7 @@ func Fig12() []*Table {
 	}
 	var sumBG, sumEX float64
 	for _, spec := range model.TableII() {
-		p := measurePortus(spec)
+		p := measurePortus(spec, voltaConfig())
 		bg := measureBaseline(spec, beeGFS)
 		ex := measureBaseline(spec, ext4NVMe)
 		t.Rows = append(t.Rows, []string{
@@ -277,7 +282,7 @@ func Fig12() []*Table {
 // checkpoint under all three systems.
 func Fig13() []*Table {
 	bert := model.TableII()[6]
-	p := measurePortus(bert)
+	p := measurePortus(bert, voltaConfig())
 	bg := measureBaseline(bert, beeGFS)
 	ex := measureBaseline(bert, ext4NVMe)
 
@@ -326,7 +331,7 @@ func Appendix() []*Table {
 	var sum float64
 	zoo := model.Zoo()
 	for _, spec := range zoo {
-		p := measurePortus(spec)
+		p := measurePortus(spec, voltaConfig())
 		bg := measureBaseline(spec, beeGFS)
 		t.Rows = append(t.Rows, []string{
 			spec.Name, metrics.FormatBytes(spec.TotalSize()),

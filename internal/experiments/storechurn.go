@@ -6,8 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/portus-sys/portus/internal/client"
-	"github.com/portus-sys/portus/internal/cluster"
+	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/index"
 	"github.com/portus-sys/portus/internal/model"
@@ -95,7 +94,7 @@ func RunChurn(seed int64) ChurnOutcome {
 	var out ChurnOutcome
 	runEngine(func(env sim.Env) {
 		reg := telemetry.NewRegistry()
-		rig, err := newTierRig(env, cluster.Config{
+		tb, err := portus.NewTestbed(env, portus.TestbedConfig{
 			ComputeNodes: 1, GPUsPerNode: 4,
 			GPUMemBytes: 16 << 30, PMemBytes: churnCapacity,
 			Materialized: false,
@@ -110,7 +109,7 @@ func RunChurn(seed int64) ChurnOutcome {
 		if err != nil {
 			panic(err)
 		}
-		d := rig.daemons[0]
+		d := tb.Daemons[0]
 
 		// The rng is drained up front so tenant goroutines never race on
 		// it; the schedule is a pure function of the seed.
@@ -133,7 +132,7 @@ func RunChurn(seed int64) ChurnOutcome {
 				g.Add(env, 1)
 				env.Go("churn-tenant", func(env sim.Env) {
 					defer g.Done(env)
-					churnTenant(env, rig, reg, spec, gpuIdx, &out)
+					churnTenant(env, tb, reg, spec, gpuIdx, &out)
 				})
 			}
 			g.Wait(env)
@@ -168,8 +167,8 @@ func RunChurn(seed int64) ChurnOutcome {
 // lifecycle. Every failure is a violated invariant: admission and
 // checkpoints must ride out NO_SPACE and BUSY backpressure via
 // retry-afters, never surface an error.
-func churnTenant(env sim.Env, rig *tierRig, reg *telemetry.Registry, spec model.Spec, gpuIdx int, out *ChurnOutcome) {
-	placed, c, err := rig.place(env, 0, gpuIdx, spec, client.Options{
+func churnTenant(env sim.Env, tb *portus.Testbed, reg *telemetry.Registry, spec model.Spec, gpuIdx int, out *ChurnOutcome) {
+	m, err := tb.PlaceModelOpts(env, 0, gpuIdx, spec, portus.ClientOptions{
 		Telemetry: reg,
 		// Registrations bounce off NO_SPACE while another tenant's
 		// delete or a repack pass frees room; the budget must outlast a
@@ -181,31 +180,31 @@ func churnTenant(env sim.Env, rig *tierRig, reg *telemetry.Registry, spec model.
 		panic(fmt.Sprintf("churn: %s: admission permanently failed: %v", spec.Name, err))
 	}
 	for it := uint64(1); it <= churnCheckpoints; it++ {
-		placed.ApplyUpdate(it)
-		if err := c.CheckpointSync(env, it); err != nil {
+		m.ApplyUpdate(it)
+		if err := m.Checkpoint(env, it); err != nil {
 			panic(fmt.Sprintf("churn: %s: checkpoint %d: %v", spec.Name, it, err))
 		}
 	}
 	// Scramble the GPU and prove the newest committed version restores
 	// byte-identical — including after its extents were relocated by an
 	// online repack pass running under other tenants' traffic.
-	placed.ApplyUpdate(churnCheckpoints + 1000)
-	iter, err := c.Restore(env)
+	m.ApplyUpdate(churnCheckpoints + 1000)
+	iter, err := m.Restore(env)
 	if err != nil {
 		panic(fmt.Sprintf("churn: %s: restore: %v", spec.Name, err))
 	}
 	if iter != churnCheckpoints {
 		panic(fmt.Sprintf("churn: %s: restored iteration %d, want %d", spec.Name, iter, churnCheckpoints))
 	}
-	if bad := placed.VerifyIteration(iter); bad != -1 {
+	if bad := m.Placed().VerifyIteration(iter); bad != -1 {
 		panic(fmt.Sprintf("churn: %s: tensor %d not byte-identical after restore", spec.Name, bad))
 	}
 	atomic.AddInt64(&out.Verified, 1)
-	c.Close()
+	m.Close()
 
 	// Delete over a fresh control connection, riding out the window
 	// where the lane still drains.
-	dconn, err := rig.dial(env, rig.cl.Storage[0].Name)
+	dconn, err := tb.Dial(env)
 	if err != nil {
 		panic(err)
 	}

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"slices"
 	"time"
 
 	"github.com/portus-sys/portus/internal/client"
@@ -356,8 +357,11 @@ func (s *Server) PMem() *pmem.Device { return s.pm }
 // SaveImage persists the namespace's durable state to path.
 func (s *Server) SaveImage(path string) error { return s.pm.SaveImageFile(path) }
 
-// Close stops the listeners.
+// Close halts the daemon (worker pool stopped, every control connection
+// closed, so a connected Model's next call fails instead of hanging) and
+// stops the listeners.
 func (s *Server) Close() {
+	s.d.Halt(s.env)
 	s.ln.Close()
 	if s.adminLn != nil {
 		s.adminLn.Close()
@@ -519,6 +523,8 @@ type Testbed struct {
 	// Placement is the tier's shared routing table.
 	Placement *placement.Map
 	net       *wire.SimNet
+	replicas  int
+	tune      []func(*daemon.Config)
 }
 
 // TestbedConfig re-exports the cluster configuration.
@@ -528,8 +534,10 @@ type TestbedConfig = cluster.Config
 // storage node. Each daemon listens on its node's name ("storage0",
 // ...) and all share one placement map keyed by PMem capacity. The
 // daemons accept incremental checkpoints; clients opt in per model via
-// ClientOptions.DeltaBlockBytes.
-func NewTestbed(env Env, cfg TestbedConfig) (*Testbed, error) {
+// ClientOptions.DeltaBlockBytes. Each tune function edits every
+// member's daemon configuration just before the daemon is built — the
+// hook for datapath tuning and per-node fault injection.
+func NewTestbed(env Env, cfg TestbedConfig, tune ...func(*daemon.Config)) (*Testbed, error) {
 	cl, err := cluster.New(env, cfg)
 	if err != nil {
 		return nil, err
@@ -542,25 +550,60 @@ func NewTestbed(env Env, cfg TestbedConfig) (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	net := wire.NewSimNet()
-	tb := &Testbed{Cluster: cl, Placement: pmap, net: net}
+	tb := &Testbed{Cluster: cl, Placement: pmap, net: wire.NewSimNet(), replicas: cfg.Replicas, tune: tune}
 	for _, st := range cl.Storage {
-		d, err := daemon.New(env, daemon.Config{
-			PMem: st.PMem, RNode: st.RNode, Fabric: cl.Fabric,
-			NodeName: st.Name, Group: pmap, Replicas: cfg.Replicas,
-			DeltaEnabled: true,
-		})
+		d, err := tb.startMember(env, st)
 		if err != nil {
 			return nil, err
 		}
-		l, err := net.Listen(env, st.Name)
-		if err != nil {
-			return nil, err
-		}
-		env.Go("portusd-"+st.Name, func(env Env) { d.Serve(env, l) })
 		tb.Daemons = append(tb.Daemons, d)
 	}
 	return tb, nil
+}
+
+// startMember builds storage node st's daemon on st.PMem and serves it
+// on the node's name.
+func (tb *Testbed) startMember(env Env, st *cluster.StorageNode) (*daemon.Daemon, error) {
+	dcfg := daemon.Config{
+		PMem: st.PMem, RNode: st.RNode, Fabric: tb.Cluster.Fabric,
+		NodeName: st.Name, Group: tb.Placement, Replicas: tb.replicas,
+		DeltaEnabled: true,
+	}
+	for _, f := range tb.tune {
+		f(&dcfg)
+	}
+	d, err := daemon.New(env, dcfg)
+	if err != nil {
+		return nil, err
+	}
+	l, err := tb.net.Listen(env, st.Name)
+	if err != nil {
+		return nil, err
+	}
+	env.Go("portusd-"+st.Name, func(env Env) { d.Serve(env, l) })
+	return d, nil
+}
+
+// ReplaceMember starts a fresh daemon for storage node i on the
+// namespace pm — the replacement of a member that died (listener shut
+// down through Net, daemon halted). The node first re-enters the
+// placement table at pm's capacity, because a daemon validates its own
+// membership at construction; a router's Join re-places shards onto it
+// afterwards.
+func (tb *Testbed) ReplaceMember(env Env, i int, pm *pmem.Device) (*daemon.Daemon, error) {
+	st := tb.Cluster.Storage[i]
+	st.PMem = pm
+	nodes := slices.DeleteFunc(tb.Placement.Nodes(), func(n placement.Node) bool { return n.Name == st.Name })
+	nodes = append(nodes, placement.Node{Name: st.Name, Weight: pm.DataSize()})
+	if err := tb.Placement.Update(nodes); err != nil {
+		return nil, err
+	}
+	d, err := tb.startMember(env, st)
+	if err != nil {
+		return nil, err
+	}
+	tb.Daemons[i] = d
+	return d, nil
 }
 
 // PlaceModel puts spec on (node, gpu), registers it with its owning
@@ -594,19 +637,24 @@ func (tb *Testbed) DialNode(env Env, node string) (Conn, error) {
 // replacement daemon on the same name.
 func (tb *Testbed) Net() *wire.SimNet { return tb.net }
 
-// PlaceModelOpts is PlaceModel with explicit client options. When a
-// Dialer is set it is used for the initial connection too, so every
-// connection in the client's lifetime comes from the same source; by
-// default the model's owning daemon (per the placement table) is
-// dialed.
+// PlaceModelOpts is PlaceModel with explicit client options.
 func (tb *Testbed) PlaceModelOpts(env Env, node, gpuIdx int, spec Spec, opts ClientOptions) (*Model, error) {
 	placed, err := gpu.Place(tb.Cluster.GPU(node, gpuIdx), spec)
 	if err != nil {
 		return nil, err
 	}
+	return tb.Register(env, node, placed, opts)
+}
+
+// Register registers a model already placed on one of compute node
+// `node`'s GPUs. When a Dialer is set it is used for the initial
+// connection too, so every connection in the client's lifetime comes
+// from the same source; by default the model's owning daemon (per the
+// placement table) is dialed.
+func (tb *Testbed) Register(env Env, node int, placed *gpu.PlacedModel, opts ClientOptions) (*Model, error) {
 	dial := opts.Dialer
 	if dial == nil {
-		owner := tb.Placement.Owner(spec.Name)
+		owner := tb.Placement.Owner(placed.Spec.Name)
 		dial = func(env Env) (Conn, error) { return tb.net.Dial(env, owner) }
 	}
 	conn, err := dial(env)

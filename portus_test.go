@@ -1,9 +1,15 @@
 package portus_test
 
 import (
+	"errors"
+	"runtime"
 	"testing"
+	"time"
 
 	portus "github.com/portus-sys/portus"
+	"github.com/portus-sys/portus/internal/daemon"
+	"github.com/portus-sys/portus/internal/pmem"
+	"github.com/portus-sys/portus/internal/telemetry"
 )
 
 func smallSpec(t *testing.T) portus.Spec {
@@ -257,16 +263,27 @@ func TestZooAccessors(t *testing.T) {
 func TestShardedTierPublicAPI(t *testing.T) {
 	eng := portus.NewSimulation()
 	eng.Go("experiment", func(env portus.Env) {
+		// The daemon-config hook reaches every member before it is built:
+		// each daemon ends up on the registry the hook handed its node.
+		regs := map[string]*telemetry.Registry{}
 		tb, err := portus.NewTestbed(env, portus.TestbedConfig{
 			ComputeNodes: 2, GPUsPerNode: 2,
 			GPUMemBytes: 16 << 20, PMemBytes: 32 << 20,
 			StorageNodes: 2, Materialized: true,
+		}, func(c *daemon.Config) {
+			regs[c.NodeName] = telemetry.NewRegistry()
+			c.Telemetry = regs[c.NodeName]
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(tb.Daemons) != 2 || tb.Placement.Len() != 2 {
 			t.Fatalf("testbed has %d daemons over a %d-entry table, want 2/2", len(tb.Daemons), tb.Placement.Len())
+		}
+		for _, d := range tb.Daemons {
+			if regs[d.NodeName()] == nil || d.Telemetry() != regs[d.NodeName()] {
+				t.Fatalf("daemon-config hook did not reach member %s", d.NodeName())
+			}
 		}
 		spec := portus.GPT("sharded-api", 4, 64, 512, 0)
 		sm, err := tb.PlaceSharded(env, spec, 2, 2, portus.RouterOptions{})
@@ -310,6 +327,129 @@ func TestShardedTierPublicAPI(t *testing.T) {
 		}
 	})
 	eng.Run()
+}
+
+// TestTestbedReplaceMember kills one member of a 2-node rf=2 tier,
+// starts its replacement on a fresh namespace through the testbed, and
+// requires the router's Join to rebuild every shard on it.
+func TestTestbedReplaceMember(t *testing.T) {
+	eng := portus.NewSimulation()
+	eng.Go("experiment", func(env portus.Env) {
+		built := 0
+		tb, err := portus.NewTestbed(env, portus.TestbedConfig{
+			ComputeNodes: 1, GPUsPerNode: 4,
+			GPUMemBytes: 16 << 20, PMemBytes: 32 << 20,
+			StorageNodes: 2, Replicas: 2, Materialized: true,
+		}, func(*daemon.Config) { built++ })
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, err := tb.PlaceSharded(env, portus.GPT("replace-api", 4, 64, 512, 0), 2, 2, portus.RouterOptions{Replicas: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sm.Close()
+		checkpoint := func(iter uint64) {
+			sm.ApplyUpdate(iter)
+			if err := sm.Checkpoint(env, iter); err != nil {
+				t.Fatalf("checkpoint %d: %v", iter, err)
+			}
+		}
+		checkpoint(1)
+
+		victim := tb.Cluster.Storage[1].Name
+		tb.Cluster.Fabric.CutNode(victim)
+		tb.Net().Shutdown(env, victim)
+		tb.Daemons[1].Halt(env)
+		// The checkpoint that discovers the death may name the lagging
+		// shard; from then on the survivor carries the stream alone.
+		sm.ApplyUpdate(2)
+		var lag *portus.ShardError
+		if err := sm.Checkpoint(env, 2); err != nil && !errors.As(err, &lag) {
+			t.Fatalf("checkpoint across the kill: %v", err)
+		}
+		checkpoint(3)
+
+		tb.Cluster.Fabric.RestoreNode(victim)
+		fresh := pmem.New(pmem.Config{
+			Name: victim + "/replacement", DataSize: 32 << 20, MetaSize: 16 << 20,
+			Materialized: true, Mode: pmem.Devdax,
+		})
+		d, err := tb.ReplaceMember(env, 1, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tb.Daemons[1] != d || tb.Cluster.Storage[1].PMem != fresh || built != 3 {
+			t.Fatalf("replacement not installed as member 1 (hook ran %d times, want 3)", built)
+		}
+		if err := sm.Router().Join(env, portus.PlacementNode{Name: victim, Weight: fresh.DataSize()}); err != nil {
+			t.Fatal(err)
+		}
+		for _, sh := range sm.Shards() {
+			im, err := d.Store().Lookup(sh.Spec.Name)
+			if err != nil {
+				t.Fatalf("replacement is missing shard %s: %v", sh.Spec.Name, err)
+			}
+			if _, v, ok := im.LatestDone(); !ok || v.Iteration != 3 {
+				t.Fatalf("shard %s on the replacement at iteration %d, want 3", sh.Spec.Name, v.Iteration)
+			}
+		}
+		checkpoint(4)
+		if d.Stats().Checkpoints == 0 {
+			t.Fatal("replacement served no checkpoint after rejoining")
+		}
+	})
+	eng.Run()
+}
+
+// TestServerCloseStopsDaemon: Close must take the daemon down with the
+// listeners — a still-connected model's next call fails instead of
+// being served by a server that no longer exists, and the worker pool
+// and connection handlers do not outlive it.
+func TestServerCloseStopsDaemon(t *testing.T) {
+	before := runtime.NumGoroutine()
+	srv, err := portus.NewServer(portus.ServerConfig{
+		PMemBytes: 64 << 20, MetaBytes: 16 << 20, Materialized: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve()
+	job, err := portus.NewJob(portus.JobConfig{
+		ServerCtrlAddr: srv.CtrlAddr, ServerFabricAddr: srv.FabricAddr,
+		GPUMemBytes: 32 << 20, Materialized: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := job.RegisterModel(smallSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Checkpoint(job.Env(), 1); err != nil {
+		t.Fatal(err)
+	}
+	// The assertions hold under any interleaving; the sleeps only steer
+	// towards the one that used to hang. Let the server drain the client's
+	// trace report, then let the client see the close: with nothing unread
+	// the server side sends a plain FIN, the client's next write still
+	// succeeds, and only the client knowing its connection is gone keeps
+	// the call from waiting forever.
+	time.Sleep(50 * time.Millisecond)
+	srv.Close()
+	time.Sleep(50 * time.Millisecond)
+	if err := m.Checkpoint(job.Env(), 2); err == nil {
+		t.Fatal("checkpoint against a closed server succeeded")
+	}
+	m.Close()
+	job.Close()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines outlive Server.Close (started with %d)", n, before)
+	}
 }
 
 // TestClientRestartRecoversUnderSameNodeName is the paper's recovery
