@@ -89,9 +89,10 @@ func (r *pairRig) commitOnA(t *testing.T, env sim.Env, iter uint64) *wire.Msg {
 	conn := r.dial(t, env, 0)
 	defer conn.Close()
 	dump := request(t, env, conn, &wire.Msg{Type: wire.TDump, Model: "m", Iteration: iter})
-	if dump.Type != wire.TDumpResp || dump.Iteration != iter || dump.CRC == 0 {
+	if dump.Type != wire.TDumpResp || dump.Iteration != iter {
 		t.Fatalf("DUMP of iteration %d = %+v", iter, dump)
 	}
+	requireStamp(t, dump.CRC)
 	return dump
 }
 
@@ -166,10 +167,10 @@ func TestLoadCommitsThroughTheSharedPath(t *testing.T) {
 			if got := crcMismatches(r.b) - before; got != 1 {
 				t.Fatalf("portus_daemon_crc_mismatch_total moved by %d, want 1", got)
 			}
-			for s, h := range headers(t, r.b) {
-				if h.Iteration == 2 && h.State == index.StateDone {
-					t.Fatalf("slot %d committed DONE at iteration 2 despite the CRC mismatch", s)
-				}
+			// The refused copy stays ACTIVE — never restorable — beside the
+			// committed iteration 1.
+			if s, _ := doneHeader(t, r.b, 1); headers(t, r.b)[1-s].State != index.StateActive || headers(t, r.b)[1-s].Iteration != 2 {
+				t.Fatalf("slots after the refused LOAD = %+v, want iteration 2 left ACTIVE", headers(t, r.b))
 			}
 			r.restoreFromB(t, env, 1)
 		}},

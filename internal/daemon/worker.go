@@ -5,7 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc64"
+	"hash/crc32"
 	"math"
 	"time"
 
@@ -222,8 +222,9 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 	// Integrity gate: re-fingerprint the stored copy against the stamp
 	// persisted with its DONE flag before any byte reaches GPU memory. A
 	// mismatch means this copy is torn or corrupted — the client fails
-	// over to another replica. A version stored without a stamp (a
-	// pre-CRC namespace image) has nothing to check and skips the pass.
+	// over to another replica. A version stored without a stamp (an
+	// image from before superblock format 2) has nothing to check and
+	// skips the pass.
 	if v.CRC != 0 {
 		if got, ok := d.verifyCRC(m, slot, v.CRC); !ok {
 			d.finish(env, t, nil, nil, errMsg(wire.TRestore, wire.ErrCodeCorrupt, v.Iteration, m.Name,
@@ -336,30 +337,33 @@ func (d *Daemon) verifyCRC(m *index.Model, slot int, want uint64) (got uint64, o
 	return got, true
 }
 
-// contentCRC fingerprints one version slot's tensor extents: the hash
-// of the actual PMem bytes in materialized mode, or of the extents'
-// content fingerprints in virtual mode (Fingerprint, not StampOf: a
-// delta-written slot holds pulled and copied-forward fragments side by
-// side, which StampOf cannot summarize; on an unfragmented extent the
-// two are identical, so pre-delta CRCs still verify). Replicas that
-// assembled the same content compute the same value, so the stamp
-// identifies the copy's content, not its location or how it got there.
+// contentCRC stamps one version slot's tensor extents: CRC-32C (the
+// checksum iSCSI, ext4 and RocksDB use for this job, one SSE4.2
+// instruction per 8 bytes) of the actual PMem bytes, hashed in place, in
+// materialized mode, or of the extents' content fingerprints in virtual
+// mode (Fingerprint, not StampOf: a delta-written slot holds pulled and
+// copied-forward fragments side by side, which StampOf cannot
+// summarize). Bit 32 is always set, so a stamp can never read as 0, the
+// header's "stored without a stamp". Replicas that assembled the same
+// content compute the same value, so the stamp identifies the copy's
+// content, not its location or how it got there.
 func (d *Daemon) contentCRC(m *index.Model, slot int) uint64 {
-	h := crc64.New(crcTable)
+	h := crc32.New(castagnoli)
+	data := d.cfg.PMem.Data()
 	var b [8]byte
 	for i := range m.Tensors {
 		ext := m.TensorData(i, slot)
-		if d.cfg.PMem.Materialized() {
-			h.Write(d.cfg.PMem.Data().Bytes(ext.Off, ext.Size))
+		if data.Materialized() {
+			data.HashTo(h, ext.Off, ext.Size)
 		} else {
-			binary.LittleEndian.PutUint64(b[:], d.cfg.PMem.Data().Fingerprint(ext.Off, ext.Size))
+			binary.LittleEndian.PutUint64(b[:], data.Fingerprint(ext.Off, ext.Size))
 			h.Write(b[:])
 		}
 	}
-	return h.Sum64()
+	return 1<<32 | uint64(h.Sum32())
 }
 
-var crcTable = crc64.MakeTable(crc64.ECMA)
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func flushCost(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / float64(perfmodel.MiB) * float64(perfmodel.FlushPerMiB))

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -130,4 +131,102 @@ func TestTargetedCorruption(t *testing.T) {
 	if _, err := s2.Lookup("alpha"); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("tensor-count corruption: err = %v, want ErrCorrupt", err)
 	}
+}
+
+// TestSuperblockFormatIsRead: Format writes format 2; a format-1 image
+// (CRC-64 stamps) opens with every version's stamp dropped — DONE and
+// restorable, nothing to check — and is format 2 from then on, however
+// many times power fails during the upgrade; formats this build does not
+// know are refused.
+func TestSuperblockFormatIsRead(t *testing.T) {
+	const legacyStamp = 0xfeedfacecafebeef // what a CRC-64 stamp looks like
+	v1Image := func() *pmem.Device {
+		pm := buildValidImage(t)
+		s, err := Open(pm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"alpha", "beta"} {
+			m, err := s.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetDoneCRC(0, 7, time.Unix(0, 1), legacyStamp)
+		}
+		setFormat(pm, 1)
+		return pm
+	}
+	format := func(pm *pmem.Device) uint64 {
+		return binary.LittleEndian.Uint64(pm.MetaBytes(sbVersion, 8))
+	}
+	checkUpgraded := func(t *testing.T, pm *pmem.Device, s *Store) {
+		t.Helper()
+		for _, name := range []string{"alpha", "beta"} {
+			m, err := s.Lookup(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h := m.VersionHeader(0); h.State != StateDone || h.Iteration != 7 || h.CRC != 0 {
+				t.Fatalf("%s slot 0 after the upgrade = %+v, want DONE at 7 without a stamp", name, h)
+			}
+		}
+		pm.Crash() // the upgrade must be durable, not just visible
+		if got := format(pm); got != formatVersion {
+			t.Fatalf("superblock format after the upgrade = %d, want %d", got, formatVersion)
+		}
+	}
+
+	if got := format(buildValidImage(t)); got != 2 {
+		t.Fatalf("Format wrote superblock format %d, want 2", got)
+	}
+
+	pm := v1Image()
+	s, err := Open(pm)
+	if err != nil {
+		t.Fatalf("format-1 image refused: %v", err)
+	}
+	checkUpgraded(t, pm, s)
+	// The next commit stamps the new way, and a reopen keeps it.
+	m, _ := s.Lookup("alpha")
+	m.SetActive(1, 8)
+	m.SetDoneCRC(1, 8, time.Unix(0, 2), 1<<32|0xc0ffee)
+	if s, err = Open(pm); err != nil {
+		t.Fatal(err)
+	}
+	m, _ = s.Lookup("alpha")
+	if h := m.VersionHeader(1); h.CRC != 1<<32|0xc0ffee {
+		t.Fatalf("a format-2 stamp did not survive a reopen: %+v", h)
+	}
+
+	// Power fails after each persist of the upgrade in turn.
+	for k := int64(0); ; k++ {
+		pm := v1Image()
+		pm.FailAfter(k)
+		if _, err := Open(pm); err != nil {
+			t.Fatal(err)
+		}
+		finished := !pm.Dark()
+		pm.Crash()
+		s, err := Open(pm)
+		if err != nil {
+			t.Fatalf("reopen after power failed at persist %d of the upgrade: %v", k, err)
+		}
+		checkUpgraded(t, pm, s)
+		if finished {
+			break
+		}
+	}
+
+	for _, bad := range []uint64{0, 3, 1 << 40} {
+		pm := buildValidImage(t)
+		setFormat(pm, bad)
+		if _, err := Open(pm); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("superblock format %d: err = %v, want ErrCorrupt", bad, err)
+		}
+	}
+}
+
+func setFormat(pm *pmem.Device, v uint64) {
+	pm.WriteMeta(sbVersion, binary.LittleEndian.AppendUint64(nil, v))
+	pm.FlushMeta(sbVersion, 8)
 }

@@ -64,6 +64,12 @@ const (
 	headerMin = 32
 )
 
+// formatVersion is the superblock's format number. Format 1 stamped DONE
+// versions with CRC-64/ECMA; format 2 stamps them with CRC-32C. Open
+// upgrades a format-1 image by dropping its stamps (dropLegacyStamps),
+// so the tree verifies exactly one kind of stamp.
+const formatVersion = 2
+
 // Superblock field offsets.
 const (
 	sbMagic    = 0
@@ -267,7 +273,7 @@ func Format(pm *pmem.Device, tableCap int64) (*Store, error) {
 	}
 	sb := make([]byte, superSize)
 	binary.LittleEndian.PutUint64(sb[sbMagic:], superMagic)
-	binary.LittleEndian.PutUint64(sb[sbVersion:], 1)
+	binary.LittleEndian.PutUint64(sb[sbVersion:], formatVersion)
 	binary.LittleEndian.PutUint64(sb[sbTableOff:], uint64(tableBase))
 	binary.LittleEndian.PutUint64(sb[sbTableCap:], uint64(tableCap))
 	binary.LittleEndian.PutUint64(sb[sbCountGen:], 0)
@@ -285,6 +291,10 @@ func Open(pm *pmem.Device) (*Store, error) {
 	sb := pm.MetaBytes(0, superSize)
 	if binary.LittleEndian.Uint64(sb[sbMagic:]) != superMagic {
 		return nil, ErrNotFormatted
+	}
+	format := binary.LittleEndian.Uint64(sb[sbVersion:])
+	if format < 1 || format > formatVersion {
+		return nil, fmt.Errorf("%w: superblock format %d, this build reads 1..%d", ErrCorrupt, format, formatVersion)
 	}
 	countGen := binary.LittleEndian.Uint64(sb[sbCountGen:])
 	s := &Store{
@@ -318,7 +328,37 @@ func Open(pm *pmem.Device) (*Store, error) {
 	s.alloc = a
 	s.rebuildMIndexFree()
 	s.rebuildDelta()
+	if format < formatVersion {
+		s.dropLegacyStamps()
+	}
 	return s, nil
+}
+
+// dropLegacyStamps upgrades a format-1 image in place: every version
+// header's stamp is zeroed — a DONE version with stamp 0 is "stored
+// without a stamp, nothing to check", restorable as it always was, and
+// its slot's next checkpoint stamps it afresh — and only then does the
+// superblock say format 2. A crash in between leaves a format-1 image
+// with some stamps already gone, which the next Open finishes.
+func (s *Store) dropLegacyStamps() {
+	var b [8]byte
+	for i := int64(0); i < s.modelCount; i++ {
+		name, infoOff := s.entryAt(i)
+		if name == "" {
+			continue
+		}
+		m, err := s.loadMIndex(infoOff)
+		if err != nil {
+			continue // unreadable record: no header to trust
+		}
+		for slot := 0; slot < 2; slot++ {
+			s.pm.WriteMeta(m.verOff(slot)+24, b[:])
+			s.pm.Persist8(m.verOff(slot) + 24)
+		}
+	}
+	binary.LittleEndian.PutUint64(b[:], formatVersion)
+	s.pm.WriteMeta(sbVersion, b[:])
+	s.pm.Persist8(sbVersion)
 }
 
 // rebuildMIndexFree reconstructs the dead-record free list from the gaps
@@ -787,8 +827,9 @@ type Version struct {
 	State     uint64
 	Iteration uint64
 	SavedAt   time.Time
-	// CRC is the content fingerprint stamped when the version was
-	// marked DONE (zero when written by the CRC-less SetDone path).
+	// CRC is the content stamp persisted with the DONE flag: 1<<32 |
+	// CRC-32C of the slot's content, or zero when the version carries no
+	// stamp (the SetDone path, or an image upgraded from format 1).
 	CRC uint64
 }
 

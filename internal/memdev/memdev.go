@@ -14,9 +14,12 @@ package memdev
 import (
 	"encoding/binary"
 	"fmt"
+	"hash"
 	"hash/fnv"
+	"io"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Kind labels what a device models.
@@ -53,6 +56,9 @@ type Device struct {
 	size         int64
 	materialized bool
 
+	// id orders the two device locks a materialized Copy nests.
+	id uint64
+
 	mu     sync.Mutex
 	data   []byte       // materialized mode
 	stamps []stampEntry // virtual mode: disjoint stamped regions
@@ -80,12 +86,15 @@ func (e stampEntry) complete() bool { return e.srcOff == 0 && e.srcLen == e.n }
 // the device allocates real backing bytes; otherwise it tracks content
 // stamps only.
 func New(name string, kind Kind, size int64, materialized bool) *Device {
-	d := &Device{name: name, kind: kind, size: size, materialized: materialized}
+	d := &Device{name: name, kind: kind, size: size, materialized: materialized, id: lastID.Add(1)}
 	if materialized {
 		d.data = make([]byte, size)
 	}
 	return d
 }
+
+// lastID numbers devices in creation order.
+var lastID atomic.Uint64
 
 // Name returns the device's name.
 func (d *Device) Name() string { return d.name }
@@ -154,6 +163,81 @@ func (d *Device) Bytes(off, n int64) []byte {
 	p := make([]byte, n)
 	d.Read(off, p)
 	return p
+}
+
+// streamPiece bounds the bounce buffer StreamTo and StreamFrom move a
+// region through: large enough that the per-piece lock and call overhead
+// vanishes, small enough that a pooled buffer per in-flight verb is noise.
+const streamPiece = 256 << 10
+
+var bouncePool = sync.Pool{New: func() any { return new([streamPiece]byte) }}
+
+// StreamTo writes region [off, off+n) to w without materializing it: the
+// region crosses a pooled bounce buffer one piece at a time. The device
+// lock is the happens-before edge between this reader and concurrent
+// writers of the device, and it is held for each piece's memcpy only —
+// never across w.Write, which may be a socket that stalls for as long as
+// the peer likes while other lanes and tenants use the same device.
+// (Handing w an alias of d.data would save the memcpy but has no such
+// edge: a TCP socket orders nothing.) The device must be materialized.
+func (d *Device) StreamTo(w io.Writer, off, n int64) error {
+	d.check(off, n)
+	if !d.materialized {
+		panic("memdev: StreamTo on virtual device; use StampOf")
+	}
+	buf := bouncePool.Get().(*[streamPiece]byte)
+	defer bouncePool.Put(buf)
+	for n > 0 {
+		p := buf[:min(n, streamPiece)]
+		d.Read(off, p)
+		if _, err := w.Write(p); err != nil {
+			return err
+		}
+		off += int64(len(p))
+		n -= int64(len(p))
+	}
+	return nil
+}
+
+// StreamFrom fills region [off, off+n) from r, the inverse of StreamTo
+// under the same lock rule: r is read, unlocked, until a piece of the
+// bounce buffer is full, and the piece lands under the device lock. On
+// error the region holds the bytes that arrived before it. The device
+// must be materialized.
+func (d *Device) StreamFrom(r io.Reader, off, n int64) error {
+	d.check(off, n)
+	if !d.materialized {
+		panic("memdev: StreamFrom on virtual device; use WriteStamp")
+	}
+	buf := bouncePool.Get().(*[streamPiece]byte)
+	defer bouncePool.Put(buf)
+	for n > 0 {
+		p := buf[:min(n, streamPiece)]
+		got, err := io.ReadFull(r, p)
+		d.Write(off, p[:got])
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return err
+		}
+		off += int64(got)
+		n -= int64(got)
+	}
+	return nil
+}
+
+// HashTo feeds region [off, off+n) to h in place — no copy of the region
+// is made; the device lock is held while h runs over it. The device must
+// be materialized.
+func (d *Device) HashTo(h hash.Hash, off, n int64) {
+	d.check(off, n)
+	if !d.materialized {
+		panic("memdev: HashTo on virtual device; use Fingerprint")
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	h.Write(d.data[off : off+n])
 }
 
 // WriteStamp records that region [off, off+n) now holds content with the
@@ -390,13 +474,13 @@ func (d *Device) fragmentsLocked(off, n int64) []stampEntry {
 // exactly match a stamped region.
 func (d *Device) StampOf(off, n int64) uint64 {
 	d.check(off, n)
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if d.materialized {
 		h := fnv.New64a()
-		h.Write(d.data[off : off+n])
+		d.HashTo(h, off, n)
 		return h.Sum64()
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if i := d.searchLocked(off); i < len(d.stamps) {
 		if e := d.stamps[i]; e.off == off && e.n == n && e.complete() {
 			return e.stamp
@@ -419,13 +503,11 @@ func (d *Device) StampOf(off, n int64) uint64 {
 // copy-forwards of the same content.
 func (d *Device) Fingerprint(off, n int64) uint64 {
 	d.check(off, n)
+	if d.materialized {
+		return d.StampOf(off, n)
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if d.materialized {
-		h := fnv.New64a()
-		h.Write(d.data[off : off+n])
-		return h.Sum64()
-	}
 	if i := d.searchLocked(off); i < len(d.stamps) {
 		if e := d.stamps[i]; e.off == off && e.n == n && e.complete() {
 			return e.stamp
@@ -464,8 +546,20 @@ func Copy(dst *Device, dstOff int64, src *Device, srcOff, n int64) {
 		return
 	}
 	if dst.materialized {
-		buf := src.Bytes(srcOff, n)
-		dst.Write(dstOff, buf)
+		// One memmove between the backing slices, under both locks taken
+		// in creation order so that concurrent A→B and B→A copies cannot
+		// deadlock (a self-copy takes its one lock once).
+		first, second := src, dst
+		if second.id < first.id {
+			first, second = second, first
+		}
+		first.mu.Lock()
+		if second != first {
+			second.mu.Lock()
+			defer second.mu.Unlock()
+		}
+		defer first.mu.Unlock()
+		copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
 		return
 	}
 	// Collect the covering fragments under the source lock, then splice

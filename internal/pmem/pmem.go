@@ -244,8 +244,12 @@ func (d *Device) Crash() {
 		d.data, d.dataDur = fresh.data, fresh.dataDur
 		return
 	}
-	d.meta.Restore(d.metaDur.Snapshot())
-	d.data.Restore(d.dataDur.Snapshot())
+	memdev.Copy(d.meta, 0, d.metaDur, 0, d.cfg.MetaSize)
+	if d.cfg.Materialized {
+		memdev.Copy(d.data, 0, d.dataDur, 0, d.cfg.DataSize)
+	} else {
+		d.data.Restore(d.dataDur.Snapshot())
+	}
 }
 
 // Image file format.
@@ -271,11 +275,11 @@ func (d *Device) SaveImage(w io.Writer) error {
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("pmem: write image header: %w", err)
 	}
-	if _, err := w.Write(d.metaDur.Bytes(0, d.cfg.MetaSize)); err != nil {
+	if err := d.metaDur.StreamTo(w, 0, d.cfg.MetaSize); err != nil {
 		return fmt.Errorf("pmem: write meta zone: %w", err)
 	}
 	if d.cfg.Materialized {
-		if _, err := w.Write(d.dataDur.Bytes(0, d.cfg.DataSize)); err != nil {
+		if err := d.dataDur.StreamTo(w, 0, d.cfg.DataSize); err != nil {
 			return fmt.Errorf("pmem: write data zone: %w", err)
 		}
 		return nil
@@ -316,19 +320,15 @@ func LoadImage(name string, r io.Reader) (*Device, error) {
 		Materialized: p[24] == 1,
 	}
 	d := New(cfg)
-	meta := make([]byte, cfg.MetaSize)
-	if _, err := io.ReadFull(r, meta); err != nil {
+	if err := d.metaDur.StreamFrom(r, 0, cfg.MetaSize); err != nil {
 		return nil, fmt.Errorf("pmem: read meta zone: %w", err)
 	}
-	d.meta.Write(0, meta)
-	d.metaDur.Write(0, meta)
+	memdev.Copy(d.meta, 0, d.metaDur, 0, cfg.MetaSize)
 	if cfg.Materialized {
-		data := make([]byte, cfg.DataSize)
-		if _, err := io.ReadFull(r, data); err != nil {
+		if err := d.dataDur.StreamFrom(r, 0, cfg.DataSize); err != nil {
 			return nil, fmt.Errorf("pmem: read data zone: %w", err)
 		}
-		d.data.Write(0, data)
-		d.dataDur.Write(0, data)
+		memdev.Copy(d.data, 0, d.dataDur, 0, cfg.DataSize)
 		return d, nil
 	}
 	var cnt [8]byte

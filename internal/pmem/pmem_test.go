@@ -2,6 +2,8 @@ package pmem
 
 import (
 	"bytes"
+	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -212,5 +214,77 @@ func TestImageFileRoundTrip(t *testing.T) {
 func TestLoadImageRejectsGarbage(t *testing.T) {
 	if _, err := LoadImage("x", bytes.NewReader([]byte("not an image at all........"))); err == nil {
 		t.Fatal("LoadImage accepted garbage")
+	}
+}
+
+// TestImageRoundTripByteIdentical: the image is header | meta zone | data
+// zone exactly as the durable devices hold them, a loaded namespace
+// equals the saved one zone for zone, and saving it again reproduces the
+// image byte for byte.
+func TestImageRoundTripByteIdentical(t *testing.T) {
+	d := New(Config{Name: "pm", DataSize: 1<<20 + 4099, MetaSize: 300<<10 + 7, Materialized: true})
+	rng := rand.New(rand.NewSource(1))
+	meta, data := make([]byte, d.MetaSize()), make([]byte, d.DataSize())
+	rng.Read(meta)
+	rng.Read(data)
+	d.WriteMeta(0, meta)
+	d.FlushMeta(0, d.MetaSize())
+	d.Data().Write(0, data)
+	d.FlushData(0, d.DataSize())
+	d.Data().Write(100, []byte("volatile: not in the image"))
+
+	var img bytes.Buffer
+	if err := d.SaveImage(&img); err != nil {
+		t.Fatal(err)
+	}
+	saved := append([]byte(nil), img.Bytes()...)
+	if body := saved[len(saved)-len(meta)-len(data):]; !bytes.Equal(body[:len(meta)], meta) || !bytes.Equal(body[len(meta):], data) {
+		t.Fatal("image body is not the durable meta zone followed by the durable data zone")
+	}
+	got, err := LoadImage("copy", &img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.MetaBytes(0, got.MetaSize()), meta) || !bytes.Equal(got.Data().Bytes(0, got.DataSize()), data) {
+		t.Fatal("loaded namespace differs from the saved one")
+	}
+	var again bytes.Buffer
+	if err := got.SaveImage(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), saved) {
+		t.Fatal("re-saving a loaded image changed it")
+	}
+	if _, err := LoadImage("torn", bytes.NewReader(saved[:len(saved)-1])); err == nil {
+		t.Fatal("an image one byte short loaded")
+	}
+}
+
+// TestCrashAndFlushMaterializeNothing: reverting a 64 MiB namespace to
+// its durable image, and flushing into it, copy zone to zone — neither
+// allocates a temporary the size of what it moves.
+func TestCrashAndFlushMaterializeNothing(t *testing.T) {
+	const size = 64 << 20
+	d := New(Config{Name: "pm", DataSize: size, Materialized: true})
+	d.Data().Write(size-8, []byte("durable!"))
+	d.FlushData(0, size)
+	d.Data().Write(size-8, []byte("volatile"))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	d.Crash()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("Crash on a 64 MiB namespace allocated %d bytes, want < 1 MiB", got)
+	}
+	if got := d.Data().Bytes(size-8, 8); string(got) != "durable!" {
+		t.Fatalf("after Crash the zone holds %q", got)
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		d.FlushData(0, size/4)
+		d.FlushMeta(0, 4096)
+		d.Persist8(64)
+	}); n != 0 {
+		t.Fatalf("flushing allocates %v objects per run", n)
 	}
 }

@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -43,8 +44,25 @@ type TCPFabric struct {
 // serialized.
 type agentConn struct {
 	mu sync.Mutex
-	c  net.Conn
+	peerConn
 }
+
+// peerConn is one end of an agent connection. The two small buffers
+// coalesce a frame's header, and a small body with it, into one syscall
+// each way; a bulk body bypasses them (bufio hands a slice larger than
+// its buffer straight to the socket), so it is never staged here.
+type peerConn struct {
+	c  net.Conn
+	br *bufio.Reader
+	bw *bufio.Writer
+}
+
+func newPeerConn(c net.Conn) peerConn {
+	return peerConn{c: c, br: bufio.NewReaderSize(c, connBuf), bw: bufio.NewWriterSize(c, connBuf)}
+}
+
+// connBuf holds any verb header plus a 4 KiB page of payload.
+const connBuf = 4096 + 64
 
 // NewTCPFabric creates a fabric using env (normally a RealEnv) for its
 // receive queues.
@@ -125,18 +143,126 @@ func (f *TCPFabric) Close() {
 	}
 }
 
-// Wire opcodes.
+// Wire format. Every message is a length-prefixed frame:
+//
+//	request: u32 len | op | READ/WRITE: rkey off len [payload] | SEND: u16 qpLen qp u64 size bytes
+//	reply:   u32 len | status | status 0: [payload] | status 1: error text
+//	payload: mode | raw bytes (materialized) or u64 stamp (virtual)
+//
+// The length is known before the first byte is sent, so neither side
+// builds a frame in memory: the sender writes the header and streams the
+// region out of its device, the receiver parses the header and streams
+// the body into the destination extent.
 const (
 	opRead  = 1
 	opWrite = 2
 	opSend  = 3
-)
 
-// Payload modes.
-const (
 	payloadBytes = 0
 	payloadStamp = 1
+
+	maxFrame   = 1 << 30
+	maxErrText = 4 << 10
+	oneSided   = 24 // rkey | off | len
 )
+
+// refusal is a verb declined with the connection still in sync: the
+// frame that carried it was consumed whole, so the next verb can follow.
+// Any other error out of the frame code means the stream position is
+// unknown and the connection must be closed.
+type refusal struct{ error }
+
+func refusef(format string, a ...any) error { return refusal{fmt.Errorf(format, a...)} }
+
+// region is a byte range of a device: what a payload is streamed out of
+// or into. The zero region (no device) stands for "no payload".
+type region struct {
+	dev    *memdev.Device
+	off, n int64
+}
+
+// payloadSize is the encoded size of the region's content.
+func (g region) payloadSize() int64 {
+	if g.dev.Materialized() {
+		return 1 + g.n
+	}
+	return 1 + 8
+}
+
+// writePayload encodes the region's content: raw bytes streamed from a
+// materialized device, the content stamp of a virtual one.
+func (g region) writePayload(w *bufio.Writer) error {
+	if g.dev.Materialized() {
+		if err := w.WriteByte(payloadBytes); err != nil {
+			return err
+		}
+		return g.dev.StreamTo(w, g.off, g.n)
+	}
+	b := append(w.AvailableBuffer(), payloadStamp)
+	_, err := w.Write(binary.LittleEndian.AppendUint64(b, g.dev.StampOf(g.off, g.n)))
+	return err
+}
+
+// readPayload consumes a size-byte payload into the region. One that
+// does not fit — wrong mode for the device, wrong length — is drained
+// and refused before a byte of it reaches the device.
+func (g region) readPayload(r *bufio.Reader, size int64) error {
+	if size < 1 {
+		return refusef("rdma: empty payload")
+	}
+	mode, err := r.ReadByte()
+	if err != nil {
+		return err
+	}
+	size--
+	var why error
+	switch {
+	case mode > payloadStamp:
+		why = refusef("rdma: unknown payload mode %d", mode)
+	case mode == payloadBytes && !g.dev.Materialized():
+		why = refusef("%w: raw bytes for virtual device %s", ErrModeMismatch, g.dev.Name())
+	case mode == payloadStamp && g.dev.Materialized():
+		why = refusef("%w: stamp for materialized device %s", ErrModeMismatch, g.dev.Name())
+	case mode == payloadBytes && size != g.n:
+		why = refusef("rdma: payload length %d, want %d", size, g.n)
+	case mode == payloadStamp && size != 8:
+		why = refusef("rdma: bad stamp payload length %d", size)
+	}
+	if why != nil {
+		return drain(r, size, why)
+	}
+	if mode == payloadBytes {
+		return g.dev.StreamFrom(r, g.off, g.n)
+	}
+	b, err := r.Peek(8)
+	if err != nil {
+		return err
+	}
+	g.dev.WriteStamp(g.off, g.n, binary.LittleEndian.Uint64(b))
+	return drain(r, 8, nil)
+}
+
+// drain skips the n bytes left of a frame and returns why — unless the
+// stream fails first, which is the error that then matters.
+func drain(r *bufio.Reader, n int64, why error) error {
+	if _, err := r.Discard(int(n)); err != nil {
+		return err
+	}
+	return why
+}
+
+// readFrameLen reads a frame's length prefix.
+func readFrameLen(r *bufio.Reader) (int64, error) {
+	b, err := r.Peek(4)
+	if err != nil {
+		return 0, err
+	}
+	n := int64(binary.LittleEndian.Uint32(b))
+	if n > maxFrame {
+		return 0, fmt.Errorf("rdma: oversized frame (%d bytes)", n)
+	}
+	return n, drain(r, 4, nil)
+}
 
 func (f *TCPFabric) dial(remote string) (*agentConn, error) {
 	f.mu.Lock()
@@ -153,7 +279,7 @@ func (f *TCPFabric) dial(remote string) (*agentConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rdma: dial agent %s: %w", remote, err)
 	}
-	ac := &agentConn{c: c}
+	ac := &agentConn{peerConn: newPeerConn(c)}
 	f.mu.Lock()
 	if prev, ok := f.conns[remote]; ok {
 		f.mu.Unlock()
@@ -165,20 +291,23 @@ func (f *TCPFabric) dial(remote string) (*agentConn, error) {
 	return ac, nil
 }
 
-// roundTrip sends one request frame to remote's agent and returns the
-// body of its reply. A transport error evicts the cached connection, so
+// call runs one verb against remote's agent — the only request path and
+// the only reply path. The request is the fields head appends after the
+// length prefix, then out's content (WRITE); a successful reply's
+// payload lands in in (READ). A refusal, the agent's or this side's,
+// leaves the cached connection in place; a transport error evicts it, so
 // the next verb redials instead of failing forever on a socket whose
 // peer went away.
-func (f *TCPFabric) roundTrip(remote, verb string, req []byte) ([]byte, error) {
+func (f *TCPFabric) call(remote, verb string, head func(b []byte) []byte, out, in region) error {
 	ac, err := f.dial(remote)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
-	var resp []byte
-	if err = writeFrame(ac.c, req); err == nil {
-		resp, err = readFrame(ac.c)
+	err = ac.roundTrip(verb, head, out, in)
+	if declined, ok := err.(refusal); ok {
+		return declined.error
 	}
 	if err != nil {
 		ac.c.Close()
@@ -187,68 +316,118 @@ func (f *TCPFabric) roundTrip(remote, verb string, req []byte) ([]byte, error) {
 			delete(f.conns, remote)
 		}
 		f.mu.Unlock()
-		return nil, err
 	}
-	if len(resp) == 0 {
-		return nil, fmt.Errorf("rdma: remote %s: empty reply", verb)
+	return err
+}
+
+// writeFrame sends one frame: b, whose first four bytes it fills in with
+// the frame length, followed by payload's content.
+func (pc *peerConn) writeFrame(b []byte, payload region) error {
+	size := int64(len(b) - 4)
+	if payload.dev != nil {
+		size += payload.payloadSize()
 	}
-	if resp[0] != 0 {
-		return nil, fmt.Errorf("rdma: remote %s: %s", verb, resp[1:])
+	if size > maxFrame {
+		return refusef("rdma: %d-byte frame exceeds the limit", size) // nothing sent: still in sync
 	}
-	return resp[1:], nil
+	binary.LittleEndian.PutUint32(b, uint32(size))
+	if _, err := pc.bw.Write(b); err != nil {
+		return fmt.Errorf("rdma: write frame header: %w", err)
+	}
+	if payload.dev != nil {
+		if err := payload.writePayload(pc.bw); err != nil {
+			return fmt.Errorf("rdma: write frame body: %w", err)
+		}
+	}
+	if err := pc.bw.Flush(); err != nil {
+		return fmt.Errorf("rdma: write frame: %w", err)
+	}
+	return nil
+}
+
+func (pc *peerConn) roundTrip(verb string, head func(b []byte) []byte, out, in region) error {
+	if err := pc.writeFrame(head(append(pc.bw.AvailableBuffer(), 0, 0, 0, 0)), out); err != nil {
+		return err
+	}
+	size, err := readFrameLen(pc.br)
+	if err != nil {
+		return err
+	}
+	if size < 1 {
+		return refusef("rdma: remote %s: empty reply", verb)
+	}
+	status, err := pc.br.ReadByte()
+	if err != nil {
+		return fmt.Errorf("rdma: read frame body: %w", err)
+	}
+	size--
+	switch {
+	case status != 0:
+		text := make([]byte, min(size, maxErrText))
+		if _, err := io.ReadFull(pc.br, text); err != nil {
+			return fmt.Errorf("rdma: read frame body: %w", err)
+		}
+		return drain(pc.br, size-int64(len(text)), refusef("rdma: remote %s: %s", verb, text))
+	case in.dev == nil:
+		return drain(pc.br, size, nil)
+	}
+	err = in.readPayload(pc.br, size)
+	if _, declined := err.(refusal); err != nil && !declined {
+		err = fmt.Errorf("rdma: read frame body: %w", err)
+	}
+	return err
+}
+
+// oneSidedHead encodes the fields of a READ or WRITE request.
+func oneSidedHead(op byte, r RemoteSlice) func(b []byte) []byte {
+	return func(b []byte) []byte {
+		b = append(b, op)
+		b = binary.LittleEndian.AppendUint64(b, r.MR.RKey)
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Off))
+		return binary.LittleEndian.AppendUint64(b, uint64(r.Len))
+	}
+}
+
+// localRegion resolves a local slice to the device range behind it.
+func localRegion(local *Node, l Slice, r RemoteSlice) (region, error) {
+	if l.Len != r.Len {
+		return region{}, fmt.Errorf("rdma: length mismatch: local %d, remote %d", l.Len, r.Len)
+	}
+	lmr, err := local.lookup(l.MR.RKey, l.Off, l.Len)
+	if err != nil {
+		return region{}, err
+	}
+	return region{dev: lmr.Dev, off: lmr.Off + l.Off, n: l.Len}, nil
 }
 
 // Read pulls r into l by asking the remote agent for the region content.
 func (f *TCPFabric) Read(env sim.Env, local *Node, l Slice, r RemoteSlice) error {
-	if l.Len != r.Len {
-		return fmt.Errorf("rdma: length mismatch: local %d, remote %d", l.Len, r.Len)
-	}
-	lmr, err := local.lookup(l.MR.RKey, l.Off, l.Len)
+	g, err := localRegion(local, l, r)
 	if err != nil {
 		return err
 	}
-	req := make([]byte, 0, 32)
-	req = append(req, opRead)
-	req = binary.LittleEndian.AppendUint64(req, r.MR.RKey)
-	req = binary.LittleEndian.AppendUint64(req, uint64(r.Off))
-	req = binary.LittleEndian.AppendUint64(req, uint64(r.Len))
-	payload, err := f.roundTrip(r.MR.Node, "read", req)
-	if err != nil {
-		return err
-	}
-	return applyPayload(lmr.Dev, lmr.Off+l.Off, l.Len, payload)
+	return f.call(r.MR.Node, "read", oneSidedHead(opRead, r), region{}, g)
 }
 
 // Write pushes l into r by shipping the region content to the remote
 // agent.
 func (f *TCPFabric) Write(env sim.Env, local *Node, l Slice, r RemoteSlice) error {
-	if l.Len != r.Len {
-		return fmt.Errorf("rdma: length mismatch: local %d, remote %d", l.Len, r.Len)
-	}
-	lmr, err := local.lookup(l.MR.RKey, l.Off, l.Len)
+	g, err := localRegion(local, l, r)
 	if err != nil {
 		return err
 	}
-	req := make([]byte, 0, 64)
-	req = append(req, opWrite)
-	req = binary.LittleEndian.AppendUint64(req, r.MR.RKey)
-	req = binary.LittleEndian.AppendUint64(req, uint64(r.Off))
-	req = binary.LittleEndian.AppendUint64(req, uint64(r.Len))
-	req = appendPayload(req, lmr.Dev, lmr.Off+l.Off, l.Len)
-	_, err = f.roundTrip(r.MR.Node, "write", req)
-	return err
+	return f.call(r.MR.Node, "write", oneSidedHead(opWrite, r), g, region{})
 }
 
 // Send delivers payload to the remote node's (qp) receive queue.
 func (f *TCPFabric) Send(env sim.Env, local *Node, remote, qp string, payload []byte, size int64) error {
-	req := make([]byte, 0, 64+len(payload))
-	req = append(req, opSend)
-	req = binary.LittleEndian.AppendUint16(req, uint16(len(qp)))
-	req = append(req, qp...)
-	req = binary.LittleEndian.AppendUint64(req, uint64(size))
-	req = append(req, payload...)
-	_, err := f.roundTrip(remote, "send", req)
-	return err
+	return f.call(remote, "send", func(b []byte) []byte {
+		b = append(b, opSend)
+		b = binary.LittleEndian.AppendUint16(b, uint16(len(qp)))
+		b = append(b, qp...)
+		b = binary.LittleEndian.AppendUint64(b, uint64(size))
+		return append(b, payload...)
+	}, region{}, region{})
 }
 
 // Recv blocks until a message for (local, qp) arrives.
@@ -272,7 +451,8 @@ func (f *TCPFabric) box(node, qp string) *sim.Mailbox[simMsg] {
 	return b
 }
 
-// serveConn handles one peer connection against node's MR table.
+// serveConn handles one peer connection against node's MR table until
+// the stream is lost.
 func (f *TCPFabric) serveConn(n *Node, c net.Conn) {
 	f.mu.Lock()
 	f.served[c] = struct{}{}
@@ -283,134 +463,96 @@ func (f *TCPFabric) serveConn(n *Node, c net.Conn) {
 		delete(f.served, c)
 		f.mu.Unlock()
 	}()
-	for {
-		req, err := readFrame(c)
-		if err != nil {
-			return
-		}
-		resp := f.handle(n, req)
-		if err := writeFrame(c, resp); err != nil {
-			return
-		}
+	pc := newPeerConn(c)
+	for f.serveOne(n, &pc) == nil {
 	}
 }
 
-func (f *TCPFabric) handle(n *Node, req []byte) []byte {
-	fail := func(err error) []byte { return append([]byte{1}, err.Error()...) }
-	if len(req) < 1 {
-		return fail(fmt.Errorf("empty request"))
+// serveOne answers one request frame. A refused request is answered with
+// its reason and is not an error here: the connection carries on.
+func (f *TCPFabric) serveOne(n *Node, pc *peerConn) error {
+	size, err := readFrameLen(pc.br)
+	if err != nil {
+		return err
 	}
-	switch req[0] {
-	case opRead:
-		if len(req) < 25 {
-			return fail(fmt.Errorf("short read request"))
+	reply, err := f.handle(n, pc.br, size)
+	b := append(pc.bw.AvailableBuffer(), 0, 0, 0, 0)
+	if declined, ok := err.(refusal); ok {
+		b = append(append(b, 1), declined.Error()...)
+	} else if err != nil {
+		return err
+	} else {
+		b = append(b, 0)
+	}
+	return pc.writeFrame(b, reply)
+}
+
+// handle consumes the size bytes of one request and carries it out. For
+// a READ it returns the region whose content is the reply. The MR is
+// looked up before a WRITE's body is touched, so a body aimed at a bad
+// rkey or outside the region is drained, never written.
+func (f *TCPFabric) handle(n *Node, r *bufio.Reader, size int64) (reply region, err error) {
+	if size < 1 {
+		return region{}, refusef("empty request")
+	}
+	op, err := r.ReadByte()
+	if err != nil {
+		return region{}, err
+	}
+	size--
+	switch op {
+	case opRead, opWrite:
+		if size < oneSided {
+			return region{}, drain(r, size, refusef("short request"))
 		}
-		rkey := binary.LittleEndian.Uint64(req[1:])
-		off := int64(binary.LittleEndian.Uint64(req[9:]))
-		length := int64(binary.LittleEndian.Uint64(req[17:]))
+		b, err := r.Peek(oneSided)
+		if err != nil {
+			return region{}, err
+		}
+		rkey := binary.LittleEndian.Uint64(b)
+		off := int64(binary.LittleEndian.Uint64(b[8:]))
+		length := int64(binary.LittleEndian.Uint64(b[16:]))
+		if err := drain(r, oneSided, nil); err != nil {
+			return region{}, err
+		}
+		size -= oneSided
 		mr, err := n.lookup(rkey, off, length)
 		if err != nil {
-			return fail(err)
+			return region{}, drain(r, size, refusal{err})
 		}
-		return appendPayload([]byte{0}, mr.Dev, mr.Off+off, length)
-	case opWrite:
-		if len(req) < 26 {
-			return fail(fmt.Errorf("short write request"))
+		g := region{dev: mr.Dev, off: mr.Off + off, n: length}
+		if op == opWrite {
+			return region{}, g.readPayload(r, size)
 		}
-		rkey := binary.LittleEndian.Uint64(req[1:])
-		off := int64(binary.LittleEndian.Uint64(req[9:]))
-		length := int64(binary.LittleEndian.Uint64(req[17:]))
-		mr, err := n.lookup(rkey, off, length)
-		if err != nil {
-			return fail(err)
+		switch {
+		case size != 0:
+			return region{}, drain(r, size, refusef("read request with a %d-byte body", size))
+		case g.payloadSize() > maxFrame-1:
+			return region{}, refusef("read of %d bytes exceeds the frame limit", length)
 		}
-		if err := applyPayload(mr.Dev, mr.Off+off, length, req[25:]); err != nil {
-			return fail(err)
-		}
-		return []byte{0}
+		return g, nil
 	case opSend:
-		if len(req) < 3 {
-			return fail(fmt.Errorf("short send request"))
+		// The message is handed to its receiver, so it is read into memory
+		// — as its bytes arrive, not sized by what the header claims.
+		req, err := io.ReadAll(io.LimitReader(r, size))
+		if err == nil && int64(len(req)) < size {
+			err = io.ErrUnexpectedEOF
 		}
-		qpLen := int(binary.LittleEndian.Uint16(req[1:]))
-		if len(req) < 3+qpLen+8 {
-			return fail(fmt.Errorf("short send request"))
+		if err != nil {
+			return region{}, err
 		}
-		qp := string(req[3 : 3+qpLen])
-		size := int64(binary.LittleEndian.Uint64(req[3+qpLen:]))
-		payload := append([]byte(nil), req[3+qpLen+8:]...)
-		f.box(n.name, qp).Send(f.env, simMsg{payload: payload, size: size})
-		return []byte{0}
+		if len(req) < 2 {
+			return region{}, refusef("short send request")
+		}
+		qpLen := int(binary.LittleEndian.Uint16(req))
+		if len(req) < 2+qpLen+8 {
+			return region{}, refusef("short send request")
+		}
+		qp := string(req[2 : 2+qpLen])
+		msgSize := int64(binary.LittleEndian.Uint64(req[2+qpLen:]))
+		f.box(n.name, qp).Send(f.env, simMsg{payload: req[2+qpLen+8:], size: msgSize})
+		return region{}, nil
 	default:
-		return fail(fmt.Errorf("unknown op %d", req[0]))
+		return region{}, drain(r, size, refusef("unknown op %d", op))
 	}
-}
-
-// appendPayload encodes the content of a device region: raw bytes for
-// materialized devices, an 8-byte stamp for virtual ones.
-func appendPayload(dst []byte, dev *memdev.Device, off, n int64) []byte {
-	if dev.Materialized() {
-		dst = append(dst, payloadBytes)
-		return append(dst, dev.Bytes(off, n)...)
-	}
-	dst = append(dst, payloadStamp)
-	return binary.LittleEndian.AppendUint64(dst, dev.StampOf(off, n))
-}
-
-// applyPayload decodes a payload into a device region.
-func applyPayload(dev *memdev.Device, off, n int64, payload []byte) error {
-	if len(payload) < 1 {
-		return fmt.Errorf("rdma: empty payload")
-	}
-	switch payload[0] {
-	case payloadBytes:
-		if !dev.Materialized() {
-			return fmt.Errorf("%w: raw bytes for virtual device %s", ErrModeMismatch, dev.Name())
-		}
-		if int64(len(payload)-1) != n {
-			return fmt.Errorf("rdma: payload length %d, want %d", len(payload)-1, n)
-		}
-		dev.Write(off, payload[1:])
-	case payloadStamp:
-		if dev.Materialized() {
-			return fmt.Errorf("%w: stamp for materialized device %s", ErrModeMismatch, dev.Name())
-		}
-		if len(payload) != 9 {
-			return fmt.Errorf("rdma: bad stamp payload length %d", len(payload))
-		}
-		dev.WriteStamp(off, n, binary.LittleEndian.Uint64(payload[1:]))
-	default:
-		return fmt.Errorf("rdma: unknown payload mode %d", payload[0])
-	}
-	return nil
-}
-
-// writeFrame writes a length-prefixed frame.
-func writeFrame(w io.Writer, p []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(p)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return fmt.Errorf("rdma: write frame header: %w", err)
-	}
-	if _, err := w.Write(p); err != nil {
-		return fmt.Errorf("rdma: write frame body: %w", err)
-	}
-	return nil
-}
-
-// readFrame reads a length-prefixed frame.
-func readFrame(r io.Reader) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	n := binary.LittleEndian.Uint32(hdr[:])
-	if n > 1<<30 {
-		return nil, fmt.Errorf("rdma: oversized frame (%d bytes)", n)
-	}
-	p := make([]byte, n)
-	if _, err := io.ReadFull(r, p); err != nil {
-		return nil, fmt.Errorf("rdma: read frame body: %w", err)
-	}
-	return p, nil
 }
