@@ -612,13 +612,14 @@ func (c *Client) CheckpointAsync(env sim.Env, iteration uint64) (*Completion, er
 	// With delta enabled, fingerprint the resident weights before the
 	// request goes out: the digest vector rides on DO_CHECKPOINT so the
 	// daemon can pull only the blocks that changed. The hash pass is
-	// charged to the client (it is memory-bandwidth bound, ~40ms for a
-	// 6 GB model — small next to the transfer it saves).
+	// charged to the client's virtual clock (it is memory-bandwidth
+	// bound, ~40ms for a 6 GB model — small next to the transfer it
+	// saves); on a real environment the pass itself is the cost.
 	var digests []uint64
 	if block := c.opts.DeltaBlockBytes; block > 0 {
 		dg := tr.Root.Child("digest", t0)
 		digests = c.model.BlockDigests(block)
-		env.Sleep(perfmodel.DigestTime(c.model.Spec.TotalSize()))
+		sim.Charge(env, perfmodel.DigestTime(c.model.Spec.TotalSize()))
 		dg.EndAt(env.Now())
 	}
 	r, sent, err := c.request(env, tr, &wire.Msg{Type: wire.TDoCheckpoint, Model: c.model.Spec.Name, Iteration: iteration,

@@ -1,6 +1,8 @@
 package daemon_test
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"github.com/portus-sys/portus/internal/client"
@@ -10,6 +12,7 @@ import (
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/pmem"
 	"github.com/portus-sys/portus/internal/sim"
+	"github.com/portus-sys/portus/internal/telemetry"
 	"github.com/portus-sys/portus/internal/wire"
 )
 
@@ -202,6 +205,134 @@ func TestDeltaBlockPinRejectsMismatch(t *testing.T) {
 		}
 		if n := fallbacks(d); n != 2 {
 			t.Fatalf("counted %d fallbacks, want 2", n)
+		}
+	})
+	eng.Run()
+}
+
+// TestUntaggedDigestTablesFallBackOnce: digest tables persisted by a
+// build whose layout hash carried no digest-kind tag (its digests were
+// FNV-64a, not the CRC pair) survive a reopen but are never diffed. The
+// first checkpoint after the reopen falls back to a full pull for want
+// of a trusted table; the ladder then re-arms exactly as for a new
+// model, and the delta-assembled version restores byte-identical.
+func TestUntaggedDigestTablesFallBackOnce(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		cl, err := cluster.New(env, cluster.Config{
+			ComputeNodes: 1, GPUsPerNode: 1,
+			GPUMemBytes: 8 << 20, PMemBytes: 16 << 20, Materialized: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pm := cl.Storage[0].PMem
+		placed, err := gpu.Place(cl.GPU(0, 0), model.GPT("m", 2, 32, 128, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := placed.Spec.TotalSize()
+		net := wire.NewSimNet()
+		boot := func(name string) (*daemon.Daemon, *client.Client) {
+			d, err := daemon.New(env, daemon.Config{
+				PMem: pm, RNode: cl.Storage[0].RNode, Fabric: cl.Fabric, DeltaEnabled: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := net.Listen(env, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.Go("serve-"+name, func(env sim.Env) { d.Serve(env, l) })
+			conn, err := net.Dial(env, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := client.RegisterOpts(env, conn, cl.Compute[0].RNode, placed,
+				client.Options{DeltaBlockBytes: deltaBlock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d, c
+		}
+		checkpoint := func(c *client.Client, iter uint64) {
+			placed.ApplySparseUpdate(iter, deltaBlock, 0.05)
+			if err := c.CheckpointSync(env, iter); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		// Run the ladder to a true delta, so both slots carry a table.
+		old, c := boot("before")
+		placed.ApplyUpdate(1)
+		if err := c.CheckpointSync(env, 1); err != nil {
+			t.Fatal(err)
+		}
+		checkpoint(c, 2)
+		checkpoint(c, 3)
+		if got := old.Stats().BytesPulled; got >= 3*total {
+			t.Fatalf("third checkpoint was not a delta: %d bytes pulled", got)
+		}
+		c.Close()
+		// Re-persist both tables as the untagged build left them: the
+		// layout hash over (block size, tensor sizes) alone.
+		m, err := old.Store().Lookup("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(binary.LittleEndian.AppendUint64(nil, uint64(deltaBlock)))
+		for _, tm := range m.Tensors {
+			h.Write(binary.LittleEndian.AppendUint64(nil, uint64(tm.Size)))
+		}
+		for slot := 0; slot < 2; slot++ {
+			tab, ok := old.Store().DeltaGet(m, slot)
+			if !ok {
+				t.Fatalf("slot %d has no digest table", slot)
+			}
+			tab.Layout = h.Sum64()
+			if err := old.Store().DeltaPut(m, slot, tab); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pm.Crash()
+
+		d, c := boot("after")
+		defer c.Close()
+		reasons := func() []string {
+			var out []string
+			for _, ev := range d.Events().Snapshot() {
+				if ev.Kind == telemetry.EvDeltaFallback {
+					out = append(out, ev.Detail)
+				}
+			}
+			return out
+		}
+		checkpoint(c, 4)
+		if got := d.Stats().BytesPulled; got != total {
+			t.Fatalf("first checkpoint after reopen pulled %d bytes, want full %d", got, total)
+		}
+		if r := reasons(); len(r) != 1 || r[0] != "previous version has no trusted digest table" {
+			t.Fatalf("fallback reasons %q", r)
+		}
+		// The other slot's table is still untagged, so nothing can skip:
+		// one more full pull, the same warm-up a new model pays.
+		checkpoint(c, 5)
+		checkpoint(c, 6)
+		if pulled := d.Stats().BytesPulled - 2*total; pulled <= 0 || pulled >= total/2 {
+			t.Fatalf("third checkpoint after reopen pulled %d of %d bytes", pulled, total)
+		}
+		if n := fallbacks(d); n != 2 {
+			t.Fatalf("counted %d fallbacks after reopen, want 2", n)
+		}
+		want := placed.BlockDigests(deltaBlock)
+		placed.ApplyUpdate(9)
+		if iter, err := c.Restore(env); err != nil || iter != 6 {
+			t.Fatalf("restore = %d, %v", iter, err)
+		}
+		if bad := placed.VerifyDigests(deltaBlock, want); bad != -1 {
+			t.Fatalf("block %d wrong after restore", bad)
 		}
 	})
 	eng.Run()

@@ -3,10 +3,12 @@ package datapath_test
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"github.com/portus-sys/portus/internal/datapath"
 	"github.com/portus-sys/portus/internal/memdev"
 	"github.com/portus-sys/portus/internal/perfmodel"
+	"github.com/portus-sys/portus/internal/rdma"
 	"github.com/portus-sys/portus/internal/sim"
 	"github.com/portus-sys/portus/internal/telemetry"
 )
@@ -146,4 +148,86 @@ func newDeltaRig(env sim.Env, size int64) *rig {
 	r.pm = pm2
 	r.cx.LocalMR = r.cx.Local.RegisterMR(env, pm2, 0, 2*size)
 	return r
+}
+
+// TestCopyForwardVirtualCost: on the virtual clock each copy-forward
+// span costs its modeled PMem read+write time plus its flush cost, in
+// series, and the Result reports exactly that sum.
+func TestCopyForwardVirtualCost(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		const size = int64(2 << 20)
+		r := newDeltaRig(env, size)
+		e := r.engine(env, 1, 1)
+		spans := []datapath.CopySpan{
+			{Name: "t0", DstOff: size, SrcOff: 0, Size: 64 << 10},
+			{Name: "t0", DstOff: size + 1<<20, SrcOff: 1 << 20, Size: 1<<20 - 4096},
+		}
+		var want time.Duration
+		for _, s := range spans {
+			flush := time.Duration(float64(s.Size) / float64(perfmodel.MiB) * float64(perfmodel.FlushPerMiB))
+			want += perfmodel.PMemCopyTime(s.Size) + flush
+		}
+		t0 := env.Now()
+		res, err := e.CopyForward(env, r.cx, spans, func(dst, src, n int64) error {
+			memdev.Copy(r.pm, dst, r.pm, src, n)
+			return nil
+		}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Transfer != want || env.Now()-t0 != want {
+			t.Fatalf("copy-forward charged %v (clock %v), want %v", res.Transfer, env.Now()-t0, want)
+		}
+	})
+	eng.Run()
+}
+
+// TestDeltaPullChargesVirtualClockOnly: a delta plan's per-verb issue
+// and flush costs land on the virtual clock exactly as a full plan's
+// with the same chunks would, striped or not — and on a real
+// environment they cost no wall time.
+func TestDeltaPullChargesVirtualClockOnly(t *testing.T) {
+	const size = int64(2 << 20)
+	delta := datapath.NewDeltaPlan([]datapath.Extent{
+		{Tensor: 0, Name: "t0", TensorOff: 0, PMemOff: size, Size: 64 << 10},
+		{Tensor: 0, Name: "t0", TensorOff: 512 << 10, PMemOff: size + 512<<10, Size: 192 << 10},
+		{Tensor: 0, Name: "t0", TensorOff: 1 << 20, PMemOff: size + 1<<20, Size: 64 << 10},
+	}, 0)
+	plain := datapath.Plan{Chunks: delta.Chunks, Bytes: delta.Bytes}
+	for _, shape := range []struct{ depth, lanes int }{{1, 1}, {2, 2}} {
+		var got [2]datapath.Result
+		for i, p := range []datapath.Plan{plain, delta} {
+			eng := sim.NewEngine()
+			eng.Go("test", func(env sim.Env) {
+				r := newDeltaRig(env, size)
+				res, err := r.engine(env, shape.depth, shape.lanes).Pull(env, r.cx, p, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[i] = res
+			})
+			eng.Run()
+		}
+		if got[0] != got[1] {
+			t.Fatalf("depth %d lanes %d: delta pull %+v, same chunks as a full plan %+v",
+				shape.depth, shape.lanes, got[1], got[0])
+		}
+	}
+
+	env := sim.NewRealEnv()
+	r := newDeltaRig(env, size)
+	e := datapath.New(datapath.Config{
+		Lanes:     rdma.ConnectLanes(env, r.storage, 1),
+		IssueCost: time.Second,
+		Flush:     func(off, n int64) error { return nil },
+		FlushCost: func(int64) time.Duration { return time.Second },
+	})
+	t0 := time.Now()
+	if _, err := e.Pull(env, r.cx, delta, nil); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(t0); took > 500*time.Millisecond {
+		t.Fatalf("delta pull on a real environment took %v: modeled costs slept", took)
+	}
 }

@@ -198,6 +198,9 @@ type run struct {
 	verb  string
 	root  *telemetry.Span
 	stage *telemetry.Span
+	// charge spends a modeled cost (per-verb issue, flush): env.Sleep,
+	// or sim.Charge where the wall clock already pays for the work.
+	charge func(sim.Env, time.Duration)
 
 	// work feeds the lane processes of a striped run and takes back the
 	// chunk of a quarantined lane; nil when one lane runs inline. Sends
@@ -225,7 +228,7 @@ type run struct {
 
 // newRun opens the stage span under root and resolves the lane set: the
 // context's leased subset when one is set, else the engine's full set.
-func (e *Engine) newRun(env sim.Env, cx *Context, root *telemetry.Span, verb string, total int) *run {
+func (e *Engine) newRun(env sim.Env, cx *Context, root *telemetry.Span, verb string, total int, charge func(sim.Env, time.Duration)) *run {
 	if root == nil {
 		root = &telemetry.Span{}
 	}
@@ -236,7 +239,7 @@ func (e *Engine) newRun(env sim.Env, cx *Context, root *telemetry.Span, verb str
 	now := env.Now()
 	return &run{
 		e: e, cx: cx, lanes: lanes, verb: verb,
-		root: root, stage: root.Child(verb, now),
+		root: root, stage: root.Child(verb, now), charge: charge,
 		lastEnd: now, total: total, healthy: len(lanes),
 	}
 }
@@ -451,7 +454,7 @@ func (r *run) attempt(env sim.Env, lcx *Context, qp *rdma.QP, it *workItem, cons
 	sp := r.stage.Child(it.c.spanName(r.verb), env.Now())
 	r.mu.Unlock()
 
-	env.Sleep(e.cfg.IssueCost)
+	r.charge(env, e.cfg.IssueCost)
 	var err error
 	if r.verb == "push" {
 		err = r.strategy().Push(env, lcx, it.c)
@@ -515,14 +518,14 @@ func (r *run) returnToken(env sim.Env) {
 // last error once the budget is spent. It is the only caller of
 // cfg.Flush, so pulled chunks and copy-forward spans heal alike and no
 // path can report success with an unflushed range. Every attempt pays
-// the CLWB cost here — except a batched flush, whose caller charges one
+// the CLWB cost — except a batched flush, whose caller charges one
 // whole-batch cost afterwards: there only a re-flush pays, on top.
 func (r *run) flush(env sim.Env, name string, off, n int64, batched bool) error {
 	e := r.e
 	for attempts := 1; ; attempts++ {
 		err := e.cfg.Flush(off, n)
 		if !batched {
-			env.Sleep(e.cfg.FlushCost(n))
+			r.charge(env, e.cfg.FlushCost(n))
 		}
 		if err == nil || attempts >= e.maxAttempts() {
 			return err
@@ -581,8 +584,18 @@ func (r *run) flushBehind(env sim.Env) *sim.Signal {
 // then the whole batch is flushed — the paper's datapath, with the
 // pre-engine timing and span structure. Otherwise chunks flush behind
 // the transfers (see flushBehind).
+//
+// A delta plan (NewDeltaPlan) charges its per-verb issue and flush
+// costs on the virtual clock only, like CopyForward: its many small
+// chunks would otherwise each pay a timer wake-up on a real environment,
+// far above the few µs modeled, and the pull's wall time would follow
+// host load instead of the bytes moved.
 func (e *Engine) Pull(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
-	r := e.newRun(env, cx, root, "pull", len(p.Chunks))
+	charge := sim.Env.Sleep
+	if p.delta {
+		charge = sim.Charge
+	}
+	r := e.newRun(env, cx, root, "pull", len(p.Chunks), charge)
 	behind := e.cfg.Depth > 1 || len(r.lanes) > 1
 	if behind {
 		drained := r.flushBehind(env)
@@ -608,7 +621,7 @@ func (e *Engine) Pull(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (R
 				return r.result(Result{}), fmt.Errorf("flushing %s: %w", c.Name, err)
 			}
 		}
-		env.Sleep(e.cfg.FlushCost(r.moved))
+		r.charge(env, e.cfg.FlushCost(r.moved))
 	}
 	end := env.Now()
 	flush.EndAt(end)
@@ -637,17 +650,18 @@ type CopyFn func(dstOff, srcOff, n int64) error
 // flag exactly as after a full Pull. A torn flush heals under the retry
 // policy like a pulled chunk's; one that outlasts the budget fails the
 // run. Time is charged per span from the modeled PMem read + write
-// bandwidth plus the standard flush cost. Under root it builds a
-// "copy-forward" span with one child per span.
+// bandwidth plus the standard flush cost, on the virtual clock only: on
+// a real environment the memmove and the flush are the cost. Under root
+// it builds a "copy-forward" span with one child per span.
 func (e *Engine) CopyForward(env sim.Env, cx *Context, spans []CopySpan, cp CopyFn, root *telemetry.Span) (Result, error) {
-	r := e.newRun(env, cx, root, "copy-forward", len(spans))
+	r := e.newRun(env, cx, root, "copy-forward", len(spans), sim.Charge)
 	var copied int64
 	for _, s := range spans {
 		sp := r.stage.Child("copy:"+s.Name, env.Now())
 		what := "copy-forward"
 		err := cp(s.DstOff, s.SrcOff, s.Size)
 		if err == nil {
-			env.Sleep(perfmodel.PMemCopyTime(s.Size))
+			r.charge(env, perfmodel.PMemCopyTime(s.Size))
 			what, err = "copy-forward flush", r.flush(env, s.Name, s.DstOff, s.Size, false)
 		}
 		if err != nil {
@@ -671,7 +685,7 @@ func (e *Engine) CopyForward(env sim.Env, cx *Context, spans []CopySpan, cp Copy
 // striped — with no flush stage. Under root it builds a "push" span
 // with one child per chunk attempt.
 func (e *Engine) Push(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
-	r := e.newRun(env, cx, root, "push", len(p.Chunks))
+	r := e.newRun(env, cx, root, "push", len(p.Chunks), sim.Env.Sleep)
 	r.transfer(env, p.Chunks)
 	r.stage.EndAt(env.Now())
 	if r.err != nil {

@@ -65,6 +65,7 @@ func (c Chunk) spanName(verb string) string {
 type Plan struct {
 	Chunks []Chunk
 	Bytes  int64
+	delta  bool // built by NewDeltaPlan; see Engine.Pull
 }
 
 // Extent is a dirty byte range of one tensor, produced by the delta
@@ -89,7 +90,7 @@ func NewDeltaPlan(extents []Extent, chunkSize int64) Plan {
 	if chunkSize > 0 && chunkSize < perfmodel.MinChunk {
 		chunkSize = perfmodel.MinChunk
 	}
-	var p Plan
+	p := Plan{delta: true}
 	for _, x := range extents {
 		p.Bytes += x.Size
 		n := 1

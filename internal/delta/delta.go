@@ -10,9 +10,9 @@
 // Blocks never span tensors: tensor i contributes ceil(size_i/block)
 // blocks, the last one possibly short, and the model's digest vector is
 // the concatenation of the per-tensor block digests in registration
-// order. A layout hash over (block size, tensor sizes) guards every
-// comparison — vectors from different layouts are never diffed, they
-// force a full checkpoint instead.
+// order. A layout hash over (digest kind, block size, tensor sizes)
+// guards every comparison — vectors from different layouts are never
+// diffed, they force a full checkpoint instead.
 //
 // The package is pure data-plane math: it knows nothing about PMem,
 // RDMA, or the wire protocol. The client computes digests over GPU
@@ -42,11 +42,19 @@ func BlockCount(sizes []int64, block int64) int {
 	return int(n)
 }
 
-// LayoutHash fingerprints the blocking layout (block size plus every
-// tensor size, in order). Two digest vectors are comparable only when
-// their layout hashes agree.
+// digestKind names the block digest function: on materialized memory,
+// memdev.Device.Fingerprint's CRC-32C/CRC-32 pair. LayoutHash mixes it
+// in, so a table persisted under another digest function (the FNV-64a
+// digests of earlier builds) never matches and its model falls back to
+// one full pull instead of diffing incomparable digests.
+const digestKind = "crc32c|crc32"
+
+// LayoutHash fingerprints the blocking layout (digest kind, block size
+// plus every tensor size, in order). Two digest vectors are comparable
+// only when their layout hashes agree.
 func LayoutHash(sizes []int64, block int64) uint64 {
 	h := fnv.New64a()
+	h.Write([]byte(digestKind))
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(block))
 	h.Write(b[:])

@@ -67,19 +67,25 @@ func FillRegion(d *memdev.Device, off, n int64, seed uint64) {
 // Pattern returns n deterministic bytes derived from seed (a splitmix64
 // stream), used as synthetic tensor weights.
 func Pattern(n int64, seed uint64) []byte {
-	out := make([]byte, n)
+	return fillPattern(make([]byte, n), seed)
+}
+
+// fillPattern overwrites buf with the pattern of length len(buf) derived
+// from seed and returns it, so a caller writing many regions can reuse
+// one buffer.
+func fillPattern(buf []byte, seed uint64) []byte {
 	x := seed
 	var word [8]byte
-	for i := int64(0); i < n; i += 8 {
+	for i := 0; i < len(buf); i += 8 {
 		x += 0x9e3779b97f4a7c15
 		z := x
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 		z ^= z >> 31
 		binary.LittleEndian.PutUint64(word[:], z)
-		copy(out[i:], word[:])
+		copy(buf[i:], word[:])
 	}
-	return out
+	return buf
 }
 
 // PatternStamp returns the FNV-64a hash of Pattern(n, seed), i.e. the

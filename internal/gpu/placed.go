@@ -18,6 +18,8 @@ type PlacedModel struct {
 	// Iteration tracks the training step whose weights currently occupy
 	// the tensors (advanced by ApplyUpdate).
 	Iteration uint64
+
+	blockBuf []byte // ApplySparseUpdate's reused block buffer
 }
 
 // Place allocates every tensor of spec on g and fills iteration-0
@@ -59,6 +61,13 @@ func (p *PlacedModel) ApplySparseUpdate(iteration uint64, blockBytes int64, rate
 	// dirty blocks tensor-by-tensor yields an ascending batch; virtual
 	// devices apply it in one merge pass instead of a write per block.
 	var batch []memdev.StampRegion
+	var buf []byte // materialized: one block buffer, refilled per dirty block
+	if mem.Materialized() {
+		if int64(len(p.blockBuf)) < blockBytes {
+			p.blockBuf = make([]byte, blockBytes)
+		}
+		buf = p.blockBuf
+	}
 	for i, tm := range p.Spec.Tensors {
 		base := p.Offs[i]
 		for off := int64(0); off < tm.Size; off += blockBytes {
@@ -70,8 +79,8 @@ func (p *PlacedModel) ApplySparseUpdate(iteration uint64, blockBytes int64, rate
 				continue
 			}
 			seed := blockSeed(p.Spec.TensorSeed(i, iteration), uint64(off/blockBytes))
-			if mem.Materialized() {
-				FillRegion(mem, base+off, n, seed)
+			if buf != nil {
+				mem.Write(base+off, fillPattern(buf[:n], seed))
 			} else {
 				batch = append(batch, memdev.StampRegion{Off: base + off, N: n, Stamp: seed})
 			}

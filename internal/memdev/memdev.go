@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash"
+	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"sort"
@@ -492,10 +493,13 @@ func (d *Device) StampOf(off, n int64) uint64 {
 // Fingerprint returns a content fingerprint of region [off, off+n) that
 // is defined in both modes, including fragmented virtual regions where
 // StampOf gives up with 0. On a materialized device it hashes the bytes
-// (identical to StampOf). On a virtual device a region exactly covered
-// by one complete entry returns that entry's raw stamp — again identical
-// to StampOf, so whole-region fingerprints stay comparable across both
-// APIs — while any other coverage hashes the covering fragment run
+// in place under the device lock with two hardware CRCs of different
+// generators — CRC-32C in the high word, CRC-32 (IEEE) in the low — so
+// the digest keeps 64 bits of discrimination at CRC speed; it is not
+// StampOf's hash. On a virtual device a region exactly covered by one
+// complete entry returns that entry's raw stamp — identical to StampOf,
+// so whole-region virtual fingerprints stay comparable across both APIs —
+// while any other coverage hashes the covering fragment run
 // (relative offset, length, stamp, and parent position of each piece,
 // gaps included as stamp-0 pieces), so changing any piece's content
 // changes the fingerprint. Copies preserve fragment identity, which
@@ -503,11 +507,12 @@ func (d *Device) StampOf(off, n int64) uint64 {
 // copy-forwards of the same content.
 func (d *Device) Fingerprint(off, n int64) uint64 {
 	d.check(off, n)
-	if d.materialized {
-		return d.StampOf(off, n)
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	if d.materialized {
+		b := d.data[off : off+n]
+		return uint64(crc32.Checksum(b, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(b))
+	}
 	if i := d.searchLocked(off); i < len(d.stamps) {
 		if e := d.stamps[i]; e.off == off && e.n == n && e.complete() {
 			return e.stamp
@@ -528,6 +533,8 @@ func (d *Device) Fingerprint(off, n int64) uint64 {
 	}
 	return h.Sum64()
 }
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Copy moves n bytes from src[srcOff] to dst[dstOff]. Both devices must
 // be in the same mode; in materialized mode real bytes are copied, in

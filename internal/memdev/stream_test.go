@@ -186,3 +186,27 @@ func TestSelfCopyIsMemmoveProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFingerprintSeesEveryBitProperty: flipping any one bit of a 64 KiB
+// block changes its materialized Fingerprint, which is the CRC-32C /
+// CRC-32 pair over the block's bytes.
+func TestFingerprintSeesEveryBitProperty(t *testing.T) {
+	const block = 64 << 10
+	d := filled("d", block, 3)
+	orig := d.Fingerprint(0, block)
+	b := d.Bytes(0, block)
+	if want := uint64(crc32.Checksum(b, castagnoli))<<32 | uint64(crc32.ChecksumIEEE(b)); orig != want {
+		t.Fatalf("Fingerprint = %016x, want the CRC pair %016x", orig, want)
+	}
+	flip := func(bit uint32) bool {
+		at, mask := int64(bit/8%block), byte(1)<<(bit%8)
+		p := d.Bytes(at, 1)
+		d.Write(at, []byte{p[0] ^ mask})
+		changed := d.Fingerprint(0, block) != orig
+		d.Write(at, p)
+		return changed
+	}
+	if err := quick.Check(flip, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -359,3 +359,25 @@ func TestRealEnvGroup(t *testing.T) {
 		t.Fatalf("only %d workers ran", len(sum))
 	}
 }
+
+// TestChargeIsVirtualOnly: a modeled cost advances the sim clock by
+// exactly d and costs a real environment nothing.
+func TestChargeIsVirtualOnly(t *testing.T) {
+	const d = 1500 * time.Millisecond
+	e := NewEngine()
+	var elapsed time.Duration
+	e.Go("x", func(env Env) {
+		t0 := env.Now()
+		Charge(env, d)
+		elapsed = env.Now() - t0
+	})
+	e.Run()
+	if elapsed != d {
+		t.Fatalf("sim clock advanced %v, want exactly %v", elapsed, d)
+	}
+	start := time.Now()
+	Charge(NewRealEnv(), time.Hour)
+	if time.Since(start) > 100*time.Millisecond {
+		t.Fatal("Charge under RealEnv should return at once")
+	}
+}

@@ -28,6 +28,17 @@ type Env interface {
 	IsSim() bool
 }
 
+// Charge spends a modeled cost d on the virtual clock: it sleeps under
+// simulation and returns at once under a real environment, where the
+// wall clock already pays for the work the model stands for. Costs of
+// work that really runs (a memmove, a flush, a hash pass) are charged
+// this way; PipelineTransfer follows the same rule.
+func Charge(env Env, d time.Duration) {
+	if env.IsSim() {
+		env.Sleep(d)
+	}
+}
+
 // simEnv is the per-process Env for the discrete-event engine.
 type simEnv struct {
 	eng *Engine
