@@ -24,12 +24,18 @@ bench-test:
 # the count the simplicity acceptance bars are stated in, tree-wide and
 # for the packages those bars have named.
 LOC = xargs cat | grep -vE '^\s*(//|$$)' | wc -l
+# Fields of struct $(1) in file $(2): the lines of its body that are not
+# comments or blank (one field per line, as gofmt leaves them here).
+FIELDS = awk '/^type $(1) struct \{/{f=1;next} f&&/^\}/{exit} f&&!/^[[:space:]]*(\/\/|$$)/{n++} END{print n}' $(2)
 loc:
 	@echo "tree:                        $$(find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' -not -path './.bench_build/*' | $(LOC))"
 	@for d in daemon datapath client experiments; do \
 		printf '%-28s %s\n' "internal/$$d:" "$$(find ./internal/$$d -name '*.go' -not -name '*_test.go' | $(LOC))"; \
 	done
 	@echo "internal/datapath/engine.go: $$(echo internal/datapath/engine.go | $(LOC))"
+	@echo "portusd flags:               $$(grep -cE '^\s*fs\.[A-Z][A-Za-z0-9]*\(' cmd/portusd/main.go)"
+	@echo "portus.ServerConfig fields:  $$($(call FIELDS,ServerConfig,portus.go))"
+	@echo "daemon.Config fields:        $$($(call FIELDS,Config,internal/daemon/daemon.go))"
 
 # Fault-injection sweep at a fixed seed: proves committed checkpoints
 # survive verb errors, dropped connections, and torn flushes.

@@ -32,41 +32,43 @@ import (
 	"github.com/portus-sys/portus/internal/telemetry"
 )
 
+// options is portusd's command line: the server configuration plus what
+// main itself acts on.
+type options struct {
+	cfg              portus.ServerConfig
+	pmemGiB, metaMiB int64
+	image            string
+	verbose          bool
+}
+
+// newFlags binds portusd's flags to o.
+func newFlags(o *options) *flag.FlagSet {
+	fs := flag.NewFlagSet("portusd", flag.ExitOnError)
+	cfg := &o.cfg
+	fs.Var((*peerList)(&cfg.Peers), "peer", "storage-group member as NAME,CTRL_ADDR,FABRIC_ADDR[,WEIGHT_GIB]; repeat per peer (this daemon is added automatically)")
+	fs.StringVar(&cfg.CtrlAddr, "ctrl", "127.0.0.1:7470", "control-plane listen address")
+	fs.StringVar(&cfg.FabricAddr, "fabric", "127.0.0.1:7471", "soft-RDMA agent listen address")
+	fs.StringVar(&cfg.NodeName, "node-name", "storage", "this daemon's storage-node name within its group")
+	fs.IntVar(&cfg.Replicas, "replicas", 1, "storage-group replication factor: shards are accepted on their top-N rendezvous owners and checkpoints fan out to all of them")
+	fs.BoolVar(&cfg.Materialized, "materialized", false, "store real checkpoint bytes instead of content fingerprints")
+	fs.StringVar(&cfg.AdminAddr, "admin", "", "admin HTTP listen address serving /metrics, /debug/traces, /debug/events, /debug/pprof, /healthz (empty = disabled)")
+	fs.DurationVar(&cfg.SlowBudget, "slow-budget", 0, "slow-transfer watchdog budget: transfers slower than this are counted and their trace + event window captured at /debug/events (0 = disabled)")
+	fs.Int64Var(&o.pmemGiB, "pmem-gib", 4, "devdax data-zone capacity in GiB")
+	fs.Int64Var(&o.metaMiB, "meta-mib", 64, "metadata-zone capacity in MiB")
+	fs.StringVar(&o.image, "image", "", "namespace image path: loaded at startup if present, saved at shutdown")
+	fs.BoolVar(&o.verbose, "verbose", false, "log a one-line summary for every completed checkpoint and restore")
+	return fs
+}
+
 func main() {
-	var cfg portus.ServerConfig
-	flag.Var((*peerList)(&cfg.Peers), "peer", "storage-group member as NAME,CTRL_ADDR,FABRIC_ADDR[,WEIGHT_GIB]; repeat per peer (this daemon is added automatically)")
-	flag.StringVar(&cfg.CtrlAddr, "ctrl", "127.0.0.1:7470", "control-plane listen address")
-	flag.StringVar(&cfg.FabricAddr, "fabric", "127.0.0.1:7471", "soft-RDMA agent listen address")
-	flag.StringVar(&cfg.NodeName, "node-name", "storage", "this daemon's storage-node name within its group")
-	flag.IntVar(&cfg.Replicas, "replicas", 1, "storage-group replication factor: shards are accepted on their top-N rendezvous owners and checkpoints fan out to all of them")
-	flag.IntVar(&cfg.Workers, "workers", 8, "daemon thread-pool width")
-	flag.IntVar(&cfg.QueueCap, "queue-cap", 0, "total queued requests across all models before BUSY backpressure (0 = default 64, negative = unbounded)")
-	flag.IntVar(&cfg.ModelQueueCap, "model-queue-cap", 0, "queued requests per model before BUSY backpressure (0 = default 8, negative = unbounded)")
-	flag.BoolVar(&cfg.Materialized, "materialized", false, "store real checkpoint bytes instead of content fingerprints")
-	flag.StringVar(&cfg.AdminAddr, "admin", "", "admin HTTP listen address serving /metrics, /debug/traces, /debug/events, /debug/pprof, /healthz (empty = disabled)")
-	flag.IntVar(&cfg.PipelineDepth, "depth", 1, "datapath pipeline depth: chunks in flight past the pull stage (>= 2 overlaps flush with pull)")
-	flag.IntVar(&cfg.Lanes, "lanes", 1, "queue-pair lanes checkpoint/restore transfers stripe chunks across")
-	flag.IntVar(&cfg.RetryMax, "retry-max", 0, "transfer attempts per chunk before a checkpoint/restore fails (0 = default 3, negative = no retries)")
-	flag.DurationVar(&cfg.RetryBackoff, "retry-backoff", 0, "base delay between per-chunk re-attempts, doubled each retry (0 = default 100us)")
-	flag.IntVar(&cfg.LaneFailLimit, "lane-fail-limit", 0, "consecutive failures before a lane is quarantined and its work re-striped (0 = default 3, negative = never)")
-	flag.BoolVar(&cfg.Degrade, "degrade", false, "fall back to slower transfer strategies (one-sided -> two-sided -> host-staged) on route-class fabric errors")
-	flag.DurationVar(&cfg.SlowBudget, "slow-budget", 0, "slow-transfer watchdog budget: transfers slower than this are counted and their trace + event window captured at /debug/events (0 = disabled)")
-	flag.Float64Var(&cfg.RepackWatermark, "repack-watermark", 0, "free-list fragmentation fraction of the data zone above which the engine wants an online repack pass (0 = default 0.5, negative = watermark disabled; out-of-space reclamation always runs)")
-	flag.BoolVar(&cfg.RepackAuto, "repack-auto", false, "start a background online repack pass when a delete trips the watermark, instead of only reclaiming on out-of-space admissions")
-	flag.BoolVar(&cfg.DeltaEnabled, "delta", false, "accept incremental checkpoints: pull only dirty blocks and copy-forward the rest from the previous version's slot in PMem")
-	var (
-		pmemGiB  = flag.Int64("pmem-gib", 4, "devdax data-zone capacity in GiB")
-		metaMiB  = flag.Int64("meta-mib", 64, "metadata-zone capacity in MiB")
-		chunkMiB = flag.Int64("chunk-mib", 0, "split tensors into transfer chunks of at most this many MiB (0 = one chunk per tensor)")
-		deltaKiB = flag.Int64("delta-block-kib", 0, "pin the accepted digest block size in KiB; clients computing another size fall back to full checkpoints (0 = accept any)")
-		image    = flag.String("image", "", "namespace image path: loaded at startup if present, saved at shutdown")
-		verbose  = flag.Bool("verbose", false, "log a one-line summary for every completed checkpoint and restore")
-	)
-	flag.Parse()
-	cfg.PMemBytes = *pmemGiB << 30
-	cfg.MetaBytes = *metaMiB << 20
-	cfg.ChunkBytes = *chunkMiB << 20
-	cfg.DeltaBlockBytes = *deltaKiB << 10
+	var o options
+	newFlags(&o).Parse(os.Args[1:])
+	cfg := &o.cfg
+	cfg.PMemBytes = o.pmemGiB << 30
+	cfg.MetaBytes = o.metaMiB << 20
+	// Incremental checkpoints are always accepted: a client that sends
+	// block digests gets a delta pull, one that sends none a full one.
+	cfg.DeltaEnabled = true
 	// Peers with no explicit weight are assumed symmetric with this
 	// daemon's namespace; every member must compute identical weights
 	// for routing to agree.
@@ -75,17 +77,17 @@ func main() {
 			cfg.Peers[i].Weight = cfg.PMemBytes
 		}
 	}
-	if *image != "" {
-		if _, err := os.Stat(*image); err == nil {
-			cfg.ImagePath = *image
+	if o.image != "" {
+		if _, err := os.Stat(o.image); err == nil {
+			cfg.ImagePath = o.image
 		}
 	}
-	srv, err := portus.NewServer(cfg)
+	srv, err := portus.NewServer(*cfg)
 	if err != nil {
 		log.Fatalf("portusd: %v", err)
 	}
 	fmt.Printf("portusd: node %s, control %s, fabric %s, pmem %d GiB (%s)\n",
-		cfg.NodeName, srv.CtrlAddr, srv.FabricAddr, *pmemGiB, map[bool]string{true: "materialized", false: "virtual"}[cfg.Materialized])
+		cfg.NodeName, srv.CtrlAddr, srv.FabricAddr, o.pmemGiB, map[bool]string{true: "materialized", false: "virtual"}[cfg.Materialized])
 	if len(cfg.Peers) > 0 {
 		names := make([]string, len(cfg.Peers))
 		for i, p := range cfg.Peers {
@@ -101,7 +103,7 @@ func main() {
 		fmt.Printf("portusd: restored namespace from %s (%d models)\n",
 			cfg.ImagePath, len(srv.Daemon().ModelNames()))
 	}
-	if *verbose {
+	if o.verbose {
 		srv.Traces().OnComplete(logTrace)
 	}
 
@@ -110,11 +112,11 @@ func main() {
 	go srv.Serve()
 	<-done
 
-	if *image != "" {
-		if err := srv.SaveImage(*image); err != nil {
+	if o.image != "" {
+		if err := srv.SaveImage(o.image); err != nil {
 			log.Fatalf("portusd: saving image: %v", err)
 		}
-		fmt.Printf("portusd: namespace image saved to %s\n", *image)
+		fmt.Printf("portusd: namespace image saved to %s\n", o.image)
 	}
 	srv.Close()
 }

@@ -46,6 +46,10 @@ import (
 // match this key.
 const restoreKey = ^uint64(0)
 
+// busyBackoffCap caps the doubled client-side BUSY backoff; the
+// daemon's RetryAfter hint is trusted beyond it.
+const busyBackoffCap = 100 * time.Millisecond
+
 // Client is one registered model's handle to the Portus daemon.
 type Client struct {
 	node  *rdma.Node
@@ -191,13 +195,6 @@ type Options struct {
 	// after a BUSY, doubling per bounce; the daemon's RetryAfter hint
 	// is honored when it is longer. 0 defaults to 1ms.
 	BusyBackoff time.Duration
-	// BusyBackoffMax caps the doubled client-side backoff (the daemon
-	// hint is trusted beyond it); 0 defaults to 100ms.
-	BusyBackoffMax time.Duration
-	// Events, when set, receives flight-recorder entries for client
-	// reconnects (useful when the client shares a process with the
-	// daemon, as in sim runs).
-	Events *telemetry.EventRing
 	// DeltaBlockBytes enables incremental checkpointing: every
 	// DO_CHECKPOINT carries a per-block digest vector at this block
 	// size, letting a delta-enabled daemon pull only the blocks that
@@ -228,7 +225,6 @@ func RegisterOpts(env sim.Env, conn wire.Conn, node *rdma.Node, m *gpu.PlacedMod
 	opts.ReconnectBackoff = orDefault(opts.ReconnectBackoff, 2*time.Millisecond)
 	opts.BusyRetryMax = orDefault(opts.BusyRetryMax, 16)
 	opts.BusyBackoff = orDefault(opts.BusyBackoff, time.Millisecond)
-	opts.BusyBackoffMax = orDefault(opts.BusyBackoffMax, 100*time.Millisecond)
 	c := &Client{
 		conn:    conn,
 		node:    node,
@@ -366,13 +362,11 @@ func (c *Client) backOff(env sim.Env, m *wire.Msg) bool {
 		c.errs.Inc()
 		return true
 	}
-	delay, cap := c.opts.BusyBackoff, c.opts.BusyBackoffMax
-	for i := 1; i < r.busy && delay < cap; i++ {
+	delay := c.opts.BusyBackoff
+	for i := 1; i < r.busy && delay < busyBackoffCap; i++ {
 		delay *= 2
 	}
-	if delay > cap {
-		delay = cap
-	}
+	delay = min(delay, busyBackoffCap)
 	if m.RetryAfter > delay {
 		delay = m.RetryAfter // the daemon knows its backlog better
 	}
@@ -467,12 +461,6 @@ func (c *Client) reconnect(env sim.Env) bool {
 			regWaiter.sig.Fire(env)
 		}
 		c.reconnects.Inc()
-		c.opts.Events.Emit(telemetry.Event{
-			Time:   env.Now(),
-			Kind:   telemetry.EvClientReconnect,
-			Model:  c.model.Spec.Name,
-			Detail: fmt.Sprintf("reconnected on attempt %d, re-sending %d requests", attempt, len(resend)),
-		})
 		for _, msg := range resend {
 			if err := conn.Send(env, msg); err != nil {
 				break // Recv will observe the failure and reconnect again

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"testing"
+	"time"
 
+	"github.com/portus-sys/portus/internal/alloc"
 	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/cluster"
 	"github.com/portus-sys/portus/internal/daemon"
@@ -320,6 +322,109 @@ func TestOneHandleAcrossRepackAndReregister(t *testing.T) {
 		}
 		if got := d.Engine().Allocator().InUse(); got != live || live != 2*m.TotalSize() {
 			t.Fatalf("allocator holds %d bytes, index references %d, model needs %d", got, live, 2*m.TotalSize())
+		}
+	})
+	eng.Run()
+}
+
+// TestDeleteTripsBackgroundRepack: a delete that leaves half the data
+// zone fragmented starts an online repack pass by itself — no REPACK
+// request — and the surviving model, moved down into the gap, restores
+// byte-identical.
+func TestDeleteTripsBackgroundRepack(t *testing.T) {
+	padSpec, mSpec := model.GPT("pad", 2, 64, 512, 0), model.GPT("m", 2, 32, 128, 0)
+	var padSlot int64 // one version slot of pad, as the allocator lays it out
+	for _, tm := range padSpec.Tensors {
+		padSlot += (tm.Size + alloc.Align - 1) / alloc.Align * alloc.Align
+	}
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		// Deleting pad's two slots frees exactly half the zone.
+		cl, err := cluster.New(env, cluster.Config{
+			ComputeNodes: 1, GPUsPerNode: 2,
+			GPUMemBytes: 8 << 20, PMemBytes: 4 * padSlot, Materialized: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := daemon.New(env, daemon.Config{PMem: cl.Storage[0].PMem, RNode: cl.Storage[0].RNode, Fabric: cl.Fabric})
+		if err != nil {
+			t.Fatal(err)
+		}
+		net := wire.NewSimNet()
+		l, err := net.Listen(env, "storage")
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Go("serve", func(env sim.Env) { d.Serve(env, l) })
+		dial := func() wire.Conn {
+			conn, err := net.Dial(env, "storage")
+			if err != nil {
+				t.Fatal(err)
+			}
+			return conn
+		}
+		register := func(gpuIdx int, spec model.Spec) (*gpu.PlacedModel, *client.Client) {
+			placed, err := gpu.Place(cl.GPU(0, gpuIdx), spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := client.Register(env, dial(), cl.Compute[0].RNode, placed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return placed, c
+		}
+		_, cpad := register(0, padSpec)
+		placed, c := register(1, mSpec)
+		placed.ApplyUpdate(1)
+		if err := c.CheckpointSync(env, 1); err != nil {
+			t.Fatal(err)
+		}
+		cpad.Close()
+		c.Close()
+
+		admin := dial()
+		defer admin.Close()
+		if runs := d.Engine().RepackRuns(); runs != 0 {
+			t.Fatalf("RepackRuns = %d before the delete, want 0", runs)
+		}
+		if resp := request(t, env, admin, &wire.Msg{Type: wire.TDelete, Model: "pad"}); resp.Type != wire.TDeleteOK {
+			t.Fatalf("DELETE pad = %+v", resp)
+		}
+		for i := 0; i < 1000 && d.Engine().RepackRuns() == 0; i++ {
+			env.Sleep(time.Millisecond)
+		}
+		if runs := d.Engine().RepackRuns(); runs != 1 {
+			t.Fatalf("RepackRuns = %d after a delete that fragmented half the zone, want 1", runs)
+		}
+
+		c, err = client.Register(env, dial(), cl.Compute[0].RNode, placed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		placed.ApplyUpdate(99)
+		if iter, err := c.Restore(env); err != nil || iter != 1 {
+			t.Fatalf("restore = iteration %d, %v; want 1", iter, err)
+		}
+		if bad := placed.VerifyIteration(1); bad != -1 {
+			t.Fatalf("tensor %d not byte-identical after the background repack", bad)
+		}
+		m, err := d.Store().Lookup("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live int64
+		for i := range m.Tensors {
+			for v := 0; v < 2; v++ {
+				if m.PAddr[i][v] != 0 {
+					live += m.TensorData(i, v).Size
+				}
+			}
+		}
+		if got := d.Engine().Allocator().InUse(); got != live {
+			t.Fatalf("allocator holds %d bytes, m's live extents %d", got, live)
 		}
 	})
 	eng.Run()

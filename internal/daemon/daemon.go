@@ -102,10 +102,6 @@ type Config struct {
 	// doubling per further attempt; 0 defaults to 100µs, negative
 	// disables backoff.
 	RetryBackoff time.Duration
-	// LaneFailLimit quarantines a lane after this many consecutive
-	// failed attempts, re-striping its chunks over the healthy lanes:
-	// 0 defaults to 3, negative disables quarantine.
-	LaneFailLimit int
 	// Degrade enables strategy degradation: when the active datapath
 	// strategy hits a route-class error (the client's MR agent is
 	// unreachable), the engine falls back one-sided → two-sided →
@@ -124,16 +120,6 @@ type Config struct {
 	// its trace plus the surrounding flight-recorder window. 0 disables
 	// the watchdog.
 	SlowBudget time.Duration
-	// RepackWatermark is the fragmented-bytes fraction of the data zone
-	// at which the storage engine reports NeedsRepack; 0 defaults to
-	// 0.5, negative disables the watermark (reclaim still runs when a
-	// registration hits ErrNoSpace).
-	RepackWatermark float64
-	// RepackAuto starts an online repack pass in the background whenever
-	// the watermark trips after a delete. Off by default; the
-	// ErrNoSpace-triggered reclaim-then-retry on the registration path
-	// is always on.
-	RepackAuto bool
 	// DeltaEnabled accepts incremental checkpoints: a DO_CHECKPOINT
 	// carrying a block-digest vector is diffed against the previous
 	// version's persisted digest table, only the dirty blocks are pulled
@@ -198,7 +184,7 @@ type Daemon struct {
 
 // orDefault resolves a retry knob left at zero to its default. Negative
 // values pass through: the datapath engine reads any non-positive
-// attempt bound, backoff, or lane-fail limit as "off".
+// attempt bound or backoff as "off".
 func orDefault[T int | time.Duration](v, def T) T {
 	if v == 0 {
 		return def
@@ -217,7 +203,6 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 	eng, err := store.Open(store.Config{
 		PMem:      cfg.PMem,
 		TableCap:  tableCap,
-		Watermark: cfg.RepackWatermark,
 		Telemetry: tel.reg,
 		Events:    tel.events,
 	})
@@ -303,8 +288,7 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 		Retry: datapath.RetryPolicy{
 			MaxAttempts:   orDefault(cfg.RetryMax, 3),
 			Backoff:       orDefault(cfg.RetryBackoff, 100*time.Microsecond),
-			BackoffMax:    10 * time.Millisecond,
-			LaneFailLimit: orDefault(cfg.LaneFailLimit, 3),
+			LaneFailLimit: 3,
 		},
 		Metrics: datapath.Metrics{
 			Retries:          tel.reg.Counter("portus_datapath_retries_total", "chunk transfers and flushes re-attempted after a transient error"),

@@ -22,10 +22,8 @@ type RetryPolicy struct {
 	// single attempt (no retry).
 	MaxAttempts int
 	// Backoff is the delay before the second attempt, doubling on each
-	// further attempt.
+	// further attempt up to backoffMax.
 	Backoff time.Duration
-	// BackoffMax caps the doubled backoff; 0 leaves it uncapped.
-	BackoffMax time.Duration
 	// LaneFailLimit quarantines a lane after this many consecutive
 	// failed attempts, re-striping its remaining chunks over the
 	// healthy lanes. 0 disables quarantine; the last healthy lane is
@@ -152,23 +150,20 @@ func (e *Engine) maxAttempts() int {
 	return e.cfg.Retry.MaxAttempts
 }
 
+// backoffMax caps the doubled retry backoff.
+const backoffMax = 10 * time.Millisecond
+
 // backoff returns the pre-retry delay after `attempt` failed attempts:
-// Backoff doubled per extra failure, capped at BackoffMax.
+// Backoff doubled per extra failure, capped at backoffMax.
 func (e *Engine) backoff(attempt int) time.Duration {
 	d := e.cfg.Retry.Backoff
 	if d <= 0 {
 		return 0
 	}
-	for i := 1; i < attempt; i++ {
+	for i := 1; i < attempt && d < backoffMax; i++ {
 		d *= 2
-		if max := e.cfg.Retry.BackoffMax; max > 0 && d >= max {
-			return max
-		}
 	}
-	if max := e.cfg.Retry.BackoffMax; max > 0 && d > max {
-		d = max
-	}
-	return d
+	return min(d, backoffMax)
 }
 
 // isRouteErr classifies errors that mean the peer's MR agent is

@@ -83,7 +83,6 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 			c.ChunkSize = 64 << 10
 			c.RetryMax = 6
 			c.RetryBackoff = 50 * time.Microsecond
-			c.LaneFailLimit = 3
 			c.Degrade = true
 			c.Flush = inj.Flush(c.PMem)
 			c.Telemetry = reg

@@ -100,11 +100,10 @@ func RunChurn(seed int64) ChurnOutcome {
 			Materialized: false,
 		}, func(c *daemon.Config) {
 			c.Workers = 4
-			c.Telemetry = reg
-			// Watermark default (0.5): a wave's deletes trip it, so
+			// A wave's deletes trip the 0.5 fragmentation watermark, so
 			// background passes overlap the next wave's traffic; the
 			// ErrNoSpace reclaim path stays armed regardless.
-			c.RepackAuto = true
+			c.Telemetry = reg
 		})
 		if err != nil {
 			panic(err)

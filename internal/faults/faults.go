@@ -85,10 +85,6 @@ type Config struct {
 	// Telemetry, when set, receives portus_faults_injected_total
 	// counters labeled by site.
 	Telemetry *telemetry.Registry
-	// Events, when set, receives a flight-recorder entry for every
-	// injected fault, so /debug/events shows harness activity inline
-	// with the scheduling and datapath decisions it provoked.
-	Events *telemetry.EventRing
 }
 
 // Injector makes the schedule's decisions and counts what it injected.
@@ -125,9 +121,7 @@ func NewInjector(cfg Config) *Injector {
 }
 
 // decide advances site's ordinal and reports whether this op faults.
-// env stamps the flight-recorder entry; callers without a clock (the
-// flush path) pass nil.
-func (in *Injector) decide(env sim.Env, site string, r Rule) bool {
+func (in *Injector) decide(site string, r Rule) bool {
 	if !r.enabled() {
 		return false
 	}
@@ -145,17 +139,6 @@ func (in *Injector) decide(env sim.Env, site string, r Rule) bool {
 	in.mu.Unlock()
 	if hit && c != nil {
 		c.Inc()
-	}
-	if hit {
-		var now time.Duration
-		if env != nil {
-			now = env.Now()
-		}
-		in.cfg.Events.Emit(telemetry.Event{
-			Time:   now,
-			Kind:   telemetry.EvFaultInject,
-			Detail: fmt.Sprintf("%s op %d", site, op),
-		})
 	}
 	return hit
 }
@@ -192,7 +175,7 @@ func (in *Injector) RegisterNode(name string, teardown ...func(env sim.Env)) {
 // KillNode fails a whole storage node at once — fabric routes, control
 // connections, worker pool — by running the teardowns registered for
 // it. Idempotent: a second kill finds no registered teardowns. The kill
-// is counted at SiteKill and recorded in the flight recorder.
+// is counted at SiteKill.
 func (in *Injector) KillNode(env sim.Env, name string) {
 	in.mu.Lock()
 	fns := in.nodes[name]
@@ -208,15 +191,6 @@ func (in *Injector) KillNode(env sim.Env, name string) {
 	if c != nil {
 		c.Inc()
 	}
-	var now time.Duration
-	if env != nil {
-		now = env.Now()
-	}
-	in.cfg.Events.Emit(telemetry.Event{
-		Time:   now,
-		Kind:   telemetry.EvNodeKill,
-		Detail: name,
-	})
 	for _, fn := range fns {
 		fn(env)
 	}
@@ -236,13 +210,13 @@ type faultFabric struct {
 // verbFault runs the shared pre-verb schedule: an optional delay, then
 // a route failure or a transient completion error.
 func (f *faultFabric) verbFault(env sim.Env, site string, r Rule) error {
-	if f.in.decide(env, SiteDelay, f.in.cfg.Delay) {
+	if f.in.decide(SiteDelay, f.in.cfg.Delay) {
 		env.Sleep(f.in.cfg.DelayBy)
 	}
-	if f.in.decide(env, SiteRoute, f.in.cfg.Route) {
+	if f.in.decide(SiteRoute, f.in.cfg.Route) {
 		return fmt.Errorf("%w: %w", ErrInjected, rdma.ErrNoRoute)
 	}
-	if f.in.decide(env, site, r) {
+	if f.in.decide(site, r) {
 		return fmt.Errorf("%w: %s completion error", ErrInjected, site)
 	}
 	return nil
@@ -305,7 +279,7 @@ func (c *faultConn) Send(env sim.Env, m *wire.Msg) error {
 		c.mu.Unlock()
 		return wire.ErrClosed
 	}
-	if c.in.decide(env, SiteConn, c.in.cfg.Conn) {
+	if c.in.decide(SiteConn, c.in.cfg.Conn) {
 		c.dropped = true
 		c.mu.Unlock()
 		return c.drop()
@@ -320,7 +294,7 @@ func (c *faultConn) Recv(env sim.Env) (*wire.Msg, error) {
 		c.mu.Unlock()
 		return nil, wire.ErrClosed
 	}
-	if c.in.decide(env, SiteConn, c.in.cfg.Conn) {
+	if c.in.decide(SiteConn, c.in.cfg.Conn) {
 		c.dropped = true
 		c.mu.Unlock()
 		return nil, c.drop()
@@ -342,7 +316,7 @@ func (c *faultConn) Close() error {
 // result plugs into datapath.Config.Flush / daemon.Config.Flush.
 func (in *Injector) Flush(dev *pmem.Device) func(off, n int64) error {
 	return func(off, n int64) error {
-		if in.decide(nil, SiteFlush, in.cfg.Flush) {
+		if in.decide(SiteFlush, in.cfg.Flush) {
 			if half := n / 2; half > 0 {
 				dev.FlushData(off, half)
 			}

@@ -168,10 +168,40 @@ func (d *Device) Bytes(off, n int64) []byte {
 
 // streamPiece bounds the bounce buffer StreamTo and StreamFrom move a
 // region through: large enough that the per-piece lock and call overhead
-// vanishes, small enough that a pooled buffer per in-flight verb is noise.
+// vanishes, small enough that a kept buffer per in-flight verb is noise.
 const streamPiece = 256 << 10
 
-var bouncePool = sync.Pool{New: func() any { return new([streamPiece]byte) }}
+// bounce is the free list of stream buffers, shared by every P: the
+// buffer one stream puts back is the one the next takes, wherever either
+// goroutine runs. (A sync.Pool parks a returned buffer in its P's private
+// slot, which no other P can take, so a verb whose goroutine moved P
+// allocated a fresh buffer.) Past bounceKeep, a returned buffer is left
+// to the collector.
+var bounce = make(chan *[streamPiece]byte, bounceKeep)
+
+const bounceKeep = 16
+
+// getBounce takes a buffer off the free list. When the list is empty it
+// allocates two and lists the second: a verb between two fabrics of one
+// process streams at both ends at once, and whether the first verb's two
+// streams overlapped is up to the scheduler, so a single allocation could
+// leave the steady state one buffer short until some later verb.
+func getBounce() *[streamPiece]byte {
+	select {
+	case b := <-bounce:
+		return b
+	default:
+		putBounce(new([streamPiece]byte))
+		return new([streamPiece]byte)
+	}
+}
+
+func putBounce(b *[streamPiece]byte) {
+	select {
+	case bounce <- b:
+	default:
+	}
+}
 
 // StreamTo writes region [off, off+n) to w without materializing it: the
 // region crosses a pooled bounce buffer one piece at a time. The device
@@ -186,8 +216,8 @@ func (d *Device) StreamTo(w io.Writer, off, n int64) error {
 	if !d.materialized {
 		panic("memdev: StreamTo on virtual device; use StampOf")
 	}
-	buf := bouncePool.Get().(*[streamPiece]byte)
-	defer bouncePool.Put(buf)
+	buf := getBounce()
+	defer putBounce(buf)
 	for n > 0 {
 		p := buf[:min(n, streamPiece)]
 		d.Read(off, p)
@@ -210,8 +240,8 @@ func (d *Device) StreamFrom(r io.Reader, off, n int64) error {
 	if !d.materialized {
 		panic("memdev: StreamFrom on virtual device; use WriteStamp")
 	}
-	buf := bouncePool.Get().(*[streamPiece]byte)
-	defer bouncePool.Put(buf)
+	buf := getBounce()
+	defer putBounce(buf)
 	for n > 0 {
 		p := buf[:min(n, streamPiece)]
 		got, err := io.ReadFull(r, p)
@@ -585,35 +615,6 @@ func Copy(dst *Device, dstOff int64, src *Device, srcOff, n int64) {
 	dst.mu.Unlock()
 }
 
-// Snapshot returns a deep copy of the device's content state (bytes or
-// stamps). Used by the pmem package to implement flush/crash semantics.
-func (d *Device) Snapshot() *Content {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	c := &Content{materialized: d.materialized}
-	if d.materialized {
-		c.data = append([]byte(nil), d.data...)
-	} else {
-		c.stamps = append([]stampEntry(nil), d.stamps...)
-	}
-	return c
-}
-
-// Restore replaces the device's content state with a previously taken
-// snapshot.
-func (d *Device) Restore(c *Content) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if c.materialized != d.materialized {
-		panic("memdev: snapshot mode mismatch")
-	}
-	if d.materialized {
-		copy(d.data, c.data)
-	} else {
-		d.stamps = append(d.stamps[:0], c.stamps...)
-	}
-}
-
 // StampRegion describes one stamped region of a virtual device.
 type StampRegion struct {
 	Off, N int64
@@ -638,11 +639,4 @@ func (d *Device) Stamps() []StampRegion {
 		}
 	}
 	return out
-}
-
-// Content is an opaque deep copy of a device's state.
-type Content struct {
-	materialized bool
-	data         []byte
-	stamps       []stampEntry
 }

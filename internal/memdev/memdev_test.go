@@ -110,28 +110,6 @@ func TestAllocBump(t *testing.T) {
 	}
 }
 
-func TestSnapshotRestore(t *testing.T) {
-	d := New("pm", PMEM, 64, true)
-	d.Write(0, []byte("stable"))
-	snap := d.Snapshot()
-	d.Write(0, []byte("dirty!"))
-	d.Restore(snap)
-	if got := d.Bytes(0, 6); !bytes.Equal(got, []byte("stable")) {
-		t.Fatalf("after restore: %q", got)
-	}
-}
-
-func TestSnapshotRestoreVirtual(t *testing.T) {
-	d := New("pm", PMEM, 1024, false)
-	d.WriteStamp(0, 16, 7)
-	snap := d.Snapshot()
-	d.WriteStamp(0, 16, 9)
-	d.Restore(snap)
-	if got := d.StampOf(0, 16); got != 7 {
-		t.Fatalf("restored stamp = %d, want 7", got)
-	}
-}
-
 func TestKindString(t *testing.T) {
 	for k, want := range map[Kind]string{DRAM: "dram", GPU: "gpu", PMEM: "pmem", NVMe: "nvme"} {
 		if k.String() != want {

@@ -245,11 +245,7 @@ func (d *Device) Crash() {
 		return
 	}
 	memdev.Copy(d.meta, 0, d.metaDur, 0, d.cfg.MetaSize)
-	if d.cfg.Materialized {
-		memdev.Copy(d.data, 0, d.dataDur, 0, d.cfg.DataSize)
-	} else {
-		d.data.Restore(d.dataDur.Snapshot())
-	}
+	memdev.Copy(d.data, 0, d.dataDur, 0, d.cfg.DataSize)
 }
 
 // Image file format.

@@ -8,7 +8,6 @@ import (
 	"io"
 	"net"
 	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -292,11 +291,6 @@ func TestTCPRefusalKeepsConnTransportErrorEvicts(t *testing.T) {
 // TestTCPSteadyStateAllocations: a verb allocates nothing proportional
 // to the bytes it moves — no frame is built, on either side.
 func TestTCPSteadyStateAllocations(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool sheds buffers on purpose under the race detector")
-	}
-	// A collection empties sync.Pool; steady state is between two.
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	env, f, client, server := newTCPPair(t)
 	const n = 1 << 20
 	cgpu := memdev.New("gpu0", memdev.GPU, n, true)

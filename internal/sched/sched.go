@@ -11,7 +11,7 @@
 //   - Per-model FIFO lanes. Each model's requests execute one at a
 //     time, in order (the version slots are not safe under concurrent
 //     writers), but different models proceed independently.
-//   - A weighted-fair picker interleaves lanes. Restores form a strict
+//   - A round-robin picker interleaves lanes. Restores form a strict
 //     priority class above checkpoints — they sit on the recovery
 //     critical path, and a recovering job should not queue behind other
 //     tenants' checkpoint traffic.
@@ -149,12 +149,6 @@ type Config struct {
 	// Workers hints how many tasks drain concurrently (sizes the
 	// retry-after estimate); 0 defaults to 8.
 	Workers int
-	// Coalesce enables the freshness rule; nil-config default is on.
-	// Set DisableCoalesce to turn it off.
-	DisableCoalesce bool
-	// Weights gives a model more than one dispatch per round-robin
-	// visit; absent models weigh 1.
-	Weights map[string]int
 	// Telemetry receives the scheduler's counters, per-model queue
 	// gauges, and per-class wait histograms; nil creates a private
 	// registry.
@@ -169,7 +163,6 @@ type lane struct {
 	name    string
 	q       [numClasses][]*Task
 	running *Task
-	credit  int
 	depth   *telemetry.Gauge
 }
 
@@ -267,13 +260,6 @@ func (s *Scheduler) laneFor(model string) *lane {
 	return l
 }
 
-func (s *Scheduler) weight(model string) int {
-	if w, ok := s.cfg.Weights[model]; ok && w > 0 {
-		return w
-	}
-	return 1
-}
-
 // retryAfter estimates how long a bounced caller should wait: the
 // smoothed service time scaled by the backlog each worker already owes.
 func (s *Scheduler) retryAfter() time.Duration {
@@ -329,9 +315,6 @@ func (s *Scheduler) Submit(env sim.Env, t *Task) Result {
 			s.dedups.Inc()
 			s.event(env, telemetry.EvSchedDedup, t, "attached to queued task")
 			return Result{Verdict: Deduped}
-		}
-		if s.cfg.DisableCoalesce {
-			continue
 		}
 		if q.Iteration < t.Iteration {
 			// Freshness rule: the queued request is stale; the newer
@@ -411,7 +394,7 @@ func (s *Scheduler) Next(env sim.Env) (*Task, bool) {
 	}
 }
 
-// pick chooses the next lane head: weighted round-robin across models
+// pick chooses the next lane head: round-robin across models
 // with strict class priority (restores first). Called with mu held.
 func (s *Scheduler) pick() *Task {
 	for c := numClasses - 1; c >= 0; c-- {
@@ -422,8 +405,9 @@ func (s *Scheduler) pick() *Task {
 	return nil
 }
 
-// pickClass walks the model ring from the cursor, letting a lane take
-// up to its weight of consecutive dispatches before yielding.
+// pickClass walks the model ring from the cursor and takes the first
+// dispatchable lane head; the cursor moves past it, so every lane gets
+// one dispatch per turn of the ring.
 func (s *Scheduler) pickClass(c Class) *Task {
 	n := len(s.order)
 	for i := 0; i < n; i++ {
@@ -432,14 +416,7 @@ func (s *Scheduler) pickClass(c Class) *Task {
 		if l.running != nil || len(l.q[c]) == 0 {
 			continue
 		}
-		if idx != s.cursor || l.credit <= 0 {
-			l.credit = s.weight(l.name)
-			s.cursor = idx
-		}
-		l.credit--
-		if l.credit <= 0 {
-			s.cursor = (idx + 1) % n
-		}
+		s.cursor = (idx + 1) % n
 		return l.q[c][0]
 	}
 	return nil

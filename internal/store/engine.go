@@ -48,10 +48,6 @@ type Config struct {
 	// TableCap sizes the ModelTable when the namespace needs formatting;
 	// 0 defaults to 64.
 	TableCap int64
-	// Watermark is the fragmented-bytes fraction of the data zone that
-	// makes NeedsRepack true. 0 defaults to 0.5; negative disables the
-	// watermark trigger (reclaim-on-ErrNoSpace still works).
-	Watermark float64
 	// Telemetry receives the engine's gauges, counters, and the repack
 	// duration histogram; nil creates a private registry.
 	Telemetry *telemetry.Registry
@@ -96,15 +92,18 @@ func (r PassReport) String() string {
 		r.Models, r.BytesMoved, r.BytesReclaimed, r.Live, r.Frag, r.Garbage, r.Duration)
 }
 
+// watermark is the fragmented-bytes fraction of the data zone that makes
+// NeedsRepack true.
+const watermark = 0.5
+
 // Engine is the storage engine. All mutating operations serialize on
 // one mutex — which is what makes alloc.TrimBrk safe to call online —
 // while reads of committed state (restore paths) stay lock-free as
 // before.
 type Engine struct {
-	pm        *pmem.Device
-	idx       *index.Store
-	watermark float64
-	events    *telemetry.EventRing
+	pm     *pmem.Device
+	idx    *index.Store
+	events *telemetry.EventRing
 
 	mu sync.Mutex
 
@@ -121,12 +120,6 @@ func Open(cfg Config) (*Engine, error) {
 	if cfg.TableCap == 0 {
 		cfg.TableCap = 64
 	}
-	switch {
-	case cfg.Watermark == 0:
-		cfg.Watermark = 0.5
-	case cfg.Watermark < 0:
-		cfg.Watermark = 2 // unreachable fraction: disabled
-	}
 	reg := cfg.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -139,10 +132,9 @@ func Open(cfg Config) (*Engine, error) {
 		return nil, err
 	}
 	e := &Engine{
-		pm:        cfg.PMem,
-		idx:       idx,
-		watermark: cfg.Watermark,
-		events:    cfg.Events,
+		pm:     cfg.PMem,
+		idx:    idx,
+		events: cfg.Events,
 	}
 	if err := e.sweepLeaks(); err != nil {
 		return nil, err
@@ -229,7 +221,7 @@ func (e *Engine) statsLocked() Stats {
 // NeedsRepack reports whether fragmentation crossed the watermark.
 func (e *Engine) NeedsRepack() bool {
 	a := e.idx.Allocator()
-	return float64(a.FragmentedBytes()) >= e.watermark*float64(a.DataSize())
+	return float64(a.FragmentedBytes()) >= watermark*float64(a.DataSize())
 }
 
 // IsSpaceError reports whether err is a reclaimable space exhaustion —

@@ -20,8 +20,6 @@ const (
 	EvLaneQuarantine  EventKind = "datapath.quarantine"
 	EvLaneRecover     EventKind = "datapath.recover"
 	EvStrategyDegrade EventKind = "datapath.degrade"
-	EvFaultInject     EventKind = "fault.inject"
-	EvClientReconnect EventKind = "client.reconnect"
 	EvWatchdogSlow    EventKind = "watchdog.slow"
 	// Admin operations: operator-triggered list/archive/delete requests,
 	// recorded so portusctl events shows who touched the stored models.
@@ -31,9 +29,6 @@ const (
 	// EvAdminLoad records an anti-entropy install of a checkpoint
 	// container into PMem (replica rebuild).
 	EvAdminLoad EventKind = "admin.load"
-	// EvNodeKill records a whole-node fault injection severing a
-	// storage node's listener, fabric routes, and worker pool.
-	EvNodeKill EventKind = "fault.node-kill"
 	// EvStoreReclaim records a reclaim verdict on the admission path: a
 	// registration hit a space error and the engine either freed enough
 	// to retry or stayed exhausted (Detail says which).

@@ -70,7 +70,7 @@ func TestEventRingWindowOldestFirst(t *testing.T) {
 
 func TestNilEventRingIsNoOp(t *testing.T) {
 	var ring *telemetry.EventRing
-	ring.Emit(telemetry.Event{Kind: telemetry.EvFaultInject})
+	ring.Emit(telemetry.Event{Kind: telemetry.EvDatapathRetry})
 	if ring.Snapshot() != nil || ring.Window(0) != nil || ring.Total() != 0 {
 		t.Fatal("nil ring must read as empty")
 	}

@@ -120,7 +120,10 @@ func NewFleet(label string, members []Checkpointer) Checkpointer {
 // configuration (name, control/fabric addresses, placement weight).
 type PlacementNode = placement.Node
 
-// ServerConfig sizes a TCP-mode Portus server.
+// ServerConfig sizes a TCP-mode Portus server: where it listens, what
+// namespace it serves, and which storage group it belongs to. Datapath,
+// scheduler, and healing knobs keep their daemon defaults; experiments
+// reach them through NewTestbed's tune functions.
 type ServerConfig struct {
 	// NodeName is this server's storage-node identity within a group
 	// (default "storage" — the classic single-node deployment).
@@ -141,15 +144,6 @@ type ServerConfig struct {
 	// Materialized stores real checkpoint bytes (true) or content
 	// fingerprints (false). Default false.
 	Materialized bool
-	// Workers sizes the daemon thread pool.
-	Workers int
-	// QueueCap bounds the total number of queued requests across all
-	// models; overflow is answered with BUSY + retry-after instead of
-	// queuing. 0 means the default (64), negative means unbounded.
-	QueueCap int
-	// ModelQueueCap bounds queued requests per model. 0 means the
-	// default (8), negative means unbounded.
-	ModelQueueCap int
 	// CtrlAddr and FabricAddr bind the control and data listeners
 	// (empty = ephemeral loopback ports).
 	CtrlAddr   string
@@ -164,46 +158,12 @@ type ServerConfig struct {
 	// ImagePath, when set, loads an existing namespace image at startup
 	// (SaveImage persists one).
 	ImagePath string
-	// PipelineDepth bounds checkpoint chunks in flight past the pull
-	// stage: depth >= 2 overlaps the PMem flush of one chunk with the
-	// pull of the next. Default 1 (strictly sequential).
-	PipelineDepth int
-	// Lanes is the number of queue pairs transfers stripe chunks
-	// across. Default 1.
-	Lanes int
-	// ChunkBytes splits tensors into transfer chunks of at most this
-	// many bytes; 0 keeps one chunk per tensor.
-	ChunkBytes int64
-	// RetryMax bounds transfer attempts per chunk before a checkpoint or
-	// restore fails. 0 means the default (3); negative disables retries.
-	RetryMax int
-	// RetryBackoff is the base delay between per-chunk re-attempts,
-	// doubled each retry. 0 means the default (100µs); negative
-	// disables the delay.
-	RetryBackoff time.Duration
-	// LaneFailLimit quarantines a lane after this many consecutive
-	// failures, re-striping its work over the survivors. 0 means the
-	// default (3); negative disables quarantine.
-	LaneFailLimit int
-	// Degrade falls back to a slower transfer strategy (one-sided →
-	// two-sided → host-staged) when the active one hits route-class
-	// fabric errors.
-	Degrade bool
 	// SlowBudget arms the slow-transfer watchdog: any checkpoint or
 	// restore exceeding this daemon-side duration increments
 	// portus_slow_transfers_total and captures its trace plus the
 	// surrounding flight-recorder event window (served at
 	// /debug/events). 0 disables the watchdog.
 	SlowBudget time.Duration
-	// RepackWatermark sets the free-list fragmentation fraction of the
-	// data zone above which the storage engine wants an online repack
-	// pass. 0 means the default (0.5); negative disables the watermark
-	// (ErrNoSpace-triggered reclamation still runs).
-	RepackWatermark float64
-	// RepackAuto starts a background online repack pass whenever a
-	// delete trips the watermark, without waiting for an admission to
-	// hit ErrNoSpace first.
-	RepackAuto bool
 	// DeltaEnabled accepts incremental checkpoints: when a client sends
 	// a block-digest vector with DO_CHECKPOINT, only the dirty extents
 	// cross the fabric and the clean blocks copy forward from the
@@ -296,14 +256,9 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		}
 	}
 	d, err := daemon.New(env, daemon.Config{
-		PMem: pm, RNode: node, Fabric: fabric, Workers: cfg.Workers,
+		PMem: pm, RNode: node, Fabric: fabric,
 		NodeName: nodeName, Group: group, Replicas: cfg.Replicas,
-		QueueCap: cfg.QueueCap, ModelQueueCap: cfg.ModelQueueCap,
-		PipelineDepth: cfg.PipelineDepth, Lanes: cfg.Lanes, ChunkSize: cfg.ChunkBytes,
-		RetryMax: cfg.RetryMax, RetryBackoff: cfg.RetryBackoff,
-		LaneFailLimit: cfg.LaneFailLimit, Degrade: cfg.Degrade,
-		SlowBudget:      cfg.SlowBudget,
-		RepackWatermark: cfg.RepackWatermark, RepackAuto: cfg.RepackAuto,
+		SlowBudget:   cfg.SlowBudget,
 		DeltaEnabled: cfg.DeltaEnabled, DeltaBlockBytes: cfg.DeltaBlockBytes,
 	})
 	if err != nil {
@@ -618,7 +573,7 @@ func (tb *Testbed) PlaceModel(env Env, node, gpuIdx int, spec Spec) (*Model, err
 type Conn = wire.Conn
 
 // ClientOptions re-exports the client registration options: a reconnect
-// Dialer, backoff caps, request deadlines, and a telemetry registry.
+// Dialer, retry budgets, request deadlines, and a telemetry registry.
 type ClientOptions = client.Options
 
 // Dial opens a control connection to the testbed's first daemon — the
