@@ -50,6 +50,9 @@ const restoreKey = ^uint64(0)
 // daemon's RetryAfter hint is trusted beyond it.
 const busyBackoffCap = 100 * time.Millisecond
 
+// reconnectBackoffCap caps the doubled delay between redials.
+const reconnectBackoffCap = 500 * time.Millisecond
+
 // Client is one registered model's handle to the Portus daemon.
 type Client struct {
 	node  *rdma.Node
@@ -362,11 +365,7 @@ func (c *Client) backOff(env sim.Env, m *wire.Msg) bool {
 		c.errs.Inc()
 		return true
 	}
-	delay := c.opts.BusyBackoff
-	for i := 1; i < r.busy && delay < busyBackoffCap; i++ {
-		delay *= 2
-	}
-	delay = min(delay, busyBackoffCap)
+	delay := sim.Backoff(c.opts.BusyBackoff, r.busy, busyBackoffCap)
 	if m.RetryAfter > delay {
 		delay = m.RetryAfter // the daemon knows its backlog better
 	}
@@ -413,13 +412,9 @@ func (c *Client) reconnect(env sim.Env) bool {
 	if dialer == nil || closed {
 		return false
 	}
-	backoff := c.opts.ReconnectBackoff
 	for attempt := 1; attempt <= c.opts.ReconnectMax; attempt++ {
 		if attempt > 1 {
-			env.Sleep(backoff)
-			if backoff < 500*time.Millisecond {
-				backoff *= 2
-			}
+			env.Sleep(sim.Backoff(c.opts.ReconnectBackoff, attempt-1, reconnectBackoffCap))
 		}
 		conn, err := dialer(env)
 		if err != nil {

@@ -167,6 +167,55 @@ func TestClientReconnectResumesCheckpoints(t *testing.T) {
 	}
 }
 
+// TestReconnectBackoffIsCapped: against a daemon that is gone for good,
+// the redial loop waits ReconnectBackoff before its second dial and
+// doubles the wait per further dial up to the documented 500ms cap —
+// never past it — before failing the outstanding request.
+func TestReconnectBackoffIsCapped(t *testing.T) {
+	var dials []time.Duration
+	var failed bool
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		h := startHarness(t, env, true, nil)
+		placed, _ := gpu.Place(h.cl.GPU(0, 0), tinySpec("m"))
+		sc := newScriptConn(env)
+		sc.in.Send(env, &wire.Msg{Type: wire.TRegisterOK, Model: "m"})
+		c, err := client.RegisterOpts(env, sc, h.cl.Compute[0].RNode, placed, client.Options{
+			Dialer: func(env sim.Env) (wire.Conn, error) {
+				dials = append(dials, env.Now())
+				return h.net.Dial(env, "no-daemon-listens-here")
+			},
+			ReconnectMax:     4,
+			ReconnectBackoff: 300 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cp, err := c.CheckpointAsync(env, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc.Close() // the daemon dies with the request outstanding
+		if err := cp.Wait(env); err == nil {
+			t.Fatal("checkpoint succeeded against a dead daemon")
+		}
+		failed = true
+	})
+	eng.Run()
+	if !failed {
+		t.Fatal("the outstanding request never failed: the redial loop hung")
+	}
+	want := []time.Duration{300 * time.Millisecond, 500 * time.Millisecond, 500 * time.Millisecond}
+	if len(dials) != len(want)+1 {
+		t.Fatalf("dialed %d times, want %d", len(dials), len(want)+1)
+	}
+	for i, w := range want {
+		if gap := dials[i+1] - dials[i]; gap != w {
+			t.Fatalf("gap before dial %d = %v, want %v (all dials at %v)", i+2, gap, w, dials)
+		}
+	}
+}
+
 // TestDaemonRepeatedCheckpointDeduplicated: re-sending a DO_CHECKPOINT
 // for an iteration that already committed (the client's retry path
 // after a reconnect) is answered from the index, not re-executed.

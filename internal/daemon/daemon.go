@@ -102,11 +102,6 @@ type Config struct {
 	// doubling per further attempt; 0 defaults to 100µs, negative
 	// disables backoff.
 	RetryBackoff time.Duration
-	// Degrade enables strategy degradation: when the active datapath
-	// strategy hits a route-class error (the client's MR agent is
-	// unreachable), the engine falls back one-sided → two-sided →
-	// host-staged for the rest of that operation.
-	Degrade bool
 	// Flush overrides the PMem data-zone flush (fault injection); nil
 	// uses PMem.FlushData, which cannot fail.
 	Flush func(off, n int64) error
@@ -148,7 +143,7 @@ type Daemon struct {
 	// changes: the instrumented fabric, this node, the MR covering the
 	// whole data zone (verbs address TensorData by offset within it),
 	// and the server-DRAM staging resource the host-staged strategy
-	// charges, whether configured or reached by degradation.
+	// charges.
 	cx datapath.Context
 
 	// repackMu guards pass: the single in-flight online repack pass
@@ -161,9 +156,6 @@ type Daemon struct {
 	// backpressure for every checkpoint/restore request; the daemon's
 	// request path is a thin shim around Submit/Next/Done.
 	sched *sched.Scheduler
-	// lanePool leases the RDMA lane set fairly across concurrent
-	// transfers instead of striping every job over all lanes.
-	lanePool *sched.LanePool
 
 	// mu guards tenants — the ModelMap — and each tenant's mrs.
 	mu      sync.Mutex
@@ -262,39 +254,21 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 	}
 	// The ablation variants are datapath strategies, not branches: the
 	// engine's chunking, pipelining, and lane striping apply to all of
-	// them uniformly.
-	strat := cfg.Strategy
-	if strat == nil {
-		strat = datapath.OneSided{}
-	}
-	var fallbacks []datapath.Strategy
-	if cfg.Degrade {
-		for _, s := range []datapath.Strategy{datapath.OneSided{}, datapath.TwoSided{}, datapath.HostStaged{}} {
-			if s.Name() != strat.Name() {
-				fallbacks = append(fallbacks, s)
-			}
-		}
-	}
-	engineLanes := rdma.ConnectLanes(env, cfg.RNode, cfg.Lanes)
-	d.lanePool = sched.NewLanePool(engineLanes, d.tel.reg)
+	// them uniformly. A nil Strategy is the engine's default, OneSided.
 	d.engine = datapath.New(datapath.Config{
-		Strategy:  strat,
-		Fallbacks: fallbacks,
+		Strategy:  cfg.Strategy,
 		Depth:     cfg.PipelineDepth,
-		Lanes:     engineLanes,
+		Lanes:     rdma.ConnectLanes(env, cfg.RNode, cfg.Lanes),
 		IssueCost: perfmodel.RDMAReadIssueCost,
 		Flush:     cfg.Flush,
 		FlushCost: flushCost,
 		Retry: datapath.RetryPolicy{
-			MaxAttempts:   orDefault(cfg.RetryMax, 3),
-			Backoff:       orDefault(cfg.RetryBackoff, 100*time.Microsecond),
-			LaneFailLimit: 3,
+			MaxAttempts: orDefault(cfg.RetryMax, 3),
+			Backoff:     orDefault(cfg.RetryBackoff, 100*time.Microsecond),
 		},
 		Metrics: datapath.Metrics{
-			Retries:          tel.reg.Counter("portus_datapath_retries_total", "chunk transfers and flushes re-attempted after a transient error"),
-			Degradations:     tel.reg.Counter("portus_datapath_strategy_degradations_total", "datapath strategy fallbacks taken on route-class errors"),
-			QuarantinedLanes: tel.reg.Gauge("portus_datapath_quarantined_lanes", "lanes currently quarantined out of a transfer's stripe set"),
-			Events:           tel.events,
+			Retries: tel.reg.Counter("portus_datapath_retries_total", "chunk transfers and flushes re-attempted after a transient error"),
+			Events:  tel.events,
 		},
 	})
 	for w := 0; w < cfg.Workers; w++ {

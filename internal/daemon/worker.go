@@ -177,10 +177,6 @@ func (d *Daemon) doCheckpoint(env sim.Env, t *sched.Task, rc *reqCtx) {
 	crc, err := d.commit(env, version{
 		model: m, slot: slot, iter: t.Iteration, digests: d.digestTable(rc, t.Iteration), trace: x.tr,
 	}, func() (err error) {
-		// The lanes are held for the byte movement only, not the commit.
-		lease := d.lanePool.Acquire()
-		defer lease.Release()
-		x.cx.Lanes = lease.Lanes()
 		if res, err = d.engine.Pull(env, x.cx, x.plan, x.tr.Root); err == nil && dp != nil {
 			err = d.copyForward(env, x.cx, dp, x.tr.Root, &res)
 		}
@@ -233,10 +229,7 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 		}
 	}
 	x := d.begin(env, "restore", t, rc, v.Iteration, slot)
-	lease := d.lanePool.Acquire()
-	x.cx.Lanes = lease.Lanes()
 	res, err := d.engine.Push(env, x.cx, x.plan, x.tr.Root)
-	lease.Release()
 	if err != nil {
 		d.finish(env, t, x, nil, errMsg(wire.TRestore, wire.ErrCodeNone, v.Iteration, m.Name, err.Error()))
 		return

@@ -1,7 +1,6 @@
 package datapath
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -13,7 +12,9 @@ import (
 	"github.com/portus-sys/portus/internal/telemetry"
 )
 
-// RetryPolicy tunes the engine's self-healing behavior. The zero value
+// RetryPolicy tunes the engine's self-healing behavior: a failed chunk
+// transfer or flush is retried after a capped exponential backoff, and
+// one that outlasts the budget fails the run loudly. The zero value
 // disables it: the first error fails the run, matching the pre-retry
 // datapath.
 type RetryPolicy struct {
@@ -24,26 +25,15 @@ type RetryPolicy struct {
 	// Backoff is the delay before the second attempt, doubling on each
 	// further attempt up to backoffMax.
 	Backoff time.Duration
-	// LaneFailLimit quarantines a lane after this many consecutive
-	// failed attempts, re-striping its remaining chunks over the
-	// healthy lanes. 0 disables quarantine; the last healthy lane is
-	// never quarantined (it must either succeed or fail the run).
-	LaneFailLimit int
 }
 
-// Metrics receives the engine's healing counters. All handles are
+// Metrics receives the engine's healing telemetry. All handles are
 // optional; nil handles are no-ops.
 type Metrics struct {
 	// Retries counts re-attempted chunk transfers and flushes.
 	Retries *telemetry.Counter
-	// Degradations counts strategy-chain fallbacks taken on
-	// route-class errors.
-	Degradations *telemetry.Counter
-	// QuarantinedLanes gauges lanes currently removed from a stripe
-	// set; it returns to zero when the run completes.
-	QuarantinedLanes *telemetry.Gauge
-	// Events receives flight-recorder entries for retries, strategy
-	// degradations, and lane quarantines; nil disables emission.
+	// Events receives a flight-recorder entry per retry; nil disables
+	// emission.
 	Events *telemetry.EventRing
 }
 
@@ -51,11 +41,6 @@ type Metrics struct {
 type Config struct {
 	// Strategy moves individual chunks; defaults to OneSided.
 	Strategy Strategy
-	// Fallbacks are tried in order when the active strategy hits a
-	// route-class error (the peer's MR agent is unreachable,
-	// rdma.ErrNoRoute): typically one-sided → two-sided → host-staged.
-	// Degradation is per-run; the next run starts at Strategy again.
-	Fallbacks []Strategy
 	// Depth and Lanes together select Pull's flush schedule; chunks move
 	// through the same attempt loop under both.
 	//
@@ -90,7 +75,7 @@ type Config struct {
 	// Retry is the self-healing policy for transient verb and flush
 	// errors.
 	Retry RetryPolicy
-	// Metrics receives retry/degradation/quarantine telemetry.
+	// Metrics receives retry telemetry.
 	Metrics Metrics
 }
 
@@ -108,10 +93,6 @@ type Result struct {
 	// Retries counts chunk transfers and flushes that were re-attempted
 	// after a transient error.
 	Retries int
-	// Degradations counts strategy-chain fallbacks this run took.
-	Degradations int
-	// Quarantined counts lanes removed from the stripe set this run.
-	Quarantined int
 }
 
 // Engine executes Plans. It is stateless across runs and safe for
@@ -140,9 +121,6 @@ func New(cfg Config) *Engine {
 	return &Engine{cfg: cfg}
 }
 
-// Strategy returns the engine's primary chunk-transfer strategy.
-func (e *Engine) Strategy() Strategy { return e.cfg.Strategy }
-
 func (e *Engine) maxAttempts() int {
 	if e.cfg.Retry.MaxAttempts < 1 {
 		return 1
@@ -153,41 +131,19 @@ func (e *Engine) maxAttempts() int {
 // backoffMax caps the doubled retry backoff.
 const backoffMax = 10 * time.Millisecond
 
-// backoff returns the pre-retry delay after `attempt` failed attempts:
-// Backoff doubled per extra failure, capped at backoffMax.
+// backoff returns the pre-retry delay after `attempt` failed attempts.
 func (e *Engine) backoff(attempt int) time.Duration {
-	d := e.cfg.Retry.Backoff
-	if d <= 0 {
-		return 0
-	}
-	for i := 1; i < attempt && d < backoffMax; i++ {
-		d *= 2
-	}
-	return min(d, backoffMax)
+	return sim.Backoff(e.cfg.Retry.Backoff, attempt, backoffMax)
 }
 
-// isRouteErr classifies errors that mean the peer's MR agent is
-// unreachable — the trigger for strategy degradation. Addressing errors
-// (bad rkey, out of bounds) are not route-class: no fallback strategy
-// can fix a wrong address, so they fail fast.
-func isRouteErr(err error) bool { return errors.Is(err, rdma.ErrNoRoute) }
-
-// workItem is one chunk's place in a run, carrying its attempt budget
-// across lanes when a quarantined lane hands it back.
-type workItem struct {
-	c        Chunk
-	attempts int
-}
-
-// run is one operation's state: the healing decisions (degradation
-// cursor, the counters that land in Result) and the schedule its lanes
-// and flusher coordinate through. Everything below mu is shared between
-// the lane and flusher processes of a striped or flush-behind run; a
-// single-lane run takes the same locks uncontended.
+// run is one operation's state: the schedule its lanes and flusher
+// coordinate through and the counters that land in Result. Everything
+// below mu is shared between the lane and flusher processes of a
+// striped or flush-behind run; a single-lane run takes the same locks
+// uncontended.
 type run struct {
-	e     *Engine
-	cx    *Context
-	lanes []*rdma.QP
+	e  *Engine
+	cx *Context
 	// verb names the stage span and prefixes its chunk spans: "pull",
 	// "push" or "copy-forward".
 	verb  string
@@ -197,224 +153,108 @@ type run struct {
 	// or sim.Charge where the wall clock already pays for the work.
 	charge func(sim.Env, time.Duration)
 
-	// work feeds the lane processes of a striped run and takes back the
-	// chunk of a quarantined lane; nil when one lane runs inline. Sends
-	// and the close happen under mu (guarded by workClosed) so a
-	// quarantined lane can never send on a closed queue.
-	work *sim.Mailbox[*workItem]
 	// tokens bound the chunks pulled but not yet flushed, and flushQ
 	// hands pulled chunks to the flusher; nil unless flushing behind.
 	tokens *sim.Mailbox[struct{}]
 	flushQ *sim.Mailbox[Chunk]
 
-	mu           sync.Mutex
-	cur          int   // position in the degradation chain
-	err          error // first fatal error; stops every lane
-	workClosed   bool
-	moved        int64
-	lastEnd      time.Duration // completion time of the latest transfer
-	settled      int           // chunks needing nothing more
-	total        int
-	healthy      int // lanes not quarantined
-	retries      int
-	degradations int
-	quarantined  int
+	mu      sync.Mutex
+	err     error // first fatal error; stops every lane
+	moved   int64
+	lastEnd time.Duration // completion time of the latest transfer
+	retries int
 }
 
-// newRun opens the stage span under root and resolves the lane set: the
-// context's leased subset when one is set, else the engine's full set.
-func (e *Engine) newRun(env sim.Env, cx *Context, root *telemetry.Span, verb string, total int, charge func(sim.Env, time.Duration)) *run {
+// newRun opens the stage span under root.
+func (e *Engine) newRun(env sim.Env, cx *Context, root *telemetry.Span, verb string, charge func(sim.Env, time.Duration)) *run {
 	if root == nil {
 		root = &telemetry.Span{}
 	}
-	lanes := cx.Lanes
-	if len(lanes) == 0 {
-		lanes = e.cfg.Lanes
-	}
 	now := env.Now()
 	return &run{
-		e: e, cx: cx, lanes: lanes, verb: verb,
+		e: e, cx: cx, verb: verb,
 		root: root, stage: root.Child(verb, now), charge: charge,
-		lastEnd: now, total: total, healthy: len(lanes),
+		lastEnd: now,
 	}
 }
 
-// chain indexes the degradation chain: the primary strategy, then the
-// fallbacks in order.
-func (e *Engine) chain(i int) Strategy {
-	if i == 0 {
-		return e.cfg.Strategy
-	}
-	return e.cfg.Fallbacks[i-1]
-}
-
-func (r *run) strategy() Strategy {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.e.chain(r.cur)
-}
-
-// event records a healing decision in the flight recorder (nil-safe),
-// linked to the request's trace.
-func (r *run) event(env sim.Env, kind telemetry.EventKind, detail string) {
-	r.e.cfg.Metrics.Events.Emit(telemetry.Event{
-		Time:   env.Now(),
-		Kind:   kind,
-		Trace:  r.cx.Trace,
-		Detail: detail,
-	})
-}
-
-// degrade advances to the next fallback strategy for the rest of the
-// run; it reports false when the chain is exhausted (the caller must
-// spend a retry attempt on the current strategy).
-func (r *run) degrade(env sim.Env) bool {
-	r.mu.Lock()
-	if r.cur >= len(r.e.cfg.Fallbacks) {
-		r.mu.Unlock()
-		return false
-	}
-	r.cur++
-	r.degradations++
-	from, to := r.e.chain(r.cur-1).Name(), r.e.chain(r.cur).Name()
-	r.mu.Unlock()
-	r.e.cfg.Metrics.Degradations.Inc()
-	r.event(env, telemetry.EvStrategyDegrade, from+" -> "+to)
-	return true
-}
-
+// noteRetry counts a re-attempt and records it in the flight recorder
+// (nil-safe), linked to the request's trace.
 func (r *run) noteRetry(env sim.Env, what string) {
 	r.mu.Lock()
 	r.retries++
 	r.mu.Unlock()
 	r.e.cfg.Metrics.Retries.Inc()
-	r.event(env, telemetry.EvDatapathRetry, what)
+	r.e.cfg.Metrics.Events.Emit(telemetry.Event{
+		Time:   env.Now(),
+		Kind:   telemetry.EvDatapathRetry,
+		Trace:  r.cx.Trace,
+		Detail: what,
+	})
 }
 
-// quarantine removes lane qp from the stripe set and hands its chunk
-// back so the remaining work re-stripes over the healthy lanes. The
-// last healthy lane is never quarantined (it must either succeed or
-// fail the run): then it reports false and the lane keeps retrying.
-func (r *run) quarantine(env sim.Env, qp *rdma.QP, it *workItem) bool {
-	r.mu.Lock()
-	if r.healthy <= 1 {
-		r.mu.Unlock()
-		return false
-	}
-	r.healthy--
-	r.quarantined++
-	if !r.workClosed {
-		r.work.Send(env, it)
-	}
-	r.mu.Unlock()
-	r.e.cfg.Metrics.QuarantinedLanes.Inc()
-	r.event(env, telemetry.EvLaneQuarantine, "lane "+strconv.Itoa(qp.ID))
-	return true
-}
-
-// closeWork releases lanes idling on the work queue; called with mu
-// held. A no-op for an inline run, which has no queue.
-func (r *run) closeWork(env sim.Env) {
-	if r.work != nil && !r.workClosed {
-		r.workClosed = true
-		r.work.Close(env)
-	}
-}
-
-// fail records the run's first fatal error and stops the lanes.
-func (r *run) fail(env sim.Env, err error) {
+// fail records the run's first fatal error; every lane stops at its
+// next attempt.
+func (r *run) fail(err error) {
 	r.mu.Lock()
 	if r.err == nil {
 		r.err = err
 	}
-	r.closeWork(env)
 	r.mu.Unlock()
 }
 
-// settle counts a chunk that needs nothing more — pushed, or pulled and
-// flushed; the last one releases the idle lanes.
-func (r *run) settle(env sim.Env) {
-	r.mu.Lock()
-	r.settled++
-	if r.settled == r.total && r.err == nil {
-		r.closeWork(env)
-	}
-	r.mu.Unlock()
-}
-
-// result returns quarantined lanes to the gauge (quarantine is scoped
-// to one run; the next run stripes over the full lane set again) and
-// stamps the healing counters into res.
+// result stamps the run's retry count into res.
 func (r *run) result(res Result) Result {
-	if r.quarantined > 0 {
-		r.e.cfg.Metrics.QuarantinedLanes.Add(int64(-r.quarantined))
-	}
 	res.Retries = r.retries
-	res.Degradations = r.degradations
-	res.Quarantined = r.quarantined
 	return res
-}
-
-// laneContext returns cx, or a clone routed through the lane's own
-// fabric when one is set (per-lane fault injection, multi-rail NICs).
-func laneContext(cx *Context, qp *rdma.QP) *Context {
-	if qp.Fabric == nil {
-		return cx
-	}
-	clone := *cx
-	clone.Fabric = qp.Fabric
-	return &clone
 }
 
 // transfer moves every chunk and returns once each has landed or the
 // run has failed (r.err). A single lane runs inline on the caller,
 // taking chunks in plan order; several lanes run as one sim process
-// each, striping chunks from a shared work queue.
+// each, striping chunks from a shared work queue that is filled and
+// closed before any lane starts.
 func (r *run) transfer(env sim.Env, chunks []Chunk) {
-	if len(r.lanes) == 1 {
-		var it workItem
+	lanes := r.e.cfg.Lanes
+	if len(lanes) == 1 {
 		i := 0
-		r.lane(env, r.lanes[0], func(sim.Env) (*workItem, bool) {
+		r.lane(env, lanes[0], func(sim.Env) (Chunk, bool) {
 			if i == len(chunks) {
-				return nil, false
+				return Chunk{}, false
 			}
-			it = workItem{c: chunks[i]}
 			i++
-			return &it, true
+			return chunks[i-1], true
 		})
 		return
 	}
-	r.work = sim.NewMailbox[*workItem](env)
-	for i := range chunks {
-		r.work.Send(env, &workItem{c: chunks[i]})
+	work := sim.NewMailbox[Chunk](env)
+	for _, c := range chunks {
+		work.Send(env, c)
 	}
-	if len(chunks) == 0 {
-		r.closeWork(env) // no lane is running yet to contend for mu
-	}
-	lanes := sim.NewGroup(env)
-	lanes.Add(env, len(r.lanes))
-	for _, qp := range r.lanes {
+	work.Close(env)
+	g := sim.NewGroup(env)
+	g.Add(env, len(lanes))
+	for _, qp := range lanes {
 		qp := qp
 		env.Go(fmt.Sprintf("datapath-lane-%d", qp.ID), func(env sim.Env) {
-			defer lanes.Done(env)
-			r.lane(env, qp, r.work.Recv)
+			defer g.Done(env)
+			r.lane(env, qp, work.Recv)
 		})
 	}
-	lanes.Wait(env)
+	g.Wait(env)
 }
 
-// lane works through chunks on one queue pair until next runs dry, the
-// run fails, or the lane is quarantined.
-func (r *run) lane(env sim.Env, qp *rdma.QP, next func(sim.Env) (*workItem, bool)) {
-	lcx := laneContext(r.cx, qp)
-	consec := 0 // consecutive failed attempts on this lane
+// lane works through chunks on one queue pair until next runs dry or
+// the run fails, trying each chunk until it lands or its attempt budget
+// is spent.
+func (r *run) lane(env sim.Env, qp *rdma.QP, next func(sim.Env) (Chunk, bool)) {
 	for {
-		it, ok := next(env)
+		c, ok := next(env)
 		if !ok {
 			return
 		}
-		for {
-			landed, alive := r.attempt(env, lcx, qp, it, &consec)
+		for n := 1; ; n++ {
+			landed, alive := r.attempt(env, qp, c, n)
 			if !alive {
 				return
 			}
@@ -425,14 +265,12 @@ func (r *run) lane(env sim.Env, qp *rdma.QP, next func(sim.Env) (*workItem, bool
 	}
 }
 
-// attempt is the one place a chunk moves: a single try at it.c on lane
-// qp, in either direction. It reports whether the chunk landed and
-// whether the lane should carry on. A failed try is healed here and
-// nowhere else: a route-class error falls through the strategy chain
-// without spending the chunk's budget; any other error spends one of
-// MaxAttempts (exhausting them fails the run), backs off, and after
-// LaneFailLimit consecutive failures quarantines the lane.
-func (r *run) attempt(env sim.Env, lcx *Context, qp *rdma.QP, it *workItem, consec *int) (landed, alive bool) {
+// attempt is the one place a chunk moves: try n at c on lane qp, in
+// either direction. It reports whether the chunk landed and whether the
+// lane should carry on. A failed try is healed here and nowhere else:
+// it spends one of MaxAttempts (exhausting them fails the run) and
+// backs off before the next.
+func (r *run) attempt(env sim.Env, qp *rdma.QP, c Chunk, n int) (landed, alive bool) {
 	e := r.e
 	if r.tokens != nil {
 		// Bound chunks in flight past the transfer stage. Tokens are
@@ -446,60 +284,49 @@ func (r *run) attempt(env sim.Env, lcx *Context, qp *rdma.QP, it *workItem, cons
 		r.returnToken(env)
 		return false, false
 	}
-	sp := r.stage.Child(it.c.spanName(r.verb), env.Now())
+	sp := r.stage.Child(c.spanName(r.verb), env.Now())
 	r.mu.Unlock()
 
 	r.charge(env, e.cfg.IssueCost)
 	var err error
 	if r.verb == "push" {
-		err = r.strategy().Push(env, lcx, it.c)
+		err = e.cfg.Strategy.Push(env, r.cx, c)
 	} else {
-		err = r.strategy().Pull(env, lcx, it.c)
+		err = e.cfg.Strategy.Pull(env, r.cx, c)
 	}
 	now := env.Now()
 	sp.EndAt(now)
 
 	if err == nil {
-		*consec = 0
-		sp.SetAttr("bytes", strconv.FormatInt(it.c.Len, 10))
+		sp.SetAttr("bytes", strconv.FormatInt(c.Len, 10))
 		sp.SetAttr("lane", strconv.Itoa(qp.ID))
-		if it.attempts > 0 {
-			sp.SetAttr("attempt", strconv.Itoa(it.attempts+1))
+		if n > 1 {
+			sp.SetAttr("attempt", strconv.Itoa(n))
 		}
 		r.mu.Lock()
-		r.moved += it.c.Len
+		r.moved += c.Len
 		if now > r.lastEnd {
 			r.lastEnd = now
 		}
 		r.mu.Unlock()
 		if r.flushQ != nil {
-			r.flushQ.Send(env, it.c) // the chunk carries its token to the flusher
-		} else {
-			r.settle(env)
+			r.flushQ.Send(env, c) // the chunk carries its token to the flusher
 		}
 		return true, true
 	}
 
 	r.returnToken(env)
 	sp.SetAttr("error", err.Error())
-	if isRouteErr(err) && r.degrade(env) {
-		return false, true // fresh strategy, immediate re-attempt
-	}
-	it.attempts++
-	if it.attempts >= e.maxAttempts() {
+	if n >= e.maxAttempts() {
 		gerund := "pulling"
 		if r.verb == "push" {
 			gerund = "restoring"
 		}
-		r.fail(env, fmt.Errorf("%s %s: %w", gerund, it.c.Name, err))
+		r.fail(fmt.Errorf("%s %s: %w", gerund, c.Name, err))
 		return false, false
 	}
-	r.noteRetry(env, r.verb+" "+it.c.Name)
-	*consec++
-	if lim := e.cfg.Retry.LaneFailLimit; lim > 0 && *consec >= lim && r.quarantine(env, qp, it) {
-		return false, false
-	}
-	env.Sleep(e.backoff(it.attempts))
+	r.noteRetry(env, r.verb+" "+c.Name)
+	env.Sleep(e.backoff(n))
 	return false, true
 }
 
@@ -555,9 +382,8 @@ func (r *run) flushBehind(env sim.Env) *sim.Signal {
 				return
 			}
 			if err := r.flush(env, c.Name, c.PMemOff, c.Len, false); err != nil {
-				r.fail(env, fmt.Errorf("flushing %s: %w", c.Name, err))
+				r.fail(fmt.Errorf("flushing %s: %w", c.Name, err))
 			}
-			r.settle(env)
 			r.tokens.Send(env, struct{}{})
 		}
 	})
@@ -567,7 +393,7 @@ func (r *run) flushBehind(env sim.Env) *sim.Signal {
 // Pull runs the checkpoint direction: every chunk is transferred into
 // PMem and flushed; Pull returns only once all chunks are persisted,
 // so the caller may commit the version's done flag. That invariant
-// survives healing: a retried or re-striped chunk still flushes before
+// survives healing: a retried chunk still flushes before
 // Pull returns, and a flush that keeps failing past the retry budget
 // fails the whole run. Under root it builds a "pull" span (one child
 // span per chunk attempt, with bytes and lane attributes) and a "flush"
@@ -590,8 +416,8 @@ func (e *Engine) Pull(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (R
 	if p.delta {
 		charge = sim.Charge
 	}
-	r := e.newRun(env, cx, root, "pull", len(p.Chunks), charge)
-	behind := e.cfg.Depth > 1 || len(r.lanes) > 1
+	r := e.newRun(env, cx, root, "pull", charge)
+	behind := e.cfg.Depth > 1 || len(e.cfg.Lanes) > 1
 	if behind {
 		drained := r.flushBehind(env)
 		r.transfer(env, p.Chunks)
@@ -649,7 +475,7 @@ type CopyFn func(dstOff, srcOff, n int64) error
 // a real environment the memmove and the flush are the cost. Under root
 // it builds a "copy-forward" span with one child per span.
 func (e *Engine) CopyForward(env sim.Env, cx *Context, spans []CopySpan, cp CopyFn, root *telemetry.Span) (Result, error) {
-	r := e.newRun(env, cx, root, "copy-forward", len(spans), sim.Charge)
+	r := e.newRun(env, cx, root, "copy-forward", sim.Charge)
 	var copied int64
 	for _, s := range spans {
 		sp := r.stage.Child("copy:"+s.Name, env.Now())
@@ -676,11 +502,10 @@ func (e *Engine) CopyForward(env sim.Env, cx *Context, spans []CopySpan, cp Copy
 
 // Push runs the restore direction: chunks move from PMem back into the
 // client's memory through the same attempt loop as Pull — bounded
-// per-chunk retry, per-run strategy degradation, lane quarantine when
-// striped — with no flush stage. Under root it builds a "push" span
-// with one child per chunk attempt.
+// per-chunk retry with capped backoff — with no flush stage. Under root
+// it builds a "push" span with one child per chunk attempt.
 func (e *Engine) Push(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
-	r := e.newRun(env, cx, root, "push", len(p.Chunks), sim.Env.Sleep)
+	r := e.newRun(env, cx, root, "push", sim.Env.Sleep)
 	r.transfer(env, p.Chunks)
 	r.stage.EndAt(env.Now())
 	if r.err != nil {

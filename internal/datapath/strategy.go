@@ -15,17 +15,12 @@ type Context struct {
 	Local   *rdma.Node
 	LocalMR rdma.MR
 	Remote  []rdma.RemoteMR
-	// Trace links this transfer's flight-recorder events (retries,
-	// quarantines, degradations) to the request's trace; zero when the
-	// request is untraced.
+	// Trace links this transfer's flight-recorder retry events to the
+	// request's trace; zero when the request is untraced.
 	Trace telemetry.TraceID
 	// HostStage is the storage server's DRAM staging resource; required
 	// by HostStaged, unused by the other strategies.
 	HostStage *sim.BandwidthResource
-	// Lanes, when non-empty, restricts this transfer to a leased subset
-	// of the engine's lane set (the scheduler's lane-pool arbitration
-	// across concurrent jobs). Empty means the engine's full set.
-	Lanes []*rdma.QP
 }
 
 func (cx *Context) local(c Chunk) rdma.Slice {

@@ -39,8 +39,6 @@ type ChaosOutcome struct {
 	Lost         int
 	Faults       int64
 	Retries      int64
-	Degradations int64
-	Quarantines  int64
 	Reconnects   int64
 	Dedups       int64
 	RestoredIter uint64
@@ -54,10 +52,9 @@ type ChaosOutcome struct {
 
 // RunChaos drives one fault rate: a materialized single-GPU rig with
 // faults injected at every layer — one-sided verb errors, dropped
-// control connections, torn PMem flushes, and occasional route
-// failures — while a training loop checkpoints every iteration. After
-// the stream it scrambles the GPU and proves the newest complete
-// version restores bit-exactly.
+// control connections, and torn PMem flushes — while a training loop
+// checkpoints every iteration. After the stream it scrambles the GPU
+// and proves the newest complete version restores bit-exactly.
 func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 	out := ChaosOutcome{Rate: rate}
 	runEngine(func(env sim.Env) {
@@ -68,7 +65,6 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 			Write:     faults.Rule{Rate: rate},
 			Flush:     faults.Rule{Rate: rate},
 			Conn:      faults.Rule{Rate: rate},
-			Route:     faults.Rule{Rate: rate / 10},
 			Telemetry: reg,
 		})
 		tb, err := portus.NewTestbed(env, portus.TestbedConfig{
@@ -83,7 +79,6 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 			c.ChunkSize = 64 << 10
 			c.RetryMax = 6
 			c.RetryBackoff = 50 * time.Microsecond
-			c.Degrade = true
 			c.Flush = inj.Flush(c.PMem)
 			c.Telemetry = reg
 		})
@@ -146,7 +141,6 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 
 		out.Faults = inj.Total()
 		out.Retries = reg.Counter("portus_datapath_retries_total", "").Value()
-		out.Degradations = reg.Counter("portus_datapath_strategy_degradations_total", "").Value()
 		out.Dedups = reg.Counter("portus_daemon_dedup_total", "").Value()
 		out.Reconnects = m.Reconnects()
 
@@ -155,8 +149,7 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 		s := scrape.String()
 		out.ScrapeOK = strings.Contains(s, "portus_faults_injected_total") &&
 			strings.Contains(s, "portus_datapath_retries_total") &&
-			strings.Contains(s, "portus_client_reconnects_total") &&
-			strings.Contains(s, "portus_datapath_quarantined_lanes")
+			strings.Contains(s, "portus_client_reconnects_total")
 	})
 	return out
 }
@@ -168,7 +161,7 @@ func Chaos() []*Table {
 		ID:    "chaos",
 		Title: "Checkpoint goodput and recoverability under injected faults",
 		Header: []string{"fault rate", "ckpts", "committed", "loud fails", "lost",
-			"faults", "retries", "degraded", "reconnects", "dedups", "restored", "goodput ckpt/s"},
+			"faults", "retries", "reconnects", "dedups", "restored", "goodput ckpt/s"},
 	}
 	for _, rate := range []float64{0, 0.05, 0.10, 0.20} {
 		o := RunChaos(ChaosSeed, rate, chaosCheckpoints)
@@ -179,7 +172,7 @@ func Chaos() []*Table {
 		t.Rows = append(t.Rows, []string{
 			pct(o.Rate), fmt.Sprint(o.Attempted), fmt.Sprint(o.Committed),
 			fmt.Sprint(o.FailedLoud), fmt.Sprint(o.Lost), fmt.Sprint(o.Faults),
-			fmt.Sprint(o.Retries), fmt.Sprint(o.Degradations), fmt.Sprint(o.Reconnects),
+			fmt.Sprint(o.Retries), fmt.Sprint(o.Reconnects),
 			fmt.Sprint(o.Dedups), restored, fmt.Sprintf("%.1f", o.Goodput),
 		})
 		if !o.ScrapeOK {
@@ -190,7 +183,7 @@ func Chaos() []*Table {
 		}
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("seed %d: verb errors, dropped control connections, and torn flushes injected at the stated rate; route failures at a tenth of it", ChaosSeed),
+		fmt.Sprintf("seed %d: verb errors, dropped control connections, and torn flushes injected at the stated rate", ChaosSeed),
 		"\"lost\" counts steps where PMem's newest complete version was older than an acknowledged checkpoint — zero means every failure either healed or failed loudly with the previous version restorable",
 	)
 	return []*Table{t}

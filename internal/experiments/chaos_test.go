@@ -1,29 +1,50 @@
 package experiments
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
-// TestChaosInvariantAtTenPercent is the acceptance bar for the
-// self-healing stack: at a 10% fault rate at every layer — verb
-// errors, dropped control connections, torn flushes — under the fixed
-// seed, the run completes with zero lost committed checkpoints, the
-// newest complete version restores bit-exactly, and the healing
-// counters show up in the Prometheus scrape.
-func TestChaosInvariantAtTenPercent(t *testing.T) {
-	o := RunChaos(ChaosSeed, 0.10, 25)
+// checkChaosInvariant is the acceptance bar for the self-healing
+// stack: with faults at every layer — verb errors, dropped control
+// connections, torn flushes — the run completes with zero lost
+// committed checkpoints, commits at least one, restores its newest
+// complete version bit-exactly, and shows the healing counters in the
+// Prometheus scrape.
+func checkChaosInvariant(t *testing.T, seed int64, rate float64) {
+	t.Helper()
+	o := RunChaos(seed, rate, 25)
 	if o.Lost != 0 {
-		t.Fatalf("lost %d committed checkpoints under 10%% faults", o.Lost)
+		t.Fatalf("lost %d committed checkpoints: %+v", o.Lost, o)
 	}
 	if !o.RestoredOK {
-		t.Fatal("newest complete version did not restore bit-exactly")
+		t.Fatalf("newest complete version did not restore bit-exactly: %+v", o)
 	}
 	if o.Faults == 0 {
 		t.Fatal("no faults injected — the harness is not wired into the stack")
 	}
 	if o.Committed == 0 {
-		t.Fatal("no checkpoints committed under faults")
+		t.Fatalf("no checkpoints committed under faults: %+v", o)
 	}
 	if !o.ScrapeOK {
 		t.Fatal("fault/retry/reconnect counters missing from the Prometheus scrape")
+	}
+}
+
+// TestChaosInvariantAtTenPercent holds the invariant for the fixed
+// seed at a 10% fault rate.
+func TestChaosInvariantAtTenPercent(t *testing.T) {
+	checkChaosInvariant(t, ChaosSeed, 0.10)
+}
+
+// TestChaosInvariantAcrossSeeds holds it for eight more seeds at 20%,
+// so healing is not proven by one lucky schedule.
+func TestChaosInvariantAcrossSeeds(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			checkChaosInvariant(t, seed, 0.20)
+		})
 	}
 }
 

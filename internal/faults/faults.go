@@ -1,10 +1,10 @@
 // Package faults is the deterministic fault-injection layer the
 // robustness tests and the chaos experiment drive. An Injector wraps
 // the three surfaces a real Portus deployment loses first — the RDMA
-// fabric (RNIC completion errors, delayed completions, unreachable
-// peers), the control-plane connection (drops mid-exchange), and the
-// PMem flush path (torn or failed CLWB batches) — behind composable
-// per-site schedules.
+// fabric (RNIC completion errors, delayed completions), the
+// control-plane connection (drops mid-exchange), and the PMem flush
+// path (torn or failed CLWB batches) — behind composable per-site
+// schedules. A whole node's loss is KillNode.
 //
 // Every decision is a pure function of the injector's seed and the
 // per-site operation ordinal, so a fixed seed replays the exact same
@@ -41,7 +41,6 @@ var ErrInjected = errors.New("faults: injected failure")
 const (
 	SiteRead  = "verb-read"
 	SiteWrite = "verb-write"
-	SiteRoute = "route"
 	SiteDelay = "verb-delay"
 	SiteConn  = "conn"
 	SiteFlush = "flush"
@@ -67,10 +66,6 @@ type Config struct {
 	// Read and Write fail one-sided verbs with a transient completion
 	// error (retryable).
 	Read, Write Rule
-	// Route fails one-sided verbs as if the peer's MR agent were
-	// unreachable (wraps rdma.ErrNoRoute, the strategy-degradation
-	// trigger).
-	Route Rule
 	// Delay stalls a verb for DelayBy before letting it through —
 	// a slow completion, not a failure.
 	Delay   Rule
@@ -112,7 +107,7 @@ func NewInjector(cfg Config) *Injector {
 		nodes:    make(map[string][]func(env sim.Env)),
 	}
 	if reg := cfg.Telemetry; reg != nil {
-		for _, site := range []string{SiteRead, SiteWrite, SiteRoute, SiteDelay, SiteConn, SiteFlush, SiteKill} {
+		for _, site := range []string{SiteRead, SiteWrite, SiteDelay, SiteConn, SiteFlush, SiteKill} {
 			in.counters[site] = reg.Counter("portus_faults_injected_total",
 				"faults injected by the test harness", telemetry.L("site", site))
 		}
@@ -196,8 +191,7 @@ func (in *Injector) KillNode(env sim.Env, name string) {
 	}
 }
 
-// Fabric wraps f with the injector's verb schedule. Wrap a single lane's
-// fabric (via rdma.QP.Fabric) to confine faults to that lane.
+// Fabric wraps f with the injector's verb schedule.
 func (in *Injector) Fabric(f rdma.Fabric) rdma.Fabric {
 	return &faultFabric{in: in, inner: f}
 }
@@ -208,13 +202,10 @@ type faultFabric struct {
 }
 
 // verbFault runs the shared pre-verb schedule: an optional delay, then
-// a route failure or a transient completion error.
+// a transient completion error.
 func (f *faultFabric) verbFault(env sim.Env, site string, r Rule) error {
 	if f.in.decide(SiteDelay, f.in.cfg.Delay) {
 		env.Sleep(f.in.cfg.DelayBy)
-	}
-	if f.in.decide(SiteRoute, f.in.cfg.Route) {
-		return fmt.Errorf("%w: %w", ErrInjected, rdma.ErrNoRoute)
 	}
 	if f.in.decide(site, r) {
 		return fmt.Errorf("%w: %s completion error", ErrInjected, site)

@@ -87,21 +87,6 @@ func TestWindowRuleFiresExactOrdinals(t *testing.T) {
 	}
 }
 
-// TestRouteFaultIsRouteClass: an injected route failure must satisfy
-// both errors.Is checks the stack dispatches on — ErrInjected for the
-// harness, rdma.ErrNoRoute for strategy degradation.
-func TestRouteFaultIsRouteClass(t *testing.T) {
-	eng := sim.NewEngine()
-	eng.Go("test", func(env sim.Env) {
-		in := faults.NewInjector(faults.Config{Route: faults.Rule{From: 1, To: 1}})
-		err := in.Fabric(okFabric{}).Read(env, nil, rdma.Slice{}, rdma.RemoteSlice{})
-		if !errors.Is(err, faults.ErrInjected) || !errors.Is(err, rdma.ErrNoRoute) {
-			t.Fatalf("route fault = %v, want ErrInjected and ErrNoRoute", err)
-		}
-	})
-	eng.Run()
-}
-
 // TestTornFlushPersistsHalf: a firing flush persists only the first
 // half of the range and reports failure; a clean retry completes it.
 func TestTornFlushPersistsHalf(t *testing.T) {

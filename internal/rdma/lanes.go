@@ -23,11 +23,6 @@ type QP struct {
 	ID int
 	// Node is the local RDMA node the lane issues verbs from.
 	Node *Node
-	// Fabric, when set, overrides the transfer context's fabric for
-	// verbs issued on this lane. Multi-rail deployments route lanes over
-	// different RNICs, and the fault-injection harness uses it to fail a
-	// single lane while the rest of the stripe set stays healthy.
-	Fabric Fabric
 }
 
 // ConnectLanes establishes count queue pairs on node and returns them.

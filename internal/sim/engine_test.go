@@ -381,3 +381,26 @@ func TestChargeIsVirtualOnly(t *testing.T) {
 		t.Fatal("Charge under RealEnv should return at once")
 	}
 }
+
+// TestBackoffDoublesToCap: delay n is base·2ⁿ⁻¹ until it reaches the
+// cap and stays there; a base above the cap is clamped to it, and a
+// non-positive base means no delay at all.
+func TestBackoffDoublesToCap(t *testing.T) {
+	ms := time.Millisecond
+	for _, c := range []struct {
+		base, max time.Duration
+		want      []time.Duration
+	}{
+		{300 * ms, 500 * ms, []time.Duration{300 * ms, 500 * ms, 500 * ms, 500 * ms}},
+		{2 * ms, 500 * ms, []time.Duration{2 * ms, 4 * ms, 8 * ms, 16 * ms, 32 * ms, 64 * ms, 128 * ms, 256 * ms, 500 * ms, 500 * ms}},
+		{ms, ms, []time.Duration{ms, ms}},
+		{time.Second, 500 * ms, []time.Duration{500 * ms, 500 * ms}},
+		{0, 500 * ms, []time.Duration{0, 0}},
+	} {
+		for i, want := range c.want {
+			if got := Backoff(c.base, i+1, c.max); got != want {
+				t.Errorf("Backoff(%v, %d, %v) = %v, want %v", c.base, i+1, c.max, got, want)
+			}
+		}
+	}
+}

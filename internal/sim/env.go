@@ -39,6 +39,20 @@ func Charge(env Env, d time.Duration) {
 	}
 }
 
+// Backoff returns the delay before retry n (n >= 1) of a capped
+// exponential backoff: base·2ⁿ⁻¹, at most max. A base <= 0 means no
+// delay.
+func Backoff(base time.Duration, n int, max time.Duration) time.Duration {
+	if base <= 0 {
+		return 0
+	}
+	d := base
+	for i := 1; i < n && d < max; i++ {
+		d *= 2
+	}
+	return min(d, max)
+}
+
 // simEnv is the per-process Env for the discrete-event engine.
 type simEnv struct {
 	eng *Engine

@@ -12,15 +12,12 @@ type EventKind string
 
 // Flight-recorder event kinds emitted across the daemon.
 const (
-	EvSchedAdmit      EventKind = "sched.admit"
-	EvSchedCoalesce   EventKind = "sched.coalesce"
-	EvSchedDedup      EventKind = "sched.dedup"
-	EvSchedBusy       EventKind = "sched.busy"
-	EvDatapathRetry   EventKind = "datapath.retry"
-	EvLaneQuarantine  EventKind = "datapath.quarantine"
-	EvLaneRecover     EventKind = "datapath.recover"
-	EvStrategyDegrade EventKind = "datapath.degrade"
-	EvWatchdogSlow    EventKind = "watchdog.slow"
+	EvSchedAdmit    EventKind = "sched.admit"
+	EvSchedCoalesce EventKind = "sched.coalesce"
+	EvSchedDedup    EventKind = "sched.dedup"
+	EvSchedBusy     EventKind = "sched.busy"
+	EvDatapathRetry EventKind = "datapath.retry"
+	EvWatchdogSlow  EventKind = "watchdog.slow"
 	// Admin operations: operator-triggered list/archive/delete requests,
 	// recorded so portusctl events shows who touched the stored models.
 	EvAdminList   EventKind = "admin.list"
