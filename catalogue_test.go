@@ -17,19 +17,35 @@ import (
 // eventKinds parses the flight-recorder catalogue: every EventKind
 // constant in internal/telemetry/events.go, name → dotted kind.
 func eventKinds(t *testing.T) map[string]string {
+	kinds, _ := eventCatalogue(t)
+	return kinds
+}
+
+// eventCatalogue parses internal/telemetry/events.go: its EventKind
+// constants (name → dotted kind) and, in order, the constant names its
+// EventKinds list holds.
+func eventCatalogue(t *testing.T) (kinds map[string]string, listed []string) {
 	t.Helper()
 	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("internal", "telemetry", "events.go"), nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kinds := map[string]string{}
+	kinds = map[string]string{}
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.CONST {
+		if !ok || (gd.Tok != token.CONST && gd.Tok != token.VAR) {
 			continue
 		}
 		for _, spec := range gd.Specs {
 			vs := spec.(*ast.ValueSpec)
+			if gd.Tok == token.VAR {
+				if vs.Names[0].Name == "EventKinds" {
+					for _, el := range vs.Values[0].(*ast.CompositeLit).Elts {
+						listed = append(listed, el.(*ast.Ident).Name)
+					}
+				}
+				continue
+			}
 			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "EventKind" {
 				continue
 			}
@@ -49,22 +65,13 @@ func eventKinds(t *testing.T) map[string]string {
 	if len(kinds) == 0 {
 		t.Fatal("no EventKind constants found in internal/telemetry/events.go")
 	}
-	return kinds
+	return kinds, listed
 }
 
-// notEventKinds are backticked dotted lowercase names README uses for
-// something other than a flight-recorder event.
-var notEventKinds = map[string]bool{"torch.save": true}
-
-// TestEventKindCatalogue keeps the flight-recorder catalogue honest:
-// every declared EventKind is emitted by non-test code, README names
-// every kind in full, and README names no kind that does not exist.
-func TestEventKindCatalogue(t *testing.T) {
-	kinds := eventKinds(t)
-
-	// Every identifier use in non-test code of this module; each kind's
-	// declaration is one, so a kind in use has at least two.
-	uses := map[string]int{}
+// goFiles parses every non-test Go file of this module outside bench/
+// (its own module), testdata and hidden directories.
+func goFiles(t *testing.T, visit func(path string, f *ast.File)) {
+	t.Helper()
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -82,7 +89,33 @@ func TestEventKindCatalogue(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		visit(path, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// notEventKinds are backticked dotted lowercase names README uses for
+// something other than a flight-recorder event.
+var notEventKinds = map[string]bool{"torch.save": true}
+
+// TestEventKindCatalogue keeps the flight-recorder catalogue honest:
+// every declared EventKind is emitted by non-test code, README names
+// every kind in full, and README names no kind that does not exist.
+func TestEventKindCatalogue(t *testing.T) {
+	kinds := eventKinds(t)
+
+	// Every identifier use in non-test code of this module, the
+	// EventKinds list aside; each kind's declaration is one, so a kind
+	// in use has at least two.
+	uses := map[string]int{}
+	goFiles(t, func(_ string, f *ast.File) {
 		ast.Inspect(f, func(n ast.Node) bool {
+			if vs, ok := n.(*ast.ValueSpec); ok && vs.Names[0].Name == "EventKinds" {
+				return false
+			}
 			if id, ok := n.(*ast.Ident); ok {
 				if _, ok := kinds[id.Name]; ok {
 					uses[id.Name]++
@@ -90,11 +123,7 @@ func TestEventKindCatalogue(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	readme, err := os.ReadFile("README.md")
 	if err != nil {
@@ -116,9 +145,115 @@ func TestEventKindCatalogue(t *testing.T) {
 			t.Errorf("README does not name the event kind `%s`", kind)
 		}
 	}
-	for _, m := range regexp.MustCompile("`([a-z]+\\.[a-z/]+)`").FindAllStringSubmatch(string(readme), -1) {
+	for _, m := range regexp.MustCompile("`([a-z]+\\.[a-z/-]+)`").FindAllStringSubmatch(string(readme), -1) {
 		if name := m[1]; !declared[name] && !notEventKinds[name] {
 			t.Errorf("README names the event kind `%s`, which telemetry does not declare", name)
 		}
 	}
+}
+
+// registeredFamilies collects every metric family non-test code
+// registers: the name a Registry.Counter, Histogram, CounterFunc or
+// GaugeFunc call is given as a string literal.
+func registeredFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	families := map[string]bool{}
+	goFiles(t, func(_ string, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch sel.Sel.Name {
+			case "Counter", "Histogram", "CounterFunc", "GaugeFunc":
+			default:
+				return true
+			}
+			if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if name, err := strconv.Unquote(lit.Value); err == nil && strings.HasPrefix(name, "portus_") {
+					families[name] = true
+				}
+			}
+			return true
+		})
+	})
+	if len(families) == 0 {
+		t.Fatal("no metric family registrations found")
+	}
+	return families
+}
+
+// expandBraces expands each {a,b} group of a metric name into every
+// name it stands for.
+func expandBraces(name string) []string {
+	open := strings.IndexByte(name, '{')
+	if open < 0 {
+		return []string{name}
+	}
+	end := open + strings.IndexByte(name[open:], '}')
+	var out []string
+	for _, alt := range strings.Split(name[open+1:end], ",") {
+		out = append(out, expandBraces(name[:open]+alt+name[end+1:])...)
+	}
+	return out
+}
+
+// TestMetricCatalogue keeps README's metric table honest: every family
+// non-test code registers has a row, the table names no family that
+// does not exist, and portus_events_total's kinds (the EventKinds list)
+// are exactly the declared EventKind constants.
+func TestMetricCatalogue(t *testing.T) {
+	families := registeredFamilies(t)
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tabled := map[string]bool{}
+	name := regexp.MustCompile("`(portus_[a-z0-9_{},]+)`")
+	for _, line := range strings.Split(string(readme), "\n") {
+		if !strings.HasPrefix(line, "| `portus_") {
+			continue
+		}
+		cell := strings.Split(line, "|")[1]
+		for _, m := range name.FindAllStringSubmatch(cell, -1) {
+			for _, fam := range expandBraces(m[1]) {
+				tabled[fam] = true
+			}
+		}
+	}
+	for _, fam := range sortedKeys(families) {
+		if !tabled[fam] {
+			t.Errorf("README's metric table has no row for %s", fam)
+		}
+	}
+	for _, fam := range sortedKeys(tabled) {
+		if !families[fam] {
+			t.Errorf("README's metric table names %s, which nothing registers", fam)
+		}
+	}
+
+	kinds, listed := eventCatalogue(t)
+	var declared []string
+	for n := range kinds {
+		declared = append(declared, n)
+	}
+	sort.Strings(declared)
+	got := append([]string(nil), listed...)
+	sort.Strings(got)
+	if strings.Join(got, ",") != strings.Join(declared, ",") {
+		t.Errorf("EventKinds lists %v, want every declared EventKind: %v", listed, declared)
+	}
+}
+
+func sortedKeys(m map[string]bool) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
 }

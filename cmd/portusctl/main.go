@@ -35,7 +35,6 @@ import (
 	"net/http"
 	"net/url"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -95,7 +94,7 @@ func runAdmin(admin string, args []string) error {
 		if err != nil {
 			return fmt.Errorf("parsing /metrics: %w", err)
 		}
-		renderStats(samples)
+		renderStats(os.Stdout, samples)
 		return nil
 	case "trace":
 		return runTrace(admin, args[1:])
@@ -193,63 +192,73 @@ func isHexID(s string) bool {
 	return true
 }
 
-// renderStats prints the daemon counters plus latency quantiles from
-// the scraped histograms.
-func renderStats(samples []telemetry.Sample) {
-	value := func(name string) float64 {
+// renderStats writes the daemon counters plus latency quantiles from
+// the scraped histograms to w.
+func renderStats(w io.Writer, samples []telemetry.Sample) {
+	// value reads the sample of name with no labels, or with exactly
+	// the one label given.
+	value := func(name string, label ...telemetry.Label) float64 {
 		for _, s := range samples {
-			if s.Name == name && len(s.Labels) == 0 {
+			if s.Name == name && len(s.Labels) == len(label) && (len(label) == 0 || s.Labels[label[0].Key] == label[0].Value) {
 				return s.Value
 			}
 		}
 		return 0
 	}
-	fmt.Println("DAEMON")
+	fmt.Fprintln(w, "DAEMON")
 	rows := []struct{ label, name string }{
 		{"registered models", "portus_daemon_registered_total"},
-		{"checkpoints", "portus_daemon_checkpoints_total"},
-		{"restores", "portus_daemon_restores_total"},
+		{"checkpoints", "portus_checkpoint_seconds_count"},
+		{"restores", "portus_restore_seconds_count"},
 		{"errors", "portus_daemon_errors_total"},
-		{"queue depth", "portus_daemon_queue_depth"},
+		{"queue depth", "portus_sched_queue_depth_global"},
 	}
 	for _, r := range rows {
-		fmt.Printf("  %-22s %12.0f\n", r.label, value(r.name))
+		fmt.Fprintf(w, "  %-22s %12.0f\n", r.label, value(r.name))
 	}
-	fmt.Printf("  %-22s %12s\n", "bytes pulled", metrics.FormatBytes(int64(value("portus_daemon_bytes_pulled_total"))))
-	fmt.Printf("  %-22s %12s\n", "bytes pushed", metrics.FormatBytes(int64(value("portus_daemon_bytes_pushed_total"))))
+	fmt.Fprintf(w, "  %-22s %12s\n", "bytes pulled", metrics.FormatBytes(int64(value("portus_daemon_bytes_pulled_total"))))
+	fmt.Fprintf(w, "  %-22s %12s\n", "bytes pushed", metrics.FormatBytes(int64(value("portus_daemon_bytes_pushed_total"))))
 	for _, r := range []struct{ label, name string }{
-		{"pull time (cum)", "portus_daemon_pull_seconds_total"},
-		{"flush time (cum)", "portus_daemon_flush_seconds_total"},
-		{"push time (cum)", "portus_daemon_push_seconds_total"},
+		{"pull time (cum)", "portus_checkpoint_pull_seconds_sum"},
+		{"flush time (cum)", "portus_checkpoint_flush_seconds_sum"},
+		{"push time (cum)", "portus_restore_push_seconds_sum"},
 	} {
-		fmt.Printf("  %-22s %12s\n", r.label, metrics.FormatDuration(secs(value(r.name))))
+		fmt.Fprintf(w, "  %-22s %12s\n", r.label, metrics.FormatDuration(secs(value(r.name))))
 	}
 
-	fmt.Println("\nLATENCY (from histograms)")
-	fmt.Printf("  %-34s %10s %10s %10s %8s\n", "HISTOGRAM", "p50", "p99", "mean", "count")
-	hists := histogramNames(samples)
-	for _, name := range hists {
-		p50, _ := telemetry.HistogramQuantile(samples, name, 0.50)
-		p99, ok := telemetry.HistogramQuantile(samples, name, 0.99)
+	fmt.Fprintln(w, "\nLATENCY (from histograms)")
+	fmt.Fprintf(w, "  %-34s %10s %10s %10s %8s\n", "HISTOGRAM", "p50", "p99", "mean", "count")
+	// The daemon-wide histogram series: the unlabeled ones, and the
+	// scheduler's wait once per class. A scrape lists families sorted
+	// by name, so the rows come out sorted too.
+	for _, s := range samples {
+		name, isCount := strings.CutSuffix(s.Name, "_count")
+		class, byClass := s.Labels["class"]
+		if !isCount || len(s.Labels) > 1 || len(s.Labels) == 1 && !byClass {
+			continue
+		}
+		var labels []telemetry.Label
+		row := strings.TrimPrefix(name, "portus_")
+		if byClass {
+			labels = []telemetry.Label{telemetry.L("class", class)}
+			row += "{" + class + "}"
+		}
+		p50, _ := telemetry.HistogramQuantile(samples, name, 0.50, labels...)
+		p99, ok := telemetry.HistogramQuantile(samples, name, 0.99, labels...)
 		if !ok {
 			continue
 		}
-		count := value(name + "_count")
-		mean := 0.0
-		if count > 0 {
-			mean = value(name+"_sum") / count
-		}
-		fmt.Printf("  %-34s %10s %10s %10s %8.0f\n",
-			strings.TrimPrefix(name, "portus_"),
+		mean := value(name+"_sum", labels...) / s.Value
+		fmt.Fprintf(w, "  %-34s %10s %10s %10s %8.0f\n", row,
 			metrics.FormatDuration(secs(p50)), metrics.FormatDuration(secs(p99)),
-			metrics.FormatDuration(secs(mean)), count)
+			metrics.FormatDuration(secs(mean)), s.Value)
 	}
 
-	fmt.Println("\nPMEM")
-	fmt.Printf("  %-22s %12.0f\n", "flush ops", value("portus_pmem_flush_ops_total"))
-	fmt.Printf("  %-22s %12s\n", "flush bytes", metrics.FormatBytes(int64(value("portus_pmem_flush_bytes_total"))))
+	fmt.Fprintln(w, "\nPMEM")
+	fmt.Fprintf(w, "  %-22s %12.0f\n", "flush ops", value("portus_pmem_flush_ops_total"))
+	fmt.Fprintf(w, "  %-22s %12s\n", "flush bytes", metrics.FormatBytes(int64(value("portus_pmem_flush_bytes_total"))))
 
-	fmt.Println("\nSTORE")
+	fmt.Fprintln(w, "\nSTORE")
 	capacity := value("portus_store_capacity_bytes")
 	for _, r := range []struct{ label, name string }{
 		{"capacity", "portus_store_capacity_bytes"},
@@ -262,32 +271,17 @@ func renderStats(samples []telemetry.Sample) {
 		if capacity > 0 && r.name != "portus_store_capacity_bytes" {
 			pct = fmt.Sprintf(" (%4.1f%%)", 100*v/capacity)
 		}
-		fmt.Printf("  %-22s %12s%s\n", r.label, metrics.FormatBytes(int64(v)), pct)
+		fmt.Fprintf(w, "  %-22s %12s%s\n", r.label, metrics.FormatBytes(int64(v)), pct)
 	}
-	fmt.Printf("  %-22s %12.0f\n", "repack runs", value("portus_store_repack_runs_total"))
-	fmt.Printf("  %-22s %12s\n", "repack bytes moved", metrics.FormatBytes(int64(value("portus_store_repack_moved_bytes_total"))))
-	fmt.Printf("  %-22s %12.0f\n", "no-space replies", value("portus_store_nospace_replies_total"))
+	fmt.Fprintf(w, "  %-22s %12.0f\n", "repack runs", value("portus_store_repack_seconds_count"))
+	fmt.Fprintf(w, "  %-22s %12s\n", "repack bytes moved", metrics.FormatBytes(int64(value("portus_store_repack_moved_bytes_total"))))
+	fmt.Fprintf(w, "  %-22s %12.0f\n", "no-space replies", value("portus_store_nospace_replies_total"))
 
-	fmt.Println("\nDELTA")
-	fmt.Printf("  %-22s %11.1f%%\n", "last dirty ratio", 100*value("portus_delta_dirty_ratio"))
-	fmt.Printf("  %-22s %12s\n", "bytes saved", metrics.FormatBytes(int64(value("portus_delta_bytes_saved_total"))))
-	fmt.Printf("  %-22s %12.0f\n", "full fallbacks", value("portus_delta_full_fallbacks_total"))
-}
-
-// histogramNames finds the unlabeled histogram families in a scrape.
-func histogramNames(samples []telemetry.Sample) []string {
-	seen := map[string]bool{}
-	for _, s := range samples {
-		if strings.HasSuffix(s.Name, "_bucket") && len(s.Labels) == 1 { // only le
-			seen[strings.TrimSuffix(s.Name, "_bucket")] = true
-		}
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	fmt.Fprintln(w, "\nDELTA")
+	fmt.Fprintf(w, "  %-22s %11.1f%%\n", "last dirty ratio", 100*value("portus_delta_dirty_ratio"))
+	fmt.Fprintf(w, "  %-22s %12s\n", "bytes saved", metrics.FormatBytes(int64(value("portus_delta_bytes_saved_total"))))
+	fmt.Fprintf(w, "  %-22s %12.0f\n", "full fallbacks",
+		value("portus_events_total", telemetry.L("kind", string(telemetry.EvDeltaFallback))))
 }
 
 func secs(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }

@@ -67,7 +67,7 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 	metricsBody := adminGet(t, admin, "/metrics")
 	for _, want := range []string{
-		"portus_daemon_checkpoints_total",
+		"portus_checkpoint_seconds_count",
 		"portus_checkpoint_seconds_bucket",
 		"portus_rdma_bytes_total",
 		"portus_pmem_flush_ops_total",

@@ -194,8 +194,8 @@ func TestClientBackoffUnderFullDaemonQueue(t *testing.T) {
 		if got := cn.BusyRetries(); got < 1 {
 			t.Fatalf("BusyRetries = %d, want >= 1 (the global queue was full)", got)
 		}
-		if got := reg.Counter("portus_sched_busy_replies_total", "").Value(); got < 1 {
-			t.Fatalf("portus_sched_busy_replies_total = %d, want >= 1", got)
+		if got := d.Events().Count(telemetry.EvSchedBusy); got < 1 {
+			t.Fatalf("sched.busy events = %d, want >= 1", got)
 		}
 		for name, want := range map[string]uint64{"m": 2, "n": 1} {
 			mdl, err := d.Store().Lookup(name)

@@ -80,7 +80,6 @@ type Client struct {
 	Stalled time.Duration
 
 	// Telemetry handles; nil (a no-op) unless Options.Telemetry was set.
-	ckpts       *telemetry.Counter
 	errs        *telemetry.Counter
 	reconnects  *telemetry.Counter
 	busyRetries *telemetry.Counter
@@ -242,7 +241,6 @@ func RegisterOpts(env sim.Env, conn wire.Conn, node *rdma.Node, m *gpu.PlacedMod
 	c.busyRetries = &telemetry.Counter{}
 	if reg := opts.Telemetry; reg != nil {
 		ml := telemetry.L("model", m.Spec.Name)
-		c.ckpts = reg.Counter("portus_client_checkpoints_total", "checkpoints completed by this client", ml)
 		c.errs = reg.Counter("portus_client_errors_total", "client-visible daemon/connection errors", ml)
 		c.reconnects = reg.Counter("portus_client_reconnects_total", "control-plane reconnects this client performed", ml)
 		c.busyRetries = reg.Counter("portus_client_busy_retries_total", "requests re-sent after a BUSY backpressure reply", ml)
@@ -671,7 +669,6 @@ func (cp *Completion) Wait(env sim.Env) error {
 		if err != nil {
 			cp.c.errs.Inc()
 		} else {
-			cp.c.ckpts.Inc()
 			cp.c.ckptLat.ObserveDurationTraced(env.Now()-cp.start, cp.r.traceID())
 		}
 		cp.c.finishTrace(env, cp.r, 0, err)

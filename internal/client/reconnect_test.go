@@ -234,9 +234,8 @@ func TestDaemonRepeatedCheckpointDeduplicated(t *testing.T) {
 		if st := h.d.Stats(); st.Checkpoints != 1 {
 			t.Fatalf("daemon executed %d checkpoints, want 1 (second deduplicated)", st.Checkpoints)
 		}
-		dedups := h.d.Telemetry().Counter("portus_daemon_dedup_total", "").Value()
-		if dedups != 1 {
-			t.Fatalf("portus_daemon_dedup_total = %d, want 1", dedups)
+		if dedups := h.d.Events().Count(telemetry.EvSchedDedup); dedups != 1 {
+			t.Fatalf("sched.dedup events = %d, want 1", dedups)
 		}
 	})
 	eng.Run()

@@ -127,7 +127,6 @@ type Router struct {
 	suspects map[string]bool
 
 	groupLat    *telemetry.Histogram
-	degraded    *telemetry.Gauge
 	corruptions *telemetry.Counter
 }
 
@@ -144,8 +143,9 @@ func NewRouter(pmap *placement.Map, dial Dial, opts RouterOptions) *Router {
 		suspects: make(map[string]bool),
 	}
 	if reg := opts.Telemetry; reg != nil {
-		r.degraded = reg.Gauge("portus_router_degraded_nodes",
-			"storage nodes currently suspected dead by this router")
+		reg.GaugeFunc("portus_router_degraded_nodes",
+			"storage nodes currently suspected dead by this router",
+			func() float64 { return float64(len(r.Suspects())) })
 		r.corruptions = reg.Counter("portus_restore_corruptions_total",
 			"restore attempts that hit a CRC-corrupt replica and failed over")
 	}
@@ -439,11 +439,7 @@ func (r *Router) MarkSuspect(env sim.Env, node string) {
 		return
 	}
 	r.suspects[node] = true
-	n := len(r.suspects)
 	r.mu.Unlock()
-	if r.degraded != nil {
-		r.degraded.Set(int64(n))
-	}
 	r.manifest.DropNode(node)
 	var survivors []placement.Node
 	r.mu.Lock()
@@ -466,7 +462,6 @@ func (r *Router) MarkSuspect(env sim.Env, node string) {
 func (r *Router) Join(env sim.Env, n placement.Node) error {
 	r.mu.Lock()
 	delete(r.suspects, n.Name)
-	cnt := len(r.suspects)
 	// Replica clients that pointed at the dead incarnation are stale —
 	// mark them down so rebalance dials the replacement daemon fresh.
 	for _, m := range r.members {
@@ -478,9 +473,6 @@ func (r *Router) Join(env sim.Env, n placement.Node) error {
 		}
 	}
 	r.mu.Unlock()
-	if r.degraded != nil {
-		r.degraded.Set(int64(cnt))
-	}
 	nodes := r.pmap.Nodes()
 	found := false
 	for i := range nodes {

@@ -74,7 +74,7 @@ func request(t *testing.T, env sim.Env, conn wire.Conn, req *wire.Msg) *wire.Msg
 
 // TestAdminOpsRecordedInEventsAndCounters drives one of each admin
 // operation through the control plane and checks each lands in the
-// flight recorder and the portus_admin_ops_total counter family.
+// flight recorder and in its portus_events_total count.
 func TestAdminOpsRecordedInEventsAndCounters(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.Go("test", func(env sim.Env) {
@@ -105,9 +105,9 @@ func TestAdminOpsRecordedInEventsAndCounters(t *testing.T) {
 		reg.WritePrometheus(&buf)
 		out := buf.String()
 		for _, want := range []string{
-			`portus_admin_ops_total{op="list"} 1`,
-			`portus_admin_ops_total{op="dump"} 1`,
-			`portus_admin_ops_total{op="delete"} 1`,
+			`portus_events_total{kind="admin.list"} 1`,
+			`portus_events_total{kind="admin.dump"} 1`,
+			`portus_events_total{kind="admin.delete"} 1`,
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("exposition missing %q:\n%s", want, out)

@@ -111,9 +111,9 @@ type Config struct {
 	Telemetry *telemetry.Registry
 	// SlowBudget is the slow-transfer watchdog's latency budget: any
 	// checkpoint or restore whose end-to-end (daemon-side) duration
-	// exceeds it increments portus_slow_transfers_total and snapshots
-	// its trace plus the surrounding flight-recorder window. 0 disables
-	// the watchdog.
+	// exceeds it is recorded as a watchdog.slow event and snapshots its
+	// trace plus the surrounding flight-recorder window. 0 disables the
+	// watchdog.
 	SlowBudget time.Duration
 	// DeltaEnabled accepts incremental checkpoints: a DO_CHECKPOINT
 	// carrying a block-digest vector is diffed against the previous
@@ -196,7 +196,6 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 		PMem:      cfg.PMem,
 		TableCap:  tableCap,
 		Telemetry: tel.reg,
-		Events:    tel.events,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("daemon: opening namespace: %w", err)
@@ -239,10 +238,6 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 		Telemetry:     d.tel.reg,
 		Events:        d.tel.events,
 	})
-	// The queue-depth gauge samples the scheduler — the single source of
-	// truth — instead of mirroring it in a second atomic.
-	d.tel.reg.GaugeFunc("portus_daemon_queue_depth", "requests queued in the scheduler but not yet picked up by a worker",
-		func() float64 { return float64(d.sched.QueueDepth()) })
 	// Route all data-plane verbs through the instrumented fabric so
 	// per-op bytes and latency land in the registry.
 	d.cfg.Fabric = rdma.Instrument("data", cfg.Fabric, d.tel.reg)
@@ -266,10 +261,7 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 			MaxAttempts: orDefault(cfg.RetryMax, 3),
 			Backoff:     orDefault(cfg.RetryBackoff, 100*time.Microsecond),
 		},
-		Metrics: datapath.Metrics{
-			Retries: tel.reg.Counter("portus_datapath_retries_total", "chunk transfers and flushes re-attempted after a transient error"),
-			Events:  tel.events,
-		},
+		Events: tel.events,
 	})
 	for w := 0; w < cfg.Workers; w++ {
 		env.Go(fmt.Sprintf("portusd-worker-%d", w), d.worker)
@@ -429,7 +421,7 @@ func (d *Daemon) sendErrFor(env sim.Env, conn wire.Conn, inReplyTo wire.Type, it
 //     restores.
 //   - Errors counts every error the daemon has reported to a client
 //     (malformed requests and datapath failures; BUSY backpressure
-//     replies are counted separately in portus_sched_busy_replies_total).
+//     replies are sched.busy events, not errors).
 //   - QueueDepth is the number of requests currently queued in the
 //     scheduler but not yet picked up by a worker (an instantaneous
 //     gauge read straight from the scheduler, not a cumulative count).
@@ -453,22 +445,28 @@ type Stats struct {
 
 // Stats snapshots the daemon counters; see Stats for field semantics.
 // Every field is read from the accumulator behind the registry metric
-// of the same meaning, so Stats and /metrics cannot disagree.
+// of the same meaning, so Stats and /metrics cannot disagree: the
+// checkpoint and restore counts are their latency histograms' counts,
+// and the stage times their stage histograms' sums.
 func (d *Daemon) Stats() Stats {
 	t := d.tel
 	return Stats{
 		Registered:  t.registered.Value(),
-		Checkpoints: t.checkpoints.Value(),
-		Restores:    t.restores.Value(),
+		Checkpoints: int64(t.ckptLatency.Count()),
+		Restores:    int64(t.restoreLatency.Count()),
 		Errors:      t.errors.Value(),
 		QueueDepth:  d.sched.QueueDepth(),
 		BytesPulled: t.bytesPulled.Value(),
 		BytesPushed: t.bytesPushed.Value(),
-		PullTime:    time.Duration(t.pullNanos.Load()),
-		FlushTime:   time.Duration(t.flushNanos.Load()),
-		PushTime:    time.Duration(t.pushNanos.Load()),
+		PullTime:    seconds(t.pullStage.Sum()),
+		FlushTime:   seconds(t.flushStage.Sum()),
+		PushTime:    seconds(t.pushStage.Sum()),
 	}
 }
+
+// seconds converts a histogram's float sum of seconds back to a
+// duration, rounded to the nanosecond it was observed in.
+func seconds(s float64) time.Duration { return time.Duration(math.Round(s * 1e9)) }
 
 // Telemetry exposes the daemon's metrics registry (served by the admin
 // endpoint's /metrics).
@@ -489,35 +487,33 @@ func (d *Daemon) Watchdog() *telemetry.Watchdog { return d.tel.watchdog }
 
 // telem bundles the daemon's registered metric handles and the
 // completed-trace ring. Each quantity has exactly one accumulator: the
-// registry counter itself, or — for values a counter's integer cannot
-// carry — the atomic a CounterFunc/GaugeFunc samples at scrape time.
+// registry counter or histogram itself; the flight recorder's per-kind
+// count, for a decision it records (portus_events_total); or — for a
+// value a counter's integer cannot carry — the atomic a GaugeFunc
+// samples at scrape time.
 type telem struct {
 	reg      *telemetry.Registry
 	traces   *telemetry.TraceRing
 	events   *telemetry.EventRing
 	watchdog *telemetry.Watchdog
 
-	registered, checkpoints, restores, errors *telemetry.Counter
-	bytesPulled, bytesPushed                  *telemetry.Counter
-	dedups                                    *telemetry.Counter
-	adminList, adminDump, adminDelete         *telemetry.Counter
-	adminLoad, crcFailures                    *telemetry.Counter
-	nospaceReplies                            *telemetry.Counter
-	deltaSaved, deltaFallbacks                *telemetry.Counter
+	registered, errors       *telemetry.Counter
+	bytesPulled, bytesPushed *telemetry.Counter
+	crcFailures              *telemetry.Counter
+	nospaceReplies           *telemetry.Counter
+	deltaSaved               *telemetry.Counter
 
-	// Cumulative stage times in integer nanoseconds (the Figure 13
-	// breakdown), exported in seconds as portus_daemon_*_seconds_total.
-	pullNanos, flushNanos, pushNanos atomic.Int64
 	// deltaDirty holds the last accepted delta plan's dirty ratio as
 	// float64 bits, served as portus_delta_dirty_ratio.
 	deltaDirty atomic.Uint64
 
-	ckptLatency    *telemetry.Histogram // enqueue → commit, end to end
-	enqueueWait    *telemetry.Histogram
+	// The end-to-end latencies count completed transfers, and the stage
+	// histograms' sums are the Figure 13 breakdown.
+	ckptLatency    *telemetry.Histogram // enqueue → commit
 	pullStage      *telemetry.Histogram
 	flushStage     *telemetry.Histogram
 	pushStage      *telemetry.Histogram
-	restoreLatency *telemetry.Histogram
+	restoreLatency *telemetry.Histogram // enqueue → done
 }
 
 // newTelem registers the daemon's metrics in reg; nil creates a private
@@ -531,28 +527,17 @@ func newTelem(reg *telemetry.Registry, slowBudget time.Duration, pm *pmem.Device
 		traces:      telemetry.NewTraceRing(traceDepth),
 		events:      telemetry.NewEventRing(telemetry.DefEventDepth),
 		registered:  reg.Counter("portus_daemon_registered_total", "model registrations accepted"),
-		checkpoints: reg.Counter("portus_daemon_checkpoints_total", "checkpoint versions committed"),
-		restores:    reg.Counter("portus_daemon_restores_total", "restores completed"),
 		errors:      reg.Counter("portus_daemon_errors_total", "errors reported to clients"),
 		bytesPulled: reg.Counter("portus_daemon_bytes_pulled_total", "checkpoint bytes pulled from GPU memory"),
 		bytesPushed: reg.Counter("portus_daemon_bytes_pushed_total", "restore bytes pushed to GPU memory"),
-
-		dedups: reg.Counter("portus_daemon_dedup_total", "retried requests deduplicated instead of double-executed"),
-
-		adminList:   reg.Counter("portus_admin_ops_total", "admin operations served", telemetry.L("op", "list")),
-		adminDump:   reg.Counter("portus_admin_ops_total", "admin operations served", telemetry.L("op", "dump")),
-		adminDelete: reg.Counter("portus_admin_ops_total", "admin operations served", telemetry.L("op", "delete")),
-		adminLoad:   reg.Counter("portus_admin_ops_total", "admin operations served", telemetry.L("op", "load")),
 
 		crcFailures: reg.Counter("portus_daemon_crc_mismatch_total", "restore or load attempts that failed the stored-version CRC check"),
 
 		nospaceReplies: reg.Counter("portus_store_nospace_replies_total", "registrations answered with a transient NO_SPACE retry-after (backpressure, not failures)"),
 
-		deltaSaved:     reg.Counter("portus_delta_bytes_saved_total", "bytes an incremental checkpoint kept off the fabric (copy-forward + skipped blocks)"),
-		deltaFallbacks: reg.Counter("portus_delta_full_fallbacks_total", "checkpoints that requested delta but ran full (missing/mismatched digest table, or delta costlier than full)"),
+		deltaSaved: reg.Counter("portus_delta_bytes_saved_total", "bytes an incremental checkpoint kept off the fabric (copy-forward + skipped blocks)"),
 
 		ckptLatency:    reg.Histogram("portus_checkpoint_seconds", "end-to-end checkpoint latency (enqueue to commit)", nil),
-		enqueueWait:    reg.Histogram("portus_checkpoint_enqueue_wait_seconds", "time a checkpoint job waits for a worker", nil),
 		pullStage:      reg.Histogram("portus_checkpoint_pull_seconds", "one-sided RDMA pull stage duration", nil),
 		flushStage:     reg.Histogram("portus_checkpoint_flush_seconds", "PMem flush stage duration", nil),
 		pushStage:      reg.Histogram("portus_restore_push_seconds", "one-sided RDMA push stage duration", nil),
@@ -564,18 +549,12 @@ func newTelem(reg *telemetry.Registry, slowBudget time.Duration, pm *pmem.Device
 		func() float64 { return float64(pm.DataFlushBytes()) })
 	reg.CounterFunc("portus_pmem_meta_flush_ops_total", "metadata-zone flush operations (incl. version-flag commits)",
 		func() float64 { return float64(pm.MetaFlushOps()) })
-	reg.CounterFunc("portus_daemon_pull_seconds_total", "cumulative RDMA pull stage time",
-		func() float64 { return time.Duration(t.pullNanos.Load()).Seconds() })
-	reg.CounterFunc("portus_daemon_flush_seconds_total", "cumulative PMem flush stage time",
-		func() float64 { return time.Duration(t.flushNanos.Load()).Seconds() })
-	reg.CounterFunc("portus_daemon_push_seconds_total", "cumulative restore push stage time",
-		func() float64 { return time.Duration(t.pushNanos.Load()).Seconds() })
 	reg.GaugeFunc("portus_delta_dirty_ratio", "fraction of the model the last accepted incremental checkpoint pulled over the fabric",
 		func() float64 { return math.Float64frombits(t.deltaDirty.Load()) })
+	t.events.Export(reg)
 	// The watchdog observes every completed trace as it lands in the
 	// ring; stitching a client tree in later never re-triggers it.
-	t.watchdog = telemetry.NewWatchdog(slowBudget, t.events,
-		reg.Counter("portus_slow_transfers_total", "transfers whose end-to-end duration exceeded the slow-transfer budget"))
+	t.watchdog = telemetry.NewWatchdog(slowBudget, t.events)
 	t.traces.OnComplete(t.watchdog.Observe)
 	return t
 }

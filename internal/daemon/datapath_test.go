@@ -324,8 +324,8 @@ func TestDaemonDuplicateInFlightBothAnswered(t *testing.T) {
 		if st.Errors != 0 {
 			t.Fatalf("errors = %d, want 0", st.Errors)
 		}
-		if got := reg.Counter("portus_daemon_dedup_total", "").Value(); got < 1 {
-			t.Fatalf("portus_daemon_dedup_total = %d, want >= 1", got)
+		if got := d.Events().Count(telemetry.EvSchedDedup); got < 1 {
+			t.Fatalf("sched.dedup events = %d, want >= 1", got)
 		}
 	})
 	eng.Run()

@@ -67,7 +67,7 @@ func deltaRig(t *testing.T, env sim.Env, dmut func(*daemon.Config)) (*daemon.Dae
 }
 
 func fallbacks(d *daemon.Daemon) int64 {
-	return d.Telemetry().Counter("portus_delta_full_fallbacks_total", "").Value()
+	return int64(d.Events().Count(telemetry.EvDeltaFallback))
 }
 
 // TestDeltaCheckpointReducesFabricBytes is the incremental path end to
@@ -180,6 +180,44 @@ func TestDeltaDisabledDaemonFallsBack(t *testing.T) {
 			t.Fatalf("restore = %d, %v", iter, err)
 		}
 		if bad := placed.VerifyDigests(deltaBlock, want2); bad != -1 {
+			t.Fatalf("block %d wrong", bad)
+		}
+	})
+	eng.Run()
+}
+
+// TestDigestTableLossIsNotAFallback: a checkpoint whose digest table
+// cannot persist (the metadata zone has room for the model's MIndex
+// but not for its table) still commits a restorable version. It is
+// flight-recorded as delta.table-lost, not as delta.fallback: that
+// count stays "checkpoints that asked for delta and ran full", and the
+// loss only shows when the next checkpoint falls back.
+func TestDigestTableLossIsNotAFallback(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		d, placed, c, _ := deltaRig(t, env, func(cfg *daemon.Config) {
+			// The allocation table, two 512-entry ModelTable
+			// generations, and just enough MIndex space for this model.
+			cfg.PMem = pmem.New(pmem.Config{
+				Name: "tight-meta", DataSize: 16 << 20, MetaSize: 4<<20 + 140<<10 + 1024, Materialized: true,
+			})
+		})
+		placed.ApplyUpdate(1)
+		want := placed.BlockDigests(deltaBlock)
+		if err := c.CheckpointSync(env, 1); err != nil {
+			t.Fatal(err)
+		}
+		if n := d.Events().Count(telemetry.EvDeltaTableLost); n != 1 {
+			t.Fatalf("delta.table-lost events = %d, want 1", n)
+		}
+		if n := fallbacks(d); n != 0 {
+			t.Fatalf("a lost table counted %d fallbacks, want 0", n)
+		}
+		placed.ApplyUpdate(9)
+		if iter, err := c.Restore(env); err != nil || iter != 1 {
+			t.Fatalf("restore = %d, %v", iter, err)
+		}
+		if bad := placed.VerifyDigests(deltaBlock, want); bad != -1 {
 			t.Fatalf("block %d wrong", bad)
 		}
 	})

@@ -208,7 +208,6 @@ func metasMatch(a, b []index.TensorMeta) bool {
 // client router's manifest rebuild) can see shard ownership.
 func (d *Daemon) handleList(env sim.Env, conn wire.Conn) {
 	models := d.stored()
-	d.tel.adminList.Inc()
 	d.event(env, telemetry.Event{Kind: telemetry.EvAdminList, Detail: fmt.Sprintf("%d models", len(models))})
 	resp := &wire.Msg{Type: wire.TListResp}
 	for _, m := range models {
@@ -262,7 +261,6 @@ func (d *Daemon) handleDelete(env sim.Env, conn wire.Conn, m *wire.Msg) {
 		return
 	}
 	d.sched.Forget(m.Model)
-	d.tel.adminDelete.Inc()
 	d.event(env, telemetry.Event{Kind: telemetry.EvAdminDelete, Model: m.Model})
 	d.send(env, conn, &wire.Msg{Type: wire.TDeleteOK, Model: m.Model})
 	// Deletion turns live bytes into garbage; reclaim in the background
@@ -293,7 +291,6 @@ func (d *Daemon) handleDump(env sim.Env, conn wire.Conn, m *wire.Msg) {
 		d.send(env, conn, errMsg(wire.TDump, wire.ErrCodeNoCheckpoint, m.Iteration, m.Model, msg))
 		return
 	}
-	d.tel.adminDump.Inc()
 	d.event(env, telemetry.Event{Kind: telemetry.EvAdminDump, Model: m.Model, Iteration: v.Iteration})
 	data := d.cfg.PMem.Data()
 	ckpt := &serialize.Checkpoint{Model: model.Name, Iteration: v.Iteration}
@@ -391,7 +388,6 @@ func (d *Daemon) handleLoad(env sim.Env, conn wire.Conn, m *wire.Msg) {
 	})
 	switch {
 	case err == nil:
-		d.tel.adminLoad.Inc()
 		d.event(env, telemetry.Event{Kind: telemetry.EvAdminLoad, Model: ckpt.Model, Iteration: ckpt.Iteration})
 		d.send(env, conn, &wire.Msg{Type: wire.TLoadOK, Model: ckpt.Model, Iteration: ckpt.Iteration, CRC: crc})
 	case errors.Is(err, errCRCMismatch):

@@ -186,12 +186,12 @@ func TestDaemonMetricsExposition(t *testing.T) {
 		reg.WritePrometheus(&buf)
 		out := buf.String()
 		for _, want := range []string{
-			"portus_daemon_checkpoints_total 3",
+			"portus_checkpoint_seconds_count 3",
 			"portus_daemon_registered_total 1",
-			"portus_daemon_queue_depth 0",
+			"portus_sched_queue_depth_global 0",
 			"portus_pmem_flush_ops_total",
-			"portus_daemon_pull_seconds_total",
-			`portus_rdma_ops_total{fabric="data",op="read"}`,
+			"portus_checkpoint_pull_seconds_sum",
+			`portus_rdma_op_seconds_count{fabric="data",op="read"}`,
 		} {
 			if !strings.Contains(out, want) {
 				t.Errorf("exposition missing %q", want)

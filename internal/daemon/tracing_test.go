@@ -202,7 +202,7 @@ func simNetOf(t *testing.T, env sim.Env, d *daemon.Daemon) *wire.SimNet {
 
 // TestWatchdogCapturesSlowCheckpoint pushes a transfer past the
 // watchdog budget with an injected fabric delay (internal/faults) and
-// checks the full evidence chain: portus_slow_transfers_total
+// checks the full evidence chain: portus_events_total{kind="watchdog.slow"}
 // increments, the incident lands with its trace, and the flight
 // recorder holds both the injected-fault events and the watchdog
 // marker.
@@ -276,7 +276,7 @@ func TestWatchdogCapturesSlowCheckpoint(t *testing.T) {
 		settleTraces(env)
 
 		if got := countSlow(reg); got != 1 {
-			t.Fatalf("portus_slow_transfers_total = %v, want 1", got)
+			t.Fatalf(`portus_events_total{kind="watchdog.slow"} = %v, want 1`, got)
 		}
 		incidents := d.Watchdog().Incidents()
 		if len(incidents) != 1 {
@@ -310,7 +310,7 @@ func countSlow(reg *telemetry.Registry) float64 {
 		return -1
 	}
 	for _, s := range samples {
-		if s.Name == "portus_slow_transfers_total" {
+		if s.Name == "portus_events_total" && s.Labels["kind"] == string(telemetry.EvWatchdogSlow) {
 			return s.Value
 		}
 	}

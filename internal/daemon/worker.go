@@ -36,7 +36,10 @@ func (d *Daemon) enqueue(env sim.Env, conn wire.Conn, m *wire.Msg, class sched.C
 	// it as "the newest" — so it is never deduplicated this way.)
 	if class == sched.ClassCheckpoint && m.Iteration != 0 {
 		if _, v, ok := doneSlot(model, m.Iteration); ok {
-			d.tel.dedups.Inc()
+			d.event(env, telemetry.Event{
+				Kind: telemetry.EvSchedDedup, Model: m.Model, Iteration: m.Iteration,
+				Trace: telemetry.TraceID(m.TraceID), Detail: "iteration already committed",
+			})
 			d.send(env, conn, &wire.Msg{Type: wire.TCheckpointDone, Model: m.Model, Iteration: m.Iteration, CRC: v.CRC})
 			return
 		}
@@ -50,12 +53,10 @@ func (d *Daemon) enqueue(env sim.Env, conn wire.Conn, m *wire.Msg, class sched.C
 		ParentSpan: m.SpanID,
 		Payload:    &reqCtx{model: model, mrs: mrs, conn: conn, digests: m.Digests, deltaBlock: m.DeltaBlock},
 	})
-	switch res.Verdict {
-	case sched.Deduped:
-		// The identical request is queued or in flight; this connection
-		// is parked on it and answered when it completes.
-		d.tel.dedups.Inc()
-	case sched.Rejected:
+	// A Deduped request is parked on the identical queued or running
+	// task and answered when that completes; only a bounce is answered
+	// now.
+	if res.Verdict == sched.Rejected {
 		// Backpressure, not an error: the client re-sends after the
 		// hinted delay.
 		d.send(env, conn, &wire.Msg{
@@ -93,7 +94,6 @@ func (d *Daemon) worker(env sim.Env) {
 // model.
 type transfer struct {
 	tr   *telemetry.Trace
-	wait *telemetry.Span
 	plan datapath.Plan
 	cx   *datapath.Context
 }
@@ -104,8 +104,7 @@ func (d *Daemon) begin(env sim.Env, kind string, t *sched.Task, rc *reqCtx, iter
 	tr := telemetry.NewTrace(kind, rc.model.Name, iter, t.EnqueuedAt)
 	tr.ID = t.TraceID
 	tr.ParentSpan = t.ParentSpan
-	wait := tr.Root.Child("enqueue-wait", t.EnqueuedAt)
-	wait.EndAt(env.Now())
+	tr.Root.Child("enqueue-wait", t.EnqueuedAt).EndAt(env.Now())
 	m := rc.model
 	tensors := make([]datapath.TensorRange, len(m.Tensors))
 	for i, tm := range m.Tensors {
@@ -114,13 +113,13 @@ func (d *Daemon) begin(env sim.Env, kind string, t *sched.Task, rc *reqCtx, iter
 	}
 	cx := d.cx
 	cx.Remote, cx.Trace = rc.mrs, t.TraceID
-	return &transfer{tr: tr, wait: wait, plan: datapath.NewPlan(tensors, d.cfg.ChunkSize), cx: &cx}
+	return &transfer{tr: tr, plan: datapath.NewPlan(tensors, d.cfg.ChunkSize), cx: &cx}
 }
 
 // finish closes a scheduled request, successful or not: the trace lands
-// in the ring (carrying the error, or feeding lat and the enqueue-wait
-// histogram), the lane is released, and every waiter is answered. x is
-// nil for a request refused before any transfer began.
+// in the ring (carrying the error, or feeding lat), the lane is
+// released, and every waiter is answered. x is nil for a request
+// refused before any transfer began.
 func (d *Daemon) finish(env sim.Env, t *sched.Task, x *transfer, lat *telemetry.Histogram, reply *wire.Msg) {
 	if x != nil {
 		x.tr.Finish(env.Now())
@@ -128,7 +127,6 @@ func (d *Daemon) finish(env sim.Env, t *sched.Task, x *transfer, lat *telemetry.
 			x.tr.Err = reply.Error
 		} else {
 			lat.ObserveDurationTraced(x.tr.Duration, x.tr.ID)
-			d.tel.enqueueWait.ObserveDurationTraced(x.wait.Dur(), x.tr.ID)
 		}
 		d.tel.traces.Add(x.tr)
 	}
@@ -189,9 +187,6 @@ func (d *Daemon) doCheckpoint(env sim.Env, t *sched.Task, rc *reqCtx) {
 	if dp != nil {
 		d.recordDelta(env, dp, t)
 	}
-	d.tel.pullNanos.Add(int64(res.Transfer))
-	d.tel.flushNanos.Add(int64(res.Flush))
-	d.tel.checkpoints.Inc()
 	d.tel.bytesPulled.Add(res.Bytes)
 	d.tel.pullStage.ObserveDurationTraced(res.Transfer, x.tr.ID)
 	d.tel.flushStage.ObserveDurationTraced(res.Flush, x.tr.ID)
@@ -234,8 +229,6 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 		d.finish(env, t, x, nil, errMsg(wire.TRestore, wire.ErrCodeNone, v.Iteration, m.Name, err.Error()))
 		return
 	}
-	d.tel.pushNanos.Add(int64(res.Transfer))
-	d.tel.restores.Inc()
 	d.tel.bytesPushed.Add(res.Bytes)
 	d.tel.pushStage.ObserveDurationTraced(res.Transfer, x.tr.ID)
 	x.tr.Bytes = res.Bytes
@@ -304,7 +297,7 @@ func (d *Daemon) commit(env sim.Env, v version, move func() error) (uint64, erro
 	if v.digests != nil {
 		if err := d.eng.Index().DeltaPut(v.model, v.slot, v.digests); err != nil {
 			d.event(env, telemetry.Event{
-				Kind: telemetry.EvDeltaFallback, Model: v.model.Name, Iteration: v.iter, Trace: traceID,
+				Kind: telemetry.EvDeltaTableLost, Model: v.model.Name, Iteration: v.iter, Trace: traceID,
 				Detail: "digest table persist failed (next delta runs full): " + err.Error(),
 			})
 		}
@@ -384,14 +377,13 @@ func tensorSizes(m *index.Model) []int64 {
 // run BEFORE SetActive: the decision reads both slots' version headers
 // and persisted digest tables, and SetActive destroys the target
 // slot's header. A nil return means run a full checkpoint; every nil
-// on a request that asked for delta is counted and flight-recorded as
-// a fallback.
+// on a request that asked for delta is flight-recorded (and so
+// counted) as a fallback.
 func (d *Daemon) planDelta(env sim.Env, t *sched.Task, rc *reqCtx, slot int) *deltaPlan {
 	if rc.deltaBlock <= 0 || len(rc.digests) == 0 {
 		return nil // pre-delta client: full checkpoint is the contract, not a fallback
 	}
 	fallback := func(reason string) *deltaPlan {
-		d.tel.deltaFallbacks.Inc()
 		d.event(env, telemetry.Event{
 			Kind: telemetry.EvDeltaFallback, Model: t.Model, Iteration: t.Iteration, Trace: t.TraceID, Detail: reason,
 		})

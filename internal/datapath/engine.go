@@ -27,16 +27,6 @@ type RetryPolicy struct {
 	Backoff time.Duration
 }
 
-// Metrics receives the engine's healing telemetry. All handles are
-// optional; nil handles are no-ops.
-type Metrics struct {
-	// Retries counts re-attempted chunk transfers and flushes.
-	Retries *telemetry.Counter
-	// Events receives a flight-recorder entry per retry; nil disables
-	// emission.
-	Events *telemetry.EventRing
-}
-
 // Config parameterizes an Engine.
 type Config struct {
 	// Strategy moves individual chunks; defaults to OneSided.
@@ -75,8 +65,9 @@ type Config struct {
 	// Retry is the self-healing policy for transient verb and flush
 	// errors.
 	Retry RetryPolicy
-	// Metrics receives retry telemetry.
-	Metrics Metrics
+	// Events receives a flight-recorder entry per retry (which also
+	// counts it); nil disables emission.
+	Events *telemetry.EventRing
 }
 
 // Result reports what an engine run moved and the wall-clock (or
@@ -184,8 +175,7 @@ func (r *run) noteRetry(env sim.Env, what string) {
 	r.mu.Lock()
 	r.retries++
 	r.mu.Unlock()
-	r.e.cfg.Metrics.Retries.Inc()
-	r.e.cfg.Metrics.Events.Emit(telemetry.Event{
+	r.e.cfg.Events.Emit(telemetry.Event{
 		Time:   env.Now(),
 		Kind:   telemetry.EvDatapathRetry,
 		Trace:  r.cx.Trace,

@@ -140,15 +140,16 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 		}
 
 		out.Faults = inj.Total()
-		out.Retries = reg.Counter("portus_datapath_retries_total", "").Value()
-		out.Dedups = reg.Counter("portus_daemon_dedup_total", "").Value()
+		events := tb.Daemons[0].Events()
+		out.Retries = int64(events.Count(telemetry.EvDatapathRetry))
+		out.Dedups = int64(events.Count(telemetry.EvSchedDedup))
 		out.Reconnects = m.Reconnects()
 
 		var scrape strings.Builder
 		reg.WritePrometheus(&scrape)
 		s := scrape.String()
 		out.ScrapeOK = strings.Contains(s, "portus_faults_injected_total") &&
-			strings.Contains(s, "portus_datapath_retries_total") &&
+			strings.Contains(s, `portus_events_total{kind="datapath.retry"}`) &&
 			strings.Contains(s, "portus_client_reconnects_total")
 	})
 	return out

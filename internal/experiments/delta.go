@@ -20,6 +20,7 @@ import (
 	"github.com/portus-sys/portus/internal/metrics"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/sim"
+	"github.com/portus-sys/portus/internal/telemetry"
 )
 
 const (
@@ -88,7 +89,7 @@ func runDeltaPoint(rate float64, withDigests bool) deltaPoint {
 			}
 		}
 		startBytes := d.Stats().BytesPulled
-		startFB := d.Telemetry().Counter("portus_delta_full_fallbacks_total", "").Value()
+		startFB := d.Events().Count(telemetry.EvDeltaFallback)
 		start := env.Now()
 		for n := 0; n < deltaMeasured; n++ {
 			it++
@@ -99,7 +100,7 @@ func runDeltaPoint(rate float64, withDigests bool) deltaPoint {
 		}
 		pt.PerCkpt = (env.Now() - start) / deltaMeasured
 		pt.Pulled = (d.Stats().BytesPulled - startBytes) / deltaMeasured
-		pt.Fallbacks = d.Telemetry().Counter("portus_delta_full_fallbacks_total", "").Value() - startFB
+		pt.Fallbacks = int64(d.Events().Count(telemetry.EvDeltaFallback) - startFB)
 
 		// The last (delta-assembled) version restores byte-identical: the
 		// restored content's digests match what the GPU held at commit.

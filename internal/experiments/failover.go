@@ -161,7 +161,7 @@ func RunFailover(seed int64) FailoverOutcome {
 			panic(fmt.Sprintf("failover: committed %d after the stream, want %d — a committed checkpoint was lost",
 				rt.Manifest().Committed(), failoverIters))
 		}
-		if g := reg.Gauge("portus_router_degraded_nodes", "").Value(); g != 1 {
+		if g := len(rt.Suspects()); g != 1 {
 			panic(fmt.Sprintf("failover: degraded gauge = %d with one node dead, want 1", g))
 		}
 
@@ -218,7 +218,7 @@ func RunFailover(seed int64) FailoverOutcome {
 		if out.RebuiltShards == 0 {
 			panic("failover: rendezvous assigned the rebuilt node no shards — grid no longer exercises anti-entropy")
 		}
-		if g := reg.Gauge("portus_router_degraded_nodes", "").Value(); g != 0 {
+		if g := len(rt.Suspects()); g != 0 {
 			panic(fmt.Sprintf("failover: degraded gauge = %d after rejoin, want 0", g))
 		}
 

@@ -158,8 +158,9 @@ func mtPressure() (coalesced, busyReplies, clientRetries int64, committed map[st
 			})
 		}
 		g.Wait(env)
-		coalesced = reg.Counter("portus_sched_coalesced_total", "").Value()
-		busyReplies = reg.Counter("portus_sched_busy_replies_total", "").Value()
+		events := tb.Daemons[0].Events()
+		coalesced = int64(events.Count(telemetry.EvSchedCoalesce))
+		busyReplies = int64(events.Count(telemetry.EvSchedBusy))
 		for i, burst := range bursts {
 			clientRetries += reg.Counter("portus_client_busy_retries_total", "", telemetry.L("model", mtSpec(i).Name)).Value()
 			m, err := tb.Daemons[0].Store().Lookup(mtSpec(i).Name)
@@ -216,8 +217,8 @@ func Multitenant() []*Table {
 		Title:  "Overload behavior: 1 bursting + 3 contending tenants, 1 worker, global queue cap 2",
 		Header: []string{"Signal", "Value"},
 		Rows: [][]string{
-			{"portus_sched_coalesced_total", fmt.Sprint(coalesced)},
-			{"portus_sched_busy_replies_total", fmt.Sprint(busy)},
+			{`portus_events_total{kind="sched.coalesce"}`, fmt.Sprint(coalesced)},
+			{`portus_events_total{kind="sched.busy"}`, fmt.Sprint(busy)},
 			{"client busy retries (sum)", fmt.Sprint(retries)},
 			{"tenants with lost commits", fmt.Sprint(lost)},
 		},

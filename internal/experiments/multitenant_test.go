@@ -22,10 +22,10 @@ func TestMultitenantFairnessBound(t *testing.T) {
 func TestMultitenantPressureObservable(t *testing.T) {
 	coalesced, busy, retries, committed := mtPressure()
 	if coalesced < 1 {
-		t.Errorf("portus_sched_coalesced_total = %d, want >= 1", coalesced)
+		t.Errorf("sched.coalesce events = %d, want >= 1", coalesced)
 	}
 	if busy < 1 {
-		t.Errorf("portus_sched_busy_replies_total = %d, want >= 1", busy)
+		t.Errorf("sched.busy events = %d, want >= 1", busy)
 	}
 	if retries < 1 {
 		t.Errorf("client busy retries = %d, want >= 1", retries)

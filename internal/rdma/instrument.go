@@ -6,16 +6,16 @@ import (
 )
 
 // InstrumentedFabric wraps a Fabric with per-operation telemetry:
-// bytes moved and op latency, labeled by fabric name and verb. Latency
-// is measured on the caller's env clock, so simulated fabrics report
+// bytes moved and op latency, labeled by fabric name and verb. The
+// latency histogram's count is the completed-verb count. Latency is
+// measured on the caller's env clock, so simulated fabrics report
 // virtual time and the TCP fabric reports wall-clock time.
 type InstrumentedFabric struct {
 	inner Fabric
 
-	readOps, writeOps, sendOps       *telemetry.Counter
 	readBytes, writeBytes, sendBytes *telemetry.Counter
 	errs                             *telemetry.Counter
-	readLat, writeLat                *telemetry.Histogram
+	readLat, writeLat, sendLat       *telemetry.Histogram
 }
 
 // Instrument wraps f so every verb is counted and timed into reg. The
@@ -27,15 +27,13 @@ func Instrument(name string, f Fabric, reg *telemetry.Registry) *InstrumentedFab
 	}
 	return &InstrumentedFabric{
 		inner:      f,
-		readOps:    reg.Counter("portus_rdma_ops_total", "completed RDMA verbs", op("read")...),
-		writeOps:   reg.Counter("portus_rdma_ops_total", "completed RDMA verbs", op("write")...),
-		sendOps:    reg.Counter("portus_rdma_ops_total", "completed RDMA verbs", op("send")...),
 		readBytes:  reg.Counter("portus_rdma_bytes_total", "bytes moved by RDMA verbs", op("read")...),
 		writeBytes: reg.Counter("portus_rdma_bytes_total", "bytes moved by RDMA verbs", op("write")...),
 		sendBytes:  reg.Counter("portus_rdma_bytes_total", "bytes moved by RDMA verbs", op("send")...),
 		errs:       reg.Counter("portus_rdma_errors_total", "failed RDMA verbs", fl),
-		readLat:    reg.Histogram("portus_rdma_op_seconds", "RDMA verb latency", nil, op("read")...),
-		writeLat:   reg.Histogram("portus_rdma_op_seconds", "RDMA verb latency", nil, op("write")...),
+		readLat:    reg.Histogram("portus_rdma_op_seconds", "completed RDMA verb latency", nil, op("read")...),
+		writeLat:   reg.Histogram("portus_rdma_op_seconds", "completed RDMA verb latency", nil, op("write")...),
+		sendLat:    reg.Histogram("portus_rdma_op_seconds", "completed RDMA verb latency", nil, op("send")...),
 	}
 }
 
@@ -50,7 +48,6 @@ func (f *InstrumentedFabric) Read(env sim.Env, local *Node, l Slice, r RemoteSli
 		f.errs.Inc()
 		return err
 	}
-	f.readOps.Inc()
 	f.readBytes.Add(l.Len)
 	f.readLat.ObserveDuration(env.Now() - t0)
 	return nil
@@ -64,21 +61,21 @@ func (f *InstrumentedFabric) Write(env sim.Env, local *Node, l Slice, r RemoteSl
 		f.errs.Inc()
 		return err
 	}
-	f.writeOps.Inc()
 	f.writeBytes.Add(l.Len)
 	f.writeLat.ObserveDuration(env.Now() - t0)
 	return nil
 }
 
-// Send delivers a two-sided message, counting payload bytes.
+// Send delivers a two-sided message, timing the verb.
 func (f *InstrumentedFabric) Send(env sim.Env, local *Node, remote, qp string, payload []byte, size int64) error {
+	t0 := env.Now()
 	err := f.inner.Send(env, local, remote, qp, payload, size)
 	if err != nil {
 		f.errs.Inc()
 		return err
 	}
-	f.sendOps.Inc()
 	f.sendBytes.Add(size)
+	f.sendLat.ObserveDuration(env.Now() - t0)
 	return nil
 }
 

@@ -36,6 +36,11 @@ func TestInstrumentedFabricCountsVerbs(t *testing.T) {
 		if err := fab.Write(env, a, local, remote); err != nil {
 			t.Fatal(err)
 		}
+		for i := 0; i < 2; i++ {
+			if err := fab.Send(env, a, "b", "q", []byte("hi"), 512); err != nil {
+				t.Fatal(err)
+			}
+		}
 		// A verb against an unknown rkey counts as an error.
 		bad := remote
 		bad.MR.RKey = 999
@@ -47,8 +52,10 @@ func TestInstrumentedFabricCountsVerbs(t *testing.T) {
 		reg.WritePrometheus(&buf)
 		out := buf.String()
 		for _, want := range []string{
-			`portus_rdma_ops_total{fabric="sim",op="read"} 1`,
-			`portus_rdma_ops_total{fabric="sim",op="write"} 1`,
+			`portus_rdma_op_seconds_count{fabric="sim",op="read"} 1`,
+			`portus_rdma_op_seconds_count{fabric="sim",op="write"} 1`,
+			`portus_rdma_op_seconds_count{fabric="sim",op="send"} 2`,
+			`portus_rdma_bytes_total{fabric="sim",op="send"} 1024`,
 			`portus_rdma_bytes_total{fabric="sim",op="read"} 1024`,
 			`portus_rdma_errors_total{fabric="sim"} 1`,
 		} {
@@ -62,8 +69,11 @@ func TestInstrumentedFabricCountsVerbs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := telemetry.HistogramQuantile(samples, "portus_rdma_op_seconds", 0.5); !ok {
-			t.Error("no rdma op latency histogram in exposition")
+		for _, op := range []string{"read", "write", "send"} {
+			if _, ok := telemetry.HistogramQuantile(samples, "portus_rdma_op_seconds", 0.5,
+				telemetry.L("fabric", "sim"), telemetry.L("op", op)); !ok {
+				t.Errorf("no rdma %s latency histogram in exposition", op)
+			}
 		}
 		if fab.Inner() != inner {
 			t.Error("Inner must return the wrapped fabric")

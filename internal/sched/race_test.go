@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"io"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -118,5 +120,57 @@ func TestConcurrentSubmitRaceRegression(t *testing.T) {
 	}
 	if s.QueueDepth() != 0 {
 		t.Fatalf("queue depth = %d after drain", s.QueueDepth())
+	}
+}
+
+// TestScrapeRacesNewLanes is the regression test for a scrape
+// deadlocking against admission: a lane's first Submit registers its
+// depth gauge while holding the scheduler mutex, and scraping that
+// gauge takes the same mutex. While the registry sampled func series
+// under the family lock, a scrape loop racing first-time Submits hung
+// until killed; both loops must now run to completion.
+func TestScrapeRacesNewLanes(t *testing.T) {
+	env := sim.NewRealEnv()
+	s := New(env, Config{ModelQueueCap: -1, GlobalCap: -1})
+	const models = 3000
+
+	stop := make(chan struct{})
+	scrapes := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				scrapes <- n
+				return
+			default:
+			}
+			s.Telemetry().WritePrometheus(io.Discard)
+			n++
+		}
+	}()
+	admitted := make(chan struct{})
+	go func() {
+		for i := 0; i < models; i++ {
+			s.Submit(env, &Task{Model: fmt.Sprintf("m%04d", i), Class: ClassCheckpoint, Iteration: 1})
+		}
+		close(admitted)
+	}()
+	select {
+	case <-admitted:
+	case <-time.After(60 * time.Second):
+		t.Fatal("Submit deadlocked against a concurrent scrape")
+	}
+	close(stop)
+	select {
+	case n := <-scrapes:
+		if n == 0 {
+			t.Fatal("no scrape completed while lanes were being created")
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("a scrape deadlocked against Submit")
+	}
+	if got := s.QueueDepth(); got != models {
+		t.Fatalf("queue depth = %d, want %d", got, models)
 	}
 }

@@ -149,12 +149,12 @@ type Config struct {
 	// Workers hints how many tasks drain concurrently (sizes the
 	// retry-after estimate); 0 defaults to 8.
 	Workers int
-	// Telemetry receives the scheduler's counters, per-model queue
-	// gauges, and per-class wait histograms; nil creates a private
-	// registry.
+	// Telemetry receives the scheduler's queue-depth gauges and
+	// per-class wait histograms; nil creates a private registry.
 	Telemetry *telemetry.Registry
-	// Events receives flight-recorder entries for admission decisions
-	// (admit/coalesce/dedup/busy); nil disables event emission.
+	// Events receives a flight-recorder entry per admission decision
+	// (admit/coalesce/dedup/busy), and its per-kind counts are the
+	// decision counters; nil creates a private ring.
 	Events *telemetry.EventRing
 }
 
@@ -163,7 +163,6 @@ type lane struct {
 	name    string
 	q       [numClasses][]*Task
 	running *Task
-	depth   *telemetry.Gauge
 }
 
 func (l *lane) queued() int {
@@ -193,12 +192,7 @@ type Scheduler struct {
 	// dispatchable lane head. Next blocks on it.
 	tokens *sim.Mailbox[struct{}]
 
-	coalesced   *telemetry.Counter
-	busyReplies *telemetry.Counter
-	dedups      *telemetry.Counter
-	admitted    *telemetry.Counter
-	wait        [numClasses]*telemetry.Histogram
-	globalDepth *telemetry.Gauge
+	wait [numClasses]*telemetry.Histogram
 }
 
 // New creates a scheduler, applying Config defaults.
@@ -223,17 +217,16 @@ func New(env sim.Env, cfg Config) *Scheduler {
 		reg = telemetry.NewRegistry()
 		cfg.Telemetry = reg
 	}
+	if cfg.Events == nil {
+		cfg.Events = telemetry.NewEventRing(0)
+	}
 	s := &Scheduler{
 		cfg:    cfg,
 		lanes:  make(map[string]*lane),
 		tokens: sim.NewMailbox[struct{}](env),
-
-		coalesced:   reg.Counter("portus_sched_coalesced_total", "stale checkpoint requests coalesced to a newer iteration"),
-		busyReplies: reg.Counter("portus_sched_busy_replies_total", "requests bounced with BUSY backpressure (queue bounds hit)"),
-		dedups:      reg.Counter("portus_sched_dedup_total", "duplicate submissions attached to an identical queued or running task"),
-		admitted:    reg.Counter("portus_sched_admitted_total", "requests admitted to a lane queue"),
-		globalDepth: reg.Gauge("portus_sched_queue_depth_global", "requests queued across all models, not yet dispatched"),
 	}
+	reg.GaugeFunc("portus_sched_queue_depth_global", "requests queued across all models, not yet dispatched",
+		func() float64 { return float64(s.QueueDepth()) })
 	for c := Class(0); c < numClasses; c++ {
 		s.wait[c] = reg.Histogram("portus_sched_wait_seconds",
 			"time a request waits in the scheduler before a worker picks it up", nil,
@@ -245,15 +238,18 @@ func New(env sim.Env, cfg Config) *Scheduler {
 // Telemetry exposes the registry the scheduler's metrics live in.
 func (s *Scheduler) Telemetry() *telemetry.Registry { return s.cfg.Telemetry }
 
+// laneFor returns model's lane, creating it (and registering its
+// queue-depth gauge) on first use. Called with mu held: the gauge is
+// sampled at scrape time through ModelDepth, which takes mu, so the
+// registry must never sample it under a lock registration holds.
 func (s *Scheduler) laneFor(model string) *lane {
 	l, ok := s.lanes[model]
 	if !ok {
-		l = &lane{
-			name: model,
-			depth: s.cfg.Telemetry.Gauge("portus_sched_queue_depth",
-				"requests queued for one model, not yet dispatched",
-				telemetry.L("model", model)),
-		}
+		l = &lane{name: model}
+		s.cfg.Telemetry.GaugeFunc("portus_sched_queue_depth",
+			"requests queued for one model, not yet dispatched",
+			func() float64 { return float64(s.ModelDepth(model)) },
+			telemetry.L("model", model))
 		s.lanes[model] = l
 		s.order = append(s.order, model)
 	}
@@ -274,8 +270,8 @@ func (s *Scheduler) retryAfter() time.Duration {
 	return d
 }
 
-// event records a flight-recorder entry for an admission decision.
-// Emit is nil-safe, so untraced/unconfigured schedulers pay one call.
+// event records a flight-recorder entry for an admission decision,
+// which also counts it.
 func (s *Scheduler) event(env sim.Env, kind telemetry.EventKind, t *Task, detail string) {
 	s.cfg.Events.Emit(telemetry.Event{
 		Time:      env.Now(),
@@ -304,7 +300,6 @@ func (s *Scheduler) Submit(env sim.Env, t *Task) Result {
 	if r := l.running; r != nil && r.Class == t.Class &&
 		(t.Class == ClassRestore || r.Iteration == t.Iteration) {
 		r.Dups = append(r.Dups, t.Payload)
-		s.dedups.Inc()
 		s.event(env, telemetry.EvSchedDedup, t, "attached to running task")
 		return Result{Verdict: Deduped}
 	}
@@ -312,7 +307,6 @@ func (s *Scheduler) Submit(env sim.Env, t *Task) Result {
 	for _, q := range l.q[t.Class] {
 		if t.Class == ClassRestore || q.Iteration == t.Iteration {
 			q.Dups = append(q.Dups, t.Payload)
-			s.dedups.Inc()
 			s.event(env, telemetry.EvSchedDedup, t, "attached to queued task")
 			return Result{Verdict: Deduped}
 		}
@@ -326,14 +320,12 @@ func (s *Scheduler) Submit(env sim.Env, t *Task) Result {
 			}
 			t.Coalesced = append(t.Coalesced, q.Coalesced...)
 			*q = *t
-			s.coalesced.Inc()
 			s.event(env, telemetry.EvSchedCoalesce, t, fmt.Sprintf("superseded queued iter %d", t.Coalesced[0].Iteration))
 			return Result{Verdict: CoalescedVerdict}
 		}
 		// The incoming request is the stale one (a late retry racing a
 		// newer submission): absorb it into the newer task.
 		q.Coalesced = append(q.Coalesced, Stale{Iteration: t.Iteration, Payload: t.Payload})
-		s.coalesced.Inc()
 		s.event(env, telemetry.EvSchedCoalesce, t, fmt.Sprintf("absorbed by queued iter %d", q.Iteration))
 		return Result{Verdict: CoalescedVerdict}
 	}
@@ -345,7 +337,6 @@ func (s *Scheduler) Submit(env sim.Env, t *Task) Result {
 	// the reclamation that relieves the load.
 	if t.Class != ClassMaintenance &&
 		(s.queued >= s.cfg.GlobalCap || l.queued() >= s.cfg.ModelQueueCap) {
-		s.busyReplies.Inc()
 		ra := s.retryAfter()
 		s.event(env, telemetry.EvSchedBusy, t, "retry after "+ra.String())
 		return Result{Verdict: Rejected, RetryAfter: ra}
@@ -354,9 +345,6 @@ func (s *Scheduler) Submit(env sim.Env, t *Task) Result {
 	wasEmpty := l.queued() == 0
 	l.q[t.Class] = append(l.q[t.Class], t)
 	s.queued++
-	l.depth.Inc()
-	s.globalDepth.Inc()
-	s.admitted.Inc()
 	s.event(env, telemetry.EvSchedAdmit, t, "")
 	if wasEmpty && l.running == nil {
 		// The lane just became dispatchable: hand a worker a token.
@@ -385,10 +373,8 @@ func (s *Scheduler) Next(env sim.Env) (*Task, bool) {
 		l.q[t.Class] = l.q[t.Class][1:]
 		l.running = t
 		s.queued--
-		l.depth.Dec()
-		s.globalDepth.Dec()
 		t.startedAt = env.Now()
-		s.wait[t.Class].ObserveDuration(t.startedAt - t.EnqueuedAt)
+		s.wait[t.Class].ObserveDurationTraced(t.startedAt-t.EnqueuedAt, t.TraceID)
 		s.mu.Unlock()
 		return t, true
 	}
@@ -506,14 +492,15 @@ func (s *Scheduler) Forget(model string) {
 
 // QueueDepth reports the requests queued across all models, not yet
 // picked up by a worker — the single source of truth behind
-// daemon.Stats.QueueDepth and the portus_daemon_queue_depth gauge.
+// daemon.Stats.QueueDepth and the portus_sched_queue_depth_global gauge.
 func (s *Scheduler) QueueDepth() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return int64(s.queued)
 }
 
-// ModelDepth reports the queued requests for one model.
+// ModelDepth reports the queued requests for one model (the
+// portus_sched_queue_depth gauge).
 func (s *Scheduler) ModelDepth(model string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/portus-sys/portus/internal/sim"
+	"github.com/portus-sys/portus/internal/telemetry"
 )
 
 // run spins the test body inside a fresh simulation engine.
@@ -100,7 +101,7 @@ func TestCoalesceNewestIterationWins(t *testing.T) {
 		if v := s.Submit(env, task("m", ClassCheckpoint, 3)); v.Verdict != CoalescedVerdict {
 			t.Fatalf("older straggler verdict = %v, want coalesced", v.Verdict)
 		}
-		if got := s.coalesced.Value(); got != 2 {
+		if got := s.cfg.Events.Count(telemetry.EvSchedCoalesce); got != 2 {
 			t.Fatalf("coalesced counter = %d, want 2", got)
 		}
 		// Only one queued task remains; it is the newest iteration and
@@ -148,7 +149,7 @@ func TestDedupAttachesDuplicateWaiters(t *testing.T) {
 		if v := s.Submit(env, task("m", ClassRestore, 0)); v.Verdict != Deduped {
 			t.Fatalf("restore retry verdict = %v, want deduped", v.Verdict)
 		}
-		if got := s.dedups.Value(); got != 3 {
+		if got := s.cfg.Events.Count(telemetry.EvSchedDedup); got != 3 {
 			t.Fatalf("dedup counter = %d, want 3", got)
 		}
 	})
@@ -179,7 +180,7 @@ func TestBoundedQueuesRejectWithRetryAfter(t *testing.T) {
 		if v := s.Submit(env, task("c", ClassCheckpoint, 1)); v.Verdict != Rejected {
 			t.Fatalf("over global cap verdict = %v, want rejected", v.Verdict)
 		}
-		if got := s.busyReplies.Value(); got != 2 {
+		if got := s.cfg.Events.Count(telemetry.EvSchedBusy); got != 2 {
 			t.Fatalf("busy replies counter = %d, want 2", got)
 		}
 		s.Done(env, running)

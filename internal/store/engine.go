@@ -51,9 +51,6 @@ type Config struct {
 	// Telemetry receives the engine's gauges, counters, and the repack
 	// duration histogram; nil creates a private registry.
 	Telemetry *telemetry.Registry
-	// Events receives flight-recorder entries for reclaim verdicts; nil
-	// disables emission.
-	Events *telemetry.EventRing
 }
 
 // Stats is the engine's capacity breakdown.
@@ -101,15 +98,15 @@ const watermark = 0.5
 // while reads of committed state (restore paths) stay lock-free as
 // before.
 type Engine struct {
-	pm     *pmem.Device
-	idx    *index.Store
-	events *telemetry.EventRing
+	pm  *pmem.Device
+	idx *index.Store
 
 	mu sync.Mutex
 
-	runs       *telemetry.Counter
 	movedBytes *telemetry.Counter
-	dur        *telemetry.Histogram
+	// dur is the repack-pass histogram; its count is the completed
+	// passes.
+	dur *telemetry.Histogram
 }
 
 // Open opens (or formats) the namespace and builds the engine. Any
@@ -131,11 +128,7 @@ func Open(cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Engine{
-		pm:     cfg.PMem,
-		idx:    idx,
-		events: cfg.Events,
-	}
+	e := &Engine{pm: cfg.PMem, idx: idx}
 	if err := e.sweepLeaks(); err != nil {
 		return nil, err
 	}
@@ -148,7 +141,6 @@ func Open(cfg Config) (*Engine, error) {
 		func() float64 { return float64(a.FragmentedBytes()) })
 	reg.GaugeFunc("portus_store_garbage_bytes", "bytes held by dead MIndex records awaiting reuse",
 		func() float64 { return float64(e.garbage()) })
-	e.runs = reg.Counter("portus_store_repack_runs_total", "online repack passes completed")
 	e.movedBytes = reg.Counter("portus_store_repack_moved_bytes_total", "TensorData bytes relocated by online repack passes")
 	e.dur = reg.Histogram("portus_store_repack_seconds", "wall time of one online repack pass", nil)
 	return e, nil
@@ -374,11 +366,10 @@ func (e *Engine) FinishPass(models int, movedBytes int64, took time.Duration, tr
 		Garbage:        st.Garbage,
 		Duration:       took,
 	}
-	e.runs.Inc()
 	e.dur.ObserveDurationTraced(took, trace)
 	return rep, nil
 }
 
 // RepackRuns reports completed online passes (the
-// portus_store_repack_runs_total counter).
-func (e *Engine) RepackRuns() int64 { return e.runs.Value() }
+// portus_store_repack_seconds histogram's count).
+func (e *Engine) RepackRuns() int64 { return int64(e.dur.Count()) }

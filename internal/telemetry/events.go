@@ -40,7 +40,22 @@ const (
 	// full, with the reason in Detail (no table, layout mismatch,
 	// untrusted table, or a plan that would move more than a full pass).
 	EvDeltaFallback EventKind = "delta.fallback"
+	// EvDeltaTableLost records a committed checkpoint whose block-digest
+	// table failed to persist: the version is intact, but the next
+	// checkpoint of the model cannot delta against it and runs full.
+	EvDeltaTableLost EventKind = "delta.table-lost"
 )
+
+// EventKinds lists every declared kind, in declaration order: the label
+// values portus_events_total exports from startup, each at 0 until its
+// first event.
+var EventKinds = []EventKind{
+	EvSchedAdmit, EvSchedCoalesce, EvSchedDedup, EvSchedBusy,
+	EvDatapathRetry, EvWatchdogSlow,
+	EvAdminList, EvAdminDump, EvAdminDelete, EvAdminLoad,
+	EvStoreReclaim, EvStoreRepack,
+	EvDeltaPlan, EvDeltaFallback, EvDeltaTableLost,
+}
 
 // Event is one flight-recorder entry: a typed, timestamped record of a
 // scheduling or datapath decision, linked to its trace when the request
@@ -56,15 +71,18 @@ type Event struct {
 }
 
 // EventRing is a bounded, concurrency-safe flight recorder. Writers pay
-// one short mutex hold per event; the ring overwrites oldest-first. All
-// methods are nil-safe so instrumented code needs no enablement checks.
+// one short mutex hold per event; the ring overwrites oldest-first.
+// Beside the ring it keeps an exact count per kind, which overwriting
+// never touches: that count is the one accumulator for every decision
+// the daemon records (portus_events_total{kind}). All methods are
+// nil-safe so instrumented code needs no enablement checks.
 type EventRing struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	full  bool
-	seq   uint64
-	total uint64
+	mu     sync.Mutex
+	buf    []Event
+	next   int
+	full   bool
+	seq    uint64
+	counts map[EventKind]uint64
 }
 
 // DefEventDepth is the default flight-recorder capacity.
@@ -76,7 +94,16 @@ func NewEventRing(capacity int) *EventRing {
 	if capacity <= 0 {
 		capacity = DefEventDepth
 	}
-	return &EventRing{buf: make([]Event, capacity)}
+	return &EventRing{buf: make([]Event, capacity), counts: make(map[EventKind]uint64)}
+}
+
+// Export registers portus_events_total{kind} in reg: one series per
+// declared kind, sampled from the ring's per-kind counts.
+func (r *EventRing) Export(reg *Registry) {
+	for _, k := range EventKinds {
+		reg.CounterFunc("portus_events_total", "flight-recorder events emitted, by kind",
+			func() float64 { return float64(r.Count(k)) }, L("kind", string(k)))
+	}
 }
 
 // Emit records e, stamping its sequence number.
@@ -92,7 +119,7 @@ func (r *EventRing) Emit(e Event) {
 	if r.next == 0 {
 		r.full = true
 	}
-	r.total++
+	r.counts[e.Kind]++
 	r.mu.Unlock()
 }
 
@@ -139,7 +166,18 @@ func (r *EventRing) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.total
+	return r.seq
+}
+
+// Count reports how many events of kind have ever been emitted,
+// including those the ring has since overwritten.
+func (r *EventRing) Count(kind EventKind) uint64 {
+	if r == nil {
+		return 0
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.counts[kind]
 }
 
 // SlowIncident is a watchdog snapshot: the trace that blew the latency
@@ -156,17 +194,17 @@ type SlowIncident struct {
 type Watchdog struct {
 	budget time.Duration
 	events *EventRing
-	slow   *Counter
 
 	mu        sync.Mutex
 	incidents []SlowIncident
 	max       int
 }
 
-// NewWatchdog builds a watchdog with the given latency budget, flight
-// recorder (may be nil), and slow-transfer counter (may be nil).
-func NewWatchdog(budget time.Duration, events *EventRing, slow *Counter) *Watchdog {
-	return &Watchdog{budget: budget, events: events, slow: slow, max: 8}
+// NewWatchdog builds a watchdog with the given latency budget and
+// flight recorder (may be nil), which counts the slow transfers as
+// watchdog.slow events.
+func NewWatchdog(budget time.Duration, events *EventRing) *Watchdog {
+	return &Watchdog{budget: budget, events: events, max: 8}
 }
 
 // Budget reports the configured latency budget.
@@ -183,7 +221,6 @@ func (w *Watchdog) Observe(t *Trace) {
 	if w == nil || w.budget <= 0 || t == nil || t.Duration <= w.budget {
 		return
 	}
-	w.slow.Inc()
 	// Capture the window before emitting the slow event so the incident
 	// holds only events that preceded (or overlapped) the transfer.
 	win := w.events.Window(t.Root.Start)

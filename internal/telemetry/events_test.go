@@ -1,6 +1,7 @@
 package telemetry_test
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -48,6 +49,49 @@ func TestEventRingWraparound(t *testing.T) {
 	}
 }
 
+// TestEventRingCountsStayExactPastWraparound: the per-kind counts are
+// the accumulators behind portus_events_total, so overwriting old
+// events must not lose any of them, and every declared kind is
+// exported from the start, at 0 until its first event.
+func TestEventRingCountsStayExactPastWraparound(t *testing.T) {
+	ring := telemetry.NewEventRing(4)
+	reg := telemetry.NewRegistry()
+	ring.Export(reg)
+	want := map[telemetry.EventKind]uint64{}
+	kinds := []telemetry.EventKind{telemetry.EvSchedAdmit, telemetry.EvSchedAdmit, telemetry.EvDatapathRetry, telemetry.EvSchedBusy}
+	for i := 0; i < 25; i++ {
+		k := kinds[i%len(kinds)]
+		ring.Emit(telemetry.Event{Kind: k})
+		want[k]++
+	}
+	if len(ring.Snapshot()) != 4 || ring.Total() != 25 {
+		t.Fatalf("retained %d of %d events, want 4 of 25", len(ring.Snapshot()), ring.Total())
+	}
+	var buf strings.Builder
+	reg.WritePrometheus(&buf)
+	samples, err := telemetry.ParseText(strings.NewReader(buf.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	exported := map[telemetry.EventKind]float64{}
+	for _, s := range samples {
+		if s.Name == "portus_events_total" {
+			exported[telemetry.EventKind(s.Labels["kind"])] = s.Value
+		}
+	}
+	if len(exported) != len(telemetry.EventKinds) {
+		t.Fatalf("portus_events_total has %d series, want one per declared kind (%d)", len(exported), len(telemetry.EventKinds))
+	}
+	for _, k := range telemetry.EventKinds {
+		if got := ring.Count(k); got != want[k] {
+			t.Errorf("Count(%s) = %d, want %d", k, got, want[k])
+		}
+		if got := exported[k]; got != float64(want[k]) {
+			t.Errorf(`portus_events_total{kind=%q} = %v, want %d`, k, got, want[k])
+		}
+	}
+}
+
 func TestEventRingWindowOldestFirst(t *testing.T) {
 	ring := telemetry.NewEventRing(8)
 	for i := 0; i < 5; i++ {
@@ -71,7 +115,7 @@ func TestEventRingWindowOldestFirst(t *testing.T) {
 func TestNilEventRingIsNoOp(t *testing.T) {
 	var ring *telemetry.EventRing
 	ring.Emit(telemetry.Event{Kind: telemetry.EvDatapathRetry})
-	if ring.Snapshot() != nil || ring.Window(0) != nil || ring.Total() != 0 {
+	if ring.Snapshot() != nil || ring.Window(0) != nil || ring.Total() != 0 || ring.Count(telemetry.EvDatapathRetry) != 0 {
 		t.Fatal("nil ring must read as empty")
 	}
 }
@@ -106,20 +150,18 @@ func TestEventRingConcurrentEmitSnapshot(t *testing.T) {
 
 func TestWatchdogWithinBudgetIsFree(t *testing.T) {
 	events := telemetry.NewEventRing(8)
-	slow := telemetry.NewRegistry().Counter("slow", "")
-	wd := telemetry.NewWatchdog(100*time.Millisecond, events, slow)
+	wd := telemetry.NewWatchdog(100*time.Millisecond, events)
 	tr := telemetry.NewTrace("checkpoint", "m", 1, 0)
 	tr.Finish(50 * time.Millisecond)
 	wd.Observe(tr)
-	if slow.Value() != 0 || len(wd.Incidents()) != 0 || events.Total() != 0 {
+	if events.Count(telemetry.EvWatchdogSlow) != 0 || len(wd.Incidents()) != 0 || events.Total() != 0 {
 		t.Fatal("within-budget transfer must not trip the watchdog")
 	}
 }
 
 func TestWatchdogCapturesSlowTransfer(t *testing.T) {
 	events := telemetry.NewEventRing(8)
-	slow := telemetry.NewRegistry().Counter("slow", "")
-	wd := telemetry.NewWatchdog(10*time.Millisecond, events, slow)
+	wd := telemetry.NewWatchdog(10*time.Millisecond, events)
 
 	// Context the transfer ran in: events inside its lifetime land in the
 	// captured window, older ones don't.
@@ -130,8 +172,8 @@ func TestWatchdogCapturesSlowTransfer(t *testing.T) {
 	tr.Finish(50 * time.Millisecond)
 	wd.Observe(tr)
 
-	if slow.Value() != 1 {
-		t.Fatalf("slow counter = %v, want 1", slow.Value())
+	if got := events.Count(telemetry.EvWatchdogSlow); got != 1 {
+		t.Fatalf("watchdog.slow count = %v, want 1", got)
 	}
 	incidents := wd.Incidents()
 	if len(incidents) != 1 {
@@ -154,10 +196,10 @@ func TestWatchdogCapturesSlowTransfer(t *testing.T) {
 }
 
 func TestWatchdogDisabledAndNilSafe(t *testing.T) {
-	wd := telemetry.NewWatchdog(0, nil, nil)
+	wd := telemetry.NewWatchdog(0, nil)
 	tr := telemetry.NewTrace("checkpoint", "m", 1, 0)
 	tr.Finish(time.Hour)
-	wd.Observe(tr) // budget 0: disabled, must not panic on nil ring/counter
+	wd.Observe(tr) // budget 0: disabled, must not panic on a nil ring
 	if len(wd.Incidents()) != 0 {
 		t.Fatal("disabled watchdog must not record incidents")
 	}

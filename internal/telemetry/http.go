@@ -6,12 +6,6 @@ import (
 	"net/http/pprof"
 )
 
-// Handler serves the basic admin surface for a registry + trace ring.
-// It is AdminHandler without a flight recorder or watchdog.
-func Handler(reg *Registry, traces *TraceRing) http.Handler {
-	return AdminHandler(reg, traces, nil, nil)
-}
-
 // AdminHandler serves the full admin surface:
 //
 //	/metrics       Prometheus text exposition format (with exemplar comments)

@@ -16,7 +16,7 @@ func newAdminServer(t *testing.T) (*httptest.Server, *telemetry.Registry, *telem
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewTraceRing(8)
-	srv := httptest.NewServer(telemetry.Handler(reg, ring))
+	srv := httptest.NewServer(telemetry.AdminHandler(reg, ring, nil, nil))
 	t.Cleanup(srv.Close)
 	return srv, reg, ring
 }
@@ -37,7 +37,7 @@ func get(t *testing.T, url string) (int, string, http.Header) {
 
 func TestMetricsEndpointExpositionFormat(t *testing.T) {
 	srv, reg, _ := newAdminServer(t)
-	reg.Counter("portus_daemon_checkpoints_total", "completed checkpoints").Add(5)
+	reg.Counter("portus_daemon_registered_total", "completed checkpoints").Add(5)
 	reg.Histogram("portus_checkpoint_seconds", "latency", []float64{0.1, 1}).Observe(0.2)
 
 	code, body, hdr := get(t, srv.URL+"/metrics")
@@ -53,7 +53,7 @@ func TestMetricsEndpointExpositionFormat(t *testing.T) {
 	}
 	found := false
 	for _, s := range samples {
-		if s.Name == "portus_daemon_checkpoints_total" && s.Value == 5 {
+		if s.Name == "portus_daemon_registered_total" && s.Value == 5 {
 			found = true
 		}
 	}
@@ -113,8 +113,7 @@ func TestEventsEndpointJSON(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	ring := telemetry.NewTraceRing(8)
 	events := telemetry.NewEventRing(8)
-	slow := reg.Counter("portus_slow_transfers_total", "")
-	wd := telemetry.NewWatchdog(10*time.Millisecond, events, slow)
+	wd := telemetry.NewWatchdog(10*time.Millisecond, events)
 	ring.OnComplete(wd.Observe)
 	srv := httptest.NewServer(telemetry.AdminHandler(reg, ring, events, wd))
 	t.Cleanup(srv.Close)
@@ -154,7 +153,7 @@ func TestEventsEndpointJSON(t *testing.T) {
 }
 
 func TestEventsEndpointNilSafe(t *testing.T) {
-	srv, _, _ := newAdminServer(t) // Handler(): no events ring, no watchdog
+	srv, _, _ := newAdminServer(t) // no events ring, no watchdog
 	code, body, _ := get(t, srv.URL+"/debug/events")
 	if code != http.StatusOK {
 		t.Fatalf("code = %d", code)

@@ -51,14 +51,11 @@ func parseSample(line string) (Sample, error) {
 		return s, fmt.Errorf("malformed sample %q", line)
 	} else if rest[i] == '{' {
 		s.Name = rest[:i]
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return s, fmt.Errorf("unterminated label set in %q", line)
-		}
-		if err := parseLabels(rest[i+1:end], s.Labels); err != nil {
+		n, err := parseLabels(rest[i+1:], s.Labels)
+		if err != nil {
 			return s, err
 		}
-		rest = strings.TrimSpace(rest[end+1:])
+		rest = strings.TrimSpace(rest[i+1+n:])
 	} else {
 		s.Name = rest[:i]
 		rest = strings.TrimSpace(rest[i+1:])
@@ -85,60 +82,71 @@ func parseValue(tok string) (float64, error) {
 	return strconv.ParseFloat(tok, 64)
 }
 
-func parseLabels(body string, into map[string]string) error {
-	for body != "" {
-		eq := strings.Index(body, "=")
-		if eq < 0 {
-			return fmt.Errorf("malformed label body %q", body)
+// parseLabels reads a label set from body, which starts just past its
+// opening '{', into into. It returns how many bytes of body the set
+// took, its closing '}' included. A '}' inside a quoted value is part
+// of the value, so the set ends at the first '}' outside quotes.
+func parseLabels(body string, into map[string]string) (int, error) {
+	pos := 0
+	for {
+		for pos < len(body) && (body[pos] == ' ' || body[pos] == ',') {
+			pos++
 		}
-		key := strings.TrimSpace(body[:eq])
-		rest := body[eq+1:]
-		if len(rest) == 0 || rest[0] != '"' {
-			return fmt.Errorf("label %s value not quoted", key)
+		if pos == len(body) {
+			return 0, fmt.Errorf("unterminated label set")
+		}
+		if body[pos] == '}' {
+			return pos + 1, nil
+		}
+		eq := strings.IndexByte(body[pos:], '=')
+		if eq < 0 {
+			return 0, fmt.Errorf("malformed label body %q", body[pos:])
+		}
+		key := strings.TrimSpace(body[pos : pos+eq])
+		pos += eq + 1
+		if pos == len(body) || body[pos] != '"' {
+			return 0, fmt.Errorf("label %s value not quoted", key)
 		}
 		// Find the closing unescaped quote.
 		end := -1
-		for i := 1; i < len(rest); i++ {
-			if rest[i] == '\\' {
+		for i := pos + 1; i < len(body); i++ {
+			if body[i] == '\\' {
 				i++
 				continue
 			}
-			if rest[i] == '"' {
+			if body[i] == '"' {
 				end = i
 				break
 			}
 		}
 		if end < 0 {
-			return fmt.Errorf("unterminated label value for %s", key)
+			return 0, fmt.Errorf("unterminated label value for %s", key)
 		}
-		val, err := strconv.Unquote(rest[:end+1])
+		val, err := strconv.Unquote(body[pos : end+1])
 		if err != nil {
-			return fmt.Errorf("label %s: %w", key, err)
+			return 0, fmt.Errorf("label %s: %w", key, err)
 		}
 		into[key] = val
-		body = strings.TrimPrefix(strings.TrimSpace(rest[end+1:]), ",")
-		body = strings.TrimSpace(body)
+		pos = end + 1
 	}
-	return nil
 }
 
 func inf(sign int) float64 { return math.Inf(sign) }
 
-// HistogramQuantile estimates the q-quantile of a scraped histogram
-// from its <name>_bucket samples (cumulative le buckets). It returns
-// ok=false when no buckets for name exist or the histogram is empty.
-func HistogramQuantile(samples []Sample, name string, q float64) (float64, bool) {
+// HistogramQuantile estimates the q-quantile of one scraped histogram
+// series from its <name>_bucket samples (cumulative le buckets): the
+// series whose labels, le aside, are exactly match. Buckets of other
+// series of the family are never merged in. It returns ok=false when
+// the series has no buckets or no observations.
+func HistogramQuantile(samples []Sample, name string, q float64, match ...Label) (float64, bool) {
 	type bkt struct {
 		le  float64
 		cum uint64
 	}
 	var bkts []bkt
 	for _, s := range samples {
-		if s.Name != name+"_bucket" {
-			continue
-		}
 		leStr, ok := s.Labels["le"]
-		if !ok {
+		if s.Name != name+"_bucket" || !ok || !seriesIs(s.Labels, match) {
 			continue
 		}
 		var le float64
@@ -172,4 +180,18 @@ func HistogramQuantile(samples []Sample, name string, q float64) (float64, bool)
 		return 0, false
 	}
 	return QuantileFromBuckets(bounds, cum, q), true
+}
+
+// seriesIs reports whether a bucket sample's labels are exactly match
+// plus its le.
+func seriesIs(labels map[string]string, match []Label) bool {
+	if len(labels) != len(match)+1 {
+		return false
+	}
+	for _, l := range match {
+		if v, ok := labels[l.Key]; !ok || v != l.Value {
+			return false
+		}
+	}
+	return true
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRegistryGetOrCreateIdentity(t *testing.T) {
@@ -27,7 +28,7 @@ func TestRegistryGetOrCreateIdentity(t *testing.T) {
 func TestRegistryPrometheusOutput(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("portus_checkpoints_total", "completed checkpoints").Add(3)
-	r.Gauge("portus_queue_depth", "jobs waiting").Set(2)
+	r.GaugeFunc("portus_queue_depth", "jobs waiting", func() float64 { return 2 })
 	r.CounterFunc("portus_flush_bytes_total", "flushed bytes", func() float64 { return 4096 })
 	h := r.Histogram("portus_checkpoint_seconds", "e2e latency", []float64{0.1, 1})
 	h.Observe(0.05)
@@ -77,7 +78,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				r.Counter("c_total", "c").Inc()
-				r.Gauge("g", "g").Add(1)
+				r.GaugeFunc("g", "g", func() float64 { return float64(g) }, L("worker", string(rune('a'+g))))
 				r.Histogram("h_seconds", "h", nil, L("worker", string(rune('a'+g)))).Observe(float64(i) * 1e-4)
 				if i%50 == 0 {
 					var buf bytes.Buffer
@@ -141,5 +142,101 @@ func TestHistogramQuantileFromSamples(t *testing.T) {
 	}
 	if _, ok := HistogramQuantile(samples, "missing_seconds", 0.5); ok {
 		t.Fatal("quantile of missing histogram must report !ok")
+	}
+}
+
+// TestHistogramQuantileReadsOneSeries: the quantile of one series of a
+// labeled family must come from that series' buckets alone, not from
+// the buckets of every label set merged into one list.
+func TestHistogramQuantileReadsOneSeries(t *testing.T) {
+	r := NewRegistry()
+	bounds := []float64{0.25, 0.5, 1, 2, 4}
+	fast := r.Histogram("lat_seconds", "lat", bounds, L("op", "fast"))
+	slow := r.Histogram("lat_seconds", "lat", bounds, L("op", "slow"))
+	for i := 0; i < 10; i++ {
+		fast.Observe(0.5)
+	}
+	for i := 0; i < 3; i++ {
+		slow.Observe(3)
+	}
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	samples, err := ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		op   string
+		h    *Histogram
+		want float64
+	}{{"fast", fast, 0.5}, {"slow", slow, 3}} {
+		got, ok := HistogramQuantile(samples, "lat_seconds", 0.5, L("op", tc.op))
+		if !ok {
+			t.Fatalf("op=%s: series not found", tc.op)
+		}
+		if direct := tc.h.Quantile(0.5); got != direct {
+			t.Errorf("op=%s: scraped p50 = %v, the series' own p50 = %v", tc.op, got, direct)
+		}
+		if lo, hi := tc.want/2, tc.want*2; got < lo || got > hi {
+			t.Errorf("op=%s: p50 = %v, want within (%v, %v]", tc.op, got, lo, hi)
+		}
+	}
+	if _, ok := HistogramQuantile(samples, "lat_seconds", 0.5); ok {
+		t.Error("a family with only labeled series has no unlabeled series to read")
+	}
+}
+
+// TestParseTextRoundTripsLabelValues: label values carry model names,
+// so every byte WritePrometheus escapes — and a '}' or ',' it leaves
+// as is — must parse back to the value written.
+func TestParseTextRoundTripsLabelValues(t *testing.T) {
+	values := []string{`a}b`, `q"uote`, `back\slash`, `com,ma`, `x="}",y`, `}`}
+	r := NewRegistry()
+	for i, v := range values {
+		r.Counter("portus_x_total", "x", L("model", v)).Add(int64(i + 1))
+	}
+	var buf bytes.Buffer
+	r.WritePrometheus(&buf)
+	samples, err := ParseText(&buf)
+	if err != nil {
+		t.Fatalf("ParseText: %v\n%s", err, buf.String())
+	}
+	if len(samples) != len(values) {
+		t.Fatalf("parsed %d samples, want %d", len(samples), len(values))
+	}
+	for i, s := range samples {
+		if s.Name != "portus_x_total" || s.Labels["model"] != values[i] || s.Value != float64(i+1) {
+			t.Errorf("sample %d = %+v, want model %q value %d", i, s, values[i], i+1)
+		}
+	}
+	if _, err := ParseText(strings.NewReader(`portus_x_total{model="a}b" 1` + "\n")); err == nil {
+		t.Error("a label set without its closing brace must not parse")
+	}
+}
+
+// TestWritePrometheusSamplesOutsideFamilyLock: a func series may sample
+// state whose lock holder registers series in the same family (the
+// scheduler registers a lane's depth gauge under its own mutex, and the
+// gauge reads that mutex). Sampling under the family lock deadlocks;
+// this sampler registers a series of its own family to prove it is not.
+func TestWritePrometheusSamplesOutsideFamilyLock(t *testing.T) {
+	r := NewRegistry()
+	r.GaugeFunc("depth", "d", func() float64 {
+		r.GaugeFunc("depth", "d", func() float64 { return 0 }, L("model", "late"))
+		return 1
+	}, L("model", "first"))
+	done := make(chan string)
+	go func() {
+		var buf bytes.Buffer
+		r.WritePrometheus(&buf)
+		done <- buf.String()
+	}()
+	select {
+	case out := <-done:
+		if !strings.Contains(out, `depth{model="first"} 1`) {
+			t.Fatalf("exposition missing the sampled series:\n%s", out)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("WritePrometheus deadlocked sampling a func series under the family lock")
 	}
 }

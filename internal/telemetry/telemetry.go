@@ -1,6 +1,6 @@
 // Package telemetry is Portus's dependency-free observability layer: a
-// registry of atomic counters, gauges, and fixed-bucket latency
-// histograms with quantile estimation, plus lightweight trace spans for
+// registry of atomic counters, scrape-time sampled gauges, and
+// fixed-bucket latency histograms with quantile estimation, plus lightweight trace spans for
 // the checkpoint/restore lifecycle and a ring buffer of recently
 // completed traces.
 //
@@ -13,8 +13,13 @@
 // by the daemon's admin endpoint); ParseText reads the same format back,
 // which is how portusctl renders live stats tables.
 //
-// All metric handles are nil-safe: methods on a nil *Counter, *Gauge,
-// or *Histogram are no-ops, so instrumented code paths need no "is
+// Every exported number has exactly one accumulator. A counter or
+// histogram is the accumulator; a gauge is never set by hand but
+// sampled (GaugeFunc) from the state it reports, so it cannot drift
+// from that state.
+//
+// All metric handles are nil-safe: methods on a nil *Counter or
+// *Histogram are no-ops, so instrumented code paths need no "is
 // telemetry enabled" branches.
 package telemetry
 
@@ -60,41 +65,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Gauge is a metric that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(n)
-}
-
-// Add applies a delta.
-func (g *Gauge) Add(n int64) {
-	if g == nil {
-		return
-	}
-	g.v.Add(n)
-}
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.Add(-1) }
-
-// Value reports the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
 // metric is one exported series inside a family.
 type metric interface {
 	// writeSeries renders the series' sample lines. labels is the
@@ -106,12 +76,8 @@ func (c *Counter) writeSeries(w io.Writer, name, labels string) {
 	fmt.Fprintf(w, "%s%s %d\n", name, braced(labels), c.Value())
 }
 
-func (g *Gauge) writeSeries(w io.Writer, name, labels string) {
-	fmt.Fprintf(w, "%s%s %d\n", name, braced(labels), g.Value())
-}
-
-// counterFunc samples an externally owned cumulative value at scrape
-// time (e.g. the PMem device's flush counters).
+// counterFunc samples an externally owned value at scrape time (e.g.
+// the PMem device's flush counters, the scheduler's queue depth).
 type counterFunc struct {
 	fn func() float64
 }
@@ -220,12 +186,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return f.getOrCreate(labels, func() metric { return &Counter{} }).(*Counter)
 }
 
-// Gauge returns the gauge for (name, labels).
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	f := r.getFamily(name, help, "gauge")
-	return f.getOrCreate(labels, func() metric { return &Gauge{} }).(*Gauge)
-}
-
 // CounterFunc registers a counter whose value is sampled from fn at
 // scrape time — for cumulative values owned by another component.
 func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...Label) {
@@ -251,7 +211,11 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 
 // WritePrometheus renders every registered family in the text
 // exposition format, families sorted by name, series in registration
-// order.
+// order. Each family's series list is copied under its lock and
+// rendered after it: a func series samples state that has its own lock
+// (the scheduler's), and that lock's holder may be registering a
+// series in this same family, so sampling under the family lock could
+// deadlock against it.
 func (r *Registry) WritePrometheus(w io.Writer) {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.families))
@@ -267,13 +231,18 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 
 	for _, f := range fams {
 		f.mu.Lock()
+		keys := append([]string(nil), f.order...)
+		series := make([]metric, len(keys))
+		for i, key := range keys {
+			series[i] = f.series[key]
+		}
+		f.mu.Unlock()
 		if f.help != "" {
 			fmt.Fprintf(w, "# HELP %s %s\n", f.name, f.help)
 		}
 		fmt.Fprintf(w, "# TYPE %s %s\n", f.name, f.typ)
-		for _, key := range f.order {
-			f.series[key].writeSeries(w, f.name, key)
+		for i, key := range keys {
+			series[i].writeSeries(w, f.name, key)
 		}
-		f.mu.Unlock()
 	}
 }

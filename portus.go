@@ -159,8 +159,8 @@ type ServerConfig struct {
 	// (SaveImage persists one).
 	ImagePath string
 	// SlowBudget arms the slow-transfer watchdog: any checkpoint or
-	// restore exceeding this daemon-side duration increments
-	// portus_slow_transfers_total and captures its trace plus the
+	// restore exceeding this daemon-side duration is recorded as a
+	// watchdog.slow event and captures its trace plus the
 	// surrounding flight-recorder event window (served at
 	// /debug/events). 0 disables the watchdog.
 	SlowBudget time.Duration
