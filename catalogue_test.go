@@ -97,6 +97,71 @@ func goFiles(t *testing.T, visit func(path string, f *ast.File)) {
 	}
 }
 
+// realWaits lists every non-test Sleep call this module may make, as
+// "file: function", with the reason it is a real wait. Sleep is only for
+// waiting on something: a backoff, a deadline, an injected delay, a
+// pace. A modelled cost — the time a verb, a flush or a serialize pass
+// stands for — is spent through sim.Charge, which sleeps under
+// simulation only; on a real environment the work itself is the cost.
+var realWaits = map[string]string{
+	"internal/sim/env.go: Charge":                      "the charge verb: a modelled cost sleeps under simulation only",
+	"internal/sim/env.go: RealEnv.Sleep":               "the wall-clock Sleep itself",
+	"internal/datapath/engine.go: run.lane":            "capped backoff before a failed chunk's next try",
+	"internal/datapath/engine.go: run.post":            "capped backoff before the failed chunks are re-posted",
+	"internal/datapath/engine.go: run.flush":           "capped backoff before a failed flush's retry (a batched re-flush's cost rides it under simulation)",
+	"internal/client/client.go: Client.backOff":        "BUSY / NO_SPACE retry-after backoff",
+	"internal/client/client.go: Client.reconnect":      "redial backoff",
+	"internal/client/client.go: Client.send":           "the request deadline",
+	"internal/faults/faults.go: faultFabric.verbFault": "an injected slow completion (DelayBy)",
+	"internal/train/train.go: Run":                     "trainer compute between checkpoints",
+	"internal/experiments/storechurn.go: churnTenant":  "pause before retrying a refused delete",
+}
+
+// TestSleepCatalogue keeps modelled costs off the wall clock: every
+// non-test use of a Sleep method or function — a call, or a method
+// value such as sim.Env.Sleep passed as a charge — must be a real wait
+// listed in realWaits, and every entry there must still be in use.
+func TestSleepCatalogue(t *testing.T) {
+	used := map[string]bool{}
+	goFiles(t, func(path string, f *ast.File) {
+		path = filepath.ToSlash(path)
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			site := path + ": " + fn.Name.Name
+			if fn.Recv != nil {
+				recv := fn.Recv.List[0].Type
+				if star, ok := recv.(*ast.StarExpr); ok {
+					recv = star.X
+				}
+				if generic, ok := recv.(*ast.IndexExpr); ok {
+					recv = generic.X
+				}
+				site = path + ": " + recv.(*ast.Ident).Name + "." + fn.Name.Name
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == "Sleep" {
+					used[site] = true
+					if _, ok := realWaits[site]; !ok {
+						t.Errorf("%s: Sleep is for real waits; charge a modelled cost with sim.Charge, or list the wait in realWaits", site)
+					}
+				}
+				return true
+			})
+		}
+	})
+	for _, site := range sortedKeys(used) {
+		t.Logf("%s: %s", site, realWaits[site])
+	}
+	for site := range realWaits {
+		if !used[site] {
+			t.Errorf("realWaits lists %s, which no longer sleeps", site)
+		}
+	}
+}
+
 // notEventKinds are backticked dotted lowercase names README uses for
 // something other than a flight-recorder event.
 var notEventKinds = map[string]bool{"torch.save": true}

@@ -252,7 +252,7 @@ func RegisterOpts(env sim.Env, conn wire.Conn, node *rdma.Node, m *gpu.PlacedMod
 	// paid once per training job thanks to the pre-allocated version
 	// slots (§III-D2).
 	regGiB := float64(m.Spec.TotalSize()) / float64(1<<30)
-	env.Sleep(perfmodel.QPConnectCost +
+	sim.Charge(env, perfmodel.QPConnectCost+
 		time.Duration(regGiB*float64(perfmodel.MRRegisterPerGiB)))
 	msg := &wire.Msg{Type: wire.TRegister, Model: m.Spec.Name, ClientNode: node.Name(), FabricAddr: opts.FabricAddr}
 	for i, tm := range m.Spec.Tensors {

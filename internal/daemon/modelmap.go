@@ -108,7 +108,7 @@ func (d *Daemon) handleRegister(env sim.Env, conn wire.Conn, m *wire.Msg) {
 		metas[i] = index.TensorMeta{Name: t.Name, DType: index.DType(t.DType), Dims: t.Dims, Size: t.Size}
 		mrs[i] = rdma.RemoteMR{Node: m.ClientNode, RKey: t.RKey, Len: t.Size}
 	}
-	env.Sleep(time.Duration(len(m.Tensors)) * perfmodel.IndexInsertCost)
+	sim.Charge(env, time.Duration(len(m.Tensors))*perfmodel.IndexInsertCost)
 
 	_, err := d.admit(m.Model, metas, mrs)
 	if err != nil && store.IsSpaceError(err) {
@@ -307,8 +307,8 @@ func (d *Daemon) handleDump(env sim.Env, conn wire.Conn, m *wire.Msg) {
 	}
 	// The archive pass pays the serialization cost Portus keeps off the
 	// checkpoint path.
-	env.Sleep(time.Duration(len(ckpt.Tensors)) * perfmodel.SerializePerTensor)
-	env.Sleep(sim.TransferTime(ckpt.ModeledSize(), perfmodel.SerializeBW, 0, 0))
+	sim.Charge(env, time.Duration(len(ckpt.Tensors))*perfmodel.SerializePerTensor)
+	sim.Charge(env, sim.TransferTime(ckpt.ModeledSize(), perfmodel.SerializeBW, 0, 0))
 	var buf bytes.Buffer
 	if err := serialize.Encode(&buf, ckpt); err != nil {
 		d.sendErrFor(env, conn, wire.TDump, 0, m.Model, err.Error())
@@ -382,8 +382,8 @@ func (d *Daemon) handleLoad(env sim.Env, conn wire.Conn, m *wire.Msg) {
 		}
 		// Pay the deserialization cost (the inverse of the archive pass)
 		// and the PMem write bandwidth for the installed bytes.
-		env.Sleep(time.Duration(len(ckpt.Tensors)) * perfmodel.SerializePerTensor)
-		env.Sleep(sim.TransferTime(wrote, perfmodel.SerializeBW, 0, 0))
+		sim.Charge(env, time.Duration(len(ckpt.Tensors))*perfmodel.SerializePerTensor)
+		sim.Charge(env, sim.TransferTime(wrote, perfmodel.SerializeBW, 0, 0))
 		return nil
 	})
 	switch {

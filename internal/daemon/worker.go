@@ -621,7 +621,7 @@ func (d *Daemon) doMaintenance(env sim.Env, t *sched.Task) {
 	if moved > 0 {
 		// Model the copy + flush time of the relocated bytes while the
 		// lease is still held.
-		env.Sleep(flushCost(moved))
+		sim.Charge(env, flushCost(moved))
 	}
 	d.sched.Done(env, t)
 	// If the model was deleted while this task waited or ran, drop its

@@ -31,8 +31,8 @@ type RetryPolicy struct {
 type Config struct {
 	// Strategy moves individual chunks; defaults to OneSided.
 	Strategy Strategy
-	// Depth and Lanes together select Pull's flush schedule; chunks move
-	// through the same attempt loop under both.
+	// Depth and Lanes together select Pull's flush schedule; every
+	// chunk try is settled by the same completion step under both.
 	//
 	// Depth 1 on a single lane (the default, and the paper's datapath)
 	// is the batch schedule: every chunk is pulled in plan order, then
@@ -51,16 +51,17 @@ type Config struct {
 	// per lane; a single lane runs inline on the caller. Defaults to a
 	// single lane.
 	Lanes []*rdma.QP
-	// IssueCost is the per-verb posting + completion-polling cost.
+	// IssueCost is the per-verb posting + completion-polling cost,
+	// charged on the virtual clock only.
 	IssueCost time.Duration
 	// Flush persists [off, off+n) of the PMem data zone (pull direction
 	// only). A non-nil error marks the range unpersisted; the engine
 	// retries under RetryPolicy and never reports success with an
 	// unflushed chunk.
 	Flush func(off, n int64) error
-	// FlushCost models the CLWB+fence cost of flushing n bytes. It must
-	// be linear in n so per-chunk and whole-batch flushing charge the
-	// same total.
+	// FlushCost models the CLWB+fence cost of flushing n bytes, charged
+	// on the virtual clock only. It must be linear in n so per-chunk and
+	// whole-batch flushing charge the same total.
 	FlushCost func(n int64) time.Duration
 	// Retry is the self-healing policy for transient verb and flush
 	// errors.
@@ -140,9 +141,6 @@ type run struct {
 	verb  string
 	root  *telemetry.Span
 	stage *telemetry.Span
-	// charge spends a modeled cost (per-verb issue, flush): env.Sleep,
-	// or sim.Charge where the wall clock already pays for the work.
-	charge func(sim.Env, time.Duration)
 
 	// tokens bound the chunks pulled but not yet flushed, and flushQ
 	// hands pulled chunks to the flusher; nil unless flushing behind.
@@ -157,14 +155,14 @@ type run struct {
 }
 
 // newRun opens the stage span under root.
-func (e *Engine) newRun(env sim.Env, cx *Context, root *telemetry.Span, verb string, charge func(sim.Env, time.Duration)) *run {
+func (e *Engine) newRun(env sim.Env, cx *Context, root *telemetry.Span, verb string) *run {
 	if root == nil {
 		root = &telemetry.Span{}
 	}
 	now := env.Now()
 	return &run{
 		e: e, cx: cx, verb: verb,
-		root: root, stage: root.Child(verb, now), charge: charge,
+		root: root, stage: root.Child(verb, now),
 		lastEnd: now,
 	}
 }
@@ -201,11 +199,16 @@ func (r *run) result(res Result) Result {
 
 // transfer moves every chunk and returns once each has landed or the
 // run has failed (r.err). A single lane runs inline on the caller,
-// taking chunks in plan order; several lanes run as one sim process
-// each, striping chunks from a shared work queue that is filled and
-// closed before any lane starts.
+// taking chunks in plan order — as posted lists when the fabric takes
+// them (see post); several lanes run as one sim process each, striping
+// chunks from a shared work queue that is filled and closed before any
+// lane starts.
 func (r *run) transfer(env sim.Env, chunks []Chunk) {
 	lanes := r.e.cfg.Lanes
+	if p := r.poster(); p != nil {
+		r.post(env, lanes[0], p, chunks)
+		return
+	}
 	if len(lanes) == 1 {
 		i := 0
 		r.lane(env, lanes[0], func(sim.Env) (Chunk, bool) {
@@ -236,7 +239,7 @@ func (r *run) transfer(env sim.Env, chunks []Chunk) {
 
 // lane works through chunks on one queue pair until next runs dry or
 // the run fails, trying each chunk until it lands or its attempt budget
-// is spent.
+// is spent, backing off before each retry.
 func (r *run) lane(env sim.Env, qp *rdma.QP, next func(sim.Env) (Chunk, bool)) {
 	for {
 		c, ok := next(env)
@@ -251,15 +254,63 @@ func (r *run) lane(env sim.Env, qp *rdma.QP, next func(sim.Env) (Chunk, bool)) {
 			if landed {
 				break
 			}
+			env.Sleep(r.e.backoff(n))
 		}
 	}
 }
 
-// attempt is the one place a chunk moves: try n at c on lane qp, in
-// either direction. It reports whether the chunk landed and whether the
-// lane should carry on. A failed try is healed here and nowhere else:
-// it spends one of MaxAttempts (exhausting them fails the run) and
-// backs off before the next.
+// poster returns the fabric's list-posting capability when this run can
+// use it: a single lane, no flush-behind stage, and the one-sided
+// strategy, whose chunk is exactly one verb. Otherwise chunks are
+// issued one at a time.
+func (r *run) poster() rdma.Poster {
+	if _, ok := r.e.cfg.Strategy.(OneSided); !ok || len(r.e.cfg.Lanes) > 1 || r.tokens != nil {
+		return nil
+	}
+	return rdma.PosterOf(r.cx.Fabric)
+}
+
+// post moves chunks on lane qp as posted lists: every chunk is posted
+// as one list, and the chunks that failed are re-posted as the next
+// list after the capped backoff, each still on its own attempt budget.
+// Each chunk's span runs from the previous completion (or the post) to
+// its own, so the spans tile the stage. A list charges the issue cost
+// of each of its verbs.
+func (r *run) post(env sim.Env, qp *rdma.QP, p rdma.Poster, chunks []Chunk) {
+	ops := make([]rdma.Op, 0, len(chunks))
+	for n := 1; len(chunks) > 0; n++ {
+		ops = ops[:0]
+		for _, c := range chunks {
+			ops = append(ops, rdma.Op{L: r.cx.local(c), R: r.cx.remote(c)})
+		}
+		sim.Charge(env, time.Duration(len(ops))*r.e.cfg.IssueCost)
+		var failed []Chunk
+		alive := true
+		start := env.Now()
+		p.PostList(env, r.cx.Local, r.verb == "push", ops, func(i int, err error) {
+			c := chunks[i]
+			r.mu.Lock()
+			sp := r.stage.Child(c.spanName(r.verb), start)
+			r.mu.Unlock()
+			landed, ok := r.complete(env, qp, c, n, sp, err)
+			start = sp.End
+			if ok && !landed {
+				failed = append(failed, c)
+			}
+			alive = alive && ok
+		})
+		if !alive {
+			return
+		}
+		if chunks = failed; len(chunks) > 0 {
+			env.Sleep(r.e.backoff(n))
+		}
+	}
+}
+
+// attempt is try n at c on lane qp, issued alone, in either direction:
+// it charges the verb's issue cost, moves the chunk, and settles the
+// try (see complete).
 func (r *run) attempt(env sim.Env, qp *rdma.QP, c Chunk, n int) (landed, alive bool) {
 	e := r.e
 	if r.tokens != nil {
@@ -277,13 +328,25 @@ func (r *run) attempt(env sim.Env, qp *rdma.QP, c Chunk, n int) (landed, alive b
 	sp := r.stage.Child(c.spanName(r.verb), env.Now())
 	r.mu.Unlock()
 
-	r.charge(env, e.cfg.IssueCost)
+	sim.Charge(env, e.cfg.IssueCost)
 	var err error
 	if r.verb == "push" {
 		err = e.cfg.Strategy.Push(env, r.cx, c)
 	} else {
 		err = e.cfg.Strategy.Pull(env, r.cx, c)
 	}
+	return r.complete(env, qp, c, n, sp, err)
+}
+
+// complete is the one place a chunk's try is settled, whether it was
+// issued alone or posted in a list: it closes the chunk's span sp at
+// the try's completion (now), and reports whether the chunk landed and
+// whether the lane should carry on. A landed chunk counts its bytes and
+// goes to the flusher, if any. A failed try is healed here and nowhere
+// else: it spends one of MaxAttempts — exhausting them fails the run —
+// and is counted as a retry; the caller backs off before the next.
+func (r *run) complete(env sim.Env, qp *rdma.QP, c Chunk, n int, sp *telemetry.Span, err error) (landed, alive bool) {
+	e := r.e
 	now := env.Now()
 	sp.EndAt(now)
 
@@ -316,7 +379,6 @@ func (r *run) attempt(env sim.Env, qp *rdma.QP, c Chunk, n int) (landed, alive b
 		return false, false
 	}
 	r.noteRetry(env, r.verb+" "+c.Name)
-	env.Sleep(e.backoff(n))
 	return false, true
 }
 
@@ -331,23 +393,23 @@ func (r *run) returnToken(env sim.Env) {
 // cfg.Flush, so pulled chunks and copy-forward spans heal alike and no
 // path can report success with an unflushed range. Every attempt pays
 // the CLWB cost — except a batched flush, whose caller charges one
-// whole-batch cost afterwards: there only a re-flush pays, on top.
+// whole-batch cost afterwards: there only a re-flush pays, on top,
+// before the backoff wait.
 func (r *run) flush(env sim.Env, name string, off, n int64, batched bool) error {
 	e := r.e
 	for attempts := 1; ; attempts++ {
 		err := e.cfg.Flush(off, n)
 		if !batched {
-			r.charge(env, e.cfg.FlushCost(n))
+			sim.Charge(env, e.cfg.FlushCost(n))
 		}
 		if err == nil || attempts >= e.maxAttempts() {
 			return err
 		}
 		r.noteRetry(env, "flush "+name)
-		pause := e.backoff(attempts)
 		if batched {
-			pause += e.cfg.FlushCost(n)
+			sim.Charge(env, e.cfg.FlushCost(n))
 		}
-		env.Sleep(pause)
+		env.Sleep(e.backoff(attempts))
 	}
 }
 
@@ -390,23 +452,19 @@ func (r *run) flushBehind(env sim.Env) *sim.Signal {
 // span covering the flush tail; the spans are contiguous, so they sum
 // with the caller's other stages to the end-to-end latency.
 //
-// The chunks always move through the same attempt loop; only the flush
-// schedule differs. At depth 1 on one lane every chunk is transferred,
-// then the whole batch is flushed — the paper's datapath, with the
+// Every chunk try is settled by the same completion step; only the
+// flush schedule differs. At depth 1 on one lane every chunk is
+// transferred — as one posted list when the fabric takes lists — then
+// the whole batch is flushed: the paper's datapath, with the
 // pre-engine timing and span structure. Otherwise chunks flush behind
 // the transfers (see flushBehind).
 //
-// A delta plan (NewDeltaPlan) charges its per-verb issue and flush
-// costs on the virtual clock only, like CopyForward: its many small
-// chunks would otherwise each pay a timer wake-up on a real environment,
-// far above the few µs modeled, and the pull's wall time would follow
-// host load instead of the bytes moved.
+// Per-verb issue and flush costs are charged on the virtual clock only:
+// on a real environment the socket round trip and the flush are the
+// cost, and a sleep per chunk would pay a timer wake-up far above the
+// few µs modeled.
 func (e *Engine) Pull(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
-	charge := sim.Env.Sleep
-	if p.delta {
-		charge = sim.Charge
-	}
-	r := e.newRun(env, cx, root, "pull", charge)
+	r := e.newRun(env, cx, root, "pull")
 	behind := e.cfg.Depth > 1 || len(e.cfg.Lanes) > 1
 	if behind {
 		drained := r.flushBehind(env)
@@ -432,7 +490,7 @@ func (e *Engine) Pull(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (R
 				return r.result(Result{}), fmt.Errorf("flushing %s: %w", c.Name, err)
 			}
 		}
-		r.charge(env, e.cfg.FlushCost(r.moved))
+		sim.Charge(env, e.cfg.FlushCost(r.moved))
 	}
 	end := env.Now()
 	flush.EndAt(end)
@@ -465,14 +523,14 @@ type CopyFn func(dstOff, srcOff, n int64) error
 // a real environment the memmove and the flush are the cost. Under root
 // it builds a "copy-forward" span with one child per span.
 func (e *Engine) CopyForward(env sim.Env, cx *Context, spans []CopySpan, cp CopyFn, root *telemetry.Span) (Result, error) {
-	r := e.newRun(env, cx, root, "copy-forward", sim.Charge)
+	r := e.newRun(env, cx, root, "copy-forward")
 	var copied int64
 	for _, s := range spans {
 		sp := r.stage.Child("copy:"+s.Name, env.Now())
 		what := "copy-forward"
 		err := cp(s.DstOff, s.SrcOff, s.Size)
 		if err == nil {
-			r.charge(env, perfmodel.PMemCopyTime(s.Size))
+			sim.Charge(env, perfmodel.PMemCopyTime(s.Size))
 			what, err = "copy-forward flush", r.flush(env, s.Name, s.DstOff, s.Size, false)
 		}
 		if err != nil {
@@ -491,11 +549,12 @@ func (e *Engine) CopyForward(env sim.Env, cx *Context, spans []CopySpan, cp Copy
 }
 
 // Push runs the restore direction: chunks move from PMem back into the
-// client's memory through the same attempt loop as Pull — bounded
-// per-chunk retry with capped backoff — with no flush stage. Under root
+// client's memory the same way as Pull's — one posted list on a single
+// lane when the fabric takes lists, bounded per-chunk retry with capped
+// backoff either way — with no flush stage. Under root
 // it builds a "push" span with one child per chunk attempt.
 func (e *Engine) Push(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
-	r := e.newRun(env, cx, root, "push", sim.Env.Sleep)
+	r := e.newRun(env, cx, root, "push")
 	r.transfer(env, p.Chunks)
 	r.stage.EndAt(env.Now())
 	if r.err != nil {

@@ -248,7 +248,7 @@ func (f *scriptFabric) Write(env sim.Env, local *rdma.Node, l rdma.Slice, r rdma
 // TestHealingIsScheduleIndependent runs one scripted fault sequence — a
 // transient verb error on chunk 1, one route error on chunk 2, one torn
 // flush of chunk 3 — through pull and push under every schedule. They
-// all share one attempt loop and one flush-with-retry, so each must
+// all share one completion step and one flush-with-retry, so each must
 // report the same Result, leave the same span attributes, and (pull)
 // return only after every chunk's flush succeeded. A route error is
 // healed like any other verb error: one retry of the same verb.

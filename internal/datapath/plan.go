@@ -65,7 +65,6 @@ func (c Chunk) spanName(verb string) string {
 type Plan struct {
 	Chunks []Chunk
 	Bytes  int64
-	delta  bool // built by NewDeltaPlan; see Engine.Pull
 }
 
 // Extent is a dirty byte range of one tensor, produced by the delta
@@ -90,7 +89,7 @@ func NewDeltaPlan(extents []Extent, chunkSize int64) Plan {
 	if chunkSize > 0 && chunkSize < perfmodel.MinChunk {
 		chunkSize = perfmodel.MinChunk
 	}
-	p := Plan{delta: true}
+	var p Plan
 	for _, x := range extents {
 		p.Bytes += x.Size
 		n := 1

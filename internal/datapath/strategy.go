@@ -73,7 +73,7 @@ func (TwoSided) Name() string { return "two-sided" }
 // Pull charges the rendezvous latency delta, transfers, then pays the
 // receiver-side copy out of the bounce buffer.
 func (TwoSided) Pull(env sim.Env, cx *Context, c Chunk) error {
-	env.Sleep(perfmodel.TwoSidedLatency - perfmodel.RDMALatency)
+	sim.Charge(env, perfmodel.TwoSidedLatency-perfmodel.RDMALatency)
 	if err := cx.Fabric.Read(env, cx.Local, cx.local(c), cx.remote(c)); err != nil {
 		return err
 	}

@@ -227,6 +227,42 @@ func (f *faultFabric) Write(env sim.Env, local *rdma.Node, l rdma.Slice, r rdma.
 	return f.inner.Write(env, local, l, r)
 }
 
+// PostList takes every op's fault decisions, in list order, before
+// anything is posted. A faulted op is never sent: it completes with its
+// injected error in its place in the list, and the other ops go to the
+// wrapped fabric (which must be an rdma.Poster) as one list.
+func (f *faultFabric) PostList(env sim.Env, local *rdma.Node, write bool, ops []rdma.Op, done func(i int, err error)) {
+	site, rule := SiteRead, f.in.cfg.Read
+	if write {
+		site, rule = SiteWrite, f.in.cfg.Write
+	}
+	faulted := make([]error, len(ops))
+	pass := make([]rdma.Op, 0, len(ops))
+	at := make([]int, 0, len(ops)) // index in ops of each op in pass
+	for i, o := range ops {
+		if faulted[i] = f.verbFault(env, site, rule); faulted[i] == nil {
+			pass = append(pass, o)
+			at = append(at, i)
+		}
+	}
+	// The wrapped fabric reports in list order, so when it reports
+	// pass[j], every op before it not yet reported is a faulted one.
+	next := 0
+	f.inner.(rdma.Poster).PostList(env, local, write, pass, func(j int, err error) {
+		for ; next < at[j]; next++ {
+			done(next, faulted[next])
+		}
+		done(next, err)
+		next++
+	})
+	for ; next < len(ops); next++ {
+		done(next, faulted[next])
+	}
+}
+
+// Inner returns the wrapped fabric.
+func (f *faultFabric) Inner() rdma.Fabric { return f.inner }
+
 func (f *faultFabric) Send(env sim.Env, local *rdma.Node, remote, qp string, payload []byte, size int64) error {
 	return f.inner.Send(env, local, remote, qp, payload, size)
 }

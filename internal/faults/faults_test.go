@@ -2,6 +2,7 @@ package faults_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"github.com/portus-sys/portus/internal/faults"
@@ -26,6 +27,61 @@ func (okFabric) Send(env sim.Env, local *rdma.Node, remote, qp string, payload [
 }
 func (okFabric) Recv(env sim.Env, local *rdma.Node, qp string) ([]byte, int64, error) {
 	return nil, 0, nil
+}
+
+// postingFabric is okFabric that also posts lists, recording the ops it
+// was handed.
+type postingFabric struct {
+	okFabric
+	posted []rdma.Op
+}
+
+func (f *postingFabric) PostList(env sim.Env, local *rdma.Node, write bool, ops []rdma.Op, done func(i int, err error)) {
+	f.posted = append(f.posted, ops...)
+	for i := range ops {
+		done(i, nil)
+	}
+}
+
+// TestFabricForwardsListPosting: the wrapper posts lists exactly when
+// the fabric it wraps does. Each op takes its fault decision before the
+// post; a faulted op completes with the injected error in its place in
+// the list and is never handed to the wrapped fabric.
+func TestFabricForwardsListPosting(t *testing.T) {
+	in := faults.NewInjector(faults.Config{Read: faults.Rule{From: 2, To: 3}})
+	if rdma.PosterOf(in.Fabric(okFabric{})) != nil {
+		t.Fatal("a wrapped fabric that cannot post lists claims to")
+	}
+	inner := &postingFabric{}
+	p := rdma.PosterOf(in.Fabric(inner))
+	if p == nil {
+		t.Fatal("the wrapper hides the inner fabric's list posting")
+	}
+	ops := make([]rdma.Op, 5)
+	for i := range ops {
+		ops[i].L.Off = int64(i)
+	}
+	var order []int
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		p.PostList(env, nil, false, ops, func(i int, err error) {
+			order = append(order, i)
+			if faulted := i == 1 || i == 2; faulted != errors.Is(err, faults.ErrInjected) {
+				t.Errorf("op %d: err = %v", i, err)
+			}
+		})
+	})
+	eng.Run()
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("completions in order %v, want list order", order)
+	}
+	var posted []int64
+	for _, o := range inner.posted {
+		posted = append(posted, o.L.Off)
+	}
+	if !slices.Equal(posted, []int64{0, 3, 4}) {
+		t.Fatalf("posted ops %v, want 0, 3 and 4 only", posted)
+	}
 }
 
 // readPattern records which of n reads fail under the schedule.

@@ -73,14 +73,14 @@ func clone(c *serialize.Checkpoint) *serialize.Checkpoint {
 
 // chargeSerialize models torch.save's pickling pass on the client.
 func chargeSerialize(env sim.Env, from *cluster.ComputeNode, ckpt *serialize.Checkpoint) {
-	env.Sleep(time.Duration(len(ckpt.Tensors)) * perfmodel.SerializePerTensor)
+	sim.Charge(env, time.Duration(len(ckpt.Tensors))*perfmodel.SerializePerTensor)
 	from.Serializer.Transfer(env, ckpt.ModeledSize(), perfmodel.SerializeBW, 0)
 }
 
 // chargeReconstruct models deserialization and module reconstruction
 // during restore.
 func chargeReconstruct(env sim.Env, ckpt *serialize.Checkpoint) {
-	env.Sleep(perfmodel.RestoreReconstruct +
+	sim.Charge(env, perfmodel.RestoreReconstruct+
 		time.Duration(len(ckpt.Tensors))*perfmodel.RestorePerTensor)
 }
 
@@ -110,7 +110,7 @@ func (b *BeeGFS) Save(env sim.Env, from *cluster.ComputeNode, ckpt *serialize.Ch
 	// to the BeeGFS client module (first kernel crossing).
 	t0 := env.Now()
 	chargeSerialize(env, from, ckpt)
-	env.Sleep(perfmodel.BeeGFSKernelCrossing)
+	sim.Charge(env, perfmodel.BeeGFSKernelCrossing)
 	t1 := env.Now()
 
 	// Path resolution, permission checks, striping metadata — the
@@ -121,7 +121,7 @@ func (b *BeeGFS) Save(env sim.Env, from *cluster.ComputeNode, ckpt *serialize.Ch
 	if metaTensors > 300 {
 		metaTensors = 300
 	}
-	env.Sleep(perfmodel.BeeGFSMetadataBase +
+	sim.Charge(env, perfmodel.BeeGFSMetadataBase+
 		time.Duration(metaTensors)*perfmodel.BeeGFSMetadataPerTensor)
 	t2 := env.Now()
 
@@ -136,7 +136,7 @@ func (b *BeeGFS) Save(env sim.Env, from *cluster.ComputeNode, ckpt *serialize.Ch
 
 	// Step 4: the daemon persists with a DAX write onto ext4-DAX (third
 	// crossing).
-	env.Sleep(perfmodel.BeeGFSKernelCrossing)
+	sim.Charge(env, perfmodel.BeeGFSKernelCrossing)
 	b.storage.DAX.Transfer(env, size, perfmodel.BeeGFSDAXWriteBW, perfmodel.PMemLatency)
 	t4 := env.Now()
 
@@ -167,7 +167,7 @@ func (b *BeeGFS) Load(env sim.Env, to *cluster.ComputeNode, model string) (*seri
 	if !ok {
 		return nil, fmt.Errorf("fsim: beegfs: no checkpoint for %q", model)
 	}
-	env.Sleep(perfmodel.BeeGFSMetadataBase / 2)
+	sim.Charge(env, perfmodel.BeeGFSMetadataBase/2)
 	sim.PipelineTransfer(env, ckpt.ModeledSize(), 4*perfmodel.MiB,
 		sim.Stage{Res: b.storage.Ingest, FlowCap: perfmodel.GDSRestoreBW, Latency: perfmodel.TwoSidedLatency},
 		sim.Stage{Res: to.RNode.NIC()},
@@ -213,7 +213,7 @@ func (e *Ext4NVMe) Save(env sim.Env, from *cluster.ComputeNode, ckpt *serialize.
 	// Chunked write() syscalls into the page cache, journal commit, and
 	// device writeback: 53.7% of the local checkpoint time (Fig. 13).
 	chunks := (size + perfmodel.Ext4WriteChunk - 1) / perfmodel.Ext4WriteChunk
-	env.Sleep(time.Duration(chunks) * perfmodel.Ext4SyscallOverhead)
+	sim.Charge(env, time.Duration(chunks)*perfmodel.Ext4SyscallOverhead)
 	t2 := env.Now()
 	e.node.NVMe.Transfer(env, size, perfmodel.Ext4EffectiveWriteBW, 0)
 	t3 := env.Now()
@@ -246,7 +246,7 @@ func (e *Ext4NVMe) Load(env sim.Env, to *cluster.ComputeNode, model string) (*se
 	}
 	size := ckpt.ModeledSize()
 	chunks := (size + perfmodel.Ext4WriteChunk - 1) / perfmodel.Ext4WriteChunk
-	env.Sleep(time.Duration(chunks) * perfmodel.Ext4SyscallOverhead)
+	sim.Charge(env, time.Duration(chunks)*perfmodel.Ext4SyscallOverhead)
 	e.node.NVMe.Transfer(env, size, perfmodel.Ext4EffectiveReadBW, 0)
 	chargeReconstruct(env, ckpt)
 	e.mu.Lock()

@@ -230,3 +230,28 @@ func setFormat(pm *pmem.Device, v uint64) {
 	pm.WriteMeta(sbVersion, binary.LittleEndian.AppendUint64(nil, v))
 	pm.FlushMeta(sbVersion, 8)
 }
+
+// TestCreateModelRefusesNameOfCorruptRecord: a model whose MIndex record
+// no longer decodes still owns its name, so a second registration under
+// it is refused instead of publishing a twin table entry.
+func TestCreateModelRefusesNameOfCorruptRecord(t *testing.T) {
+	pm := buildValidImage(t)
+	s, err := Open(pm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Lookup("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pm.WriteMeta(m.InfoOff(), []byte{0, 0, 0, 0}) // clobber the MIndex magic
+	if _, err := s.Lookup("alpha"); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Lookup after clobber: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := s.CreateModel("alpha", []TensorMeta{{Name: "w", DType: F32, Dims: []int64{4}, Size: 16}}); !errors.Is(err, ErrModelExists) {
+		t.Fatalf("CreateModel over a corrupt record: err = %v, want ErrModelExists", err)
+	}
+	if got := s.Names(); len(got) != 2 || got[0] == got[1] {
+		t.Fatalf("Names() = %v, want the two original models", got)
+	}
+}

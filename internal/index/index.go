@@ -490,8 +490,12 @@ func (s *Store) CreateModel(name string, tensors []TensorMeta) (*Model, error) {
 	if strings.ContainsRune(name, 0) {
 		return nil, fmt.Errorf("index: model name contains NUL")
 	}
-	if _, err := s.Lookup(name); err == nil {
-		return nil, fmt.Errorf("%w: %s", ErrModelExists, name)
+	// The name alone decides: a live entry whose record is corrupt still
+	// owns its name, and a scan of the table costs no MIndex decode.
+	for i := int64(0); i < s.modelCount; i++ {
+		if n, _ := s.entryAt(i); n == name {
+			return nil, fmt.Errorf("%w: %s", ErrModelExists, name)
+		}
 	}
 	if s.modelCount >= s.tableCap {
 		return nil, ErrTableFull

@@ -80,3 +80,52 @@ func BenchmarkRegisterMR(b *testing.B) {
 		n.RegisterMR(env, dev, int64(i)%(1<<30), 4096)
 	}
 }
+
+// BenchmarkTCPFabricReadList measures a small-tensor pull over loopback:
+// 292 reads of 5 KiB each (a tcp-small model's shape), posted as one
+// list against issued one Read at a time. One op of the benchmark is
+// the whole 292-read pull.
+func BenchmarkTCPFabricReadList(b *testing.B) {
+	const n, size = 292, 5 << 10
+	env := sim.NewRealEnv()
+	f := NewTCPFabric(env)
+	defer f.Close()
+	server := NewNode(env, "server")
+	client := NewNode(env, "client")
+	for _, node := range []*Node{server, client} {
+		if _, err := f.Serve(node, ""); err != nil {
+			b.Fatal(err)
+		}
+	}
+	gpu := memdev.New("gpu", memdev.GPU, n*size, true)
+	pm := memdev.New("pm", memdev.PMEM, n*size, true)
+	rmr := RemoteMR{Node: "client", RKey: client.RegisterMR(env, gpu, 0, n*size).RKey, Len: n * size}
+	lmr := server.RegisterMR(env, pm, 0, n*size)
+	ops := make([]Op, n)
+	for i := range ops {
+		off := int64(i) * size
+		ops[i] = Op{L: Slice{MR: lmr, Off: off, Len: size}, R: RemoteSlice{MR: rmr, Off: off, Len: size}}
+	}
+	b.Run("posted", func(b *testing.B) {
+		b.SetBytes(n * size)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			f.PostList(env, server, false, ops, func(_ int, err error) {
+				if err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+	})
+	b.Run("single", func(b *testing.B) {
+		b.SetBytes(n * size)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			for _, o := range ops {
+				if err := f.Read(env, server, o.L, o.R); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
+}

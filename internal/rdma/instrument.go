@@ -79,6 +79,26 @@ func (f *InstrumentedFabric) Send(env sim.Env, local *Node, remote, qp string, p
 	return nil
 }
 
+// PostList posts ops through the wrapped fabric, which must be a Poster
+// (see PosterOf). A posted op's latency runs from the post to its own
+// completion, so it includes the wait behind the ops ahead of it.
+func (f *InstrumentedFabric) PostList(env sim.Env, local *Node, write bool, ops []Op, done func(i int, err error)) {
+	moved, lat := f.readBytes, f.readLat
+	if write {
+		moved, lat = f.writeBytes, f.writeLat
+	}
+	t0 := env.Now()
+	f.inner.(Poster).PostList(env, local, write, ops, func(i int, err error) {
+		if err != nil {
+			f.errs.Inc()
+		} else {
+			moved.Add(ops[i].L.Len)
+			lat.ObserveDuration(env.Now() - t0)
+		}
+		done(i, err)
+	})
+}
+
 // Recv blocks until a message for (node, qp) arrives.
 func (f *InstrumentedFabric) Recv(env sim.Env, local *Node, qp string) ([]byte, int64, error) {
 	return f.inner.Recv(env, local, qp)

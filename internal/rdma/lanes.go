@@ -35,7 +35,7 @@ func ConnectLanes(env sim.Env, node *Node, count int) []*QP {
 		count = 1
 	}
 	if count > 1 {
-		env.Sleep(time.Duration(count-1) * perfmodel.QPConnectCost)
+		sim.Charge(env, time.Duration(count-1)*perfmodel.QPConnectCost)
 	}
 	lanes := make([]*QP, count)
 	for i := range lanes {

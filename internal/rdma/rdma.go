@@ -18,7 +18,8 @@
 //     participate in checkpoint transfers).
 //
 // Verbs are blocking (post + poll-completion combined): Portus daemon
-// workers issue them from their own processes.
+// workers issue them from their own processes. A fabric that can also
+// take a list of one-sided verbs per post is a Poster.
 package rdma
 
 import (
@@ -173,4 +174,40 @@ type Fabric interface {
 	Send(env sim.Env, local *Node, remote, qp string, payload []byte, size int64) error
 	// Recv blocks until a message for (node, qp) arrives.
 	Recv(env sim.Env, local *Node, qp string) ([]byte, int64, error)
+}
+
+// Op is one work request of a posted list: a one-sided verb between a
+// local slice and a remote one.
+type Op struct {
+	L Slice
+	R RemoteSlice
+}
+
+// Poster is a fabric that takes one-sided verbs as a list per post, the
+// way an RNIC takes a chain of work requests per doorbell: the ops are
+// all in flight at once and complete in list order.
+type Poster interface {
+	Fabric
+	// PostList posts ops — all WRITEs when write is set, else all READs,
+	// all to the peer of ops[0] — and returns once every op has
+	// completed. done(i, err) reports op i's completion exactly once, in
+	// list order, on the caller's goroutine; it must not issue verbs on
+	// the fabric. A failed op does not stop the others.
+	PostList(env sim.Env, local *Node, write bool, ops []Op, done func(i int, err error))
+}
+
+// PosterOf returns f as a Poster when it can post lists, or nil when it
+// issues one verb at a time. A wrapper — a fabric with an Inner method —
+// posts lists only if every fabric it wraps does.
+func PosterOf(f Fabric) Poster {
+	p, ok := f.(Poster)
+	if !ok {
+		return nil
+	}
+	for w, ok := f.(interface{ Inner() Fabric }); ok; w, ok = w.Inner().(interface{ Inner() Fabric }) {
+		if _, ok := w.Inner().(Poster); !ok {
+			return nil
+		}
+	}
+	return p
 }

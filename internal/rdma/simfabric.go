@@ -118,7 +118,7 @@ func (f *SimFabric) Send(env sim.Env, local *Node, remote, qp string, payload []
 		sim.Stage{Res: rn.nic},
 	)
 	if size <= 0 {
-		env.Sleep(local.rates.SendLatency)
+		sim.Charge(env, local.rates.SendLatency)
 	}
 	f.box(env, remote, qp).Send(env, simMsg{payload: payload, size: size})
 	return nil

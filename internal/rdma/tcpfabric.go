@@ -7,6 +7,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"github.com/portus-sys/portus/internal/memdev"
 	"github.com/portus-sys/portus/internal/sim"
@@ -41,16 +42,17 @@ type TCPFabric struct {
 }
 
 // agentConn is a cached connection to a peer agent; requests on it are
-// serialized.
+// serialized: one verb, or one posted list, holds it at a time.
 type agentConn struct {
 	mu sync.Mutex
 	peerConn
 }
 
 // peerConn is one end of an agent connection. The two small buffers
-// coalesce a frame's header, and a small body with it, into one syscall
-// each way; a bulk body bypasses them (bufio hands a slice larger than
-// its buffer straight to the socket), so it is never staged here.
+// coalesce a frame's header, and a small body with it — and the small
+// frames of a posted list — into one syscall each way; a bulk body
+// bypasses them (bufio hands a slice larger than its buffer straight to
+// the socket), so it is never staged here.
 type peerConn struct {
 	c  net.Conn
 	br *bufio.Reader
@@ -153,6 +155,19 @@ func (f *TCPFabric) Close() {
 // builds a frame in memory: the sender writes the header and streams the
 // region out of its device, the receiver parses the header and streams
 // the body into the destination extent.
+//
+// Requests on a connection are answered in order, so a requester may
+// post a list of them before reading any reply (PostList). Two rules
+// keep that deadlock-free without relying on socket buffer sizes:
+//
+//   - The requester never waits for a reply in the middle of sending a
+//     frame: a list's frames are written by their own goroutine while
+//     the caller reads the replies.
+//   - The agent buffers its replies and flushes them only when its
+//     reader holds no further request (br.Buffered() == 0). A buffered
+//     partial request is therefore safe to wait on — by the first rule
+//     its remainder is already on its way — and a lone verb is answered
+//     at once, because after its frame nothing is buffered.
 const (
 	opRead  = 1
 	opWrite = 2
@@ -291,13 +306,12 @@ func (f *TCPFabric) dial(remote string) (*agentConn, error) {
 	return ac, nil
 }
 
-// call runs one verb against remote's agent — the only request path and
-// the only reply path. The request is the fields head appends after the
-// length prefix, then out's content (WRITE); a successful reply's
-// payload lands in in (READ). A refusal, the agent's or this side's,
-// leaves the cached connection in place; a transport error evicts it, so
-// the next verb redials instead of failing forever on a socket whose
-// peer went away.
+// call runs one verb against remote's agent: the request is the fields
+// head appends after the length prefix, then out's content (WRITE); a
+// successful reply's payload lands in in (READ). A refusal, the agent's
+// or this side's, leaves the cached connection in place; a transport
+// error evicts it, so the next verb redials instead of failing forever
+// on a socket whose peer went away.
 func (f *TCPFabric) call(remote, verb string, head func(b []byte) []byte, out, in region) error {
 	ac, err := f.dial(remote)
 	if err != nil {
@@ -305,30 +319,171 @@ func (f *TCPFabric) call(remote, verb string, head func(b []byte) []byte, out, i
 	}
 	ac.mu.Lock()
 	defer ac.mu.Unlock()
-	err = ac.roundTrip(verb, head, out, in)
+	err = ac.writeFrame(head(append(ac.bw.AvailableBuffer(), 0, 0, 0, 0)), out, true)
+	if err == nil {
+		err = ac.readReply(verb, in)
+	}
 	if declined, ok := err.(refusal); ok {
 		return declined.error
 	}
 	if err != nil {
-		ac.c.Close()
-		f.mu.Lock()
-		if f.conns[remote] == ac {
-			delete(f.conns, remote)
-		}
-		f.mu.Unlock()
+		f.evict(remote, ac)
 	}
 	return err
 }
 
+// evict closes a connection whose stream position is lost and drops it
+// from the cache, unless a redial has already replaced it.
+func (f *TCPFabric) evict(remote string, ac *agentConn) {
+	ac.c.Close()
+	f.mu.Lock()
+	if f.conns[remote] == ac {
+		delete(f.conns, remote)
+	}
+	f.mu.Unlock()
+}
+
+// posted is one op of a list as this side resolved it: the local region
+// it moves, or why it was refused before anything was sent.
+type posted struct {
+	g   region
+	err error
+}
+
+// PostList runs ops against one peer's agent as a single list, full
+// duplex: a writer goroutine sends every request frame, flushing only
+// when its buffer fills and at the end, while the caller reads the
+// replies in order and reports each op as its reply lands. Each op is a
+// READ or WRITE frame exactly as Read or Write would send it. An op
+// this side refuses (a bad local slice, an oversized frame, a peer
+// other than ops[0]'s) is never sent and completes with its reason in
+// its place; one the agent refuses fails alone, and the rest of the
+// list proceeds on the same connection. A transport error, on either
+// half, fails exactly the ops still unanswered with the error of the
+// half that broke first, and evicts the connection.
+func (f *TCPFabric) PostList(env sim.Env, local *Node, write bool, ops []Op, done func(i int, err error)) {
+	if len(ops) == 0 {
+		return
+	}
+	verb, op := "read", byte(opRead)
+	if write {
+		verb, op = "write", opWrite
+	}
+	remote := ops[0].R.MR.Node
+	ps := make([]posted, len(ops))
+	for i, o := range ops {
+		p := &ps[i]
+		if o.R.MR.Node != remote {
+			p.err = fmt.Errorf("rdma: a posted list targets %s, not %s", remote, o.R.MR.Node)
+		} else if p.g, p.err = localRegion(local, o.L, o.R); p.err == nil && write {
+			p.err = frameFits(1 + oneSided + p.g.payloadSize())
+		}
+	}
+	ac, err := f.dial(remote)
+	if err != nil {
+		for i := range ops {
+			done(i, err)
+		}
+		return
+	}
+	ac.mu.Lock()
+	defer ac.mu.Unlock()
+	// Whichever half breaks first closes the connection, which unblocks
+	// the other; only the first half's error is the cause.
+	var closed atomic.Bool
+	sent := make(chan error, 1)
+	go func() {
+		err := ac.writeList(op, ops, ps)
+		if err != nil && closed.CompareAndSwap(false, true) {
+			ac.c.Close() // the reader must not wait for replies that cannot come
+			sent <- err
+			return
+		}
+		sent <- nil
+	}()
+	i, lost := 0, error(nil)
+	for ; i < len(ops); i++ {
+		p := &ps[i]
+		if p.err != nil {
+			done(i, p.err)
+			continue
+		}
+		var in region
+		if !write {
+			in = p.g
+		}
+		err := ac.readReply(verb, in)
+		if declined, ok := err.(refusal); ok {
+			done(i, declined.error)
+			continue
+		}
+		if err != nil {
+			lost = err
+			if closed.CompareAndSwap(false, true) {
+				ac.c.Close() // unblocks the writer
+			}
+			break
+		}
+		done(i, nil)
+	}
+	if err := <-sent; err != nil {
+		lost = err // the writer broke first: its failure caused the reader's
+	}
+	if lost == nil {
+		return
+	}
+	f.evict(remote, ac)
+	for ; i < len(ops); i++ {
+		if err := ps[i].err; err != nil {
+			done(i, err)
+		} else {
+			done(i, lost)
+		}
+	}
+}
+
+// writeList sends the request frame of every op that passed this side's
+// checks.
+func (pc *peerConn) writeList(op byte, ops []Op, ps []posted) error {
+	for i, o := range ops {
+		if ps[i].err != nil {
+			continue
+		}
+		var out region
+		if op == opWrite {
+			out = ps[i].g
+		}
+		b := appendOneSided(append(pc.bw.AvailableBuffer(), 0, 0, 0, 0), op, o.R)
+		if err := pc.writeFrame(b, out, false); err != nil {
+			return err
+		}
+	}
+	if err := pc.bw.Flush(); err != nil {
+		return fmt.Errorf("rdma: write frame: %w", err)
+	}
+	return nil
+}
+
+// frameFits refuses a frame body over the limit before any of it is
+// sent, so the stream stays in sync.
+func frameFits(size int64) error {
+	if size > maxFrame {
+		return refusef("rdma: %d-byte frame exceeds the limit", size)
+	}
+	return nil
+}
+
 // writeFrame sends one frame: b, whose first four bytes it fills in with
-// the frame length, followed by payload's content.
-func (pc *peerConn) writeFrame(b []byte, payload region) error {
+// the frame length, followed by payload's content. With flush unset the
+// frame may stay buffered until a later frame fills the buffer or the
+// caller flushes.
+func (pc *peerConn) writeFrame(b []byte, payload region, flush bool) error {
 	size := int64(len(b) - 4)
 	if payload.dev != nil {
 		size += payload.payloadSize()
 	}
-	if size > maxFrame {
-		return refusef("rdma: %d-byte frame exceeds the limit", size) // nothing sent: still in sync
+	if err := frameFits(size); err != nil {
+		return err
 	}
 	binary.LittleEndian.PutUint32(b, uint32(size))
 	if _, err := pc.bw.Write(b); err != nil {
@@ -339,16 +494,18 @@ func (pc *peerConn) writeFrame(b []byte, payload region) error {
 			return fmt.Errorf("rdma: write frame body: %w", err)
 		}
 	}
+	if !flush {
+		return nil
+	}
 	if err := pc.bw.Flush(); err != nil {
 		return fmt.Errorf("rdma: write frame: %w", err)
 	}
 	return nil
 }
 
-func (pc *peerConn) roundTrip(verb string, head func(b []byte) []byte, out, in region) error {
-	if err := pc.writeFrame(head(append(pc.bw.AvailableBuffer(), 0, 0, 0, 0)), out); err != nil {
-		return err
-	}
+// readReply reads the reply to one verb; a successful reply's payload
+// lands in in. A refusal leaves the stream in sync.
+func (pc *peerConn) readReply(verb string, in region) error {
 	size, err := readFrameLen(pc.br)
 	if err != nil {
 		return err
@@ -380,12 +537,14 @@ func (pc *peerConn) roundTrip(verb string, head func(b []byte) []byte, out, in r
 
 // oneSidedHead encodes the fields of a READ or WRITE request.
 func oneSidedHead(op byte, r RemoteSlice) func(b []byte) []byte {
-	return func(b []byte) []byte {
-		b = append(b, op)
-		b = binary.LittleEndian.AppendUint64(b, r.MR.RKey)
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.Off))
-		return binary.LittleEndian.AppendUint64(b, uint64(r.Len))
-	}
+	return func(b []byte) []byte { return appendOneSided(b, op, r) }
+}
+
+func appendOneSided(b []byte, op byte, r RemoteSlice) []byte {
+	b = append(b, op)
+	b = binary.LittleEndian.AppendUint64(b, r.MR.RKey)
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.Off))
+	return binary.LittleEndian.AppendUint64(b, uint64(r.Len))
 }
 
 // localRegion resolves a local slice to the device range behind it.
@@ -469,7 +628,10 @@ func (f *TCPFabric) serveConn(n *Node, c net.Conn) {
 }
 
 // serveOne answers one request frame. A refused request is answered with
-// its reason and is not an error here: the connection carries on.
+// its reason and is not an error here: the connection carries on. The
+// reply is flushed only once no further request is buffered, so the
+// replies to a posted list leave in as few writes as the buffer allows
+// (see the wire format).
 func (f *TCPFabric) serveOne(n *Node, pc *peerConn) error {
 	size, err := readFrameLen(pc.br)
 	if err != nil {
@@ -484,7 +646,7 @@ func (f *TCPFabric) serveOne(n *Node, pc *peerConn) error {
 	} else {
 		b = append(b, 0)
 	}
-	return pc.writeFrame(b, reply)
+	return pc.writeFrame(b, reply, pc.br.Buffered() == 0)
 }
 
 // handle consumes the size bytes of one request and carries it out. For

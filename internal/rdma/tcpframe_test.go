@@ -206,6 +206,7 @@ func FuzzAgentFrames(f *testing.F) {
 		pc := peerConn{br: bufio.NewReaderSize(bytes.NewReader(wire), connBuf), bw: bufio.NewWriterSize(&out, connBuf)}
 		for fab.serveOne(tg.node, &pc) == nil {
 		}
+		pc.bw.Flush() // replies still held behind a torn last request
 		tg.checkCanaries(t)
 		for out.Len() > 0 {
 			if _, _, err := readReply(&out); err != nil {
@@ -289,36 +290,56 @@ func TestTCPRefusalKeepsConnTransportErrorEvicts(t *testing.T) {
 }
 
 // TestTCPSteadyStateAllocations: a verb allocates nothing proportional
-// to the bytes it moves — no frame is built, on either side.
+// to the bytes it moves — no frame is built, on either side — and
+// neither does an op of a posted list, in either direction.
 func TestTCPSteadyStateAllocations(t *testing.T) {
 	env, f, client, server := newTCPPair(t)
-	const n = 1 << 20
-	cgpu := memdev.New("gpu0", memdev.GPU, n, true)
-	gpu.FillRegion(cgpu, 0, n, 1)
-	spm := memdev.New("pmem0", memdev.PMEM, n, true)
-	l := Slice{MR: server.RegisterMR(env, spm, 0, n), Len: n}
-	r := RemoteSlice{MR: RemoteMR{Node: "client", RKey: client.RegisterMR(env, cgpu, 0, n).RKey, Len: n}, Len: n}
-	verbs := map[string]func() error{
-		"Read":  func() error { return f.Read(env, server, l, r) },
-		"Write": func() error { return f.Write(env, server, l, r) },
+	const n, k = 1 << 20, 4 // k 1 MiB ops per posted list
+	cgpu := memdev.New("gpu0", memdev.GPU, k*n, true)
+	gpu.FillRegion(cgpu, 0, k*n, 1)
+	spm := memdev.New("pmem0", memdev.PMEM, k*n, true)
+	lmr := server.RegisterMR(env, spm, 0, k*n)
+	rmr := RemoteMR{Node: "client", RKey: client.RegisterMR(env, cgpu, 0, k*n).RKey, Len: k * n}
+	ops := make([]Op, k)
+	for i := range ops {
+		ops[i] = Op{L: Slice{MR: lmr, Off: int64(i) * n, Len: n}, R: RemoteSlice{MR: rmr, Off: int64(i) * n, Len: n}}
 	}
-	for name, do := range verbs {
+	post := func(write bool) func() error {
+		return func() (first error) {
+			f.PostList(env, server, write, ops, func(_ int, err error) {
+				if first == nil {
+					first = err
+				}
+			})
+			return first
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		ops  int
+		do   func() error
+	}{
+		{"Read", 1, func() error { return f.Read(env, server, ops[0].L, ops[0].R) }},
+		{"Write", 1, func() error { return f.Write(env, server, ops[0].L, ops[0].R) }},
+		{"posted READ list", k, post(false)},
+		{"posted WRITE list", k, post(true)},
+	} {
 		const runs = 20
 		var before, after runtime.MemStats
 		for i := 0; i < 3+runs; i++ {
 			if i == 3 { // connections dialed, pools warm
 				runtime.ReadMemStats(&before)
 			}
-			if err := do(); err != nil {
+			if err := tc.do(); err != nil {
 				t.Fatal(err)
 			}
 		}
 		runtime.ReadMemStats(&after)
-		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 1<<10 {
-			t.Errorf("%s of 1 MiB allocates %d B per call, want < 1 KiB", name, per)
+		if per := (after.TotalAlloc - before.TotalAlloc) / uint64(runs*tc.ops); per >= 1<<10 {
+			t.Errorf("%s: a 1 MiB op allocates %d B, want < 1 KiB", tc.name, per)
 		}
 	}
-	if !bytes.Equal(spm.Bytes(0, n), cgpu.Bytes(0, n)) {
+	if !bytes.Equal(spm.Bytes(0, k*n), cgpu.Bytes(0, k*n)) {
 		t.Fatal("bytes differ after the read/write rounds")
 	}
 }

@@ -18,7 +18,8 @@ type Env interface {
 	// wall-clock time since environment creation otherwise.
 	Now() time.Duration
 	// Sleep suspends the calling process for d. In the real environment
-	// this is a true time.Sleep.
+	// this is a true time.Sleep. It is for real waits — a backoff, a
+	// deadline, a pace; a modelled cost is spent with Charge.
 	Sleep(d time.Duration)
 	// Go spawns a concurrent process running fn. fn receives the Env it
 	// must use for all blocking operations.
@@ -30,9 +31,9 @@ type Env interface {
 
 // Charge spends a modeled cost d on the virtual clock: it sleeps under
 // simulation and returns at once under a real environment, where the
-// wall clock already pays for the work the model stands for. Costs of
-// work that really runs (a memmove, a flush, a hash pass) are charged
-// this way; PipelineTransfer follows the same rule.
+// wall clock already pays for the work the model stands for (a verb, a
+// memmove, a flush, a hash pass). Every modelled cost is charged this
+// way; PipelineTransfer follows the same rule.
 func Charge(env Env, d time.Duration) {
 	if env.IsSim() {
 		env.Sleep(d)

@@ -68,7 +68,7 @@ func (r *BandwidthResource) InFlight() int { return len(r.flows) }
 // independent of the resource's aggregate capacity.
 func (r *BandwidthResource) Transfer(env Env, size int64, flowCap float64, latency time.Duration) {
 	if latency > 0 {
-		env.Sleep(latency)
+		Charge(env, latency)
 	}
 	if size <= 0 {
 		return

@@ -357,7 +357,7 @@ func (n *SimNet) Dial(env sim.Env, name string) (Conn, error) {
 	b2a := sim.NewMailbox[*Msg](env)
 	client := &simConn{env: env, in: b2a, out: a2b}
 	server := &simConn{env: env, in: a2b, out: b2a}
-	env.Sleep(perfmodel.TCPLatency)
+	sim.Charge(env, perfmodel.TCPLatency)
 	l.accept.Send(env, server)
 	return client, nil
 }
@@ -376,7 +376,7 @@ func (c *simConn) Send(env sim.Env, m *Msg) error {
 	if c.closed || c.out.Closed(env) {
 		return ErrClosed
 	}
-	env.Sleep(perfmodel.TCPLatency/2 + sim.TransferTime(m.approxSize(), 1e9, 0, 0))
+	sim.Charge(env, perfmodel.TCPLatency/2+sim.TransferTime(m.approxSize(), 1e9, 0, 0))
 	if c.out.Closed(env) { // the peer closed while the message was in flight
 		return ErrClosed
 	}
