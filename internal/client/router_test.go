@@ -186,11 +186,11 @@ func TestRouterKillMidCheckpointKeepsCommittedIteration(t *testing.T) {
 			sw := &atomic.Bool{}
 			kills[node] = sw
 			pm := dcfg.PMem
-			dcfg.Flush = func(off, n int64) error {
+			dcfg.Flush = func(off, n int64, crc *uint32) error {
 				if sw.Load() {
 					return errors.New("injected: storage node down")
 				}
-				pm.FlushData(off, n)
+				pm.FlushDataCRC(off, n, crc)
 				return nil
 			}
 		})

@@ -103,8 +103,10 @@ type Config struct {
 	// disables backoff.
 	RetryBackoff time.Duration
 	// Flush overrides the PMem data-zone flush (fault injection); nil
-	// uses PMem.FlushData, which cannot fail.
-	Flush func(off, n int64) error
+	// uses PMem.FlushDataCRC, which cannot fail. It persists [off,
+	// off+n) and, when crc is non-nil, continues *crc over the range's
+	// bytes in the same pass; *crc counts only if the flush succeeds.
+	Flush func(off, n int64, crc *uint32) error
 	// Telemetry receives the daemon's counters, gauges, and latency
 	// histograms; nil creates a private registry (readable through
 	// Daemon.Telemetry).
@@ -170,8 +172,11 @@ type Daemon struct {
 	tel *telem
 
 	// engine executes checkpoint pulls and restore pushes over the
-	// chunked, optionally pipelined/striped datapath.
+	// chunked, optionally pipelined/striped datapath. Its flushes hash
+	// nothing; a full checkpoint pulls with an engine built from dp
+	// whose flushes also stamp the version (see stamper).
 	engine *datapath.Engine
+	dp     datapath.Config
 }
 
 // orDefault resolves a retry knob left at zero to its default. Negative
@@ -218,7 +223,7 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 	}
 	if cfg.Flush == nil {
 		pm := cfg.PMem
-		cfg.Flush = func(off, n int64) error { pm.FlushData(off, n); return nil }
+		cfg.Flush = func(off, n int64, crc *uint32) error { pm.FlushDataCRC(off, n, crc); return nil }
 	}
 	d := &Daemon{cfg: cfg, eng: eng, tel: tel, tenants: make(map[string]*tenant), conns: make(map[wire.Conn]struct{})}
 	// Load the ModelMap from the persistent ModelTable (daemon restart):
@@ -250,19 +255,20 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 	// The ablation variants are datapath strategies, not branches: the
 	// engine's chunking, pipelining, and lane striping apply to all of
 	// them uniformly. A nil Strategy is the engine's default, OneSided.
-	d.engine = datapath.New(datapath.Config{
+	d.dp = datapath.Config{
 		Strategy:  cfg.Strategy,
 		Depth:     cfg.PipelineDepth,
 		Lanes:     rdma.ConnectLanes(env, cfg.RNode, cfg.Lanes),
 		IssueCost: perfmodel.RDMAReadIssueCost,
-		Flush:     cfg.Flush,
+		Flush:     func(off, n int64) error { return cfg.Flush(off, n, nil) },
 		FlushCost: flushCost,
 		Retry: datapath.RetryPolicy{
 			MaxAttempts: orDefault(cfg.RetryMax, 3),
 			Backoff:     orDefault(cfg.RetryBackoff, 100*time.Microsecond),
 		},
 		Events: tel.events,
-	})
+	}
+	d.engine = datapath.New(d.dp)
 	for w := 0; w < cfg.Workers; w++ {
 		env.Go(fmt.Sprintf("portusd-worker-%d", w), d.worker)
 	}

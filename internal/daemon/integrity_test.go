@@ -116,22 +116,32 @@ func TestReplicasAgreeOnStamp(t *testing.T) {
 
 // TestDeltaWrittenSlotStampsLikeFullWritten: a slot assembled from
 // pulled dirty blocks and copied-forward clean ones carries the stamp a
-// full pull of the same content gets.
+// full pull of the same content gets — hashed from the slot after a
+// delta, carried through the flushes of the full pull.
 func TestDeltaWrittenSlotStampsLikeFullWritten(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.Go("test", func(env sim.Env) {
 		var stamps [2]uint64
 		for i, deltaOn := range []bool{true, false} {
-			d, placed, c, _ := deltaRig(t, env, func(cfg *daemon.Config) { cfg.DeltaEnabled = deltaOn })
+			hashed := 0
+			d, placed, c, _ := deltaRig(t, env, func(cfg *daemon.Config) {
+				cfg.DeltaEnabled = deltaOn
+				countHashed(cfg, nil, &hashed)
+			})
 			placed.ApplyUpdate(1)
 			if err := c.CheckpointSync(env, 1); err != nil {
 				t.Fatal(err)
 			}
+			var before int
 			for iter := uint64(2); iter <= 3; iter++ {
 				placed.ApplySparseUpdate(iter, deltaBlock, 0.05)
+				before = hashed
 				if err := c.CheckpointSync(env, iter); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if stamped := hashed > before; stamped == deltaOn {
+				t.Fatalf("delta=%v: third checkpoint's flushes carried the stamp: %v", deltaOn, stamped)
 			}
 			total := placed.Spec.TotalSize()
 			if pulled3 := d.Stats().BytesPulled - 2*total; deltaOn != (pulled3 < total) {
@@ -141,11 +151,14 @@ func TestDeltaWrittenSlotStampsLikeFullWritten(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, h, ok := m.LatestDone()
+			slot, h, ok := m.LatestDone()
 			if !ok || h.Iteration != 3 {
 				t.Fatalf("latest done = %+v", h)
 			}
 			requireStamp(t, h.CRC)
+			if fresh := d.ContentCRC(m, slot); h.CRC != fresh {
+				t.Fatalf("delta=%v: stamped %016x, slot hashes to %016x", deltaOn, h.CRC, fresh)
+			}
 			stamps[i] = h.CRC
 		}
 		if stamps[0] != stamps[1] {

@@ -363,7 +363,7 @@ func (d *Daemon) handleLoad(env sim.Env, conn wire.Conn, m *wire.Msg) {
 	}
 	data := d.cfg.PMem.Data()
 	slot := model.TargetSlot()
-	crc, err := d.commit(env, version{model: model, slot: slot, iter: ckpt.Iteration, wantCRC: m.CRC}, func() error {
+	crc, err := d.commit(env, version{model: model, slot: slot, iter: ckpt.Iteration, wantCRC: m.CRC}, func() (uint64, error) {
 		var wrote int64
 		for i, blob := range ckpt.Tensors {
 			ext := model.TensorData(i, slot)
@@ -371,12 +371,12 @@ func (d *Daemon) handleLoad(env sim.Env, conn wire.Conn, m *wire.Msg) {
 				data.WriteStamp(ext.Off, ext.Size, blob.Stamp)
 			} else {
 				if int64(len(blob.Data)) != ext.Size {
-					return fmt.Errorf("tensor %q payload is %d bytes, slot holds %d", blob.Meta.Name, len(blob.Data), ext.Size)
+					return 0, fmt.Errorf("tensor %q payload is %d bytes, slot holds %d", blob.Meta.Name, len(blob.Data), ext.Size)
 				}
 				data.Write(ext.Off, blob.Data)
 			}
-			if err := d.cfg.Flush(ext.Off, ext.Size); err != nil {
-				return fmt.Errorf("flushing tensor %q: %v", blob.Meta.Name, err)
+			if err := d.cfg.Flush(ext.Off, ext.Size, nil); err != nil {
+				return 0, fmt.Errorf("flushing tensor %q: %v", blob.Meta.Name, err)
 			}
 			wrote += ext.Size
 		}
@@ -384,7 +384,7 @@ func (d *Daemon) handleLoad(env sim.Env, conn wire.Conn, m *wire.Msg) {
 		// and the PMem write bandwidth for the installed bytes.
 		sim.Charge(env, time.Duration(len(ckpt.Tensors))*perfmodel.SerializePerTensor)
 		sim.Charge(env, sim.TransferTime(wrote, perfmodel.SerializeBW, 0, 0))
-		return nil
+		return 0, nil
 	})
 	switch {
 	case err == nil:

@@ -1,9 +1,11 @@
 package daemon
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
+	"github.com/portus-sys/portus/internal/datapath"
 	"github.com/portus-sys/portus/internal/index"
 	"github.com/portus-sys/portus/internal/pmem"
 	"github.com/portus-sys/portus/internal/rdma"
@@ -47,5 +49,56 @@ func TestSlotFingerprintHashesInPlace(t *testing.T) {
 	pm.Data().Write(last.Off+last.Size-1, []byte{1})
 	if d.contentCRC(m, 0) == clean {
 		t.Fatal("stamp blind to the slot's last byte")
+	}
+}
+
+// TestStamperFollowsSlotOrder: flushes that cover the slot's extents
+// front to back, split into chunks, stamp what contentCRC hashes;
+// flushes out of that order stamp nothing, leaving commit to hash the
+// slot.
+func TestStamperFollowsSlotOrder(t *testing.T) {
+	env := sim.NewRealEnv()
+	pm := pmem.New(pmem.Config{Name: "pm", DataSize: 4 << 20, Materialized: true})
+	d, err := New(env, Config{PMem: pm, RNode: rdma.NewNode(env, "storage"), Fabric: rdma.NewSimFabric()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sizes := []int64{640 << 10, 96 << 10, 300 << 10}
+	tensors := make([]index.TensorMeta, len(sizes))
+	for i, n := range sizes {
+		tensors[i] = index.TensorMeta{Name: string(rune('a' + i)), DType: index.U8, Dims: []int64{n}, Size: n}
+	}
+	m, err := d.eng.Index().CreateModel("m", tensors)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ranges := make([]datapath.TensorRange, len(sizes))
+	for i := range sizes {
+		ext := m.TensorData(i, 0)
+		pm.Data().Write(ext.Off, bytes.Repeat([]byte{byte(i + 1)}, int(ext.Size)))
+		ranges[i] = datapath.TensorRange{Name: tensors[i].Name, PMemOff: ext.Off, Size: ext.Size}
+	}
+	chunks := datapath.NewPlan(ranges, 256<<10).Chunks
+	in := d.newStamper(m, 0, true)
+	for _, c := range chunks {
+		if err := in.flush(c.PMemOff, c.Len); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := in.stamp(), d.contentCRC(m, 0); got != want {
+		t.Fatalf("in-order flushes stamp %016x, contentCRC %016x", got, want)
+	}
+	if len(chunks) < 2 || chunks[0].Tensor != chunks[1].Tensor {
+		t.Fatalf("plan does not split the first tensor: %+v", chunks)
+	}
+	chunks[0], chunks[1] = chunks[1], chunks[0]
+	out := d.newStamper(m, 0, true)
+	for _, c := range chunks {
+		if err := out.flush(c.PMemOff, c.Len); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := out.stamp(); got != 0 {
+		t.Fatalf("out-of-order flushes stamp %016x, want 0", got)
 	}
 }

@@ -2,6 +2,8 @@ package daemon_test
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -315,4 +317,69 @@ func countSlow(reg *telemetry.Registry) float64 {
 		}
 	}
 	return -1
+}
+
+// TestRestoreTraceShowsVerify: a restore's integrity pass is a stage of
+// its own — the daemon tree's top-level spans tile as enqueue-wait,
+// verify, push — and a restore the pass refuses still lands in the
+// ring, carrying the error and the verify stage that refused it, with
+// no push.
+func TestRestoreTraceShowsVerify(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		r := newPairRig(t, env)
+		r.commitOnA(t, env, 1)
+		if _, err := r.ca.Restore(env); err != nil {
+			t.Fatal(err)
+		}
+		dmn := newestRestore(t, r.a)
+		var sum time.Duration
+		for _, sp := range dmn.Children {
+			sum += sp.Dur()
+		}
+		if names := stageNames(dmn); !slices.Equal(names, []string{"enqueue-wait", "verify", "push"}) || sum != dmn.Dur() {
+			t.Fatalf("restore stages %v sum to %v of %v, want enqueue-wait, verify, push tiling it", names, sum, dmn.Dur())
+		}
+
+		slot, _ := doneHeader(t, r.a, 1)
+		m, err := r.a.Store().Lookup("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, at := r.cl.Storage[0].PMem.Data(), m.TensorData(0, slot).Off
+		data.Write(at, []byte{data.Bytes(at, 1)[0] ^ 0x10})
+		if _, err := r.ca.Restore(env); !errors.Is(err, client.ErrCorruptReplica) {
+			t.Fatalf("restore of a flipped byte = %v, want ErrCorruptReplica", err)
+		}
+		if newest := r.a.Traces().Snapshot()[0]; newest.Kind != "restore" || !strings.Contains(newest.Err, "integrity check") {
+			t.Fatalf("refused restore left no trace carrying its error: newest is %s %q", newest.Kind, newest.Err)
+		}
+		if dmn := newestRestore(t, r.a); dmn.Find("verify") == nil || dmn.Find("push") != nil {
+			t.Fatalf("refused restore's stages = %v, want verify and no push", stageNames(dmn))
+		}
+	})
+	eng.Run()
+}
+
+// newestRestore is the daemon-side span tree of the newest restore
+// trace in d's ring.
+func newestRestore(t *testing.T, d *daemon.Daemon) *telemetry.Span {
+	t.Helper()
+	for _, tr := range d.Traces().Snapshot() {
+		if tr.Kind == "restore" {
+			if dmn := tr.Root.Find("restore"); dmn != nil {
+				return dmn
+			}
+		}
+	}
+	t.Fatal("no restore trace in the ring")
+	return nil
+}
+
+func stageNames(s *telemetry.Span) []string {
+	var out []string
+	for _, c := range s.Children {
+		out = append(out, c.Name)
+	}
+	return out
 }

@@ -174,11 +174,17 @@ func (d *Daemon) doCheckpoint(env sim.Env, t *sched.Task, rc *reqCtx) {
 	var res datapath.Result
 	crc, err := d.commit(env, version{
 		model: m, slot: slot, iter: t.Iteration, digests: d.digestTable(rc, t.Iteration), trace: x.tr,
-	}, func() (err error) {
-		if res, err = d.engine.Pull(env, x.cx, x.plan, x.tr.Root); err == nil && dp != nil {
+	}, func() (stamp uint64, err error) {
+		eng, st := d.engine, d.newStamper(m, slot, dp == nil)
+		if st != nil {
+			cfg := d.dp
+			cfg.Flush = st.flush
+			eng = datapath.New(cfg)
+		}
+		if res, err = eng.Pull(env, x.cx, x.plan, x.tr.Root); err == nil && dp != nil {
 			err = d.copyForward(env, x.cx, dp, x.tr.Root, &res)
 		}
-		return err
+		return st.stamp(), err
 	})
 	if err != nil {
 		d.finish(env, t, x, nil, errMsg(wire.TDoCheckpoint, wire.ErrCodeNone, t.Iteration, m.Name, err.Error()))
@@ -210,6 +216,7 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 		d.finish(env, t, nil, nil, errMsg(wire.TRestore, wire.ErrCodeNoCheckpoint, t.Iteration, m.Name, msg))
 		return
 	}
+	x := d.begin(env, "restore", t, rc, v.Iteration, slot)
 	// Integrity gate: re-fingerprint the stored copy against the stamp
 	// persisted with its DONE flag before any byte reaches GPU memory. A
 	// mismatch means this copy is torn or corrupted — the client fails
@@ -217,13 +224,15 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 	// image from before superblock format 2) has nothing to check and
 	// skips the pass.
 	if v.CRC != 0 {
-		if got, ok := d.verifyCRC(m, slot, v.CRC); !ok {
-			d.finish(env, t, nil, nil, errMsg(wire.TRestore, wire.ErrCodeCorrupt, v.Iteration, m.Name,
+		sp := x.tr.Root.Child("verify", env.Now())
+		got := d.contentCRC(m, slot)
+		sp.EndAt(env.Now())
+		if !d.crcMatches(got, v.CRC) {
+			d.finish(env, t, x, nil, errMsg(wire.TRestore, wire.ErrCodeCorrupt, v.Iteration, m.Name,
 				fmt.Sprintf("iteration %d failed integrity check (stored CRC %016x, computed %016x)", v.Iteration, v.CRC, got)))
 			return
 		}
 	}
-	x := d.begin(env, "restore", t, rc, v.Iteration, slot)
 	res, err := d.engine.Push(env, x.cx, x.plan, x.tr.Root)
 	if err != nil {
 		d.finish(env, t, x, nil, errMsg(wire.TRestore, wire.ErrCodeNone, v.Iteration, m.Name, err.Error()))
@@ -275,12 +284,15 @@ var errCRCMismatch = errors.New("installed copy failed integrity check")
 // LOADs. The slot is marked ACTIVE (destroying its old header) before
 // move writes a byte; move must return only once everything it wrote is
 // flushed; and the DONE flag, stamped with the content's fingerprint,
-// is persisted last. Any error leaves the slot ACTIVE — never
-// restorable — and the other slot's committed version untouched. It
-// returns the fingerprint it computed, also alongside errCRCMismatch.
-func (d *Daemon) commit(env sim.Env, v version, move func() error) (uint64, error) {
+// is persisted last. move returns that fingerprint when its flushes
+// computed it (see stamper), or 0 to have commit hash the slot. Any
+// error leaves the slot ACTIVE — never restorable — and the other
+// slot's committed version untouched. It returns the fingerprint,
+// also alongside errCRCMismatch.
+func (d *Daemon) commit(env sim.Env, v version, move func() (uint64, error)) (uint64, error) {
 	v.model.SetActive(v.slot, v.iter)
-	if err := move(); err != nil {
+	crc, err := move()
+	if err != nil {
 		return 0, err
 	}
 	var traceID telemetry.TraceID
@@ -302,25 +314,27 @@ func (d *Daemon) commit(env sim.Env, v version, move func() error) (uint64, erro
 			})
 		}
 	}
-	// Fingerprint the slot's freshly-flushed content and persist the
-	// stamp with the DONE flag: every replica of this content computes
-	// the same CRC, so a torn or corrupted copy is detectable at restore.
-	crc, ok := d.verifyCRC(v.model, v.slot, v.wantCRC)
-	if !ok {
+	// Persist the content's fingerprint with the DONE flag: every
+	// replica of this content computes the same CRC, so a torn or
+	// corrupted copy is detectable at restore.
+	if crc == 0 {
+		crc = d.contentCRC(v.model, v.slot)
+	}
+	if !d.crcMatches(crc, v.wantCRC) {
 		return crc, errCRCMismatch
 	}
 	v.model.SetDoneCRC(v.slot, v.iter, time.Unix(0, int64(env.Now())), crc)
 	return crc, nil
 }
 
-// verifyCRC fingerprints a slot and checks it against want, counting a
+// crcMatches checks a slot's fingerprint got against want, counting a
 // mismatch; want 0 (nothing to compare against) always passes.
-func (d *Daemon) verifyCRC(m *index.Model, slot int, want uint64) (got uint64, ok bool) {
-	if got = d.contentCRC(m, slot); want != 0 && got != want {
+func (d *Daemon) crcMatches(got, want uint64) bool {
+	if want != 0 && got != want {
 		d.tel.crcFailures.Inc()
-		return got, false
+		return false
 	}
-	return got, true
+	return true
 }
 
 // contentCRC stamps one version slot's tensor extents: CRC-32C (the
@@ -346,10 +360,71 @@ func (d *Daemon) contentCRC(m *index.Model, slot int) uint64 {
 			h.Write(b[:])
 		}
 	}
-	return 1<<32 | uint64(h.Sum32())
+	return stampOf(h.Sum32())
 }
 
+// stampOf tags a slot's CRC-32C as its stamp (see contentCRC).
+func stampOf(crc uint32) uint64 { return 1<<32 | uint64(crc) }
+
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// stamper computes a full checkpoint's stamp inside its flushes, so
+// commit need not read the slot again: each flush persists its range
+// and continues the CRC-32C over the same bytes in one pass
+// (Config.Flush). The ranges must arrive in contentCRC's order — the
+// slot's tensor extents, front to back — which the batch schedule's
+// plan order is; a range out of that order (striped lanes flushing
+// behind) ends the stamping, and commit hashes the slot instead. The
+// CRC advances only when a flush succeeds, so a torn flush that is
+// retried hashes its range once.
+type stamper struct {
+	persist func(off, n int64, crc *uint32) error
+	m       *index.Model
+	slot    int
+	i       int   // tensor whose extent the next range continues
+	pos     int64 // bytes of tensor i hashed so far
+	crc     uint32
+	stray   bool // a range arrived out of order: nothing more is hashed
+}
+
+// newStamper returns the stamper for a checkpoint of m into slot, or nil
+// where commit must hash the slot itself: a delta checkpoint (!full),
+// whose slot also holds copied-forward and skipped blocks, and a
+// virtual data zone, whose stamp hashes fingerprints.
+func (d *Daemon) newStamper(m *index.Model, slot int, full bool) *stamper {
+	if !full || !d.cfg.PMem.Materialized() {
+		return nil
+	}
+	return &stamper{persist: d.cfg.Flush, m: m, slot: slot}
+}
+
+// flush is the checkpoint engine's flush of [off, off+n).
+func (s *stamper) flush(off, n int64) error {
+	if !s.stray {
+		s.stray = s.i == len(s.m.Tensors) || off != s.m.TensorData(s.i, s.slot).Off+s.pos || n > s.m.Tensors[s.i].Size-s.pos
+	}
+	if s.stray {
+		return s.persist(off, n, nil)
+	}
+	crc := s.crc
+	if err := s.persist(off, n, &crc); err != nil {
+		return err
+	}
+	s.crc, s.pos = crc, s.pos+n
+	if s.pos == s.m.Tensors[s.i].Size {
+		s.i, s.pos = s.i+1, 0
+	}
+	return nil
+}
+
+// stamp is the version's fingerprint, as contentCRC computes it, once
+// every extent has been flushed in order; otherwise 0.
+func (s *stamper) stamp() uint64 {
+	if s == nil || s.stray || s.i < len(s.m.Tensors) {
+		return 0
+	}
+	return stampOf(s.crc)
+}
 
 func flushCost(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / float64(perfmodel.MiB) * float64(perfmodel.FlushPerMiB))

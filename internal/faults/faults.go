@@ -339,17 +339,18 @@ func (c *faultConn) Close() error {
 
 // Flush wraps dev's data-zone flush with the torn-flush schedule: a
 // firing flush persists only the first half of the range and reports
-// failure, modeling a CLWB batch cut short by a machine check. The
-// result plugs into datapath.Config.Flush / daemon.Config.Flush.
-func (in *Injector) Flush(dev *pmem.Device) func(off, n int64) error {
-	return func(off, n int64) error {
+// failure, modeling a CLWB batch cut short by a machine check, and
+// leaves crc where it was, so the retry that heals it hashes the range
+// once. The result plugs into daemon.Config.Flush.
+func (in *Injector) Flush(dev *pmem.Device) func(off, n int64, crc *uint32) error {
+	return func(off, n int64, crc *uint32) error {
 		if in.decide(SiteFlush, in.cfg.Flush) {
 			if half := n / 2; half > 0 {
 				dev.FlushData(off, half)
 			}
 			return fmt.Errorf("%w: torn flush of [%d,%d)", ErrInjected, off, off+n)
 		}
-		dev.FlushData(off, n)
+		dev.FlushDataCRC(off, n, crc)
 		return nil
 	}
 }

@@ -1,7 +1,9 @@
 package faults_test
 
 import (
+	"bytes"
 	"errors"
+	"hash/crc32"
 	"slices"
 	"testing"
 
@@ -144,16 +146,31 @@ func TestWindowRuleFiresExactOrdinals(t *testing.T) {
 }
 
 // TestTornFlushPersistsHalf: a firing flush persists only the first
-// half of the range and reports failure; a clean retry completes it.
+// half of the range, reports failure and leaves the running CRC alone;
+// a clean retry completes the range and hashes it once.
 func TestTornFlushPersistsHalf(t *testing.T) {
-	dev := pmem.New(pmem.Config{Name: "pmem0", DataSize: 1 << 20, MetaSize: 4 << 10, Mode: pmem.Devdax})
+	dev := pmem.New(pmem.Config{Name: "pmem0", DataSize: 1 << 20, MetaSize: 4 << 10, Mode: pmem.Devdax, Materialized: true})
+	data := dev.Data()
+	data.Write(0, bytes.Repeat([]byte{0xa5}, 4096))
 	in := faults.NewInjector(faults.Config{Flush: faults.Rule{From: 1, To: 1}})
 	flush := in.Flush(dev)
-	if err := flush(0, 4096); err == nil || !errors.Is(err, faults.ErrInjected) {
+	var crc uint32
+	if err := flush(0, 4096, &crc); err == nil || !errors.Is(err, faults.ErrInjected) {
 		t.Fatalf("first flush = %v, want injected tear", err)
 	}
-	if err := flush(0, 4096); err != nil {
+	if crc != 0 {
+		t.Fatalf("torn flush moved the CRC to %08x", crc)
+	}
+	dev.Crash()
+	if got := data.Bytes(0, 4096); bytes.Count(got, []byte{0xa5}) != 2048 {
+		t.Fatalf("torn flush persisted %d of 4096 bytes, want the first 2048", bytes.Count(got, []byte{0xa5}))
+	}
+	data.Write(0, bytes.Repeat([]byte{0xa5}, 4096))
+	if err := flush(0, 4096, &crc); err != nil {
 		t.Fatalf("second flush = %v, want clean", err)
+	}
+	if want := crc32.Checksum(data.Bytes(0, 4096), crc32.MakeTable(crc32.Castagnoli)); crc != want {
+		t.Fatalf("CRC after the retry = %08x, want %08x", crc, want)
 	}
 	if got := in.Injected(faults.SiteFlush); got != 1 {
 		t.Fatalf("injected flush count = %d, want 1", got)

@@ -583,19 +583,9 @@ func Copy(dst *Device, dstOff int64, src *Device, srcOff, n int64) {
 		return
 	}
 	if dst.materialized {
-		// One memmove between the backing slices, under both locks taken
-		// in creation order so that concurrent A→B and B→A copies cannot
-		// deadlock (a self-copy takes its one lock once).
-		first, second := src, dst
-		if second.id < first.id {
-			first, second = second, first
-		}
-		first.mu.Lock()
-		if second != first {
-			second.mu.Lock()
-			defer second.mu.Unlock()
-		}
-		defer first.mu.Unlock()
+		// One memmove between the backing slices.
+		lockPair(dst, src)
+		defer unlockPair(dst, src)
 		copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
 		return
 	}
@@ -613,6 +603,58 @@ func Copy(dst *Device, dstOff int64, src *Device, srcOff, n int64) {
 	dst.mu.Lock()
 	dst.spliceLocked(dstOff, n, frags)
 	dst.mu.Unlock()
+}
+
+// lockPair takes the locks of a and b in creation order, so that
+// concurrent A→B and B→A copies cannot deadlock; a self-copy takes its
+// one lock once. unlockPair releases them.
+func lockPair(a, b *Device) {
+	if b.id < a.id {
+		a, b = b, a
+	}
+	a.mu.Lock()
+	if b != a {
+		b.mu.Lock()
+	}
+}
+
+func unlockPair(a, b *Device) {
+	a.mu.Unlock()
+	if b != a {
+		b.mu.Unlock()
+	}
+}
+
+// CopyCRC is a materialized Copy that also continues crc, a CRC-32C,
+// over the copied bytes in the same pass, and returns it: the region
+// moves streamPiece at a time, and each piece is hashed right after its
+// memmove, while it is still in cache. Both locks are held per piece,
+// for the copy and the hash only, so a long copy interleaves with other
+// streams on either device. A nil dst hashes src where it lies and
+// copies nothing.
+func CopyCRC(dst *Device, dstOff int64, src *Device, srcOff, n int64, crc uint32) uint32 {
+	if !src.materialized || dst != nil && !dst.materialized {
+		panic("memdev: CopyCRC on virtual device; use Copy and Fingerprint")
+	}
+	src.check(srcOff, n)
+	into := dst
+	if dst == nil {
+		into = src // locked once; nothing is written
+	} else {
+		dst.check(dstOff, n)
+	}
+	for n > 0 {
+		k := min(n, streamPiece)
+		lockPair(into, src)
+		p := src.data[srcOff : srcOff+k]
+		if dst != nil {
+			copy(dst.data[dstOff:dstOff+k], p)
+		}
+		crc = crc32.Update(crc, castagnoli, p)
+		unlockPair(into, src)
+		dstOff, srcOff, n = dstOff+k, srcOff+k, n-k
+	}
+	return crc
 }
 
 // StampRegion describes one stamped region of a virtual device.

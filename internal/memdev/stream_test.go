@@ -122,6 +122,27 @@ func TestHashToMatchesBytes(t *testing.T) {
 	}
 }
 
+// TestCopyCRCIsCopyThenHash: copying and hashing in one pass, across
+// several pieces and ending mid-piece, moves the bytes Copy moves and
+// continues the CRC as hashing them afterwards would; a nil destination
+// hashes the source alone.
+func TestCopyCRCIsCopyThenHash(t *testing.T) {
+	const n = 3*streamPiece + 1000
+	a, b := filled("a", 1<<20, 6), New("b", PMEM, 1<<20, true)
+	table := crc32.MakeTable(crc32.Castagnoli)
+	seed := crc32.Checksum([]byte("earlier ranges"), table)
+	want := crc32.Update(seed, table, a.Bytes(100, n))
+	if got := CopyCRC(b, 200, a, 100, n, seed); got != want {
+		t.Fatalf("CopyCRC = %08x, want %08x", got, want)
+	}
+	if !bytes.Equal(b.Bytes(200, n), a.Bytes(100, n)) {
+		t.Fatal("CopyCRC moved different bytes than Copy")
+	}
+	if got := CopyCRC(nil, 0, a, 100, n, seed); got != want {
+		t.Fatalf("CopyCRC into nil = %08x, want %08x", got, want)
+	}
+}
+
 // TestMaterializedCopyAllocatesNothing: the copy is one memmove between
 // the backing slices.
 func TestMaterializedCopyAllocatesNothing(t *testing.T) {
@@ -129,6 +150,7 @@ func TestMaterializedCopyAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(20, func() {
 		Copy(b, 0, a, 0, 1<<20)
 		Copy(a, 0, a, 1<<19, 1<<19)
+		CopyCRC(b, 0, a, 0, 1<<20, 0)
 	}); n != 0 {
 		t.Fatalf("materialized Copy allocates %v objects per run", n)
 	}
@@ -153,6 +175,7 @@ func TestOpposingCopiesFinish(t *testing.T) {
 				defer wg.Done()
 				for i := 0; i < 2000; i++ {
 					Copy(dir[0], 0, dir[1], 1<<15, 1<<15)
+					CopyCRC(dir[0], 0, dir[1], 1<<15, 1<<15, 0)
 				}
 			}()
 		}

@@ -182,11 +182,27 @@ func (d *Device) FlushMeta(off, n int64) {
 func (d *Device) Persist8(off int64) { d.FlushMeta(off, 8) }
 
 // FlushData persists data-zone region [off, off+n).
-func (d *Device) FlushData(off, n int64) {
+func (d *Device) FlushData(off, n int64) { d.FlushDataCRC(off, n, nil) }
+
+// FlushDataCRC persists data-zone region [off, off+n) as one persist
+// operation, like FlushData, and when crc is non-nil it also continues
+// *crc, a CRC-32C, over the region's live bytes in the same pass: each
+// piece is hashed straight after its copy into the durable image
+// (memdev.CopyCRC), so a version's stamp costs no second read of its
+// slot. A persist lost to FailAfter still hashes the live bytes, as a
+// later read of the slot would. Hashing needs a materialized data zone.
+func (d *Device) FlushDataCRC(off, n int64, crc *uint32) {
 	d.dataFlushOps.Add(1)
 	d.dataFlushBytes.Add(n)
-	if !d.lost() {
-		memdev.Copy(d.dataDur, off, d.data, off, n)
+	dur := d.dataDur
+	if d.lost() {
+		dur = nil
+	}
+	switch {
+	case crc != nil:
+		*crc = memdev.CopyCRC(dur, off, d.data, off, n, *crc)
+	case dur != nil:
+		memdev.Copy(dur, off, d.data, off, n)
 	}
 }
 
