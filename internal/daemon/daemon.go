@@ -171,12 +171,11 @@ type Daemon struct {
 
 	tel *telem
 
-	// engine executes checkpoint pulls and restore pushes over the
-	// chunked, optionally pipelined/striped datapath. Its flushes hash
-	// nothing; a full checkpoint pulls with an engine built from dp
-	// whose flushes also stamp the version (see stamper).
-	engine *datapath.Engine
-	dp     datapath.Config
+	// dp configures the chunked, optionally pipelined/striped datapath
+	// engine every checkpoint pull and restore push runs on. Its flushes
+	// hash nothing; a materialized checkpoint's engine flushes through
+	// the checkpoint's stamper instead (see stamper).
+	dp datapath.Config
 }
 
 // orDefault resolves a retry knob left at zero to its default. Negative
@@ -268,7 +267,6 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 		},
 		Events: tel.events,
 	}
-	d.engine = datapath.New(d.dp)
 	for w := 0; w < cfg.Workers; w++ {
 		env.Go(fmt.Sprintf("portusd-worker-%d", w), d.worker)
 	}
@@ -537,7 +535,7 @@ func newTelem(reg *telemetry.Registry, slowBudget time.Duration, pm *pmem.Device
 		bytesPulled: reg.Counter("portus_daemon_bytes_pulled_total", "checkpoint bytes pulled from GPU memory"),
 		bytesPushed: reg.Counter("portus_daemon_bytes_pushed_total", "restore bytes pushed to GPU memory"),
 
-		crcFailures: reg.Counter("portus_daemon_crc_mismatch_total", "restore or load attempts that failed the stored-version CRC check"),
+		crcFailures: reg.Counter("portus_daemon_crc_mismatch_total", "restores or loads that failed the stored-version CRC check, and checkpoints refused for not matching their digests"),
 
 		nospaceReplies: reg.Counter("portus_store_nospace_replies_total", "registrations answered with a transient NO_SPACE retry-after (backpressure, not failures)"),
 

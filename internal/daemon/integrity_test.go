@@ -3,6 +3,8 @@ package daemon_test
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -82,6 +84,164 @@ func TestFlippedByteFailsRestore(t *testing.T) {
 	eng.Run()
 }
 
+// TestCorruptRestoreNamesTheBlock: when the slot refused as CORRUPT
+// has a trusted digest table, the refusal names the block holding the
+// flipped byte and counts the bad blocks; no GPU byte is written.
+func TestCorruptRestoreNamesTheBlock(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		d, placed, c, pm := deltaRig(t, env, nil)
+		placed.ApplyUpdate(1)
+		if err := c.CheckpointSync(env, 1); err != nil {
+			t.Fatal(err)
+		}
+		slot, _ := doneHeader(t, d, 1)
+		m, err := d.Store().Lookup("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Tensor 0, the word embeddings, spans four blocks; the byte
+		// sits in the second.
+		at := m.TensorData(0, slot).Off + deltaBlock + 5
+		orig := pm.Data().Bytes(at, 1)
+		pm.Data().Write(at, []byte{orig[0] ^ 0x10})
+
+		placed.ApplyUpdate(77)
+		gpu := placed.BlockDigests(deltaBlock)
+		_, err = c.Restore(env)
+		if !errors.Is(err, client.ErrCorruptReplica) {
+			t.Fatalf("restore with a flipped byte = %v, want ErrCorruptReplica", err)
+		}
+		want := fmt.Sprintf("1 of %d blocks differ from their digests, the first in tensor %q at byte %d",
+			len(gpu), m.Tensors[0].Name, deltaBlock)
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not say %q", err, want)
+		}
+		if bad := placed.VerifyDigests(deltaBlock, gpu); bad != -1 {
+			t.Fatalf("a refused restore wrote block %d of the GPU", bad)
+		}
+	})
+	eng.Run()
+}
+
+// flipBeforeFlush makes cfg's flush, while *armed, flip one byte of
+// the live range before persisting it, once: bytes corrupted between
+// the fabric and the flush.
+func flipBeforeFlush(cfg *daemon.Config, armed *bool) {
+	pm := cfg.PMem
+	cfg.Flush = func(off, n int64, crc *uint32) error {
+		if *armed {
+			*armed = false
+			b := pm.Data().Bytes(off+n/2, 1)
+			pm.Data().Write(off+n/2, []byte{b[0] ^ 0x01})
+		}
+		pm.FlushDataCRC(off, n, crc)
+		return nil
+	}
+}
+
+func sparse3(p *gpu.PlacedModel) { p.ApplySparseUpdate(3, deltaBlock, 0.05) }
+
+// TestCorruptedBeforeFlushIsRefused: a checkpoint whose slot does not
+// hold what the client digested never goes DONE — whether a byte of a
+// delta's pulled chunk or of a full checkpoint changed between fabric
+// and flush, or the digest vector does not describe the bytes. The
+// checkpoint fails naming the tensor, the mismatch is counted, the
+// slot stays ACTIVE, and the previous iteration still restores
+// byte-identical.
+func TestCorruptedBeforeFlushIsRefused(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// update dirties the GPU for iteration 3: sparse for a delta,
+		// dense for a full checkpoint.
+		update func(p *gpu.PlacedModel)
+		delta  bool // iteration 3 plans as a delta, not a full pull
+		flip   bool
+		// forge, when set, replaces the client's digest vector.
+		forge func([]uint64) []uint64
+	}{
+		{"delta pulled chunk", sparse3, true, true, nil},
+		{"full checkpoint with digests", func(p *gpu.PlacedModel) { p.ApplyUpdate(3) }, false, true, nil},
+		{"digests that do not describe the bytes", sparse3, true, false,
+			func(dg []uint64) []uint64 { dg[0] ^= 1 << 32; return dg }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			eng.Go("test", func(env sim.Env) {
+				armed := false
+				d, placed, c, _ := deltaRig(t, env, func(cfg *daemon.Config) { flipBeforeFlush(cfg, &armed) })
+				placed.ApplyUpdate(1)
+				if err := c.CheckpointSync(env, 1); err != nil {
+					t.Fatal(err)
+				}
+				placed.ApplySparseUpdate(2, deltaBlock, 0.05)
+				if err := c.CheckpointSync(env, 2); err != nil {
+					t.Fatal(err)
+				}
+				want2 := placed.BlockDigests(deltaBlock)
+				m, err := d.Store().Lookup("m")
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				tc.update(placed)
+				armed = tc.flip
+				before, falls := crcMismatches(d), fallbacks(d)
+				if tc.forge == nil {
+					err = c.CheckpointSync(env, 3)
+				} else {
+					// A second control connection carries the forged vector;
+					// the model's regions are the registered client's.
+					net := wire.NewSimNet()
+					l, lerr := net.Listen(env, "forged")
+					if lerr != nil {
+						t.Fatal(lerr)
+					}
+					env.Go("serve-forged", func(env sim.Env) { d.Serve(env, l) })
+					conn, derr := net.Dial(env, "forged")
+					if derr != nil {
+						t.Fatal(derr)
+					}
+					defer conn.Close()
+					resp := request(t, env, conn, &wire.Msg{Type: wire.TDoCheckpoint, Model: "m", Iteration: 3,
+						Digests: tc.forge(placed.BlockDigests(deltaBlock)), DeltaBlock: deltaBlock})
+					if resp.Type == wire.TError {
+						err = errors.New(resp.Error)
+					}
+				}
+				if err == nil || !strings.Contains(err.Error(), "checkpoint does not match the client's digests") {
+					t.Fatalf("checkpoint 3 = %v, want refused", err)
+				}
+				if tc.forge != nil && !strings.Contains(err.Error(), fmt.Sprintf("the first in tensor %q at byte 0", m.Tensors[0].Name)) {
+					t.Fatalf("refusal %q does not name the forged block", err)
+				}
+				if armed {
+					t.Fatal("no flush ran")
+				}
+				if got := crcMismatches(d) - before; got != 1 {
+					t.Fatalf("portus_daemon_crc_mismatch_total moved by %d, want 1", got)
+				}
+				if delta := fallbacks(d) == falls; delta != tc.delta {
+					t.Fatalf("iteration 3 planned as a delta: %v, want %v", delta, tc.delta)
+				}
+				for s, h := range headers(t, d) {
+					if h.Iteration == 3 && h.State != index.StateActive {
+						t.Fatalf("slot %d holds iteration 3 in state %d, want ACTIVE", s, h.State)
+					}
+				}
+				placed.ApplyUpdate(99)
+				if iter, err := c.Restore(env); err != nil || iter != 2 {
+					t.Fatalf("restore after the refusal = %d, %v; want 2", iter, err)
+				}
+				if bad := placed.VerifyDigests(deltaBlock, want2); bad != -1 {
+					t.Fatalf("block %d not byte-identical after restoring iteration 2", bad)
+				}
+			})
+			eng.Run()
+		})
+	}
+}
+
 // TestReplicasAgreeOnStamp: two daemons that each pulled the same
 // content stamp it identically — the stamp names the content, not the
 // copy.
@@ -115,16 +275,17 @@ func TestReplicasAgreeOnStamp(t *testing.T) {
 }
 
 // TestDeltaWrittenSlotStampsLikeFullWritten: a slot assembled from
-// pulled dirty blocks and copied-forward clean ones carries the stamp a
-// full pull of the same content gets — hashed from the slot after a
-// delta, carried through the flushes of the full pull.
+// pulled dirty blocks, copied-forward and skipped clean ones carries
+// the stamp a full pull of the same content gets — joined from the
+// flushes and the skipped blocks' digests after a delta, carried
+// through the flushes of the full pull.
 func TestDeltaWrittenSlotStampsLikeFullWritten(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.Go("test", func(env sim.Env) {
 		var stamps [2]uint64
 		for i, deltaOn := range []bool{true, false} {
 			hashed := 0
-			d, placed, c, _ := deltaRig(t, env, func(cfg *daemon.Config) {
+			d, placed, c, pm := deltaRig(t, env, func(cfg *daemon.Config) {
 				cfg.DeltaEnabled = deltaOn
 				countHashed(cfg, nil, &hashed)
 			})
@@ -133,15 +294,16 @@ func TestDeltaWrittenSlotStampsLikeFullWritten(t *testing.T) {
 				t.Fatal(err)
 			}
 			var before int
+			var ops int64
 			for iter := uint64(2); iter <= 3; iter++ {
 				placed.ApplySparseUpdate(iter, deltaBlock, 0.05)
-				before = hashed
+				before, ops = hashed, pm.DataFlushOps()
 				if err := c.CheckpointSync(env, iter); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if stamped := hashed > before; stamped == deltaOn {
-				t.Fatalf("delta=%v: third checkpoint's flushes carried the stamp: %v", deltaOn, stamped)
+			if got, want := hashed-before, pm.DataFlushOps()-ops; int64(got) != want || got == 0 {
+				t.Fatalf("delta=%v: %d of the third checkpoint's %d flushes carried a CRC, want all", deltaOn, got, want)
 			}
 			total := placed.Spec.TotalSize()
 			if pulled3 := d.Stats().BytesPulled - 2*total; deltaOn != (pulled3 < total) {
@@ -163,6 +325,71 @@ func TestDeltaWrittenSlotStampsLikeFullWritten(t *testing.T) {
 		}
 		if stamps[0] != stamps[1] {
 			t.Fatalf("delta-written slot stamps %016x, full-written %016x", stamps[0], stamps[1])
+		}
+	})
+	eng.Run()
+}
+
+// TestRottedSkippedBlockFailsRestore: a block a delta checkpoint skips
+// is not read — its stamp comes from its digest, which the target
+// slot's table vouches for — so bytes that rotted there since go DONE
+// under the stamp of what the block should hold, and the restore
+// verify pass refuses the version, naming the block.
+func TestRottedSkippedBlockFailsRestore(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		d, placed, c, pm := deltaRig(t, env, nil)
+		var digests [4][]uint64
+		for iter := uint64(1); iter <= 2; iter++ {
+			placed.ApplySparseUpdate(iter, deltaBlock, 0.05)
+			digests[iter] = placed.BlockDigests(deltaBlock)
+			if err := c.CheckpointSync(env, iter); err != nil {
+				t.Fatal(err)
+			}
+		}
+		placed.ApplySparseUpdate(3, deltaBlock, 0.05)
+		digests[3] = placed.BlockDigests(deltaBlock)
+		// Checkpoint 3 overwrites iteration 1's slot and skips every
+		// block no update since has touched; rot the last of them.
+		skip := -1
+		for b := range digests[3] {
+			if digests[1][b] == digests[3][b] && digests[2][b] == digests[3][b] {
+				skip = b
+			}
+		}
+		if skip < 0 {
+			t.Fatal("no block left untouched since iteration 1")
+		}
+		m, err := d.Store().Lookup("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		tensor, off := 0, int64(0)
+		for b := skip; ; tensor++ {
+			n := int((m.Tensors[tensor].Size + deltaBlock - 1) / deltaBlock)
+			if b < n {
+				off = int64(b) * deltaBlock
+				break
+			}
+			b -= n
+		}
+		target, _ := doneHeader(t, d, 1)
+		at := m.TensorData(tensor, target).Off + off
+		orig := pm.Data().Bytes(at, 1)
+		pm.Data().Write(at, []byte{orig[0] ^ 0x40})
+
+		if err := c.CheckpointSync(env, 3); err != nil {
+			t.Fatalf("checkpoint 3 over a rotted skipped block = %v, want DONE", err)
+		}
+		placed.ApplyUpdate(99)
+		_, err = c.Restore(env)
+		if !errors.Is(err, client.ErrCorruptReplica) {
+			t.Fatalf("restore of iteration 3 = %v, want ErrCorruptReplica", err)
+		}
+		want := fmt.Sprintf("1 of %d blocks differ from their digests, the first in tensor %q at byte %d",
+			len(digests[3]), m.Tensors[tensor].Name, off)
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("refusal %q does not say %q", err, want)
 		}
 	})
 	eng.Run()

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"bytes"
+	"errors"
 	"runtime"
 	"testing"
 
@@ -52,9 +53,12 @@ func TestSlotFingerprintHashesInPlace(t *testing.T) {
 	}
 }
 
-// TestStamperFollowsSlotOrder: flushes that cover the slot's extents
-// front to back, split into chunks, stamp what contentCRC hashes;
-// flushes out of that order stamp nothing, leaving commit to hash the
+var errTorn = errors.New("torn flush")
+
+// TestStamperFollowsSlotOrder: flushes that cover the slot's extents,
+// split into chunks, stamp what contentCRC hashes, front to back or out
+// of order alike, and a failed flush retried counts once; flushes that
+// leave a gap or overlap stamp nothing, leaving commit to hash the
 // slot.
 func TestStamperFollowsSlotOrder(t *testing.T) {
 	env := sim.NewRealEnv()
@@ -79,7 +83,8 @@ func TestStamperFollowsSlotOrder(t *testing.T) {
 		ranges[i] = datapath.TensorRange{Name: tensors[i].Name, PMemOff: ext.Off, Size: ext.Size}
 	}
 	chunks := datapath.NewPlan(ranges, 256<<10).Chunks
-	in := d.newStamper(m, 0, true)
+	rc := &reqCtx{model: m}
+	in := d.newStamper(rc, 0, nil)
 	for _, c := range chunks {
 		if err := in.flush(c.PMemOff, c.Len); err != nil {
 			t.Fatal(err)
@@ -92,13 +97,53 @@ func TestStamperFollowsSlotOrder(t *testing.T) {
 		t.Fatalf("plan does not split the first tensor: %+v", chunks)
 	}
 	chunks[0], chunks[1] = chunks[1], chunks[0]
-	out := d.newStamper(m, 0, true)
+	out := d.newStamper(rc, 0, nil)
 	for _, c := range chunks {
 		if err := out.flush(c.PMemOff, c.Len); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got := out.stamp(); got != 0 {
-		t.Fatalf("out-of-order flushes stamp %016x, want 0", got)
+	if got, want := out.stamp(), d.contentCRC(m, 0); got != want {
+		t.Fatalf("out-of-order flushes stamp %016x, contentCRC %016x", got, want)
+	}
+	// A flush that fails is retried by the engine; only the attempt that
+	// succeeds adds its piece.
+	torn := d.newStamper(rc, 0, nil)
+	persist := torn.persist
+	torn.persist = func(off, n int64, crc *uint32) error {
+		if off == chunks[0].PMemOff {
+			torn.persist = persist
+			return errTorn
+		}
+		return persist(off, n, crc)
+	}
+	if err := torn.flush(chunks[0].PMemOff, chunks[0].Len); err != errTorn {
+		t.Fatalf("torn flush = %v", err)
+	}
+	for _, c := range chunks {
+		if err := torn.flush(c.PMemOff, c.Len); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := torn.stamp(), d.contentCRC(m, 0); got != want {
+		t.Fatalf("flushes with a retried one stamp %016x, contentCRC %016x", got, want)
+	}
+	for _, tc := range []struct {
+		name  string
+		flush []datapath.Chunk
+	}{
+		{"gap", chunks[1:]},
+		{"overlap", append([]datapath.Chunk{{PMemOff: chunks[0].PMemOff, Len: 1}}, chunks...)},
+		{"range past the slot", append(chunks, datapath.Chunk{PMemOff: m.TensorData(2, 1).Off, Len: 1})},
+	} {
+		s := d.newStamper(rc, 0, nil)
+		for _, c := range tc.flush {
+			if err := s.flush(c.PMemOff, c.Len); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := s.stamp(); got != 0 {
+			t.Fatalf("%s: flushes stamp %016x, want 0", tc.name, got)
+		}
 	}
 }

@@ -166,23 +166,22 @@ func (d *Daemon) doCheckpoint(env sim.Env, t *sched.Task, rc *reqCtx) {
 	slot := m.TargetSlot()
 	// The delta decision reads both slots' headers and digest tables, so
 	// it must precede commit's SetActive, which destroys the target's.
-	dp := d.planDelta(env, t, rc, slot)
+	table, dp := d.planDelta(env, t, rc, slot)
 	x := d.begin(env, "checkpoint", t, rc, t.Iteration, slot)
 	if dp != nil {
 		x.plan = dp.plan
 	}
 	var res datapath.Result
 	crc, err := d.commit(env, version{
-		model: m, slot: slot, iter: t.Iteration, digests: d.digestTable(rc, t.Iteration), trace: x.tr,
+		model: m, slot: slot, iter: t.Iteration, digests: table, trace: x.tr,
 	}, func() (stamp uint64, err error) {
-		eng, st := d.engine, d.newStamper(m, slot, dp == nil)
+		cfg, st := d.dp, d.newStamper(rc, slot, dp)
 		if st != nil {
-			cfg := d.dp
 			cfg.Flush = st.flush
-			eng = datapath.New(cfg)
 		}
+		eng := datapath.New(cfg)
 		if res, err = eng.Pull(env, x.cx, x.plan, x.tr.Root); err == nil && dp != nil {
-			err = d.copyForward(env, x.cx, dp, x.tr.Root, &res)
+			err = d.copyForward(env, eng, x.cx, dp, x.tr.Root, &res)
 		}
 		return st.stamp(), err
 	})
@@ -228,12 +227,15 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 		got := d.contentCRC(m, slot)
 		sp.EndAt(env.Now())
 		if !d.crcMatches(got, v.CRC) {
-			d.finish(env, t, x, nil, errMsg(wire.TRestore, wire.ErrCodeCorrupt, v.Iteration, m.Name,
-				fmt.Sprintf("iteration %d failed integrity check (stored CRC %016x, computed %016x)", v.Iteration, v.CRC, got)))
+			msg := fmt.Sprintf("iteration %d failed integrity check (stored CRC %016x, computed %016x)", v.Iteration, v.CRC, got)
+			if tab := m.Digests(slot, 0); tab != nil && d.cfg.PMem.Materialized() {
+				msg += ": " + d.badBlocks(m, slot, tab)
+			}
+			d.finish(env, t, x, nil, errMsg(wire.TRestore, wire.ErrCodeCorrupt, v.Iteration, m.Name, msg))
 			return
 		}
 	}
-	res, err := d.engine.Push(env, x.cx, x.plan, x.tr.Root)
+	res, err := datapath.New(d.dp).Push(env, x.cx, x.plan, x.tr.Root)
 	if err != nil {
 		d.finish(env, t, x, nil, errMsg(wire.TRestore, wire.ErrCodeNone, v.Iteration, m.Name, err.Error()))
 		return
@@ -266,7 +268,8 @@ type version struct {
 	slot  int
 	iter  uint64
 	// digests, when non-nil, is persisted as the slot's block-digest
-	// table so the next checkpoint can delta against this version.
+	// table so the next checkpoint can delta against this version; on a
+	// materialized data zone the content must join to it (see commit).
 	digests *delta.Table
 	// wantCRC, when nonzero, is the fingerprint the installed content
 	// must hash to (the source replica's stamp on an anti-entropy LOAD).
@@ -285,10 +288,14 @@ var errCRCMismatch = errors.New("installed copy failed integrity check")
 // move writes a byte; move must return only once everything it wrote is
 // flushed; and the DONE flag, stamped with the content's fingerprint,
 // is persisted last. move returns that fingerprint when its flushes
-// computed it (see stamper), or 0 to have commit hash the slot. Any
-// error leaves the slot ACTIVE — never restorable — and the other
-// slot's committed version untouched. It returns the fingerprint,
-// also alongside errCRCMismatch.
+// computed it (see stamper), or 0 to have commit hash the slot. Before
+// DONE the fingerprint must match version.wantCRC, and on a
+// materialized data zone the CRC-32C its digest table joins to: a slot
+// holding bytes other than the client's, or a table that does not
+// describe its slot, would poison every later delta. Any error leaves
+// the slot ACTIVE — never restorable — and the other slot's committed
+// version untouched. It returns the fingerprint, also alongside
+// errCRCMismatch.
 func (d *Daemon) commit(env sim.Env, v version, move func() (uint64, error)) (uint64, error) {
 	v.model.SetActive(v.slot, v.iter)
 	crc, err := move()
@@ -300,6 +307,19 @@ func (d *Daemon) commit(env sim.Env, v version, move func() (uint64, error)) (ui
 		traceID = v.trace.ID
 		span := v.trace.Root.Child("commit", env.Now())
 		defer func() { span.EndAt(env.Now()) }()
+	}
+	// Persist the content's fingerprint with the DONE flag: every
+	// replica of this content computes the same CRC, so a torn or
+	// corrupted copy is detectable at restore.
+	if crc == 0 {
+		crc = d.contentCRC(v.model, v.slot)
+	}
+	if !d.crcMatches(crc, v.wantCRC) {
+		return crc, errCRCMismatch
+	}
+	if t := v.digests; t != nil && d.cfg.PMem.Materialized() &&
+		!d.crcMatches(crc, stampOf(delta.CRC32C(v.model.Sizes(), t.BlockBytes, t.Digests))) {
+		return crc, fmt.Errorf("checkpoint does not match the client's digests: %s", d.badBlocks(v.model, v.slot, t))
 	}
 	// The digest table goes down before the DONE flag, so a crash in
 	// between leaves a table whose iteration cannot match the slot
@@ -313,15 +333,6 @@ func (d *Daemon) commit(env sim.Env, v version, move func() (uint64, error)) (ui
 				Detail: "digest table persist failed (next delta runs full): " + err.Error(),
 			})
 		}
-	}
-	// Persist the content's fingerprint with the DONE flag: every
-	// replica of this content computes the same CRC, so a torn or
-	// corrupted copy is detectable at restore.
-	if crc == 0 {
-		crc = d.contentCRC(v.model, v.slot)
-	}
-	if !d.crcMatches(crc, v.wantCRC) {
-		return crc, errCRCMismatch
 	}
 	v.model.SetDoneCRC(v.slot, v.iter, time.Unix(0, int64(env.Now())), crc)
 	return crc, nil
@@ -368,62 +379,80 @@ func stampOf(crc uint32) uint64 { return 1<<32 | uint64(crc) }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// stamper computes a full checkpoint's stamp inside its flushes, so
-// commit need not read the slot again: each flush persists its range
-// and continues the CRC-32C over the same bytes in one pass
-// (Config.Flush). The ranges must arrive in contentCRC's order — the
-// slot's tensor extents, front to back — which the batch schedule's
-// plan order is; a range out of that order (striped lanes flushing
-// behind) ends the stamping, and commit hashes the slot instead. The
-// CRC advances only when a flush succeeds, so a torn flush that is
-// retried hashes its range once.
+// stamper computes a materialized checkpoint's stamp without reading
+// the slot again. Each flush persists its range and hashes the same
+// bytes in one pass (Config.Flush), and each block a delta skips brings
+// the CRC-32C half of its trusted digest; stamp joins the pieces in
+// contentCRC's order by CRC-32C algebra (memdev.Combine), so they may
+// arrive in any order — striped lanes, flush-behind, copy-forward. Only
+// a successful flush adds its piece, so a torn flush that is retried
+// counts once. The engine calls flush from one process at a time.
 type stamper struct {
 	persist func(off, n int64, crc *uint32) error
 	m       *index.Model
 	slot    int
-	i       int   // tensor whose extent the next range continues
-	pos     int64 // bytes of tensor i hashed so far
-	crc     uint32
-	stray   bool // a range arrived out of order: nothing more is hashed
+	pieces  []memdev.Piece
+	crc     uint32 // the running flush's CRC; a field, so &crc allocates nothing
 }
 
-// newStamper returns the stamper for a checkpoint of m into slot, or nil
-// where commit must hash the slot itself: a delta checkpoint (!full),
-// whose slot also holds copied-forward and skipped blocks, and a
+// newStamper returns the stamper for a checkpoint of rc's model into
+// slot, holding a delta plan's skipped extents already, or nil on a
 // virtual data zone, whose stamp hashes fingerprints.
-func (d *Daemon) newStamper(m *index.Model, slot int, full bool) *stamper {
-	if !full || !d.cfg.PMem.Materialized() {
+func (d *Daemon) newStamper(rc *reqCtx, slot int, dp *deltaPlan) *stamper {
+	if !d.cfg.PMem.Materialized() {
 		return nil
 	}
-	return &stamper{persist: d.cfg.Flush, m: m, slot: slot}
+	s := &stamper{persist: d.cfg.Flush, m: rc.model, slot: slot}
+	if dp == nil {
+		return s
+	}
+	for _, x := range dp.skip {
+		s.pieces = append(s.pieces, memdev.Piece{Off: rc.model.TensorData(x.Tensor, slot).Off + x.TensorOff, N: x.Size,
+			CRC: delta.CRC32C([]int64{x.Size}, rc.deltaBlock, rc.digests[x.Block:])})
+	}
+	return s
 }
 
 // flush is the checkpoint engine's flush of [off, off+n).
 func (s *stamper) flush(off, n int64) error {
-	if !s.stray {
-		s.stray = s.i == len(s.m.Tensors) || off != s.m.TensorData(s.i, s.slot).Off+s.pos || n > s.m.Tensors[s.i].Size-s.pos
+	s.crc = 0
+	err := s.persist(off, n, &s.crc)
+	if err == nil && n > 0 {
+		s.pieces = append(s.pieces, memdev.Piece{Off: off, N: n, CRC: s.crc})
 	}
-	if s.stray {
-		return s.persist(off, n, nil)
-	}
-	crc := s.crc
-	if err := s.persist(off, n, &crc); err != nil {
-		return err
-	}
-	s.crc, s.pos = crc, s.pos+n
-	if s.pos == s.m.Tensors[s.i].Size {
-		s.i, s.pos = s.i+1, 0
-	}
-	return nil
+	return err
 }
 
-// stamp is the version's fingerprint, as contentCRC computes it, once
-// every extent has been flushed in order; otherwise 0.
+// stamp is the version's fingerprint, as contentCRC computes it, when
+// the pieces tile the slot's tensor extents exactly; otherwise (a gap
+// or an overlap) 0.
 func (s *stamper) stamp() uint64 {
-	if s == nil || s.stray || s.i < len(s.m.Tensors) {
+	if s == nil {
 		return 0
 	}
-	return stampOf(s.crc)
+	crc, ok := memdev.Join(s.pieces, len(s.m.Tensors), func(i int) (int64, int64) {
+		ext := s.m.TensorData(i, s.slot)
+		return ext.Off, ext.Size
+	})
+	if !ok {
+		return 0
+	}
+	return stampOf(crc)
+}
+
+// badBlocks describes how slot's bytes differ from the digest table t:
+// how many blocks' CRC-32C is not their digest's high word, and the
+// first of them.
+func (d *Daemon) badBlocks(m *index.Model, slot int, t *delta.Table) string {
+	data := d.cfg.PMem.Data()
+	bad, i, off := delta.Mismatch(m.Sizes(), t.BlockBytes, t.Digests, func(i int, off, n int64) uint32 {
+		return memdev.CopyCRC(nil, 0, data, m.TensorData(i, slot).Off+off, n, 0)
+	})
+	if bad == 0 {
+		return "every block matches its digest"
+	}
+	return fmt.Sprintf("%d of %d blocks differ from their digests, the first in tensor %q at byte %d",
+		bad, len(t.Digests), m.Tensors[i].Name, off)
 }
 
 func flushCost(bytes int64) time.Duration {
@@ -436,77 +465,69 @@ func flushCost(bytes int64) time.Duration {
 type deltaPlan struct {
 	plan                         datapath.Plan
 	spans                        []datapath.CopySpan
+	skip                         []delta.Extent
 	pull, copied, skipped, total int64
 }
 
-// tensorSizes collects a model's tensor sizes (the delta layout).
-func tensorSizes(m *index.Model) []int64 {
-	sizes := make([]int64, len(m.Tensors))
-	for i, tm := range m.Tensors {
-		sizes[i] = tm.Size
-	}
-	return sizes
-}
-
-// planDelta decides whether a checkpoint can run incrementally. It must
-// run BEFORE SetActive: the decision reads both slots' version headers
-// and persisted digest tables, and SetActive destroys the target
-// slot's header. A nil return means run a full checkpoint; every nil
-// on a request that asked for delta is flight-recorded (and so
-// counted) as a fallback.
-func (d *Daemon) planDelta(env sim.Env, t *sched.Task, rc *reqCtx, slot int) *deltaPlan {
+// planDelta reads a checkpoint's digest vector into the table to
+// persist with its version — full checkpoints too: that is what
+// bootstraps the first delta — and decides whether the checkpoint can
+// run incrementally. The table is nil when delta is off, the client
+// sent no digests, or the vector is malformed: never persist a table
+// the differ would mistrust. A nil plan means run a full checkpoint;
+// every nil plan on a request that asked for delta is flight-recorded
+// (and so counted) as a fallback. It must run BEFORE SetActive: the
+// decision reads both slots' version headers and persisted digest
+// tables, and SetActive destroys the target slot's header.
+func (d *Daemon) planDelta(env sim.Env, t *sched.Task, rc *reqCtx, slot int) (*delta.Table, *deltaPlan) {
 	if rc.deltaBlock <= 0 || len(rc.digests) == 0 {
-		return nil // pre-delta client: full checkpoint is the contract, not a fallback
+		return nil, nil // pre-delta client: full checkpoint is the contract, not a fallback
 	}
-	fallback := func(reason string) *deltaPlan {
+	var table *delta.Table // once the vector is known to be well-formed
+	fallback := func(reason string) (*delta.Table, *deltaPlan) {
 		d.event(env, telemetry.Event{
 			Kind: telemetry.EvDeltaFallback, Model: t.Model, Iteration: t.Iteration, Trace: t.TraceID, Detail: reason,
 		})
-		return nil
+		return table, nil
 	}
 	if !d.cfg.DeltaEnabled {
 		return fallback("delta disabled on this daemon")
 	}
-	block := rc.deltaBlock
+	m, block := rc.model, rc.deltaBlock
+	sizes, total := m.Sizes(), m.TotalSize()
+	if count := delta.BlockCount(sizes, block); len(rc.digests) != count {
+		return fallback(fmt.Sprintf("digest vector has %d blocks, layout needs %d", len(rc.digests), count))
+	}
+	table = &delta.Table{BlockBytes: block, Iteration: t.Iteration, Layout: delta.LayoutHash(sizes, block), Digests: rc.digests}
 	if want := d.cfg.DeltaBlockBytes; want > 0 && block != want {
 		return fallback(fmt.Sprintf("client block %d bytes, daemon pinned to %d", block, want))
 	}
-	m := rc.model
-	sizes, total := tensorSizes(m), m.TotalSize()
-	layout := delta.LayoutHash(sizes, block)
-	count := delta.BlockCount(sizes, block)
-	if len(rc.digests) != count {
-		return fallback(fmt.Sprintf("digest vector has %d blocks, layout needs %d", len(rc.digests), count))
-	}
-	idx := d.eng.Index()
-	prevSlot, prevHdr, ok := m.LatestDone()
+	prevSlot, _, ok := m.LatestDone()
 	if !ok {
 		// First version of this model: nothing could ever delta against
 		// it, so the full pull is the contract rather than a fallback.
-		return nil
+		return table, nil
 	}
 	if prevSlot == slot {
 		return fallback("previous complete version occupies the target slot")
 	}
-	active, ok := idx.DeltaGet(m, prevSlot)
-	if !ok || active.Iteration != prevHdr.Iteration || !active.Matches(block, layout, count) {
+	active := m.Digests(prevSlot, block)
+	if active == nil {
 		return fallback("previous version has no trusted digest table")
 	}
 	// The target slot's table is only a skip oracle: when it is stale or
 	// missing, every clean block copies forward instead of skipping —
 	// correct either way, just slower.
 	var target []uint64
-	if h := m.VersionHeader(slot); h.State == index.StateDone {
-		if tt, ok := idx.DeltaGet(m, slot); ok && tt.Iteration == h.Iteration && tt.Matches(block, layout, count) {
-			target = tt.Digests
-		}
+	if tt := m.Digests(slot, block); tt != nil {
+		target = tt.Digests
 	}
 	diff := delta.ThreeWay(sizes, block, rc.digests, active.Digests, target)
 	if diff.PullBytes+diff.CopyBytes >= total {
 		return fallback(fmt.Sprintf("delta would move %d of %d bytes; full pull is cheaper",
 			diff.PullBytes+diff.CopyBytes, total))
 	}
-	dp := &deltaPlan{pull: diff.PullBytes, copied: diff.CopyBytes, skipped: diff.SkipBytes, total: total}
+	dp := &deltaPlan{skip: diff.Skip, pull: diff.PullBytes, copied: diff.CopyBytes, skipped: diff.SkipBytes, total: total}
 	var extents []datapath.Extent
 	for _, x := range diff.Pull {
 		ext := m.TensorData(x.Tensor, slot)
@@ -524,7 +545,7 @@ func (d *Daemon) planDelta(env sim.Env, t *sched.Task, rc *reqCtx, slot int) *de
 			DstOff: dst.Off + x.TensorOff, SrcOff: src.Off + x.TensorOff, Size: x.Size,
 		})
 	}
-	return dp
+	return table, dp
 }
 
 // recordDelta publishes an accepted delta plan's byte accounting once
@@ -538,13 +559,14 @@ func (d *Daemon) recordDelta(env sim.Env, dp *deltaPlan, t *sched.Task) {
 	})
 }
 
-// copyForward runs the local half of an incremental checkpoint and
-// folds its timing into the pull result (the copy is flush-dominated
-// PMem work, so it lands in the flush stage of the Figure 13
-// breakdown).
-func (d *Daemon) copyForward(env sim.Env, cx *datapath.Context, dp *deltaPlan, root *telemetry.Span, res *datapath.Result) error {
+// copyForward runs the local half of an incremental checkpoint on eng —
+// the checkpoint's own, so a stamper hashes each span in its flush —
+// and folds its timing into the pull result (the copy is
+// flush-dominated PMem work, so it lands in the flush stage of the
+// Figure 13 breakdown).
+func (d *Daemon) copyForward(env sim.Env, eng *datapath.Engine, cx *datapath.Context, dp *deltaPlan, root *telemetry.Span, res *datapath.Result) error {
 	data := d.cfg.PMem.Data()
-	cres, err := d.engine.CopyForward(env, cx, dp.spans, func(dst, src, n int64) error {
+	cres, err := eng.CopyForward(env, cx, dp.spans, func(dst, src, n int64) error {
 		memdev.Copy(data, dst, data, src, n)
 		return nil
 	}, root)
@@ -553,27 +575,6 @@ func (d *Daemon) copyForward(env sim.Env, cx *datapath.Context, dp *deltaPlan, r
 	}
 	res.Flush += cres.Transfer
 	return nil
-}
-
-// digestTable builds the table a checkpoint persists with its version
-// from the client's digest vector — full checkpoints too: that is what
-// bootstraps the first delta. Nil when delta is off, the client sent no
-// digests, or the vector is malformed: never persist a table the differ
-// would mistrust.
-func (d *Daemon) digestTable(rc *reqCtx, iter uint64) *delta.Table {
-	if !d.cfg.DeltaEnabled || rc.deltaBlock <= 0 || len(rc.digests) == 0 {
-		return nil
-	}
-	sizes := tensorSizes(rc.model)
-	if len(rc.digests) != delta.BlockCount(sizes, rc.deltaBlock) {
-		return nil
-	}
-	return &delta.Table{
-		BlockBytes: rc.deltaBlock,
-		Iteration:  iter,
-		Layout:     delta.LayoutHash(sizes, rc.deltaBlock),
-		Digests:    rc.digests,
-	}
 }
 
 // repackPass tracks one online repack pass across its per-model

@@ -15,15 +15,18 @@
 // diffed, they force a full checkpoint instead.
 //
 // The package is pure data-plane math: it knows nothing about PMem,
-// RDMA, or the wire protocol. The client computes digests over GPU
-// memory, the daemon persists the client's vector verbatim alongside the
-// version header (package index) and plans transfers from the diff
-// (package datapath).
+// RDMA, or the wire protocol, and reads no device byte (CRC32C joins
+// digests with memdev's CRC algebra). The client computes digests over
+// GPU memory, the daemon persists the client's vector verbatim
+// alongside the version header (package index) and plans transfers
+// from the diff (package datapath).
 package delta
 
 import (
 	"encoding/binary"
 	"hash/fnv"
+
+	"github.com/portus-sys/portus/internal/memdev"
 )
 
 // DefaultBlockBytes is the digest granularity when none is configured.
@@ -79,22 +82,25 @@ func AppendDigests(dst []uint64, fp func(off, n int64) uint64, base, size, block
 	return dst
 }
 
-// Extent is one contiguous dirty byte range within a single tensor, in
-// tensor-relative coordinates. Adjacent dirty blocks of the same tensor
-// merge into one extent.
+// Extent is one contiguous byte range within a single tensor, in
+// tensor-relative coordinates, whose blocks a diff treats alike.
+// Adjacent blocks of the same tensor merge into one extent; Block is
+// the index of its first block in the model's digest vector.
 type Extent struct {
 	Tensor    int
 	TensorOff int64
 	Size      int64
+	Block     int
 }
 
 // Diff is the transfer plan a three-way digest comparison yields: Pull
 // extents must move client→PMem over the fabric, Copy extents are
 // satisfied locally by copying active-slot→target-slot in PMem, and
-// SkipBytes counts content the target slot already holds.
+// Skip extents are content the target slot already holds.
 type Diff struct {
 	Pull      []Extent
 	Copy      []Extent
+	Skip      []Extent
 	PullBytes int64
 	CopyBytes int64
 	SkipBytes int64
@@ -119,12 +125,13 @@ func ThreeWay(sizes []int64, block int64, incoming, active, target []uint64) Dif
 			in := incoming[idx]
 			switch {
 			case in != active[idx]:
-				d.Pull = appendExtent(d.Pull, ti, off, n)
+				d.Pull = appendExtent(d.Pull, ti, off, n, idx)
 				d.PullBytes += n
 			case target != nil && target[idx] == in:
+				d.Skip = appendExtent(d.Skip, ti, off, n, idx)
 				d.SkipBytes += n
 			default:
-				d.Copy = appendExtent(d.Copy, ti, off, n)
+				d.Copy = appendExtent(d.Copy, ti, off, n, idx)
 				d.CopyBytes += n
 			}
 			idx++
@@ -133,12 +140,50 @@ func ThreeWay(sizes []int64, block int64, incoming, active, target []uint64) Dif
 	return d
 }
 
-func appendExtent(list []Extent, tensor int, off, n int64) []Extent {
+func appendExtent(list []Extent, tensor int, off, n int64, block int) []Extent {
 	if k := len(list) - 1; k >= 0 && list[k].Tensor == tensor && list[k].TensorOff+list[k].Size == off {
 		list[k].Size += n
 		return list
 	}
-	return append(list, Extent{Tensor: tensor, TensorOff: off, Size: n})
+	return append(list, Extent{Tensor: tensor, TensorOff: off, Size: n, Block: block})
+}
+
+// CRC32C returns the CRC-32C of the bytes that digests describe, laid
+// out as tensors of the given sizes cut into blocks, read from the
+// digests alone: a digest's high word is its block's CRC-32C (see
+// digestKind), and memdev.Combine joins them in layout order. An
+// extent's CRC-32C is CRC32C([]int64{x.Size}, block, digests[x.Block:]).
+func CRC32C(sizes []int64, block int64, digests []uint64) uint32 {
+	var crc uint32
+	idx := 0
+	for _, size := range sizes {
+		for off := int64(0); off < size; off += block {
+			crc = memdev.Combine(crc, uint32(digests[idx]>>32), min(block, size-off))
+			idx++
+		}
+	}
+	return crc
+}
+
+// Mismatch checks each block of the layout against its digest: crc
+// returns the CRC-32C of the n bytes at off within tensor, and a block
+// whose digest does not carry it in its high word is bad. It returns
+// how many are, and where the first starts (tensor, byte offset within
+// it); bad is 0 when every block matches.
+func Mismatch(sizes []int64, block int64, digests []uint64, crc func(tensor int, off, n int64) uint32) (bad, tensor int, off int64) {
+	idx := 0
+	for ti, size := range sizes {
+		for o := int64(0); o < size; o += block {
+			if crc(ti, o, min(block, size-o)) != uint32(digests[idx]>>32) {
+				if bad == 0 {
+					tensor, off = ti, o
+				}
+				bad++
+			}
+			idx++
+		}
+	}
+	return bad, tensor, off
 }
 
 // Table is one slot's persisted digest record: the client's digest

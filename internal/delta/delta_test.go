@@ -1,8 +1,12 @@
 package delta
 
 import (
+	"hash/crc32"
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/portus-sys/portus/internal/memdev"
 )
 
 func TestBlockCount(t *testing.T) {
@@ -64,13 +68,17 @@ func TestThreeWay(t *testing.T) {
 	target := []uint64{1, 0, 0, 0, 5} // holds t0b0 and t1b1 already
 
 	d := ThreeWay(sizes, block, incoming, active, target)
-	wantPull := []Extent{{Tensor: 0, TensorOff: 100, Size: 200}} // merged b1+b2
-	wantCopy := []Extent{{Tensor: 1, TensorOff: 0, Size: 100}}   // t1b0
+	wantPull := []Extent{{Tensor: 0, TensorOff: 100, Size: 200, Block: 1}} // merged b1+b2
+	wantCopy := []Extent{{Tensor: 1, TensorOff: 0, Size: 100, Block: 3}}   // t1b0
+	wantSkip := []Extent{{Tensor: 0, TensorOff: 0, Size: 100, Block: 0}, {Tensor: 1, TensorOff: 100, Size: 50, Block: 4}}
 	if !reflect.DeepEqual(d.Pull, wantPull) {
 		t.Errorf("pull = %+v, want %+v", d.Pull, wantPull)
 	}
 	if !reflect.DeepEqual(d.Copy, wantCopy) {
 		t.Errorf("copy = %+v, want %+v", d.Copy, wantCopy)
+	}
+	if !reflect.DeepEqual(d.Skip, wantSkip) {
+		t.Errorf("skip = %+v, want %+v", d.Skip, wantSkip)
 	}
 	if d.PullBytes != 200 || d.CopyBytes != 100 || d.SkipBytes != 150 {
 		t.Errorf("bytes pull/copy/skip = %d/%d/%d, want 200/100/150",
@@ -89,7 +97,7 @@ func TestThreeWay(t *testing.T) {
 	incoming2 := []uint64{1, 2, 9, 9, 5}
 	active2 := []uint64{1, 2, 3, 4, 5}
 	d = ThreeWay(sizes, block, incoming2, active2, nil)
-	wantPull = []Extent{{Tensor: 0, TensorOff: 200, Size: 100}, {Tensor: 1, TensorOff: 0, Size: 100}}
+	wantPull = []Extent{{Tensor: 0, TensorOff: 200, Size: 100, Block: 2}, {Tensor: 1, TensorOff: 0, Size: 100, Block: 3}}
 	if !reflect.DeepEqual(d.Pull, wantPull) {
 		t.Errorf("cross-tensor pull = %+v, want %+v", d.Pull, wantPull)
 	}
@@ -106,5 +114,36 @@ func TestTableMatches(t *testing.T) {
 	var nilTab *Table
 	if nilTab.Matches(64, 7, 5) {
 		t.Fatal("nil table matched")
+	}
+}
+
+// TestCRC32CFromDigests: the CRC-32C joined from a layout's block
+// digests is the CRC-32C of the tensors' bytes back to back, and an
+// extent's is the CRC-32C of the bytes it covers.
+func TestCRC32CFromDigests(t *testing.T) {
+	sizes := []int64{300, 1, 150, 0, 200}
+	const block = 64
+	var total int64
+	for _, s := range sizes {
+		total += s
+	}
+	dev := memdev.New("d", memdev.DRAM, total, true)
+	b := make([]byte, total)
+	rand.New(rand.NewSource(3)).Read(b)
+	dev.Write(0, b)
+	var digests []uint64
+	var base int64
+	for _, s := range sizes {
+		digests = AppendDigests(digests, dev.Fingerprint, base, s, block)
+		base += s
+	}
+	table := crc32.MakeTable(crc32.Castagnoli)
+	if got, want := CRC32C(sizes, block, digests), crc32.Checksum(b, table); got != want {
+		t.Fatalf("CRC32C from digests = %08x, bytes hash to %08x", got, want)
+	}
+	// Tensor 0's blocks 1 and 2: bytes [64, 300).
+	x := Extent{Tensor: 0, TensorOff: 64, Size: 236, Block: 1}
+	if got, want := CRC32C([]int64{x.Size}, block, digests[x.Block:]), crc32.Checksum(b[64:300], table); got != want {
+		t.Fatalf("extent CRC32C = %08x, its bytes hash to %08x", got, want)
 	}
 }

@@ -3,6 +3,7 @@ package index
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"github.com/portus-sys/portus/internal/alloc"
 	"github.com/portus-sys/portus/internal/delta"
@@ -171,5 +172,43 @@ func TestDeltaRegionExhaustionReportsNoSpace(t *testing.T) {
 	// The store must remain usable: smaller tables still persist.
 	if err := s.DeltaPut(m, 1, testTable(4, 2)); err != nil {
 		t.Fatalf("store unusable after delta exhaustion: %v", err)
+	}
+}
+
+// TestDigestsTrustOnlyTheDoneVersion: Model.Digests hands out a slot's
+// table only while it describes the DONE version there, at the layout
+// asked for (or its own block size, asked with 0).
+func TestDigestsTrustOnlyTheDoneVersion(t *testing.T) {
+	_, s := newStore(t)
+	m, err := s.CreateModel("bert", bertTensors())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const block = 64 << 10
+	sizes := m.Sizes()
+	table := &delta.Table{BlockBytes: block, Iteration: 5, Layout: delta.LayoutHash(sizes, block),
+		Digests: make([]uint64, delta.BlockCount(sizes, block))}
+	if err := s.DeltaPut(m, 0, table); err != nil {
+		t.Fatal(err)
+	}
+	m.SetActive(0, 5)
+	if m.Digests(0, block) != nil {
+		t.Fatal("an ACTIVE slot's table was trusted")
+	}
+	m.SetDoneCRC(0, 5, time.Unix(0, 1), 1<<32)
+	for _, b := range []int64{block, 0} {
+		if got := m.Digests(0, b); got == nil || !sameTable(got, table) {
+			t.Fatalf("block %d: the DONE slot's table = %+v", b, got)
+		}
+	}
+	if m.Digests(0, block/2) != nil {
+		t.Fatal("a table was trusted at another block size")
+	}
+	m.SetDoneCRC(0, 6, time.Unix(0, 2), 1<<32)
+	if m.Digests(0, block) != nil {
+		t.Fatal("a table from an older iteration was trusted")
+	}
+	if m.Digests(1, block) != nil {
+		t.Fatal("a slot with no table returned one")
 	}
 }

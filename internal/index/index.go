@@ -826,6 +826,16 @@ func (m *Model) TotalSize() int64 {
 	return sum
 }
 
+// Sizes returns the model's tensor sizes in registration order: the
+// layout its digest vectors are cut from.
+func (m *Model) Sizes() []int64 {
+	sizes := make([]int64, len(m.Tensors))
+	for i, t := range m.Tensors {
+		sizes[i] = t.Size
+	}
+	return sizes
+}
+
 // Version is a decoded version header.
 type Version struct {
 	State     uint64
@@ -1127,6 +1137,27 @@ func (s *Store) DeltaGet(m *Model, slot int) (*delta.Table, bool) {
 		t.Digests[i] = binary.LittleEndian.Uint64(body[48+i*8:])
 	}
 	return t, true
+}
+
+// Digests returns slot's persisted digest table when it describes the
+// DONE version there, laid out at block size block (0: the table's
+// own); otherwise nil — no table, a stale one, or another layout.
+func (m *Model) Digests(slot int, block int64) *delta.Table {
+	h := m.VersionHeader(slot)
+	if h.State != StateDone {
+		return nil
+	}
+	t, ok := m.s.DeltaGet(m, slot)
+	if !ok || t.Iteration != h.Iteration {
+		return nil
+	}
+	if block == 0 {
+		block = t.BlockBytes
+	}
+	if sizes := m.Sizes(); !t.Matches(block, delta.LayoutHash(sizes, block), delta.BlockCount(sizes, block)) {
+		return nil
+	}
+	return t
 }
 
 // DeltaDrop retires slot's digest record for model m (no-op when none
