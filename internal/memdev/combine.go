@@ -5,18 +5,21 @@ import (
 	"hash/crc32"
 	"math/bits"
 	"slices"
-	"sync/atomic"
 )
 
 // Combine returns the CRC-32C of A‖B from crcA = CRC-32C(A), crcB =
 // CRC-32C(B) and nB = len(B), reading no byte of either. CRC-32C is
 // linear over GF(2), so crc(A‖B) = crc(A)·x^(8·nB) mod P ⊕ crc(B)
-// (zlib's crc32_combine). The multiply by x^(8·nB) is eight nibble
-// lookups into tables built once per distinct nB and cached, so joining
-// a checkpoint's pieces costs a few ns each; combineBits is the same
-// product taken bit by bit.
+// (zlib's crc32_combine). The multiply by x^(8·nB) is one pass of eight
+// nibble lookups per set bit of nB, through tables built at init for
+// each power of two, so its cost does not depend on which lengths a
+// checkpoint joins; combineBits is the same product taken bit by bit.
+// nB must not be negative.
 func Combine(crcA, crcB uint32, nB int64) uint32 {
-	return shiftBy(nB).apply(crcA) ^ crcB
+	for n := uint64(nB); n != 0; n &= n - 1 {
+		crcA = pow2[bits.TrailingZeros64(n)].apply(crcA)
+	}
+	return crcA ^ crcB
 }
 
 // Piece is the CRC-32C of the N bytes at Off; N > 0.
@@ -93,20 +96,19 @@ func x8n(n int64) uint32 {
 	return p
 }
 
-// shift is multiplication by x^(8n) mod P as eight nibble tables:
-// t[k][v] is the product for the value v in nibble k of the operand.
+// shift is multiplication by a fixed polynomial mod P as eight nibble
+// tables: t[k][v] is the product for the value v in nibble k of the
+// operand.
 type shift struct {
-	n int64
 	t [8][16]uint32
 }
 
-func newShift(n int64) *shift {
-	s := &shift{n: n}
+func newShift(m uint32) (s shift) {
 	// basis[b] is the product for the operand with only bit b set,
-	// x^(31-b): bit 31 (x^0) gives x^(8n) itself, and each lower bit one
-	// more factor of x.
+	// x^(31-b): bit 31 (x^0) gives m itself, and each lower bit one more
+	// factor of x.
 	var basis [32]uint32
-	basis[31] = x8n(n)
+	basis[31] = m
 	for b := 30; b >= 0; b-- {
 		basis[b] = timesX(basis[b+1])
 	}
@@ -123,19 +125,11 @@ func (s *shift) apply(a uint32) uint32 {
 		s.t[4][a>>16&15] ^ s.t[5][a>>20&15] ^ s.t[6][a>>24&15] ^ s.t[7][a>>28]
 }
 
-// shifts caches one shift per distinct length, direct-mapped by a
-// multiplicative hash of n: a checkpoint joins pieces of a handful of
-// lengths (tensor sizes, chunk sizes, the digest block), so after the
-// first checkpoint every lookup hits. A colliding length rebuilds its
-// slot, so the cache never holds more than 1024 tables (~0.5 MiB).
-var shifts [1 << 10]atomic.Pointer[shift]
-
-func shiftBy(n int64) *shift {
-	slot := &shifts[uint64(n)*0x9e3779b97f4a7c15>>54]
-	if s := slot.Load(); s != nil && s.n == n {
-		return s
+// pow2[k] multiplies by x^(8·2^k) mod P, the shift 2^k appended bytes
+// apply to a CRC, for every bit of a non-negative int64 (~32 KiB).
+var pow2 = func() (t [63]shift) {
+	for k := range t {
+		t[k] = newShift(x2n[k+3])
 	}
-	s := newShift(n)
-	slot.Store(s)
-	return s
-}
+	return t
+}()

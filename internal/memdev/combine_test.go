@@ -3,7 +3,6 @@ package memdev
 import (
 	"hash/crc32"
 	"math/rand"
-	"sync"
 	"testing"
 )
 
@@ -60,30 +59,21 @@ func TestCombineManyPieces(t *testing.T) {
 	}
 }
 
-// TestCombineConcurrent: daemon workers share the shift cache; lengths
-// that collide in it and lengths that hit it, combined from several
-// goroutines at once, all give the bit-by-bit product.
-func TestCombineConcurrent(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; i < 300; i++ {
-				n := int64(rng.Intn(8)) << (10 + g) // a few lengths per goroutine, shared with others
-				if i%3 == 0 {
-					n = rng.Int63n(1 << 40)
-				}
-				a, b := rng.Uint32(), rng.Uint32()
-				if got, want := Combine(a, b, n), combineBits(a, b, n); got != want {
-					t.Errorf("Combine(%08x, %08x, %d) = %08x, want %08x", a, b, n, got, want)
-					return
-				}
-			}
-		}(g)
+// TestCombineAnyLength: lengths with any set of bits, up to the largest
+// int64, give the bit-by-bit product, so every power-of-two table is
+// right.
+func TestCombineAnyLength(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 2000; i++ {
+		n := rng.Int63() >> rng.Intn(63)
+		if i < 63 {
+			n = 1 << i
+		}
+		a, b := rng.Uint32(), rng.Uint32()
+		if got, want := Combine(a, b, n), combineBits(a, b, n); got != want {
+			t.Fatalf("Combine(%08x, %08x, %d) = %08x, want %08x", a, b, n, got, want)
+		}
 	}
-	wg.Wait()
 }
 
 // TestJoinTilesExtents: pieces that tile a run of extents join to the
@@ -151,13 +141,16 @@ func gptTinyLengths() []int64 {
 
 // BenchmarkStampCombine joins one checkpoint's worth of piece CRCs: a
 // full checkpoint of the 292-tensor model above, one piece per tensor,
-// and the 1 408 64 KiB blocks of an 88 MiB delta checkpoint's digest
-// check. The shift tables are warm after the first op, as they are from
-// a daemon's second checkpoint of a model on.
+// the 1 408 64 KiB blocks of an 88 MiB delta checkpoint's digest check,
+// and as many lengths drawn at random below 128 MiB, whose ~13 set bits
+// each bound what a delta's skip and pull extents cost to join.
 func BenchmarkStampCombine(b *testing.B) {
 	blocks := make([]int64, 1408)
+	random := make([]int64, len(blocks))
+	rng := rand.New(rand.NewSource(1))
 	for i := range blocks {
 		blocks[i] = 64 << 10
+		random[i] = 1 + rng.Int63n(128<<20)
 	}
 	for _, bc := range []struct {
 		name string
@@ -165,6 +158,7 @@ func BenchmarkStampCombine(b *testing.B) {
 	}{
 		{"292-tensors", gptTinyLengths()},
 		{"1408-blocks", blocks},
+		{"1408-random", random},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			crcs := make([]uint32, len(bc.lens))
