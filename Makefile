@@ -65,7 +65,8 @@ delta:
 # Failover drill at a fixed seed: RF=2 over 4 storage nodes, one node
 # killed mid-checkpoint; asserts zero lost committed checkpoints,
 # byte-identical restore from surviving replicas, anti-entropy rebuild
-# of a replacement node, and CRC detection of a corrupted replica.
+# of a replacement node (reporting the virtual time from Join until
+# every owner copy is DONE), and CRC detection of a corrupted replica.
 failover:
 	$(GO) run ./cmd/portus-bench failover
 

@@ -21,6 +21,7 @@ package client
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -364,9 +365,7 @@ func (gc *GroupCompletion) Wait(env sim.Env) error {
 				return
 			}
 			gc.r.manifest.DoneOn(op.m.Shard, op.rep.node, gc.iter)
-			if crc := op.cp.CRC(); crc != 0 {
-				gc.r.manifest.SetCRC(op.m.Shard, gc.iter, crc)
-			}
+			gc.r.manifest.SetCRC(op.m.Shard, gc.iter, op.cp.CRC())
 			if op.m.lat != nil {
 				op.m.lat.ObserveDuration(env.Now() - t0)
 			}
@@ -586,87 +585,89 @@ func (r *Router) AntiEntropy(env sim.Env) error {
 	return firstErr
 }
 
-// antiEntropyShard copies shard m's committed iteration from a holder
-// to every live owner replica that lacks it: DUMP from the source
-// (pinned to the iteration), LOAD into the laggard, CRC verified at
-// both ends.
+// antiEntropyShard re-replicates shard m's committed iteration onto
+// every live owner replica that lacks it, preceded by the holders'
+// previous iteration, so a rebuilt copy holds the same slot pair and
+// digest tables as its holders and the client's next checkpoint to it
+// runs as a delta.
 func (r *Router) antiEntropyShard(env sim.Env, m *RouterMember, target uint64) error {
-	holders := make(map[string]bool)
-	for _, n := range r.manifest.HoldersOf(m.Shard, target) {
-		holders[n] = true
-	}
-	owners := make(map[string]bool)
-	for _, n := range r.manifest.Owners(m.Shard) {
-		owners[n] = true
-	}
-	var src string
-	r.mu.Lock()
-	for _, rep := range m.replicas {
-		if !rep.down && !r.suspects[rep.node] && holders[rep.node] {
-			src = rep.node
-			break
+	var prev uint64
+	for _, it := range r.manifest.Snapshot()[m.Shard] {
+		if it < target {
+			prev = it
 		}
 	}
-	// Only owner copies are rebuilt: pushing a shard onto a node the
-	// current epoch doesn't assign it would be refused as misplaced.
-	var laggards []string
+	srcs, laggards := r.holders(m, target)
+	prevSrcs, prevLaggards := r.holders(m, prev)
+	var errs []error
+	for _, node := range laggards {
+		if prev != 0 && slices.Contains(prevLaggards, node) {
+			// Best effort: without it only the client's next checkpoint to
+			// the copy runs in full. It goes first because a REPLICATE
+			// lands in the slot not holding the newest version, so the
+			// committed copy, written last, is never the one displaced.
+			_ = r.replicate(env, m.Shard, node, prev, prevSrcs)
+		}
+		errs = append(errs, r.replicate(env, m.Shard, node, target, srcs))
+	}
+	return errors.Join(errs...)
+}
+
+// holders splits shard m's live replicas into the holders of iter and
+// the owner copies lacking it. Only owner copies are rebuilt: pushing a
+// shard onto a node the current epoch doesn't assign it would be
+// refused as misplaced.
+func (r *Router) holders(m *RouterMember, iter uint64) (srcs, laggards []string) {
+	held, owners := r.manifest.HoldersOf(m.Shard, iter), r.manifest.Owners(m.Shard)
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	for _, rep := range m.replicas {
-		if !rep.down && !r.suspects[rep.node] && owners[rep.node] && !holders[rep.node] {
+		switch {
+		case rep.down || r.suspects[rep.node]:
+		case slices.Contains(held, rep.node):
+			srcs = append(srcs, rep.node)
+		case slices.Contains(owners, rep.node):
 			laggards = append(laggards, rep.node)
 		}
 	}
-	r.mu.Unlock()
-	if len(laggards) == 0 {
-		return nil
-	}
-	if src == "" {
-		return fmt.Errorf("client: anti-entropy: no healthy holder of iteration %d for shard %q", target, m.Shard)
-	}
-	payload, crc, err := r.dumpShard(env, src, m.Shard, target)
-	if err != nil {
-		return err
-	}
-	var firstErr error
-	for _, node := range laggards {
-		if err := r.loadShard(env, node, m.Shard, target, payload, crc); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
+	return srcs, laggards
+}
+
+// replicate has node checkpoint shard's iteration iter out of a
+// holder's PMem: DESCRIBE to the holder returns the REPLICATE to
+// forward, and node answers CHECKPOINT_DONE once its copy hashes to the
+// holder's stamp. Nothing is leased on the holder, so one that
+// overwrote the slot meanwhile makes node refuse the copy; the next
+// holder, if any, is then tried once.
+func (r *Router) replicate(env sim.Env, shard, node string, iter uint64, srcs []string) error {
+	err := fmt.Errorf("client: no healthy holder of iteration %d for shard %q", iter, shard)
+	for _, src := range srcs[:min(2, len(srcs))] {
+		var rep, done *wire.Msg
+		if rep, err = r.call(env, src, &wire.Msg{Type: wire.TDescribe, Model: shard, Iteration: iter}, wire.TReplicate); err != nil {
 			continue
 		}
-		r.manifest.DoneOn(m.Shard, node, target)
-		if crc != 0 {
-			r.manifest.SetCRC(m.Shard, target, crc)
+		if done, err = r.call(env, node, rep, wire.TCheckpointDone); err == nil {
+			r.manifest.DoneOn(shard, node, iter)
+			r.manifest.SetCRC(shard, iter, done.CRC)
+			return nil
 		}
 	}
-	return firstErr
+	return err
 }
 
-// dumpShard archives one shard's pinned iteration from node.
-func (r *Router) dumpShard(env sim.Env, node, shard string, iter uint64) ([]byte, uint64, error) {
+// call runs one admin round trip (LIST, DESCRIBE, REPLICATE) to node on
+// a connection of its own.
+func (r *Router) call(env sim.Env, node string, req *wire.Msg, want wire.Type) (*wire.Msg, error) {
 	conn, err := r.dial(env, node)
 	if err != nil {
-		return nil, 0, fmt.Errorf("client: anti-entropy: dialing %s: %w", node, err)
+		return nil, fmt.Errorf("client: dialing %s: %w", node, err)
 	}
 	defer conn.Close()
-	resp, err := wire.Call(env, conn, &wire.Msg{Type: wire.TDump, Model: shard, Iteration: iter}, wire.TDumpResp)
+	resp, err := wire.Call(env, conn, req, want)
 	if err != nil {
-		return nil, 0, fmt.Errorf("client: anti-entropy: DUMP from %s: %w", node, err)
+		return nil, fmt.Errorf("client: %s to %s: %w", req.Type, node, err)
 	}
-	return resp.Payload, resp.CRC, nil
-}
-
-// loadShard installs an archived shard iteration on node.
-func (r *Router) loadShard(env sim.Env, node, shard string, iter uint64, payload []byte, crc uint64) error {
-	conn, err := r.dial(env, node)
-	if err != nil {
-		return fmt.Errorf("client: anti-entropy: dialing %s: %w", node, err)
-	}
-	defer conn.Close()
-	if _, err := wire.Call(env, conn, &wire.Msg{Type: wire.TLoad, Model: shard, Iteration: iter, Payload: payload, CRC: crc}, wire.TLoadOK); err != nil {
-		return fmt.Errorf("client: anti-entropy: LOAD to %s: %w", node, err)
-	}
-	return nil
+	return resp, nil
 }
 
 // Restore stripes the group-committed iteration back concurrently,
@@ -817,14 +818,9 @@ func (r *Router) SyncManifest(env sim.Env) error {
 
 // listNode runs one LIST exchange against node.
 func (r *Router) listNode(env sim.Env, node string) (map[string]wire.ModelInfo, error) {
-	conn, err := r.dial(env, node)
+	resp, err := r.call(env, node, &wire.Msg{Type: wire.TList}, wire.TListResp)
 	if err != nil {
-		return nil, fmt.Errorf("client: manifest sync: dialing %s: %w", node, err)
-	}
-	defer conn.Close()
-	resp, err := wire.Call(env, conn, &wire.Msg{Type: wire.TList}, wire.TListResp)
-	if err != nil {
-		return nil, fmt.Errorf("client: manifest sync: LIST on %s: %w", node, err)
+		return nil, err
 	}
 	infos := make(map[string]wire.ModelInfo, len(resp.Models))
 	for _, mi := range resp.Models {

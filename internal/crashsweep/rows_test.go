@@ -1,12 +1,10 @@
 package crashsweep
 
 import (
-	"bytes"
 	"reflect"
 
 	"github.com/portus-sys/portus/internal/delta"
 	"github.com/portus-sys/portus/internal/index"
-	"github.com/portus-sys/portus/internal/serialize"
 	"github.com/portus-sys/portus/internal/wire"
 )
 
@@ -145,32 +143,27 @@ var rows = []row{
 		},
 	},
 	{
-		// Anti-entropy install: a DUMP container commits as a new model
-		// through the same transaction as a checkpoint.
-		name: "load",
+		// Re-replication: a REPLICATE of src's DONE version, renamed to
+		// copy, commits as a new model through the checkpoint path,
+		// pulled out of PMem and persisted with src's digest table.
+		name: "replicate",
 		setup: func(w *world) {
-			w.register("src", false)
+			w.register("src", true)
 			w.checkpoint("src", 5, 0)
-			dump := w.call(&wire.Msg{Type: wire.TDump, Model: "src"}, wire.TDumpResp)
-			ckpt, err := serialize.Decode(bytes.NewReader(dump.Payload))
-			if err != nil {
-				w.t.Fatal(err)
+			w.pending = w.call(&wire.Msg{Type: wire.TDescribe, Model: "src", Iteration: 5}, wire.TReplicate)
+			if len(w.pending.Digests) == 0 {
+				w.t.Fatal("src's DESCRIBE carries no digest table: the row does not cover its persist")
 			}
-			ckpt.Model = "copy"
-			var buf bytes.Buffer
-			if err := serialize.Encode(&buf, ckpt); err != nil {
-				w.t.Fatal(err)
-			}
+			w.pending.Model = "copy"
 			// The copy's tensors keep src's names (admission matches on
 			// them), and its reference content is src's.
 			s := spec("src")
 			s.Name = "copy"
 			tn := w.add(s, false)
 			tn.ref[5], tn.tried = w.tenants["src"].ref[5], 5
-			w.pending = &wire.Msg{Type: wire.TLoad, Model: "copy", Iteration: 5, Payload: buf.Bytes(), CRC: dump.CRC}
 		},
 		run: func(w *world) {
-			w.call(w.pending, wire.TLoadOK)
+			w.call(w.pending, wire.TCheckpointDone)
 			if tn := w.tenants["copy"]; !w.pm.Dark() {
 				tn.registered, tn.acked = true, 5
 			}

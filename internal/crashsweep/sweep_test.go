@@ -86,11 +86,12 @@ type world struct {
 
 	d     *daemon.Daemon
 	net   *wire.SimNet
-	admin wire.Conn // DELETE / REPACK / DUMP / LOAD round trips
+	admin wire.Conn // DELETE / REPACK / DESCRIBE / REPLICATE round trips
 
 	tenants map[string]*tenant
 	names   []string // registration order
-	// pending is the load row's LOAD request, built by its setup.
+	// pending is the replicate row's REPLICATE request, built by its
+	// setup.
 	pending *wire.Msg
 }
 

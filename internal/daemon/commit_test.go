@@ -3,6 +3,7 @@ package daemon_test
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,21 +14,41 @@ import (
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/index"
 	"github.com/portus-sys/portus/internal/model"
+	"github.com/portus-sys/portus/internal/rdma"
 	"github.com/portus-sys/portus/internal/serialize"
 	"github.com/portus-sys/portus/internal/sim"
 	"github.com/portus-sys/portus/internal/store"
+	"github.com/portus-sys/portus/internal/telemetry"
 	"github.com/portus-sys/portus/internal/wire"
 )
 
 // pairRig is two independent single-node daemons, a (the healthy
 // source) and b (the replica being rebuilt), plus one model placed on
-// the GPU and registered with a.
+// the GPU and registered with a by a client that ships block digests.
 type pairRig struct {
 	cl     *cluster.Cluster
 	net    *wire.SimNet
 	a, b   *daemon.Daemon
 	placed *gpu.PlacedModel
 	ca     *client.Client
+	// ref holds each checkpointed iteration's block digests.
+	ref map[uint64][]uint64
+	// bReads is b's fabric, where a test hooks b's pulls.
+	bReads *readHook
+}
+
+// readHook runs hook, once, before the n-th READ its daemon issues.
+type readHook struct {
+	rdma.Fabric
+	n    int
+	hook func()
+}
+
+func (f *readHook) Read(env sim.Env, local *rdma.Node, l rdma.Slice, r rdma.RemoteSlice) error {
+	if f.n--; f.n == 0 && f.hook != nil {
+		f.hook()
+	}
+	return f.Fabric.Read(env, local, l, r)
 }
 
 func newPairRig(t *testing.T, env sim.Env) *pairRig {
@@ -39,10 +60,14 @@ func newPairRig(t *testing.T, env sim.Env) *pairRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := &pairRig{cl: cl, net: wire.NewSimNet()}
+	r := &pairRig{cl: cl, net: wire.NewSimNet(), ref: map[uint64][]uint64{}, bReads: &readHook{Fabric: cl.Fabric}}
 	for i, dst := range []**daemon.Daemon{&r.a, &r.b} {
 		st := cl.Storage[i]
-		d, err := daemon.New(env, daemon.Config{PMem: st.PMem, RNode: st.RNode, Fabric: cl.Fabric})
+		fab := rdma.Fabric(cl.Fabric)
+		if i == 1 {
+			fab = r.bReads
+		}
+		d, err := daemon.New(env, daemon.Config{PMem: st.PMem, RNode: st.RNode, Fabric: fab, DeltaEnabled: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,32 +95,49 @@ func (r *pairRig) dial(t *testing.T, env sim.Env, node int) wire.Conn {
 	return conn
 }
 
+// pairBlock is the pair rig's digest block: the 28-tensor GPT spans
+// several blocks per large tensor.
+const pairBlock = 16 << 10
+
 // register attaches the placed model to storage node `node`'s daemon.
 func (r *pairRig) register(t *testing.T, env sim.Env, node int) *client.Client {
 	t.Helper()
-	c, err := client.Register(env, r.dial(t, env, node), r.cl.Compute[0].RNode, r.placed)
+	c, err := client.RegisterOpts(env, r.dial(t, env, node), r.cl.Compute[0].RNode, r.placed,
+		client.Options{DeltaBlockBytes: pairBlock})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c
 }
 
-// commitOnA trains to iter, checkpoints it on a, and returns a's pinned
-// archive of exactly that iteration.
-func (r *pairRig) commitOnA(t *testing.T, env sim.Env, iter uint64) *wire.Msg {
+// commitOnA updates the weights — every block when rate is 0, that
+// fraction of them otherwise — checkpoints iteration iter on a, and
+// returns a's REPLICATE of exactly that iteration.
+func (r *pairRig) commitOnA(t *testing.T, env sim.Env, iter uint64, rate ...float64) *wire.Msg {
 	t.Helper()
-	r.placed.ApplyUpdate(iter)
+	if len(rate) == 0 {
+		r.placed.ApplyUpdate(iter)
+	} else {
+		r.placed.ApplySparseUpdate(iter, pairBlock, rate[0])
+	}
+	r.ref[iter] = r.placed.BlockDigests(pairBlock)
 	if err := r.ca.CheckpointSync(env, iter); err != nil {
 		t.Fatal(err)
 	}
+	return r.describe(t, env, iter)
+}
+
+// describe asks a for the REPLICATE of iteration iter.
+func (r *pairRig) describe(t *testing.T, env sim.Env, iter uint64) *wire.Msg {
+	t.Helper()
 	conn := r.dial(t, env, 0)
 	defer conn.Close()
-	dump := request(t, env, conn, &wire.Msg{Type: wire.TDump, Model: "m", Iteration: iter})
-	if dump.Type != wire.TDumpResp || dump.Iteration != iter {
-		t.Fatalf("DUMP of iteration %d = %+v", iter, dump)
+	rep := request(t, env, conn, &wire.Msg{Type: wire.TDescribe, Model: "m", Iteration: iter})
+	if rep.Type != wire.TReplicate || rep.Iteration != iter || len(rep.Tensors) == 0 {
+		t.Fatalf("DESCRIBE of iteration %d = %+v", iter, rep)
 	}
-	requireStamp(t, dump.CRC)
-	return dump
+	requireStamp(t, rep.CRC)
+	return rep
 }
 
 // restoreFromB scrambles the GPU, restores through b, and requires
@@ -105,12 +147,12 @@ func (r *pairRig) restoreFromB(t *testing.T, env sim.Env, want uint64) {
 	cb := r.register(t, env, 1)
 	defer cb.Close()
 	r.placed.ApplyUpdate(want + 1000)
-	iter, err := cb.Restore(env)
+	iter, err := cb.RestoreAt(env, want)
 	if err != nil || iter != want {
 		t.Fatalf("restore from b = iteration %d, %v; want %d", iter, err, want)
 	}
-	if bad := r.placed.VerifyIteration(want); bad != -1 {
-		t.Fatalf("tensor %d not byte-identical after restoring iteration %d from b", bad, want)
+	if bad := r.placed.VerifyDigests(pairBlock, r.ref[want]); bad != -1 {
+		t.Fatalf("block %d not byte-identical after restoring iteration %d from b", bad, want)
 	}
 }
 
@@ -127,44 +169,47 @@ func crcMismatches(d *daemon.Daemon) int64 {
 	return d.Telemetry().Counter("portus_daemon_crc_mismatch_total", "").Value()
 }
 
-// TestLoadCommitsThroughTheSharedPath drives the anti-entropy install
-// directly (it is otherwise only reached through the router): a LOAD
-// must commit exactly like a checkpoint — DONE with the source's CRC,
-// restorable byte-identical — refuse a copy that does not hash to the
-// shipped CRC without disturbing what is already committed, and be
-// idempotent for an iteration already present.
-func TestLoadCommitsThroughTheSharedPath(t *testing.T) {
+// TestReplicateCommitsThroughTheCheckpointPath drives re-replication
+// directly (it is otherwise only reached through the router): a
+// REPLICATE must commit exactly like a checkpoint — DONE with the
+// holder's stamp and digest table, restorable byte-identical — refuse a
+// copy that does not hash to the holder's stamp without disturbing what
+// is already committed, and be idempotent for an iteration already
+// present.
+func TestReplicateCommitsThroughTheCheckpointPath(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T, env sim.Env, r *pairRig, conn wire.Conn)
 	}{
-		{"dump from A installs DONE on B with A's CRC", func(t *testing.T, env sim.Env, r *pairRig, conn wire.Conn) {
-			dump := r.commitOnA(t, env, 1)
-			resp := request(t, env, conn, &wire.Msg{Type: wire.TLoad, Model: "m", Iteration: 1, Payload: dump.Payload, CRC: dump.CRC})
-			if resp.Type != wire.TLoadOK || resp.CRC != dump.CRC {
-				t.Fatalf("LOAD reply = %+v, want LOAD_OK with CRC %016x", resp, dump.CRC)
+		{"a's version installs DONE on b with a's stamp and table", func(t *testing.T, env sim.Env, r *pairRig, conn wire.Conn) {
+			rep := r.commitOnA(t, env, 1)
+			if len(rep.Digests) == 0 {
+				t.Fatal("a's REPLICATE carries no digest table")
 			}
-			done := 0
-			for _, h := range headers(t, r.b) {
-				if h.State == index.StateDone && h.Iteration == 1 && h.CRC == dump.CRC {
-					done++
-				}
+			resp := request(t, env, conn, rep)
+			if resp.Type != wire.TCheckpointDone || resp.CRC != rep.CRC {
+				t.Fatalf("REPLICATE reply = %+v, want CHECKPOINT_DONE with CRC %016x", resp, rep.CRC)
 			}
-			if done != 1 {
-				t.Fatalf("b's slots = %+v, want exactly one DONE at iteration 1 with a's CRC", headers(t, r.b))
+			slot, _ := doneHeader(t, r.b, 1)
+			m, err := r.b.Store().Lookup("m")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tab := m.Digests(slot, 0); tab == nil || !slices.Equal(tab.Digests, rep.Digests) {
+				t.Fatal("b's copy does not keep a's digest table")
 			}
 			r.restoreFromB(t, env, 1)
 		}},
 		{"wrong CRC is refused and the committed version survives", func(t *testing.T, env sim.Env, r *pairRig, conn wire.Conn) {
-			first := r.commitOnA(t, env, 1)
-			if resp := request(t, env, conn, &wire.Msg{Type: wire.TLoad, Model: "m", Payload: first.Payload, CRC: first.CRC}); resp.Type != wire.TLoadOK {
-				t.Fatalf("seeding LOAD = %+v", resp)
+			if resp := request(t, env, conn, r.commitOnA(t, env, 1)); resp.Type != wire.TCheckpointDone {
+				t.Fatalf("seeding REPLICATE = %+v", resp)
 			}
 			second := r.commitOnA(t, env, 2)
+			second.CRC ^= 1
 			before := crcMismatches(r.b)
-			resp := request(t, env, conn, &wire.Msg{Type: wire.TLoad, Model: "m", Payload: second.Payload, CRC: second.CRC ^ 1})
-			if resp.Type != wire.TError || resp.Code != wire.ErrCodeCorrupt || resp.InReplyTo != wire.TLoad {
-				t.Fatalf("LOAD with a wrong CRC = %+v, want a CORRUPT error", resp)
+			resp := request(t, env, conn, second)
+			if resp.Type != wire.TError || resp.Code != wire.ErrCodeCorrupt || resp.InReplyTo != wire.TReplicate {
+				t.Fatalf("REPLICATE with a wrong CRC = %+v, want a CORRUPT error", resp)
 			}
 			if got := crcMismatches(r.b) - before; got != 1 {
 				t.Fatalf("portus_daemon_crc_mismatch_total moved by %d, want 1", got)
@@ -172,25 +217,44 @@ func TestLoadCommitsThroughTheSharedPath(t *testing.T) {
 			// The refused copy stays ACTIVE — never restorable — beside the
 			// committed iteration 1.
 			if s, _ := doneHeader(t, r.b, 1); headers(t, r.b)[1-s].State != index.StateActive || headers(t, r.b)[1-s].Iteration != 2 {
-				t.Fatalf("slots after the refused LOAD = %+v, want iteration 2 left ACTIVE", headers(t, r.b))
+				t.Fatalf("slots after the refused REPLICATE = %+v, want iteration 2 left ACTIVE", headers(t, r.b))
 			}
 			r.restoreFromB(t, env, 1)
 		}},
-		{"repeating a LOAD touches neither slot", func(t *testing.T, env sim.Env, r *pairRig, conn wire.Conn) {
-			dump := r.commitOnA(t, env, 1)
-			load := &wire.Msg{Type: wire.TLoad, Model: "m", Payload: dump.Payload, CRC: dump.CRC}
-			if resp := request(t, env, conn, load); resp.Type != wire.TLoadOK {
-				t.Fatalf("first LOAD = %+v", resp)
+		{"repeating a REPLICATE touches neither slot", func(t *testing.T, env sim.Env, r *pairRig, conn wire.Conn) {
+			rep := r.commitOnA(t, env, 1)
+			if resp := request(t, env, conn, rep); resp.Type != wire.TCheckpointDone {
+				t.Fatalf("first REPLICATE = %+v", resp)
 			}
 			before := headers(t, r.b)
 			env.Sleep(1) // a second commit would stamp a later SavedAt
-			resp := request(t, env, conn, load)
-			if resp.Type != wire.TLoadOK || resp.Iteration != 1 || resp.CRC != dump.CRC {
-				t.Fatalf("repeated LOAD = %+v, want LOAD_OK for iteration 1", resp)
+			resp := request(t, env, conn, rep)
+			if resp.Type != wire.TCheckpointDone || resp.Iteration != 1 || resp.CRC != rep.CRC {
+				t.Fatalf("repeated REPLICATE = %+v, want CHECKPOINT_DONE for iteration 1", resp)
 			}
 			if after := headers(t, r.b); after != before {
-				t.Fatalf("repeated LOAD rewrote a slot:\nbefore %+v\nafter  %+v", before, after)
+				t.Fatalf("repeated REPLICATE rewrote a slot:\nbefore %+v\nafter  %+v", before, after)
 			}
+		}},
+		{"a holder slot overwritten mid-pull is refused", func(t *testing.T, env sim.Env, r *pairRig, conn wire.Conn) {
+			if resp := request(t, env, conn, r.commitOnA(t, env, 1)); resp.Type != wire.TCheckpointDone {
+				t.Fatalf("seeding REPLICATE = %+v", resp)
+			}
+			rep := r.commitOnA(t, env, 2)
+			// After b's first pull lands, a's last tensor — not pulled yet —
+			// changes under it, as if a checkpoint reused the slot.
+			last := rep.Tensors[len(rep.Tensors)-1]
+			r.bReads.n, r.bReads.hook = 2, func() {
+				r.cl.Storage[0].PMem.Data().Write(last.Off, bytes.Repeat([]byte{0xA5}, int(last.Size)))
+			}
+			resp := request(t, env, conn, rep)
+			if resp.Type != wire.TError || resp.Code != wire.ErrCodeCorrupt {
+				t.Fatalf("REPLICATE of an overwritten slot = %+v, want a CORRUPT error", resp)
+			}
+			if s, _ := doneHeader(t, r.b, 1); headers(t, r.b)[1-s].State != index.StateActive {
+				t.Fatalf("slots after the refused REPLICATE = %+v, want iteration 2 left ACTIVE", headers(t, r.b))
+			}
+			r.restoreFromB(t, env, 1)
 		}},
 	}
 	for _, tc := range cases {
@@ -206,6 +270,63 @@ func TestLoadCommitsThroughTheSharedPath(t *testing.T) {
 			eng.Run()
 		})
 	}
+}
+
+// TestReplicateRunsAsDelta: a replica holding an older slot pair with
+// trusted tables pulls only what changed since, and a rebuilt replica
+// that received its holder's pair (older first, as anti-entropy sends
+// them) takes the client's next checkpoint as a planned delta, not a
+// fallback. Every restore is byte-identical.
+func TestReplicateRunsAsDelta(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		r := newPairRig(t, env)
+		conn := r.dial(t, env, 1)
+		defer conn.Close()
+		replicate := func(rep *wire.Msg) int64 {
+			before := r.b.Stats().BytesPulled
+			if resp := request(t, env, conn, rep); resp.Type != wire.TCheckpointDone || resp.CRC != rep.CRC {
+				t.Fatalf("REPLICATE of iteration %d = %+v", rep.Iteration, resp)
+			}
+			return r.b.Stats().BytesPulled - before
+		}
+		total := r.placed.Spec.TotalSize()
+		r.commitOnA(t, env, 1)
+		second := r.commitOnA(t, env, 2, 0.05)
+		replicate(r.describe(t, env, 1))
+		// Nothing in b's other slot to skip: the pair's second copy pulls
+		// in full.
+		if got := replicate(second); got != total {
+			t.Fatalf("rebuilding iteration 2 beside iteration 1 pulled %d of %d bytes, want all", got, total)
+		}
+		r.restoreFromB(t, env, 1)
+
+		// b rejoins after a's stream moved on: only blocks changed since
+		// b's pair cross the fabric.
+		r.commitOnA(t, env, 3, 0.05)
+		fourth := r.commitOnA(t, env, 4, 0.05)
+		if got := replicate(fourth); got <= 0 || got >= total/2 {
+			t.Fatalf("delta re-replication of iteration 4 pulled %d of %d bytes", got, total)
+		}
+		r.restoreFromB(t, env, 4)
+
+		// The client moves to b (the GPU holds iteration 4 again, as
+		// restored): its first checkpoint there is a delta.
+		cb := r.register(t, env, 1)
+		defer cb.Close()
+		r.placed.ApplySparseUpdate(5, pairBlock, 0.05)
+		r.ref[5] = r.placed.BlockDigests(pairBlock)
+		events := r.b.Events()
+		fallbacks, plans := events.Count(telemetry.EvDeltaFallback), events.Count(telemetry.EvDeltaPlan)
+		if err := cb.CheckpointSync(env, 5); err != nil {
+			t.Fatal(err)
+		}
+		if events.Count(telemetry.EvDeltaFallback) != fallbacks || events.Count(telemetry.EvDeltaPlan) != plans+1 {
+			t.Fatal("the client's first checkpoint on the rebuilt replica was not planned as a delta")
+		}
+		r.restoreFromB(t, env, 5)
+	})
+	eng.Run()
 }
 
 // TestOneHandleAcrossRepackAndReregister walks one model through every

@@ -17,8 +17,9 @@
 // implemented once, in commit: the target version slot is marked active
 // (8-byte failure-atomic persist) before any data moves, its TensorData
 // is flushed, and only then is the slot marked done — so recovery
-// always finds the newest complete version. Checkpoints and
-// anti-entropy LOADs both go through that one transaction.
+// always finds the newest complete version. A replica rebuilt by
+// anti-entropy is checkpointed the same way, from a peer daemon's PMem
+// instead of a GPU (REPLICATE), through that one transaction.
 package daemon
 
 import (
@@ -143,9 +144,9 @@ type Daemon struct {
 	eng *store.Engine
 	// cx is the half of every transfer's datapath context that never
 	// changes: the instrumented fabric, this node, the MR covering the
-	// whole data zone (verbs address TensorData by offset within it),
-	// and the server-DRAM staging resource the host-staged strategy
-	// charges.
+	// whole data zone (verbs address TensorData by offset within it;
+	// peers may only read it, which is how a REPLICATE pulls), and the
+	// server-DRAM staging resource the host-staged strategy charges.
 	cx datapath.Context
 
 	// repackMu guards pass: the single in-flight online repack pass
@@ -248,7 +249,7 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 	d.cx = datapath.Context{
 		Fabric:    d.cfg.Fabric,
 		Local:     cfg.RNode,
-		LocalMR:   cfg.RNode.RegisterMR(env, cfg.PMem.Data(), 0, cfg.PMem.DataSize()),
+		LocalMR:   cfg.RNode.RegisterReadOnly(env, cfg.PMem.Data(), 0, cfg.PMem.DataSize()),
 		HostStage: sim.NewBandwidthResource(env, "daemon/host-stage", perfmodel.ServerDRAMBW),
 	}
 	// The ablation variants are datapath strategies, not branches: the
@@ -349,8 +350,10 @@ func (d *Daemon) handleConn(env sim.Env, conn wire.Conn) {
 			d.handleDelete(env, conn, m)
 		case wire.TDump:
 			d.handleDump(env, conn, m)
-		case wire.TLoad:
-			d.handleLoad(env, conn, m)
+		case wire.TDescribe:
+			d.handleDescribe(env, conn, m)
+		case wire.TReplicate:
+			d.handleReplicate(env, conn, m)
 		case wire.TRepack:
 			d.handleRepack(env, conn)
 		case wire.TPlacement:
@@ -535,7 +538,7 @@ func newTelem(reg *telemetry.Registry, slowBudget time.Duration, pm *pmem.Device
 		bytesPulled: reg.Counter("portus_daemon_bytes_pulled_total", "checkpoint bytes pulled from GPU memory"),
 		bytesPushed: reg.Counter("portus_daemon_bytes_pushed_total", "restore bytes pushed to GPU memory"),
 
-		crcFailures: reg.Counter("portus_daemon_crc_mismatch_total", "restores or loads that failed the stored-version CRC check, and checkpoints refused for not matching their digests"),
+		crcFailures: reg.Counter("portus_daemon_crc_mismatch_total", "restores that failed the stored-version CRC check, replicated copies that did not hash to the holder's stamp, and checkpoints refused for not matching their digests"),
 
 		nospaceReplies: reg.Counter("portus_store_nospace_replies_total", "registrations answered with a transient NO_SPACE retry-after (backpressure, not failures)"),
 

@@ -11,6 +11,7 @@ import (
 	"github.com/portus-sys/portus/internal/index"
 	"github.com/portus-sys/portus/internal/perfmodel"
 	"github.com/portus-sys/portus/internal/rdma"
+	"github.com/portus-sys/portus/internal/sched"
 	"github.com/portus-sys/portus/internal/serialize"
 	"github.com/portus-sys/portus/internal/sim"
 	"github.com/portus-sys/portus/internal/store"
@@ -20,11 +21,11 @@ import (
 
 // tenant is one stored model's ModelMap entry. model is the single live
 // handle onto its persistent MIndex: every request path — checkpoint,
-// restore, LIST, DUMP, LOAD, delete, repack — reads and repoints extents
+// restore, LIST, DUMP, DESCRIBE, delete, repack — reads and repoints extents
 // through this one in-memory PAddr cache, so none can go stale. mrs are
 // the attached client's GPU memory regions, keyed one-to-one to the
 // model's tensors; nil until a client registers (after a daemon restart
-// or an anti-entropy LOAD the model is stored but nobody is attached).
+// or a REPLICATE the model is stored but nobody is attached).
 type tenant struct {
 	model *index.Model
 	mrs   []rdma.RemoteMR
@@ -36,13 +37,18 @@ type tenant struct {
 // coalesced submissions each carry their own reqCtx, so every surviving
 // connection gets its acknowledgment.
 type reqCtx struct {
+	req   wire.Type // DO_CHECKPOINT, RESTORE or REPLICATE
 	model *index.Model
 	mrs   []rdma.RemoteMR
 	conn  wire.Conn
 	// digests/deltaBlock carry a delta client's block-digest vector from
-	// DO_CHECKPOINT to the worker; empty means full checkpoint.
+	// DO_CHECKPOINT, or a holder's table from REPLICATE, to the worker;
+	// empty means full checkpoint.
 	digests    []uint64
 	deltaBlock int64
+	// wantCRC is a REPLICATE's holder stamp, which the copy must match
+	// to commit; mrs are then the holder's PMem.
+	wantCRC uint64
 }
 
 func errNoModel(name string) error { return fmt.Errorf("%w: %s", index.ErrNoModel, name) }
@@ -97,17 +103,7 @@ func (d *Daemon) handleRegister(env sim.Env, conn wire.Conn, m *wire.Msg) {
 	if !d.owns(env, conn, wire.TRegister, 0, m.Model) {
 		return
 	}
-	if m.FabricAddr != "" {
-		if pa, ok := d.cfg.Fabric.(peerAdder); ok {
-			pa.AddPeer(m.ClientNode, m.FabricAddr)
-		}
-	}
-	metas := make([]index.TensorMeta, len(m.Tensors))
-	mrs := make([]rdma.RemoteMR, len(m.Tensors))
-	for i, t := range m.Tensors {
-		metas[i] = index.TensorMeta{Name: t.Name, DType: index.DType(t.DType), Dims: t.Dims, Size: t.Size}
-		mrs[i] = rdma.RemoteMR{Node: m.ClientNode, RKey: t.RKey, Len: t.Size}
-	}
+	metas, mrs := d.regions(m)
 	sim.Charge(env, time.Duration(len(m.Tensors))*perfmodel.IndexInsertCost)
 
 	_, err := d.admit(m.Model, metas, mrs)
@@ -144,6 +140,25 @@ func (d *Daemon) handleRegister(env sim.Env, conn wire.Conn, m *wire.Msg) {
 	}
 }
 
+// regions reads a REGISTER's or REPLICATE's tensors: their metadata,
+// and the regions on the sending node (a client's GPU, or a holder's
+// data zone) a transfer reaches them through, whose fabric address it
+// learns.
+func (d *Daemon) regions(m *wire.Msg) ([]index.TensorMeta, []rdma.RemoteMR) {
+	if m.FabricAddr != "" {
+		if pa, ok := d.cfg.Fabric.(peerAdder); ok {
+			pa.AddPeer(m.ClientNode, m.FabricAddr)
+		}
+	}
+	metas := make([]index.TensorMeta, len(m.Tensors))
+	mrs := make([]rdma.RemoteMR, len(m.Tensors))
+	for i, t := range m.Tensors {
+		metas[i] = index.TensorMeta{Name: t.Name, DType: index.DType(t.DType), Dims: t.Dims, Size: t.Size}
+		mrs[i] = rdma.RemoteMR{Node: m.ClientNode, RKey: t.RKey, Len: t.Size, Off: t.Off}
+	}
+	return metas, mrs
+}
+
 // owns checks the placement table assigns model to this daemon,
 // refusing the request otherwise. A misrouted request means the client
 // holds a stale table; naming the replica set and epoch steers it to
@@ -164,7 +179,7 @@ func (d *Daemon) owns(env sim.Env, conn wire.Conn, inReplyTo wire.Type, iter uin
 var errStructMismatch = errors.New("registration does not match stored model structure")
 
 // admit is the transactional admission step shared by REGISTER and
-// LOAD: create the model (all-or-nothing through the engine) or
+// REPLICATE: create the model (all-or-nothing through the engine) or
 // re-attach to the stored structure, restoring any version slot the
 // offline repacker reclaimed. A non-nil mrs attaches the client.
 func (d *Daemon) admit(name string, metas []index.TensorMeta, mrs []rdma.RemoteMR) (*index.Model, error) {
@@ -319,83 +334,63 @@ func (d *Daemon) handleDump(env sim.Env, conn wire.Conn, m *wire.Msg) {
 	})
 }
 
-// handleLoad installs a serialized checkpoint container (the DUMP_RESP
-// payload format) into PMem as a DONE version — the anti-entropy path
-// that rebuilds a replacement replica from a healthy peer's archived
-// copy, without the source GPU in the loop. The install commits through
-// the same transaction as a checkpoint, verified against the shipped
-// CRC before its DONE flag, and is idempotent for an already-present
-// iteration.
-func (d *Daemon) handleLoad(env sim.Env, conn wire.Conn, m *wire.Msg) {
-	ckpt, err := serialize.Decode(bytes.NewReader(m.Payload))
+// handleDescribe answers DESCRIBE with the REPLICATE message a laggard
+// replica needs to pull one DONE version — the newest, or the iteration
+// the request pins — out of this node's PMem: the tensors with their
+// slot extents under the data zone's rkey, this node's fabric identity,
+// the version's stamp and its trusted digest table. Nothing is leased:
+// a slot overwritten before the laggard's pull ends cannot hash to the
+// stamp, so the laggard refuses the copy.
+func (d *Daemon) handleDescribe(env sim.Env, conn wire.Conn, m *wire.Msg) {
+	model, _ := d.find(m.Model)
+	slot, v, ok := 0, index.Version{}, false
+	if model != nil {
+		slot, v, ok = doneSlot(model, m.Iteration)
+	}
+	if !ok {
+		d.send(env, conn, errMsg(wire.TDescribe, wire.ErrCodeNoCheckpoint, m.Iteration, m.Model,
+			fmt.Sprintf("no complete version of iteration %d to replicate", m.Iteration)))
+		return
+	}
+	self, _ := d.cfg.Group.Lookup(d.cfg.NodeName)
+	resp := &wire.Msg{
+		Type: wire.TReplicate, Model: m.Model, Iteration: v.Iteration, CRC: v.CRC,
+		ClientNode: d.cfg.RNode.Name(), FabricAddr: self.FabricAddr,
+	}
+	for i, tm := range model.Tensors {
+		resp.Tensors = append(resp.Tensors, wire.TensorRef{
+			Name: tm.Name, DType: uint8(tm.DType), Dims: tm.Dims, Size: tm.Size,
+			RKey: d.cx.LocalMR.RKey, Off: model.TensorData(i, slot).Off,
+		})
+	}
+	if t := model.Digests(slot, 0); t != nil {
+		resp.Digests, resp.DeltaBlock = t.Digests, t.BlockBytes
+	}
+	d.send(env, conn, resp)
+}
+
+// handleReplicate re-replicates a peer's version: m is the holder's
+// answer to DESCRIBE. The model is admitted without attaching a client,
+// and the version is checkpointed like a client's — planned as a delta
+// against this node's own older version when the holder's table allows,
+// pulled one-sided from the holder's PMem, stamped and committed —
+// except that commit refuses DONE unless the stamp is the holder's.
+func (d *Daemon) handleReplicate(env sim.Env, conn wire.Conn, m *wire.Msg) {
+	if len(m.Tensors) == 0 || m.Iteration == 0 {
+		d.sendErrFor(env, conn, wire.TReplicate, m.Iteration, m.Model, "replicate names no tensors or no iteration")
+		return
+	}
+	if !d.owns(env, conn, wire.TReplicate, m.Iteration, m.Model) {
+		return
+	}
+	metas, mrs := d.regions(m)
+	model, err := d.admit(m.Model, metas, nil)
 	if err != nil {
-		d.sendErrFor(env, conn, wire.TLoad, m.Iteration, m.Model, fmt.Sprintf("decoding container: %v", err))
+		d.sendErrFor(env, conn, wire.TReplicate, m.Iteration, m.Model, err.Error())
 		return
 	}
-	if m.Model != "" && ckpt.Model != m.Model {
-		d.sendErrFor(env, conn, wire.TLoad, m.Iteration, m.Model,
-			fmt.Sprintf("container holds model %q, not %q", ckpt.Model, m.Model))
-		return
-	}
-	if ckpt.Iteration == 0 || len(ckpt.Tensors) == 0 {
-		d.sendErrFor(env, conn, wire.TLoad, m.Iteration, ckpt.Model, "container has no committed iteration or tensors")
-		return
-	}
-	if !d.owns(env, conn, wire.TLoad, ckpt.Iteration, ckpt.Model) {
-		return
-	}
-	metas := make([]index.TensorMeta, len(ckpt.Tensors))
-	for i, b := range ckpt.Tensors {
-		metas[i] = b.Meta
-	}
-	model, err := d.admit(ckpt.Model, metas, nil)
-	if err != nil {
-		msg := err.Error()
-		if errors.Is(err, errStructMismatch) {
-			msg = "container does not match stored model structure"
-		}
-		d.sendErrFor(env, conn, wire.TLoad, ckpt.Iteration, ckpt.Model, msg)
-		return
-	}
-	if _, h, ok := doneSlot(model, ckpt.Iteration); ok {
-		d.send(env, conn, &wire.Msg{Type: wire.TLoadOK, Model: ckpt.Model, Iteration: ckpt.Iteration, CRC: h.CRC})
-		return
-	}
-	data := d.cfg.PMem.Data()
-	slot := model.TargetSlot()
-	crc, err := d.commit(env, version{model: model, slot: slot, iter: ckpt.Iteration, wantCRC: m.CRC}, func() (uint64, error) {
-		var wrote int64
-		for i, blob := range ckpt.Tensors {
-			ext := model.TensorData(i, slot)
-			if blob.Virtual {
-				data.WriteStamp(ext.Off, ext.Size, blob.Stamp)
-			} else {
-				if int64(len(blob.Data)) != ext.Size {
-					return 0, fmt.Errorf("tensor %q payload is %d bytes, slot holds %d", blob.Meta.Name, len(blob.Data), ext.Size)
-				}
-				data.Write(ext.Off, blob.Data)
-			}
-			if err := d.cfg.Flush(ext.Off, ext.Size, nil); err != nil {
-				return 0, fmt.Errorf("flushing tensor %q: %v", blob.Meta.Name, err)
-			}
-			wrote += ext.Size
-		}
-		// Pay the deserialization cost (the inverse of the archive pass)
-		// and the PMem write bandwidth for the installed bytes.
-		sim.Charge(env, time.Duration(len(ckpt.Tensors))*perfmodel.SerializePerTensor)
-		sim.Charge(env, sim.TransferTime(wrote, perfmodel.SerializeBW, 0, 0))
-		return 0, nil
+	d.event(env, telemetry.Event{Kind: telemetry.EvAdminReplicate, Model: m.Model, Iteration: m.Iteration, Detail: "from " + m.ClientNode})
+	d.submit(env, m, sched.ClassCheckpoint, &reqCtx{
+		req: wire.TReplicate, model: model, mrs: mrs, conn: conn, digests: m.Digests, deltaBlock: m.DeltaBlock, wantCRC: m.CRC,
 	})
-	switch {
-	case err == nil:
-		d.event(env, telemetry.Event{Kind: telemetry.EvAdminLoad, Model: ckpt.Model, Iteration: ckpt.Iteration})
-		d.send(env, conn, &wire.Msg{Type: wire.TLoadOK, Model: ckpt.Model, Iteration: ckpt.Iteration, CRC: crc})
-	case errors.Is(err, errCRCMismatch):
-		// The copy does not match the source's fingerprint: the slot
-		// stays ACTIVE (never restorable) rather than commit a bad DONE.
-		d.send(env, conn, errMsg(wire.TLoad, wire.ErrCodeCorrupt, ckpt.Iteration, ckpt.Model,
-			fmt.Sprintf("%v (source CRC %016x, computed %016x)", err, m.CRC, crc)))
-	default:
-		d.sendErrFor(env, conn, wire.TLoad, ckpt.Iteration, ckpt.Model, err.Error())
-	}
 }

@@ -29,18 +29,24 @@ func (d *Daemon) enqueue(env sim.Env, conn wire.Conn, m *wire.Msg, class sched.C
 		d.send(env, conn, errMsg(m.Type, wire.ErrCodeNotRegistered, m.Iteration, m.Model, "model not registered on this daemon"))
 		return
 	}
+	d.submit(env, m, class, &reqCtx{req: m.Type, model: model, mrs: mrs, conn: conn, digests: m.Digests, deltaBlock: m.DeltaBlock})
+}
+
+// submit hands request m, bound to rc, to the scheduler.
+func (d *Daemon) submit(env sim.Env, m *wire.Msg, class sched.Class, rc *reqCtx) {
 	// A DO_CHECKPOINT retried after a reconnect (the original DONE was
-	// lost with the connection) is keyed by (model, iteration): if that
-	// iteration already committed, ack it from the index instead of
+	// lost with the connection), or a REPLICATE of a version this node
+	// already holds, is keyed by (model, iteration): if that iteration
+	// already committed, ack it from the index instead of
 	// double-executing. (Iteration 0 names no version — doneSlot reads
 	// it as "the newest" — so it is never deduplicated this way.)
 	if class == sched.ClassCheckpoint && m.Iteration != 0 {
-		if _, v, ok := doneSlot(model, m.Iteration); ok {
+		if _, v, ok := doneSlot(rc.model, m.Iteration); ok {
 			d.event(env, telemetry.Event{
 				Kind: telemetry.EvSchedDedup, Model: m.Model, Iteration: m.Iteration,
 				Trace: telemetry.TraceID(m.TraceID), Detail: "iteration already committed",
 			})
-			d.send(env, conn, &wire.Msg{Type: wire.TCheckpointDone, Model: m.Model, Iteration: m.Iteration, CRC: v.CRC})
+			d.send(env, rc.conn, &wire.Msg{Type: wire.TCheckpointDone, Model: m.Model, Iteration: m.Iteration, CRC: v.CRC})
 			return
 		}
 	}
@@ -48,10 +54,11 @@ func (d *Daemon) enqueue(env sim.Env, conn wire.Conn, m *wire.Msg, class sched.C
 		Model:      m.Model,
 		Class:      class,
 		Iteration:  m.Iteration,
+		Exact:      rc.req == wire.TReplicate,
 		EnqueuedAt: env.Now(),
 		TraceID:    telemetry.TraceID(m.TraceID),
 		ParentSpan: m.SpanID,
-		Payload:    &reqCtx{model: model, mrs: mrs, conn: conn, digests: m.Digests, deltaBlock: m.DeltaBlock},
+		Payload:    rc,
 	})
 	// A Deduped request is parked on the identical queued or running
 	// task and answered when that completes; only a bounce is answered
@@ -59,7 +66,7 @@ func (d *Daemon) enqueue(env sim.Env, conn wire.Conn, m *wire.Msg, class sched.C
 	if res.Verdict == sched.Rejected {
 		// Backpressure, not an error: the client re-sends after the
 		// hinted delay.
-		d.send(env, conn, &wire.Msg{
+		d.send(env, rc.conn, &wire.Msg{
 			Type: wire.TBusy, InReplyTo: m.Type, Iteration: m.Iteration,
 			Model: m.Model, RetryAfter: res.RetryAfter,
 		})
@@ -160,7 +167,9 @@ func (d *Daemon) finish(env sim.Env, t *sched.Task, x *transfer, lat *telemetry.
 // only the dirty extents cross the fabric, the clean blocks copy
 // forward from the previous version's slot inside PMem (flushed under
 // the same discipline), and blocks the target slot already holds are
-// skipped outright.
+// skipped outright. A REPLICATE runs here too, pulling from its
+// holder's PMem, and commits only a copy that hashes to the holder's
+// stamp.
 func (d *Daemon) doCheckpoint(env sim.Env, t *sched.Task, rc *reqCtx) {
 	m := rc.model
 	slot := m.TargetSlot()
@@ -173,7 +182,7 @@ func (d *Daemon) doCheckpoint(env sim.Env, t *sched.Task, rc *reqCtx) {
 	}
 	var res datapath.Result
 	crc, err := d.commit(env, version{
-		model: m, slot: slot, iter: t.Iteration, digests: table, trace: x.tr,
+		model: m, slot: slot, iter: t.Iteration, digests: table, wantCRC: rc.wantCRC, trace: x.tr,
 	}, func() (stamp uint64, err error) {
 		cfg, st := d.dp, d.newStamper(rc, slot, dp)
 		if st != nil {
@@ -186,7 +195,11 @@ func (d *Daemon) doCheckpoint(env sim.Env, t *sched.Task, rc *reqCtx) {
 		return st.stamp(), err
 	})
 	if err != nil {
-		d.finish(env, t, x, nil, errMsg(wire.TDoCheckpoint, wire.ErrCodeNone, t.Iteration, m.Name, err.Error()))
+		code, msg := wire.ErrCodeNone, err.Error()
+		if errors.Is(err, errCRCMismatch) {
+			code, msg = wire.ErrCodeCorrupt, fmt.Sprintf("%s (holder's stamp %016x, pulled %016x)", msg, rc.wantCRC, crc)
+		}
+		d.finish(env, t, x, nil, errMsg(rc.req, code, t.Iteration, m.Name, msg))
 		return
 	}
 	if dp != nil {
@@ -271,8 +284,8 @@ type version struct {
 	// table so the next checkpoint can delta against this version; on a
 	// materialized data zone the content must join to it (see commit).
 	digests *delta.Table
-	// wantCRC, when nonzero, is the fingerprint the installed content
-	// must hash to (the source replica's stamp on an anti-entropy LOAD).
+	// wantCRC, when nonzero, is the fingerprint the content must hash
+	// to (the holder's stamp on a REPLICATE).
 	wantCRC uint64
 	// trace, when non-nil, receives the "commit" span.
 	trace *telemetry.Trace
@@ -280,11 +293,11 @@ type version struct {
 
 // errCRCMismatch is commit's refusal to mark DONE a copy that does not
 // hash to version.wantCRC.
-var errCRCMismatch = errors.New("installed copy failed integrity check")
+var errCRCMismatch = errors.New("replicated copy failed integrity check")
 
 // commit is the double-mapping protocol of Fig. 6 — the only place a
-// version slot changes state, shared by checkpoints and anti-entropy
-// LOADs. The slot is marked ACTIVE (destroying its old header) before
+// version slot changes state, for client checkpoints and REPLICATEs
+// alike. The slot is marked ACTIVE (destroying its old header) before
 // move writes a byte; move must return only once everything it wrote is
 // flushed; and the DONE flag, stamped with the content's fingerprint,
 // is persisted last. move returns that fingerprint when its flushes

@@ -63,6 +63,9 @@ type FailoverOutcome struct {
 	// replacement node by anti-entropy; RebuiltOK requires every one.
 	RebuiltShards int
 	RebuiltOK     bool
+	// Redundancy is the virtual time from the replacement's Join until
+	// every owner copy holds the committed iteration.
+	Redundancy time.Duration
 	// CorruptionDetected: a deliberately corrupted replica was caught
 	// by its CRC at restore and the restore failed over and verified.
 	CorruptionDetected bool
@@ -189,9 +192,11 @@ func RunFailover(seed int64) FailoverOutcome {
 		if err != nil {
 			panic(err)
 		}
+		joined := env.Now()
 		if err := rt.Join(env, placement.Node{Name: out.Victim, Weight: freshPM.DataSize()}); err != nil {
 			panic(fmt.Sprintf("failover: rejoin: %v", err))
 		}
+		out.Redundancy = env.Now() - joined
 		out.RebuiltOK = true
 		for _, m := range rt.Members() {
 			owned := false
@@ -208,10 +213,12 @@ func RunFailover(seed int64) FailoverOutcome {
 				out.RebuiltOK = false
 				panic(fmt.Sprintf("failover: rebuilt node missing shard %q: %v", m.Shard, err))
 			}
-			if _, v, ok := im.LatestDone(); !ok || v.Iteration != committed {
+			// Its stamp must be the group's: a CRC-32C of the pulled bytes
+			// equal to the holders' is what makes the copy theirs.
+			if _, v, ok := im.LatestDone(); !ok || v.Iteration != committed || v.CRC != rt.Manifest().CRCOf(m.Shard, committed) {
 				out.RebuiltOK = false
-				panic(fmt.Sprintf("failover: shard %q on rebuilt node at iteration %d, want %d",
-					m.Shard, v.Iteration, committed))
+				panic(fmt.Sprintf("failover: shard %q on rebuilt node at iteration %d stamped %016x, want %d stamped %016x",
+					m.Shard, v.Iteration, v.CRC, committed, rt.Manifest().CRCOf(m.Shard, committed)))
 			}
 			out.RebuiltShards++
 		}
@@ -307,6 +314,7 @@ func Failover() []*Table {
 		[]string{fmt.Sprintf("stream continued to iteration %d", failoverIters), "every post-kill checkpoint committed"},
 		[]string{"degraded restore (victim dead)", verdict(o.DegradedRestoreOK, "byte-identical from surviving replicas", "FAILED")},
 		[]string{"anti-entropy rebuild", fmt.Sprintf("%d shard cop(ies) converged on the replacement node", o.RebuiltShards)},
+		[]string{"redundancy restored (virtual clock)", fmt.Sprintf("%.3f ms from Join until every owner copy is DONE", o.Redundancy.Seconds()*1e3)},
 		[]string{fmt.Sprintf("healed tier to iteration %d", o.CommittedFinal), "full-strength group commits resumed"},
 		[]string{"corrupt-replica restore", verdict(o.CorruptRestoreOK && o.CorruptionDetected,
 			fmt.Sprintf("CRC caught %d corrupt cop(ies); failed over and verified", o.Corruptions), "FAILED")},

@@ -172,10 +172,10 @@ func (mf *Manifest) observeLocked(rec *shardRecord, node string, iters []uint64)
 }
 
 // SetCRC records the content fingerprint a daemon reported with a DONE
-// iteration of shard. Entries older than the retained windows are
-// pruned.
+// iteration of shard; a zero crc (a version stored without a stamp)
+// records nothing. Entries older than the retained windows are pruned.
 func (mf *Manifest) SetCRC(shard string, iter, crc uint64) {
-	if iter == 0 {
+	if iter == 0 || crc == 0 {
 		return
 	}
 	mf.mu.Lock()

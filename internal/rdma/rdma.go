@@ -37,6 +37,7 @@ var (
 	ErrOutOfBounds  = errors.New("rdma: access outside memory region")
 	ErrNoRoute      = errors.New("rdma: unknown peer node")
 	ErrModeMismatch = errors.New("rdma: materialized/virtual mode mismatch between endpoints")
+	ErrReadOnly     = errors.New("rdma: remote write to a read-only memory region")
 )
 
 // MR is a registered memory region on the local node.
@@ -45,14 +46,21 @@ type MR struct {
 	Dev  *memdev.Device
 	Off  int64 // base offset within Dev
 	Len  int64
+	// ReadOnly is the region's remote-access mode: peers may READ it but
+	// not WRITE it (the owning node's own verbs are unaffected), as an
+	// RNIC registration without IBV_ACCESS_REMOTE_WRITE.
+	ReadOnly bool
 }
 
 // RemoteMR is a handle to a memory region on a peer, as learned from a
-// registration packet.
+// registration packet: Len bytes at offset Off of the region RKey names
+// (zero for a whole GPU region; a tensor's slot extent when the region
+// is a peer daemon's data zone).
 type RemoteMR struct {
 	Node string
 	RKey uint64
 	Len  int64
+	Off  int64
 }
 
 // Node is one RDMA-capable host: an RNIC plus its registered regions.
@@ -100,13 +108,22 @@ func (n *Node) NIC() *sim.BandwidthResource { return n.nic }
 // RegisterMR registers [off, off+len) of dev and returns the region with
 // its remote key, as nv_peer_mem does for GPU memory.
 func (n *Node) RegisterMR(env sim.Env, dev *memdev.Device, off, length int64) MR {
+	return n.register(env, dev, off, length, false)
+}
+
+// RegisterReadOnly is RegisterMR for a region peers may only read.
+func (n *Node) RegisterReadOnly(env sim.Env, dev *memdev.Device, off, length int64) MR {
+	return n.register(env, dev, off, length, true)
+}
+
+func (n *Node) register(env sim.Env, dev *memdev.Device, off, length int64, ro bool) MR {
 	if off < 0 || length < 0 || off+length > dev.Size() {
 		panic(fmt.Sprintf("rdma: register [%d,%d) outside device %s", off, off+length, dev.Name()))
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.next++
-	mr := MR{RKey: n.next, Dev: dev, Off: off, Len: length}
+	mr := MR{RKey: n.next, Dev: dev, Off: off, Len: length, ReadOnly: ro}
 	n.mrs[mr.RKey] = mr
 	n.ensureDevResourcesLocked(env, dev)
 	return mr
@@ -127,7 +144,9 @@ func (n *Node) MRCount() int {
 	return len(n.mrs)
 }
 
-func (n *Node) lookup(rkey uint64, off, length int64) (MR, error) {
+// lookup resolves an access to [off, off+length) of region rkey, which
+// a peer's WRITE (write set) may make only to a writable region.
+func (n *Node) lookup(rkey uint64, off, length int64, write bool) (MR, error) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	mr, ok := n.mrs[rkey]
@@ -136,6 +155,9 @@ func (n *Node) lookup(rkey uint64, off, length int64) (MR, error) {
 	}
 	if off < 0 || length < 0 || off+length > mr.Len {
 		return MR{}, fmt.Errorf("%w: [%d,%d) of MR len %d", ErrOutOfBounds, off, off+length, mr.Len)
+	}
+	if write && mr.ReadOnly {
+		return MR{}, fmt.Errorf("%w: rkey %d on %s", ErrReadOnly, rkey, n.name)
 	}
 	return mr, nil
 }

@@ -58,11 +58,11 @@ func (f *SimFabric) Read(env sim.Env, local *Node, l Slice, r RemoteSlice) error
 	if err != nil {
 		return err
 	}
-	rmr, lmr, err := checkPair(remote, local, r, l)
+	rmr, lmr, err := checkPair(remote, local, r, l, false)
 	if err != nil {
 		return err
 	}
-	if err := copyRegions(lmr.Dev, lmr.Off+l.Off, rmr.Dev, rmr.Off+r.Off, l.Len); err != nil {
+	if err := copyRegions(lmr.Dev, lmr.Off+l.Off, rmr.Dev, rmr.Off+r.MR.Off+r.Off, l.Len); err != nil {
 		return err
 	}
 	srcRates := remote.rates.ForKind(rmr.Dev.Kind())
@@ -85,11 +85,11 @@ func (f *SimFabric) Write(env sim.Env, local *Node, l Slice, r RemoteSlice) erro
 	if err != nil {
 		return err
 	}
-	rmr, lmr, err := checkPair(remote, local, r, l)
+	rmr, lmr, err := checkPair(remote, local, r, l, true)
 	if err != nil {
 		return err
 	}
-	if err := copyRegions(rmr.Dev, rmr.Off+r.Off, lmr.Dev, lmr.Off+l.Off, l.Len); err != nil {
+	if err := copyRegions(rmr.Dev, rmr.Off+r.MR.Off+r.Off, lmr.Dev, lmr.Off+l.Off, l.Len); err != nil {
 		return err
 	}
 	srcRates := local.rates.ForKind(lmr.Dev.Kind())
@@ -143,16 +143,17 @@ func (f *SimFabric) box(env sim.Env, node, qp string) *sim.Mailbox[simMsg] {
 	return b
 }
 
-// checkPair validates the remote and local slices and returns their MRs.
-func checkPair(remote, local *Node, r RemoteSlice, l Slice) (MR, MR, error) {
+// checkPair validates the remote and local slices — the remote one for
+// a WRITE when write is set — and returns their MRs.
+func checkPair(remote, local *Node, r RemoteSlice, l Slice, write bool) (MR, MR, error) {
 	if l.Len != r.Len {
 		return MR{}, MR{}, fmt.Errorf("rdma: length mismatch: local %d, remote %d", l.Len, r.Len)
 	}
-	rmr, err := remote.lookup(r.MR.RKey, r.Off, r.Len)
+	rmr, err := remote.lookup(r.MR.RKey, r.MR.Off+r.Off, r.Len, write)
 	if err != nil {
 		return MR{}, MR{}, err
 	}
-	lmr, err := local.lookup(l.MR.RKey, l.Off, l.Len)
+	lmr, err := local.lookup(l.MR.RKey, l.Off, l.Len, false)
 	if err != nil {
 		return MR{}, MR{}, err
 	}

@@ -543,7 +543,7 @@ func oneSidedHead(op byte, r RemoteSlice) func(b []byte) []byte {
 func appendOneSided(b []byte, op byte, r RemoteSlice) []byte {
 	b = append(b, op)
 	b = binary.LittleEndian.AppendUint64(b, r.MR.RKey)
-	b = binary.LittleEndian.AppendUint64(b, uint64(r.Off))
+	b = binary.LittleEndian.AppendUint64(b, uint64(r.MR.Off+r.Off))
 	return binary.LittleEndian.AppendUint64(b, uint64(r.Len))
 }
 
@@ -552,7 +552,7 @@ func localRegion(local *Node, l Slice, r RemoteSlice) (region, error) {
 	if l.Len != r.Len {
 		return region{}, fmt.Errorf("rdma: length mismatch: local %d, remote %d", l.Len, r.Len)
 	}
-	lmr, err := local.lookup(l.MR.RKey, l.Off, l.Len)
+	lmr, err := local.lookup(l.MR.RKey, l.Off, l.Len, false)
 	if err != nil {
 		return region{}, err
 	}
@@ -652,7 +652,8 @@ func (f *TCPFabric) serveOne(n *Node, pc *peerConn) error {
 // handle consumes the size bytes of one request and carries it out. For
 // a READ it returns the region whose content is the reply. The MR is
 // looked up before a WRITE's body is touched, so a body aimed at a bad
-// rkey or outside the region is drained, never written.
+// rkey, outside the region or at a read-only region is drained, never
+// written.
 func (f *TCPFabric) handle(n *Node, r *bufio.Reader, size int64) (reply region, err error) {
 	if size < 1 {
 		return region{}, refusef("empty request")
@@ -678,7 +679,7 @@ func (f *TCPFabric) handle(n *Node, r *bufio.Reader, size int64) (reply region, 
 			return region{}, err
 		}
 		size -= oneSided
-		mr, err := n.lookup(rkey, off, length)
+		mr, err := n.lookup(rkey, off, length, op == opWrite)
 		if err != nil {
 			return region{}, drain(r, size, refusal{err})
 		}

@@ -119,6 +119,11 @@ type Task struct {
 	Model     string
 	Class     Class
 	Iteration uint64
+	// Exact marks a task that answers for its own iteration only (the
+	// daemon re-replicating a peer's version): it dedups onto an Exact
+	// task of the same iteration and nothing else, and is never
+	// coalesced, neither superseding nor superseded.
+	Exact bool
 	// TraceID/ParentSpan carry the client's trace context through the
 	// queue so the executor's trace adopts the client-minted identity.
 	// Zero means untraced.
@@ -297,7 +302,7 @@ func (s *Scheduler) Submit(env sim.Env, t *Task) Result {
 	// Dedup against the running task: the client's retry of an
 	// in-flight request (its original DONE was lost with a dropped
 	// connection) parks as a duplicate waiter.
-	if r := l.running; r != nil && r.Class == t.Class &&
+	if r := l.running; r != nil && r.Class == t.Class && r.Exact == t.Exact &&
 		(t.Class == ClassRestore || r.Iteration == t.Iteration) {
 		r.Dups = append(r.Dups, t.Payload)
 		s.event(env, telemetry.EvSchedDedup, t, "attached to running task")
@@ -305,6 +310,9 @@ func (s *Scheduler) Submit(env sim.Env, t *Task) Result {
 	}
 	// Dedup / coalesce against the queued tasks of the same class.
 	for _, q := range l.q[t.Class] {
+		if q.Exact != t.Exact || (t.Exact && q.Iteration != t.Iteration) {
+			continue
+		}
 		if t.Class == ClassRestore || q.Iteration == t.Iteration {
 			q.Dups = append(q.Dups, t.Payload)
 			s.event(env, telemetry.EvSchedDedup, t, "attached to queued task")

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -264,5 +265,55 @@ func TestCloseWakesBlockedWorkers(t *testing.T) {
 		env.Sleep(time.Millisecond)
 		s.Close(env)
 		woke.Wait(env)
+	})
+}
+
+// TestExactTasksNeverMerge: a re-replication task answers for its own
+// iteration only. It is never coalesced into, nor acknowledged by, a
+// client checkpoint — of another iteration or of its own — and no
+// client checkpoint rides it; only a retry of the same re-replication
+// dedups onto it.
+func TestExactTasksNeverMerge(t *testing.T) {
+	run(t, func(env sim.Env) {
+		s := New(env, Config{})
+		exact := func(iter uint64) *Task { t := task("m", ClassCheckpoint, iter); t.Exact = true; return t }
+		s.Submit(env, task("m", ClassCheckpoint, 1))
+		running, _ := s.Next(env)
+
+		steps := []struct {
+			t    *Task
+			want Verdict
+		}{
+			{exact(1), Admitted},                      // beside the running client checkpoint of its iteration
+			{exact(3), Admitted},                      // older than nothing, newer than exact(1): still no coalescing
+			{task("m", ClassCheckpoint, 4), Admitted}, // the queued exact tasks are not stale client requests
+			{exact(2), Admitted},                      // older than the queued client checkpoint 4: not absorbed
+			{task("m", ClassCheckpoint, 3), CoalescedVerdict},
+			{exact(3), Deduped},
+		}
+		for i, st := range steps {
+			if v := s.Submit(env, st.t); v.Verdict != st.want {
+				t.Fatalf("step %d (iteration %d, exact %v): verdict %v, want %v", i, st.t.Iteration, st.t.Exact, v.Verdict, st.want)
+			}
+		}
+		if len(running.Dups) != 0 {
+			t.Fatalf("the running client checkpoint acknowledges %d other tasks", len(running.Dups))
+		}
+		s.Done(env, running)
+		var order []uint64
+		for s.ModelDepth("m") > 0 {
+			got, _ := s.Next(env)
+			order = append(order, got.Iteration)
+			if got.Exact && (len(got.Coalesced) != 0 || (got.Iteration != 3 && len(got.Dups) != 0)) {
+				t.Fatalf("exact task %d carries coalesced %v, dups %d", got.Iteration, got.Coalesced, len(got.Dups))
+			}
+			if !got.Exact && len(got.Coalesced) != 1 {
+				t.Fatalf("client checkpoint %d carries coalesced %v, want only its own straggler", got.Iteration, got.Coalesced)
+			}
+			s.Done(env, got)
+		}
+		if want := []uint64{1, 3, 4, 2}; !slices.Equal(order, want) {
+			t.Fatalf("dispatch order %v, want %v", order, want)
+		}
 	})
 }

@@ -23,9 +23,9 @@ const (
 	EvAdminList   EventKind = "admin.list"
 	EvAdminDump   EventKind = "admin.dump"
 	EvAdminDelete EventKind = "admin.delete"
-	// EvAdminLoad records an anti-entropy install of a checkpoint
-	// container into PMem (replica rebuild).
-	EvAdminLoad EventKind = "admin.load"
+	// EvAdminReplicate records a REPLICATE received: anti-entropy
+	// rebuilding a replica from a peer's PMem, committed as a checkpoint.
+	EvAdminReplicate EventKind = "admin.replicate"
 	// EvStoreReclaim records a reclaim verdict on the admission path: a
 	// registration hit a space error and the engine either freed enough
 	// to retry or stayed exhausted (Detail says which).
@@ -52,7 +52,7 @@ const (
 var EventKinds = []EventKind{
 	EvSchedAdmit, EvSchedCoalesce, EvSchedDedup, EvSchedBusy,
 	EvDatapathRetry, EvWatchdogSlow,
-	EvAdminList, EvAdminDump, EvAdminDelete, EvAdminLoad,
+	EvAdminList, EvAdminDump, EvAdminDelete, EvAdminReplicate,
 	EvStoreReclaim, EvStoreRepack,
 	EvDeltaPlan, EvDeltaFallback, EvDeltaTableLost,
 }

@@ -45,7 +45,10 @@ func FuzzMsgDecode(f *testing.F) {
 		return buf.Bytes()
 	}
 	f.Add(enc(sampleMsg()))
-	f.Add(enc(&Msg{Type: TLoad, Model: "gpt", Iteration: 9, CRC: 0xdeadbeef, Payload: []byte("container-bytes")}))
+	f.Add(enc(&Msg{Type: TDescribe, Model: "gpt", Iteration: 9}))
+	f.Add(enc(&Msg{Type: TReplicate, Model: "gpt", Iteration: 9, ClientNode: "storage1", FabricAddr: "s1:7001",
+		CRC: 0x1deadbeef, DeltaBlock: 64 << 10, Digests: []uint64{0xfeed, 0xbeef},
+		Tensors: []TensorRef{{Name: "w", DType: 1, Dims: []int64{4, 4}, Size: 64, RKey: 1, Off: 1 << 20}}}))
 	f.Add(enc(&Msg{Type: TError, Code: ErrCodeCorrupt, Error: "crc mismatch", InReplyTo: TRestore}))
 	f.Add(enc(&Msg{Type: TPlacementResp, Epoch: 3, Replicas: 2,
 		Placement: []PlacementEntry{{Node: "storage0", CtrlAddr: "s0:7000", FabricAddr: "s0:7001", Weight: 1 << 30}}}))
@@ -74,13 +77,14 @@ func FuzzMsgDecode(f *testing.F) {
 // TestReplicationFieldsGobRoundTrip pins the wire shape of the fields
 // the replication protocol added: ERROR classification codes, the
 // PLACEMENT_RESP replication factor, per-slot CRCs on LIST_RESP, and
-// the LOAD anti-entropy install with payload + integrity mark.
+// the DESCRIBE / REPLICATE re-replication pair: a holder's regions with
+// their data-zone offsets, its stamp and its digest table.
 func TestReplicationFieldsGobRoundTrip(t *testing.T) {
 	env := sim.NewRealEnv()
 	for _, want := range []*Msg{
 		{Type: TError, Model: "gpt", Code: ErrCodeNoCheckpoint, Error: "no committed version", InReplyTo: TRestore},
 		{Type: TError, Model: "gpt", Code: ErrCodeCorrupt, Error: "crc mismatch", InReplyTo: TRestore},
-		{Type: TError, Model: "gpt", Code: ErrCodeMisplaced, Error: "placed elsewhere", InReplyTo: TLoad},
+		{Type: TError, Model: "gpt", Code: ErrCodeMisplaced, Error: "placed elsewhere", InReplyTo: TReplicate},
 		{Type: TPlacementResp, Epoch: 7, Replicas: 2, Placement: []PlacementEntry{
 			{Node: "storage0", CtrlAddr: "s0:7000", FabricAddr: "s0:7001", Weight: 256 << 20},
 			{Node: "storage1", CtrlAddr: "s1:7000", FabricAddr: "s1:7001", Weight: 256 << 20},
@@ -91,7 +95,10 @@ func TestReplicationFieldsGobRoundTrip(t *testing.T) {
 			Slot0Iter: 9, Slot1Iter: 8, Slot0CRC: 0xabad1dea, Slot1CRC: 0x5eed,
 			Node: "storage1", Owner: "storage1",
 		}}},
-		{Type: TLoad, Model: "gpt/mp_rank_00", Iteration: 9, CRC: 0xabad1dea, Payload: []byte("serialized container")},
+		{Type: TDescribe, Model: "gpt/mp_rank_00", Iteration: 9},
+		{Type: TReplicate, Model: "gpt/mp_rank_00", Iteration: 9, ClientNode: "storage0", FabricAddr: "s0:7001",
+			CRC: 0x1abad1dea, DeltaBlock: 64 << 10, Digests: []uint64{7, 0, 9},
+			Tensors: []TensorRef{{Name: "w", DType: 1, Dims: []int64{8}, Size: 32, RKey: 1, Off: 4096}}},
 		{Type: TCheckpointDone, Model: "gpt", Iteration: 4, CRC: 0x1234},
 		{Type: TDoCheckpoint, Model: "gpt", Iteration: 7, DeltaBlock: 64 << 10,
 			Digests: []uint64{1, 2, 3, 0xdeadbeefcafef00d}},
@@ -130,6 +137,45 @@ func TestReplicationFieldsGobCompat(t *testing.T) {
 	}
 	if mi := got.Models[0]; mi.Slot0CRC != 0 || mi.Slot1CRC != 0 {
 		t.Fatalf("legacy LIST_RESP decoded non-zero CRCs: %+v", mi)
+	}
+}
+
+// TestTensorRefOffsetGobCompat pins the offset REPLICATE added to
+// TensorRef: a REGISTER from a peer whose TensorRef has no Off decodes
+// with Off 0 — a GPU region — and everything else as before, and a
+// zero Off sent to such a peer costs it nothing.
+func TestTensorRefOffsetGobCompat(t *testing.T) {
+	type legacyRef struct {
+		Name  string
+		DType uint8
+		Dims  []int64
+		Size  int64
+		RKey  uint64
+	}
+	type legacyMsg struct {
+		Type       Type
+		Model      string
+		ClientNode string
+		Tensors    []legacyRef
+	}
+	var buf bytes.Buffer
+	old := legacyMsg{Type: TRegister, Model: "gpt", ClientNode: "client0",
+		Tensors: []legacyRef{{Name: "w", DType: 1, Dims: []int64{2, 8}, Size: 64, RKey: 3}}}
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	got, err := NewNetConn(&byteConn{r: bytes.NewReader(buf.Bytes())}).Recv(sim.NewRealEnv())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &Msg{Type: TRegister, Model: "gpt", ClientNode: "client0",
+		Tensors: []TensorRef{{Name: "w", DType: 1, Dims: []int64{2, 8}, Size: 64, RKey: 3}}}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("legacy REGISTER decoded as\n got %+v\nwant %+v", got, want)
+	}
+	var back legacyMsg
+	if err := gob.NewDecoder(bytes.NewReader(encodeMsg(t, want))).Decode(&back); err != nil || !reflect.DeepEqual(back, old) {
+		t.Fatalf("a zero-offset REGISTER decodes on a legacy peer as %+v, %v; want %+v", back, err, old)
 	}
 }
 

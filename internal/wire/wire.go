@@ -54,12 +54,12 @@ const (
 	// routing instead of being configured with it.
 	TPlacement
 	TPlacementResp
-	// TLoad installs a serialized checkpoint container (the DUMP_RESP
-	// payload format) directly into a daemon's PMem as a DONE version —
-	// the anti-entropy path that rebuilds a replacement replica from a
-	// healthy peer's copy. TLoadOK acknowledges the install.
-	TLoad
-	TLoadOK
+	// TDescribe asks a daemon holding a DONE version for the REPLICATE
+	// message a laggard replica needs to pull it. TReplicate, sent to the
+	// laggard, is that message: a checkpoint whose source regions are
+	// the holder's PMem; the laggard answers CHECKPOINT_DONE.
+	TDescribe
+	TReplicate
 	// TRepack asks a running daemon to execute one online repack pass
 	// (quiesced per model through the scheduler's maintenance class) and
 	// waits for it to finish. TRepackResp carries the JSON-encoded
@@ -81,7 +81,7 @@ var typeNames = [...]string{
 	TError: "ERROR", TBusy: "BUSY",
 	TTraceReport: "TRACE_REPORT",
 	TPlacement:   "PLACEMENT", TPlacementResp: "PLACEMENT_RESP",
-	TLoad: "LOAD", TLoadOK: "LOAD_OK",
+	TDescribe: "DESCRIBE", TReplicate: "REPLICATE",
 	TRepack: "REPACK", TRepackResp: "REPACK_RESP",
 }
 
@@ -141,13 +141,16 @@ func (t Type) String() string {
 }
 
 // TensorRef is one tensor's registration record: metadata plus the
-// remote key of its GPU memory region.
+// remote key of the region holding it. Off is the tensor's offset under
+// RKey: its slot extent in the data zone on a REPLICATE, zero for a GPU
+// region (a gob-compatible addition).
 type TensorRef struct {
 	Name  string
 	DType uint8
 	Dims  []int64
 	Size  int64
 	RKey  uint64
+	Off   int64
 }
 
 // ModelInfo summarizes a stored model for LIST responses.
@@ -220,12 +223,13 @@ type Msg struct {
 	// tooling can render replica sets without separate configuration.
 	Replicas int
 	// CRC carries a checkpoint content fingerprint: stamped on
-	// CHECKPOINT_DONE and DUMP_RESP, required on LOAD so the receiving
-	// daemon records the same integrity mark as the source copy.
+	// CHECKPOINT_DONE and DUMP_RESP, and on REPLICATE the holder's stamp,
+	// which the laggard's copy must match before it may go DONE.
 	CRC uint64
 	// Digests carries the client's per-block content digest vector on
-	// DO_CHECKPOINT (one 64-bit digest per DeltaBlock-sized block of
-	// every tensor, flattened in registration order); DeltaBlock is the
+	// DO_CHECKPOINT, or the holder's trusted table on REPLICATE (one
+	// 64-bit digest per DeltaBlock-sized block of every tensor, flattened
+	// in registration order); DeltaBlock is the
 	// block size the vector was computed under. Gob-compatible
 	// additions: a pre-delta client sends neither, the daemon sees an
 	// empty vector, and the checkpoint runs as a full transfer — old

@@ -1,15 +1,24 @@
 package portus_test
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"net"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	portus "github.com/portus-sys/portus"
+	"github.com/portus-sys/portus/internal/cluster"
 	"github.com/portus-sys/portus/internal/daemon"
+	"github.com/portus-sys/portus/internal/memdev"
 	"github.com/portus-sys/portus/internal/pmem"
+	"github.com/portus-sys/portus/internal/rdma"
 	"github.com/portus-sys/portus/internal/telemetry"
+	"github.com/portus-sys/portus/internal/wire"
 )
 
 func smallSpec(t *testing.T) portus.Spec {
@@ -394,8 +403,11 @@ func TestTestbedReplaceMember(t *testing.T) {
 				t.Fatalf("shard %s on the replacement at iteration %d, want 3", sh.Spec.Name, v.Iteration)
 			}
 		}
+		// Its rebuilt copies were checkpoints too; the client's must come
+		// on top of them.
+		rebuilt := d.Stats().Checkpoints
 		checkpoint(4)
-		if d.Stats().Checkpoints == 0 {
+		if d.Stats().Checkpoints == rebuilt {
 			t.Fatal("replacement served no checkpoint after rejoining")
 		}
 	})
@@ -507,5 +519,261 @@ func TestClientRestartRecoversUnderSameNodeName(t *testing.T) {
 	m.ApplyUpdate(8)
 	if err := m.Checkpoint(job.Env(), 8); err != nil {
 		t.Fatalf("checkpoint after client restart: %v", err)
+	}
+}
+
+// describe asks the daemon behind conn for the REPLICATE of model's
+// newest version: where its tensors sit in the data zone, under which
+// rkey — what a peer would aim a one-sided verb at.
+func describe(t *testing.T, env portus.Env, conn portus.Conn, model string) *wire.Msg {
+	t.Helper()
+	rep, err := wire.Call(env, conn, &wire.Msg{Type: wire.TDescribe, Model: model}, wire.TReplicate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
+// tryWrite has intruder, a node that registered nothing with the daemon,
+// zero the first tensor rep describes with a one-sided WRITE, then read
+// it back with a READ, which re-replication needs to keep working.
+func tryWrite(t *testing.T, env portus.Env, f rdma.Fabric, intruder *rdma.Node, rep *wire.Msg) {
+	t.Helper()
+	n := rep.Tensors[0].Size
+	mr := intruder.RegisterMR(env, memdev.New(intruder.Name()+"/dram", memdev.DRAM, n, true), 0, n)
+	zone := rdma.RemoteSlice{MR: rdma.RemoteMR{Node: rep.ClientNode, RKey: rep.Tensors[0].RKey, Off: rep.Tensors[0].Off, Len: n}, Len: n}
+	if err := f.Write(env, intruder, rdma.Slice{MR: mr, Len: n}, zone); !errors.Is(err, rdma.ErrReadOnly) &&
+		(err == nil || !strings.Contains(err.Error(), rdma.ErrReadOnly.Error())) {
+		t.Fatalf("a peer's WRITE into the data zone = %v, want it refused", err)
+	}
+	if err := f.Read(env, intruder, rdma.Slice{MR: mr, Len: n}, zone); err != nil {
+		t.Fatalf("a peer's READ of the data zone = %v, want it served", err)
+	}
+}
+
+// TestPeersCannotWriteTheDataZone: the data zone is registered for
+// remote reads only, so a peer that reaches the fabric agent cannot
+// overwrite a tenant's committed slot — over TCP and in simulation —
+// and the committed version still restores byte-identical.
+func TestPeersCannotWriteTheDataZone(t *testing.T) {
+	t.Run("tcp", func(t *testing.T) {
+		srv, err := portus.NewServer(portus.ServerConfig{PMemBytes: 64 << 20, MetaBytes: 16 << 20, Materialized: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		go srv.Serve()
+		job, err := portus.NewJob(portus.JobConfig{
+			ServerCtrlAddr: srv.CtrlAddr, ServerFabricAddr: srv.FabricAddr, GPUMemBytes: 32 << 20, Materialized: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer job.Close()
+		m, err := job.RegisterModel(smallSpec(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		env := job.Env()
+		m.ApplyUpdate(3)
+		if err := m.Checkpoint(env, 3); err != nil {
+			t.Fatal(err)
+		}
+		c, err := net.Dial("tcp", srv.CtrlAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn := wire.NewNetConn(c)
+		defer conn.Close()
+		rep := describe(t, env, conn, m.Placed().Spec.Name)
+		fab := rdma.NewTCPFabric(env)
+		defer fab.Close()
+		fab.AddPeer(rep.ClientNode, srv.FabricAddr)
+		tryWrite(t, env, fab, rdma.NewNode(env, "intruder"), rep)
+		m.ApplyUpdate(4)
+		if iter, err := m.Restore(env); err != nil || iter != 3 {
+			t.Fatalf("restore after the refused WRITE = iteration %d, %v; want 3", iter, err)
+		}
+		if bad := m.Placed().VerifyIteration(3); bad != -1 {
+			t.Fatalf("tensor %d not byte-identical after the refused WRITE", bad)
+		}
+	})
+	t.Run("sim", func(t *testing.T) {
+		eng := portus.NewSimulation()
+		eng.Go("test", func(env portus.Env) {
+			tb, err := portus.NewTestbed(env, portus.TestbedConfig{
+				ComputeNodes: 1, GPUsPerNode: 1, GPUMemBytes: 32 << 20, PMemBytes: 64 << 20, Materialized: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := tb.PlaceModel(env, 0, 0, smallSpec(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.ApplyUpdate(3)
+			if err := m.Checkpoint(env, 3); err != nil {
+				t.Fatal(err)
+			}
+			conn, err := tb.Dial(env)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			tryWrite(t, env, tb.Cluster.Fabric, tb.Cluster.Compute[0].RNode, describe(t, env, conn, m.Placed().Spec.Name))
+			m.ApplyUpdate(4)
+			if iter, err := m.Restore(env); err != nil || iter != 3 {
+				t.Fatalf("restore after the refused WRITE = iteration %d, %v; want 3", iter, err)
+			}
+			if bad := m.Placed().VerifyIteration(3); bad != -1 {
+				t.Fatalf("tensor %d not byte-identical after the refused WRITE", bad)
+			}
+		})
+		eng.Run()
+	})
+}
+
+// TestAntiEntropyRetriesNextHolder: a rebuilt member's first holder
+// serves bytes that no longer hash to its stamp (as after the holder
+// reused the slot mid-pull). The rebuilt daemon refuses that copy, the
+// router pulls it again from the next holder, and the rebuilt copy —
+// the only one left once both holders are suspect — restores
+// byte-identical.
+func TestAntiEntropyRetriesNextHolder(t *testing.T) {
+	eng := portus.NewSimulation()
+	eng.Go("test", func(env portus.Env) {
+		tb, err := portus.NewTestbed(env, portus.TestbedConfig{
+			ComputeNodes: 1, GPUsPerNode: 4, GPUMemBytes: 16 << 20, PMemBytes: 32 << 20,
+			StorageNodes: 3, Replicas: 3, Materialized: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sm, err := tb.PlaceSharded(env, portus.GPT("retry", 4, 64, 512, 0), 2, 2, portus.RouterOptions{Replicas: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sm.Close()
+		rt := sm.Router()
+		checkpoint := func(iter uint64) {
+			sm.ApplyUpdate(iter)
+			if err := sm.Checkpoint(env, iter); err != nil {
+				t.Fatalf("checkpoint %d: %v", iter, err)
+			}
+		}
+		checkpoint(1)
+		victim := tb.Cluster.Storage[2].Name
+		tb.Cluster.Fabric.CutNode(victim)
+		tb.Net().Shutdown(env, victim)
+		tb.Daemons[2].Halt(env)
+		rt.MarkSuspect(env, victim)
+		checkpoint(2)
+
+		// Shard 0's first holder now serves bytes its stamp does not
+		// cover.
+		m0 := rt.Members()[0]
+		first := slices.DeleteFunc(m0.Replicas(), func(n string) bool { return n == victim })[0]
+		i := slices.IndexFunc(tb.Cluster.Storage, func(st *cluster.StorageNode) bool { return st.Name == first })
+		im, err := tb.Daemons[i].Store().Lookup(m0.Shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot, _, _ := im.LatestDone()
+		tb.Cluster.Storage[i].PMem.Data().Write(im.TensorData(0, slot).Off, bytes.Repeat([]byte{0xA5}, 64))
+
+		tb.Cluster.Fabric.RestoreNode(victim)
+		fresh := pmem.New(pmem.Config{Name: victim + "/replacement", DataSize: 32 << 20, MetaSize: 16 << 20, Materialized: true, Mode: pmem.Devdax})
+		d, err := tb.ReplaceMember(env, 2, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Join(env, portus.PlacementNode{Name: victim, Weight: fresh.DataSize()}); err != nil {
+			t.Fatalf("join with a bad first holder: %v", err)
+		}
+		if got := d.Telemetry().Counter("portus_daemon_crc_mismatch_total", "").Value(); got != 1 {
+			t.Fatalf("the rebuilt daemon refused %d copies, want exactly the first holder's", got)
+		}
+		for _, n := range tb.Cluster.Storage[:2] {
+			rt.MarkSuspect(env, n.Name)
+		}
+		sm.ApplyUpdate(99)
+		if iter, err := sm.Restore(env); err != nil || iter != 2 {
+			t.Fatalf("restore from the rebuilt member alone = iteration %d, %v; want 2", iter, err)
+		}
+		for i := range sm.Shards() {
+			if bad := sm.Placed(i).VerifyIteration(2); bad != -1 {
+				t.Fatalf("shard %d tensor %d not byte-identical from the rebuilt member", i, bad)
+			}
+		}
+	})
+	eng.Run()
+}
+
+// TestReplicateOverTCP: a second server rebuilds a model out of the
+// first one's PMem over the TCP fabric — one-sided READs at each
+// tensor's data-zone offset — and a job attached to it restores that
+// version byte-identical.
+func TestReplicateOverTCP(t *testing.T) {
+	var srvs [2]*portus.Server
+	for i := range srvs {
+		srv, err := portus.NewServer(portus.ServerConfig{
+			NodeName: cluster.StorageNodeName(i), PMemBytes: 64 << 20, MetaBytes: 16 << 20, Materialized: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		go srv.Serve()
+		srvs[i] = srv
+	}
+	attach := func(i int, iter uint64) (*portus.Job, *portus.Model) {
+		job, err := portus.NewJob(portus.JobConfig{
+			ServerCtrlAddr: srvs[i].CtrlAddr, ServerFabricAddr: srvs[i].FabricAddr, NodeName: fmt.Sprintf("client%d", i),
+			GPUMemBytes: 32 << 20, Materialized: true, DeltaBlockBytes: 64 << 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := job.RegisterModel(smallSpec(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.ApplyUpdate(iter)
+		return job, m
+	}
+	ja, ma := attach(0, 5)
+	defer ja.Close()
+	defer ma.Close()
+	env := ja.Env()
+	if err := ma.Checkpoint(env, 5); err != nil {
+		t.Fatal(err)
+	}
+	ctrl := func(i int) wire.Conn {
+		c, err := net.Dial("tcp", srvs[i].CtrlAddr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return wire.NewNetConn(c)
+	}
+	ca, cb := ctrl(0), ctrl(1)
+	defer ca.Close()
+	defer cb.Close()
+	rep := describe(t, env, ca, ma.Placed().Spec.Name)
+	// Each server is a group of one here, so the holder knows no fabric
+	// address of its own to advertise; in a group it is its -peer entry.
+	rep.FabricAddr = srvs[0].FabricAddr
+	done, err := wire.Call(env, cb, rep, wire.TCheckpointDone)
+	if err != nil || done.CRC != rep.CRC {
+		t.Fatalf("REPLICATE over TCP = %+v, %v; want CHECKPOINT_DONE with the holder's stamp %016x", done, err, rep.CRC)
+	}
+	jb, mb := attach(1, 9)
+	defer jb.Close()
+	defer mb.Close()
+	if iter, err := mb.Restore(jb.Env()); err != nil || iter != 5 {
+		t.Fatalf("restore from the rebuilt server = iteration %d, %v; want 5", iter, err)
+	}
+	if bad := mb.Placed().VerifyIteration(5); bad != -1 {
+		t.Fatalf("tensor %d not byte-identical from the rebuilt server", bad)
 	}
 }
