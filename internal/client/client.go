@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"sync"
 	"time"
 
@@ -592,14 +593,19 @@ func (c *Client) CheckpointAsync(env sim.Env, iteration uint64) (*Completion, er
 	tr.ID = telemetry.NewTraceID()
 	// With delta enabled, fingerprint the resident weights before the
 	// request goes out: the digest vector rides on DO_CHECKPOINT so the
-	// daemon can pull only the blocks that changed. The hash pass is
-	// charged to the client's virtual clock (it is memory-bandwidth
-	// bound, ~40ms for a 6 GB model — small next to the transfer it
-	// saves); on a real environment the pass itself is the cost.
+	// daemon can pull only the blocks that changed. Only the blocks the
+	// GPU memory saw written since the previous checkpoint are hashed
+	// (PlacedModel.Digests); the digest span's attributes say how many.
+	// The virtual clock is still charged a pass over the whole model; on
+	// a real environment the hashing itself is the cost.
 	var digests []uint64
 	if block := c.opts.DeltaBlockBytes; block > 0 {
 		dg := tr.Root.Child("digest", t0)
-		digests = c.model.BlockDigests(block)
+		var pass gpu.DigestPass
+		digests, pass = c.model.Digests(block)
+		dg.SetAttr("blocks", strconv.Itoa(pass.Blocks))
+		dg.SetAttr("blocks_hashed", strconv.Itoa(pass.Hashed))
+		dg.SetAttr("hashed_bytes", strconv.FormatInt(pass.HashedBytes, 10))
 		sim.Charge(env, perfmodel.DigestTime(c.model.Spec.TotalSize()))
 		dg.EndAt(env.Now())
 	}

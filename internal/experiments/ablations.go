@@ -93,9 +93,8 @@ func AblationDoubleMap() []*Table {
 			// metadata packet, allocates PMem, and rebuilds the MIndex.
 			versioned := spec
 			versioned.Name = fmt.Sprintf("%s@v%d", spec.Name, i)
-			vp := *placed
-			vp.Spec = versioned
-			m, err := tb.Register(env, 0, &vp, portus.ClientOptions{})
+			vp := &gpu.PlacedModel{Spec: versioned, GPU: placed.GPU, Offs: placed.Offs, Iteration: placed.Iteration}
+			m, err := tb.Register(env, 0, vp, portus.ClientOptions{})
 			if err != nil {
 				panic(err)
 			}

@@ -2,6 +2,7 @@ package gpu
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/portus-sys/portus/internal/memdev"
 	"github.com/portus-sys/portus/internal/model"
@@ -20,6 +21,16 @@ type PlacedModel struct {
 	Iteration uint64
 
 	blockBuf []byte // ApplySparseUpdate's reused block buffer
+
+	digestMu sync.Mutex             // held for a whole Digests pass
+	digests  map[int64]*digestCache // by block size
+}
+
+// digestCache is the digest vector of one block size as of a device
+// write generation.
+type digestCache struct {
+	gen uint64   // memdev generation taken before vec was last brought up to date
+	vec []uint64 // nil until the first pass
 }
 
 // Place allocates every tensor of spec on g and fills iteration-0
@@ -111,24 +122,74 @@ func blockSeed(tensorSeed, block uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// eachBlock calls fn with the device range of every blockBytes-sized
+// block of every tensor, in registration order: the digest layout.
+func (p *PlacedModel) eachBlock(blockBytes int64, fn func(off, n int64)) {
+	for i, tm := range p.Spec.Tensors {
+		for off := int64(0); off < tm.Size; off += blockBytes {
+			fn(p.Offs[i]+off, min(blockBytes, tm.Size-off))
+		}
+	}
+}
+
 // BlockDigests returns the model's flattened per-block digest vector at
 // the given block size: one memdev fingerprint per blockBytes-sized
-// range of every tensor, in registration order — exactly what a delta
-// client ships with DO_CHECKPOINT.
+// range of every tensor, in registration order — what a delta client
+// ships with DO_CHECKPOINT. It hashes every block, every call: it is the
+// from-scratch reference Digests must agree with.
 func (p *PlacedModel) BlockDigests(blockBytes int64) []uint64 {
 	var out []uint64
 	mem := p.GPU.Mem()
-	for i, tm := range p.Spec.Tensors {
-		base := p.Offs[i]
-		for off := int64(0); off < tm.Size; off += blockBytes {
-			n := blockBytes
-			if tm.Size-off < n {
-				n = tm.Size - off
-			}
-			out = append(out, mem.Fingerprint(base+off, n))
-		}
-	}
+	p.eachBlock(blockBytes, func(off, n int64) {
+		out = append(out, mem.Fingerprint(off, n))
+	})
 	return out
+}
+
+// DigestPass says what one Digests call did.
+type DigestPass struct {
+	Blocks      int   // blocks in the vector
+	Hashed      int   // blocks fingerprinted by this call
+	HashedBytes int64 // bytes those blocks span
+}
+
+// Digests returns the same vector as BlockDigests, but keeps it per
+// block size and re-fingerprints only the blocks the GPU's memory saw
+// written (memdev write tracking) since the previous call: the first
+// call, and every block a write touched since, is hashed; the rest are
+// reused. The device generation is taken before any block is read, so a
+// write racing the pass is seen by the next call. Concurrent callers are
+// served one at a time, and the second finds nothing left to hash. The
+// returned vector is a fresh copy the caller owns.
+func (p *PlacedModel) Digests(blockBytes int64) ([]uint64, DigestPass) {
+	mem := p.GPU.Mem()
+	mem.TrackWrites()
+	p.digestMu.Lock()
+	defer p.digestMu.Unlock()
+	c := p.digests[blockBytes]
+	if c == nil {
+		if p.digests == nil {
+			p.digests = make(map[int64]*digestCache)
+		}
+		c = &digestCache{}
+		p.digests[blockBytes] = c
+	}
+	gen := mem.Generation()
+	fresh := c.vec == nil
+	var pass DigestPass
+	p.eachBlock(blockBytes, func(off, n int64) {
+		if fresh {
+			c.vec = append(c.vec, 0)
+		}
+		if fresh || mem.WrittenSince(c.gen, off, n) {
+			c.vec[pass.Blocks] = mem.Fingerprint(off, n)
+			pass.Hashed++
+			pass.HashedBytes += n
+		}
+		pass.Blocks++
+	})
+	c.gen = gen
+	return append([]uint64(nil), c.vec...), pass
 }
 
 // VerifyDigests compares the model's current per-block digests against

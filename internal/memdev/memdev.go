@@ -64,6 +64,11 @@ type Device struct {
 	data   []byte       // materialized mode
 	stamps []stampEntry // virtual mode: disjoint stamped regions
 	brk    int64        // bump-allocation watermark
+
+	// The write tracker (track.go): off until TrackWrites.
+	tracking bool
+	gen      uint64   // write clock, advanced by every marked write
+	written  []uint64 // per TrackGranule of [0, brk): gen of its last write
 }
 
 // stampEntry records that region [off, off+n) holds bytes [srcOff,
@@ -120,6 +125,7 @@ func (d *Device) Alloc(n int64) (int64, error) {
 	}
 	off := d.brk
 	d.brk += n
+	d.growTrackerLocked()
 	return off, nil
 }
 
@@ -145,6 +151,7 @@ func (d *Device) Write(off int64, p []byte) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	copy(d.data[off:], p)
+	d.markLocked(off, int64(len(p)))
 }
 
 // Read fills p from off. The device must be materialized.
@@ -336,6 +343,9 @@ func (d *Device) WriteStampBatch(regions []StampRegion) {
 	}
 	out = append(out, d.stamps[si:]...)
 	d.stamps = coalesce(out)
+	for _, r := range regions {
+		d.markLocked(r.Off, r.N)
+	}
 }
 
 // searchLocked returns the index of the first entry whose region ends
@@ -403,6 +413,7 @@ func (d *Device) spliceLocked(off, n int64, run []stampEntry) {
 	}
 	repl = append(repl, s[hi:whi]...)
 	d.stamps = spliceEntries(s, wlo, whi, coalesce(repl))
+	d.markLocked(off, n)
 }
 
 // coalesce merges adjacent fragments of the same parent content in a
@@ -587,6 +598,7 @@ func Copy(dst *Device, dstOff int64, src *Device, srcOff, n int64) {
 		lockPair(dst, src)
 		defer unlockPair(dst, src)
 		copy(dst.data[dstOff:dstOff+n], src.data[srcOff:srcOff+n])
+		dst.markLocked(dstOff, n)
 		return
 	}
 	// Collect the covering fragments under the source lock, then splice
@@ -649,6 +661,7 @@ func CopyCRC(dst *Device, dstOff int64, src *Device, srcOff, n int64, crc uint32
 		p := src.data[srcOff : srcOff+k]
 		if dst != nil {
 			copy(dst.data[dstOff:dstOff+k], p)
+			dst.markLocked(dstOff, k)
 		}
 		crc = crc32.Update(crc, castagnoli, p)
 		unlockPair(into, src)
