@@ -82,19 +82,9 @@ type Config struct {
 	// means datapath.OneSided, the paper's zero-copy verbs. The two-sided
 	// and host-staged variants exist for the ablations (DESIGN.md §5).
 	Strategy datapath.Strategy
-	// PipelineDepth bounds the chunks in flight past the pull stage:
-	// depth 1 (the default) is the strictly sequential
-	// pull-everything-then-flush datapath; depth d >= 2 overlaps the
-	// PMem flush of chunk N with the pull of chunk N+1.
-	PipelineDepth int
-	// Lanes is the number of queue pairs checkpoint/restore transfers
-	// stripe chunks across; defaults to 1. Each lane beyond the first
-	// pays one queue-pair connection at daemon startup.
-	Lanes int
 	// ChunkSize splits tensors into transfer chunks of at most this
-	// many bytes; 0 (the default) keeps one chunk per tensor. Pipelining
-	// and striping schedule whole chunks, so splitting only matters for
-	// models dominated by a few huge tensors.
+	// many bytes; 0 (the default) keeps one chunk per tensor. Each chunk
+	// is retried on its own attempt budget.
 	ChunkSize int64
 	// RetryMax bounds per-chunk transfer/flush attempts on transient
 	// errors: 0 defaults to 3, negative disables retry (one attempt).
@@ -172,10 +162,10 @@ type Daemon struct {
 
 	tel *telem
 
-	// dp configures the chunked, optionally pipelined/striped datapath
-	// engine every checkpoint pull and restore push runs on. Its flushes
-	// hash nothing; a materialized checkpoint's engine flushes through
-	// the checkpoint's stamper instead (see stamper).
+	// dp configures the chunked datapath engine every checkpoint pull
+	// and restore push runs on. Its flushes hash nothing; a materialized
+	// checkpoint's engine flushes through the checkpoint's stamper
+	// instead (see stamper).
 	dp datapath.Config
 }
 
@@ -253,12 +243,10 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 		HostStage: sim.NewBandwidthResource(env, "daemon/host-stage", perfmodel.ServerDRAMBW),
 	}
 	// The ablation variants are datapath strategies, not branches: the
-	// engine's chunking, pipelining, and lane striping apply to all of
-	// them uniformly. A nil Strategy is the engine's default, OneSided.
+	// engine's chunking, retry and flush apply to all of them uniformly.
+	// A nil Strategy is the engine's default, OneSided.
 	d.dp = datapath.Config{
 		Strategy:  cfg.Strategy,
-		Depth:     cfg.PipelineDepth,
-		Lanes:     rdma.ConnectLanes(env, cfg.RNode, cfg.Lanes),
 		IssueCost: perfmodel.RDMAReadIssueCost,
 		Flush:     func(off, n int64) error { return cfg.Flush(off, n, nil) },
 		FlushCost: flushCost,

@@ -2,7 +2,6 @@ package daemon_test
 
 import (
 	"testing"
-	"time"
 
 	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/cluster"
@@ -151,15 +150,13 @@ func chunkedRig(t *testing.T, env sim.Env, dmut func(*daemon.Config)) (*daemon.D
 }
 
 // TestDaemonChunkedPipelinedRoundTrip drives a materialized checkpoint
-// and restore through the chunked, pipelined, multi-lane datapath and
-// verifies the restored bytes.
+// and restore through the chunked datapath and verifies the restored
+// bytes.
 func TestDaemonChunkedPipelinedRoundTrip(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.Go("test", func(env sim.Env) {
 		d, placed, c := chunkedRig(t, env, func(cfg *daemon.Config) {
 			cfg.ChunkSize = 256 << 10
-			cfg.PipelineDepth = 4
-			cfg.Lanes = 2
 		})
 		placed.ApplyUpdate(5)
 		if err := c.CheckpointSync(env, 5); err != nil {
@@ -171,7 +168,7 @@ func TestDaemonChunkedPipelinedRoundTrip(t *testing.T) {
 			t.Fatalf("restore = %d, %v", iter, err)
 		}
 		if bad := placed.VerifyIteration(5); bad != -1 {
-			t.Fatalf("tensor %d wrong after chunked pipelined round trip", bad)
+			t.Fatalf("tensor %d wrong after chunked round trip", bad)
 		}
 		st := d.Stats()
 		if st.PullTime <= 0 || st.FlushTime <= 0 || st.PushTime <= 0 {
@@ -179,34 +176,6 @@ func TestDaemonChunkedPipelinedRoundTrip(t *testing.T) {
 		}
 	})
 	eng.Run()
-}
-
-// TestDaemonPipelineDepthFaster measures the same checkpoint under
-// depth 1 and depth 4 (both chunked): overlapping flush with pull must
-// strictly reduce virtual checkpoint latency.
-func TestDaemonPipelineDepthFaster(t *testing.T) {
-	run := func(depth int) time.Duration {
-		var elapsed time.Duration
-		eng := sim.NewEngine()
-		eng.Go("test", func(env sim.Env) {
-			_, placed, c := chunkedRig(t, env, func(cfg *daemon.Config) {
-				cfg.ChunkSize = 256 << 10
-				cfg.PipelineDepth = depth
-			})
-			placed.ApplyUpdate(1)
-			t0 := env.Now()
-			if err := c.CheckpointSync(env, 1); err != nil {
-				t.Fatal(err)
-			}
-			elapsed = env.Now() - t0
-		})
-		eng.Run()
-		return elapsed
-	}
-	d1, d4 := run(1), run(4)
-	if d4 >= d1 {
-		t.Fatalf("depth 4 checkpoint (%v) not faster than depth 1 (%v)", d4, d1)
-	}
 }
 
 func TestDaemonConcurrentCheckpointsQueue(t *testing.T) {

@@ -1,13 +1,10 @@
 package daemon_test
 
 import (
-	"cmp"
-	"slices"
 	"testing"
 
 	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/faults"
-	"github.com/portus-sys/portus/internal/memdev"
 	"github.com/portus-sys/portus/internal/pmem"
 	"github.com/portus-sys/portus/internal/sim"
 	"github.com/portus-sys/portus/internal/telemetry"
@@ -87,69 +84,4 @@ func TestInPassStampMatchesSlot(t *testing.T) {
 			eng.Run()
 		})
 	}
-}
-
-// TestStripedFlushBehindStampsInFlushes: on two lanes with flush-behind
-// and tensors split into chunks, the flushes reach PMem out of slot
-// order, and the stamp still comes from them: every flush carries a
-// CRC, the CRCs they return join — in slot order, by memdev.Combine —
-// to the DONE stamp, and that stamp is a fresh hash of the slot.
-func TestStripedFlushBehindStampsInFlushes(t *testing.T) {
-	eng := sim.NewEngine()
-	eng.Go("test", func(env sim.Env) {
-		type piece struct {
-			off, n int64
-			crc    uint32
-		}
-		var pieces []piece
-		hashed, reordered := 0, false
-		var pm *pmem.Device
-		d, placed, c := chunkedRig(t, env, func(cfg *daemon.Config) {
-			pm = cfg.PMem
-			cfg.Lanes, cfg.PipelineDepth, cfg.ChunkSize = 2, 2, 256<<10
-			countHashed(cfg, nil, &hashed)
-			flush := cfg.Flush
-			cfg.Flush = func(off, n int64, crc *uint32) error {
-				err := flush(off, n, crc)
-				if err == nil && crc != nil {
-					pieces = append(pieces, piece{off, n, *crc})
-				}
-				return err
-			}
-		})
-		for iter := uint64(1); iter <= 3; iter++ {
-			placed.ApplyUpdate(iter)
-			before, ops := hashed, pm.DataFlushOps()
-			pieces = pieces[:0]
-			if err := c.CheckpointSync(env, iter); err != nil {
-				t.Fatal(err)
-			}
-			slot, h := doneHeader(t, d, iter)
-			requireStamp(t, h.CRC)
-			m, err := d.Store().Lookup("m")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fresh := d.ContentCRC(m, slot); h.CRC != fresh {
-				t.Fatalf("iteration %d: stamped %016x, slot hashes to %016x", iter, h.CRC, fresh)
-			}
-			if got, want := hashed-before, pm.DataFlushOps()-ops; int64(got) != want || want <= int64(len(m.Tensors)) {
-				t.Fatalf("iteration %d: %d of %d data flushes carried a CRC, want all, more than one per tensor", iter, got, want)
-			}
-			byOff := func(a, b piece) int { return cmp.Compare(a.off, b.off) }
-			reordered = reordered || !slices.IsSortedFunc(pieces, byOff)
-			slices.SortFunc(pieces, byOff)
-			var crc uint32
-			for _, p := range pieces {
-				crc = memdev.Combine(crc, p.crc, p.n)
-			}
-			if got := 1<<32 | uint64(crc); got != h.CRC {
-				t.Fatalf("iteration %d: flush CRCs join to %016x, stamp %016x", iter, got, h.CRC)
-			}
-		}
-		if !reordered {
-			t.Fatal("two lanes with flush-behind flushed every checkpoint in slot order")
-		}
-	})
-	eng.Run()
 }

@@ -162,14 +162,13 @@ func (d *Daemon) finish(env sim.Env, t *sched.Task, x *transfer, lat *telemetry.
 // slot, building the span tree of the request lifecycle as it goes:
 // enqueue-wait, the engine's pull/flush stages, and the version-flag
 // commit. The engine returns only once every chunk is flushed, so the
-// done flag never commits over unpersisted data regardless of pipeline
-// depth. A request carrying a trusted digest vector runs incrementally:
-// only the dirty extents cross the fabric, the clean blocks copy
-// forward from the previous version's slot inside PMem (flushed under
-// the same discipline), and blocks the target slot already holds are
-// skipped outright. A REPLICATE runs here too, pulling from its
-// holder's PMem, and commits only a copy that hashes to the holder's
-// stamp.
+// done flag never commits over unpersisted data. A request carrying a
+// trusted digest vector runs incrementally: only the dirty extents
+// cross the fabric, the clean blocks copy forward from the previous
+// version's slot inside PMem (flushed under the same discipline), and
+// blocks the target slot already holds are skipped outright. A
+// REPLICATE runs here too, pulling from its holder's PMem, and commits
+// only a copy that hashes to the holder's stamp.
 func (d *Daemon) doCheckpoint(env sim.Env, t *sched.Task, rc *reqCtx) {
 	m := rc.model
 	slot := m.TargetSlot()
@@ -397,9 +396,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // bytes in one pass (Config.Flush), and each block a delta skips brings
 // the CRC-32C half of its trusted digest; stamp joins the pieces in
 // contentCRC's order by CRC-32C algebra (memdev.Combine), so they may
-// arrive in any order — striped lanes, flush-behind, copy-forward. Only
-// a successful flush adds its piece, so a torn flush that is retried
-// counts once. The engine calls flush from one process at a time.
+// arrive in any order — a delta's skipped blocks and copy-forward spans
+// land out of slot order. Only a successful flush adds its piece, so a
+// torn flush that is retried counts once. The engine calls flush from one process at a time.
 type stamper struct {
 	persist func(off, n int64, crc *uint32) error
 	m       *index.Model

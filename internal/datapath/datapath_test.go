@@ -117,10 +117,8 @@ func newRig(env sim.Env, materialized bool, sizes []int64) *rig {
 	return r
 }
 
-func (r *rig) engine(env sim.Env, depth, lanes int) *datapath.Engine {
+func (r *rig) engine() *datapath.Engine {
 	return datapath.New(datapath.Config{
-		Depth:     depth,
-		Lanes:     rdma.ConnectLanes(env, r.storage, lanes),
 		IssueCost: perfmodel.RDMAReadIssueCost,
 		Flush: func(off, n int64) error {
 			r.flushCalls++
@@ -133,50 +131,19 @@ func (r *rig) engine(env sim.Env, depth, lanes int) *datapath.Engine {
 	})
 }
 
-// pullElapsed runs one Pull on a fresh rig and reports its virtual
-// duration.
-func pullElapsed(t *testing.T, depth, lanes int, chunk int64) time.Duration {
-	t.Helper()
-	var elapsed time.Duration
-	eng := sim.NewEngine()
-	eng.Go("test", func(env sim.Env) {
-		r := newRig(env, false, []int64{64 << 20})
-		r.gpu.WriteStamp(0, 64<<20, 0xabc)
-		e := r.engine(env, depth, lanes)
-		p := datapath.NewPlan(r.tensors, chunk)
-		t0 := env.Now()
-		if _, err := e.Pull(env, r.cx, p, nil); err != nil {
-			t.Error(err)
+// TestNewRefusesTwoLanes: an engine issues every verb on one queue pair.
+func TestNewRefusesTwoLanes(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted two lanes")
 		}
-		elapsed = env.Now() - t0
-		if r.flushedBytes != 64<<20 {
-			t.Errorf("flushed %d bytes, want %d", r.flushedBytes, 64<<20)
-		}
-	})
-	eng.Run()
-	return elapsed
-}
-
-// TestPipelineDepthOverlapsFlush is the headline behavior: with chunked
-// transfers, depth >= 2 hides the PMem flush behind the next chunk's
-// pull and must be strictly faster than the sequential depth-1
-// schedule in virtual time.
-func TestPipelineDepthOverlapsFlush(t *testing.T) {
-	chunk := int64(4 << 20)
-	d1 := pullElapsed(t, 1, 1, chunk)
-	d2 := pullElapsed(t, 2, 1, chunk)
-	d4 := pullElapsed(t, 4, 1, chunk)
-	if d2 >= d1 {
-		t.Fatalf("depth 2 (%v) not faster than depth 1 (%v)", d2, d1)
-	}
-	if d4 > d2 {
-		t.Fatalf("depth 4 (%v) slower than depth 2 (%v)", d4, d2)
-	}
+	}()
+	datapath.New(datapath.Config{Lanes: []*rdma.QP{{ID: 0}, {ID: 1}}})
 }
 
 // TestChunkedPullPreservesStamps: content fingerprints survive the
-// chunked, pipelined, multi-lane virtual-buffer path — every tensor
-// extent on PMem reads back the stamp written on the GPU.
+// chunked virtual-buffer path — every tensor extent on PMem reads back
+// the stamp written on the GPU.
 func TestChunkedPullPreservesStamps(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.Go("test", func(env sim.Env) {
@@ -185,7 +152,7 @@ func TestChunkedPullPreservesStamps(t *testing.T) {
 		for i, tr := range r.tensors {
 			r.gpu.WriteStamp(tr.PMemOff, tr.Size, uint64(1000+i))
 		}
-		e := r.engine(env, 4, 2)
+		e := r.engine()
 		p := datapath.NewPlan(r.tensors, 1<<20)
 		res, err := e.Pull(env, r.cx, p, nil)
 		if err != nil {
@@ -224,7 +191,7 @@ func TestChunkedRoundTripMaterialized(t *testing.T) {
 		}
 		r.gpu.Write(0, want)
 
-		e := r.engine(env, 2, 2)
+		e := r.engine()
 		p := datapath.NewPlan(r.tensors, perfmodel.MinChunk)
 		if _, err := e.Pull(env, r.cx, p, nil); err != nil {
 			t.Fatal(err)
@@ -243,69 +210,61 @@ func TestChunkedRoundTripMaterialized(t *testing.T) {
 	eng.Run()
 }
 
-// TestEngineSpanStagesContiguous: in every mode the engine's pull and
-// flush spans tile the engine's occupancy — pull start to flush end
-// with no gap — so the daemon's span-sum invariant holds for pipelined
-// configurations too.
+// TestEngineSpanStagesContiguous: the engine's pull and flush spans
+// tile the engine's occupancy — pull start to flush end with no gap —
+// so the daemon's span-sum invariant holds.
 func TestEngineSpanStagesContiguous(t *testing.T) {
-	for _, cfg := range []struct{ depth, lanes int }{{1, 1}, {4, 1}, {2, 2}} {
-		eng := sim.NewEngine()
-		eng.Go("test", func(env sim.Env) {
-			r := newRig(env, false, []int64{16 << 20, 16 << 20})
-			r.gpu.WriteStamp(0, 16<<20, 1)
-			r.gpu.WriteStamp(16<<20, 16<<20, 2)
-			e := r.engine(env, cfg.depth, cfg.lanes)
-			p := datapath.NewPlan(r.tensors, 4<<20)
-			root := &telemetry.Span{Name: "op"}
-			t0 := env.Now()
-			res, err := e.Pull(env, r.cx, p, root)
-			if err != nil {
-				t.Fatal(err)
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		r := newRig(env, false, []int64{16 << 20, 16 << 20})
+		r.gpu.WriteStamp(0, 16<<20, 1)
+		r.gpu.WriteStamp(16<<20, 16<<20, 2)
+		e := r.engine()
+		p := datapath.NewPlan(r.tensors, 4<<20)
+		root := &telemetry.Span{Name: "op"}
+		t0 := env.Now()
+		res, err := e.Pull(env, r.cx, p, root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		end := env.Now()
+		pull := root.Find("pull")
+		flush := root.Find("flush")
+		if pull == nil || flush == nil {
+			t.Fatal("missing stage spans")
+		}
+		if pull.Start != t0 || pull.End != flush.Start || flush.End != end {
+			t.Fatalf("stages not contiguous: pull [%v,%v), flush [%v,%v), engine [%v,%v)",
+				pull.Start, pull.End, flush.Start, flush.End, t0, end)
+		}
+		if res.Transfer != pull.Dur() || res.Flush != flush.Dur() {
+			t.Fatalf("result breakdown %v/%v != span durations %v/%v",
+				res.Transfer, res.Flush, pull.Dur(), flush.Dur())
+		}
+		if len(pull.Children) != len(p.Chunks) {
+			t.Fatalf("pull has %d chunk spans, want %d", len(pull.Children), len(p.Chunks))
+		}
+		for _, sp := range pull.Children {
+			if !strings.HasPrefix(sp.Name, "pull:") || sp.Attrs["bytes"] == "" || sp.Attrs["lane"] == "" {
+				t.Fatalf("chunk span malformed: %+v", sp)
 			}
-			end := env.Now()
-			pull := root.Find("pull")
-			flush := root.Find("flush")
-			if pull == nil || flush == nil {
-				t.Fatalf("depth=%d lanes=%d: missing stage spans", cfg.depth, cfg.lanes)
-			}
-			if pull.Start != t0 || pull.End != flush.Start || flush.End != end {
-				t.Fatalf("depth=%d lanes=%d: stages not contiguous: pull [%v,%v), flush [%v,%v), engine [%v,%v)",
-					cfg.depth, cfg.lanes, pull.Start, pull.End, flush.Start, flush.End, t0, end)
-			}
-			if res.Transfer != pull.Dur() || res.Flush != flush.Dur() {
-				t.Fatalf("result breakdown %v/%v != span durations %v/%v",
-					res.Transfer, res.Flush, pull.Dur(), flush.Dur())
-			}
-			if len(pull.Children) != len(p.Chunks) {
-				t.Fatalf("pull has %d chunk spans, want %d", len(pull.Children), len(p.Chunks))
-			}
-			for _, sp := range pull.Children {
-				if !strings.HasPrefix(sp.Name, "pull:") || sp.Attrs["bytes"] == "" || sp.Attrs["lane"] == "" {
-					t.Fatalf("chunk span malformed: %+v", sp)
-				}
-			}
-		})
-		eng.Run()
-	}
+		}
+	})
+	eng.Run()
 }
 
 // TestPullErrorNamesTensor: a failing chunk surfaces as a wrapped
-// per-tensor error in both the sequential and pipelined paths, and the
-// engine still terminates cleanly (no leaked lane deadlocks).
+// per-tensor error, and the engine still terminates cleanly.
 func TestPullErrorNamesTensor(t *testing.T) {
-	for _, cfg := range []struct{ depth, lanes int }{{1, 1}, {4, 2}} {
-		eng := sim.NewEngine()
-		eng.Go("test", func(env sim.Env) {
-			r := newRig(env, false, []int64{1 << 20, 1 << 20})
-			r.gpu.WriteStamp(0, 2<<20, 3)
-			r.cx.Remote[1].RKey = 9999 // unknown key: second tensor fails
-			e := r.engine(env, cfg.depth, cfg.lanes)
-			p := datapath.NewPlan(r.tensors, 0)
-			_, err := e.Pull(env, r.cx, p, nil)
-			if err == nil || !strings.Contains(err.Error(), "pulling t1:") {
-				t.Fatalf("depth=%d lanes=%d: err = %v, want wrapped t1 error", cfg.depth, cfg.lanes, err)
-			}
-		})
-		eng.Run()
-	}
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		r := newRig(env, false, []int64{1 << 20, 1 << 20})
+		r.gpu.WriteStamp(0, 2<<20, 3)
+		r.cx.Remote[1].RKey = 9999 // unknown key: second tensor fails
+		_, err := r.engine().Pull(env, r.cx, datapath.NewPlan(r.tensors, 0), nil)
+		if err == nil || !strings.Contains(err.Error(), "pulling t1:") {
+			t.Fatalf("err = %v, want wrapped t1 error", err)
+		}
+	})
+	eng.Run()
 }

@@ -81,7 +81,7 @@ func TestDeltaPullPlusCopyForward(t *testing.T) {
 
 		// Full pull of version 1 into slot 0.
 		full := datapath.NewPlan(r.tensors, 0)
-		e := r.engine(env, 1, 1)
+		e := r.engine()
 		if _, err := e.Pull(env, r.cx, full, nil); err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestCopyForwardVirtualCost(t *testing.T) {
 	eng.Go("test", func(env sim.Env) {
 		const size = int64(2 << 20)
 		r := newDeltaRig(env, size)
-		e := r.engine(env, 1, 1)
+		e := r.engine()
 		spans := []datapath.CopySpan{
 			{Name: "t0", DstOff: size, SrcOff: 0, Size: 64 << 10},
 			{Name: "t0", DstOff: size + 1<<20, SrcOff: 1 << 20, Size: 1<<20 - 4096},
@@ -185,8 +185,8 @@ func TestCopyForwardVirtualCost(t *testing.T) {
 
 // TestDeltaPullChargesVirtualClockOnly: a delta plan's per-verb issue
 // and flush costs land on the virtual clock exactly as a full plan's
-// with the same chunks would, striped or not — and on a real
-// environment they cost no wall time.
+// with the same chunks would — and on a real environment they cost no
+// wall time.
 func TestDeltaPullChargesVirtualClockOnly(t *testing.T) {
 	const size = int64(2 << 20)
 	delta := datapath.NewDeltaPlan([]datapath.Extent{
@@ -195,24 +195,21 @@ func TestDeltaPullChargesVirtualClockOnly(t *testing.T) {
 		{Tensor: 0, Name: "t0", TensorOff: 1 << 20, PMemOff: size + 1<<20, Size: 64 << 10},
 	}, 0)
 	plain := datapath.Plan{Chunks: delta.Chunks, Bytes: delta.Bytes}
-	for _, shape := range []struct{ depth, lanes int }{{1, 1}, {2, 2}} {
-		var got [2]datapath.Result
-		for i, p := range []datapath.Plan{plain, delta} {
-			eng := sim.NewEngine()
-			eng.Go("test", func(env sim.Env) {
-				r := newDeltaRig(env, size)
-				res, err := r.engine(env, shape.depth, shape.lanes).Pull(env, r.cx, p, nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got[i] = res
-			})
-			eng.Run()
-		}
-		if got[0] != got[1] {
-			t.Fatalf("depth %d lanes %d: delta pull %+v, same chunks as a full plan %+v",
-				shape.depth, shape.lanes, got[1], got[0])
-		}
+	var got [2]datapath.Result
+	for i, p := range []datapath.Plan{plain, delta} {
+		eng := sim.NewEngine()
+		eng.Go("test", func(env sim.Env) {
+			r := newDeltaRig(env, size)
+			res, err := r.engine().Pull(env, r.cx, p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got[i] = res
+		})
+		eng.Run()
+	}
+	if got[0] != got[1] {
+		t.Fatalf("delta pull %+v, same chunks as a full plan %+v", got[1], got[0])
 	}
 
 	env := sim.NewRealEnv()

@@ -3,7 +3,6 @@ package datapath
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"time"
 
 	"github.com/portus-sys/portus/internal/perfmodel"
@@ -31,25 +30,8 @@ type RetryPolicy struct {
 type Config struct {
 	// Strategy moves individual chunks; defaults to OneSided.
 	Strategy Strategy
-	// Depth and Lanes together select Pull's flush schedule; every
-	// chunk try is settled by the same completion step under both.
-	//
-	// Depth 1 on a single lane (the default, and the paper's datapath)
-	// is the batch schedule: every chunk is pulled in plan order, then
-	// all of them are flushed, with one whole-batch flush cost.
-	//
-	// Any other setting — Depth >= 2, or more than one lane at any
-	// depth — is the flush-behind schedule: a flusher persists each
-	// chunk as it lands while later chunks are still being pulled, and
-	// Depth bounds the chunks pulled but not yet flushed. At depth 1
-	// with several lanes that means one chunk past the transfer stage
-	// at a time.
-	//
-	// Push has no flush stage and ignores Depth.
-	Depth int
-	// Lanes are the queue pairs chunks stripe across, one sim process
-	// per lane; a single lane runs inline on the caller. Defaults to a
-	// single lane.
+	// Lanes holds the one queue pair every verb is issued on; New
+	// refuses more than one. Defaults to a single lane.
 	Lanes []*rdma.QP
 	// IssueCost is the per-verb posting + completion-polling cost,
 	// charged on the virtual clock only.
@@ -60,8 +42,8 @@ type Config struct {
 	// unflushed chunk.
 	Flush func(off, n int64) error
 	// FlushCost models the CLWB+fence cost of flushing n bytes, charged
-	// on the virtual clock only. It must be linear in n so per-chunk and
-	// whole-batch flushing charge the same total.
+	// on the virtual clock only: once per pulled batch, once per
+	// copy-forward span, and once more per re-flush.
 	FlushCost func(n int64) time.Duration
 	// Retry is the self-healing policy for transient verb and flush
 	// errors.
@@ -75,8 +57,7 @@ type Config struct {
 // virtual) stage breakdown. Transfer covers engine start to the last
 // chunk's transfer completion; Flush is the remaining tail until every
 // chunk is persisted. The two always sum to the engine's total
-// occupancy, so the Figure 13 breakdown stays additive even when the
-// stages overlap internally.
+// occupancy, so the Figure 13 breakdown stays additive.
 type Result struct {
 	Bytes    int64
 	Transfer time.Duration
@@ -90,16 +71,18 @@ type Result struct {
 // Engine executes Plans. It is stateless across runs and safe for
 // concurrent use by multiple daemon workers.
 type Engine struct {
-	cfg Config
+	cfg  Config
+	lane string // the queue pair's ID, as chunk spans carry it
 }
 
-// New creates an engine, applying Config defaults.
+// New creates an engine, applying Config defaults. It panics on more
+// than one lane.
 func New(cfg Config) *Engine {
 	if cfg.Strategy == nil {
 		cfg.Strategy = OneSided{}
 	}
-	if cfg.Depth < 1 {
-		cfg.Depth = 1
+	if len(cfg.Lanes) > 1 {
+		panic(fmt.Sprintf("datapath: %d lanes; an engine issues every verb on one queue pair", len(cfg.Lanes)))
 	}
 	if len(cfg.Lanes) == 0 {
 		cfg.Lanes = []*rdma.QP{{ID: 0}}
@@ -110,7 +93,7 @@ func New(cfg Config) *Engine {
 	if cfg.FlushCost == nil {
 		cfg.FlushCost = func(int64) time.Duration { return 0 }
 	}
-	return &Engine{cfg: cfg}
+	return &Engine{cfg: cfg, lane: strconv.Itoa(cfg.Lanes[0].ID)}
 }
 
 func (e *Engine) maxAttempts() int {
@@ -128,11 +111,9 @@ func (e *Engine) backoff(attempt int) time.Duration {
 	return sim.Backoff(e.cfg.Retry.Backoff, attempt, backoffMax)
 }
 
-// run is one operation's state: the schedule its lanes and flusher
-// coordinate through and the counters that land in Result. Everything
-// below mu is shared between the lane and flusher processes of a
-// striped or flush-behind run; a single-lane run takes the same locks
-// uncontended.
+// run is one operation's state and the counters that land in Result.
+// A run executes on its caller's process only: a posted list reports
+// its completions on the caller too.
 type run struct {
 	e  *Engine
 	cx *Context
@@ -142,15 +123,8 @@ type run struct {
 	root  *telemetry.Span
 	stage *telemetry.Span
 
-	// tokens bound the chunks pulled but not yet flushed, and flushQ
-	// hands pulled chunks to the flusher; nil unless flushing behind.
-	tokens *sim.Mailbox[struct{}]
-	flushQ *sim.Mailbox[Chunk]
-
-	mu      sync.Mutex
-	err     error // first fatal error; stops every lane
+	err     error // first fatal error; stops the run
 	moved   int64
-	lastEnd time.Duration // completion time of the latest transfer
 	retries int
 }
 
@@ -159,20 +133,13 @@ func (e *Engine) newRun(env sim.Env, cx *Context, root *telemetry.Span, verb str
 	if root == nil {
 		root = &telemetry.Span{}
 	}
-	now := env.Now()
-	return &run{
-		e: e, cx: cx, verb: verb,
-		root: root, stage: root.Child(verb, now),
-		lastEnd: now,
-	}
+	return &run{e: e, cx: cx, verb: verb, root: root, stage: root.Child(verb, env.Now())}
 }
 
 // noteRetry counts a re-attempt and records it in the flight recorder
 // (nil-safe), linked to the request's trace.
 func (r *run) noteRetry(env sim.Env, what string) {
-	r.mu.Lock()
 	r.retries++
-	r.mu.Unlock()
 	r.e.cfg.Events.Emit(telemetry.Event{
 		Time:   env.Now(),
 		Kind:   telemetry.EvDatapathRetry,
@@ -181,73 +148,25 @@ func (r *run) noteRetry(env sim.Env, what string) {
 	})
 }
 
-// fail records the run's first fatal error; every lane stops at its
-// next attempt.
-func (r *run) fail(err error) {
-	r.mu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.mu.Unlock()
-}
-
 // result stamps the run's retry count into res.
 func (r *run) result(res Result) Result {
 	res.Retries = r.retries
 	return res
 }
 
-// transfer moves every chunk and returns once each has landed or the
-// run has failed (r.err). A single lane runs inline on the caller,
-// taking chunks in plan order — as posted lists when the fabric takes
-// them (see post); several lanes run as one sim process each, striping
-// chunks from a shared work queue that is filled and closed before any
-// lane starts.
+// transfer moves every chunk in plan order and returns once each has
+// landed or the run has failed (r.err): as posted lists when the fabric
+// takes them (see post), otherwise one verb at a time, trying each
+// chunk until it lands or its attempt budget is spent, backing off
+// before each retry.
 func (r *run) transfer(env sim.Env, chunks []Chunk) {
-	lanes := r.e.cfg.Lanes
 	if p := r.poster(); p != nil {
-		r.post(env, lanes[0], p, chunks)
+		r.post(env, p, chunks)
 		return
 	}
-	if len(lanes) == 1 {
-		i := 0
-		r.lane(env, lanes[0], func(sim.Env) (Chunk, bool) {
-			if i == len(chunks) {
-				return Chunk{}, false
-			}
-			i++
-			return chunks[i-1], true
-		})
-		return
-	}
-	work := sim.NewMailbox[Chunk](env)
 	for _, c := range chunks {
-		work.Send(env, c)
-	}
-	work.Close(env)
-	g := sim.NewGroup(env)
-	g.Add(env, len(lanes))
-	for _, qp := range lanes {
-		qp := qp
-		env.Go(fmt.Sprintf("datapath-lane-%d", qp.ID), func(env sim.Env) {
-			defer g.Done(env)
-			r.lane(env, qp, work.Recv)
-		})
-	}
-	g.Wait(env)
-}
-
-// lane works through chunks on one queue pair until next runs dry or
-// the run fails, trying each chunk until it lands or its attempt budget
-// is spent, backing off before each retry.
-func (r *run) lane(env sim.Env, qp *rdma.QP, next func(sim.Env) (Chunk, bool)) {
-	for {
-		c, ok := next(env)
-		if !ok {
-			return
-		}
 		for n := 1; ; n++ {
-			landed, alive := r.attempt(env, qp, c, n)
+			landed, alive := r.attempt(env, c, n)
 			if !alive {
 				return
 			}
@@ -260,23 +179,22 @@ func (r *run) lane(env sim.Env, qp *rdma.QP, next func(sim.Env) (Chunk, bool)) {
 }
 
 // poster returns the fabric's list-posting capability when this run can
-// use it: a single lane, no flush-behind stage, and the one-sided
-// strategy, whose chunk is exactly one verb. Otherwise chunks are
-// issued one at a time.
+// use it: the one-sided strategy, whose chunk is exactly one verb.
+// Otherwise chunks are issued one at a time.
 func (r *run) poster() rdma.Poster {
-	if _, ok := r.e.cfg.Strategy.(OneSided); !ok || len(r.e.cfg.Lanes) > 1 || r.tokens != nil {
+	if _, ok := r.e.cfg.Strategy.(OneSided); !ok {
 		return nil
 	}
 	return rdma.PosterOf(r.cx.Fabric)
 }
 
-// post moves chunks on lane qp as posted lists: every chunk is posted
-// as one list, and the chunks that failed are re-posted as the next
-// list after the capped backoff, each still on its own attempt budget.
-// Each chunk's span runs from the previous completion (or the post) to
-// its own, so the spans tile the stage. A list charges the issue cost
-// of each of its verbs.
-func (r *run) post(env sim.Env, qp *rdma.QP, p rdma.Poster, chunks []Chunk) {
+// post moves chunks as posted lists: every chunk is posted as one list,
+// and the chunks that failed are re-posted as the next list after the
+// capped backoff, each still on its own attempt budget. Each chunk's
+// span runs from the previous completion (or the post) to its own, so
+// the spans tile the stage. A list charges the issue cost of each of
+// its verbs.
+func (r *run) post(env sim.Env, p rdma.Poster, chunks []Chunk) {
 	ops := make([]rdma.Op, 0, len(chunks))
 	for n := 1; len(chunks) > 0; n++ {
 		ops = ops[:0]
@@ -289,10 +207,8 @@ func (r *run) post(env sim.Env, qp *rdma.QP, p rdma.Poster, chunks []Chunk) {
 		start := env.Now()
 		p.PostList(env, r.cx.Local, r.verb == "push", ops, func(i int, err error) {
 			c := chunks[i]
-			r.mu.Lock()
 			sp := r.stage.Child(c.spanName(r.verb), start)
-			r.mu.Unlock()
-			landed, ok := r.complete(env, qp, c, n, sp, err)
+			landed, ok := r.complete(env, c, n, sp, err)
 			start = sp.End
 			if ok && !landed {
 				failed = append(failed, c)
@@ -308,26 +224,12 @@ func (r *run) post(env sim.Env, qp *rdma.QP, p rdma.Poster, chunks []Chunk) {
 	}
 }
 
-// attempt is try n at c on lane qp, issued alone, in either direction:
-// it charges the verb's issue cost, moves the chunk, and settles the
-// try (see complete).
-func (r *run) attempt(env sim.Env, qp *rdma.QP, c Chunk, n int) (landed, alive bool) {
+// attempt is try n at c, issued alone, in either direction: it charges
+// the verb's issue cost, moves the chunk, and settles the try (see
+// complete).
+func (r *run) attempt(env sim.Env, c Chunk, n int) (landed, alive bool) {
 	e := r.e
-	if r.tokens != nil {
-		// Bound chunks in flight past the transfer stage. Tokens are
-		// conserved: the flusher (or a failing attempt) always returns
-		// them, so blocked lanes cannot starve.
-		r.tokens.Recv(env)
-	}
-	r.mu.Lock()
-	if r.err != nil {
-		r.mu.Unlock()
-		r.returnToken(env)
-		return false, false
-	}
 	sp := r.stage.Child(c.spanName(r.verb), env.Now())
-	r.mu.Unlock()
-
 	sim.Charge(env, e.cfg.IssueCost)
 	var err error
 	if r.verb == "push" {
@@ -335,57 +237,43 @@ func (r *run) attempt(env sim.Env, qp *rdma.QP, c Chunk, n int) (landed, alive b
 	} else {
 		err = e.cfg.Strategy.Pull(env, r.cx, c)
 	}
-	return r.complete(env, qp, c, n, sp, err)
+	return r.complete(env, c, n, sp, err)
 }
 
 // complete is the one place a chunk's try is settled, whether it was
 // issued alone or posted in a list: it closes the chunk's span sp at
 // the try's completion (now), and reports whether the chunk landed and
-// whether the lane should carry on. A landed chunk counts its bytes and
-// goes to the flusher, if any. A failed try is healed here and nowhere
-// else: it spends one of MaxAttempts — exhausting them fails the run —
-// and is counted as a retry; the caller backs off before the next.
-func (r *run) complete(env sim.Env, qp *rdma.QP, c Chunk, n int, sp *telemetry.Span, err error) (landed, alive bool) {
+// whether the run should carry on. A landed chunk counts its bytes. A
+// failed try is healed here and nowhere else: it spends one of
+// MaxAttempts — exhausting them fails the run — and is counted as a
+// retry; the caller backs off before the next.
+func (r *run) complete(env sim.Env, c Chunk, n int, sp *telemetry.Span, err error) (landed, alive bool) {
 	e := r.e
-	now := env.Now()
-	sp.EndAt(now)
+	sp.EndAt(env.Now())
 
 	if err == nil {
 		sp.SetAttr("bytes", strconv.FormatInt(c.Len, 10))
-		sp.SetAttr("lane", strconv.Itoa(qp.ID))
+		sp.SetAttr("lane", e.lane)
 		if n > 1 {
 			sp.SetAttr("attempt", strconv.Itoa(n))
 		}
-		r.mu.Lock()
 		r.moved += c.Len
-		if now > r.lastEnd {
-			r.lastEnd = now
-		}
-		r.mu.Unlock()
-		if r.flushQ != nil {
-			r.flushQ.Send(env, c) // the chunk carries its token to the flusher
-		}
 		return true, true
 	}
 
-	r.returnToken(env)
 	sp.SetAttr("error", err.Error())
 	if n >= e.maxAttempts() {
 		gerund := "pulling"
 		if r.verb == "push" {
 			gerund = "restoring"
 		}
-		r.fail(fmt.Errorf("%s %s: %w", gerund, c.Name, err))
+		if r.err == nil {
+			r.err = fmt.Errorf("%s %s: %w", gerund, c.Name, err)
+		}
 		return false, false
 	}
 	r.noteRetry(env, r.verb+" "+c.Name)
 	return false, true
-}
-
-func (r *run) returnToken(env sim.Env) {
-	if r.tokens != nil {
-		r.tokens.Send(env, struct{}{})
-	}
 }
 
 // flush persists [off, off+n) under the retry policy and returns the
@@ -413,51 +301,17 @@ func (r *run) flush(env sim.Env, name string, off, n int64, batched bool) error 
 	}
 }
 
-// flushBehind starts the flush-behind schedule: Depth tokens bound the
-// chunks pulled but not yet flushed, and a flusher process persists
-// each chunk as it lands and returns its token, so a chunk's flush runs
-// while later chunks are still in flight. The returned signal fires
-// when the flusher has drained everything ahead of the Len < 0
-// sentinel.
-func (r *run) flushBehind(env sim.Env) *sim.Signal {
-	r.tokens = sim.NewMailbox[struct{}](env)
-	for i := 0; i < r.e.cfg.Depth; i++ {
-		r.tokens.Send(env, struct{}{})
-	}
-	r.flushQ = sim.NewMailbox[Chunk](env)
-	drained := sim.NewSignal(env)
-	env.Go("datapath-flusher", func(env sim.Env) {
-		for {
-			c, ok := r.flushQ.Recv(env)
-			if !ok || c.Len < 0 {
-				drained.Fire(env)
-				return
-			}
-			if err := r.flush(env, c.Name, c.PMemOff, c.Len, false); err != nil {
-				r.fail(fmt.Errorf("flushing %s: %w", c.Name, err))
-			}
-			r.tokens.Send(env, struct{}{})
-		}
-	})
-	return drained
-}
-
-// Pull runs the checkpoint direction: every chunk is transferred into
-// PMem and flushed; Pull returns only once all chunks are persisted,
-// so the caller may commit the version's done flag. That invariant
-// survives healing: a retried chunk still flushes before
-// Pull returns, and a flush that keeps failing past the retry budget
-// fails the whole run. Under root it builds a "pull" span (one child
-// span per chunk attempt, with bytes and lane attributes) and a "flush"
-// span covering the flush tail; the spans are contiguous, so they sum
-// with the caller's other stages to the end-to-end latency.
-//
-// Every chunk try is settled by the same completion step; only the
-// flush schedule differs. At depth 1 on one lane every chunk is
-// transferred — as one posted list when the fabric takes lists — then
-// the whole batch is flushed: the paper's datapath, with the
-// pre-engine timing and span structure. Otherwise chunks flush behind
-// the transfers (see flushBehind).
+// Pull runs the checkpoint direction, the paper's datapath: every chunk
+// is transferred into PMem in plan order — as one posted list when the
+// fabric takes lists — then the whole batch is flushed, with one
+// whole-batch flush cost. Pull returns only once all chunks are
+// persisted, so the caller may commit the version's done flag. That
+// invariant survives healing: a retried chunk still flushes before Pull
+// returns, and a flush that keeps failing past the retry budget fails
+// the whole run. Under root it builds a "pull" span (one child span per
+// chunk attempt, with bytes and lane attributes) and a "flush" span
+// covering the flush tail; the spans are contiguous, so they sum with
+// the caller's other stages to the end-to-end latency.
 //
 // Per-verb issue and flush costs are charged on the virtual clock only:
 // on a real environment the socket round trip and the flush are the
@@ -465,33 +319,22 @@ func (r *run) flushBehind(env sim.Env) *sim.Signal {
 // few µs modeled.
 func (e *Engine) Pull(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
 	r := e.newRun(env, cx, root, "pull")
-	behind := e.cfg.Depth > 1 || len(e.cfg.Lanes) > 1
-	if behind {
-		drained := r.flushBehind(env)
-		r.transfer(env, p.Chunks)
-		r.flushQ.Send(env, Chunk{Len: -1})
-		drained.Wait(env)
-	} else {
-		r.transfer(env, p.Chunks)
-	}
+	r.transfer(env, p.Chunks)
+	pulled := env.Now()
+	// Close the stage span even on failure: an unclosed span (End == 0)
+	// renders with a negative duration in dumps.
+	r.stage.EndAt(pulled)
 	if r.err != nil {
-		// Close the stage span even on failure: an unclosed span (End ==
-		// 0) renders with a negative duration in dumps.
-		r.stage.EndAt(env.Now())
 		return r.result(Result{}), r.err
 	}
-	pulled := r.lastEnd
-	r.stage.EndAt(pulled)
 	flush := r.root.Child("flush", pulled)
-	if !behind {
-		for _, c := range p.Chunks {
-			if err := r.flush(env, c.Name, c.PMemOff, c.Len, true); err != nil {
-				flush.EndAt(env.Now())
-				return r.result(Result{}), fmt.Errorf("flushing %s: %w", c.Name, err)
-			}
+	for _, c := range p.Chunks {
+		if err := r.flush(env, c.Name, c.PMemOff, c.Len, true); err != nil {
+			flush.EndAt(env.Now())
+			return r.result(Result{}), fmt.Errorf("flushing %s: %w", c.Name, err)
 		}
-		sim.Charge(env, e.cfg.FlushCost(r.moved))
 	}
+	sim.Charge(env, e.cfg.FlushCost(r.moved))
 	end := env.Now()
 	flush.EndAt(end)
 	return r.result(Result{Bytes: r.moved, Transfer: pulled - r.stage.Start, Flush: end - pulled, Chunks: len(p.Chunks)}), nil
@@ -549,10 +392,10 @@ func (e *Engine) CopyForward(env sim.Env, cx *Context, spans []CopySpan, cp Copy
 }
 
 // Push runs the restore direction: chunks move from PMem back into the
-// client's memory the same way as Pull's — one posted list on a single
-// lane when the fabric takes lists, bounded per-chunk retry with capped
-// backoff either way — with no flush stage. Under root
-// it builds a "push" span with one child per chunk attempt.
+// client's memory the same way as Pull's — in plan order, one posted
+// list when the fabric takes lists, bounded per-chunk retry with capped
+// backoff either way — with no flush stage. Under root it builds a
+// "push" span with one child per chunk attempt.
 func (e *Engine) Push(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
 	r := e.newRun(env, cx, root, "push")
 	r.transfer(env, p.Chunks)

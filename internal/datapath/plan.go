@@ -2,11 +2,9 @@
 // (pull) and restore (push): a Plan that splits a model's tensors into
 // chunks, a Strategy that knows how one chunk moves over the fabric
 // (one-sided zero-copy, two-sided rendezvous, or staged through host
-// DRAM), and an Engine that executes the plan — either strictly
-// sequentially (pipeline depth 1, one lane, reproducing the paper's
-// baseline datapath exactly) or pipelined, overlapping the PMem flush
-// of chunk N with the RDMA pull of chunk N+1 and striping chunks
-// across multiple queue-pair lanes.
+// DRAM), and an Engine that executes the plan the paper's way: every
+// chunk moves in plan order on one queue pair, then the batch is
+// flushed.
 //
 // The engine preserves the daemon's crash-consistency contract: Pull
 // returns only after every chunk of the plan has been flushed, so the
@@ -41,8 +39,8 @@ type Chunk struct {
 	PMemOff   int64  // absolute offset within the PMem data zone
 	Len       int64
 	// label is the precomputed span-name suffix ("<tensor>" or
-	// "<tensor>#<seq>"): spanName runs per transfer attempt inside the
-	// engine's lock, so formatting is paid once at planning time.
+	// "<tensor>#<seq>"): spanName runs per transfer attempt, so
+	// formatting is paid once at planning time.
 	label string
 }
 
@@ -53,7 +51,7 @@ func (c Chunk) spanName(verb string) string {
 	if c.label != "" {
 		return verb + ":" + c.label
 	}
-	// Hand-built chunks (tests, sentinels) have no precomputed label.
+	// Hand-built chunks (tests) have no precomputed label.
 	if c.Chunks <= 1 {
 		return verb + ":" + c.Name
 	}
@@ -127,7 +125,7 @@ func NewDeltaPlan(extents []Extent, chunkSize int64) Plan {
 // chunkSize <= 0 disables splitting (one chunk per tensor, matching
 // the paper's one-READ-per-tensor datapath); positive values are
 // clamped up to perfmodel.MinChunk, below which per-verb issue cost
-// dominates any overlap gain.
+// dominates.
 func NewPlan(tensors []TensorRange, chunkSize int64) Plan {
 	if chunkSize > 0 && chunkSize < perfmodel.MinChunk {
 		chunkSize = perfmodel.MinChunk

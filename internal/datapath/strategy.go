@@ -33,7 +33,7 @@ func (cx *Context) remote(c Chunk) rdma.RemoteSlice {
 
 // Strategy moves one chunk between the client and PMem. The daemon's
 // ablation variants are strategies rather than datapath branches, so
-// the engine's chunking/pipelining/striping applies to all of them
+// the engine's chunking, retry and flush apply to all of them
 // uniformly.
 type Strategy interface {
 	Name() string

@@ -74,8 +74,6 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 		}, func(c *daemon.Config) {
 			c.Fabric = inj.Fabric(c.Fabric)
 			c.Workers = 2
-			c.PipelineDepth = 2
-			c.Lanes = 2
 			c.ChunkSize = 64 << 10
 			c.RetryMax = 6
 			c.RetryBackoff = 50 * time.Microsecond

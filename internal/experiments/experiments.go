@@ -96,7 +96,6 @@ func Registry() []Experiment {
 		{"ablation-dram", "Ablation: PMem vs DRAM checkpoint target (§IV fallback)", AblationDRAMTarget},
 		{"ablation-adaptive", "Ablation: finest sustainable checkpoint frequency (CheckFreq tuner)", AblationAdaptive},
 		{"ablation-churn", "Ablation: goodput under sustained failures (§I churn regime)", AblationChurn},
-		{"ablation-pipeline", "Ablation: datapath pipeline depth x lane striping", AblationPipeline},
 		{"scale", "Sharded storage tier: aggregate checkpoint throughput vs node count", Scale},
 		{"delta", "Incremental checkpointing: delta transfer and PMem copy-forward vs mutation rate", Delta},
 		{"multitenant", "Multi-tenant scheduling: fairness, coalescing, backpressure", Multitenant},

@@ -7,9 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"github.com/portus-sys/portus/internal/daemon"
 	"github.com/portus-sys/portus/internal/model"
-	"github.com/portus-sys/portus/internal/perfmodel"
 )
 
 func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
@@ -19,8 +17,8 @@ func TestRegistryCoversEveryPaperArtifact(t *testing.T) {
 		"ablation-staging", "ablation-onesided", "ablation-doublemap",
 		"ablation-workers", "ablation-bar", "ablation-frequency",
 		"ablation-dram", "ablation-adaptive", "ablation-churn",
-		"ablation-pipeline", "scale", "delta", "multitenant", "chaos",
-		"failover", "churn", "appendix",
+		"scale", "delta", "multitenant", "chaos", "failover", "churn",
+		"appendix",
 	}
 	var have []string
 	for _, e := range Registry() {
@@ -246,23 +244,6 @@ func TestAblationsReportExpectedDirections(t *testing.T) {
 	}
 	if r := parseRatio(t, AblationDoubleMap()[0].Rows[1][2]); r <= 1.1 {
 		t.Errorf("fresh-allocation overhead %.2fx, want >1.1x", r)
-	}
-}
-
-// TestPipelineDepthHelps pins the new ablation's headline: with 4 MiB
-// chunks, pipeline depth 2 strictly beats the sequential datapath on
-// BERT-Large because the flush of chunk N hides behind the pull of N+1.
-func TestPipelineDepthHelps(t *testing.T) {
-	spec := model.TableII()[6] // BERT-Large
-	run := func(depth int) time.Duration {
-		return measurePortus(spec, voltaConfig(), func(c *daemon.Config) {
-			c.ChunkSize = perfmodel.DefaultChunk
-			c.PipelineDepth = depth
-		}).ckpt
-	}
-	d1, d2 := run(1), run(2)
-	if d2 >= d1 {
-		t.Errorf("depth-2 checkpoint (%v) not faster than depth-1 (%v)", d2, d1)
 	}
 }
 

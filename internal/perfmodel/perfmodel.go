@@ -208,17 +208,6 @@ const (
 // transfers in the simulated datapath.
 const DefaultChunk = 4 * MiB
 
-// Pipelined datapath engine defaults (internal/datapath).
-const (
-	// DefaultPipelineDepth is the number of chunks allowed in flight
-	// between the pull and flush stages. Depth 1 degenerates to the
-	// strictly sequential pull-everything-then-flush datapath.
-	DefaultPipelineDepth = 1
-	// DefaultLanes is the number of queue pairs a transfer stripes
-	// chunks across.
-	DefaultLanes = 1
-	// MinChunk is the smallest chunk the planner will split a tensor
-	// into; below this the per-verb issue cost dominates any overlap
-	// gain.
-	MinChunk = 256 * KiB
-)
+// MinChunk is the smallest chunk the planner (internal/datapath) will
+// split a tensor into; below this the per-verb issue cost dominates.
+const MinChunk = 256 * KiB

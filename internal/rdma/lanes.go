@@ -7,12 +7,10 @@ import (
 	"github.com/portus-sys/portus/internal/sim"
 )
 
-// QP is one connected queue pair — a "lane" the datapath engine stripes
-// chunks across. Verbs issued on different lanes proceed concurrently
-// and share the node's NIC and device bandwidth under the simulation
-// engine's processor-sharing model, so multi-lane striping helps
-// exactly when a single flow cannot saturate a stage (e.g. the GPU BAR
-// read cap below the NIC line rate).
+// QP is one connected queue pair — the "lane" a datapath engine issues
+// its verbs on, and the ID its chunk spans carry. An engine takes one;
+// the type stays for callers that still build an engine's Config from
+// ConnectLanes.
 //
 // A QP carries no per-connection state of its own in this model — the
 // fabric routes by node name and rkey — but it is a real cost center:
