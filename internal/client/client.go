@@ -700,7 +700,9 @@ func (cp *Completion) CRC() uint64 {
 
 // Restore asks the daemon to write the newest complete version into GPU
 // memory (the model object must already be placed, "empty"), blocking
-// until the write completes. It returns the restored iteration.
+// until the write completes. It returns the restored iteration. A delta
+// client also seeds its digest cache from the restored version's table
+// (see seedDigests).
 func (c *Client) Restore(env sim.Env) (uint64, error) {
 	return c.restore(env, 0)
 }
@@ -720,7 +722,14 @@ func (c *Client) restore(env sim.Env, iteration uint64) (uint64, error) {
 	start := env.Now()
 	tr := telemetry.NewTrace("client:restore", c.model.Spec.Name, iteration, start)
 	tr.ID = telemetry.NewTraceID()
-	r, _, err := c.request(env, tr, &wire.Msg{Type: wire.TRestore, Model: c.model.Spec.Name, Iteration: iteration})
+	mem := c.model.GPU.Mem()
+	var wrote int64 // the GPU's written-byte count before the push
+	if c.opts.DeltaBlockBytes > 0 {
+		mem.TrackWrites()
+		_, wrote = mem.WriteClock()
+	}
+	r, _, err := c.request(env, tr, &wire.Msg{Type: wire.TRestore, Model: c.model.Spec.Name, Iteration: iteration,
+		DeltaBlock: c.opts.DeltaBlockBytes})
 	if err != nil {
 		return 0, err
 	}
@@ -730,10 +739,35 @@ func (c *Client) restore(env sim.Env, iteration uint64) (uint64, error) {
 		c.finishTrace(env, r, 0, err)
 		return 0, fmt.Errorf("client: restore: %w", err)
 	}
+	if c.opts.DeltaBlockBytes > 0 {
+		c.seedDigests(m, wrote)
+	}
 	c.model.Iteration = m.Iteration
 	c.restoreLat.ObserveDurationTraced(env.Now()-start, tr.ID)
 	c.finishTrace(env, r, m.Iteration, nil)
 	return m.Iteration, nil
+}
+
+// seedDigests hands the restored version's digest table, carried on
+// RESTORE_DONE, to the model's digest cache, so the next checkpoint
+// hashes only what training writes after the restore instead of every
+// block the push wrote. A seeded digest the GPU's bytes do not match
+// would let the daemon skip a block it must pull, and commit cannot
+// catch that (the stamp joins from the same digests), so the table is
+// taken only when it is at this client's block size and the GPU took
+// exactly one model's worth of writes since the RESTORE went out (wrote
+// is the count then): every byte the push wrote, once, and nothing
+// else. A retried chunk that landed twice, a stray write, or a late
+// write from a holder the router gave up on leaves the cache as it was;
+// the write tracker then has the next pass rehash what the push wrote.
+func (c *Client) seedDigests(m *wire.Msg, wrote int64) {
+	if m.DeltaBlock != c.opts.DeltaBlockBytes {
+		return
+	}
+	gen, now := c.model.GPU.Mem().WriteClock()
+	if now-wrote == c.model.Spec.TotalSize() {
+		c.model.SeedDigests(m.DeltaBlock, m.Digests, gen)
+	}
 }
 
 // Reconnects reports how many control-plane reconnects this client has

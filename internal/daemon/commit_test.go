@@ -272,8 +272,10 @@ func TestReplicateCommitsThroughTheCheckpointPath(t *testing.T) {
 	}
 }
 
-// TestReplicateRunsAsDelta: a replica holding an older slot pair with
-// trusted tables pulls only what changed since, and a rebuilt replica
+// TestReplicateRunsAsDelta: a rebuilt replica's second copy pulls only
+// the blocks that differ from its first, a replica holding an older
+// slot pair with trusted tables pulls only what changed since, and a
+// rebuilt replica
 // that received its holder's pair (older first, as anti-entropy sends
 // them) takes the client's next checkpoint as a planned delta, not a
 // fallback. Every restore is byte-identical.
@@ -292,12 +294,13 @@ func TestReplicateRunsAsDelta(t *testing.T) {
 		}
 		total := r.placed.Spec.TotalSize()
 		r.commitOnA(t, env, 1)
-		second := r.commitOnA(t, env, 2, 0.05)
+		second := r.commitOnA(t, env, 2, 0.2)
 		replicate(r.describe(t, env, 1))
-		// Nothing in b's other slot to skip: the pair's second copy pulls
-		// in full.
-		if got := replicate(second); got != total {
-			t.Fatalf("rebuilding iteration 2 beside iteration 1 pulled %d of %d bytes, want all", got, total)
+		// Nothing in b's other slot to skip, but the blocks iteration 2
+		// shares with iteration 1 copy forward inside b's PMem: the pair's
+		// second copy pulls only the blocks that differ.
+		if got, want := replicate(second), changedBytes(r.placed, pairBlock, r.ref[1], r.ref[2]); got != want || got <= 0 || got >= total/2 {
+			t.Fatalf("rebuilding iteration 2 beside iteration 1 pulled %d of %d bytes, want the %d that differ", got, total, want)
 		}
 		r.restoreFromB(t, env, 1)
 

@@ -3,6 +3,7 @@ package daemon_test
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 	"testing"
 
 	"github.com/portus-sys/portus/internal/client"
@@ -70,11 +71,29 @@ func fallbacks(d *daemon.Daemon) int64 {
 	return int64(d.Events().Count(telemetry.EvDeltaFallback))
 }
 
+// changedBytes is how many bytes of placed's blocks differ between the
+// digest vectors was and now (block size block): what a delta from the
+// version digested as was to the one digested as now must pull.
+func changedBytes(placed *gpu.PlacedModel, block int64, was, now []uint64) int64 {
+	var n int64
+	i := 0
+	for _, tm := range placed.Spec.Tensors {
+		for off := int64(0); off < tm.Size; off += block {
+			if was[i] != now[i] {
+				n += min(block, tm.Size-off)
+			}
+			i++
+		}
+	}
+	return n
+}
+
 // TestDeltaCheckpointReducesFabricBytes is the incremental path end to
 // end. The first checkpoint bootstraps the digest table (full, not a
-// fallback); the second still runs full because the target slot has no
-// skip oracle yet (counted as a fallback); from the third on, sparse
-// updates pull only the dirty blocks. Every version restores
+// fallback); from the second on, sparse updates pull exactly the blocks
+// that changed — the second copies every clean block forward, since the
+// target slot has no table to skip against yet, and the third skips
+// what the target slot already holds. Every version restores
 // byte-identical, and a dense update falls back to full.
 func TestDeltaCheckpointReducesFabricBytes(t *testing.T) {
 	eng := sim.NewEngine()
@@ -83,6 +102,7 @@ func TestDeltaCheckpointReducesFabricBytes(t *testing.T) {
 		total := placed.Spec.TotalSize()
 
 		placed.ApplyUpdate(1)
+		want1 := placed.BlockDigests(deltaBlock)
 		if err := c.CheckpointSync(env, 1); err != nil {
 			t.Fatal(err)
 		}
@@ -93,34 +113,31 @@ func TestDeltaCheckpointReducesFabricBytes(t *testing.T) {
 			t.Fatalf("bootstrap counted %d fallbacks", n)
 		}
 
-		// Second checkpoint: the previous version's table is trusted, but
-		// with no target-slot table nothing can skip, so pull+copy would
-		// cost a full pass — fallback, by the byte-accounting rule.
-		placed.ApplySparseUpdate(2, deltaBlock, 0.05)
-		if err := c.CheckpointSync(env, 2); err != nil {
-			t.Fatal(err)
+		// Second checkpoint: the previous version's table is trusted, and
+		// with no target-slot table every clean block copies forward: only
+		// the dirty blocks cross the fabric.
+		pulled := d.Stats().BytesPulled
+		checkpoint := func(iter uint64, was []uint64) []uint64 {
+			t.Helper()
+			placed.ApplySparseUpdate(iter, deltaBlock, 0.05)
+			now := placed.BlockDigests(deltaBlock)
+			if err := c.CheckpointSync(env, iter); err != nil {
+				t.Fatal(err)
+			}
+			got := d.Stats().BytesPulled - pulled
+			pulled += got
+			if want := changedBytes(placed, deltaBlock, was, now); got != want || got <= 0 || got >= total/2 {
+				t.Fatalf("delta checkpoint %d pulled %d of %d bytes, want the %d that changed", iter, got, total, want)
+			}
+			if n := fallbacks(d); n != 0 {
+				t.Fatalf("delta checkpoint %d counted %d fallbacks, want 0", iter, n)
+			}
+			return now
 		}
-		if got := d.Stats().BytesPulled; got != 2*total {
-			t.Fatalf("warmup pulled %d bytes, want 2×%d", got, total)
-		}
-		if n := fallbacks(d); n != 1 {
-			t.Fatalf("warmup counted %d fallbacks, want 1", n)
-		}
-
-		// Third checkpoint: both slots now carry trusted tables; only the
-		// blocks dirtied since the previous version cross the fabric.
-		placed.ApplySparseUpdate(3, deltaBlock, 0.05)
-		want3 := placed.BlockDigests(deltaBlock)
-		if err := c.CheckpointSync(env, 3); err != nil {
-			t.Fatal(err)
-		}
-		pulled3 := d.Stats().BytesPulled - 2*total
-		if pulled3 <= 0 || pulled3 >= total/2 {
-			t.Fatalf("delta checkpoint pulled %d of %d bytes", pulled3, total)
-		}
-		if n := fallbacks(d); n != 1 {
-			t.Fatalf("delta checkpoint counted %d fallbacks, want 1", n)
-		}
+		want2 := checkpoint(2, want1)
+		// Third checkpoint: both slots now carry trusted tables, so blocks
+		// the target slot already holds are skipped as well.
+		want3 := checkpoint(3, want2)
 
 		// The delta-assembled slot restores byte-identical.
 		placed.ApplyUpdate(9)
@@ -132,14 +149,17 @@ func TestDeltaCheckpointReducesFabricBytes(t *testing.T) {
 			t.Fatalf("block %d wrong after delta restore", bad)
 		}
 
-		// A dense update rewrites every block: pull alone would cost a
-		// full pass, so the daemon falls back — counted and still correct.
+		// A dense update rewrites every block: the plan would pull every
+		// byte, so the daemon falls back — counted and still correct.
 		placed.ApplyUpdate(4)
 		if err := c.CheckpointSync(env, 4); err != nil {
 			t.Fatal(err)
 		}
-		if n := fallbacks(d); n != 2 {
-			t.Fatalf("dense checkpoint counted %d fallbacks, want 2", n)
+		if got := d.Stats().BytesPulled - pulled; got != total {
+			t.Fatalf("dense checkpoint pulled %d bytes, want the full %d", got, total)
+		}
+		if n := fallbacks(d); n != 1 {
+			t.Fatalf("dense checkpoint counted %d fallbacks, want 1", n)
 		}
 		placed.ApplyUpdate(9)
 		if iter, err := c.Restore(env); err != nil || iter != 4 {
@@ -252,8 +272,8 @@ func TestDeltaBlockPinRejectsMismatch(t *testing.T) {
 // build whose layout hash carried no digest-kind tag (its digests were
 // FNV-64a, not the CRC pair) survive a reopen but are never diffed. The
 // first checkpoint after the reopen falls back to a full pull for want
-// of a trusted table; the ladder then re-arms exactly as for a new
-// model, and the delta-assembled version restores byte-identical.
+// of a trusted table; the next runs as a delta again, exactly as for a
+// new model, and the delta-assembled version restores byte-identical.
 func TestUntaggedDigestTablesFallBackOnce(t *testing.T) {
 	eng := sim.NewEngine()
 	eng.Go("test", func(env sim.Env) {
@@ -354,15 +374,19 @@ func TestUntaggedDigestTablesFallBackOnce(t *testing.T) {
 		if r := reasons(); len(r) != 1 || r[0] != "previous version has no trusted digest table" {
 			t.Fatalf("fallback reasons %q", r)
 		}
-		// The other slot's table is still untagged, so nothing can skip:
-		// one more full pull, the same warm-up a new model pays.
-		checkpoint(c, 5)
-		checkpoint(c, 6)
-		if pulled := d.Stats().BytesPulled - 2*total; pulled <= 0 || pulled >= total/2 {
-			t.Fatalf("third checkpoint after reopen pulled %d of %d bytes", pulled, total)
+		// The other slot's table is still untagged, so nothing can skip,
+		// but the clean blocks copy forward: from here on only changed
+		// blocks are pulled, the same ladder a new model climbs.
+		for iter := uint64(5); iter <= 6; iter++ {
+			was, before := placed.BlockDigests(deltaBlock), d.Stats().BytesPulled
+			checkpoint(c, iter)
+			got, want := d.Stats().BytesPulled-before, changedBytes(placed, deltaBlock, was, placed.BlockDigests(deltaBlock))
+			if got != want || got <= 0 || got >= total/2 {
+				t.Fatalf("checkpoint %d after reopen pulled %d of %d bytes, want the %d that changed", iter, got, total, want)
+			}
 		}
-		if n := fallbacks(d); n != 2 {
-			t.Fatalf("counted %d fallbacks after reopen, want 2", n)
+		if n := fallbacks(d); n != 1 {
+			t.Fatalf("counted %d fallbacks after reopen, want 1", n)
 		}
 		want := placed.BlockDigests(deltaBlock)
 		placed.ApplyUpdate(9)
@@ -371,6 +395,62 @@ func TestUntaggedDigestTablesFallBackOnce(t *testing.T) {
 		}
 		if bad := placed.VerifyDigests(deltaBlock, want); bad != -1 {
 			t.Fatalf("block %d wrong after restore", bad)
+		}
+	})
+	eng.Run()
+}
+
+// TestRestoreDoneCarriesTrustedTable: RESTORE_DONE carries the restored
+// slot's digest table when the RESTORE names the table's block size and
+// the table's CRC-32C halves join to the stamp the verify pass checked.
+// A RESTORE naming no block size or another one gets no table, and
+// neither does a slot whose (still trusted) table does not join to its
+// stamp; every one of those restores still succeeds.
+func TestRestoreDoneCarriesTrustedTable(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		r := newPairRig(t, env)
+		r.commitOnA(t, env, 1)
+		r.commitOnA(t, env, 2, 0.2)
+		conn := r.dial(t, env, 0)
+		defer conn.Close()
+		restore := func(block int64) *wire.Msg {
+			t.Helper()
+			resp := request(t, env, conn, &wire.Msg{Type: wire.TRestore, Model: "m", DeltaBlock: block})
+			if resp.Type != wire.TRestoreDone || resp.Iteration != 2 {
+				t.Fatalf("RESTORE at block %d = %+v, want RESTORE_DONE for iteration 2", block, resp)
+			}
+			if bad := r.placed.VerifyDigests(pairBlock, r.ref[2]); bad != -1 {
+				t.Fatalf("block %d not byte-identical after the restore", bad)
+			}
+			return resp
+		}
+		if got := restore(pairBlock); got.DeltaBlock != pairBlock || !slices.Equal(got.Digests, r.ref[2]) {
+			t.Fatalf("RESTORE_DONE carries %d digests at block %d, want iteration 2's %d at %d",
+				len(got.Digests), got.DeltaBlock, len(r.ref[2]), pairBlock)
+		}
+		for _, block := range []int64{0, 2 * pairBlock} {
+			if got := restore(block); got.Digests != nil || got.DeltaBlock != 0 {
+				t.Fatalf("a RESTORE at block %d got %d digests at block %d", block, len(got.Digests), got.DeltaBlock)
+			}
+		}
+
+		m, err := r.a.Store().Lookup("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot, _ := doneHeader(t, r.a, 2)
+		bad := *m.Digests(slot, 0)
+		bad.Digests = slices.Clone(bad.Digests)
+		bad.Digests[3] ^= 1 << 40 // the CRC-32C half
+		if err := r.a.Store().DeltaPut(m, slot, &bad); err != nil {
+			t.Fatal(err)
+		}
+		if m.Digests(slot, pairBlock) == nil {
+			t.Fatal("the altered table is no longer trusted: the join is not what refuses it")
+		}
+		if got := restore(pairBlock); got.Digests != nil {
+			t.Fatal("RESTORE_DONE carries a table whose CRC-32C halves do not join to the slot's stamp")
 		}
 	})
 	eng.Run()

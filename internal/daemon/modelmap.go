@@ -43,7 +43,8 @@ type reqCtx struct {
 	conn  wire.Conn
 	// digests/deltaBlock carry a delta client's block-digest vector from
 	// DO_CHECKPOINT, or a holder's table from REPLICATE, to the worker;
-	// empty means full checkpoint.
+	// empty means full checkpoint. On RESTORE, deltaBlock is the block
+	// size of the table RESTORE_DONE may carry back.
 	digests    []uint64
 	deltaBlock int64
 	// wantCRC is a REPLICATE's holder stamp, which the copy must match

@@ -3,7 +3,9 @@ package daemon_test
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -382,4 +384,52 @@ func stageNames(s *telemetry.Span) []string {
 		out = append(out, c.Name)
 	}
 	return out
+}
+
+// TestCheckpointTraceShowsPlan: a checkpoint carrying digests has a
+// "plan" stage between enqueue-wait and pull, and the daemon's stages
+// still tile its span. The plan says why a checkpoint runs full — the
+// first version, or a delta that would pull every byte — or, for a
+// delta, how many bytes it pulls, copies forward and skips.
+func TestCheckpointTraceShowsPlan(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		r := newPairRig(t, env)
+		total := r.placed.Spec.TotalSize()
+		newest := func(want []string) *telemetry.Span {
+			t.Helper()
+			tr := r.a.Traces().Snapshot()[0]
+			dmn := tr.Root.Find("checkpoint")
+			if tr.Kind != "checkpoint" || dmn == nil {
+				t.Fatalf("newest trace is %s, want a checkpoint", tr.Kind)
+			}
+			var sum time.Duration
+			for _, sp := range dmn.Children {
+				sum += sp.Dur()
+			}
+			if names := stageNames(dmn); !slices.Equal(names, want) || sum != dmn.Dur() {
+				t.Fatalf("checkpoint stages %v sum to %v of %v, want %v tiling it", names, sum, dmn.Dur(), want)
+			}
+			return dmn.Find("plan")
+		}
+		full := []string{"enqueue-wait", "plan", "pull", "flush", "commit"}
+		r.commitOnA(t, env, 1)
+		if plan := newest(full); plan.Attrs["full"] != "first version" {
+			t.Fatalf("first checkpoint's plan attributes %v", plan.Attrs)
+		}
+		r.commitOnA(t, env, 2, 0.2)
+		plan := newest([]string{"enqueue-wait", "plan", "pull", "flush", "copy-forward", "commit"})
+		pull, copied, skipped := plan.Attrs["pull"], plan.Attrs["copy"], plan.Attrs["skip"]
+		if want := strconv.FormatInt(changedBytes(r.placed, pairBlock, r.ref[1], r.ref[2]), 10); pull != want || skipped != "0" {
+			t.Fatalf("second checkpoint's plan attributes %v, want pull %s and skip 0", plan.Attrs, want)
+		}
+		if n, _ := strconv.ParseInt(copied, 10, 64); n+changedBytes(r.placed, pairBlock, r.ref[1], r.ref[2]) != total {
+			t.Fatalf("second checkpoint's plan copies %s bytes; with what it pulls that is not the model's %d", copied, total)
+		}
+		r.commitOnA(t, env, 3)
+		if plan := newest(full); plan.Attrs["fallback"] != fmt.Sprintf("delta would pull all %d bytes", total) {
+			t.Fatalf("dense checkpoint's plan attributes %v", plan.Attrs)
+		}
+	})
+	eng.Run()
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"strconv"
 	"time"
 
 	"github.com/portus-sys/portus/internal/datapath"
@@ -172,10 +173,10 @@ func (d *Daemon) finish(env sim.Env, t *sched.Task, x *transfer, lat *telemetry.
 func (d *Daemon) doCheckpoint(env sim.Env, t *sched.Task, rc *reqCtx) {
 	m := rc.model
 	slot := m.TargetSlot()
+	x := d.begin(env, "checkpoint", t, rc, t.Iteration, slot)
 	// The delta decision reads both slots' headers and digest tables, so
 	// it must precede commit's SetActive, which destroys the target's.
-	table, dp := d.planDelta(env, t, rc, slot)
-	x := d.begin(env, "checkpoint", t, rc, t.Iteration, slot)
+	table, dp := d.planDelta(env, t, rc, slot, x.tr.Root)
 	if dp != nil {
 		x.plan = dp.plan
 	}
@@ -228,6 +229,7 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 		return
 	}
 	x := d.begin(env, "restore", t, rc, v.Iteration, slot)
+	done := &wire.Msg{Type: wire.TRestoreDone, Model: m.Name, Iteration: v.Iteration, Slot: slot}
 	// Integrity gate: re-fingerprint the stored copy against the stamp
 	// persisted with its DONE flag before any byte reaches GPU memory. A
 	// mismatch means this copy is torn or corrupted — the client fails
@@ -238,13 +240,23 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 		sp := x.tr.Root.Child("verify", env.Now())
 		got := d.contentCRC(m, slot)
 		sp.EndAt(env.Now())
+		tab := m.Digests(slot, 0)
 		if !d.crcMatches(got, v.CRC) {
 			msg := fmt.Sprintf("iteration %d failed integrity check (stored CRC %016x, computed %016x)", v.Iteration, v.CRC, got)
-			if tab := m.Digests(slot, 0); tab != nil && d.cfg.PMem.Materialized() {
+			if tab != nil && d.cfg.PMem.Materialized() {
 				msg += ": " + d.badBlocks(m, slot, tab)
 			}
 			d.finish(env, t, x, nil, errMsg(wire.TRestore, wire.ErrCodeCorrupt, v.Iteration, m.Name, msg))
 			return
+		}
+		// The restored bytes are exactly the version the slot's table
+		// describes, so a delta client (one that named its block size in
+		// the RESTORE) can seed its digest cache from it instead of
+		// rehashing what the push writes. Only a table the checked stamp
+		// vouches for goes out: on a materialized zone its CRC-32C halves
+		// must join to that stamp.
+		if tab != nil && tab.BlockBytes == rc.deltaBlock && (!d.cfg.PMem.Materialized() || d.tableJoins(m, tab, got)) {
+			done.Digests, done.DeltaBlock = tab.Digests, tab.BlockBytes
 		}
 	}
 	res, err := datapath.New(d.dp).Push(env, x.cx, x.plan, x.tr.Root)
@@ -255,8 +267,13 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 	d.tel.bytesPushed.Add(res.Bytes)
 	d.tel.pushStage.ObserveDurationTraced(res.Transfer, x.tr.ID)
 	x.tr.Bytes = res.Bytes
-	d.finish(env, t, x, d.tel.restoreLatency,
-		&wire.Msg{Type: wire.TRestoreDone, Model: m.Name, Iteration: v.Iteration, Slot: slot})
+	d.finish(env, t, x, d.tel.restoreLatency, done)
+}
+
+// tableJoins reports whether digest table t's CRC-32C halves join to
+// stamp, the fingerprint of m's slot that t describes (see stamper).
+func (d *Daemon) tableJoins(m *index.Model, t *delta.Table, stamp uint64) bool {
+	return stampOf(delta.CRC32C(m.Sizes(), t.BlockBytes, t.Digests)) == stamp
 }
 
 // doneSlot finds the slot holding a complete version of m: the newest
@@ -329,8 +346,8 @@ func (d *Daemon) commit(env sim.Env, v version, move func() (uint64, error)) (ui
 	if !d.crcMatches(crc, v.wantCRC) {
 		return crc, errCRCMismatch
 	}
-	if t := v.digests; t != nil && d.cfg.PMem.Materialized() &&
-		!d.crcMatches(crc, stampOf(delta.CRC32C(v.model.Sizes(), t.BlockBytes, t.Digests))) {
+	if t := v.digests; t != nil && d.cfg.PMem.Materialized() && !d.tableJoins(v.model, t, crc) {
+		d.tel.crcFailures.Inc()
 		return crc, fmt.Errorf("checkpoint does not match the client's digests: %s", d.badBlocks(v.model, v.slot, t))
 	}
 	// The digest table goes down before the DONE flag, so a crash in
@@ -490,13 +507,18 @@ type deltaPlan struct {
 // every nil plan on a request that asked for delta is flight-recorded
 // (and so counted) as a fallback. It must run BEFORE SetActive: the
 // decision reads both slots' version headers and persisted digest
-// tables, and SetActive destroys the target slot's header.
-func (d *Daemon) planDelta(env sim.Env, t *sched.Task, rc *reqCtx, slot int) (*delta.Table, *deltaPlan) {
+// tables, and SetActive destroys the target slot's header. A request
+// carrying digests gets a "plan" span under root, whose attributes are
+// the plan's pull/copy/skip bytes, or why it runs full.
+func (d *Daemon) planDelta(env sim.Env, t *sched.Task, rc *reqCtx, slot int, root *telemetry.Span) (*delta.Table, *deltaPlan) {
 	if rc.deltaBlock <= 0 || len(rc.digests) == 0 {
 		return nil, nil // pre-delta client: full checkpoint is the contract, not a fallback
 	}
+	sp := root.Child("plan", env.Now())
+	defer func() { sp.EndAt(env.Now()) }()
 	var table *delta.Table // once the vector is known to be well-formed
 	fallback := func(reason string) (*delta.Table, *deltaPlan) {
+		sp.SetAttr("fallback", reason)
 		d.event(env, telemetry.Event{
 			Kind: telemetry.EvDeltaFallback, Model: t.Model, Iteration: t.Iteration, Trace: t.TraceID, Detail: reason,
 		})
@@ -518,6 +540,7 @@ func (d *Daemon) planDelta(env sim.Env, t *sched.Task, rc *reqCtx, slot int) (*d
 	if !ok {
 		// First version of this model: nothing could ever delta against
 		// it, so the full pull is the contract rather than a fallback.
+		sp.SetAttr("full", "first version")
 		return table, nil
 	}
 	if prevSlot == slot {
@@ -535,11 +558,16 @@ func (d *Daemon) planDelta(env sim.Env, t *sched.Task, rc *reqCtx, slot int) (*d
 		target = tt.Digests
 	}
 	diff := delta.ThreeWay(sizes, block, rc.digests, active.Digests, target)
-	if diff.PullBytes+diff.CopyBytes >= total {
-		return fallback(fmt.Sprintf("delta would move %d of %d bytes; full pull is cheaper",
-			diff.PullBytes+diff.CopyBytes, total))
+	// The plan is judged by what crosses the fabric: a clean block copies
+	// forward inside PMem, which is cheaper than pulling it, so only a
+	// plan that would pull every byte is a full pull under another name.
+	if diff.PullBytes >= total {
+		return fallback(fmt.Sprintf("delta would pull all %d bytes", total))
 	}
 	dp := &deltaPlan{skip: diff.Skip, pull: diff.PullBytes, copied: diff.CopyBytes, skipped: diff.SkipBytes, total: total}
+	sp.SetAttr("pull", strconv.FormatInt(dp.pull, 10))
+	sp.SetAttr("copy", strconv.FormatInt(dp.copied, 10))
+	sp.SetAttr("skip", strconv.FormatInt(dp.skipped, 10))
 	var extents []datapath.Extent
 	for _, x := range diff.Pull {
 		ext := m.TensorData(x.Tensor, slot)

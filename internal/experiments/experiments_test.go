@@ -337,3 +337,15 @@ func TestMeasurementsAreDeterministic(t *testing.T) {
 		t.Fatalf("resnet50 Portus checkpoint = %v, implausible", a.ckpt)
 	}
 }
+
+// TestDeltaSecondCheckpointPullsOnlyDirtyBlocks: in the delta sweep, a
+// sparse stream's second checkpoint is planned as a delta — no fallback —
+// and pulls exactly the blocks its update changed; every clean block
+// copies forward inside PMem.
+func TestDeltaSecondCheckpointPullsOnlyDirtyBlocks(t *testing.T) {
+	p := runDeltaPoint(0.05, true)
+	if s := p.Second; !s.Planned || s.Pulled != s.Dirty || s.Dirty <= 0 || s.Dirty >= p.Total/2 {
+		t.Fatalf("second checkpoint: planned %v, pulled %d, dirty %d of %d bytes; want a delta pulling exactly its dirty blocks",
+			s.Planned, s.Pulled, s.Dirty, p.Total)
+	}
+}

@@ -19,18 +19,25 @@ import (
 var digestBlocks = []int64{4 << 10, 64 << 10, 100 << 10}
 
 // digestRig is one GPU holding three models at unaligned offsets, plus
-// a second device of the same mode that writes copy from.
+// a second device of the same mode that writes copy from, and a second
+// GPU holding a twin of each model that restores copy from.
 type digestRig struct {
 	mem, aux *memdev.Device
 	models   []*PlacedModel
+	twins    []*PlacedModel
+
+	// seeded is the model the last step's restore seeded, or -1;
+	// seeds and refusals count the restores either way.
+	seeded          int
+	seeds, refusals int
 }
 
 const digestRigBytes = 2 << 20
 
 func newDigestRig(t testing.TB, materialized bool) *digestRig {
 	t.Helper()
-	g := New("g", digestRigBytes, materialized)
-	r := &digestRig{mem: g.Mem(), aux: memdev.New("aux", memdev.DRAM, digestRigBytes, materialized)}
+	g, h := New("g", digestRigBytes, materialized), New("h", digestRigBytes, materialized)
+	r := &digestRig{mem: g.Mem(), aux: memdev.New("aux", memdev.DRAM, digestRigBytes, materialized), seeded: -1}
 	for off := int64(0); off < digestRigBytes; off += 96 << 10 {
 		FillRegion(r.aux, off, min(96<<10, digestRigBytes-off), uint64(off)+1)
 	}
@@ -38,13 +45,56 @@ func newDigestRig(t testing.TB, materialized bool) *digestRig {
 		if _, err := r.mem.Alloc(pad); err != nil {
 			t.Fatal(err)
 		}
-		p, err := Place(g, model.GPT(fmt.Sprintf("m%d", i), 1, int64(16+8*i), 64, 0))
+		spec := model.GPT(fmt.Sprintf("m%d", i), 1, int64(16+8*i), 64, 0)
+		p, err := Place(g, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r.models = append(r.models, p)
+		twin, err := Place(h, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.models, r.twins = append(r.models, p), append(r.twins, twin)
 	}
 	return r
+}
+
+// restore is a restore's push as the client sees it: model i's twin
+// takes a sparse update, every tensor of the twin is copied into model
+// i in pieces of up to piece bytes, and the twin's reference digests
+// seed the cache at every block size — only when the GPU took exactly
+// one model's worth of writes meanwhile, the guard the client applies.
+// With stray set, one more write lands inside model i before the clock
+// is read, and the guard must refuse the seed.
+func (r *digestRig) restore(i int, iteration uint64, piece int64, stray bool) {
+	r.refusals++
+	p, twin := r.models[i], r.twins[i]
+	twin.ApplySparseUpdate(iteration, 4<<10, 0.3)
+	_, before := r.mem.WriteClock()
+	for k, tm := range p.Spec.Tensors {
+		for off := int64(0); off < tm.Size; off += piece {
+			memdev.Copy(r.mem, p.Offs[k]+off, twin.GPU.Mem(), twin.Offs[k]+off, min(piece, tm.Size-off))
+		}
+	}
+	if stray {
+		k := int(iteration) % len(p.Offs)
+		at := p.Offs[k] + int64(iteration)%(p.Spec.Tensors[k].Size-1)
+		if r.mem.Materialized() {
+			r.mem.Write(at, []byte{byte(iteration) | 1, 0xA5})
+		} else {
+			r.mem.WriteStamp(at, 2, iteration<<16|0xA5)
+		}
+	}
+	gen, after := r.mem.WriteClock()
+	if after-before != p.Spec.TotalSize() {
+		return
+	}
+	for _, block := range digestBlocks {
+		if !p.SeedDigests(block, twin.BlockDigests(block), gen) {
+			panic("a vector of the layout's length was refused")
+		}
+	}
+	r.seeded, r.seeds, r.refusals = i, r.seeds+1, r.refusals-1
 }
 
 // opReader decodes a write program: little-endian fields read from a
@@ -59,8 +109,9 @@ func (o *opReader) u(n int) uint64 {
 }
 
 // step applies the next write of the program to the rig's GPU memory,
-// through one of memdev's mutators (or a model update, which uses them),
-// and reports false once the program is spent. Ranges span the models,
+// through one of memdev's mutators, a model update (which uses them) or
+// a restore that seeds the cache, and reports false once the program is
+// spent. Ranges span the models,
 // the padding between them and some bytes past the allocation
 // watermark, and are up to 160 KiB long.
 func (r *digestRig) step(o *opReader) bool {
@@ -74,7 +125,8 @@ func (r *digestRig) step(o *opReader) bool {
 	src := int64(o.u(3)) % (digestRigBytes - n)
 	seed := o.u(2) + 1
 	mat := r.mem.Materialized()
-	switch op % 8 {
+	r.seeded = -1
+	switch op % 10 {
 	case 0:
 		if mat {
 			r.mem.Write(off, Pattern(n, seed))
@@ -115,17 +167,23 @@ func (r *digestRig) step(o *opReader) bool {
 		} else {
 			p.ApplySparseUpdate(seed, 4<<10, 0.2)
 		}
+	case 8, 9:
+		r.restore(int(seed)%len(r.models), seed, 1+int64(src)%(200<<10), op%10 == 9)
 	}
 	return true
 }
 
 // check fails unless every model's cached digests equal the
-// from-scratch reference at every block size.
+// from-scratch reference at every block size, and a model the step's
+// restore seeded has nothing left to hash.
 func (r *digestRig) check(t testing.TB, step int) {
 	t.Helper()
-	for _, p := range r.models {
+	for i, p := range r.models {
 		for _, block := range digestBlocks {
 			got, pass := p.Digests(block)
+			if i == r.seeded && pass.Hashed != 0 {
+				t.Fatalf("step %d, %s at %d B blocks: a seeded restore left %d blocks to hash", step, p.Spec.Name, block, pass.Hashed)
+			}
 			want := p.BlockDigests(block)
 			if pass.Blocks != len(want) || !slices.Equal(got, want) {
 				i := 0
@@ -140,26 +198,31 @@ func (r *digestRig) check(t testing.TB, step int) {
 }
 
 // runDigestProgram checks the cache after every step of prog.
-func runDigestProgram(t testing.TB, materialized bool, prog []byte) {
+func runDigestProgram(t testing.TB, materialized bool, prog []byte) *digestRig {
 	r := newDigestRig(t, materialized)
 	r.check(t, 0)
 	o := &opReader{b: prog}
 	for i := 1; r.step(o); i++ {
 		r.check(t, i)
 	}
+	return r
 }
 
 // TestDigestsMatchReferenceProperty drives seeded random writes through
 // every memdev mutator, in both modes, into a device holding three
-// models at unaligned offsets, and after each write requires the cached
-// digests of every model at every block size to equal BlockDigests.
+// models at unaligned offsets — among them restores that seed the cache,
+// some with a stray write inside the restore's window — and after each
+// step requires the cached digests of every model at every block size
+// to equal BlockDigests.
 func TestDigestsMatchReferenceProperty(t *testing.T) {
 	for _, materialized := range []bool{true, false} {
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("materialized=%v/seed=%d", materialized, seed), func(t *testing.T) {
 				prog := make([]byte, 12*120) // 120 steps of 12 bytes
 				rand.New(rand.NewSource(seed)).Read(prog)
-				runDigestProgram(t, materialized, prog)
+				if r := runDigestProgram(t, materialized, prog); r.seeds == 0 || r.refusals == 0 {
+					t.Fatalf("%d restores seeded and %d were refused; the program must exercise both", r.seeds, r.refusals)
+				}
 			})
 		}
 	}
@@ -168,7 +231,7 @@ func TestDigestsMatchReferenceProperty(t *testing.T) {
 // FuzzDigests: cached digests equal BlockDigests after fuzzed writes.
 func FuzzDigests(f *testing.F) {
 	f.Add([]byte{}, true)
-	for op := byte(0); op < 8; op++ {
+	for op := byte(0); op < 10; op++ {
 		f.Add([]byte{op, 0x10, 0x20, 0x01, 0xff, 0xff, 0, 0, 0, 0, 7, 0}, true)
 		f.Add([]byte{op, 0x10, 0x20, 0x01, 0xff, 0xff, 0, 0, 0, 0, 7, 0}, false)
 	}

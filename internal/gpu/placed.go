@@ -166,15 +166,8 @@ func (p *PlacedModel) Digests(blockBytes int64) ([]uint64, DigestPass) {
 	mem.TrackWrites()
 	p.digestMu.Lock()
 	defer p.digestMu.Unlock()
-	c := p.digests[blockBytes]
-	if c == nil {
-		if p.digests == nil {
-			p.digests = make(map[int64]*digestCache)
-		}
-		c = &digestCache{}
-		p.digests[blockBytes] = c
-	}
-	gen := mem.Generation()
+	c := p.digestCacheLocked(blockBytes)
+	gen, _ := mem.WriteClock()
 	fresh := c.vec == nil
 	var pass DigestPass
 	p.eachBlock(blockBytes, func(off, n int64) {
@@ -190,6 +183,44 @@ func (p *PlacedModel) Digests(blockBytes int64) ([]uint64, DigestPass) {
 	})
 	c.gen = gen
 	return append([]uint64(nil), c.vec...), pass
+}
+
+// SeedDigests installs vec as the digest vector at blockBytes, valid as
+// of the device write generation gen: a later Digests call reuses it
+// and rehashes only the blocks written after gen. It is how a restore
+// hands the restored version's digest table to the cache instead of
+// having the next checkpoint hash every block the push wrote. The
+// caller vouches that the GPU's bytes at gen are the ones vec
+// describes, with write tracking on since before they were written
+// (turning it on later marks every granule newer than gen, so the seed
+// is simply not used); a vector of the wrong length for the layout is
+// refused (false) and leaves the cache as it was. vec stays the
+// caller's.
+func (p *PlacedModel) SeedDigests(blockBytes int64, vec []uint64, gen uint64) bool {
+	blocks := 0
+	p.eachBlock(blockBytes, func(int64, int64) { blocks++ })
+	if len(vec) != blocks {
+		return false
+	}
+	p.digestMu.Lock()
+	defer p.digestMu.Unlock()
+	c := p.digestCacheLocked(blockBytes)
+	c.vec, c.gen = append(c.vec[:0], vec...), gen
+	return true
+}
+
+// digestCacheLocked returns the cache of one block size, creating it
+// empty. The caller holds digestMu.
+func (p *PlacedModel) digestCacheLocked(blockBytes int64) *digestCache {
+	c := p.digests[blockBytes]
+	if c == nil {
+		if p.digests == nil {
+			p.digests = make(map[int64]*digestCache)
+		}
+		c = &digestCache{}
+		p.digests[blockBytes] = c
+	}
+	return c
 }
 
 // VerifyDigests compares the model's current per-block digests against

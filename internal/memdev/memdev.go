@@ -68,6 +68,7 @@ type Device struct {
 	// The write tracker (track.go): off until TrackWrites.
 	tracking bool
 	gen      uint64   // write clock, advanced by every marked write
+	wrote    int64    // bytes marked written, ever
 	written  []uint64 // per TrackGranule of [0, brk): gen of its last write
 }
 

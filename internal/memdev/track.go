@@ -12,9 +12,9 @@ package memdev
 // Every mutator marks the granules it writes while it holds the lock it
 // writes under (Write and so StreamFrom, Copy and CopyCRC on the
 // destination, WriteStamp, WriteStampBatch), so a reader that takes
-// Generation before it reads the contents sees every later write as
-// newer than that generation. Marking is conservative: a granule any
-// byte of a write lands in counts as written.
+// the generation (WriteClock) before it reads the contents sees every
+// later write as newer than that generation. Marking is conservative: a
+// granule any byte of a write lands in counts as written.
 
 // TrackGranule is the write tracker's resolution in bytes: the delta
 // client's usual block size, so a sparse update rehashes about the
@@ -56,18 +56,22 @@ func (d *Device) markLocked(off, n int64) {
 		return
 	}
 	d.gen++
+	d.wrote += n
 	hi := min(int((off+n-1)/TrackGranule)+1, len(d.written))
 	for g := int(off / TrackGranule); g < hi; g++ {
 		d.written[g] = d.gen
 	}
 }
 
-// Generation returns the write clock: every write marked after this call
-// is newer than the value it returns.
-func (d *Device) Generation() uint64 {
+// WriteClock returns the write generation — every write marked after
+// this call is newer than it — and, read under the same lock, how many
+// bytes marked writes have stored since tracking began (a byte written
+// twice counts twice). A reader that knows how many bytes one writer was
+// to store between two readings can tell whether anything else wrote.
+func (d *Device) WriteClock() (gen uint64, bytes int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.gen
+	return d.gen, d.wrote
 }
 
 // WrittenSince reports whether a write newer than generation gen may

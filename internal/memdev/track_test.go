@@ -17,7 +17,7 @@ func TestWriteTrackerGranules(t *testing.T) {
 	}
 	d.Write(0, []byte{1}) // not recorded: tracking is off
 	d.TrackWrites()
-	gen := d.Generation()
+	gen, _ := d.WriteClock()
 	for _, r := range [][2]int64{{0, g}, {g, 3*g + 10}} {
 		if d.WrittenSince(gen, r[0], r[1]) {
 			t.Fatalf("[%d,+%d) written with nothing written since generation %d", r[0], r[1], gen)
@@ -36,7 +36,7 @@ func TestWriteTrackerGranules(t *testing.T) {
 			t.Fatalf("granule %d written = %v, want %v", i, got, want)
 		}
 	}
-	if gen2 := d.Generation(); gen2 <= gen || d.WrittenSince(gen2, g, 2*g) {
+	if gen2, _ := d.WriteClock(); gen2 <= gen || d.WrittenSince(gen2, g, 2*g) {
 		t.Fatalf("generation %d -> %d: the write is not older than the new generation", gen, gen2)
 	}
 
@@ -44,12 +44,53 @@ func TestWriteTrackerGranules(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen = d.Generation()
+	gen, _ = d.WriteClock()
 	if d.WrittenSince(gen, off, 3*g) {
 		t.Fatal("bytes allocated after TrackWrites are not tracked")
 	}
 	Copy(d, off+g, d, 0, 1)
 	if !d.WrittenSince(gen, off, 2*g) || d.WrittenSince(gen, off+2*g, g) {
 		t.Fatal("a copy into the grown range is not marked at its own granule")
+	}
+}
+
+// TestWriteClockCountsBytes: the byte count moves only with tracking on,
+// by exactly what each mutator stores — a rewrite counts again — and
+// only on the destination of a copy.
+func TestWriteClockCountsBytes(t *testing.T) {
+	for _, mat := range []bool{true, false} {
+		d := New("gpu", GPU, 1<<20, mat)
+		src := New("src", DRAM, 1<<20, mat)
+		if _, err := d.Alloc(1 << 20); err != nil {
+			t.Fatal(err)
+		}
+		write := func(off, n int64) {
+			if mat {
+				d.Write(off, make([]byte, n))
+			} else {
+				d.WriteStamp(off, n, uint64(off+n))
+			}
+		}
+		write(0, 100) // tracking is off
+		d.TrackWrites()
+		gen0, b0 := d.WriteClock()
+		if b0 != 0 {
+			t.Fatalf("materialized=%v: %d bytes counted before tracking began", mat, b0)
+		}
+		write(10, 100)
+		write(10, 100)
+		Copy(d, 4096, src, 0, 5000)
+		Copy(src, 0, d, 0, 7000) // d is only read
+		if mat {
+			CopyCRC(d, 1<<18, src, 0, 300<<10, 0)
+			CopyCRC(nil, 0, d, 0, 1000, 0)
+		} else {
+			d.WriteStampBatch([]StampRegion{{Off: 8192, N: 10, Stamp: 1}, {Off: 9000, N: 300<<10 - 10, Stamp: 2}})
+		}
+		gen, b := d.WriteClock()
+		if want := int64(200 + 5000 + 300<<10); b != want || gen <= gen0 {
+			t.Fatalf("materialized=%v: write clock (%d, %d B) after (%d, 0), want %d B and a later generation",
+				mat, gen, b, gen0, want)
+		}
 	}
 }

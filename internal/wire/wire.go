@@ -227,10 +227,13 @@ type Msg struct {
 	// which the laggard's copy must match before it may go DONE.
 	CRC uint64
 	// Digests carries the client's per-block content digest vector on
-	// DO_CHECKPOINT, or the holder's trusted table on REPLICATE (one
-	// 64-bit digest per DeltaBlock-sized block of every tensor, flattened
-	// in registration order); DeltaBlock is the
-	// block size the vector was computed under. Gob-compatible
+	// DO_CHECKPOINT, the holder's trusted table on REPLICATE, or the
+	// restored version's trusted table on RESTORE_DONE (one 64-bit
+	// digest per DeltaBlock-sized block of every tensor, flattened in
+	// registration order); DeltaBlock is the block size the vector was
+	// computed under. On RESTORE, DeltaBlock alone names the block size
+	// the client digests at, and RESTORE_DONE carries a table only at
+	// that size. Gob-compatible
 	// additions: a pre-delta client sends neither, the daemon sees an
 	// empty vector, and the checkpoint runs as a full transfer — old
 	// clients keep working against a delta-enabled daemon.
