@@ -38,7 +38,8 @@ loc:
 	@echo "daemon.Config fields:        $$($(call FIELDS,Config,internal/daemon/daemon.go))"
 
 # Fault-injection sweep at a fixed seed: proves committed checkpoints
-# survive verb errors, dropped connections, and torn flushes.
+# survive verb errors, dropped connections, and torn flushes; exits
+# nonzero if one is lost or the newest version does not restore.
 chaos:
 	$(GO) run ./cmd/portus-bench chaos
 

@@ -106,8 +106,7 @@ func goFiles(t *testing.T, visit func(path string, f *ast.File)) {
 var realWaits = map[string]string{
 	"internal/sim/env.go: Charge":                      "the charge verb: a modelled cost sleeps under simulation only",
 	"internal/sim/env.go: RealEnv.Sleep":               "the wall-clock Sleep itself",
-	"internal/datapath/engine.go: run.transfer":        "capped backoff before a failed chunk's next try",
-	"internal/datapath/engine.go: run.post":            "capped backoff before the failed chunks are re-posted",
+	"internal/datapath/engine.go: run.transfer":        "capped backoff before the failed chunks are re-posted",
 	"internal/datapath/engine.go: run.flush":           "capped backoff before a failed flush's retry (a batched re-flush's cost rides it under simulation)",
 	"internal/client/client.go: Client.backOff":        "BUSY / NO_SPACE retry-after backoff",
 	"internal/client/client.go: Client.reconnect":      "redial backoff",

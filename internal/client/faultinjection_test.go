@@ -25,12 +25,15 @@ type flakyFabric struct {
 
 var errInjected = errors.New("injected RNIC completion error")
 
-func (f *flakyFabric) Read(env sim.Env, local *rdma.Node, l rdma.Slice, r rdma.RemoteSlice) error {
-	if f.failReads {
-		f.failed++
-		return errInjected
+func (f *flakyFabric) PostList(env sim.Env, local *rdma.Node, write bool, ops []rdma.Op, done func(i int, err error)) {
+	if write || !f.failReads {
+		f.Fabric.PostList(env, local, write, ops, done)
+		return
 	}
-	return f.Fabric.Read(env, local, l, r)
+	for i := range ops {
+		f.failed++
+		done(i, errInjected)
+	}
 }
 
 // TestPullFailureLeavesConsistentState injects verb failures into a

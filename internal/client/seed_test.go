@@ -32,16 +32,23 @@ type pushHook struct {
 	landTwice int
 }
 
-func (f *pushHook) Write(env sim.Env, local *rdma.Node, l rdma.Slice, r rdma.RemoteSlice) error {
-	f.writes++
-	if f.before != nil {
-		f.before(f.writes)
+func (f *pushHook) PostList(env sim.Env, local *rdma.Node, write bool, ops []rdma.Op, done func(i int, err error)) {
+	if !write {
+		f.Fabric.PostList(env, local, write, ops, done)
+		return
 	}
-	err := f.Fabric.Write(env, local, l, r)
-	if err == nil && f.writes == f.landTwice {
-		return errors.New("completion lost after the write landed")
+	for i := range ops {
+		f.writes++
+		if f.before != nil {
+			f.before(f.writes)
+		}
+		var err error
+		f.Fabric.PostList(env, local, write, ops[i:i+1], func(_ int, e error) { err = e })
+		if err == nil && f.writes == f.landTwice {
+			err = errors.New("completion lost after the write landed")
+		}
+		done(i, err)
 	}
-	return err
 }
 
 // restoreSeeded scrambles placed, restores it through c, and requires
@@ -160,6 +167,9 @@ func TestRestoreSeedGuards(t *testing.T) {
 				}
 				if got := restoreSeeded(t, env, c, placed, want); got != tc.seeded {
 					t.Fatalf("restore seeded the digest cache: %v, want %v", got, tc.seeded)
+				}
+				if tc.arm != nil && hook.writes < 2 {
+					t.Fatalf("the push wrote %d chunks; the hook armed for the second never fired", hook.writes)
 				}
 				if tc.faults.Write.To != 0 && inj.Injected(faults.SiteWrite) != 1 {
 					t.Fatalf("%d push verbs faulted, want 1", inj.Injected(faults.SiteWrite))

@@ -37,18 +37,26 @@ type pairRig struct {
 	bReads *readHook
 }
 
-// readHook runs hook, once, before the n-th READ its daemon issues.
+// readHook runs hook, once, before the n-th READ its daemon issues,
+// and then clears it.
 type readHook struct {
 	rdma.Fabric
 	n    int
 	hook func()
 }
 
-func (f *readHook) Read(env sim.Env, local *rdma.Node, l rdma.Slice, r rdma.RemoteSlice) error {
-	if f.n--; f.n == 0 && f.hook != nil {
-		f.hook()
+func (f *readHook) PostList(env sim.Env, local *rdma.Node, write bool, ops []rdma.Op, done func(i int, err error)) {
+	if write {
+		f.Fabric.PostList(env, local, write, ops, done)
+		return
 	}
-	return f.Fabric.Read(env, local, l, r)
+	for i := range ops {
+		if f.n--; f.n == 0 && f.hook != nil {
+			f.hook()
+			f.hook = nil
+		}
+		f.Fabric.PostList(env, local, write, ops[i:i+1], func(_ int, err error) { done(i, err) })
+	}
 }
 
 func newPairRig(t *testing.T, env sim.Env) *pairRig {
@@ -248,6 +256,9 @@ func TestReplicateCommitsThroughTheCheckpointPath(t *testing.T) {
 				r.cl.Storage[0].PMem.Data().Write(last.Off, bytes.Repeat([]byte{0xA5}, int(last.Size)))
 			}
 			resp := request(t, env, conn, rep)
+			if r.bReads.hook != nil {
+				t.Fatal("the overwrite hook never fired")
+			}
 			if resp.Type != wire.TError || resp.Code != wire.ErrCodeCorrupt {
 				t.Fatalf("REPLICATE of an overwritten slot = %+v, want a CORRUPT error", resp)
 			}

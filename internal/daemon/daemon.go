@@ -78,10 +78,6 @@ type Config struct {
 	// ModelQueueCap bounds the requests queued per model; 0 defaults to
 	// 8, negative means unbounded.
 	ModelQueueCap int
-	// Strategy is how one chunk moves between the client and PMem; nil
-	// means datapath.OneSided, the paper's zero-copy verbs. The two-sided
-	// and host-staged variants exist for the ablations (DESIGN.md §5).
-	Strategy datapath.Strategy
 	// ChunkSize splits tensors into transfer chunks of at most this
 	// many bytes; 0 (the default) keeps one chunk per tensor. Each chunk
 	// is retried on its own attempt budget.
@@ -135,8 +131,7 @@ type Daemon struct {
 	// cx is the half of every transfer's datapath context that never
 	// changes: the instrumented fabric, this node, the MR covering the
 	// whole data zone (verbs address TensorData by offset within it;
-	// peers may only read it, which is how a REPLICATE pulls), and the
-	// server-DRAM staging resource the host-staged strategy charges.
+	// peers may only read it, which is how a REPLICATE pulls).
 	cx datapath.Context
 
 	// repackMu guards pass: the single in-flight online repack pass
@@ -237,16 +232,11 @@ func New(env sim.Env, cfg Config) (*Daemon, error) {
 	// per-op bytes and latency land in the registry.
 	d.cfg.Fabric = rdma.Instrument("data", cfg.Fabric, d.tel.reg)
 	d.cx = datapath.Context{
-		Fabric:    d.cfg.Fabric,
-		Local:     cfg.RNode,
-		LocalMR:   cfg.RNode.RegisterReadOnly(env, cfg.PMem.Data(), 0, cfg.PMem.DataSize()),
-		HostStage: sim.NewBandwidthResource(env, "daemon/host-stage", perfmodel.ServerDRAMBW),
+		Fabric:  d.cfg.Fabric,
+		Local:   cfg.RNode,
+		LocalMR: cfg.RNode.RegisterReadOnly(env, cfg.PMem.Data(), 0, cfg.PMem.DataSize()),
 	}
-	// The ablation variants are datapath strategies, not branches: the
-	// engine's chunking, retry and flush apply to all of them uniformly.
-	// A nil Strategy is the engine's default, OneSided.
 	d.dp = datapath.Config{
-		Strategy:  cfg.Strategy,
 		IssueCost: perfmodel.RDMAReadIssueCost,
 		Flush:     func(off, n int64) error { return cfg.Flush(off, n, nil) },
 		FlushCost: flushCost,

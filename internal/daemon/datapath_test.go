@@ -6,7 +6,6 @@ import (
 	"github.com/portus-sys/portus/internal/client"
 	"github.com/portus-sys/portus/internal/cluster"
 	"github.com/portus-sys/portus/internal/daemon"
-	"github.com/portus-sys/portus/internal/datapath"
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/sim"
@@ -77,34 +76,6 @@ func TestDaemonCheckpointRestoreCounts(t *testing.T) {
 		}
 	})
 	eng.Run()
-}
-
-func TestDaemonAblationPathsStillCorrect(t *testing.T) {
-	// The ablation datapaths (two-sided, host staging) must be slower but
-	// byte-identical.
-	for _, mut := range []func(*daemon.Config){
-		func(c *daemon.Config) { c.Strategy = datapath.TwoSided{} },
-		func(c *daemon.Config) { c.Strategy = datapath.HostStaged{} },
-	} {
-		mut := mut
-		eng := sim.NewEngine()
-		eng.Go("test", func(env sim.Env) {
-			_, placed, c := fullRig(t, env, mut)
-			placed.ApplyUpdate(3)
-			if err := c.CheckpointSync(env, 3); err != nil {
-				t.Fatal(err)
-			}
-			placed.ApplyUpdate(4)
-			iter, err := c.Restore(env)
-			if err != nil || iter != 3 {
-				t.Fatalf("restore = %d, %v", iter, err)
-			}
-			if bad := placed.VerifyIteration(3); bad != -1 {
-				t.Fatalf("tensor %d wrong under ablation datapath", bad)
-			}
-		})
-		eng.Run()
-	}
 }
 
 // chunkedRig is fullRig with a roomier cluster and a model whose

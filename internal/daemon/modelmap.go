@@ -286,8 +286,7 @@ func (d *Daemon) handleDelete(env sim.Env, conn wire.Conn, m *wire.Msg) {
 	}
 }
 
-// handleDump archives a complete version of a model — the newest, or
-// the exact iteration an anti-entropy re-replication pins — as a
+// handleDump archives the newest complete version of a model as a
 // torch.save-style container and ships it over the control plane: the
 // one place Portus ever serializes (§VI: "Portus will perform
 // serialization only upon an archive of a checkpoint"), and it happens
@@ -298,13 +297,9 @@ func (d *Daemon) handleDump(env sim.Env, conn wire.Conn, m *wire.Msg) {
 		d.sendErrFor(env, conn, wire.TDump, 0, m.Model, errNoModel(m.Model).Error())
 		return
 	}
-	slot, v, ok := doneSlot(model, m.Iteration)
+	slot, v, ok := model.LatestDone()
 	if !ok {
-		msg := "no complete checkpoint version to archive"
-		if m.Iteration != 0 {
-			msg = fmt.Sprintf("iteration %d has no complete version to archive", m.Iteration)
-		}
-		d.send(env, conn, errMsg(wire.TDump, wire.ErrCodeNoCheckpoint, m.Iteration, m.Model, msg))
+		d.send(env, conn, errMsg(wire.TDump, wire.ErrCodeNoCheckpoint, 0, m.Model, "no complete checkpoint version to archive"))
 		return
 	}
 	d.event(env, telemetry.Event{Kind: telemetry.EvAdminDump, Model: m.Model, Iteration: v.Iteration})

@@ -28,13 +28,12 @@ type RetryPolicy struct {
 
 // Config parameterizes an Engine.
 type Config struct {
-	// Strategy moves individual chunks; defaults to OneSided.
-	Strategy Strategy
 	// Lanes holds the one queue pair every verb is issued on; New
 	// refuses more than one. Defaults to a single lane.
 	Lanes []*rdma.QP
 	// IssueCost is the per-verb posting + completion-polling cost,
-	// charged on the virtual clock only.
+	// charged on the virtual clock only, for a whole list when it is
+	// posted.
 	IssueCost time.Duration
 	// Flush persists [off, off+n) of the PMem data zone (pull direction
 	// only). A non-nil error marks the range unpersisted; the engine
@@ -78,9 +77,6 @@ type Engine struct {
 // New creates an engine, applying Config defaults. It panics on more
 // than one lane.
 func New(cfg Config) *Engine {
-	if cfg.Strategy == nil {
-		cfg.Strategy = OneSided{}
-	}
 	if len(cfg.Lanes) > 1 {
 		panic(fmt.Sprintf("datapath: %d lanes; an engine issues every verb on one queue pair", len(cfg.Lanes)))
 	}
@@ -154,47 +150,14 @@ func (r *run) result(res Result) Result {
 	return res
 }
 
-// transfer moves every chunk in plan order and returns once each has
-// landed or the run has failed (r.err): as posted lists when the fabric
-// takes them (see post), otherwise one verb at a time, trying each
-// chunk until it lands or its attempt budget is spent, backing off
-// before each retry.
+// transfer moves chunks as posted lists and returns once each has
+// landed or the run has failed (r.err): every chunk is posted as one
+// list, and the chunks that failed are re-posted as the next list after
+// the capped backoff, each still on its own attempt budget. Each
+// chunk's span runs from the previous completion (or the post) to its
+// own, so the spans tile the stage. A list charges the issue cost of
+// each of its verbs when it is posted.
 func (r *run) transfer(env sim.Env, chunks []Chunk) {
-	if p := r.poster(); p != nil {
-		r.post(env, p, chunks)
-		return
-	}
-	for _, c := range chunks {
-		for n := 1; ; n++ {
-			landed, alive := r.attempt(env, c, n)
-			if !alive {
-				return
-			}
-			if landed {
-				break
-			}
-			env.Sleep(r.e.backoff(n))
-		}
-	}
-}
-
-// poster returns the fabric's list-posting capability when this run can
-// use it: the one-sided strategy, whose chunk is exactly one verb.
-// Otherwise chunks are issued one at a time.
-func (r *run) poster() rdma.Poster {
-	if _, ok := r.e.cfg.Strategy.(OneSided); !ok {
-		return nil
-	}
-	return rdma.PosterOf(r.cx.Fabric)
-}
-
-// post moves chunks as posted lists: every chunk is posted as one list,
-// and the chunks that failed are re-posted as the next list after the
-// capped backoff, each still on its own attempt budget. Each chunk's
-// span runs from the previous completion (or the post) to its own, so
-// the spans tile the stage. A list charges the issue cost of each of
-// its verbs.
-func (r *run) post(env sim.Env, p rdma.Poster, chunks []Chunk) {
 	ops := make([]rdma.Op, 0, len(chunks))
 	for n := 1; len(chunks) > 0; n++ {
 		ops = ops[:0]
@@ -205,7 +168,7 @@ func (r *run) post(env sim.Env, p rdma.Poster, chunks []Chunk) {
 		var failed []Chunk
 		alive := true
 		start := env.Now()
-		p.PostList(env, r.cx.Local, r.verb == "push", ops, func(i int, err error) {
+		r.cx.Fabric.PostList(env, r.cx.Local, r.verb == "push", ops, func(i int, err error) {
 			c := chunks[i]
 			sp := r.stage.Child(c.spanName(r.verb), start)
 			landed, ok := r.complete(env, c, n, sp, err)
@@ -224,26 +187,9 @@ func (r *run) post(env sim.Env, p rdma.Poster, chunks []Chunk) {
 	}
 }
 
-// attempt is try n at c, issued alone, in either direction: it charges
-// the verb's issue cost, moves the chunk, and settles the try (see
-// complete).
-func (r *run) attempt(env sim.Env, c Chunk, n int) (landed, alive bool) {
-	e := r.e
-	sp := r.stage.Child(c.spanName(r.verb), env.Now())
-	sim.Charge(env, e.cfg.IssueCost)
-	var err error
-	if r.verb == "push" {
-		err = e.cfg.Strategy.Push(env, r.cx, c)
-	} else {
-		err = e.cfg.Strategy.Pull(env, r.cx, c)
-	}
-	return r.complete(env, c, n, sp, err)
-}
-
-// complete is the one place a chunk's try is settled, whether it was
-// issued alone or posted in a list: it closes the chunk's span sp at
-// the try's completion (now), and reports whether the chunk landed and
-// whether the run should carry on. A landed chunk counts its bytes. A
+// complete is the one place a chunk's try is settled: it closes the
+// chunk's span sp at the try's completion (now), and reports whether
+// the chunk landed and whether the run should carry on. A landed chunk counts its bytes. A
 // failed try is healed here and nowhere else: it spends one of
 // MaxAttempts — exhausting them fails the run — and is counted as a
 // retry; the caller backs off before the next.
@@ -302,13 +248,12 @@ func (r *run) flush(env sim.Env, name string, off, n int64, batched bool) error 
 }
 
 // Pull runs the checkpoint direction, the paper's datapath: every chunk
-// is transferred into PMem in plan order — as one posted list when the
-// fabric takes lists — then the whole batch is flushed, with one
-// whole-batch flush cost. Pull returns only once all chunks are
-// persisted, so the caller may commit the version's done flag. That
-// invariant survives healing: a retried chunk still flushes before Pull
-// returns, and a flush that keeps failing past the retry budget fails
-// the whole run. Under root it builds a "pull" span (one child span per
+// is transferred into PMem in plan order as one posted list, then the
+// whole batch is flushed, with one whole-batch flush cost. Pull returns
+// only once all chunks are persisted, so the caller may commit the
+// version's done flag. That invariant survives healing: a retried chunk
+// still flushes before Pull returns, and a flush that keeps failing
+// past the retry budget fails the whole run. Under root it builds a "pull" span (one child span per
 // chunk attempt, with bytes and lane attributes) and a "flush" span
 // covering the flush tail; the spans are contiguous, so they sum with
 // the caller's other stages to the end-to-end latency.
@@ -393,9 +338,9 @@ func (e *Engine) CopyForward(env sim.Env, cx *Context, spans []CopySpan, cp Copy
 
 // Push runs the restore direction: chunks move from PMem back into the
 // client's memory the same way as Pull's — in plan order, one posted
-// list when the fabric takes lists, bounded per-chunk retry with capped
-// backoff either way — with no flush stage. Under root it builds a
-// "push" span with one child per chunk attempt.
+// list, bounded per-chunk retry with capped backoff — with no flush
+// stage. Under root it builds a "push" span with one child per chunk
+// attempt.
 func (e *Engine) Push(env sim.Env, cx *Context, p Plan, root *telemetry.Span) (Result, error) {
 	r := e.newRun(env, cx, root, "push")
 	r.transfer(env, p.Chunks)

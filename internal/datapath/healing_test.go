@@ -194,35 +194,36 @@ func TestRunHealsOnRealEnv(t *testing.T) {
 	}
 }
 
-// scriptFabric fails verbs by chunk, not by ordinal: script[off] lists
-// the errors the next attempts on the chunk at PMem offset off return
-// before one is let through.
+// scriptFabric fails ops by chunk, not by ordinal: script[off] lists
+// the errors the next tries of the chunk at PMem offset off complete
+// with, unsent, before one is let through to the wrapped fabric. It
+// counts the lists posted.
 type scriptFabric struct {
 	rdma.Fabric
 	script map[int64][]error
+	lists  int
 }
 
-func (f *scriptFabric) next(off int64) error {
-	q := f.script[off]
-	if len(q) == 0 {
-		return nil
+func (f *scriptFabric) PostList(env sim.Env, local *rdma.Node, write bool, ops []rdma.Op, done func(i int, err error)) {
+	f.lists++
+	for i, o := range ops {
+		if q := f.script[o.L.Off]; len(q) > 0 {
+			f.script[o.L.Off] = q[1:]
+			done(i, q[0])
+			continue
+		}
+		f.Fabric.PostList(env, local, write, ops[i:i+1], func(_ int, err error) { done(i, err) })
 	}
-	f.script[off] = q[1:]
-	return q[0]
 }
 
-func (f *scriptFabric) Read(env sim.Env, local *rdma.Node, l rdma.Slice, r rdma.RemoteSlice) error {
-	if err := f.next(l.Off); err != nil {
-		return err
+// fired fails the test unless every scripted error was handed out.
+func (f *scriptFabric) fired(t *testing.T) {
+	t.Helper()
+	for off, q := range f.script {
+		if len(q) > 0 {
+			t.Fatalf("the chunk at %d never saw %d scripted errors", off, len(q))
+		}
 	}
-	return f.Fabric.Read(env, local, l, r)
-}
-
-func (f *scriptFabric) Write(env sim.Env, local *rdma.Node, l rdma.Slice, r rdma.RemoteSlice) error {
-	if err := f.next(l.Off); err != nil {
-		return err
-	}
-	return f.Fabric.Write(env, local, l, r)
 }
 
 // TestHealingIsScheduleIndependent runs one scripted fault sequence — a
@@ -244,10 +245,11 @@ func TestHealingIsScheduleIndependent(t *testing.T) {
 					src, dst = r.pm, r.gpu
 				}
 				src.WriteStamp(0, 4*mib, 6)
-				r.cx.Fabric = &scriptFabric{Fabric: r.cx.Fabric, script: map[int64][]error{
+				script := &scriptFabric{Fabric: r.cx.Fabric, script: map[int64][]error{
 					1 * mib: {errors.New("transient completion error")},
 					2 * mib: {fmt.Errorf("agent gone: %w", rdma.ErrNoRoute)},
 				}}
+				r.cx.Fabric = script
 				persisted := map[int64]bool{}
 				torn := false
 				e := r.healEngine(func(c *datapath.Config) {
@@ -270,6 +272,7 @@ func TestHealingIsScheduleIndependent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				script.fired(t)
 				if res.Bytes != 4*mib || res.Chunks != 4 || res.Retries != wantRetries {
 					t.Fatalf("result = %+v, want 4 MiB in 4 chunks, %d retries", res, wantRetries)
 				}

@@ -1,10 +1,10 @@
 // Package datapath implements the transfer core shared by checkpoint
 // (pull) and restore (push): a Plan that splits a model's tensors into
-// chunks, a Strategy that knows how one chunk moves over the fabric
-// (one-sided zero-copy, two-sided rendezvous, or staged through host
-// DRAM), and an Engine that executes the plan the paper's way: every
-// chunk moves in plan order on one queue pair, then the batch is
-// flushed.
+// chunks, and an Engine that executes the plan the paper's way: every
+// chunk is one one-sided verb, zero-copy on both ends (§III-B), posted
+// in plan order as one list on one queue pair, then the batch is
+// flushed. The ablation datapaths of §V-D are fabric wrappers, not
+// engine paths.
 //
 // The engine preserves the daemon's crash-consistency contract: Pull
 // returns only after every chunk of the plan has been flushed, so the
@@ -16,7 +16,30 @@ import (
 	"strconv"
 
 	"github.com/portus-sys/portus/internal/perfmodel"
+	"github.com/portus-sys/portus/internal/rdma"
+	"github.com/portus-sys/portus/internal/telemetry"
 )
+
+// Context carries the endpoints a transfer runs between: the daemon's
+// fabric and RDMA node, the MR covering the whole PMem data zone, and
+// the client's per-tensor remote regions (indexed by Chunk.Tensor).
+type Context struct {
+	Fabric  rdma.Fabric
+	Local   *rdma.Node
+	LocalMR rdma.MR
+	Remote  []rdma.RemoteMR
+	// Trace links this transfer's flight-recorder retry events to the
+	// request's trace; zero when the request is untraced.
+	Trace telemetry.TraceID
+}
+
+func (cx *Context) local(c Chunk) rdma.Slice {
+	return rdma.Slice{MR: cx.LocalMR, Off: c.PMemOff, Len: c.Len}
+}
+
+func (cx *Context) remote(c Chunk) rdma.RemoteSlice {
+	return rdma.RemoteSlice{MR: cx.Remote[c.Tensor], Off: c.TensorOff, Len: c.Len}
+}
 
 // TensorRange describes one tensor's endpoints for a transfer: its
 // TensorData extent in the PMem data zone and its size. The remote

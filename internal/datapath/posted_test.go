@@ -62,28 +62,7 @@ func (r *tcpRig) engine(maxAttempts int) *datapath.Engine {
 	return datapath.New(datapath.Config{Retry: datapath.RetryPolicy{MaxAttempts: maxAttempts, Backoff: 10 * time.Microsecond}})
 }
 
-// scriptPoster fails the ops aimed at chunks listed in fails (by PMem
-// offset), once per listed error, without sending them, and passes the
-// rest to the TCP fabric; it counts the lists posted.
-type scriptPoster struct {
-	rdma.Poster
-	fails map[int64]int
-	lists int
-}
-
 var errScripted = errors.New("scripted completion error")
-
-func (p *scriptPoster) PostList(env sim.Env, local *rdma.Node, write bool, ops []rdma.Op, done func(i int, err error)) {
-	p.lists++
-	for i, o := range ops {
-		if p.fails[o.L.Off] > 0 {
-			p.fails[o.L.Off]--
-			done(i, errScripted)
-			continue
-		}
-		p.Poster.PostList(env, local, write, ops[i:i+1], func(_ int, err error) { done(i, err) })
-	}
-}
 
 // TestPostedRunRetriesAChunk: over real sockets, in both directions, a
 // single-lane run posts its chunks as lists; the middle chunk fails
@@ -94,7 +73,7 @@ func TestPostedRunRetriesAChunk(t *testing.T) {
 	for _, dir := range []string{"pull", "push"} {
 		r := newTCPRig(t, []int64{64 << 10, 64 << 10, 64 << 10})
 		mid := r.tensors[1].PMemOff
-		sp := &scriptPoster{Poster: r.fabric, fails: map[int64]int{mid: 2}}
+		sp := &scriptFabric{Fabric: r.fabric, script: map[int64][]error{mid: {errScripted, errScripted}}}
 		r.cx.Fabric = sp
 		run := r.engine(5).Pull
 		src, dst := r.gpu, r.pm
@@ -136,7 +115,8 @@ func TestPostedRunRetriesAChunk(t *testing.T) {
 func TestPostedRunExhaustsBudget(t *testing.T) {
 	for _, dir := range []string{"pull", "push"} {
 		r := newTCPRig(t, []int64{8 << 10, 8 << 10, 8 << 10})
-		r.cx.Fabric = &scriptPoster{Poster: r.fabric, fails: map[int64]int{r.tensors[1].PMemOff: 3}}
+		sp := &scriptFabric{Fabric: r.fabric, script: map[int64][]error{r.tensors[1].PMemOff: {errScripted, errScripted, errScripted}}}
+		r.cx.Fabric = sp
 		run, want := r.engine(3).Pull, "pulling t1: "+errScripted.Error()
 		if dir == "push" {
 			run, want = r.engine(3).Push, "restoring t1: "+errScripted.Error()
@@ -145,12 +125,12 @@ func TestPostedRunExhaustsBudget(t *testing.T) {
 		if err == nil || err.Error() != want || !errors.Is(err, errScripted) {
 			t.Fatalf("%s: err = %v, want %q", dir, err, want)
 		}
+		sp.fired(t)
 	}
 }
 
-// TestPostedRunUnderReadFaults: the fault injector forwards list posting,
-// so a TCP pull under a 20% read-fault rate posts lists, retries the
-// faulted chunks in later lists, and lands every byte.
+// TestPostedRunUnderReadFaults: a TCP pull under a 20% read-fault rate
+// retries the faulted chunks in later lists and lands every byte.
 func TestPostedRunUnderReadFaults(t *testing.T) {
 	sizes := make([]int64, 64)
 	for i := range sizes {
@@ -159,9 +139,6 @@ func TestPostedRunUnderReadFaults(t *testing.T) {
 	r := newTCPRig(t, sizes)
 	inj := faults.NewInjector(faults.Config{Seed: 7, Read: faults.Rule{Rate: 0.2}})
 	r.cx.Fabric = inj.Fabric(rdma.Instrument("tcp", r.fabric, telemetry.NewRegistry()))
-	if rdma.PosterOf(r.cx.Fabric) == nil {
-		t.Fatal("the fault-injecting wrapper hides the TCP fabric's list posting")
-	}
 	res, err := r.engine(12).Pull(r.env, r.cx, datapath.NewPlan(r.tensors, 0), nil)
 	if err != nil {
 		t.Fatal(err)

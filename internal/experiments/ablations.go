@@ -6,7 +6,6 @@ import (
 
 	"github.com/portus-sys/portus"
 	"github.com/portus-sys/portus/internal/daemon"
-	"github.com/portus-sys/portus/internal/datapath"
 	"github.com/portus-sys/portus/internal/gpu"
 	"github.com/portus-sys/portus/internal/metrics"
 	"github.com/portus-sys/portus/internal/model"
@@ -20,7 +19,7 @@ import (
 func AblationStaging() []*Table {
 	bert := model.TableII()[6]
 	zero := measurePortus(bert, voltaConfig())
-	staged := measurePortus(bert, voltaConfig(), func(c *daemon.Config) { c.Strategy = datapath.HostStaged{} })
+	staged := measurePortus(bert, voltaConfig(), withHostStaging)
 	t := &Table{
 		ID:     "ablation-staging",
 		Title:  "Zero-copy pull vs host-DRAM staging (BERT-Large checkpoint)",
@@ -39,7 +38,7 @@ func AblationStaging() []*Table {
 func AblationOneSided() []*Table {
 	bert := model.TableII()[6]
 	one := measurePortus(bert, voltaConfig())
-	two := measurePortus(bert, voltaConfig(), func(c *daemon.Config) { c.Strategy = datapath.TwoSided{} })
+	two := measurePortus(bert, voltaConfig(), withTwoSided)
 	t := &Table{
 		ID:     "ablation-onesided",
 		Title:  "One-sided vs two-sided data plane (BERT-Large checkpoint)",
@@ -51,6 +50,57 @@ func AblationOneSided() []*Table {
 		Notes: []string{"two-sided adds rendezvous latency per tensor and a receiver-side bounce copy (§V-D)"},
 	}
 	return []*Table{t}
+}
+
+// withHostStaging makes a daemon land every pulled chunk in server
+// DRAM first and then copy it to PMem — the extra hop the zero-copy
+// design removes.
+func withHostStaging(c *daemon.Config) {
+	var dram *sim.BandwidthResource // made on first use: a simulated resource needs the engine
+	c.Fabric = &readCharges{Fabric: c.Fabric, after: func(env sim.Env, _ *rdma.Node, n int64) {
+		if dram == nil {
+			dram = sim.NewBandwidthResource(env, "daemon/host-stage", perfmodel.ServerDRAMBW)
+		}
+		dram.Transfer(env, n, perfmodel.PMemWriteBW, 0)
+	}}
+}
+
+// withTwoSided makes a daemon pull every chunk at a two-sided SEND/RECV
+// protocol's cost: the rendezvous latency on top of the one-sided
+// verb's, then the receiver-side copy out of the bounce buffer.
+func withTwoSided(c *daemon.Config) {
+	c.Fabric = &readCharges{Fabric: c.Fabric, before: perfmodel.TwoSidedLatency - perfmodel.RDMALatency,
+		after: func(env sim.Env, local *rdma.Node, n int64) {
+			sim.PipelineTransfer(env, n, perfmodel.DefaultChunk,
+				sim.Stage{Res: local.NIC(), FlowCap: perfmodel.BeeGFSTransferBW})
+		}}
+}
+
+// readCharges posts each READ of a list alone, charging before ahead of
+// it and after once it has landed. WRITEs pass through: the ablations
+// vary only the checkpoint path.
+type readCharges struct {
+	rdma.Fabric
+	before time.Duration
+	after  func(env sim.Env, local *rdma.Node, n int64)
+}
+
+func (f *readCharges) PostList(env sim.Env, local *rdma.Node, write bool, ops []rdma.Op, done func(i int, err error)) {
+	if write {
+		f.Fabric.PostList(env, local, write, ops, done)
+		return
+	}
+	for i := range ops {
+		if f.before > 0 {
+			sim.Charge(env, f.before)
+		}
+		var err error
+		f.Fabric.PostList(env, local, false, ops[i:i+1], func(_ int, e error) { err = e })
+		if err == nil {
+			f.after(env, local, ops[i].L.Len)
+		}
+		done(i, err)
+	}
 }
 
 // AblationDoubleMap compares the paper's two-slot double mapping against

@@ -155,6 +155,8 @@ func RunChaos(seed int64, rate float64, checkpoints int) ChaosOutcome {
 
 // Chaos sweeps fault rates over the full stack and reports checkpoint
 // goodput, healing activity, and the recoverability proof at each rate.
+// It panics if any rate loses a committed checkpoint or fails to restore
+// the newest complete version bit-exactly.
 func Chaos() []*Table {
 	t := &Table{
 		ID:    "chaos",
@@ -177,8 +179,8 @@ func Chaos() []*Table {
 		if !o.ScrapeOK {
 			t.Notes = append(t.Notes, fmt.Sprintf("rate %s: healing counters missing from the Prometheus scrape", pct(rate)))
 		}
-		if o.Lost > 0 {
-			t.Notes = append(t.Notes, fmt.Sprintf("rate %s: INVARIANT VIOLATED — a committed checkpoint was lost", pct(rate)))
+		if o.Lost > 0 || !o.RestoredOK {
+			panic(fmt.Sprintf("chaos: rate %s: %d committed checkpoints lost, restore ok %v", pct(rate), o.Lost, o.RestoredOK))
 		}
 	}
 	t.Notes = append(t.Notes,

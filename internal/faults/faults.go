@@ -213,24 +213,10 @@ func (f *faultFabric) verbFault(env sim.Env, site string, r Rule) error {
 	return nil
 }
 
-func (f *faultFabric) Read(env sim.Env, local *rdma.Node, l rdma.Slice, r rdma.RemoteSlice) error {
-	if err := f.verbFault(env, SiteRead, f.in.cfg.Read); err != nil {
-		return err
-	}
-	return f.inner.Read(env, local, l, r)
-}
-
-func (f *faultFabric) Write(env sim.Env, local *rdma.Node, l rdma.Slice, r rdma.RemoteSlice) error {
-	if err := f.verbFault(env, SiteWrite, f.in.cfg.Write); err != nil {
-		return err
-	}
-	return f.inner.Write(env, local, l, r)
-}
-
 // PostList takes every op's fault decisions, in list order, before
 // anything is posted. A faulted op is never sent: it completes with its
 // injected error in its place in the list, and the other ops go to the
-// wrapped fabric (which must be an rdma.Poster) as one list.
+// wrapped fabric as one list.
 func (f *faultFabric) PostList(env sim.Env, local *rdma.Node, write bool, ops []rdma.Op, done func(i int, err error)) {
 	site, rule := SiteRead, f.in.cfg.Read
 	if write {
@@ -248,7 +234,7 @@ func (f *faultFabric) PostList(env sim.Env, local *rdma.Node, write bool, ops []
 	// The wrapped fabric reports in list order, so when it reports
 	// pass[j], every op before it not yet reported is a faulted one.
 	next := 0
-	f.inner.(rdma.Poster).PostList(env, local, write, pass, func(j int, err error) {
+	f.inner.PostList(env, local, write, pass, func(j int, err error) {
 		for ; next < at[j]; next++ {
 			done(next, faulted[next])
 		}
@@ -258,17 +244,6 @@ func (f *faultFabric) PostList(env sim.Env, local *rdma.Node, write bool, ops []
 	for ; next < len(ops); next++ {
 		done(next, faulted[next])
 	}
-}
-
-// Inner returns the wrapped fabric.
-func (f *faultFabric) Inner() rdma.Fabric { return f.inner }
-
-func (f *faultFabric) Send(env sim.Env, local *rdma.Node, remote, qp string, payload []byte, size int64) error {
-	return f.inner.Send(env, local, remote, qp, payload, size)
-}
-
-func (f *faultFabric) Recv(env sim.Env, local *rdma.Node, qp string) ([]byte, int64, error) {
-	return f.inner.Recv(env, local, qp)
 }
 
 // AddPeer forwards peer-address exchange to the wrapped fabric when it

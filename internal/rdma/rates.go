@@ -22,7 +22,6 @@ type RateTable struct {
 	NICBandwidth float64
 	ReadLatency  time.Duration // one-sided verb latency
 	WriteLatency time.Duration
-	SendLatency  time.Duration // two-sided rendezvous latency
 	DRAM         DeviceRates
 	GPU          DeviceRates
 	PMEM         DeviceRates
@@ -37,7 +36,6 @@ func DefaultRates() RateTable {
 		NICBandwidth: perfmodel.NICBandwidth,
 		ReadLatency:  perfmodel.RDMALatency,
 		WriteLatency: perfmodel.RDMALatency,
-		SendLatency:  perfmodel.TwoSidedLatency,
 		DRAM: DeviceRates{
 			ReadBW:      perfmodel.ServerDRAMBW,
 			WriteBW:     perfmodel.ServerDRAMBW,

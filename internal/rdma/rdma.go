@@ -1,6 +1,6 @@
 // Package rdma provides the verbs-level substrate Portus is built on:
-// memory regions with remote keys, queue pairs, one-sided READ/WRITE and
-// two-sided SEND/RECV operations.
+// memory regions with remote keys, queue pairs, and one-sided READ and
+// WRITE verbs posted as lists of work requests.
 //
 // Two fabrics implement the wire:
 //
@@ -17,9 +17,11 @@
 //     the property Portus depends on (the training process does not
 //     participate in checkpoint transfers).
 //
-// Verbs are blocking (post + poll-completion combined): Portus daemon
-// workers issue them from their own processes. A fabric that can also
-// take a list of one-sided verbs per post is a Poster.
+// A Fabric has one verb method, PostList: a list of one-sided verbs per
+// post, blocking until every op has completed (post + poll-completion
+// combined), so Portus daemon workers issue it from their own
+// processes. The concrete fabrics also keep single-verb Read and Write
+// for probes and the Figure 10 microbenchmark.
 package rdma
 
 import (
@@ -185,19 +187,6 @@ type RemoteSlice struct {
 	Len int64
 }
 
-// Fabric carries verbs between nodes.
-type Fabric interface {
-	// Read pulls remote bytes into the local slice (one-sided).
-	Read(env sim.Env, local *Node, l Slice, r RemoteSlice) error
-	// Write pushes local bytes into the remote slice (one-sided).
-	Write(env sim.Env, local *Node, l Slice, r RemoteSlice) error
-	// Send delivers a message to the peer's queue pair (two-sided); the
-	// payload size is charged at the two-sided protocol's rate.
-	Send(env sim.Env, local *Node, remote, qp string, payload []byte, size int64) error
-	// Recv blocks until a message for (node, qp) arrives.
-	Recv(env sim.Env, local *Node, qp string) ([]byte, int64, error)
-}
-
 // Op is one work request of a posted list: a one-sided verb between a
 // local slice and a remote one.
 type Op struct {
@@ -205,31 +194,14 @@ type Op struct {
 	R RemoteSlice
 }
 
-// Poster is a fabric that takes one-sided verbs as a list per post, the
-// way an RNIC takes a chain of work requests per doorbell: the ops are
-// all in flight at once and complete in list order.
-type Poster interface {
-	Fabric
+// Fabric carries one-sided verbs between nodes as posted lists, the way
+// an RNIC takes a chain of work requests per doorbell: the ops are all
+// in flight at once and complete in list order.
+type Fabric interface {
 	// PostList posts ops — all WRITEs when write is set, else all READs,
 	// all to the peer of ops[0] — and returns once every op has
 	// completed. done(i, err) reports op i's completion exactly once, in
 	// list order, on the caller's goroutine; it must not issue verbs on
 	// the fabric. A failed op does not stop the others.
 	PostList(env sim.Env, local *Node, write bool, ops []Op, done func(i int, err error))
-}
-
-// PosterOf returns f as a Poster when it can post lists, or nil when it
-// issues one verb at a time. A wrapper — a fabric with an Inner method —
-// posts lists only if every fabric it wraps does.
-func PosterOf(f Fabric) Poster {
-	p, ok := f.(Poster)
-	if !ok {
-		return nil
-	}
-	for w, ok := f.(interface{ Inner() Fabric }); ok; w, ok = w.Inner().(interface{ Inner() Fabric }) {
-		if _, ok := w.Inner().(Poster); !ok {
-			return nil
-		}
-	}
-	return p
 }

@@ -223,23 +223,6 @@ func TestUnknownPeerFails(t *testing.T) {
 	})
 }
 
-func TestTwoSidedSendRecv(t *testing.T) {
-	runSimPair(t, true, func(env sim.Env, f *SimFabric, client, server *Node, cgpu, spm *memdev.Device) {
-		env.Go("sender", func(env sim.Env) {
-			if err := f.Send(env, client, "server", "qp1", []byte("DO_CHECKPOINT"), 13); err != nil {
-				t.Error(err)
-			}
-		})
-		payload, size, err := f.Recv(env, server, "qp1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(payload) != "DO_CHECKPOINT" || size != 13 {
-			t.Fatalf("recv = %q (%d)", payload, size)
-		}
-	})
-}
-
 func TestRateTableOverride(t *testing.T) {
 	rt := DefaultRates().WithGPUReadCap(2 * perfmodel.GB)
 	if rt.GPU.ReadBW != 2*perfmodel.GB || rt.GPU.ReadFlowCap != 2*perfmodel.GB {

@@ -12,20 +12,13 @@ import (
 // destination device.
 type SimFabric struct {
 	nodes map[string]*Node
-	boxes map[string]*sim.Mailbox[simMsg]
 	cut   map[string]bool
-}
-
-type simMsg struct {
-	payload []byte
-	size    int64
 }
 
 // NewSimFabric creates an empty fabric.
 func NewSimFabric() *SimFabric {
 	return &SimFabric{
 		nodes: make(map[string]*Node),
-		boxes: make(map[string]*sim.Mailbox[simMsg]),
 		cut:   make(map[string]bool),
 	}
 }
@@ -103,44 +96,16 @@ func (f *SimFabric) Write(env sim.Env, local *Node, l Slice, r RemoteSlice) erro
 	return nil
 }
 
-// Send delivers payload to the peer's (node, qp) receive queue, charging
-// size bytes at the two-sided protocol rate.
-func (f *SimFabric) Send(env sim.Env, local *Node, remote, qp string, payload []byte, size int64) error {
-	if f.cut[local.name] {
-		return fmt.Errorf("%w: %s", ErrNoRoute, local.name)
+// PostList runs ops in list order, each one exactly as Read or Write
+// runs it alone, and reports each completion as it lands.
+func (f *SimFabric) PostList(env sim.Env, local *Node, write bool, ops []Op, done func(i int, err error)) {
+	verb := f.Read
+	if write {
+		verb = f.Write
 	}
-	rn, err := f.node(remote)
-	if err != nil {
-		return err
+	for i, o := range ops {
+		done(i, verb(env, local, o.L, o.R))
 	}
-	sim.PipelineTransfer(env, size, pipeChunk(size),
-		sim.Stage{Res: local.nic, Latency: local.rates.SendLatency},
-		sim.Stage{Res: rn.nic},
-	)
-	if size <= 0 {
-		sim.Charge(env, local.rates.SendLatency)
-	}
-	f.box(env, remote, qp).Send(env, simMsg{payload: payload, size: size})
-	return nil
-}
-
-// Recv blocks until a message arrives on (local, qp).
-func (f *SimFabric) Recv(env sim.Env, local *Node, qp string) ([]byte, int64, error) {
-	m, ok := f.box(env, local.name, qp).Recv(env)
-	if !ok {
-		return nil, 0, fmt.Errorf("rdma: recv on closed qp %s/%s", local.name, qp)
-	}
-	return m.payload, m.size, nil
-}
-
-func (f *SimFabric) box(env sim.Env, node, qp string) *sim.Mailbox[simMsg] {
-	key := node + "/" + qp
-	b, ok := f.boxes[key]
-	if !ok {
-		b = sim.NewMailbox[simMsg](env)
-		f.boxes[key] = b
-	}
-	return b
 }
 
 // checkPair validates the remote and local slices — the remote one for

@@ -28,12 +28,9 @@ func copyRegions(dst *memdev.Device, dstOff int64, src *memdev.Device, srcOff, n
 // handled entirely by the agent, so the remote application never
 // participates — the soft equivalent of RDMA's bypass property.
 type TCPFabric struct {
-	env sim.Env
-
 	mu     sync.Mutex
 	peers  map[string]string // node name -> agent address
 	conns  map[string]*agentConn
-	recvs  map[string]*sim.Mailbox[simMsg]
 	closed []io.Closer
 	// served is the agents' accepted connections; Close severs them so
 	// peers see this fabric go away instead of talking to its MR tables
@@ -66,14 +63,12 @@ func newPeerConn(c net.Conn) peerConn {
 // connBuf holds any verb header plus a 4 KiB page of payload.
 const connBuf = 4096 + 64
 
-// NewTCPFabric creates a fabric using env (normally a RealEnv) for its
-// receive queues.
-func NewTCPFabric(env sim.Env) *TCPFabric {
+// NewTCPFabric creates a fabric with no agents and no peers. It keeps
+// no env of its own: each verb runs under the env its caller passes.
+func NewTCPFabric(sim.Env) *TCPFabric {
 	return &TCPFabric{
-		env:    env,
 		peers:  make(map[string]string),
 		conns:  make(map[string]*agentConn),
-		recvs:  make(map[string]*sim.Mailbox[simMsg]),
 		served: make(map[net.Conn]struct{}),
 	}
 }
@@ -147,14 +142,16 @@ func (f *TCPFabric) Close() {
 
 // Wire format. Every message is a length-prefixed frame:
 //
-//	request: u32 len | op | READ/WRITE: rkey off len [payload] | SEND: u16 qpLen qp u64 size bytes
+//	request: u32 len | op (READ or WRITE) | rkey off len [payload]
 //	reply:   u32 len | status | status 0: [payload] | status 1: error text
 //	payload: mode | raw bytes (materialized) or u64 stamp (virtual)
 //
 // The length is known before the first byte is sent, so neither side
 // builds a frame in memory: the sender writes the header and streams the
 // region out of its device, the receiver parses the header and streams
-// the body into the destination extent.
+// the body into the destination extent. A frame with any other op is
+// drained and refused: the agent serves one-sided verbs only, so no
+// frame a peer sends is held in memory beyond the connection's buffers.
 //
 // Requests on a connection are answered in order, so a requester may
 // post a list of them before reading any reply (PostList). Two rules
@@ -171,7 +168,6 @@ func (f *TCPFabric) Close() {
 const (
 	opRead  = 1
 	opWrite = 2
-	opSend  = 3
 
 	payloadBytes = 0
 	payloadStamp = 1
@@ -578,38 +574,6 @@ func (f *TCPFabric) Write(env sim.Env, local *Node, l Slice, r RemoteSlice) erro
 	return f.call(r.MR.Node, "write", oneSidedHead(opWrite, r), g, region{})
 }
 
-// Send delivers payload to the remote node's (qp) receive queue.
-func (f *TCPFabric) Send(env sim.Env, local *Node, remote, qp string, payload []byte, size int64) error {
-	return f.call(remote, "send", func(b []byte) []byte {
-		b = append(b, opSend)
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(qp)))
-		b = append(b, qp...)
-		b = binary.LittleEndian.AppendUint64(b, uint64(size))
-		return append(b, payload...)
-	}, region{}, region{})
-}
-
-// Recv blocks until a message for (local, qp) arrives.
-func (f *TCPFabric) Recv(env sim.Env, local *Node, qp string) ([]byte, int64, error) {
-	m, ok := f.box(local.name, qp).Recv(env)
-	if !ok {
-		return nil, 0, fmt.Errorf("rdma: recv on closed qp %s/%s", local.name, qp)
-	}
-	return m.payload, m.size, nil
-}
-
-func (f *TCPFabric) box(node, qp string) *sim.Mailbox[simMsg] {
-	key := node + "/" + qp
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	b, ok := f.recvs[key]
-	if !ok {
-		b = sim.NewMailbox[simMsg](f.env)
-		f.recvs[key] = b
-	}
-	return b
-}
-
 // serveConn handles one peer connection against node's MR table until
 // the stream is lost.
 func (f *TCPFabric) serveConn(n *Node, c net.Conn) {
@@ -694,27 +658,6 @@ func (f *TCPFabric) handle(n *Node, r *bufio.Reader, size int64) (reply region, 
 			return region{}, refusef("read of %d bytes exceeds the frame limit", length)
 		}
 		return g, nil
-	case opSend:
-		// The message is handed to its receiver, so it is read into memory
-		// — as its bytes arrive, not sized by what the header claims.
-		req, err := io.ReadAll(io.LimitReader(r, size))
-		if err == nil && int64(len(req)) < size {
-			err = io.ErrUnexpectedEOF
-		}
-		if err != nil {
-			return region{}, err
-		}
-		if len(req) < 2 {
-			return region{}, refusef("short send request")
-		}
-		qpLen := int(binary.LittleEndian.Uint16(req))
-		if len(req) < 2+qpLen+8 {
-			return region{}, refusef("short send request")
-		}
-		qp := string(req[2 : 2+qpLen])
-		msgSize := int64(binary.LittleEndian.Uint64(req[2+qpLen:]))
-		f.box(n.name, qp).Send(f.env, simMsg{payload: req[2+qpLen+8:], size: msgSize})
-		return region{}, nil
 	default:
 		return region{}, drain(r, size, refusef("unknown op %d", op))
 	}

@@ -96,26 +96,6 @@ func TestTCPBadRKeyReportsRemoteError(t *testing.T) {
 	}
 }
 
-func TestTCPSendRecv(t *testing.T) {
-	env, f, client, server := newTCPPair(t)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		payload, size, err := f.Recv(env, server, "ctrl")
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if string(payload) != "REGISTER" || size != 8 {
-			t.Errorf("recv = %q (%d)", payload, size)
-		}
-	}()
-	if err := f.Send(env, client, "server", "ctrl", []byte("REGISTER"), 8); err != nil {
-		t.Fatal(err)
-	}
-	<-done
-}
-
 func TestTCPConcurrentOneSidedOps(t *testing.T) {
 	env, f, client, server := newTCPPair(t)
 	cgpu := memdev.New("gpu0", memdev.GPU, 1<<20, true)

@@ -30,6 +30,10 @@ func verb(op byte, rkey uint64, off, n int64) []byte {
 	return binary.LittleEndian.AppendUint64(b, uint64(n))
 }
 
+// sendFrameOp is the op byte of a two-sided SEND, a verb the agent does
+// not serve.
+const sendFrameOp = 3
+
 func rawBytes(n int) []byte     { return append([]byte{payloadBytes}, bytes.Repeat([]byte{0xEE}, n)...) }
 func stamp(s uint64) []byte     { return binary.LittleEndian.AppendUint64([]byte{payloadStamp}, s) }
 func lenPrefix(n uint32) []byte { return binary.LittleEndian.AppendUint32(nil, n) }
@@ -101,7 +105,9 @@ func hostileFrames(tg *target) []hostileCase {
 		{"negative length", frame(verb(opRead, mat, 0, -1)), false},
 		{"offset + length overflows", frame(verb(opWrite, mat, 1<<62, 1<<62), rawBytes(16)), false},
 		{"unknown op with a body", frame([]byte{77}, bytes.Repeat([]byte{1}, 5000)), false},
-		{"short send", frame([]byte{opSend, 200, 0, 'q'}), false},
+		{"short send", frame([]byte{sendFrameOp, 200, 0, 'q'}), false},
+		{"send with a 64 KiB message", frame([]byte{sendFrameOp}, binary.LittleEndian.AppendUint16(nil, 4), []byte("ctrl"),
+			binary.LittleEndian.AppendUint64(nil, 64<<10), bytes.Repeat([]byte{0xAB}, 64<<10)), false},
 		{"frame longer than 1 GiB", lenPrefix(1<<30 + 1), true},
 		{"frame of 4 GiB", lenPrefix(0xffffffff), true},
 	}

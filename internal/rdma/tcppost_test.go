@@ -3,7 +3,6 @@ package rdma
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -12,7 +11,6 @@ import (
 
 	"github.com/portus-sys/portus/internal/memdev"
 	"github.com/portus-sys/portus/internal/sim"
-	"github.com/portus-sys/portus/internal/telemetry"
 )
 
 // outcome is what a posted list reported for one op.
@@ -23,7 +21,7 @@ type outcome struct {
 
 // postAll runs ops as one list and returns the completions in the order
 // they were reported.
-func postAll(env sim.Env, p Poster, local *Node, write bool, ops []Op) []outcome {
+func postAll(env sim.Env, p Fabric, local *Node, write bool, ops []Op) []outcome {
 	var got []outcome
 	p.PostList(env, local, write, ops, func(i int, err error) { got = append(got, outcome{i, err}) })
 	return got
@@ -277,42 +275,5 @@ func TestPostListZeroBuffering(t *testing.T) {
 	}
 	if !bytes.Equal(spm.Bytes(0, n*size), cgpu.Bytes(0, n*size)) {
 		t.Fatal("the READ list's bytes differ from the source")
-	}
-}
-
-// TestPosterOf: list posting is a capability of the TCP fabric, kept by
-// an instrumented wrapper around it, and absent from the simulated
-// fabric however it is wrapped. The instrumented list counts every op.
-func TestPosterOf(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	if p := PosterOf(Instrument("sim", NewSimFabric(), reg)); p != nil {
-		t.Fatal("an instrumented SimFabric claims to post lists")
-	}
-	env, f, client, server := newTCPPair(t)
-	inst := Instrument("tcp", f, reg)
-	p := PosterOf(inst)
-	if p == nil {
-		t.Fatal("an instrumented TCPFabric cannot post lists")
-	}
-	cgpu := memdev.New("gpu0", memdev.GPU, 4<<10, true)
-	spm := memdev.New("pmem0", memdev.PMEM, 4<<10, true)
-	rmr := client.RegisterMR(env, cgpu, 0, 4<<10)
-	lmr := server.RegisterMR(env, spm, 0, 4<<10)
-	ops := []Op{
-		{L: Slice{MR: lmr, Len: 1 << 10}, R: RemoteSlice{MR: RemoteMR{Node: "client", RKey: rmr.RKey, Len: 4 << 10}, Len: 1 << 10}},
-		{L: Slice{MR: lmr, Off: 1 << 10, Len: 1 << 10}, R: RemoteSlice{MR: RemoteMR{Node: "client", RKey: 999, Len: 4 << 10}, Len: 1 << 10}},
-		{L: Slice{MR: lmr, Off: 2 << 10, Len: 2 << 10}, R: RemoteSlice{MR: RemoteMR{Node: "client", RKey: rmr.RKey, Len: 4 << 10}, Off: 2 << 10, Len: 2 << 10}},
-	}
-	checkOrder(t, postAll(env, p, server, false, ops), len(ops))
-	var buf bytes.Buffer
-	reg.WritePrometheus(&buf)
-	for _, want := range []string{
-		`portus_rdma_op_seconds_count{fabric="tcp",op="read"} 2`,
-		fmt.Sprintf(`portus_rdma_bytes_total{fabric="tcp",op="read"} %d`, 3<<10),
-		`portus_rdma_errors_total{fabric="tcp"} 1`,
-	} {
-		if !strings.Contains(buf.String(), want) {
-			t.Errorf("exposition missing %q", want)
-		}
 	}
 }

@@ -542,11 +542,16 @@ func tryWrite(t *testing.T, env portus.Env, f rdma.Fabric, intruder *rdma.Node, 
 	n := rep.Tensors[0].Size
 	mr := intruder.RegisterMR(env, memdev.New(intruder.Name()+"/dram", memdev.DRAM, n, true), 0, n)
 	zone := rdma.RemoteSlice{MR: rdma.RemoteMR{Node: rep.ClientNode, RKey: rep.Tensors[0].RKey, Off: rep.Tensors[0].Off, Len: n}, Len: n}
-	if err := f.Write(env, intruder, rdma.Slice{MR: mr, Len: n}, zone); !errors.Is(err, rdma.ErrReadOnly) &&
+	verb := func(write bool) (err error) {
+		ops := []rdma.Op{{L: rdma.Slice{MR: mr, Len: n}, R: zone}}
+		f.PostList(env, intruder, write, ops, func(_ int, e error) { err = e })
+		return err
+	}
+	if err := verb(true); !errors.Is(err, rdma.ErrReadOnly) &&
 		(err == nil || !strings.Contains(err.Error(), rdma.ErrReadOnly.Error())) {
 		t.Fatalf("a peer's WRITE into the data zone = %v, want it refused", err)
 	}
-	if err := f.Read(env, intruder, rdma.Slice{MR: mr, Len: n}, zone); err != nil {
+	if err := verb(false); err != nil {
 		t.Fatalf("a peer's READ of the data zone = %v, want it served", err)
 	}
 }
