@@ -287,7 +287,8 @@ func renderStats(w io.Writer, samples []telemetry.Sample) {
 func secs(v float64) time.Duration { return time.Duration(v * float64(time.Second)) }
 
 // runOffline operates on a namespace image directly, exactly as the
-// paper's tool reads a PMem device (§IV-b).
+// paper's tool reads a PMem device (§IV-b). An image that holds no
+// namespace is refused before any command runs.
 func runOffline(image string, args []string) error {
 	pm, err := pmem.LoadImageFile("pmem0", image)
 	if err != nil {
@@ -311,7 +312,14 @@ func runOffline(image string, args []string) error {
 		}
 		return inspect(idx, args[1])
 	case "repack":
-		rep, err := store.Offline(pm, idx)
+		// The storage engine's offline pass: store.Open sweeps leaked
+		// extents, then every step keeps the crash discipline the
+		// daemon's online pass keeps.
+		e, err := store.Open(store.Config{PMem: pm})
+		if err != nil {
+			return err
+		}
+		rep, err := e.RepackOffline()
 		if err != nil {
 			return err
 		}
@@ -327,8 +335,8 @@ func runOffline(image string, args []string) error {
 
 // inspect prints a model's MIndex record in the paper's notation
 // (§III-D1's BERT example).
-func inspect(store *index.Store, model string) error {
-	m, err := store.Lookup(model)
+func inspect(idx *index.Store, model string) error {
+	m, err := idx.Lookup(model)
 	if err != nil {
 		return err
 	}
@@ -354,8 +362,8 @@ func inspect(store *index.Store, model string) error {
 }
 
 // view lists every model's index state from the raw image.
-func view(store *index.Store) error {
-	models, err := store.Models()
+func view(idx *index.Store) error {
+	models, err := idx.Models()
 	if err != nil {
 		return err
 	}
@@ -371,16 +379,17 @@ func view(store *index.Store) error {
 		fmt.Printf("%-40s %8d %10s %-22s %-22s\n",
 			m.Name, len(m.Tensors), metrics.FormatBytes(m.TotalSize()), slotDesc(0), slotDesc(1))
 	}
-	alloc := store.Allocator()
+	alloc := idx.Allocator()
 	fmt.Printf("\n%d models; data zone: %s in use, %s free\n",
 		len(models), metrics.FormatBytes(alloc.InUse()), metrics.FormatBytes(alloc.FreeBytes()))
 	return nil
 }
 
 // dump exports a model's newest complete version as a torch.save-style
-// container — the "easy sharing" path of §IV-b.
-func dump(pm *pmem.Device, store *index.Store, model, out string) error {
-	m, err := store.Lookup(model)
+// container — the "easy sharing" path of §IV-b — refusing bytes that no
+// longer hash to the version's stamp.
+func dump(pm *pmem.Device, idx *index.Store, model, out string) error {
+	m, err := idx.Lookup(model)
 	if err != nil {
 		return err
 	}
@@ -388,17 +397,9 @@ func dump(pm *pmem.Device, store *index.Store, model, out string) error {
 	if !ok {
 		return fmt.Errorf("model %q has no complete checkpoint version", model)
 	}
-	ckpt := &serialize.Checkpoint{Model: m.Name, Iteration: v.Iteration}
-	for i, tm := range m.Tensors {
-		ext := m.TensorData(i, slot)
-		blob := serialize.Blob{Meta: tm}
-		if pm.Materialized() {
-			blob.Data = pm.Data().Bytes(ext.Off, ext.Size)
-		} else {
-			blob.Virtual = true
-			blob.Stamp = pm.Data().StampOf(ext.Off, ext.Size)
-		}
-		ckpt.Tensors = append(ckpt.Tensors, blob)
+	ckpt, err := store.Archive(pm, m, slot, v)
+	if err != nil {
+		return err
 	}
 	f, err := os.Create(out)
 	if err != nil {

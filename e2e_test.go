@@ -1,6 +1,7 @@
 package portus_test
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net"
@@ -177,6 +178,24 @@ func TestBinariesEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(string(list2), "squeezenet1_0") {
 		t.Fatalf("restored daemon lost the model: %s\ndaemon log: %s", list2, d2out)
+	}
+	// The repack moved the model's bytes; archived again, they are the
+	// archive taken before shutdown, byte for byte.
+	ckpt2 := filepath.Join(t.TempDir(), "sq2.ckpt")
+	dump2, err := exec.Command(filepath.Join(bin, "portusctl"), "-addr", ctrl2, "dump", "squeezenet1_0", ckpt2).CombinedOutput()
+	if err != nil {
+		t.Fatalf("portusctl dump (restored): %v\n%s", err, dump2)
+	}
+	before, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(ckpt2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("archive after the offline repack (%d bytes) differs from the one before shutdown (%d bytes)", len(after), len(before))
 	}
 	daemon2.Process.Signal(os.Interrupt)
 	daemon2.Wait()

@@ -1,8 +1,11 @@
 // Package alloc manages the PMem data zone: the contiguous TensorData
 // regions the Portus daemon allocates for each model version. Allocation
-// state is persisted in an AllocTable in the metadata zone so a daemon
-// restart (or portusctl) can reconstruct ownership from the raw image,
-// and a repacking pass can find and compact live extents (§III-D2).
+// state is persisted in an AllocTable in the metadata zone, one record
+// per extent, so a daemon restart (or portusctl) reconstructs ownership
+// from the raw image. The table is only ever changed one record at a
+// time: the storage engine's repack passes (§III-D2) move an extent by
+// allocating a gap strictly below it (AllocateBelow) and freeing the
+// source, and drop the bump pointer with TrimBrk.
 //
 // The fast path claims fresh space by compare-and-swap on a bump
 // pointer, keeping concurrent daemon workers lock-free as the paper
@@ -93,10 +96,13 @@ func Format(pm *pmem.Device, tableOff, tableLen int64) (*Allocator, error) {
 	return a, nil
 }
 
-// Open reconstructs the allocator from a previously formatted table.
-// The data-zone bump pointer recovers as the maximum of the persisted
-// value and the end of the highest live extent, so a crash between slot
-// persist and pointer persist can never double-allocate.
+// Open reconstructs the allocator from a previously formatted table,
+// refusing a record outside the data zone or overlapping another. The
+// bump pointer recovers as the end of the highest live extent: a record
+// persists before its offset is handed out, so nothing above that end
+// is in use, whether the persisted pointer lags it (a crash before the
+// pointer persist) or stands above it (the top extents were freed, or a
+// crash fell before a repack's trim persisted).
 func Open(pm *pmem.Device, tableOff int64) (*Allocator, error) {
 	if tableOff < 0 || tableOff+headerSize > pm.MetaSize() {
 		return nil, fmt.Errorf("alloc: table offset %d outside metadata zone", tableOff)
@@ -106,12 +112,11 @@ func Open(pm *pmem.Device, tableOff int64) (*Allocator, error) {
 		return nil, fmt.Errorf("alloc: bad table magic at %d", tableOff)
 	}
 	slotCap := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	brk := int64(binary.LittleEndian.Uint64(hdr[16:]))
 	// Overflow-safe: slotCap*slotSize could wrap for corrupt values.
 	if slotCap < 0 || slotCap > (pm.MetaSize()-tableOff-headerSize)/slotSize {
 		return nil, fmt.Errorf("alloc: corrupt slot capacity %d", slotCap)
 	}
-	if brk < 0 || brk > pm.DataSize() {
+	if brk := int64(binary.LittleEndian.Uint64(hdr[16:])); brk < 0 || brk > pm.DataSize() {
 		return nil, fmt.Errorf("alloc: corrupt bump pointer %d", brk)
 	}
 	a := &Allocator{
@@ -134,25 +139,26 @@ func Open(pm *pmem.Device, tableOff int64) (*Allocator, error) {
 			Off:  int64(binary.LittleEndian.Uint64(rec[0:])),
 			Size: int64(binary.LittleEndian.Uint64(rec[8:])),
 		}
+		if e.Off < Align || e.Size <= 0 || e.Size > a.dataSize-e.Off {
+			return nil, fmt.Errorf("alloc: corrupt record %d: extent [%d,+%d) outside the data zone", i, e.Off, e.Size)
+		}
 		used = append(used, e)
 		a.slotOf[e.Off] = i
-		if end := e.Off + e.Size; end > brk {
-			brk = end
-		}
 	}
-	if brk < Align {
-		brk = Align // offset 0 stays reserved
-	}
-	a.brk.Store(brk)
-	// Gaps below brk between used extents are reusable.
+	// Gaps below brk between used extents are reusable; the bump pointer
+	// sits just past the last one.
 	sort.Slice(used, func(i, j int) bool { return used[i].Off < used[j].Off })
-	prev := int64(Align)
+	prev := int64(Align) // offset 0 stays reserved
 	for _, e := range used {
+		if e.Off < prev {
+			return nil, fmt.Errorf("alloc: corrupt table: extent at %d overlaps the one before it", e.Off)
+		}
 		if e.Off > prev {
 			a.free = append(a.free, Extent{Off: prev, Size: e.Off - prev})
 		}
 		prev = e.Off + e.Size
 	}
+	a.brk.Store(prev)
 	// Reverse freeSlots so low indices are handed out first (cosmetic
 	// but keeps tables compact and deterministic).
 	sort.Slice(a.freeSlots, func(i, j int) bool { return a.freeSlots[i] > a.freeSlots[j] })
@@ -296,38 +302,6 @@ func (a *Allocator) InUse() int64 {
 // HighWater reports the bump pointer — the highest byte ever allocated.
 func (a *Allocator) HighWater() int64 { return a.brk.Load() }
 
-// Rebuild replaces the allocation table wholesale with the given live
-// extents and sets the bump pointer just past the last one. The repacker
-// calls this after compacting TensorData into a contiguous prefix.
-func (a *Allocator) Rebuild(live []Extent) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if int64(len(live)) > a.slotCap {
-		return ErrNoSlots
-	}
-	// Wipe the persistent table.
-	a.pm.WriteMeta(a.tableOff+headerSize, make([]byte, a.slotCap*slotSize))
-	a.pm.FlushMeta(a.tableOff+headerSize, a.slotCap*slotSize)
-	a.slotOf = make(map[int64]int64)
-	a.freeSlots = a.freeSlots[:0]
-	for i := a.slotCap - 1; i >= 0; i-- {
-		a.freeSlots = append(a.freeSlots, i)
-	}
-	a.free = nil
-	brk := int64(Align)
-	for _, e := range live {
-		if err := a.recordLocked(e.Off, e.Size); err != nil {
-			return err
-		}
-		if end := e.Off + e.Size; end > brk {
-			brk = end
-		}
-	}
-	a.brk.Store(brk)
-	a.persistBrk(brk)
-	return nil
-}
-
 // FreeBytes reports space still available (recycled gaps plus untouched
 // tail).
 func (a *Allocator) FreeBytes() int64 {
@@ -358,7 +332,7 @@ func (a *Allocator) DataSize() int64 { return a.dataSize }
 
 // AllocateBelow claims size bytes from the recycled free list, but only
 // from an extent that fits entirely below limit. It never bumps the
-// pointer: the online repacker uses it to guarantee every move is
+// pointer: the repacker uses it to guarantee every move is
 // strictly downward (dst+size <= src), so a crash mid-copy can never
 // have scribbled over live source bytes. Returns ok=false when no gap
 // qualifies.

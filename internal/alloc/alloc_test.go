@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -165,6 +166,35 @@ func TestOpenRejectsUnformatted(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsCorruptRecords: a used record whose extent leaves the
+// data zone, or overlaps another, is refused at Open instead of handing
+// a repacker offsets outside the zone.
+func TestOpenRejectsCorruptRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		slot, word int64 // record index and field: 0 offset, 1 size
+		v          uint64
+	}{
+		{"offset 0", 0, 0, 0},
+		{"past the zone", 1, 1, 1 << 20},
+		{"negative size", 0, 1, 1 << 63},
+		{"overlap", 1, 0, Align + 64},
+	} {
+		pm, a := newAllocator(t, 1<<20)
+		for i := 0; i < 2; i++ {
+			if _, err := a.Allocate(4096); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], tc.v)
+		pm.WriteMeta(headerSize+tc.slot*slotSize+tc.word*8, b[:])
+		if _, err := Open(pm, 0); err == nil {
+			t.Fatalf("%s: Open accepted the table", tc.name)
+		}
+	}
+}
+
 func TestSlotExhaustion(t *testing.T) {
 	pm := pmem.New(pmem.Config{Name: "pm", DataSize: 1 << 20, MetaSize: 4096})
 	a, err := Format(pm, 0, headerSize+2*slotSize)
@@ -207,36 +237,6 @@ func TestOffsetZeroIsNeverAllocated(t *testing.T) {
 		if off == 0 {
 			t.Fatal("allocator handed out the reserved offset 0")
 		}
-	}
-}
-
-func TestRebuildReplacesTable(t *testing.T) {
-	pm, a := newAllocator(t, 1<<20)
-	for i := 0; i < 4; i++ {
-		if _, err := a.Allocate(1000); err != nil {
-			t.Fatal(err)
-		}
-	}
-	compact := []Extent{{Off: Align, Size: 1024}, {Off: Align + 1024, Size: 2048}}
-	if err := a.Rebuild(compact); err != nil {
-		t.Fatal(err)
-	}
-	live := a.Live()
-	if len(live) != 2 || live[0] != compact[0] || live[1] != compact[1] {
-		t.Fatalf("live after rebuild = %+v", live)
-	}
-	if a.HighWater() != Align+1024+2048 {
-		t.Fatalf("HighWater = %d", a.HighWater())
-	}
-	// The rebuilt table must be what recovery sees.
-	pm.Crash()
-	b, err := Open(pm, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := b.Live()
-	if len(got) != 2 || got[0] != compact[0] || got[1] != compact[1] {
-		t.Fatalf("recovered after rebuild = %+v", got)
 	}
 }
 
@@ -284,7 +284,9 @@ func TestNoOverlapProperty(t *testing.T) {
 	}
 }
 
-// Property: recovery after crash reproduces exactly the live extents.
+// Property: recovery after crash reproduces exactly the live extents
+// and the free space — a freed top extent included, which neither the
+// free list nor the bump path may lose.
 func TestRecoveryMatchesLiveProperty(t *testing.T) {
 	prop := func(sizes []uint16, frees []uint8) bool {
 		pm := pmem.New(pmem.Config{Name: "pm", DataSize: 1 << 20, MetaSize: 64 << 10})
@@ -323,7 +325,7 @@ func TestRecoveryMatchesLiveProperty(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		return b.FreeBytes() == a.FreeBytes()
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(1))}); err != nil {
 		t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 
 	"github.com/portus-sys/portus/internal/delta"
 	"github.com/portus-sys/portus/internal/index"
+	"github.com/portus-sys/portus/internal/store"
 	"github.com/portus-sys/portus/internal/wire"
 )
 
@@ -125,6 +126,30 @@ var rows = []row{
 			w.repack()
 			w.structure()
 			bothSlots()
+		},
+	},
+	{
+		// Offline repack (portusctl -image … repack) of the halted
+		// daemon's namespace, through the same store.Open and
+		// RepackOffline the tool runs: n, never DONE, is deleted; b's
+		// and c's outdated slots are released; both survivors move down
+		// into the holes a's and n's deletions open; FinishPass trims
+		// the bump pointer and compacts the ModelTable.
+		name: "offline-repack",
+		setup: func(w *world) {
+			fragment(w)
+			w.register("n", true)
+			w.tenants["n"].deleting = true // the pass removes it
+		},
+		run: func(w *world) {
+			w.d.Halt(w.env)
+			e, err := store.Open(store.Config{PMem: w.pm})
+			if err != nil {
+				w.t.Fatal(err)
+			}
+			if _, err := e.RepackOffline(); err != nil {
+				w.t.Fatal(err)
+			}
 		},
 	},
 	{

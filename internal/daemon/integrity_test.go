@@ -15,6 +15,7 @@ import (
 	"github.com/portus-sys/portus/internal/index"
 	"github.com/portus-sys/portus/internal/model"
 	"github.com/portus-sys/portus/internal/sim"
+	"github.com/portus-sys/portus/internal/store"
 	"github.com/portus-sys/portus/internal/wire"
 )
 
@@ -119,6 +120,58 @@ func TestCorruptRestoreNamesTheBlock(t *testing.T) {
 		}
 		if bad := placed.VerifyDigests(deltaBlock, gpu); bad != -1 {
 			t.Fatalf("a refused restore wrote block %d of the GPU", bad)
+		}
+	})
+	eng.Run()
+}
+
+// TestDumpRefusesRottedBlock: DUMP holds no lane and reads the slot
+// without a restore, so it checks what it copies against the version's
+// stamp itself — one rotted block and the archive is refused as CORRUPT
+// with restore's message, naming the block; repaired, it goes out.
+func TestDumpRefusesRottedBlock(t *testing.T) {
+	eng := sim.NewEngine()
+	eng.Go("test", func(env sim.Env) {
+		d, placed, c, pm := deltaRig(t, env, nil)
+		placed.ApplyUpdate(1)
+		if err := c.CheckpointSync(env, 1); err != nil {
+			t.Fatal(err)
+		}
+		net := wire.NewSimNet()
+		l, err := net.Listen(env, "admin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.Go("admin", func(env sim.Env) { d.Serve(env, l) })
+		admin, err := net.Dial(env, "admin")
+		if err != nil {
+			t.Fatal(err)
+		}
+		slot, h := doneHeader(t, d, 1)
+		m, err := d.Store().Lookup("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := m.TensorData(0, slot).Off + deltaBlock + 5
+		orig := pm.Data().Bytes(at, 1)
+		pm.Data().Write(at, []byte{orig[0] ^ 0x10})
+
+		before := crcMismatches(d)
+		resp, err := wire.Call(env, admin, &wire.Msg{Type: wire.TDump, Model: "m"}, wire.TDumpResp)
+		if err == nil || resp == nil || resp.Code != wire.ErrCodeCorrupt {
+			t.Fatalf("DUMP of a rotted slot = %+v, %v; want CORRUPT", resp, err)
+		}
+		want := fmt.Sprintf("iteration 1 failed integrity check (stored CRC %016x", h.CRC)
+		block := fmt.Sprintf("the first in tensor %q at byte %d", m.Tensors[0].Name, deltaBlock)
+		if !strings.Contains(resp.Error, want) || !strings.Contains(resp.Error, block) {
+			t.Fatalf("refusal %q does not say %q and %q", resp.Error, want, block)
+		}
+		if got := crcMismatches(d) - before; got != 1 {
+			t.Fatalf("portus_daemon_crc_mismatch_total moved by %d, want 1", got)
+		}
+		pm.Data().Write(at, orig)
+		if resp, err := wire.Call(env, admin, &wire.Msg{Type: wire.TDump, Model: "m"}, wire.TDumpResp); err != nil || resp.Iteration != 1 {
+			t.Fatalf("DUMP of the repaired slot = %+v, %v", resp, err)
 		}
 	})
 	eng.Run()
@@ -318,7 +371,7 @@ func TestDeltaWrittenSlotStampsLikeFullWritten(t *testing.T) {
 				t.Fatalf("latest done = %+v", h)
 			}
 			requireStamp(t, h.CRC)
-			if fresh := d.ContentCRC(m, slot); h.CRC != fresh {
+			if fresh := store.ContentCRC(pm, m, slot); h.CRC != fresh {
 				t.Fatalf("delta=%v: stamped %016x, slot hashes to %016x", deltaOn, h.CRC, fresh)
 			}
 			stamps[i] = h.CRC

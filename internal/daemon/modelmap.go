@@ -303,18 +303,14 @@ func (d *Daemon) handleDump(env sim.Env, conn wire.Conn, m *wire.Msg) {
 		return
 	}
 	d.event(env, telemetry.Event{Kind: telemetry.EvAdminDump, Model: m.Model, Iteration: v.Iteration})
-	data := d.cfg.PMem.Data()
-	ckpt := &serialize.Checkpoint{Model: model.Name, Iteration: v.Iteration}
-	for i, tm := range model.Tensors {
-		ext := model.TensorData(i, slot)
-		blob := serialize.Blob{Meta: tm}
-		if d.cfg.PMem.Materialized() {
-			blob.Data = data.Bytes(ext.Off, ext.Size)
-		} else {
-			blob.Virtual = true
-			blob.Stamp = data.StampOf(ext.Off, ext.Size)
-		}
-		ckpt.Tensors = append(ckpt.Tensors, blob)
+	// DUMP holds no lane, so a commit into the slot or a repack move can
+	// race the copy; the archive is refused unless its bytes hash to the
+	// version's stamp.
+	ckpt, err := store.Archive(d.cfg.PMem, model, slot, v)
+	if err != nil {
+		d.tel.crcFailures.Inc()
+		d.send(env, conn, errMsg(wire.TDump, wire.ErrCodeCorrupt, v.Iteration, m.Model, err.Error()))
+		return
 	}
 	// The archive pass pays the serialization cost Portus keeps off the
 	// checkpoint path.

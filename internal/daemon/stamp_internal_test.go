@@ -11,6 +11,7 @@ import (
 	"github.com/portus-sys/portus/internal/pmem"
 	"github.com/portus-sys/portus/internal/rdma"
 	"github.com/portus-sys/portus/internal/sim"
+	"github.com/portus-sys/portus/internal/store"
 )
 
 // TestSlotFingerprintHashesInPlace: stamping a 32 MiB slot allocates
@@ -30,7 +31,7 @@ func TestSlotFingerprintHashesInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := d.contentCRC(m, 0)
+	clean := store.ContentCRC(pm, m, 0)
 	if clean>>32 != 1 {
 		t.Fatalf("stamp %016x is not 1<<32 | crc32c", clean)
 	}
@@ -38,7 +39,7 @@ func TestSlotFingerprintHashesInPlace(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		if got := d.contentCRC(m, 0); got != clean {
+		if got := store.ContentCRC(pm, m, 0); got != clean {
 			t.Fatalf("stamp of unchanged content moved: %016x then %016x", clean, got)
 		}
 	}
@@ -48,7 +49,7 @@ func TestSlotFingerprintHashesInPlace(t *testing.T) {
 	}
 	last := m.TensorData(3, 0)
 	pm.Data().Write(last.Off+last.Size-1, []byte{1})
-	if d.contentCRC(m, 0) == clean {
+	if store.ContentCRC(pm, m, 0) == clean {
 		t.Fatal("stamp blind to the slot's last byte")
 	}
 }
@@ -56,7 +57,7 @@ func TestSlotFingerprintHashesInPlace(t *testing.T) {
 var errTorn = errors.New("torn flush")
 
 // TestStamperFollowsSlotOrder: flushes that cover the slot's extents,
-// split into chunks, stamp what contentCRC hashes, front to back or out
+// split into chunks, stamp what store.ContentCRC hashes, front to back or out
 // of order alike, and a failed flush retried counts once; flushes that
 // leave a gap or overlap stamp nothing, leaving commit to hash the
 // slot.
@@ -90,7 +91,7 @@ func TestStamperFollowsSlotOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := in.stamp(), d.contentCRC(m, 0); got != want {
+	if got, want := in.stamp(), store.ContentCRC(pm, m, 0); got != want {
 		t.Fatalf("in-order flushes stamp %016x, contentCRC %016x", got, want)
 	}
 	if len(chunks) < 2 || chunks[0].Tensor != chunks[1].Tensor {
@@ -103,7 +104,7 @@ func TestStamperFollowsSlotOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := out.stamp(), d.contentCRC(m, 0); got != want {
+	if got, want := out.stamp(), store.ContentCRC(pm, m, 0); got != want {
 		t.Fatalf("out-of-order flushes stamp %016x, contentCRC %016x", got, want)
 	}
 	// A flush that fails is retried by the engine; only the attempt that
@@ -125,7 +126,7 @@ func TestStamperFollowsSlotOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got, want := torn.stamp(), d.contentCRC(m, 0); got != want {
+	if got, want := torn.stamp(), store.ContentCRC(pm, m, 0); got != want {
 		t.Fatalf("flushes with a retried one stamp %016x, contentCRC %016x", got, want)
 	}
 	for _, tc := range []struct {

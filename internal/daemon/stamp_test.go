@@ -7,6 +7,7 @@ import (
 	"github.com/portus-sys/portus/internal/faults"
 	"github.com/portus-sys/portus/internal/pmem"
 	"github.com/portus-sys/portus/internal/sim"
+	"github.com/portus-sys/portus/internal/store"
 	"github.com/portus-sys/portus/internal/telemetry"
 )
 
@@ -67,7 +68,7 @@ func TestInPassStampMatchesSlot(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if fresh := d.ContentCRC(m, slot); h.CRC != fresh {
+					if fresh := store.ContentCRC(pm, m, slot); h.CRC != fresh {
 						t.Fatalf("iteration %d: stamped %016x, slot hashes to %016x", iter, h.CRC, fresh)
 					}
 					if got, want := hashed-before, pm.DataFlushOps()-ops; int64(got) != want || got < len(m.Tensors) {

@@ -1,11 +1,9 @@
 package daemon
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"math"
 	"strconv"
 	"time"
@@ -238,15 +236,11 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 	// skips the pass.
 	if v.CRC != 0 {
 		sp := x.tr.Root.Child("verify", env.Now())
-		got := d.contentCRC(m, slot)
+		got, err := store.Check(d.cfg.PMem, m, slot, v)
 		sp.EndAt(env.Now())
-		tab := m.Digests(slot, 0)
-		if !d.crcMatches(got, v.CRC) {
-			msg := fmt.Sprintf("iteration %d failed integrity check (stored CRC %016x, computed %016x)", v.Iteration, v.CRC, got)
-			if tab != nil && d.cfg.PMem.Materialized() {
-				msg += ": " + d.badBlocks(m, slot, tab)
-			}
-			d.finish(env, t, x, nil, errMsg(wire.TRestore, wire.ErrCodeCorrupt, v.Iteration, m.Name, msg))
+		if err != nil {
+			d.tel.crcFailures.Inc()
+			d.finish(env, t, x, nil, errMsg(wire.TRestore, wire.ErrCodeCorrupt, v.Iteration, m.Name, err.Error()))
 			return
 		}
 		// The restored bytes are exactly the version the slot's table
@@ -255,7 +249,7 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 		// rehashing what the push writes. Only a table the checked stamp
 		// vouches for goes out: on a materialized zone its CRC-32C halves
 		// must join to that stamp.
-		if tab != nil && tab.BlockBytes == rc.deltaBlock && (!d.cfg.PMem.Materialized() || d.tableJoins(m, tab, got)) {
+		if tab := m.Digests(slot, 0); tab != nil && tab.BlockBytes == rc.deltaBlock && (!d.cfg.PMem.Materialized() || store.TableJoins(m, tab, got)) {
 			done.Digests, done.DeltaBlock = tab.Digests, tab.BlockBytes
 		}
 	}
@@ -268,12 +262,6 @@ func (d *Daemon) doRestore(env sim.Env, t *sched.Task, rc *reqCtx) {
 	d.tel.pushStage.ObserveDurationTraced(res.Transfer, x.tr.ID)
 	x.tr.Bytes = res.Bytes
 	d.finish(env, t, x, d.tel.restoreLatency, done)
-}
-
-// tableJoins reports whether digest table t's CRC-32C halves join to
-// stamp, the fingerprint of m's slot that t describes (see stamper).
-func (d *Daemon) tableJoins(m *index.Model, t *delta.Table, stamp uint64) bool {
-	return stampOf(delta.CRC32C(m.Sizes(), t.BlockBytes, t.Digests)) == stamp
 }
 
 // doneSlot finds the slot holding a complete version of m: the newest
@@ -341,14 +329,14 @@ func (d *Daemon) commit(env sim.Env, v version, move func() (uint64, error)) (ui
 	// replica of this content computes the same CRC, so a torn or
 	// corrupted copy is detectable at restore.
 	if crc == 0 {
-		crc = d.contentCRC(v.model, v.slot)
+		crc = store.ContentCRC(d.cfg.PMem, v.model, v.slot)
 	}
 	if !d.crcMatches(crc, v.wantCRC) {
 		return crc, errCRCMismatch
 	}
-	if t := v.digests; t != nil && d.cfg.PMem.Materialized() && !d.tableJoins(v.model, t, crc) {
+	if t := v.digests; t != nil && d.cfg.PMem.Materialized() && !store.TableJoins(v.model, t, crc) {
 		d.tel.crcFailures.Inc()
-		return crc, fmt.Errorf("checkpoint does not match the client's digests: %s", d.badBlocks(v.model, v.slot, t))
+		return crc, fmt.Errorf("checkpoint does not match the client's digests: %s", store.BadBlocks(d.cfg.PMem, v.model, v.slot, t))
 	}
 	// The digest table goes down before the DONE flag, so a crash in
 	// between leaves a table whose iteration cannot match the slot
@@ -377,42 +365,11 @@ func (d *Daemon) crcMatches(got, want uint64) bool {
 	return true
 }
 
-// contentCRC stamps one version slot's tensor extents: CRC-32C (the
-// checksum iSCSI, ext4 and RocksDB use for this job, one SSE4.2
-// instruction per 8 bytes) of the actual PMem bytes, hashed in place, in
-// materialized mode, or of the extents' content fingerprints in virtual
-// mode (Fingerprint, not StampOf: a delta-written slot holds pulled and
-// copied-forward fragments side by side, which StampOf cannot
-// summarize). Bit 32 is always set, so a stamp can never read as 0, the
-// header's "stored without a stamp". Replicas that assembled the same
-// content compute the same value, so the stamp identifies the copy's
-// content, not its location or how it got there.
-func (d *Daemon) contentCRC(m *index.Model, slot int) uint64 {
-	h := crc32.New(castagnoli)
-	data := d.cfg.PMem.Data()
-	var b [8]byte
-	for i := range m.Tensors {
-		ext := m.TensorData(i, slot)
-		if data.Materialized() {
-			data.HashTo(h, ext.Off, ext.Size)
-		} else {
-			binary.LittleEndian.PutUint64(b[:], data.Fingerprint(ext.Off, ext.Size))
-			h.Write(b[:])
-		}
-	}
-	return stampOf(h.Sum32())
-}
-
-// stampOf tags a slot's CRC-32C as its stamp (see contentCRC).
-func stampOf(crc uint32) uint64 { return 1<<32 | uint64(crc) }
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
 // stamper computes a materialized checkpoint's stamp without reading
 // the slot again. Each flush persists its range and hashes the same
 // bytes in one pass (Config.Flush), and each block a delta skips brings
 // the CRC-32C half of its trusted digest; stamp joins the pieces in
-// contentCRC's order by CRC-32C algebra (memdev.Combine), so they may
+// store.ContentCRC's order by CRC-32C algebra (memdev.Combine), so they may
 // arrive in any order — a delta's skipped blocks and copy-forward spans
 // land out of slot order. Only a successful flush adds its piece, so a
 // torn flush that is retried counts once. The engine calls flush from one process at a time.
@@ -452,7 +409,7 @@ func (s *stamper) flush(off, n int64) error {
 	return err
 }
 
-// stamp is the version's fingerprint, as contentCRC computes it, when
+// stamp is the version's fingerprint, as store.ContentCRC computes it, when
 // the pieces tile the slot's tensor extents exactly; otherwise (a gap
 // or an overlap) 0.
 func (s *stamper) stamp() uint64 {
@@ -466,22 +423,7 @@ func (s *stamper) stamp() uint64 {
 	if !ok {
 		return 0
 	}
-	return stampOf(crc)
-}
-
-// badBlocks describes how slot's bytes differ from the digest table t:
-// how many blocks' CRC-32C is not their digest's high word, and the
-// first of them.
-func (d *Daemon) badBlocks(m *index.Model, slot int, t *delta.Table) string {
-	data := d.cfg.PMem.Data()
-	bad, i, off := delta.Mismatch(m.Sizes(), t.BlockBytes, t.Digests, func(i int, off, n int64) uint32 {
-		return memdev.CopyCRC(nil, 0, data, m.TensorData(i, slot).Off+off, n, 0)
-	})
-	if bad == 0 {
-		return "every block matches its digest"
-	}
-	return fmt.Sprintf("%d of %d blocks differ from their digests, the first in tensor %q at byte %d",
-		bad, len(t.Digests), m.Tensors[i].Name, off)
+	return store.StampOf(crc)
 }
 
 func flushCost(bytes int64) time.Duration {

@@ -948,11 +948,14 @@ func (m *Model) SetPAddr(i, v int, off int64) {
 	m.s.pm.Persist8(at)
 }
 
-// ClearVersion marks slot v empty and invalidates its tensor pointers
-// (the repacker's treatment of outdated or collapsed versions). The
-// slot's digest record goes with it: a cleared slot holds no content to
-// diff against.
+// ClearVersion retires slot v's digest record (a cleared slot holds no
+// content to diff against), marks the slot empty, and then persists
+// each of its tensor pointers as 0 — the offline repacker's release of
+// an outdated or collapsed version, whose extents the caller frees
+// after. Each step is one persist, and a crash between two leaves a
+// slot no reader takes for a version.
 func (m *Model) ClearVersion(v int) {
+	m.s.deltaDrop(m.off, v)
 	off := m.verOff(v)
 	var b [8]byte // zero = StateEmpty
 	m.s.pm.WriteMeta(off, b[:])
@@ -960,14 +963,19 @@ func (m *Model) ClearVersion(v int) {
 	for i := range m.Tensors {
 		m.SetPAddr(i, v, 0)
 	}
-	m.s.deltaDrop(m.off, v)
 }
 
-// HasSlot reports whether slot v still owns TensorData extents (false
-// after the repacker reclaimed it). Offset 0 is reserved: the allocator
-// never places an extent there.
+// HasSlot reports whether slot v still owns a TensorData extent: false
+// once the repacker released it, true while a release a crash cut short
+// left some pointers. Offset 0 is reserved: the allocator never places
+// an extent there.
 func (m *Model) HasSlot(v int) bool {
-	return len(m.Tensors) > 0 && m.PAddr[0][v] != 0
+	for _, pa := range m.PAddr {
+		if pa[v] != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 // Package store is the daemon's storage engine: the one layer that owns
-// the PMem namespace end to end. It composes the persistent index
-// (ModelTable → MIndex → TensorData), the data-zone allocator, and the
-// repacker behind a single mutex and a single set of invariants:
+// the PMem namespace end to end, and the only code that rewrites it. It
+// composes the persistent index (ModelTable → MIndex → TensorData), the
+// data-zone allocator, and the repacker behind a single mutex and a
+// single set of invariants:
 //
 //   - Transactional admission. Registering a model reserves the MIndex
 //     record and allocates both version slots for every tensor as one
@@ -11,21 +12,23 @@
 //   - Capacity accounting as first-class state. Live, fragmented, and
 //     garbage bytes are tracked continuously and exported as
 //     portus_store_*_bytes gauges, not reconstructed by an offline tool.
-//   - Online reclamation. A maintenance pass compacts one model at a
-//     time while the daemon keeps serving other tenants: the scheduler's
-//     maintenance class leases per-model quiescence (the pass occupies
-//     the model's lane like any task, so no checkpoint or restore for
-//     that model can run concurrently), and every extent move follows
-//     the offline repacker's crash discipline — allocate strictly below
-//     the source, copy, flush, then repoint with one failure-atomic
-//     persist, then free the source. A crash at any boundary leaves
-//     either the old or the new extent reachable; the other side is an
-//     allocated-but-unreferenced extent that Open's leak sweep reclaims.
+//   - One repacker. A maintenance pass compacts one model at a time:
+//     online, while the daemon keeps serving other tenants (the
+//     scheduler's maintenance class leases per-model quiescence — the
+//     pass occupies the model's lane like any task, so no checkpoint or
+//     restore for that model can run concurrently), and offline, over an
+//     image no daemon serves (portusctl -image … repack), where it first
+//     removes never-done models and releases every kept model's
+//     non-latest slot. Every step keeps one crash discipline — allocate
+//     strictly below the source, copy, flush, then repoint with one
+//     failure-atomic persist, then free the source; a pointer is
+//     persisted as 0 before its extent is freed. A crash at any boundary
+//     leaves either the old or the new extent reachable; the other side
+//     is an allocated-but-unreferenced extent that Open's leak sweep
+//     reclaims.
 //
-// The offline repacker (portusctl repack -image) remains available for
-// unmounted images and is byte-for-byte unchanged; the engine's online
-// pass trades its global rewrite for per-model increments that
-// interleave with live traffic.
+// The package also owns the content stamp persisted with every DONE
+// flag and the one builder of the portable archive (stamp.go).
 package store
 
 import (
@@ -71,13 +74,17 @@ type Stats struct {
 	HighWater int64
 }
 
-// PassReport summarizes one online repack pass (JSON-encoded into
-// TRepackResp for portusctl).
+// PassReport summarizes one repack pass, online or offline
+// (JSON-encoded into TRepackResp for portusctl). ModelsRemoved and
+// SlotsReclaimed count the offline pass's reclaims; an online pass
+// leaves them 0.
 type PassReport struct {
-	Models         int           `json:"models"`
+	ModelsKept     int           `json:"models"`
+	ModelsRemoved  int           `json:"models_removed"`
+	SlotsReclaimed int           `json:"slots_reclaimed"`
 	BytesMoved     int64         `json:"bytes_moved"`
 	BytesReclaimed int64         `json:"bytes_reclaimed"` // bump-pointer drop
-	Live           int64         `json:"live_bytes"`
+	BytesInUse     int64         `json:"live_bytes"`
 	Frag           int64         `json:"frag_bytes"`
 	Garbage        int64         `json:"garbage_bytes"`
 	Duration       time.Duration `json:"duration_ns"`
@@ -85,8 +92,8 @@ type PassReport struct {
 
 // String renders the report.
 func (r PassReport) String() string {
-	return fmt.Sprintf("repack: %d models, moved %d bytes, reclaimed %d bytes, live %d, frag %d, garbage %d, took %s",
-		r.Models, r.BytesMoved, r.BytesReclaimed, r.Live, r.Frag, r.Garbage, r.Duration)
+	return fmt.Sprintf("repack: kept %d models, removed %d, reclaimed %d slots, moved %d bytes, reclaimed %d bytes, in use %d, frag %d, garbage %d, took %s",
+		r.ModelsKept, r.ModelsRemoved, r.SlotsReclaimed, r.BytesMoved, r.BytesReclaimed, r.BytesInUse, r.Frag, r.Garbage, r.Duration)
 }
 
 // watermark is the fragmented-bytes fraction of the data zone that makes
@@ -232,8 +239,9 @@ func (e *Engine) CreateModel(name string, tensors []index.TensorMeta) (*index.Mo
 	return e.idx.CreateModel(name, tensors)
 }
 
-// EnsureSlots re-allocates any version slot the offline repacker
-// reclaimed (PAddr 0), transactionally: on any failure every extent
+// EnsureSlots re-allocates every tensor pointer the offline repacker
+// released (PAddr 0) — a whole slot, or the part of one a crash cut the
+// release short of — transactionally: on any failure every extent
 // allocated by this call is freed and no pointer is repersisted.
 func (e *Engine) EnsureSlots(m *index.Model) error {
 	e.mu.Lock()
@@ -245,10 +253,10 @@ func (e *Engine) EnsureSlots(m *index.Model) error {
 	}
 	var news []pending
 	for v := 0; v < 2; v++ {
-		if m.HasSlot(v) {
-			continue
-		}
 		for i, tm := range m.Tensors {
+			if m.PAddr[i][v] != 0 {
+				continue
+			}
 			off, err := a.Allocate(tm.Size)
 			if err != nil {
 				for _, p := range news {
@@ -290,8 +298,8 @@ func (e *Engine) DeleteModel(m *index.Model) error {
 // models' traffic proceeds untouched.
 //
 // Every populated slot's extents are moved as low in the data zone as a
-// strictly-below-source gap allows. Slots are never reclaimed online
-// (unlike the offline tool): a live tenant's non-latest slot is its
+// strictly-below-source gap allows. Slots are released only by the
+// offline pass (RepackOffline): a live tenant's non-latest slot is its
 // next checkpoint's destination, not garbage. Persist order per extent,
 // and what a power failure after each leaves for Open:
 //
@@ -341,13 +349,12 @@ func (e *Engine) CompactModel(m *index.Model) (moved int64, err error) {
 	return moved, nil
 }
 
-// FinishPass completes an online repack pass after every model's
-// CompactModel step ran: the bump pointer drops to the highest live
-// byte (returning the tail to the lock-free fast path) and the
-// ModelTable is compacted — both crash-atomic on their own (the trim
-// persists one 8-byte word; the table flip is the same double-
-// generation switch the offline tool uses). It returns the pass report
-// and records the run in the engine's telemetry.
+// FinishPass completes a repack pass after every model's CompactModel
+// step ran: the bump pointer drops to the highest live byte (returning
+// the tail to the lock-free fast path) and the ModelTable is compacted
+// — both crash-atomic on their own (the trim persists one 8-byte word;
+// the table flip is a double-generation switch). It returns the pass
+// report and records the run in the engine's telemetry.
 func (e *Engine) FinishPass(models int, movedBytes int64, took time.Duration, trace telemetry.TraceID) (PassReport, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -358,10 +365,10 @@ func (e *Engine) FinishPass(models int, movedBytes int64, took time.Duration, tr
 	}
 	st := e.statsLocked()
 	rep := PassReport{
-		Models:         models,
+		ModelsKept:     models,
 		BytesMoved:     movedBytes,
 		BytesReclaimed: before - newBrk,
-		Live:           st.Live,
+		BytesInUse:     st.Live,
 		Frag:           st.Frag,
 		Garbage:        st.Garbage,
 		Duration:       took,
@@ -370,6 +377,79 @@ func (e *Engine) FinishPass(models int, movedBytes int64, took time.Duration, tr
 	return rep, nil
 }
 
-// RepackRuns reports completed online passes (the
-// portus_store_repack_seconds histogram's count).
+// RepackOffline is the offline repack pass (§III-D2, Figure 7) over a
+// namespace no daemon serves: no tenant can come back for what it
+// reclaims. A model with no DONE version (the job crashed before any
+// version completed) is deleted through DeleteModel; every kept model's
+// non-latest slot — outdated, or collapsed mid-write — is released
+// (releaseSlot); then every kept model is compacted and the pass
+// finished exactly as the online pass does (CompactModel, FinishPass).
+// A power failure at any persist leaves a namespace Open recovers, and
+// running the pass again completes it.
+func (e *Engine) RepackOffline() (PassReport, error) {
+	start := time.Now()
+	models, err := e.idx.Models()
+	if err != nil {
+		return PassReport{}, fmt.Errorf("repack: listing models: %w", err)
+	}
+	var kept []*index.Model
+	var removed, released int
+	for _, m := range models {
+		slot, _, ok := m.LatestDone()
+		if !ok {
+			if err := e.DeleteModel(m); err != nil {
+				return PassReport{}, fmt.Errorf("repack: removing %s: %w", m.Name, err)
+			}
+			removed++
+			continue
+		}
+		if other := 1 - slot; m.HasSlot(other) {
+			if err := e.releaseSlot(m, other); err != nil {
+				return PassReport{}, fmt.Errorf("repack: releasing %s slot %d: %w", m.Name, other, err)
+			}
+			released++
+		}
+		kept = append(kept, m)
+	}
+	var moved int64
+	for _, m := range kept {
+		n, err := e.CompactModel(m)
+		moved += n
+		if err != nil {
+			return PassReport{}, fmt.Errorf("repack: compacting %s: %w", m.Name, err)
+		}
+	}
+	rep, err := e.FinishPass(len(kept), moved, time.Since(start), 0)
+	rep.ModelsRemoved, rep.SlotsReclaimed = removed, released
+	return rep, err
+}
+
+// releaseSlot reclaims version slot v of m. The header goes EMPTY
+// first, so no reader takes the slot for a version; then every tensor
+// pointer is persisted as 0 (index.Model.ClearVersion), and only then
+// are the extents freed. A crash before a free leaves its extent
+// unreferenced, for Open's leak sweep; one among the pointers leaves
+// some of them 0, which EnsureSlots fills again at re-registration.
+func (e *Engine) releaseSlot(m *index.Model, v int) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	offs := make([]int64, len(m.Tensors))
+	for i := range m.Tensors {
+		offs[i] = m.PAddr[i][v]
+	}
+	m.ClearVersion(v)
+	a := e.idx.Allocator()
+	for _, off := range offs {
+		if off == 0 {
+			continue
+		}
+		if err := a.Free(off); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// RepackRuns reports completed passes (the portus_store_repack_seconds
+// histogram's count).
 func (e *Engine) RepackRuns() int64 { return int64(e.dur.Count()) }

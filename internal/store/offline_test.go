@@ -14,7 +14,7 @@ import (
 //   - "finished": two done versions (10 and 20) — repack keeps v20 only;
 //   - "crashed-mid": one done (5) + one active (6, collapsed) — keeps 5;
 //   - "never-done": registration only — removed entirely.
-func fixture(t *testing.T) (*pmem.Device, *index.Store, map[string]uint64) {
+func fixture(t testing.TB) (*pmem.Device, *index.Store, map[string]uint64) {
 	t.Helper()
 	pm := pmem.New(pmem.Config{Name: "pm", DataSize: 16 << 20, MetaSize: 8 << 20, Materialized: true})
 	s, err := index.Format(pm, 16)
@@ -66,12 +66,25 @@ func keyOf(model string, tensor int, iter uint64) string {
 	return model + string(rune('0'+tensor)) + string(rune('0'+iter%10))
 }
 
-func TestRepackKeepsNewestVersions(t *testing.T) {
-	pm, s, stamps := fixture(t)
-	rep, err := store.Offline(pm, s)
+// repack runs the offline pass the way portusctl -image does: the
+// namespace is opened through store.Open (and its leak sweep), then
+// repacked. It returns the report and the engine's index.
+func repack(t *testing.T, pm *pmem.Device) (store.PassReport, *index.Store) {
+	t.Helper()
+	e, err := store.Open(store.Config{PMem: pm})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rep, err := e.RepackOffline()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep, e.Index()
+}
+
+func TestRepackKeepsNewestVersions(t *testing.T) {
+	pm, _, stamps := fixture(t)
+	rep, s := repack(t, pm)
 	if rep.ModelsKept != 2 || rep.ModelsRemoved != 1 || rep.SlotsReclaimed != 2 {
 		t.Fatalf("report = %+v", rep)
 	}
@@ -117,10 +130,7 @@ func TestRepackKeepsNewestVersions(t *testing.T) {
 func TestRepackCompactsSpace(t *testing.T) {
 	pm, s, _ := fixture(t)
 	before := s.Allocator().InUse()
-	rep, err := store.Offline(pm, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, s := repack(t, pm)
 	if rep.BytesReclaimed <= 0 {
 		t.Fatalf("no space reclaimed: %+v", rep)
 	}
@@ -139,10 +149,8 @@ func TestRepackCompactsSpace(t *testing.T) {
 }
 
 func TestRepackedStateSurvivesCrashAndReopen(t *testing.T) {
-	pm, s, stamps := fixture(t)
-	if _, err := store.Offline(pm, s); err != nil {
-		t.Fatal(err)
-	}
+	pm, _, stamps := fixture(t)
+	repack(t, pm)
 	pm.Crash()
 	s2, err := index.Open(pm)
 	if err != nil {
@@ -163,14 +171,9 @@ func TestRepackedStateSurvivesCrashAndReopen(t *testing.T) {
 }
 
 func TestRepackIdempotent(t *testing.T) {
-	pm, s, _ := fixture(t)
-	if _, err := store.Offline(pm, s); err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := store.Offline(pm, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pm, _, _ := fixture(t)
+	repack(t, pm)
+	rep2, _ := repack(t, pm)
 	if rep2.BytesMoved != 0 || rep2.BytesReclaimed != 0 || rep2.SlotsReclaimed != 0 {
 		t.Fatalf("second repack did work: %+v", rep2)
 	}
@@ -178,14 +181,10 @@ func TestRepackIdempotent(t *testing.T) {
 
 func TestRepackEmptyStore(t *testing.T) {
 	pm := pmem.New(pmem.Config{Name: "pm", DataSize: 1 << 20, MetaSize: 8 << 20})
-	s, err := index.Format(pm, 4)
-	if err != nil {
+	if _, err := index.Format(pm, 4); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := store.Offline(pm, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := repack(t, pm)
 	if rep.ModelsKept != 0 || rep.ModelsRemoved != 0 {
 		t.Fatalf("report on empty store = %+v", rep)
 	}
